@@ -24,6 +24,8 @@ import (
 	"os"
 	"sync/atomic"
 	"time"
+
+	"prudentia/internal/journal"
 )
 
 // ErrInjectedDiskFull is the write error a DiskPlan injects: the
@@ -138,6 +140,16 @@ type FaultyFile struct {
 // every operation passes straight through.
 func WrapFile(f *os.File, plan *DiskPlan) *FaultyFile {
 	return &FaultyFile{f: f, plan: plan}
+}
+
+// WrapFunc returns the storage wrapper that runs every file a durable
+// writer opens through the plan, or nil (use files as-is) when the plan
+// injects nothing.
+func (p *DiskPlan) WrapFunc() journal.WrapFunc {
+	if !p.Enabled() {
+		return nil
+	}
+	return func(f *os.File) journal.File { return WrapFile(f, p) }
 }
 
 // InjectedFaults reports how many writes failed and how many syncs were

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 
 	"prudentia/internal/chaos"
+	"prudentia/internal/journal"
 	"prudentia/internal/obs"
 )
 
@@ -18,18 +16,11 @@ import (
 // and are accepted as version 1.
 const CheckpointSchema = "prudentia.checkpoint/1"
 
-// checkpointSchemaPrefix and checkpointSchemaVersion decompose
-// CheckpointSchema for forward-compat checks.
-const (
-	checkpointSchemaPrefix  = "prudentia.checkpoint/"
-	checkpointSchemaVersion = 1
-)
-
 // ErrFutureCheckpoint marks a checkpoint written by a newer schema
 // version than this build understands. Resuming from it could silently
 // misparse fields this build does not know about, so it is rejected
 // outright instead of being half-adopted.
-var ErrFutureCheckpoint = errors.New("checkpoint schema is newer than this build")
+var ErrFutureCheckpoint = journal.ErrFutureVersion
 
 // Checkpoint is the crash-safe serialization of an in-progress watchdog
 // cycle: everything completed so far, flushed to disk after every pair.
@@ -102,59 +93,26 @@ func (cp *Checkpoint) HasBudgetState() bool { return cp.Budget != nil }
 // Checkpoint.HasBudgetState.
 var ErrCheckpointNoBudget = errors.New("checkpoint carries no adaptive budget state; resume with fixed trials")
 
-// SaveCheckpoint writes the checkpoint atomically and durably: temp
-// file in the destination directory, fsync, rename, then fsync of the
-// parent directory. A crash mid-write never truncates the previous
-// good checkpoint, and — unlike a bare rename, which only survives a
-// process crash — the renamed file survives a machine crash too: the
-// file fsync persists its contents, the directory fsync persists the
-// name pointing at them.
+// SaveCheckpoint writes the checkpoint atomically and durably
+// (journal.ReplaceFile): a crash mid-write never truncates the previous
+// good checkpoint, and the replacement survives a machine crash too.
 func SaveCheckpoint(path string, cp *Checkpoint) error {
 	return SaveCheckpointDisk(path, cp, nil)
 }
 
 // SaveCheckpointDisk is SaveCheckpoint with disk-fault injection: the
 // temp file's writes and fsync run through the chaos plan (nil = no
-// injection), so an injected ENOSPC or torn-at-fsync tear aborts the
-// temp file and the rename never happens — the previous good
-// checkpoint stays intact, which is exactly the atomic-save property
-// the chaos plan exists to prove.
+// injection), so an injected ENOSPC or torn-at-fsync tear aborts before
+// the rename and the previous good checkpoint stays intact — exactly
+// the atomic-save property the chaos plan exists to prove.
 func SaveCheckpointDisk(path string, cp *Checkpoint, disk *chaos.DiskPlan) error {
 	cp.Schema = CheckpointSchema
 	data, err := json.MarshalIndent(cp, "", "  ")
 	if err != nil {
 		return fmt.Errorf("core: marshal checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	rawTmp, err := os.CreateTemp(dir, ".prudentia-ckpt-*")
-	if err != nil {
-		return fmt.Errorf("core: checkpoint temp file: %w", err)
-	}
-	tmpName := rawTmp.Name()
-	tmp := chaos.WrapFile(rawTmp, disk)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("core: write checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("core: sync checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: close checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: commit checkpoint: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		// Directory fsync is best-effort: some filesystems reject it,
-		// and the rename itself is already atomic.
-		d.Sync()
-		d.Close()
+	if err := journal.ReplaceFile(path, data, disk.WrapFunc()); err != nil {
+		return fmt.Errorf("core: save checkpoint: %w", err)
 	}
 	return nil
 }
@@ -174,8 +132,12 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, fmt.Errorf("core: parse checkpoint %s: %w", path, err)
 	}
-	if err := checkCheckpointSchema(path, probe.Schema); err != nil {
-		return nil, err
+	// Empty is accepted: checkpoints predating the field are version 1
+	// by definition.
+	if probe.Schema != "" {
+		if err := journal.CheckSchema(path, probe.Schema, CheckpointSchema); err != nil {
+			return nil, fmt.Errorf("core: checkpoint %w", err)
+		}
 	}
 	cp := &Checkpoint{}
 	if err := json.Unmarshal(data, cp); err != nil {
@@ -185,21 +147,4 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: checkpoint %s has invalid cycle %d", path, cp.Cycle)
 	}
 	return cp, nil
-}
-
-// checkCheckpointSchema validates a checkpoint's schema field,
-// distinguishing a future version (upgrade the binary) from a foreign
-// file. Empty is accepted: checkpoints predating the field are
-// version 1 by definition.
-func checkCheckpointSchema(path, got string) error {
-	if got == "" || got == CheckpointSchema {
-		return nil
-	}
-	if v, ok := strings.CutPrefix(got, checkpointSchemaPrefix); ok {
-		if n, err := strconv.Atoi(v); err == nil && n > checkpointSchemaVersion {
-			return fmt.Errorf("core: checkpoint %s is %q, newer than this build's %q: %w (upgrade the binary or delete the checkpoint to start fresh)",
-				path, got, CheckpointSchema, ErrFutureCheckpoint)
-		}
-	}
-	return fmt.Errorf("core: checkpoint %s has unknown schema %q (want %q)", path, got, CheckpointSchema)
 }

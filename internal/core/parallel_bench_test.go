@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkMatrixParallel measures the all-pairs matrix at 1, 2, 4, and
-// 8 workers on the compressed protocol — the tentpole's speedup
-// benchmark, parsed by scripts/bench.sh into BENCH_parallel.json.
+// 8 workers on the compressed protocol (run it with `go test -bench`;
+// bench/run.sh's cycle8_adaptive_durable measures the pool end to end).
 // Results are byte-identical across sub-benchmarks (the determinism
 // tests prove it); only wall-clock changes. Speedup above 1 worker is
 // bounded by GOMAXPROCS: on a single-CPU host the parallel runs measure

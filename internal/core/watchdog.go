@@ -502,12 +502,7 @@ func (w *Watchdog) openJournal() (*journalSink, *journal.Writer, journal.Recover
 	if w.JournalPath == "" {
 		return nil, nil, journal.Recovery{}, nil
 	}
-	var wrap journal.WrapFunc
-	if w.DiskChaos.Enabled() {
-		plan := w.DiskChaos
-		wrap = func(f *os.File) journal.File { return chaos.WrapFile(f, plan) }
-	}
-	jw, rec, err := journal.OpenWrapped(w.JournalPath, wrap)
+	jw, rec, err := journal.OpenWrapped(w.JournalPath, w.DiskChaos.WrapFunc())
 	if errors.Is(err, journal.ErrFutureVersion) {
 		return nil, nil, journal.Recovery{}, err
 	}
@@ -516,6 +511,9 @@ func (w *Watchdog) openJournal() (*journalSink, *journal.Writer, journal.Recover
 			w.Progress("journal open failed (running unjournaled): %v", err)
 		}
 		return nil, nil, journal.Recovery{}, nil
+	}
+	if derr := jw.Err(); derr != nil && w.Progress != nil {
+		w.Progress("journal degraded (recovered attempts replay, new ones go unjournaled): %v", derr)
 	}
 	if len(rec.Entries) > 0 || rec.Truncated {
 		w.Obs.journalRecovered(len(rec.Entries), rec.TornBytes)

@@ -1,72 +1,134 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"net"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"prudentia/internal/core"
+	"prudentia/internal/journal"
 )
 
-// TestFrameRoundTrip: encode → scan restores the exact payload.
+// The frame codec's own invariants live in internal/journal
+// (frame_test.go). These tests cover what the fleet still owns: msgs
+// travelling through a frameConn.
+
+// wireConn is an in-memory net.Conn: reads drain in, writes fill out.
+type wireConn struct {
+	net.Conn
+	in  *bytes.Reader
+	out bytes.Buffer
+}
+
+func (c *wireConn) Read(p []byte) (int, error)       { return c.in.Read(p) }
+func (c *wireConn) Write(p []byte) (int, error)      { return c.out.Write(p) }
+func (c *wireConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *wireConn) SetWriteDeadline(time.Time) error { return nil }
+
+// wire returns a frameConn that reads the given bytes, plus its conn so
+// the test can inspect what was written.
+func wire(in []byte) (*frameConn, *wireConn) {
+	c := &wireConn{in: bytes.NewReader(in)}
+	return newFrameConn(c), c
+}
+
+// encodeMsg returns the bytes frameConn.write puts on the wire for m.
+func encodeMsg(t testing.TB, m *msg) []byte {
+	t.Helper()
+	fc, c := wire(nil)
+	if err := fc.write(m, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return c.out.Bytes()
+}
+
+// TestFrameRoundTrip: write → read restores the exact message.
 func TestFrameRoundTrip(t *testing.T) {
-	for _, payload := range []string{"", "x", `{"type":"ping","t":12345}`, strings.Repeat("z", 70000)} {
-		buf := encodeFrame([]byte(payload))
-		got, err := readFrame(bufio.NewReader(bytes.NewReader(buf)))
+	for _, m := range []*msg{
+		{Type: msgWelcome},
+		{Type: msgPing, T: 12345},
+		{Type: msgAssign, Lease: 9, Task: &core.PairTask{Cycle: 1, A: 2, B: 3}},
+		{Type: msgShutdown, Detail: strings.Repeat("z", 70000)},
+	} {
+		fc, _ := wire(encodeMsg(t, m))
+		got, err := fc.read(time.Second)
 		if err != nil {
-			t.Fatalf("payload %d bytes: %v", len(payload), err)
+			t.Fatalf("%s: %v", m.Type, err)
 		}
-		if string(got) != payload {
-			t.Fatalf("payload %d bytes: round trip mangled", len(payload))
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("%s: round trip mangled: %+v", m.Type, got)
 		}
 	}
 }
 
-// TestFrameChecksumMismatch: a flipped payload bit is detected.
+// TestFrameChecksumMismatch: a bit flipped on the wire kills the read.
 func TestFrameChecksumMismatch(t *testing.T) {
-	buf := encodeFrame([]byte("hello fleet"))
+	buf := encodeMsg(t, &msg{Type: msgPong, T: 7})
 	buf[len(buf)-1] ^= 0x01
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(buf))); err == nil {
+	fc, _ := wire(buf)
+	if _, err := fc.read(time.Second); err == nil {
 		t.Fatal("corrupt frame accepted")
 	}
 }
 
-// TestFrameOversizedLengthRejected: a hostile length prefix is refused
-// before any allocation, not trusted into a 4 GiB make().
+// TestFrameOversizedLengthRejected: a hostile length prefix from a peer
+// is refused before any allocation.
 func TestFrameOversizedLengthRejected(t *testing.T) {
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], maxFrame+1)
-	_, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:])))
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[0:4], journal.MaxFrame+1)
+	fc, _ := wire(hdr[:])
+	_, err := fc.read(time.Second)
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized frame: %v, want length-limit error", err)
 	}
 }
 
-// FuzzFrameScanner throws arbitrary bytes at the frame scanner. The
-// invariants: it never panics, never allocates beyond maxFrame, and any
-// frame it does accept re-encodes to exactly the bytes it consumed
-// (so a scanned frame is always one encodeFrame could have produced).
+// assignFrame is one `assign` message exactly as the parent commit's
+// fleet put it on the wire.
+const assignFrame = "\x00\x00\x00R\x836\x9eg{\"type\":\"assign\",\"lease\":7,\"task\":{\"cycle\":2,\"setting\":1,\"a\":3,\"b\":5,\"budget\":12}}"
+
+// TestAssignFramePinned pins prudentia.fleet/1 on the wire: the fixture
+// decodes to the expected message and re-encodes to identical bytes.
+func TestAssignFramePinned(t *testing.T) {
+	fc, _ := wire([]byte(assignFrame))
+	m, err := fc.read(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &msg{Type: msgAssign, Lease: 7, Task: &core.PairTask{Cycle: 2, Setting: 1, A: 3, B: 5, Budget: 12}}
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("decoded %+v (task %+v)", m, m.Task)
+	}
+	if got := encodeMsg(t, m); string(got) != assignFrame {
+		t.Fatalf("re-encoded frame differs:\n got %q\nwant %q", got, assignFrame)
+	}
+}
+
+// FuzzFrameScanner throws arbitrary peer bytes at frameConn.read. The
+// invariants: it never panics, malformed input surfaces as an error,
+// and any message it accepts can be written back and read again.
 func FuzzFrameScanner(f *testing.F) {
-	f.Add(encodeFrame([]byte(`{"type":"hello","schema":"prudentia.fleet/1","worker":"w1"}`)))
-	f.Add(encodeFrame(nil))
+	f.Add(journal.Frame([]byte(`{"type":"hello","schema":"prudentia.fleet/1","worker":"w1"}`)))
+	f.Add(journal.Frame(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef, 'x'})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
-	two := append(encodeFrame([]byte("first")), encodeFrame([]byte("second"))...)
-	f.Add(two)
+	f.Add(append(journal.Frame([]byte(`{"type":"ping","t":1}`)), journal.Frame([]byte(`{"type":"pong","t":1}`))...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		consumed := 0
+		fc, _ := wire(data)
 		for {
-			payload, err := readFrame(br)
+			m, err := fc.read(0)
 			if err != nil {
-				return // any malformed input must surface as an error, not a panic
+				return
 			}
-			re := encodeFrame(payload)
-			if consumed+len(re) > len(data) || !bytes.Equal(re, data[consumed:consumed+len(re)]) {
-				t.Fatalf("accepted frame does not re-encode to the consumed bytes at offset %d", consumed)
+			back, _ := wire(encodeMsg(t, m))
+			if _, err := back.read(0); err != nil {
+				t.Fatalf("accepted message %+v does not survive re-encoding: %v", m, err)
 			}
-			consumed += len(re)
 		}
 	})
 }

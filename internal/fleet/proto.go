@@ -10,15 +10,11 @@
 //
 // # Protocol: prudentia.fleet/1
 //
-// Messages travel in the journal's frame format (length-prefixed,
-// CRC-checksummed):
-//
-//	+------------+------------+--------------------+
-//	| len uint32 | crc uint32 | payload (len bytes)|
-//	| big-endian | IEEE(payload)                   |
-//	+------------+------------+--------------------+
-//
-// Every payload is one JSON-encoded msg. The conversation:
+// Messages travel as internal/journal frames (journal.Frame /
+// journal.ReadFrame; layout in ARCHITECTURE.md "Durability &
+// supervision"); a stream cannot resynchronize after a framing error,
+// so any violation is fatal to the connection. Every payload is one
+// JSON-encoded msg. The conversation:
 //
 //	worker → hello   {schema, worker, capacity, fingerprint}
 //	coord  → welcome                      — or reject{detail} + close
@@ -47,28 +43,18 @@ package fleet
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"prudentia/internal/core"
+	"prudentia/internal/journal"
 )
 
 // Schema identifies the wire protocol; bump on breaking change.
 const Schema = "prudentia.fleet/1"
-
-// frameHeader is the per-message overhead: 4-byte length + 4-byte CRC.
-const frameHeader = 8
-
-// maxFrame bounds a single payload so a corrupt or hostile length
-// prefix cannot demand an absurd allocation.
-const maxFrame = 16 << 20
 
 // Message types. The zero value is invalid by construction: every
 // decoded message is checked against the handful its reader expects.
@@ -109,39 +95,6 @@ type msg struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// encodeFrame wraps one payload in a length+CRC frame.
-func encodeFrame(payload []byte) []byte {
-	buf := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameHeader:], payload)
-	return buf
-}
-
-// readFrame reads and verifies one frame. Unlike the journal's recovery
-// scanner — which treats a bad frame as a torn tail — a stream has no
-// way to resynchronize after a framing error, so any violation is fatal
-// to the connection.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n > maxFrame {
-		return nil, fmt.Errorf("fleet: frame length %d exceeds limit %d", n, maxFrame)
-	}
-	want := binary.BigEndian.Uint32(hdr[4:8])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, errors.New("fleet: frame checksum mismatch")
-	}
-	return payload, nil
-}
-
 // frameConn is a framed-message connection. Reads must come from one
 // goroutine (the bufio reader is not locked); writes may come from many
 // (ping loop, assigner, task finishers) and are serialized by wmu.
@@ -162,7 +115,7 @@ func (fc *frameConn) write(m *msg, timeout time.Duration) error {
 	if err != nil {
 		return fmt.Errorf("fleet: encode %s: %w", m.Type, err)
 	}
-	buf := encodeFrame(payload)
+	buf := journal.Frame(payload)
 	fc.wmu.Lock()
 	defer fc.wmu.Unlock()
 	if timeout > 0 {
@@ -180,7 +133,7 @@ func (fc *frameConn) read(timeout time.Duration) (*msg, error) {
 	if timeout > 0 {
 		_ = fc.c.SetReadDeadline(time.Now().Add(timeout))
 	}
-	payload, err := readFrame(fc.br)
+	payload, err := journal.ReadFrame(fc.br)
 	if err != nil {
 		return nil, err
 	}

@@ -1,112 +1,38 @@
-// Package journal implements Prudentia's write-ahead trial journal: an
-// append-only, CRC-framed, fsynced log of every trial attempt the
-// scheduler completes. The checkpoint (internal/core) is flushed at
-// pair granularity, so a crash between flushes loses every trial of the
-// in-flight pair; the journal closes that gap. With both artifacts, a
-// `kill -9` loses at most the single trial that was executing when the
-// process died — resume replays journaled attempts without re-running
-// their simulations and re-runs only what is genuinely missing.
+// Package journal is Prudentia's one durable-write primitive and the only
+// package that knows the frame format. It provides, bottom up:
 //
-// # Format: prudentia.journal/1
+//   - the frame codec every log, wire protocol and sketch encoding
+//     shares (Frame, ScanFrames, ReadFrame);
+//   - the File/WrapFunc storage seam that lets -chaos-disk inject
+//     faults into every durable write;
+//   - ReplaceFile, the atomic temp→fsync→rename→dir-fsync file replace
+//     behind checkpoints, manifests and per-cycle artifacts;
+//   - Log, a schema-stamped append-only file of opaque payloads with
+//     torn-tail recovery, sticky-error fsynced appends and atomic
+//     Rewrite — the submission WAL (internal/serve) is one;
+//   - Writer/Entry, the write-ahead trial journal (prudentia.journal/1),
+//     a typed layer over Log.
 //
-// A journal is a sequence of length-prefixed, checksummed frames:
+// The frame layout and the recovery rules are specified once, in
+// ARCHITECTURE.md "Durability & supervision".
 //
-//	+------------+------------+--------------------+
-//	| len uint32 | crc uint32 | payload (len bytes)|
-//	| big-endian | IEEE(payload)                   |
-//	+------------+------------+--------------------+
-//
-// The first frame's payload is the header record
-// {"schema":"prudentia.journal/1"}; every subsequent payload is one
-// JSON-encoded Entry. Appends are fsynced before they are acknowledged,
-// so an acknowledged record survives power loss.
-//
-// Recovery scans frames from the start and stops at the first frame
-// that is short (torn by a crash mid-append) or whose CRC does not
-// match (tail corruption or a bit flip); the file is truncated back to
-// the last whole valid frame and appending resumes there. Everything
-// before the truncation point is intact — CRC verification means a
-// corrupt middle cannot be silently replayed as good data; it becomes
-// the new tail.
+// The trial journal closes the gap the pair-granular checkpoint
+// (internal/core) leaves open: with both artifacts a `kill -9` loses at
+// most the single trial that was executing when the process died —
+// resume replays journaled attempts without re-running their simulations
+// and re-runs only what is genuinely missing.
 package journal
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"sync"
 )
 
-// Schema identifies the journal format; bump on breaking change. The
-// frame container (length+CRC) is stable across versions — only the
-// payload schema is versioned — so this build can always read a future
-// journal's header far enough to refuse it cleanly.
+// Schema identifies the trial-journal format; bump on breaking change.
+// The frame container is stable across versions — only the payload
+// schema is versioned — so this build can always read a future
+// journal's header far enough to refuse it cleanly (ErrFutureVersion).
 const Schema = "prudentia.journal/1"
-
-// schemaPrefix and schemaVersion decompose Schema for forward-compat
-// checks.
-const (
-	schemaPrefix  = "prudentia.journal/"
-	schemaVersion = 1
-)
-
-// ErrFutureVersion marks a journal written by a newer schema version
-// than this build understands. Callers must treat it as a hard error:
-// silently degrading to a fresh journal would fork the trial history
-// that a newer binary still considers authoritative.
-var ErrFutureVersion = errors.New("journal schema is newer than this build")
-
-// checkSchema validates a recovered header schema, distinguishing a
-// future version (upgrade the binary) from a foreign file.
-func checkSchema(path, got string) error {
-	if got == Schema {
-		return nil
-	}
-	if v, ok := strings.CutPrefix(got, schemaPrefix); ok {
-		if n, err := strconv.Atoi(v); err == nil && n > schemaVersion {
-			return fmt.Errorf("journal: %s is %q, newer than this build's %q: %w (upgrade the binary or move the journal aside)",
-				path, got, Schema, ErrFutureVersion)
-		}
-	}
-	return fmt.Errorf("journal: %s is not a %s file", path, Schema)
-}
-
-// frameHeader is the per-record overhead: 4-byte length + 4-byte CRC.
-const frameHeader = 8
-
-// maxRecord bounds a single payload so a corrupt length prefix cannot
-// demand an absurd allocation during recovery.
-const maxRecord = 16 << 20
-
-// File is the journal's storage seam: the subset of *os.File the writer
-// and recovery paths touch. Production code passes the file itself;
-// chaos tests pass a fault-injecting wrapper (chaos.FaultyFile) so the
-// sticky-degrade and torn-tail recovery paths run under injected disk
-// misbehavior instead of being trusted on faith.
-type File interface {
-	Write(p []byte) (int, error)
-	Sync() error
-	Seek(offset int64, whence int) (int64, error)
-	Truncate(size int64) error
-	Close() error
-}
-
-// WrapFunc turns a freshly opened journal file into the File the writer
-// uses. nil means "use the file as-is".
-type WrapFunc func(*os.File) File
-
-func wrapOrSelf(f *os.File, wrap WrapFunc) File {
-	if wrap == nil {
-		return f
-	}
-	return wrap(f)
-}
 
 // Entry is one journaled trial attempt. Seed is the replay key: every
 // trial seed is a pure function of (BaseSeed, experiment identity,
@@ -139,11 +65,6 @@ type Entry struct {
 	SimSeconds float64 `json:"sim_seconds,omitempty"`
 }
 
-// header is the first frame of every journal.
-type header struct {
-	Schema string `json:"schema"`
-}
-
 // Recovery reports what Open found on disk.
 type Recovery struct {
 	// Entries are the intact records, in append order.
@@ -155,102 +76,36 @@ type Recovery struct {
 	Truncated bool
 }
 
-// Writer appends framed, fsynced entries to a journal file. It is safe
-// for concurrent use; a nil *Writer is a no-op whose Append reports
-// nothing written. Write errors are sticky: after the first failure
-// every Append returns the same error without touching the file, so a
-// watchdog with a broken disk degrades to unjournaled operation instead
-// of dying.
-type Writer struct {
-	mu      sync.Mutex
-	f       File
-	records int64
-	bytes   int64
-	err     error
-}
+// Writer appends fsynced entries to a trial journal: a Log whose
+// payloads are JSON Entries. It is safe for concurrent use; a nil
+// *Writer is a no-op whose Append reports nothing written. Write errors
+// are sticky (see Log), so a watchdog with a broken disk degrades to
+// unjournaled operation instead of dying.
+type Writer Log
 
 // Stats returns the records and bytes appended by this writer (not
 // counting what recovery found already on disk).
-func (w *Writer) Stats() (records, bytes int64) {
-	if w == nil {
-		return 0, 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records, w.bytes
-}
+func (w *Writer) Stats() (records, bytes int64) { return (*Log)(w).Stats() }
 
 // Err returns the sticky write error, if any.
-func (w *Writer) Err() error {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
+func (w *Writer) Err() error { return (*Log)(w).Err() }
 
-// Frame encodes one payload as a length-prefixed CRC32 journal frame —
-// the container every prudentia on-disk log shares (trial journal,
-// fleet protocol, submission WAL). Exported so sibling WALs reuse the
-// exact framing instead of reimplementing it.
-func Frame(payload []byte) []byte {
-	buf := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameHeader:], payload)
-	return buf
-}
+// Close releases the file; every acknowledged append is already durable.
+func (w *Writer) Close() error { return (*Log)(w).Close() }
 
-// syncDir fsyncs a directory so a just-created or just-truncated file's
-// metadata survives power loss. Errors are returned for the caller to
-// decide; some filesystems reject directory fsync, which callers treat
-// as best-effort.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
-}
-
-// Create makes a new journal at path (truncating any previous one),
-// writes the schema header, and fsyncs both the file and its directory
-// before returning.
+// Create makes a new journal at path (replacing any previous one) whose
+// schema header is durable before it returns.
 func Create(path string) (*Writer, error) { return CreateWrapped(path, nil) }
 
-// CreateWrapped is Create with a storage wrapper: the freshly opened
-// file is passed through wrap (nil = none) before the header is
-// written, so fault-injecting wrappers see every byte the journal ever
-// writes, header included.
+// CreateWrapped is Create with a storage wrapper: every file the
+// journal opens is passed through wrap (nil = none), so fault-injecting
+// wrappers see every byte the journal ever writes, header included.
 func CreateWrapped(path string, wrap WrapFunc) (*Writer, error) {
-	raw, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: create %s: %w", path, err)
+	l := &Log{path: path, schema: Schema, wrap: wrap}
+	if err := l.Rewrite(nil); err != nil {
+		return nil, err
 	}
-	f := wrapOrSelf(raw, wrap)
-	hdr, err := json.Marshal(header{Schema: Schema})
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: marshal header: %w", err)
-	}
-	if _, err := f.Write(Frame(hdr)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: write header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: sync header: %w", err)
-	}
-	// Directory fsync is what makes the file itself durable (the
-	// rename/creation lives in the directory's data blocks).
-	_ = syncDir(filepath.Dir(path))
-	return &Writer{f: f}, nil
+	return (*Writer)(l), nil
 }
 
 // Open recovers the journal at path and positions a writer at its end.
@@ -259,111 +114,28 @@ func CreateWrapped(path string, wrap WrapFunc) (*Writer, error) {
 // Recovery reports the intact entries and how much was cut.
 func Open(path string) (*Writer, Recovery, error) { return OpenWrapped(path, nil) }
 
-// OpenWrapped is Open with a storage wrapper (see CreateWrapped): both
-// the recovery repair (truncation, sync) and all subsequent appends go
-// through the wrapped file.
+// OpenWrapped is Open with a storage wrapper (see CreateWrapped). It
+// follows OpenLog's failure policy: an error means intact history would
+// be lost; a disk fault during repair instead returns the recovered
+// entries with a writer whose Err is already set.
 func OpenWrapped(path string, wrap WrapFunc) (*Writer, Recovery, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		w, cerr := CreateWrapped(path, wrap)
-		return w, Recovery{}, cerr
-	}
-	if err != nil {
-		return nil, Recovery{}, fmt.Errorf("journal: read %s: %w", path, err)
-	}
-	payloads, good := ScanFrames(data)
-	if len(payloads) == 0 {
-		// Not even a whole header frame: the file carries no intact
-		// records, so rebuilding from scratch loses nothing.
-		w, cerr := CreateWrapped(path, wrap)
-		if cerr != nil {
-			return nil, Recovery{}, cerr
-		}
-		return w, Recovery{TornBytes: int64(len(data)), Truncated: len(data) > 0}, nil
-	}
-	var hdr header
-	if err := json.Unmarshal(payloads[0], &hdr); err != nil {
-		return nil, Recovery{}, fmt.Errorf("journal: %s is not a %s file", path, Schema)
-	}
-	if err := checkSchema(path, hdr.Schema); err != nil {
-		return nil, Recovery{}, err
-	}
-	rec := Recovery{}
-	for i, p := range payloads[1:] {
+	var rec Recovery
+	l, lr, err := OpenLog(path, Schema, wrap, func(p []byte) error {
 		var e Entry
 		if err := json.Unmarshal(p, &e); err != nil {
-			// A frame that passes CRC but does not parse marks the end
-			// of the trustworthy prefix; cut from here.
-			good = frameOffset(data, i+1)
-			break
+			return err
 		}
 		rec.Entries = append(rec.Entries, e)
-	}
-	rec.TornBytes = int64(len(data)) - good
-	rec.Truncated = rec.TornBytes > 0
-
-	raw, err := os.OpenFile(path, os.O_RDWR, 0o644)
+		return nil
+	})
 	if err != nil {
-		return nil, Recovery{}, fmt.Errorf("journal: reopen %s: %w", path, err)
+		return nil, Recovery{}, err
 	}
-	f := wrapOrSelf(raw, wrap)
-	if rec.Truncated {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, Recovery{}, fmt.Errorf("journal: truncate torn tail of %s: %w", path, err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, Recovery{}, fmt.Errorf("journal: sync truncation of %s: %w", path, err)
-		}
-		_ = syncDir(filepath.Dir(path))
-	}
-	if _, err := f.Seek(good, 0); err != nil {
-		f.Close()
-		return nil, Recovery{}, fmt.Errorf("journal: seek %s: %w", path, err)
-	}
-	return &Writer{f: f}, rec, nil
+	rec.TornBytes, rec.Truncated = lr.TornBytes, lr.Truncated
+	return (*Writer)(l), rec, nil
 }
 
-// ScanFrames walks data frame by frame, returning the intact payloads
-// and the byte offset of the end of the last intact frame — the
-// truncation point recovery cuts a torn or corrupt tail back to.
-// Exported (with Frame) as the shared recovery scanner for every
-// prudentia framed log.
-func ScanFrames(data []byte) (payloads [][]byte, good int64) {
-	off := 0
-	for {
-		if off+frameHeader > len(data) {
-			return payloads, int64(off)
-		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		if n > maxRecord || off+frameHeader+n > len(data) {
-			return payloads, int64(off)
-		}
-		want := binary.BigEndian.Uint32(data[off+4 : off+8])
-		payload := data[off+frameHeader : off+frameHeader+n]
-		if crc32.ChecksumIEEE(payload) != want {
-			return payloads, int64(off)
-		}
-		payloads = append(payloads, payload)
-		off += frameHeader + n
-	}
-}
-
-// frameOffset returns the byte offset where frame index i starts
-// (counting the header frame as index 0). Only called for indices the
-// scanner already validated.
-func frameOffset(data []byte, i int) int64 {
-	off := 0
-	for k := 0; k < i; k++ {
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		off += frameHeader + n
-	}
-	return int64(off)
-}
-
-// Append journals one entry: frame, write, fsync. The entry is durable
-// when Append returns nil.
+// Append journals one entry; it is durable when Append returns nil.
 func (w *Writer) Append(e Entry) error {
 	if w == nil {
 		return nil
@@ -372,42 +144,5 @@ func (w *Writer) Append(e Entry) error {
 	if err != nil {
 		return fmt.Errorf("journal: marshal entry: %w", err)
 	}
-	buf := Frame(payload)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if _, err := w.f.Write(buf); err != nil {
-		w.err = fmt.Errorf("journal: append: %w", err)
-		return w.err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("journal: sync: %w", err)
-		return w.err
-	}
-	w.records++
-	w.bytes += int64(len(buf))
-	return nil
-}
-
-// Close releases the file. The journal needs no finalization: every
-// acknowledged append is already durable.
-func (w *Writer) Close() error {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return w.err
-	}
-	err := w.f.Close()
-	w.f = nil
-	if w.err == nil {
-		w.err = err
-	} else {
-		err = w.err
-	}
-	return err
+	return (*Log)(w).Append(payload)
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -244,6 +243,50 @@ func TestGarbageFileRebuilt(t *testing.T) {
 	}
 }
 
+// journalFixture is a 3-record trial journal exactly as the parent
+// commit's journal.Create/Append wrote it.
+const journalFixture = "\x00\x00\x00 \xa5\xff\xe4\xa2{\"schema\":\"prudentia.journal/1\"}" +
+	"\x00\x00\x00S\x80+hz{\"seed\":1001,\"pair\":\"A vs B\",\"attempt\":0,\"kind\":\"ok\",\"result\":{\"mbps\":[3.91,3.87]}}" +
+	"\x00\x00\x00i\xbfI\xc1P{\"seed\":1002,\"pair\":\"A vs B\",\"attempt\":1,\"kind\":\"corrupt\",\"detail\":\"share out of range\",\"sim_seconds\":60}" +
+	"\x00\x00\x00]\x03Sb7{\"seed\":1003,\"pair\":\"A (solo)\",\"attempt\":2,\"kind\":\"fail\",\"detail\":\"boom\",\"fail_kind\":\"panic\"}"
+
+// TestJournalFormatPinned pins prudentia.journal/1 on disk: the fixture
+// recovers to the expected entries, and journaling those entries afresh
+// produces identical bytes.
+func TestJournalFormatPinned(t *testing.T) {
+	path := tmpJournal(t)
+	if err := os.WriteFile(path, []byte(journalFixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, rec, err := Open(path)
+	if err != nil || rec.Truncated {
+		t.Fatalf("fixture did not recover cleanly: %v %+v", err, rec)
+	}
+	w.Close()
+	want := []Entry{
+		{Seed: 1001, Pair: "A vs B", Attempt: 0, Kind: "ok", Result: json.RawMessage(`{"mbps":[3.91,3.87]}`)},
+		{Seed: 1002, Pair: "A vs B", Attempt: 1, Kind: "corrupt", Detail: "share out of range", SimSeconds: 60},
+		{Seed: 1003, Pair: "A (solo)", Attempt: 2, Kind: "fail", Detail: "boom", FailKind: "panic"},
+	}
+	if !reflect.DeepEqual(rec.Entries, want) {
+		t.Fatalf("fixture decoded to %+v", rec.Entries)
+	}
+	fresh := tmpJournal(t)
+	w2, err := Create(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range rec.Entries {
+		if err := w2.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w2.Close()
+	if got, _ := os.ReadFile(fresh); string(got) != journalFixture {
+		t.Fatalf("re-encoded journal differs:\n got %q\nwant %q", got, journalFixture)
+	}
+}
+
 // TestNilWriterSafe: every method on a nil *Writer is a no-op.
 func TestNilWriterSafe(t *testing.T) {
 	var w *Writer
@@ -312,13 +355,4 @@ func FuzzScan(f *testing.F) {
 			t.Fatalf("recovery not stable:\n first %+v\nsecond %+v", rec1.Entries, rec2.Entries)
 		}
 	})
-}
-
-func TestCRCMatchesStdlib(t *testing.T) {
-	// Pin the checksum choice: the on-disk format commits to CRC32-IEEE.
-	payload := []byte(`{"seed":1}`)
-	fr := Frame(payload)
-	if got := binary.BigEndian.Uint32(fr[4:8]); got != crc32.ChecksumIEEE(payload) {
-		t.Fatalf("frame CRC %#x", got)
-	}
 }

@@ -4,10 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"time"
+
+	"prudentia/internal/journal"
 )
 
 // ManifestSchema identifies the manifest format; bump on breaking change.
@@ -117,30 +118,16 @@ func GitRevision() string {
 	return rev
 }
 
-// Write stores the manifest atomically (temp file + rename), so a crash
-// mid-write never leaves a truncated manifest next to a good timeline.
+// Write stores the manifest atomically and durably
+// (journal.ReplaceFile), so neither a crash mid-write nor a machine
+// crash after it leaves a truncated manifest next to a good timeline.
 func (m Manifest) Write(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("obs: marshal manifest: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".prudentia-manifest-*")
-	if err != nil {
-		return fmt.Errorf("obs: manifest temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
+	if err := journal.ReplaceFile(path, append(data, '\n'), nil); err != nil {
 		return fmt.Errorf("obs: write manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("obs: close manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("obs: rename manifest: %w", err)
 	}
 	return nil
 }

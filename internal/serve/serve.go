@@ -40,7 +40,6 @@ import (
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/core"
-	"prudentia/internal/journal"
 	"prudentia/internal/obs"
 	"prudentia/internal/trace"
 )
@@ -208,12 +207,7 @@ func (s *Server) recoverState() error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("serve: state dir: %w", err)
 	}
-	var wrap journal.WrapFunc
-	if s.cfg.DiskChaos.Enabled() {
-		plan := s.cfg.DiskChaos
-		wrap = func(f *os.File) journal.File { return chaos.WrapFile(f, plan) }
-	}
-	wal, rec, err := openSubsWAL(filepath.Join(dir, "subs.wal"), wrap)
+	wal, rec, err := openSubsWAL(filepath.Join(dir, "subs.wal"), s.cfg.DiskChaos.WrapFunc())
 	if err != nil {
 		return err
 	}

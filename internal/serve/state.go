@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"prudentia/internal/journal"
 )
 
 // This file persists each published cycle's artifacts to the daemon's
@@ -57,8 +59,11 @@ var cycleFiles = []struct {
 // cyclesRoot is the artifacts subdirectory of a state dir.
 func cyclesRoot(stateDir string) string { return filepath.Join(stateDir, "cycles") }
 
-// saveCycleDir persists one published cycle: temp directory, fsynced
-// files (meta.json last), atomic rename to cycles/<N>, parent fsync.
+// saveCycleDir persists one published cycle: temp directory, each file
+// (meta.json last) written durably through journal.ReplaceFile, atomic
+// rename to cycles/<N>, parent fsync. The files are not armed with the
+// -chaos-disk plan: the campaign loop cannot re-publish a completed
+// cycle, so an injected publish failure would skip a cycle number.
 func saveCycleDir(stateDir string, ca *cycleArtifacts) error {
 	root := cyclesRoot(stateDir)
 	if err := os.MkdirAll(root, 0o755); err != nil {
@@ -72,7 +77,7 @@ func saveCycleDir(stateDir string, ca *cycleArtifacts) error {
 
 	bodies := [][]byte{ca.report.body, ca.reportText.body, ca.heatmap.body, ca.faults.body}
 	for i, cf := range cycleFiles {
-		if err := writeFileSync(filepath.Join(tmp, cf.name), bodies[i]); err != nil {
+		if err := journal.ReplaceFile(filepath.Join(tmp, cf.name), bodies[i], nil); err != nil {
 			return err
 		}
 	}
@@ -80,7 +85,7 @@ func saveCycleDir(stateDir string, ca *cycleArtifacts) error {
 	if err != nil {
 		return fmt.Errorf("serve: marshal cycle meta: %w", err)
 	}
-	if err := writeFileSync(filepath.Join(tmp, "meta.json"), meta); err != nil {
+	if err := journal.ReplaceFile(filepath.Join(tmp, "meta.json"), meta, nil); err != nil {
 		return err
 	}
 	final := filepath.Join(root, strconv.Itoa(ca.cycle))
@@ -91,28 +96,7 @@ func saveCycleDir(stateDir string, ca *cycleArtifacts) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("serve: commit cycle dir: %w", err)
 	}
-	syncParentDir(final)
-	return nil
-}
-
-// writeFileSync writes data and fsyncs before closing, so the
-// subsequent directory rename publishes fully durable contents.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("serve: write %s: %w", path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("serve: write %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("serve: sync %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("serve: close %s: %w", path, err)
-	}
+	_ = journal.SyncDir(root) // best-effort, see SyncDir
 	return nil
 }
 

@@ -3,25 +3,22 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 
 	"prudentia/internal/journal"
 	"prudentia/internal/obs"
 )
 
-// This file implements the durable submission store: a CRC-framed,
-// fsynced write-ahead log (schema prudentia.subs/1, sharing the
-// internal/journal frame container) that records every accepted
-// submission *before* its 202 is sent. The 202 is a promise — "your URL
-// will join the catalog at the next cycle boundary" — and without a
-// durable record a daemon crash between acceptance and application
-// silently breaks it. With the WAL, restart replays unapplied
-// submissions in arrival order and re-derives the tenant token-bucket
-// and submission-breaker state, so no accepted submission is lost and
-// none is applied twice.
+// This file implements the durable submission store: a journal.Log
+// (schema prudentia.subs/1) that records every accepted submission
+// *before* its 202 is sent. The log owns framing, recovery, fsynced
+// sticky-error appends and atomic rewrite; this file owns the record
+// vocabulary, sequence tracking and the compaction contents. The 202
+// is a promise — "your URL will join the catalog at the next cycle
+// boundary" — and without a durable record a daemon crash between
+// acceptance and application silently breaks it. With the WAL, restart
+// replays unapplied submissions in arrival order and re-derives the
+// tenant token-bucket and submission-breaker state, so no accepted
+// submission is lost and none is applied twice.
 //
 // Record lifecycle (all payloads are one JSON subsRecord after the
 // {"schema":"prudentia.subs/1"} header frame):
@@ -46,13 +43,8 @@ import (
 // re-consume tokens (the snapshot already accounts for them).
 
 // subsSchema identifies the submission WAL format; bump on breaking
-// change. The frame container is shared with prudentia.journal/1.
+// change.
 const subsSchema = "prudentia.subs/1"
-
-const (
-	subsSchemaPrefix  = "prudentia.subs/"
-	subsSchemaVersion = 1
-)
 
 // subsRecord is the single wire shape for every WAL payload; Op selects
 // which fields are meaningful.
@@ -71,11 +63,6 @@ type subsRecord struct {
 	Breakers []obs.BreakerInfo `json:"breakers,omitempty"`
 }
 
-// subsHeader is the first frame of every submission WAL.
-type subsHeader struct {
-	Schema string `json:"schema"`
-}
-
 // subsRecovery reports what openSubsWAL found on disk: the intact
 // records in append order plus how much torn tail was cut.
 type subsRecovery struct {
@@ -84,173 +71,47 @@ type subsRecovery struct {
 	Truncated bool
 }
 
-// subsWAL appends framed, fsynced submission records. It has no mutex
-// of its own: every call site already holds tenantTable.mu (admission)
-// or runs on the scheduler goroutine with the table locked, which is
-// the same external serialization BreakerSet relies on. Append errors
-// are sticky — after the first failure every append reports the same
-// error and the admission layer answers 503 instead of promising
-// durability it cannot deliver — until a cycle-boundary compaction
-// rewrites the file and clears the degradation.
+// subsWAL appends submission records to a journal.Log and tracks the
+// next sequence number. Every call site already holds tenantTable.mu
+// (admission) or runs on the scheduler goroutine with the table locked,
+// which serializes seq. Append errors are sticky (journal.Log): after
+// the first failure the admission layer answers 503 instead of
+// promising durability it cannot deliver, until a cycle-boundary
+// compaction rewrites the file and clears the degradation.
 type subsWAL struct {
-	path string
-	wrap journal.WrapFunc
-	f    journal.File
-	seq  uint64 // next sequence number to assign
-	err  error  // sticky append error
+	log *journal.Log
+	seq uint64 // next sequence number to assign
 }
 
-// checkSubsSchema validates a recovered header, distinguishing a future
-// version (hard error: a newer daemon's pending promises must not be
-// silently dropped) from a foreign file.
-func checkSubsSchema(path, got string) error {
-	if got == subsSchema {
-		return nil
-	}
-	if v, ok := strings.CutPrefix(got, subsSchemaPrefix); ok {
-		if n, err := strconv.Atoi(v); err == nil && n > subsSchemaVersion {
-			return fmt.Errorf("serve: submission wal %s is %q, newer than this build's %q (upgrade the binary or move the file aside)", path, got, subsSchema)
-		}
-	}
-	return fmt.Errorf("serve: %s is not a %s file", path, subsSchema)
-}
-
-// createSubsWAL makes a fresh WAL at path (truncating any previous
-// one), writes the header, and fsyncs file and directory. A disk
-// failure anywhere in that sequence does not abort the daemon — there
-// are no recovered promises at stake in a fresh file — it returns a
-// degraded writer whose sticky error refuses new admissions until a
-// cycle-boundary compaction rewrites the file cleanly.
-func createSubsWAL(path string, wrap journal.WrapFunc) *subsWAL {
-	w := &subsWAL{path: path, wrap: wrap, seq: 1}
-	degrade := func(err error) *subsWAL {
-		if w.f != nil {
-			w.f.Close()
-			w.f = nil
-		}
-		w.err = err
-		return w
-	}
-	raw, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return degrade(fmt.Errorf("serve: create submission wal %s: %w", path, err))
-	}
-	w.f = wrapFile(raw, wrap)
-	hdr, _ := json.Marshal(subsHeader{Schema: subsSchema})
-	if _, err := w.f.Write(journal.Frame(hdr)); err != nil {
-		return degrade(fmt.Errorf("serve: write submission wal header: %w", err))
-	}
-	if err := w.f.Sync(); err != nil {
-		return degrade(fmt.Errorf("serve: sync submission wal header: %w", err))
-	}
-	syncParentDir(path)
-	return w
-}
-
-func wrapFile(f *os.File, wrap journal.WrapFunc) journal.File {
-	if wrap == nil {
-		return f
-	}
-	return wrap(f)
-}
-
-// syncParentDir fsyncs path's directory so a just-created or
-// just-renamed file survives power loss. Best-effort: some filesystems
-// reject directory fsync, and rename is already atomic against process
-// crashes.
-func syncParentDir(path string) {
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
-
-// openSubsWAL recovers the WAL at path and positions a writer at its
-// end. A missing file is created fresh; a torn or corrupt tail is
-// truncated (fsynced) before appending resumes. The returned recovery
-// carries every intact record in append order for the tenant table to
-// fold into state.
-//
-// Failure policy: an error that loses recovered promises — the file
-// exists but cannot be read, or belongs to a different/newer schema —
-// is fatal, because continuing would silently break durable 202s. An
-// error after the records are safely in hand (creating a fresh file,
-// truncating the torn tail, repositioning the writer) degrades instead:
-// the recovered state is returned intact and the writer carries a
-// sticky error that refuses new admissions until compaction rewrites
-// the file, so one bad sector or transient disk fault cannot wedge the
-// daemon into a permanent boot loop.
+// openSubsWAL recovers the WAL at path (created fresh when missing) and
+// returns every intact record in append order for the tenant table to
+// fold into state. It inherits journal.OpenLog's failure policy: fatal
+// only when durable 202 promises would be lost (unreadable file,
+// foreign or future schema); a disk fault during repair or creation
+// returns the recovered records with a writer whose stickyErr refuses
+// new admissions until compaction rewrites the file.
 func openSubsWAL(path string, wrap journal.WrapFunc) (*subsWAL, subsRecovery, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return createSubsWAL(path, wrap), subsRecovery{}, nil
-	}
-	if err != nil {
-		return nil, subsRecovery{}, fmt.Errorf("serve: read submission wal %s: %w", path, err)
-	}
-	payloads, good := journal.ScanFrames(data)
-	if len(payloads) == 0 {
-		// Not even a whole header: nothing intact to lose.
-		return createSubsWAL(path, wrap), subsRecovery{TornBytes: int64(len(data)), Truncated: len(data) > 0}, nil
-	}
-	var hdr subsHeader
-	if err := json.Unmarshal(payloads[0], &hdr); err != nil {
-		return nil, subsRecovery{}, fmt.Errorf("serve: %s is not a %s file", path, subsSchema)
-	}
-	if err := checkSubsSchema(path, hdr.Schema); err != nil {
-		return nil, subsRecovery{}, err
-	}
-	rec := subsRecovery{}
-	seq := uint64(1)
-	off := int64(len(journal.Frame(payloads[0])))
-	for _, p := range payloads[1:] {
+	var rec subsRecovery
+	w := &subsWAL{seq: 1}
+	log, lr, err := journal.OpenLog(path, subsSchema, wrap, func(p []byte) error {
 		var r subsRecord
 		if err := json.Unmarshal(p, &r); err != nil {
-			// Passes CRC but does not parse: end of the trustworthy
-			// prefix; cut from here.
-			good = off
-			break
+			return err
 		}
 		rec.Records = append(rec.Records, r)
-		off += int64(len(journal.Frame(p)))
-		if r.Seq >= seq {
-			seq = r.Seq + 1
+		if r.Seq >= w.seq {
+			w.seq = r.Seq + 1
 		}
-		if r.Op == "state" && r.NextSeq > seq {
-			seq = r.NextSeq
+		if r.Op == "state" && r.NextSeq > w.seq {
+			w.seq = r.NextSeq
 		}
-	}
-	rec.TornBytes = int64(len(data)) - good
-	rec.Truncated = rec.TornBytes > 0
-
-	// The records are recovered; everything from here is repair and
-	// repositioning, and failures degrade rather than abort.
-	w := &subsWAL{path: path, wrap: wrap, seq: seq}
-	degrade := func(err error) (*subsWAL, subsRecovery, error) {
-		if w.f != nil {
-			w.f.Close()
-			w.f = nil
-		}
-		w.err = err
-		return w, rec, nil
-	}
-	raw, err := os.OpenFile(path, os.O_RDWR, 0o644)
+		return nil
+	})
 	if err != nil {
-		return degrade(fmt.Errorf("serve: reopen submission wal %s: %w", path, err))
+		return nil, subsRecovery{}, fmt.Errorf("serve: submission wal: %w", err)
 	}
-	w.f = wrapFile(raw, wrap)
-	if rec.Truncated {
-		if err := w.f.Truncate(good); err != nil {
-			return degrade(fmt.Errorf("serve: truncate torn tail of %s: %w", path, err))
-		}
-		if err := w.f.Sync(); err != nil {
-			return degrade(fmt.Errorf("serve: sync truncation of %s: %w", path, err))
-		}
-		syncParentDir(path)
-	}
-	if _, err := w.f.Seek(good, 0); err != nil {
-		return degrade(fmt.Errorf("serve: seek %s: %w", path, err))
-	}
+	w.log = log
+	rec.TornBytes, rec.Truncated = lr.TornBytes, lr.Truncated
 	return w, rec, nil
 }
 
@@ -260,7 +121,7 @@ func (w *subsWAL) stickyErr() error {
 	if w == nil {
 		return nil
 	}
-	return w.err
+	return w.log.Err()
 }
 
 // nextSeq returns the sequence number the next accept will carry.
@@ -271,26 +132,18 @@ func (w *subsWAL) nextSeq() uint64 {
 	return w.seq
 }
 
-// append frames, writes, and fsyncs one record. Errors are sticky; a
-// nil WAL is a no-op (durability disabled).
+// append durably logs one record. Errors are sticky; a nil WAL is a
+// no-op (durability disabled).
 func (w *subsWAL) append(r subsRecord) error {
 	if w == nil {
 		return nil
-	}
-	if w.err != nil {
-		return w.err
 	}
 	payload, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("serve: marshal wal record: %w", err)
 	}
-	if _, err := w.f.Write(journal.Frame(payload)); err != nil {
-		w.err = fmt.Errorf("serve: submission wal append: %w", err)
-		return w.err
-	}
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("serve: submission wal sync: %w", err)
-		return w.err
+	if err := w.log.Append(payload); err != nil {
+		return err
 	}
 	if r.Op == "accept" && r.Seq >= w.seq {
 		w.seq = r.Seq + 1
@@ -317,78 +170,29 @@ func (w *subsWAL) appendCycle(cycle int) error {
 	return w.append(subsRecord{Op: "cycle", Cycle: cycle})
 }
 
-// compact atomically rewrites the WAL as header + state snapshot +
-// the given still-pending accepts: temp file, fsync, rename, directory
-// fsync, then the writer swaps to the new file. A successful compaction
-// clears any sticky append error — the degraded writer gets a fresh
-// file — while a failed one leaves the old file (and its error state)
-// untouched.
+// compact atomically rewrites the WAL as header + state snapshot + the
+// given still-pending accepts (journal.Log.Rewrite). A successful
+// compaction clears any sticky append error — the degraded writer gets
+// a fresh file — while a failed one leaves the old file untouched.
 func (w *subsWAL) compact(state subsRecord, pending []pendingSubmission) error {
 	if w == nil {
 		return nil
 	}
-	dir := filepath.Dir(w.path)
-	rawTmp, err := os.CreateTemp(dir, ".prudentia-subs-*")
-	if err != nil {
+	state.Op = "state"
+	recs := []subsRecord{state}
+	for _, p := range pending {
+		recs = append(recs, subsRecord{Op: "accept", Seq: p.seq, Tenant: p.tenant, URL: p.url, Code: p.accessCode})
+	}
+	payloads := make([][]byte, len(recs))
+	for i, r := range recs {
+		var err error
+		if payloads[i], err = json.Marshal(r); err != nil {
+			return fmt.Errorf("serve: marshal wal snapshot: %w", err)
+		}
+	}
+	if err := w.log.Rewrite(payloads); err != nil {
 		return fmt.Errorf("serve: submission wal compact: %w", err)
 	}
-	tmpName := rawTmp.Name()
-	tmp := wrapFile(rawTmp, w.wrap)
-	abort := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	var buf []byte
-	hdr, _ := json.Marshal(subsHeader{Schema: subsSchema})
-	buf = append(buf, journal.Frame(hdr)...)
-	state.Op = "state"
-	sp, err := json.Marshal(state)
-	if err != nil {
-		return abort(fmt.Errorf("serve: marshal wal snapshot: %w", err))
-	}
-	buf = append(buf, journal.Frame(sp)...)
-	for _, p := range pending {
-		rp, err := json.Marshal(subsRecord{Op: "accept", Seq: p.seq, Tenant: p.tenant, URL: p.url, Code: p.accessCode})
-		if err != nil {
-			return abort(fmt.Errorf("serve: marshal wal accept: %w", err))
-		}
-		buf = append(buf, journal.Frame(rp)...)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		return abort(fmt.Errorf("serve: write compacted wal: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return abort(fmt.Errorf("serve: sync compacted wal: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: close compacted wal: %w", err)
-	}
-	if err := os.Rename(tmpName, w.path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: commit compacted wal: %w", err)
-	}
-	syncParentDir(w.path)
-	// Swap the live handle to the new file, positioned at its end.
-	raw, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
-	if err != nil {
-		// The compacted file is durable but we cannot append to it;
-		// degrade stickily until the next compaction.
-		w.err = fmt.Errorf("serve: reopen compacted wal: %w", err)
-		return w.err
-	}
-	f := wrapFile(raw, w.wrap)
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		w.err = fmt.Errorf("serve: seek compacted wal: %w", err)
-		return w.err
-	}
-	if w.f != nil {
-		w.f.Close()
-	}
-	w.f = f
-	w.err = nil
 	if state.NextSeq > w.seq {
 		w.seq = state.NextSeq
 	}
@@ -397,10 +201,8 @@ func (w *subsWAL) compact(state subsRecord, pending []pendingSubmission) error {
 
 // close releases the file; acknowledged appends are already durable.
 func (w *subsWAL) close() error {
-	if w == nil || w.f == nil {
+	if w == nil {
 		return nil
 	}
-	err := w.f.Close()
-	w.f = nil
-	return err
+	return w.log.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"prudentia/internal/chaos"
@@ -259,7 +260,7 @@ func TestSubsWALDegradedAdmit(t *testing.T) {
 	w0.close()
 
 	plan := &chaos.DiskPlan{Seed: 11, WriteErrRate: 1}
-	w, _, err := openSubsWAL(path, func(f *os.File) journal.File { return chaos.WrapFile(f, plan) })
+	w, _, err := openSubsWAL(path, plan.WrapFunc())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestSubsWALDegradedAdmit(t *testing.T) {
 func TestSubsWALDegradedBootHeals(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "subs.wal")
 	plan := &chaos.DiskPlan{Seed: 3, WriteErrRate: 1}
-	w, _, err := openSubsWAL(path, func(f *os.File) journal.File { return chaos.WrapFile(f, plan) })
+	w, _, err := openSubsWAL(path, plan.WrapFunc())
 	if err != nil {
 		t.Fatalf("degraded create must not be fatal: %v", err)
 	}
@@ -321,6 +322,62 @@ func TestSubsWALDegradedBootHeals(t *testing.T) {
 	tab2, _ := openWALTable(t, path, 4, 16)
 	if n := tab2.pendingCount(); n != 1 {
 		t.Fatalf("pending after restart = %d, want 1", n)
+	}
+}
+
+// subsFixture is a submission WAL exactly as the parent commit wrote
+// it: header, a compaction (state snapshot + one carried accept), then
+// an accept, two applies and a cycle commit appended live.
+const subsFixture = "\x00\x00\x00\x1d\xa8G\x13\x9f{\"schema\":\"prudentia.subs/1\"}" +
+	"\x00\x00\x00p\xe4\x86+\x05{\"op\":\"state\",\"next_seq\":5,\"tokens\":{\"t1\":2,\"t2\":4},\"breakers\":[{\"service\":\"mallory\",\"state\":\"open\",\"score\":6}]}" +
+	"\x00\x00\x00P\xc6z\x1eW{\"op\":\"accept\",\"seq\":4,\"tenant\":\"t1\",\"url\":\"https://carried.example\",\"code\":\"c\"}" +
+	"\x00\x00\x00M\x8a\xf2\xa9j{\"op\":\"accept\",\"seq\":5,\"tenant\":\"t2\",\"url\":\"https://a.example\",\"code\":\"code\"}" +
+	"\x00\x00\x00*\xec\x7f\xb6\xcc{\"op\":\"apply\",\"seq\":4,\"ok\":true,\"cycle\":3}" +
+	"\x00\x00\x00 %\x91\n\\{\"op\":\"apply\",\"seq\":5,\"cycle\":3}" +
+	"\x00\x00\x00\x18[\x97\xd0\x12{\"op\":\"cycle\",\"cycle\":3}"
+
+// TestSubsWALFormatPinned pins prudentia.subs/1 on disk: the fixture
+// recovers to the expected records, and replaying them through compact
+// and the append path produces identical bytes.
+func TestSubsWALFormatPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "subs.wal")
+	if err := os.WriteFile(path, []byte(subsFixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, rec, err := openSubsWAL(path, nil)
+	if err != nil || rec.Truncated {
+		t.Fatalf("fixture did not recover cleanly: %v %+v", err, rec)
+	}
+	w.close()
+	var ops []string
+	for _, r := range rec.Records {
+		ops = append(ops, r.Op)
+	}
+	if got := strings.Join(ops, " "); got != "state accept accept apply apply cycle" {
+		t.Fatalf("fixture decoded to ops %q", got)
+	}
+	if w.nextSeq() != 6 {
+		t.Fatalf("next seq = %d, want 6", w.nextSeq())
+	}
+
+	fresh := filepath.Join(t.TempDir(), "subs.wal")
+	w2, _, err := openSubsWAL(fresh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rec.Records
+	carried := []pendingSubmission{{seq: r[1].Seq, tenant: r[1].Tenant, url: r[1].URL, accessCode: r[1].Code}}
+	if err := w2.compact(r[0], carried); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range r[2:] {
+		if err := w2.append(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w2.close()
+	if got, _ := os.ReadFile(fresh); string(got) != subsFixture {
+		t.Fatalf("re-encoded WAL differs:\n got %q\nwant %q", got, subsFixture)
 	}
 }
 

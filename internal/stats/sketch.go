@@ -32,21 +32,20 @@ package stats
 // buffer survives), so "one sketch that saw everything" and "merge of
 // K shard sketches" land in identical states.
 //
-// Encoding reuses the journal framing idiom: a frame is
-// `len uint32 BE | crc32(IEEE, payload) uint32 BE | payload`, and the
-// payload is a canonical serialization of the state (sorted buffer or
-// key-ordered buckets). Encode is therefore byte-reproducible: equal
-// states yield equal bytes. See docs/SKETCHES.md for the layout and
-// error-bound math.
+// Encoding is one internal/journal frame whose payload is a canonical
+// serialization of the state (sorted buffer or key-ordered buckets).
+// Encode is therefore byte-reproducible: equal states yield equal
+// bytes. See docs/SKETCHES.md for the layout and error-bound math.
 
 import (
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
+
+	"prudentia/internal/journal"
 )
 
 const (
@@ -498,8 +497,7 @@ func (s *Sketch) valueAtRank(rank int64) float64 {
 //	            npos uint32, (key int32, count uint64)... key-ascending
 //	            nneg uint32, (key int32, count uint64)... key-ascending
 //
-// The frame wrapping the payload reuses the journal idiom:
-// len uint32 BE | crc32(IEEE, payload) uint32 BE | payload.
+// The payload travels in one journal.Frame.
 
 // Encode serializes the sketch into a CRC-framed canonical binary
 // form. Equal states produce equal bytes, so encoded sketches can be
@@ -537,10 +535,7 @@ func (s *Sketch) Encode() []byte {
 			payload = be64(payload, uint64(b.Count))
 		}
 	}
-	out := make([]byte, 8, 8+len(payload))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
+	return journal.Frame(payload)
 }
 
 func be32(b []byte, v uint32) []byte {
@@ -594,19 +589,12 @@ func (r *sketchReader) u64() uint64 {
 // It returns ErrSketchCorrupt-wrapped errors on any violation, so a
 // torn or tampered frame can never silently become a plausible sketch.
 func DecodeSketch(data []byte) (*Sketch, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: short frame (%d bytes)", ErrSketchCorrupt, len(data))
+	frames, good := journal.ScanFrames(data)
+	if len(frames) != 1 || good != int64(len(data)) || len(frames[0]) > sketchMaxEncoded {
+		return nil, fmt.Errorf("%w: %d bytes are not exactly one intact frame of at most %d payload bytes",
+			ErrSketchCorrupt, len(data), sketchMaxEncoded)
 	}
-	n := binary.BigEndian.Uint32(data[0:4])
-	if n > sketchMaxEncoded || int(n) != len(data)-8 {
-		return nil, fmt.Errorf("%w: frame length %d does not match %d payload bytes",
-			ErrSketchCorrupt, n, len(data)-8)
-	}
-	payload := data[8:]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[4:8]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrSketchCorrupt)
-	}
-	r := &sketchReader{b: payload, ok: true}
+	r := &sketchReader{b: frames[0], ok: true}
 	if len(r.b) < 4 || string(r.b[:4]) != sketchMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSketchCorrupt)
 	}

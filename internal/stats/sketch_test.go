@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
@@ -331,6 +332,43 @@ func TestSketchMergeAlphaMismatch(t *testing.T) {
 	b.Add(1)
 	if err := a.Merge(b); !errors.Is(err, ErrSketchMismatch) {
 		t.Fatalf("alpha mismatch merge: %v, want ErrSketchMismatch", err)
+	}
+}
+
+// TestSketchFormatPinned pins the PSK1 encoding: one exact-regime and
+// one compacted sketch, hex-dumped from the parent commit's Encode,
+// must be what the same samples encode to today, and must decode and
+// re-encode to the identical bytes.
+func TestSketchFormatPinned(t *testing.T) {
+	exact := sketchOf([]float64{3, 1, 2, -5, 0})
+	compacted := NewSketch()
+	for i := 0; i < 200; i++ {
+		compacted.Add(float64(i%7) - 2.5)
+	}
+	for name, tc := range map[string]struct {
+		s       *Sketch
+		fixture string
+	}{
+		"exact": {exact, "0000005145bb17ac50534b31003f847ae147ae147b0000000000000005c014000000000000400800000000000000000005" +
+			"c01400000000000000000000000000003ff000000000000040000000000000004008000000000000"},
+		"compacted": {compacted, "00000089833e610350534b31013f847ae147ae147b00000000000000c8c004000000000000400c0000000000000000" +
+			"00000000000000000004ffffffde000000000000001d00000015000000000000001c0000002e000000000000001c0000003f00000000" +
+			"0000001c00000003ffffffde000000000000001d00000015000000000000001d0000002e000000000000001d"},
+	} {
+		want, err := hex.DecodeString(tc.fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tc.s.Encode(); !bytes.Equal(got, want) {
+			t.Errorf("%s: Encode drifted from the pinned bytes:\n got %x\nwant %x", name, got, want)
+		}
+		dec, err := DecodeSketch(want)
+		if err != nil {
+			t.Fatalf("%s: pinned bytes no longer decode: %v", name, err)
+		}
+		if dec.Count() != tc.s.Count() || !bytes.Equal(dec.Encode(), want) {
+			t.Errorf("%s: decode → encode is not the identity on the pinned bytes", name)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 #!/usr/bin/env bash
-# Benchmark driver. Three modes:
-#
-#   scripts/bench.sh [benchtime]   parallel-matrix benchmark (BenchmarkMatrixParallel)
-#                                  -> BENCH_parallel.json (ns/op and trials/sec per
-#                                  worker count, speedup vs serial)
+# Benchmark driver for the single-component gates (the end-to-end
+# benchmark, worker pool included, is bench/run.sh). A mode is required:
 #
 #   scripts/bench.sh sim [benchtime]
 #                                  hot-path benchmarks (BenchmarkEngine*,
@@ -44,11 +41,6 @@
 #                                  count grows 10x (the O(1) per-pair statistics
 #                                  memory acceptance gate; the raw ledger would
 #                                  grow 10x).
-#
-# Speedup in parallel mode is hardware-dependent: the matrix fans pairs out
-# across OS threads, so gains cap at min(workers, GOMAXPROCS, CPUs). On a
-# 1-CPU host every worker count measures the same serial throughput plus
-# pool overhead — the JSON records whatever this machine honestly measured.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -222,49 +214,6 @@ EOF
         exit 1
     fi
     echo "bench-check: OK (all hot-path benchmarks within ${tol}x of committed $sim_out, allocs at or below)"
-}
-
-parallel_mode() {
-    local benchtime="${1:-3x}"
-    local out="BENCH_parallel.json"
-    RAWTMP="$(mktemp)"
-    trap 'rm -f "$RAWTMP"' EXIT
-    local raw="$RAWTMP"
-
-    go test ./internal/core/ -run '^$' -bench '^BenchmarkMatrixParallel$' \
-        -benchtime "$benchtime" -count=1 | tee "$raw"
-
-    awk -v gomaxprocs="${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN)}" \
-        -v cpus="$(getconf _NPROCESSORS_ONLN)" \
-        -v benchtime="$benchtime" '
-    /^BenchmarkMatrixParallel\/workers=/ {
-        split($1, parts, "=");
-        sub(/[ \t-].*$/, "", parts[2]);
-        w = parts[2] + 0;
-        nsop[w] = $3 + 0;
-        for (i = 4; i <= NF; i++) if ($(i+1) == "trials/s") tps[w] = $i + 0;
-        if (!(w in seen)) { order[++n] = w; seen[w] = 1 }
-    }
-    END {
-        printf "{\n"
-        printf "  \"benchmark\": \"BenchmarkMatrixParallel\",\n"
-        printf "  \"benchtime\": \"%s\",\n", benchtime
-        printf "  \"gomaxprocs\": %d,\n", gomaxprocs
-        printf "  \"cpus\": %d,\n", cpus
-        printf "  \"note\": \"speedup is bounded by min(workers, cpus); on a 1-CPU host all worker counts measure serial throughput plus pool overhead\",\n"
-        printf "  \"results\": [\n"
-        for (i = 1; i <= n; i++) {
-            w = order[i]
-            speedup = (nsop[w] > 0) ? nsop[order[1]] / nsop[w] : 0
-            printf "    {\"workers\": %d, \"ns_per_op\": %.0f, \"trials_per_sec\": %.2f, \"speedup_vs_serial\": %.3f}%s\n", \
-                w, nsop[w], tps[w], speedup, (i < n ? "," : "")
-        }
-        printf "  ]\n}\n"
-    }' "$raw" > "$out"
-
-    echo
-    echo "wrote $out:"
-    cat "$out"
 }
 
 # adaptive_mode reduces BenchmarkAdaptiveMatrix's two sub-benchmarks —
@@ -472,6 +421,7 @@ serve)
     check_mode
     ;;
 *)
-    parallel_mode "${1:-3x}"
+    echo "usage: scripts/bench.sh sim|adaptive|stats|serve [benchtime] | -check" >&2
+    exit 2
     ;;
 esac

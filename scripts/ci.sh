@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, vet, static analysis, doc-comment gate,
-# the internal/stats coverage floor, the focused parallel-engine race
-# gate, the full test suite under the race detector, the hot-path
+# the durable-primitive layering gate, the internal/stats coverage
+# floor, the focused parallel-engine race gate, the fuzz smoke gate,
+# the full test suite under the race detector, the hot-path
 # benchmark regression gate, the sketch statistics O(1)-memory gate, a
 # seeded end-to-end acceptance run whose observability artifacts are
 # kept for upload, a 2x2 sweep-grid smoke asserting the TSV schema, and
@@ -394,6 +395,28 @@ for pkg in internal/stats internal/fleet internal/journal; do
 done
 [ "$missing" -eq 0 ] || { echo "ci: exported-symbol doc gate failed" >&2; exit 1; }
 
+# Layering gate: internal/journal is the only package that knows the
+# frame checksum and the only one that renames a file into place
+# (journal.ReplaceFile), so no second copy of the frame codec or of the
+# temp->fsync->rename sequence can grow back. The one exemption is the
+# cycles/<N> *directory* rename in internal/serve/state.go.
+GO_ROOTS="cmd internal bench examples $(ls ./*.go)"
+layer_bad="$(grep -rl --include='*.go' 'hash/crc32' $GO_ROOTS \
+    | grep -v '_test\.go$' | grep -v '^internal/journal/' || true)"
+if [ -n "$layer_bad" ]; then
+    echo "ci: hash/crc32 imported outside internal/journal (use journal.Frame/ScanFrames/ReadFrame):" >&2
+    echo "$layer_bad" >&2
+    exit 1
+fi
+rename_bad="$(grep -rn --include='*.go' 'os\.Rename(' $GO_ROOTS \
+    | grep -v '_test\.go:' | grep -v '^internal/journal/' \
+    | grep -v '^internal/serve/state\.go:.*os\.Rename(tmp, final)' || true)"
+if [ -n "$rename_bad" ]; then
+    echo "ci: os.Rename outside internal/journal (use journal.ReplaceFile):" >&2
+    echo "$rename_bad" >&2
+    exit 1
+fi
+
 # Statistics coverage floor: internal/stats carries the quantile sketch
 # codec and the sequential stopper that every other layer's byte
 # identity leans on, so its test coverage may not erode below 85% of
@@ -417,14 +440,16 @@ else
 fi
 
 # Fuzz smoke gate: randomized operation sequences against the drop-tail
-# queue's structural invariants (occupancy, FIFO, byte conservation).
-# Long exploratory campaigns run out-of-band; this catches gross
-# regressions on every CI pass.
-if [ "$SHORT" -eq 1 ]; then
-    go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime=5s ./internal/netem
-else
-    go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime=10s ./internal/netem
-fi
+# queue's structural invariants (occupancy, FIFO, byte conservation),
+# and arbitrary bytes against the parsers that read the network and the
+# disk — the frame readers and submission-WAL recovery — so they see
+# more than their seed corpus. Long exploratory campaigns run
+# out-of-band; this catches gross regressions on every CI pass.
+FUZZTIME=10s
+if [ "$SHORT" -eq 1 ]; then FUZZTIME=5s; fi
+go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime="$FUZZTIME" ./internal/netem
+go test -run '^$' -fuzz '^FuzzFrameScanner$' -fuzztime="$FUZZTIME" ./internal/journal
+go test -run '^$' -fuzz '^FuzzSubsWALOpen$' -fuzztime="$FUZZTIME" ./internal/serve
 
 # The race detector slows the simulation-heavy core tests well past the
 # default 10m per-package budget. -short trims the slowest e2e tests on
