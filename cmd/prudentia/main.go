@@ -24,9 +24,8 @@
 // most contested pairs, and a sequential stopper (-ci-width,
 // -min-trials) ends each pair's trials the moment its fairness verdict
 // is statistically settled — same verdicts, typically ≥30% fewer
-// trials. -fixed-trials forces the fixed protocol back on (its output
-// is byte-identical to a run without -adaptive), and a -resume from a
-// pre-adaptive checkpoint falls back to it automatically.
+// trials. A -resume from a pre-adaptive checkpoint finishes that cycle
+// with the fixed protocol.
 //
 // Per-pair statistics accumulate in O(1) mergeable quantile sketches by
 // default (docs/SKETCHES.md): bit-identical medians/CIs at the standard
@@ -105,7 +104,6 @@ func main() {
 		adaptive   = flag.Bool("adaptive", false, "adaptive trial budgets: coarse screening ranks pairs, the sequential stopper ends each pair's trials once its verdict is stable")
 		ciWidth    = flag.Float64("ci-width", 0, "adaptive: stop a pair when the 95% CI on both slots' share medians is at most this many share points wide (0 = default 10)")
 		minTrials  = flag.Int("min-trials", 0, "adaptive: floor below which no pair stops early (0 = default 2)")
-		fixedTrial = flag.Bool("fixed-trials", false, "force the fixed trial protocol even with -adaptive (the golden/acceptance escape hatch; output is byte-identical to a run without -adaptive)")
 		soak       = flag.Int("soak", 0, "soak mode: run N consecutive cycles carrying circuit-breaker state across cycles, printing breaker status after each (overrides -cycles)")
 		exactStats = flag.Bool("exact-stats", false, "retain the raw per-trial ledger instead of O(1) mergeable quantile sketches (the statistics escape hatch; reports are byte-identical either way at the standard trial budgets)")
 
@@ -172,7 +170,7 @@ func main() {
 		w.DiskChaos = chaos.DefaultDiskPlan(*chaosDisk)
 	}
 	w.Opts.WallBudget = *maxWall
-	if *adaptive && !*fixedTrial {
+	if *adaptive {
 		w.Opts.Adaptive = &core.AdaptiveOptions{
 			CIWidthPct: *ciWidth,
 			MinTrials:  *minTrials,
@@ -344,9 +342,9 @@ func main() {
 					// Pre-adaptive checkpoints carry no budget
 					// allocations; re-screening could change the
 					// interrupted run's stopping decisions, so finish
-					// this run with fixed trials instead of erroring.
+					// this cycle with the fixed protocol instead of erroring.
 					fmt.Fprintln(os.Stderr,
-						"prudentia: checkpoint predates adaptive budgets; falling back to -fixed-trials for this run")
+						"prudentia: checkpoint predates adaptive budgets; running this cycle with the fixed protocol")
 					w.Opts.Adaptive = nil
 				}
 			} else {

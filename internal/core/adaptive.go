@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"prudentia/internal/obs"
 	"prudentia/internal/stats"
@@ -124,88 +122,46 @@ type screenResult struct {
 // failed screen costs a score, never a retry or quarantine). The
 // returned map is a pure function of the screening results, which
 // makes the whole allocation deterministic for any worker count.
+// Screening is one more task set on the shared runner (parallel.go); in
+// fleet mode it stays coordinator-side — the budgets ride the PairTasks
+// — and uses the coordinator's local pool width.
 func (m *Matrix) screen(states []*pairState, opts SchedulerOptions) (budgets map[string]int, interrupted bool) {
 	ad := opts.Adaptive
 	results := make([]screenResult, len(states))
-	nw := workerCount(m.Workers, len(states))
-	if m.Remote != nil {
-		// Screening stays coordinator-side in fleet mode (the budgets
-		// ride the PairTasks); run it on the local pool width.
-		nw = workerCount(0, len(states))
-	}
-
-	var stop atomic.Bool
-	interrupt := func() bool {
-		if stop.Load() {
-			return true
-		}
-		if m.Interrupt != nil && m.Interrupt() {
-			stop.Store(true)
-			return true
-		}
-		return false
-	}
-	screenOne := func(i int) {
-		st := states[i]
-		label := st.pairLabel() + " (screen)"
-		var s0, s1 []float64
-		for k := 0; k < ad.ScreenTrials; k++ {
-			if interrupt() {
-				return
-			}
-			seed := trialSeed(opts.BaseSeed, screenSeedID(st.a, st.b), k)
-			spec := Spec{
-				Incumbent: st.svcA,
-				Contender: st.svcB,
-				Net:       m.Net,
-				Seed:      seed,
-				Chaos:     opts.Chaos,
-			}.ScreenTiming()
-			ar := executeAttempt(m.Journal, m.Obs, opts, spec, label, k)
-			m.Obs.screenTrial(label, seed, k, ar.class)
-			if ar.class == "ok" {
-				s0 = append(s0, ar.res.SharePct[0])
-				s1 = append(s1, ar.res.SharePct[1])
-			}
-		}
-		if len(s0) == 0 {
-			return // unscored: sorts as most contested
-		}
-		results[i] = screenResult{
-			score:  stats.ScreenScore(stats.Median(s0), stats.Median(s1), ad.FairSharePct),
-			scored: true,
-		}
-	}
-
-	if nw <= 1 {
-		for i := range states {
-			if interrupt() {
-				return nil, true
-			}
-			screenOne(i)
-		}
-	} else {
-		tasks := make(chan int, len(states))
-		for i := range states {
-			tasks <- i
-		}
-		close(tasks)
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range tasks {
-					if interrupt() {
-						return
-					}
-					screenOne(i)
+	interrupted = runOrdered(len(states), m.Workers, m.Interrupt,
+		func(i int, interrupt func() bool) (screenResult, bool) {
+			st := states[i]
+			label := st.pairLabel() + " (screen)"
+			var s0, s1 []float64
+			for k := 0; k < ad.ScreenTrials; k++ {
+				if interrupt() {
+					return screenResult{}, false
 				}
-			}()
-		}
-		wg.Wait()
-	}
-	if stop.Load() {
+				seed := trialSeed(opts.BaseSeed, screenSeedID(st.a, st.b), k)
+				spec := Spec{
+					Incumbent: st.svcA,
+					Contender: st.svcB,
+					Net:       m.Net,
+					Seed:      seed,
+					Chaos:     opts.Chaos,
+				}.ScreenTiming()
+				ar := executeAttempt(m.Journal, m.Obs, opts, spec, label, k)
+				m.Obs.screenTrial(label, seed, k, ar.class)
+				if ar.class == "ok" {
+					s0 = append(s0, ar.res.SharePct[0])
+					s1 = append(s1, ar.res.SharePct[1])
+				}
+			}
+			if len(s0) == 0 {
+				return screenResult{}, true // unscored: sorts as most contested
+			}
+			return screenResult{
+				score:  stats.ScreenScore(stats.Median(s0), stats.Median(s1), ad.FairSharePct),
+				scored: true,
+			}, true
+		},
+		func(i int, r screenResult) { results[i] = r })
+	if interrupted {
 		return nil, true
 	}
 	return allocateBudgets(states, results, opts), false

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/netem"
@@ -119,6 +122,73 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// localRemote is a stub RemoteRunner: it runs each task in-process
+// through RunPairTask, the fleet worker's entry point.
+type localRemote struct{ m *Matrix }
+
+func (r localRemote) RunPairs(tasks []PairTask, _ func() bool) (<-chan PairTaskResult, error) {
+	ch := make(chan PairTaskResult, len(tasks))
+	for i, task := range tasks {
+		out, events := RunPairTask(r.m.Services, r.m.Net, r.m.Opts, task)
+		ch <- PairTaskResult{Index: i, Outcome: out, Events: events}
+	}
+	close(ch)
+	return ch, nil
+}
+
+// TestFleetScreeningUsesLocalPool: in fleet mode screening stays on the
+// coordinator, at the coordinator's pool width — a -workers 4
+// coordinator must not screen every pair serially before dispatching
+// anything — and the allocation it reaches does not depend on that
+// width. Every screening task polls the hook once before its trial, so
+// two polls in flight at once are two screening tasks in flight.
+func TestFleetScreeningUsesLocalPool(t *testing.T) {
+	net := netem.HighlyConstrained()
+	var inHook atomic.Int32
+	var concurrent atomic.Bool
+	met := make(chan struct{})
+	var once sync.Once
+	rendezvous := func() bool {
+		if inHook.Add(1) > 1 {
+			concurrent.Store(true)
+			once.Do(func() { close(met) })
+		}
+		select {
+		case <-met:
+		case <-time.After(2 * time.Second):
+			once.Do(func() { close(met) }) // serial screening: give up, fail below
+		}
+		inHook.Add(-1)
+		return false
+	}
+	run := func(workers int, hook func() bool) []byte {
+		opts := adaptiveTestOpts(net)
+		opts.Adaptive = &AdaptiveOptions{}
+		var budgets map[string]int
+		m := &Matrix{
+			Services:  threeServices(),
+			Net:       net,
+			Opts:      opts,
+			Workers:   workers,
+			Interrupt: hook,
+			OnBudgets: func(b map[string]int) { budgets = b },
+		}
+		m.Remote = localRemote{m}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		bj, _ := json.Marshal(budgets)
+		return bj
+	}
+	b4 := run(4, rendezvous)
+	if !concurrent.Load() {
+		t.Error("fleet-mode screening with Workers=4 never had two tasks in flight")
+	}
+	if b1 := run(1, nil); !bytes.Equal(b1, b4) {
+		t.Errorf("fleet-mode budgets differ across coordinator pool widths:\n%s\nvs\n%s", b1, b4)
+	}
+}
+
 // TestAdaptiveResumeEquivalence: a killed adaptive cycle resumed from
 // journal+checkpoint replays to the same stopping decisions — the
 // resumed CycleResult is byte-identical to an uninterrupted run's,
@@ -139,42 +209,49 @@ func TestAdaptiveResumeEquivalence(t *testing.T) {
 			Interrupt:      interrupt,
 		}
 	}
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "ckpt.json")
-	jrnl := filepath.Join(dir, "trials.wal")
-
-	calls := 0
-	wA := mk(ckpt, jrnl, func() bool { calls++; return calls > 12 })
-	if _, err := wA.RunCycle(); err != ErrInterrupted {
-		t.Fatalf("interrupted cycle returned %v, want ErrInterrupted", err)
-	}
-	saved, err := LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !saved.HasBudgetState() {
-		t.Fatal("adaptive checkpoint must carry budget state")
-	}
-
-	wB := mk(ckpt, jrnl, nil)
-	if found, err := wB.LoadCheckpoint(); err != nil || !found {
-		t.Fatalf("LoadCheckpoint = %v, %v; want found", found, err)
-	}
-	crB, err := wB.RunCycle()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	wC := mk("", "", nil)
 	crC, err := wC.RunCycle()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	jb, _ := json.Marshal(crB)
 	jc, _ := json.Marshal(crC)
-	if !bytes.Equal(jb, jc) {
-		t.Fatalf("resumed adaptive cycle differs from uninterrupted run:\n%s\nvs\n%s", jb, jc)
+
+	// Tasks poll once per calibration, screening trial and pair trial:
+	// 12 polls is past the 3 calibrations and the 6 screening trials,
+	// three trials into the matrix (the allocation is on disk); 7 polls
+	// lands mid-screening (it is not).
+	for _, after := range []int{12, 7} {
+		dir := t.TempDir()
+		ckpt := filepath.Join(dir, "ckpt.json")
+		jrnl := filepath.Join(dir, "trials.wal")
+
+		calls := 0
+		wA := mk(ckpt, jrnl, func() bool { calls++; return calls > after })
+		if _, err := wA.RunCycle(); err != ErrInterrupted {
+			t.Fatalf("interrupted cycle returned %v, want ErrInterrupted", err)
+		}
+		saved, err := LoadCheckpoint(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !saved.HasBudgetState() {
+			t.Fatal("adaptive checkpoint must carry budget state")
+		}
+		if allocated := saved.Budget[0] != nil; allocated != (after == 12) {
+			t.Fatalf("interrupt after %d polls: allocation on disk = %v", after, allocated)
+		}
+
+		wB := mk(ckpt, jrnl, nil)
+		if found, err := wB.LoadCheckpoint(); err != nil || !found {
+			t.Fatalf("LoadCheckpoint = %v, %v; want found", found, err)
+		}
+		crB, err := wB.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jb, _ := json.Marshal(crB); !bytes.Equal(jb, jc) {
+			t.Fatalf("interrupt after %d polls: resumed adaptive cycle differs from uninterrupted run:\n%s\nvs\n%s", after, jb, jc)
+		}
 	}
 }
 

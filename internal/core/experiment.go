@@ -456,11 +456,5 @@ func wallBudget(spec Spec, factor float64) time.Duration {
 // RunSolo measures a service alone (the calibration runs Prudentia uses
 // to detect upstream throttling, §3.1; Table 1's "Max Xput" column).
 func RunSolo(svc services.Service, net netem.Config, seed uint64, timing func(Spec) Spec) (TrialResult, error) {
-	spec := Spec{Incumbent: svc, Net: net, Seed: seed}
-	if timing != nil {
-		spec = timing(spec)
-	} else {
-		spec = spec.DefaultTiming()
-	}
-	return RunTrial(spec)
+	return RunTrial(SchedulerOptions{Timing: timing}.spec(svc, nil, net, seed))
 }

@@ -159,21 +159,7 @@ func (m *Matrix) Run() (*MatrixResult, error) {
 				}
 				continue
 			}
-			st := &pairState{
-				a: i, b: j,
-				key:    key,
-				seedID: pairSeedID(i, j),
-				svcA:   m.Services[i],
-				svcB:   m.Services[j],
-				target: opts.MinTrials,
-				outcome: &PairOutcome{
-					Incumbent: m.Services[i].Name(),
-					Contender: m.Services[j].Name(),
-				},
-			}
-			if opts.SketchStats {
-				st.outcome.Sketches = newPairSketches()
-			}
+			st := newPairState(i, j, m.Services[i], m.Services[j], opts)
 			states = append(states, st)
 			res.Pairs[key] = st.outcome
 		}
@@ -194,17 +180,18 @@ func (m *Matrix) Run() (*MatrixResult, error) {
 		m.applyBudgets(states, budgets)
 	}
 
+	// Who produces the results — local goroutines or the remote runner —
+	// is the only difference between a local and a distributed matrix.
+	var interrupted bool
 	if m.Remote != nil {
-		interrupted, err := m.runAllRemote(states, opts)
-		if err != nil {
+		var err error
+		if interrupted, err = m.runAllRemote(states); err != nil {
 			return res, err
 		}
-		if interrupted {
-			return res, ErrInterrupted
-		}
-		return res, nil
+	} else {
+		interrupted = m.runAll(states, opts)
 	}
-	if m.runAll(states, opts) {
+	if interrupted {
 		return res, ErrInterrupted
 	}
 	return res, nil

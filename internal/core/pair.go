@@ -126,6 +126,17 @@ func (o SchedulerOptions) withDefaults() SchedulerOptions {
 	return o
 }
 
+// spec builds one trial's Spec under these options: the services, the
+// network, the seed and the chaos plan, timed by Timing (nil means
+// DefaultTiming).
+func (o SchedulerOptions) spec(incumbent, contender services.Service, net netem.Config, seed uint64) Spec {
+	s := Spec{Incumbent: incumbent, Contender: contender, Net: net, Seed: seed, Chaos: o.Chaos}
+	if o.Timing != nil {
+		return o.Timing(s)
+	}
+	return s.DefaultTiming()
+}
+
 // maxBackoffRounds caps the exponential retry backoff (in scheduler
 // rounds, i.e. virtual attempts the pair sits out).
 const maxBackoffRounds = 8
@@ -323,21 +334,7 @@ func RunPairObserved(incumbent, contender services.Service, net netem.Config, op
 		return nil, fmt.Errorf("core: RunPair requires an incumbent service")
 	}
 	opts = opts.withDefaults()
-	st := &pairState{
-		a: 0, b: 1,
-		key:     pairKey(0, 1),
-		seedID:  pairSeedID(0, 1),
-		svcA:    incumbent,
-		svcB:    contender,
-		target:  opts.MinTrials,
-		outcome: &PairOutcome{Incumbent: incumbent.Name()},
-	}
-	if opts.SketchStats {
-		st.outcome.Sketches = newPairSketches()
-	}
-	if contender != nil {
-		st.outcome.Contender = contender.Name()
-	}
+	st := newPairState(0, 1, incumbent, contender, opts)
 	emit := onFault
 	if emit == nil {
 		emit = func(FaultEvent) {}

@@ -47,6 +47,29 @@ type pairState struct {
 	ring []bool
 }
 
+// newPairState builds the protocol's starting state for catalog pair
+// (a, b): identity, seed namespace, first evaluation target, and an
+// empty outcome carrying the statistics representation opts selects.
+// svcB may be nil (a solo RunPair).
+func newPairState(a, b int, svcA, svcB services.Service, opts SchedulerOptions) *pairState {
+	st := &pairState{
+		a: a, b: b,
+		key:     pairKey(a, b),
+		seedID:  pairSeedID(a, b),
+		svcA:    svcA,
+		svcB:    svcB,
+		target:  opts.MinTrials,
+		outcome: &PairOutcome{Incumbent: svcA.Name()},
+	}
+	if svcB != nil {
+		st.outcome.Contender = svcB.Name()
+	}
+	if opts.SketchStats {
+		st.outcome.Sketches = newPairSketches()
+	}
+	return st
+}
+
 // pairLabel names a pair for ledger events and progress lines.
 func (st *pairState) pairLabel() string {
 	return st.outcome.Incumbent + " vs " + st.outcome.Contender
@@ -68,7 +91,7 @@ type pairProtocol struct {
 	emit func(FaultEvent)
 	// ins, when non-nil, receives live telemetry (counters, duration
 	// histograms, timeline events) for every attempt. Unlike emit, which
-	// buffers under the worker pool to preserve canonical ledger order,
+	// the matrix buffers per pair to preserve canonical ledger order,
 	// instruments record from the executing goroutine: counters are
 	// commutative (deterministic totals for any worker count) and
 	// timeline events are wall-stamped observability data, not part of
@@ -218,18 +241,7 @@ func (pp *pairProtocol) runOne(st *pairState) {
 		seed := trialSeed(pp.opts.BaseSeed, st.seedID, st.attempt)
 		attempt := st.attempt
 		st.attempt++
-		spec := Spec{
-			Incumbent: st.svcA,
-			Contender: st.svcB,
-			Net:       pp.net,
-			Seed:      seed,
-			Chaos:     pp.opts.Chaos,
-		}
-		if pp.opts.Timing != nil {
-			spec = pp.opts.Timing(spec)
-		} else {
-			spec = spec.DefaultTiming()
-		}
+		spec := pp.opts.spec(st.svcA, st.svcB, pp.net, seed)
 		start := pp.ins.now()
 		pp.ins.trialStartBatched(pp.batch, st.pairLabel(), seed, attempt)
 		ar := executeAttempt(pp.sink, pp.ins, pp.opts, spec, st.pairLabel(), attempt)

@@ -6,8 +6,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/netem"
@@ -221,16 +226,152 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 	}
 }
 
-// TestWorkerCountClamp pins the pool-sizing rule: never more workers
-// than tasks, never fewer than one.
-func TestWorkerCountClamp(t *testing.T) {
-	cases := []struct{ req, tasks, want int }{
-		{0, 10, 1}, {-3, 10, 1}, {1, 10, 1},
-		{4, 10, 4}, {16, 6, 6}, {8, 0, 1}, {2, 1, 1},
+// TestRunOrdered pins the one dispatch loop's contract for every shape
+// the cycle uses it in: the resolved pool width (never more workers
+// than tasks, never fewer than one), canonical release order for any
+// completion order, the interrupt/drain/strand rules, and the inline
+// side's promise to stay on the caller goroutine.
+func TestRunOrdered(t *testing.T) {
+	cases := []struct{ n, workers, width int }{
+		{0, 0, 1}, {0, 1, 1}, {0, 3, 1}, {0, 16, 1},
+		{1, 0, 1}, {1, 1, 1}, {1, 3, 1}, {1, 16, 1},
+		{7, 0, 1}, {7, 1, 1}, {7, 3, 3}, {7, 16, 7},
+		{10, -3, 1}, {10, 4, 4}, {6, 16, 6},
 	}
 	for _, c := range cases {
-		if got := workerCount(c.req, c.tasks); got != c.want {
-			t.Errorf("workerCount(%d, %d) = %d, want %d", c.req, c.tasks, got, c.want)
+		if got := workerCount(c.workers, c.n); got != c.width {
+			t.Errorf("workerCount(%d, %d) = %d, want %d", c.workers, c.n, got, c.width)
+		}
+
+		// Completed run: tasks finish in reverse index order (they sleep
+		// inversely to their index), release must still be 0..n-1.
+		before := runtime.NumGoroutine()
+		var mu sync.Mutex
+		var inFlight, maxInFlight int
+		var released []int
+		interrupted := runOrdered(c.n, c.workers, nil,
+			func(i int, interrupt func() bool) (int, bool) {
+				mu.Lock()
+				inFlight++
+				maxInFlight = max(maxInFlight, inFlight)
+				mu.Unlock()
+				defer func() { mu.Lock(); inFlight--; mu.Unlock() }()
+				if c.width == 1 && runtime.NumGoroutine() > before {
+					t.Errorf("n=%d workers=%d: inline side spawned a goroutine", c.n, c.workers)
+				}
+				if interrupt() {
+					return 0, false
+				}
+				time.Sleep(time.Duration(c.n-i) * time.Millisecond)
+				return i * i, true
+			},
+			func(i, v int) {
+				if v != i*i {
+					t.Errorf("n=%d workers=%d: release(%d) got value %d", c.n, c.workers, i, v)
+				}
+				released = append(released, i)
+			})
+		if interrupted {
+			t.Errorf("n=%d workers=%d: uninterrupted run reported interrupted", c.n, c.workers)
+		}
+		if len(released) != c.n || !sort.IntsAreSorted(released) {
+			t.Errorf("n=%d workers=%d: released %v, want 0..%d in order", c.n, c.workers, released, c.n-1)
+		}
+		if maxInFlight > c.width {
+			t.Errorf("n=%d workers=%d: %d tasks in flight, want <= %d", c.n, c.workers, maxInFlight, c.width)
+		}
+
+		// Interrupted run: task k trips the hook and abandons. On the
+		// pooled side it first waits for a higher index to complete, so a
+		// completed task is certainly stranded behind it.
+		k := c.n / 2
+		if c.n == 0 {
+			continue
+		}
+		var fire atomic.Bool
+		completed := make([]atomic.Bool, c.n)
+		higherDone := make(chan struct{}, c.n)
+		released = released[:0]
+		interrupted = runOrdered(c.n, c.workers, fire.Load,
+			func(i int, interrupt func() bool) (int, bool) {
+				if i == k {
+					if c.width > 1 && k < c.n-1 {
+						<-higherDone
+					}
+					fire.Store(true)
+				}
+				if interrupt() {
+					return 0, false
+				}
+				completed[i].Store(true)
+				if i > k {
+					higherDone <- struct{}{}
+				}
+				return i, true
+			},
+			func(i, v int) { released = append(released, i) })
+		if !interrupted {
+			t.Errorf("n=%d workers=%d: interrupt at task %d not reported", c.n, c.workers, k)
+		}
+		var want []int
+		for i := 0; i < c.n; i++ {
+			if completed[i].Load() {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(released, want) {
+			t.Errorf("n=%d workers=%d: interrupt at %d released %v, want every completed task exactly once in order: %v",
+				c.n, c.workers, k, released, want)
+		}
+		if completed[k].Load() {
+			t.Errorf("n=%d workers=%d: abandoned task %d counted as completed", c.n, c.workers, k)
+		}
+		if c.width > 1 && k < c.n-1 && (len(released) == 0 || released[len(released)-1] < k) {
+			t.Errorf("n=%d workers=%d: nothing stranded behind task %d was released: %v", c.n, c.workers, k, released)
+		}
+	}
+}
+
+// TestInterruptedLedgerNamesOnlyReleasedPairs: an interrupted matrix
+// must not leak the abandoned pair's partial fault events — a
+// checkpoint-only resume re-runs that pair from attempt 0 and emits them
+// again, so a leaked event is double-counted across the two processes'
+// ledgers. Every event delivered to OnFault therefore names a pair that
+// was also released through OnPair, for any worker count and any
+// interruption point.
+func TestInterruptedLedgerNamesOnlyReleasedPairs(t *testing.T) {
+	net := netem.HighlyConstrained()
+	svcs := threeServices()
+	for _, workers := range []int{1, 4} {
+		for after := int64(1); after <= 30; after += 2 {
+			opts := fastOpts(net)
+			opts.BaseSeed = 11
+			opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
+			var polls atomic.Int64
+			released := map[string]bool{}
+			var events []FaultEvent
+			m := &Matrix{
+				Services:  svcs,
+				Net:       net,
+				Opts:      opts,
+				Workers:   workers,
+				Interrupt: func() bool { return polls.Add(1) > after },
+				OnFault:   func(ev FaultEvent) { events = append(events, ev) },
+				OnPair: func(key string, out *PairOutcome) {
+					released[out.Incumbent+" vs "+out.Contender] = true
+				},
+			}
+			if _, err := m.Run(); err == nil {
+				break // the threshold outlasted the matrix: nothing left to interrupt
+			} else if !errors.Is(err, ErrInterrupted) {
+				t.Fatal(err)
+			}
+			for _, ev := range events {
+				if !released[ev.Pair] {
+					t.Errorf("workers=%d interrupt after %d polls: ledger event %q for %q, a pair never released",
+						workers, after, ev.Kind, ev.Pair)
+				}
+			}
 		}
 	}
 }

@@ -5,17 +5,13 @@ import (
 	"prudentia/internal/services"
 )
 
-// Distributed execution seam. The pair matrix is embarrassingly
-// parallel by construction — a pair's outcome is a pure function of
-// (catalog, setting, SchedulerOptions, pair identity) — so executing a
-// pair in another *process* is no different from executing it on
-// another goroutine, provided that process derives the same options and
-// seeds. This file defines the contract between the matrix scheduler
-// and a remote runner (internal/fleet): the scheduler hands out
-// PairTasks, the runner delivers PairTaskResults in any order, and the
-// matrix restores determinism through the same ordered-release path the
-// local worker pool uses, so a fleet-wide report is byte-identical to a
-// serial run at any worker count.
+// Distributed execution seam: the contract between the matrix scheduler
+// and a remote runner (internal/fleet). A pair's outcome is a pure
+// function of (catalog, setting, SchedulerOptions, pair identity), so
+// the scheduler hands out PairTasks, the runner delivers PairTaskResults
+// in any order, and the results enter the same canonical-order merge the
+// local pool feeds (parallel.go) — which is why a fleet-wide report is
+// byte-identical to a serial run at any worker count.
 
 // PairTask identifies one pending pair of one setting's matrix. Cycle
 // and Setting let a worker re-derive the scheduler options (and with
@@ -64,23 +60,8 @@ type RemoteRunner interface {
 // the task's Budget.
 func RunPairTask(svcs []services.Service, net netem.Config, opts SchedulerOptions, task PairTask) (*PairOutcome, []FaultEvent) {
 	opts = opts.withDefaults()
-	a, b := task.A, task.B
-	st := &pairState{
-		a: a, b: b,
-		key:    pairKey(a, b),
-		seedID: pairSeedID(a, b),
-		svcA:   svcs[a],
-		svcB:   svcs[b],
-		target: opts.MinTrials,
-		budget: task.Budget,
-		outcome: &PairOutcome{
-			Incumbent: svcs[a].Name(),
-			Contender: svcs[b].Name(),
-		},
-	}
-	if opts.SketchStats {
-		st.outcome.Sketches = newPairSketches()
-	}
+	st := newPairState(task.A, task.B, svcs[task.A], svcs[task.B], opts)
+	st.budget = task.Budget
 	var events []FaultEvent
 	pp := &pairProtocol{net: net, opts: opts,
 		emit: func(ev FaultEvent) { events = append(events, ev) }}
@@ -88,14 +69,13 @@ func RunPairTask(svcs []services.Service, net netem.Config, opts SchedulerOption
 	return st.outcome, events
 }
 
-// runAllRemote executes every pending pair through m.Remote and merges
-// the results on the canonical release path. Duplicate and
+// runAllRemote executes every pending pair through m.Remote and feeds
+// the results into the canonical-order merge. Duplicate and
 // re-dispatched executions on the runner's side are invisible here:
 // the runner delivers each task once, and — because re-runs are
 // deterministic — whichever worker's result survives carries the same
-// bytes.
-func (m *Matrix) runAllRemote(states []*pairState, opts SchedulerOptions) (interrupted bool, err error) {
-	_ = opts // seed derivation happens worker-side, from the same options
+// bytes. Seed derivation happens worker-side, from the same options.
+func (m *Matrix) runAllRemote(states []*pairState) (interrupted bool, err error) {
 	tasks := make([]PairTask, len(states))
 	for i, st := range states {
 		tasks[i] = PairTask{Cycle: m.Cycle, Setting: m.Setting, A: st.a, B: st.b,
@@ -105,17 +85,14 @@ func (m *Matrix) runAllRemote(states []*pairState, opts SchedulerOptions) (inter
 	if err != nil {
 		return false, err
 	}
-	rel := m.newReleaser(len(states))
-	delivered := 0
-	for r := range ch {
-		st := states[r.Index]
-		// The result's outcome replaces the placeholder's fields in
-		// place: res.Pairs already points at st.outcome.
-		*st.outcome = *r.Outcome
-		m.Obs.remotePair(st.outcome)
-		rel.add(&pairRun{idx: r.Index, st: st, events: r.Events, completed: true})
-		delivered++
-	}
-	rel.flush()
-	return delivered < len(states), nil
+	return mergeOrdered(len(states), func(yield func(int, []FaultEvent)) {
+		for r := range ch {
+			// The result's outcome replaces the placeholder's fields in
+			// place: res.Pairs already points at st.outcome.
+			st := states[r.Index]
+			*st.outcome = *r.Outcome
+			m.Obs.remotePair(st.outcome)
+			yield(r.Index, r.Events)
+		}
+	}, m.releasePair(states)), nil
 }

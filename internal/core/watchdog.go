@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/journal"
@@ -222,9 +220,6 @@ func (w *Watchdog) AdvanceTo(next int) {
 		w.cycleOffset = off
 	}
 }
-
-// interrupted polls the graceful-stop hook.
-func (w *Watchdog) interrupted() bool { return w.Interrupt != nil && w.Interrupt() }
 
 // flush persists the live checkpoint. Failures are reported, never
 // fatal: a watchdog with a broken disk should keep measuring.
@@ -554,12 +549,7 @@ func (w *Watchdog) probeOpenServices(sink *journalSink, cycle int) {
 		}
 		w.Breakers.beginProbe(name)
 		seed := trialSeed(opts.BaseSeed, canarySeedID(name), cycle)
-		spec := Spec{Incumbent: svc, Net: net, Seed: seed, Chaos: opts.Chaos}
-		if opts.Timing != nil {
-			spec = opts.Timing(spec)
-		} else {
-			spec = spec.DefaultTiming()
-		}
+		spec := opts.spec(svc, nil, net, seed)
 		ar := executeAttempt(sink, w.Obs, opts, spec, name+" (canary)", cycle)
 		ok := ar.class == "ok"
 		w.Breakers.probeResult(name, ok)
@@ -574,105 +564,51 @@ func (w *Watchdog) probeOpenServices(sink *journalSink, cycle int) {
 	}
 }
 
-// calibrateAll measures every catalog service solo for one setting,
-// fanning services out to the worker pool when Workers > 1. Like the
-// pair matrix, calibration is deterministic for any worker count: each
-// service's attempt seeds derive from its catalog index alone, and
-// fault events are emitted in catalog order. It reports stopped=true
-// (with the partial map discarded, matching the serial scheduler) when
-// the Interrupt hook fires.
+// calibrateAll measures every admitted catalog service solo for one
+// setting — one more task set on the shared runner (parallel.go), so it
+// is deterministic for any worker count: each service's attempt seeds
+// derive from its catalog index alone, and fault events, calibration
+// telemetry and breaker scoring (BreakerSet is single-goroutine by
+// design) ride the catalog-order release. It reports stopped=true, with
+// the partial map discarded, when the Interrupt hook fires.
 func (w *Watchdog) calibrateAll(net netem.Config, opts SchedulerOptions, sink *journalSink) (cal map[string]float64, stopped bool) {
-	cal = make(map[string]float64, len(w.Services))
-	nw := workerCount(w.Workers, len(w.Services))
-	if nw <= 1 {
-		for i, svc := range w.Services {
-			if w.interrupted() {
-				return nil, true
-			}
-			if w.Breakers.State(svc.Name()) == BreakerOpen {
-				continue // open breaker: no solo run, no penalty
-			}
-			mbps, ok := w.calibrate(svc, net, opts, i, sink, w.OnFault)
-			w.Obs.calibrationDone(svc.Name(), ok)
-			if ok {
-				cal[svc.Name()] = mbps
-			} else {
-				w.Breakers.scoreCalibrationFailure(svc.Name())
-			}
+	var admitted []int // catalog indices; an open breaker means no solo run, no penalty
+	for i, svc := range w.Services {
+		if w.Breakers.State(svc.Name()) != BreakerOpen {
+			admitted = append(admitted, i)
 		}
-		return cal, false
 	}
-
 	type calRun struct {
-		idx    int
 		events []FaultEvent
 		mbps   float64
 		ok     bool
 	}
-	var stop atomic.Bool
-	interrupt := func() bool {
-		if stop.Load() {
-			return true
-		}
-		if w.interrupted() {
-			stop.Store(true)
-			return true
-		}
-		return false
-	}
-	tasks := make(chan int, len(w.Services))
-	for i := range w.Services {
-		if w.Breakers.State(w.Services[i].Name()) == BreakerOpen {
-			continue // open breaker: no solo run, no penalty
-		}
-		tasks <- i
-	}
-	close(tasks)
-	runs := make(chan *calRun, len(w.Services))
-	var wg sync.WaitGroup
-	for k := 0; k < nw; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range tasks {
-				if interrupt() {
-					return
+	cal = make(map[string]float64, len(w.Services))
+	stopped = runOrdered(len(admitted), w.Workers, w.Interrupt,
+		func(k int, interrupt func() bool) (cr calRun, completed bool) {
+			if interrupt() {
+				return cr, false
+			}
+			i := admitted[k]
+			cr.mbps, cr.ok = w.calibrate(w.Services[i], net, opts, i, sink,
+				func(ev FaultEvent) { cr.events = append(cr.events, ev) })
+			return cr, true
+		},
+		func(k int, cr calRun) {
+			name := w.Services[admitted[k]].Name()
+			if w.OnFault != nil {
+				for _, ev := range cr.events {
+					w.OnFault(ev)
 				}
-				cr := &calRun{idx: i}
-				cr.mbps, cr.ok = w.calibrate(w.Services[i], net, opts, i, sink,
-					func(ev FaultEvent) { cr.events = append(cr.events, ev) })
-				runs <- cr
 			}
-		}()
-	}
-	wg.Wait()
-	close(runs)
-
-	done := make([]*calRun, len(w.Services))
-	for cr := range runs {
-		done[cr.idx] = cr
-	}
-	// Emit buffered fault events in catalog order so the ledger is
-	// byte-identical to a serial calibration pass. Calibration telemetry
-	// and breaker scoring ride the same ordered release (BreakerSet is
-	// single-goroutine by design).
-	for i, cr := range done {
-		if cr == nil {
-			continue
-		}
-		if w.OnFault != nil {
-			for _, ev := range cr.events {
-				w.OnFault(ev)
+			w.Obs.calibrationDone(name, cr.ok)
+			if cr.ok {
+				cal[name] = cr.mbps
+			} else {
+				w.Breakers.scoreCalibrationFailure(name)
 			}
-		}
-		w.Obs.calibrationDone(w.Services[i].Name(), cr.ok)
-		if cr.ok {
-			cal[w.Services[i].Name()] = cr.mbps
-		} else {
-			w.Breakers.scoreCalibrationFailure(w.Services[i].Name())
-		}
-	}
-	if stop.Load() {
+		})
+	if stopped {
 		return nil, true
 	}
 	return cal, false
@@ -692,12 +628,7 @@ func (w *Watchdog) calibrate(svc services.Service, net netem.Config, opts Schedu
 	budget := opts.MaxFailures + opts.MaxDiscards
 	for attempt := 0; attempt < budget; attempt++ {
 		seed := trialSeed(opts.BaseSeed, id, attempt)
-		spec := Spec{Incumbent: svc, Net: net, Seed: seed, Chaos: opts.Chaos}
-		if opts.Timing != nil {
-			spec = opts.Timing(spec)
-		} else {
-			spec = spec.DefaultTiming()
-		}
+		spec := opts.spec(svc, nil, net, seed)
 		ar := executeAttempt(sink, w.Obs, opts, spec, svc.Name()+" (solo)", attempt)
 		switch ar.class {
 		case "fail":

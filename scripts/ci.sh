@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, vet, static analysis, doc-comment gate,
-# the durable-primitive layering gate, the internal/stats coverage
-# floor, the focused parallel-engine race gate, the fuzz smoke gate,
-# the full test suite under the race detector, the hot-path
-# benchmark regression gate, the sketch statistics O(1)-memory gate, a
+# the durable-primitive and dispatch-loop layering gates, the
+# internal/stats coverage floor, the focused dispatch-loop race gate,
+# the fuzz smoke gate, the full test suite under the race detector, the
+# hot-path benchmark regression gate, the sketch statistics O(1)-memory gate, a
 # seeded end-to-end acceptance run whose observability artifacts are
 # kept for upload, a 2x2 sweep-grid smoke asserting the TSV schema, and
-# the adaptive and exact-stats escape-hatch byte-identity gates.
+# the exact-stats escape-hatch byte-identity gate.
 #
 #   scripts/ci.sh          full budget (local pre-merge gate)
 #   scripts/ci.sh -short   reduced budget for CI runners: -short tests,
@@ -417,6 +417,17 @@ if [ -n "$rename_bad" ]; then
     exit 1
 fi
 
+# Dispatch-loop gate: internal/core has one task runner (runOrdered,
+# parallel.go) that owns the worker spawn and the pool-width clamp, so a
+# second hand-rolled pool fails here instead of in review.
+pool_bad="$(grep -l -e 'sync\.WaitGroup' -e 'workerCount(' internal/core/*.go \
+    | grep -v '_test\.go$' | grep -v '^internal/core/parallel\.go$' || true)"
+if [ -n "$pool_bad" ]; then
+    echo "ci: sync.WaitGroup / workerCount( outside internal/core/parallel.go (use runOrdered):" >&2
+    echo "$pool_bad" >&2
+    exit 1
+fi
+
 # Statistics coverage floor: internal/stats carries the quantile sketch
 # codec and the sequential stopper that every other layer's byte
 # identity leans on, so its test coverage may not erode below 85% of
@@ -430,13 +441,14 @@ if ! awk -v c="$STATS_COV" 'BEGIN { exit !(c >= 85) }'; then
 fi
 echo "ci: internal/stats coverage ${STATS_COV}% (floor 85%)"
 
-# Focused race gate for the parallel matrix engine: the determinism and
-# interrupt/resume tests double as the data-race probes for the worker
-# pool, ordered merge, and shared fault ledger.
+# Focused race gate for the one dispatch loop: the runner's own contract
+# test plus the determinism and interrupt/resume tests, which double as
+# the data-race probes for the worker spawn, the ordered merge, and the
+# shared fault ledger.
 if [ "$SHORT" -eq 1 ]; then
-    go test -race -count=1 -timeout 10m -short -run 'Parallel|Determinism' ./internal/core
+    go test -race -count=1 -timeout 10m -short -run 'RunOrdered|Parallel|Determinism' ./internal/core
 else
-    go test -race -count=1 -timeout 10m -run 'Parallel|Determinism' ./internal/core
+    go test -race -count=1 -timeout 10m -run 'RunOrdered|Parallel|Determinism' ./internal/core
 fi
 
 # Fuzz smoke gate: randomized operation sequences against the drop-tail
@@ -521,28 +533,14 @@ grep -q '"schema": "prudentia.sweep/1"' "$ARTIFACTS/sweep-smoke.json" || {
 }
 echo "ci: sweep smoke passed (TSV schema + 24 rows + JSON schema marker)"
 
-# Adaptive escape-hatch gate: -adaptive -fixed-trials must disarm the
-# adaptive subsystem completely — its report is byte-compared against
-# the plain serial run above's golden output. Any divergence means the
-# adaptive code path leaked into fixed-budget execution.
-go run ./cmd/prudentia -cycles 1 -setting high -workers 4 -seed 42 \
-    -services "iPerf (Cubic),iPerf (BBR)" \
-    > "$ARTIFACTS/report-serial.txt"
-go run ./cmd/prudentia -cycles 1 -setting high -workers 4 -seed 42 \
-    -services "iPerf (Cubic),iPerf (BBR)" \
-    -adaptive -fixed-trials \
-    > "$ARTIFACTS/report-fixed-trials.txt"
-if ! diff -u "$ARTIFACTS/report-serial.txt" "$ARTIFACTS/report-fixed-trials.txt"; then
-    echo "ci: -adaptive -fixed-trials report diverged from the plain serial run" >&2
-    exit 1
-fi
-echo "ci: adaptive escape hatch byte-identical to serial report"
-
-# Statistics escape-hatch gate: the default run above is sketch-backed;
+# Statistics escape-hatch gate: the default run is sketch-backed;
 # -exact-stats retains the raw per-trial ledger instead. The two reports
 # must be byte-identical — any divergence means the sketches left their
 # exact regime at standard trial budgets, or a report accessor stopped
 # reading the sketch and exact paths through the same arithmetic.
+go run ./cmd/prudentia -cycles 1 -setting high -workers 4 -seed 42 \
+    -services "iPerf (Cubic),iPerf (BBR)" \
+    > "$ARTIFACTS/report-serial.txt"
 go run ./cmd/prudentia -cycles 1 -setting high -workers 4 -seed 42 \
     -services "iPerf (Cubic),iPerf (BBR)" \
     -exact-stats \
@@ -551,5 +549,5 @@ if ! diff -u "$ARTIFACTS/report-serial.txt" "$ARTIFACTS/report-exact-stats.txt";
     echo "ci: -exact-stats report diverged from the default sketch-backed run" >&2
     exit 1
 fi
-rm -f "$ARTIFACTS/report-serial.txt" "$ARTIFACTS/report-fixed-trials.txt" "$ARTIFACTS/report-exact-stats.txt"
+rm -f "$ARTIFACTS/report-serial.txt" "$ARTIFACTS/report-exact-stats.txt"
 echo "ci: statistics escape hatch byte-identical to sketch-backed report"
