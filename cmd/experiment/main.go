@@ -1,7 +1,7 @@
 // Command experiment runs a single Prudentia pair experiment and prints
-// its results, optionally exporting the bottleneck queue log, throughput
-// series, and drop log (the artifacts the live system publishes for
-// every experiment).
+// its results, optionally exporting the first trial's bottleneck queue
+// log and throughput series (queue.csv, rate.csv — the artifacts
+// cmd/report renders).
 //
 // Usage:
 //
@@ -17,11 +17,11 @@ import (
 	"strings"
 
 	"prudentia/internal/core"
-	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
 	"prudentia/internal/report"
 	"prudentia/internal/services"
 	"prudentia/internal/sim"
+	"prudentia/internal/stats"
 	"prudentia/internal/trace"
 )
 
@@ -35,7 +35,7 @@ func main() {
 		trials    = flag.Int("trials", 1, "number of trials")
 		quick     = flag.Bool("quick", true, "60s trials instead of the paper's 10 minutes")
 		seed      = flag.Uint64("seed", 1, "base RNG seed")
-		outDir    = flag.String("out", "", "directory for CSV artifacts (queue/rate/drops)")
+		outDir    = flag.String("out", "", "directory for the first trial's CSV artifacts (queue.csv, rate.csv)")
 		list      = flag.Bool("list", false, "list catalog services and exit")
 	)
 	flag.Parse()
@@ -100,7 +100,7 @@ func main() {
 	fmt.Printf("\n%s vs %s @ %.0f Mbps (queue %d pkts): median share %.0f%% / %.0f%%\n",
 		inc.Name(), nameOr(cont, "(solo)"), float64(cfg.RateBps)/1e6,
 		netem.QueueSizePackets(cfg.RateBps, cfg.RTT, *bufferBDP),
-		median(shares0), median(shares1))
+		stats.Median(shares0), stats.Median(shares1))
 }
 
 func export(dir string, res core.TrialResult) error {
@@ -148,24 +148,7 @@ func nameOr(s services.Service, alt string) string {
 	return s.Name()
 }
 
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	for i := range cp {
-		for j := i + 1; j < len(cp); j++ {
-			if cp[j] < cp[i] {
-				cp[i], cp[j] = cp[j], cp[i]
-			}
-		}
-	}
-	return cp[len(cp)/2]
-}
-
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "experiment: "+format+"\n", args...)
 	os.Exit(1)
 }
-
-var _ = metrics.RatePoint{} // keep the artifact types linked for docs

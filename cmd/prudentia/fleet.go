@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"prudentia/internal/chaos"
@@ -152,20 +151,7 @@ func startCoordinator(w *core.Watchdog, ledger *trace.FaultLedger, reg *obs.Regi
 	fleetStderr("fleet: %d workers connected; starting cycles", expect)
 	w.Remote = coord
 	return func() {
-		fleetStderr("fleet: worker breakers: %s", fleetBreakerSummary(coord.BreakerStatus()))
+		fleetStderr("fleet: worker breakers: %s", breakerSummary(coord.BreakerStatus()))
 		_ = coord.Close()
 	}
-}
-
-// fleetBreakerSummary renders the coordinator's worker breakers for
-// stderr status (mirrors breakerSummary for service breakers).
-func fleetBreakerSummary(infos []obs.BreakerInfo) string {
-	if len(infos) == 0 {
-		return "all closed"
-	}
-	parts := make([]string, 0, len(infos))
-	for _, bi := range infos {
-		parts = append(parts, fmt.Sprintf("%s=%s(%.1f)", bi.Service, bi.State, bi.Score))
-	}
-	return strings.Join(parts, " ")
 }

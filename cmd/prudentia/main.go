@@ -438,7 +438,7 @@ func main() {
 		}
 		if soakMode {
 			fmt.Printf("soak: cycle %d/%d complete; breakers: %s\n\n",
-				cycle, *cycles, breakerSummary(w.Breakers))
+				cycle, *cycles, breakerSummary(w.Breakers.Status()))
 		}
 		if *verbose && reg != nil {
 			fmt.Println(report.MetricsSummary(reg.Snapshot()))
@@ -446,9 +446,9 @@ func main() {
 	}
 }
 
-// breakerSummary renders the circuit-breaker set for soak-mode output.
-func breakerSummary(bs *core.BreakerSet) string {
-	infos := bs.Status()
+// breakerSummary renders a breaker snapshot — the watchdog's service
+// breakers in soak mode, the coordinator's worker breakers in fleet mode.
+func breakerSummary(infos []obs.BreakerInfo) string {
 	if len(infos) == 0 {
 		return "all closed"
 	}

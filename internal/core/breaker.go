@@ -138,11 +138,16 @@ func (bs *BreakerSet) transition(service string, e *breakerEntry, to BreakerStat
 	}
 }
 
-// penalize adds pts to a service's health score, tripping a closed
+// Penalize adds pts to a member's health score, tripping a closed
 // breaker open at the threshold. Open and half-open breakers keep
 // accumulating score but do not re-transition (the canary probe owns
-// those edges).
-func (bs *BreakerSet) penalize(service string, pts float64) {
+// those edges). Members are services here; out-of-package supervisors
+// reuse the set under their own keys — the fleet coordinator by worker
+// name (disconnects and heartbeat timeouts +2, lease expiries +1), the
+// serving layer by tenant — to quarantine flapping members the same
+// way. Like every other method it is not safe for concurrent use;
+// callers serialize externally.
+func (bs *BreakerSet) Penalize(service string, pts float64) {
 	if bs == nil || service == "" || pts <= 0 {
 		return
 	}
@@ -173,48 +178,26 @@ func (bs *BreakerSet) scorePair(o *PairOutcome) {
 	for _, f := range o.Failures {
 		if f.Kind == "brownout" {
 			if svc := strings.TrimPrefix(f.Msg, brownoutMsgPrefix); svc != f.Msg {
-				bs.penalize(svc, 1)
+				bs.Penalize(svc, 1)
 				continue
 			}
 		}
 		for _, m := range members {
-			bs.penalize(m, 1)
+			bs.Penalize(m, 1)
 		}
 	}
 	for _, m := range members {
-		bs.penalize(m, float64(o.Corrupt))
+		bs.Penalize(m, float64(o.Corrupt))
 		if o.Failed {
-			bs.penalize(m, 2)
+			bs.Penalize(m, 2)
 		}
 	}
 }
 
-// Penalize adds pts to a member's health score, tripping a closed
-// breaker open at the threshold — the exported form of penalize for
-// out-of-package supervisors. The fleet coordinator reuses BreakerSet
-// keyed by worker name (disconnects and heartbeat timeouts +2, lease
-// expiries +1) to quarantine flapping workers the same way the
-// watchdog quarantines sick services. Like every other method, it is
-// not safe for concurrent use; callers serialize externally.
-func (bs *BreakerSet) Penalize(member string, pts float64) { bs.penalize(member, pts) }
-
-// BeginProbe moves an open breaker to half-open for one canary trial
-// (exported for out-of-package supervisors; see Penalize).
-func (bs *BreakerSet) BeginProbe(member string) { bs.beginProbe(member) }
-
-// ProbeResult settles a half-open breaker: a successful canary closes
-// it with a clean score, a failed one re-opens it (exported for
-// out-of-package supervisors; see Penalize).
-func (bs *BreakerSet) ProbeResult(member string, ok bool) { bs.probeResult(member, ok) }
-
-// Decay ages closed members' scores — the exported form of the
-// cycle-end decay for supervisors that own their own cycle boundary.
-func (bs *BreakerSet) Decay() { bs.decay() }
-
 // scoreCalibrationFailure penalizes a service whose solo calibration
 // exhausted its attempt budget.
 func (bs *BreakerSet) scoreCalibrationFailure(service string) {
-	bs.penalize(service, 2)
+	bs.Penalize(service, 2)
 }
 
 // OpenServices lists services whose breakers are currently open, in
@@ -233,16 +216,16 @@ func (bs *BreakerSet) OpenServices() []string {
 	return out
 }
 
-// beginProbe moves an open breaker to half-open for its canary trial.
-func (bs *BreakerSet) beginProbe(service string) {
+// BeginProbe moves an open breaker to half-open for its canary trial.
+func (bs *BreakerSet) BeginProbe(service string) {
 	e := bs.entry(service)
 	bs.transition(service, e, BreakerHalfOpen)
 }
 
-// probeResult settles a half-open breaker: a successful canary closes
+// ProbeResult settles a half-open breaker: a successful canary closes
 // it (score reset — the service earned a clean slate), a failed one
 // re-opens it.
-func (bs *BreakerSet) probeResult(service string, ok bool) {
+func (bs *BreakerSet) ProbeResult(service string, ok bool) {
 	e := bs.entry(service)
 	if ok {
 		e.score = 0
@@ -252,10 +235,10 @@ func (bs *BreakerSet) probeResult(service string, ok bool) {
 	bs.transition(service, e, BreakerOpen)
 }
 
-// decay ages closed services' scores at cycle end so old incidents
+// Decay ages closed services' scores at cycle end so old incidents
 // stop counting toward the threshold. Entries that decay to nothing
 // are dropped.
-func (bs *BreakerSet) decay() {
+func (bs *BreakerSet) Decay() {
 	if bs == nil {
 		return
 	}

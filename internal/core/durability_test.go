@@ -22,11 +22,11 @@ func TestBreakerLifecycle(t *testing.T) {
 		transitions = append(transitions, svc+": "+from.String()+" -> "+to.String())
 	}}
 
-	bs.penalize("A", 4)
+	bs.Penalize("A", 4)
 	if got := bs.State("A"); got != BreakerClosed {
 		t.Fatalf("below threshold: state %v, want closed", got)
 	}
-	bs.penalize("A", 1)
+	bs.Penalize("A", 1)
 	if got := bs.State("A"); got != BreakerOpen {
 		t.Fatalf("at threshold: state %v, want open", got)
 	}
@@ -35,16 +35,16 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	// Failed probe re-opens; successful probe closes with score reset.
-	bs.beginProbe("A")
+	bs.BeginProbe("A")
 	if got := bs.State("A"); got != BreakerHalfOpen {
-		t.Fatalf("after beginProbe: state %v, want half-open", got)
+		t.Fatalf("after BeginProbe: state %v, want half-open", got)
 	}
-	bs.probeResult("A", false)
+	bs.ProbeResult("A", false)
 	if got := bs.State("A"); got != BreakerOpen {
 		t.Fatalf("after failed probe: state %v, want open", got)
 	}
-	bs.beginProbe("A")
-	bs.probeResult("A", true)
+	bs.BeginProbe("A")
+	bs.ProbeResult("A", true)
 	if got := bs.State("A"); got != BreakerClosed {
 		t.Fatalf("after ok probe: state %v, want closed", got)
 	}
@@ -70,9 +70,9 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Decay halves closed scores and drops spent entries; open breakers
 	// never decay.
-	bs.penalize("B", 2)
-	bs.penalize("C", 9) // opens
-	bs.decay()
+	bs.Penalize("B", 2)
+	bs.Penalize("C", 9) // opens
+	bs.Decay()
 	if st := bs.Status(); len(st) != 2 { // A dropped (score 0), B halved, C open
 		t.Fatalf("after decay: %+v", st)
 	}
@@ -285,6 +285,47 @@ func TestJournalResumeEquivalence(t *testing.T) {
 	if fresh >= rerun {
 		t.Fatalf("journal resume re-simulated %d attempts, checkpoint-only %d; journal must re-run strictly fewer", fresh, rerun)
 	}
+}
+
+// TestInterruptedManifestCycleNumber: an interrupted run's manifest must
+// name the cycle its checkpoint names — past an AdvanceTo offset, and
+// again when the resumed cycle is itself interrupted in a new process.
+func TestInterruptedManifestCycleNumber(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+	mk := func(after int) *Watchdog {
+		calls := 0
+		return &Watchdog{
+			Services:       threeServices(),
+			Settings:       []netem.Config{netem.HighlyConstrained()},
+			Opts:           fastOpts(netem.HighlyConstrained()),
+			CheckpointPath: ckpt,
+			Interrupt:      func() bool { calls++; return calls > after },
+		}
+	}
+	check := func(w *Watchdog, when string) {
+		t.Helper()
+		if _, err := w.RunCycle(); err != ErrInterrupted {
+			t.Fatalf("%s: RunCycle returned %v, want ErrInterrupted", when, err)
+		}
+		cp, err := LoadCheckpoint(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := w.BuildManifest(nil, nil)
+		if !m.Interrupted || m.Cycle != 2 || cp.Cycle != 2 {
+			t.Fatalf("%s: manifest cycle %d (interrupted=%v) beside checkpoint cycle %d, want 2 and 2",
+				when, m.Cycle, m.Interrupted, cp.Cycle)
+		}
+	}
+	wA := mk(8)
+	wA.AdvanceTo(2) // a restarted daemon that rehydrated cycle 1 from disk
+	check(wA, "first interruption")
+
+	wB := mk(5) // a new process: no history, no offset, only the checkpoint
+	if found, err := wB.LoadCheckpoint(); err != nil || !found {
+		t.Fatalf("LoadCheckpoint = %v, %v", found, err)
+	}
+	check(wB, "re-interrupted resume")
 }
 
 // TestBrownoutBreakerAcceptance is the chaos acceptance test: a

@@ -165,6 +165,31 @@ type TrialObs struct {
 	SimSeconds float64 `json:"sim_seconds"`
 }
 
+// add folds o into t: every field sums except OccupancyHighWater, which
+// takes the max. Sums of sums are sums and max is commutative, so an
+// aggregate of aggregates (a pair's sketch total, a merged shard) folds
+// through the same method as a single trial.
+func (t *TrialObs) add(o TrialObs) {
+	t.ArrivedPackets += o.ArrivedPackets
+	t.DroppedPackets += o.DroppedPackets
+	t.DeliveredPackets += o.DeliveredPackets
+	t.DeliveredBytes += o.DeliveredBytes
+	if o.OccupancyHighWater > t.OccupancyHighWater {
+		t.OccupancyHighWater = o.OccupancyHighWater
+	}
+	t.UpstreamSent += o.UpstreamSent
+	t.ExternalDrops += o.ExternalDrops
+	t.ChaosDrops += o.ChaosDrops
+	t.Retransmits += o.Retransmits
+	t.Timeouts += o.Timeouts
+	t.CwndEvents += o.CwndEvents
+	t.TailProbes += o.TailProbes
+	t.ChaosFlaps += o.ChaosFlaps
+	t.ChaosSags += o.ChaosSags
+	t.ChaosStalls += o.ChaosStalls
+	t.SimSeconds += o.SimSeconds
+}
+
 // scrapeObs fills a TrialObs from a finished trial's testbed.
 func scrapeObs(tb *netem.Testbed, duration sim.Time) TrialObs {
 	o := TrialObs{

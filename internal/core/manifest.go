@@ -6,8 +6,10 @@ import (
 
 // BuildManifest assembles the per-cycle run manifest: the reproduction
 // recipe (seed scope, catalog, settings, worker count, chaos flag) plus
-// the registry snapshot at cycle end. cr may be nil (interrupted before
-// any setting completed); reg may be nil (empty metric snapshot).
+// the registry snapshot at cycle end. cr may be nil (the cycle RunCycle
+// last started was interrupted; the manifest carries that cycle's
+// number, the one its checkpoint holds); reg may be nil (empty metric
+// snapshot).
 //
 // The snapshot's counters reconcile exactly with the cycle result:
 //
@@ -16,7 +18,9 @@ import (
 //	  (in sketch mode, == Σ Sketches.Obs.DroppedPackets — same totals)
 //
 // and so on for every netem/transport/chaos family, because those
-// families fold only counted pair trials (see Instruments).
+// families are a fold over released pair outcomes (see Instruments). An
+// interrupted cycle's snapshot reconciles the same way with the pairs
+// its checkpoint holds: an abandoned pair is in neither.
 func (w *Watchdog) BuildManifest(cr *CycleResult, reg *obs.Registry) obs.Manifest {
 	m := obs.NewManifest()
 	m.Workers = w.Workers
@@ -33,7 +37,7 @@ func (w *Watchdog) BuildManifest(cr *CycleResult, reg *obs.Registry) obs.Manifes
 	if cr != nil {
 		m.Cycle = cr.Cycle
 	} else {
-		m.Cycle = len(w.cycles) + 1
+		m.Cycle = w.inFlight
 		m.Interrupted = true
 	}
 	m.Breakers = w.Breakers.Status()

@@ -108,9 +108,9 @@ type Matrix struct {
 	// ordering and goroutine guarantees as OnPair).
 	Progress func(format string, args ...any)
 
-	// Obs, if non-nil, receives live telemetry: trial/pair counters,
-	// duration histograms, and timeline events. Counter totals are
-	// deterministic for any worker count; see Instruments.
+	// Obs, if non-nil, receives telemetry: trial/pair counters folded
+	// from each released outcome, plus live duration histograms and
+	// timeline events from the executing goroutines; see Instruments.
 	Obs *Instruments
 }
 
@@ -219,11 +219,13 @@ func (m *Matrix) skipPair(i, j int) (openService string, skip bool) {
 	return "", false
 }
 
-// finish reports a pair that reached a final state and flushes it to
-// the checkpoint hook. Called on the canonical release path, so the
-// pair_done telemetry it produces is ordered for any worker count.
+// finish publishes a pair that reached a final state: breaker scores,
+// registry counters and the checkpoint hook are all derived here, from
+// the outcome, on the canonical release path — so they are ordered and
+// identical for any worker count, and for local and fleet pairs alike.
 func (m *Matrix) finish(st *pairState) {
 	m.Breakers.scorePair(st.outcome)
+	m.Obs.foldPair(st.outcome)
 	m.Obs.pairDone(st)
 	if m.OnPair != nil {
 		m.OnPair(st.key, st.outcome)
@@ -267,78 +269,47 @@ func (r *MatrixResult) Cell(incumbent, contender string) (p *PairOutcome, slot i
 	return p, slot, ok
 }
 
-// SharePct returns the Fig 2 heatmap value: the median MmF share
-// percentage the incumbent obtained against the contender. Quarantined
-// pairs return NaN (rendered as ×× by the report layer).
-func (r *MatrixResult) SharePct(incumbent, contender string) (float64, bool) {
+// cellValue resolves one heatmap cell and states the accessors' sentinel
+// contract once: ok is false for an unknown name or a pair with no
+// counted trials; a breaker-skipped pair reads -Inf (rendered ○○ by the
+// report layer) and a quarantined one NaN (rendered ××); every other
+// pair reads median(outcome, incumbent's slot).
+func (r *MatrixResult) cellValue(incumbent, contender string, median func(p *PairOutcome, slot int) float64) (float64, bool) {
 	p, slot, ok := r.Cell(incumbent, contender)
-	if !ok {
+	switch {
+	case !ok:
 		return 0, false
-	}
-	if p.Skipped {
+	case p.Skipped:
 		return math.Inf(-1), true
-	}
-	if p.Failed {
+	case p.Failed:
 		return math.NaN(), true
-	}
-	if p.Counted() == 0 {
+	case p.Counted() == 0:
 		return 0, false
 	}
-	return p.MedianSharePct(slot), true
+	return median(p, slot), true
+}
+
+// SharePct returns the Fig 2 heatmap value: the median MmF share
+// percentage the incumbent obtained against the contender.
+func (r *MatrixResult) SharePct(incumbent, contender string) (float64, bool) {
+	return r.cellValue(incumbent, contender, (*PairOutcome).MedianSharePct)
 }
 
 // Utilization returns the Fig 11 value for a pair (symmetric).
 func (r *MatrixResult) Utilization(a, b string) (float64, bool) {
-	p, _, ok := r.Cell(a, b)
-	if !ok {
-		return 0, false
-	}
-	if p.Skipped {
-		return math.Inf(-1), true
-	}
-	if p.Failed {
-		return math.NaN(), true
-	}
-	if p.Counted() == 0 {
-		return 0, false
-	}
-	return p.MedianUtilization(), true
+	return r.cellValue(a, b, func(p *PairOutcome, _ int) float64 { return p.MedianUtilization() })
 }
 
 // LossRate returns the Fig 12 value: incumbent's loss vs contender.
 func (r *MatrixResult) LossRate(incumbent, contender string) (float64, bool) {
-	p, slot, ok := r.Cell(incumbent, contender)
-	if !ok {
-		return 0, false
-	}
-	if p.Skipped {
-		return math.Inf(-1), true
-	}
-	if p.Failed {
-		return math.NaN(), true
-	}
-	if p.Counted() == 0 {
-		return 0, false
-	}
-	return p.MedianLoss(slot), true
+	return r.cellValue(incumbent, contender, (*PairOutcome).MedianLoss)
 }
 
 // QueueDelayMs returns the Fig 13 value in milliseconds.
 func (r *MatrixResult) QueueDelayMs(incumbent, contender string) (float64, bool) {
-	p, slot, ok := r.Cell(incumbent, contender)
-	if !ok {
-		return 0, false
-	}
-	if p.Skipped {
-		return math.Inf(-1), true
-	}
-	if p.Failed {
-		return math.NaN(), true
-	}
-	if p.Counted() == 0 {
-		return 0, false
-	}
-	return p.MedianQueueDelay(slot).Seconds() * 1000, true
+	return r.cellValue(incumbent, contender, func(p *PairOutcome, slot int) float64 {
+		return p.MedianQueueDelay(slot).Seconds() * 1000
+	})
 }
 
 // FailedPairs lists quarantined pairs as "incumbent vs contender".

@@ -9,25 +9,32 @@ import (
 )
 
 // Instruments bundles the watchdog's telemetry sinks: a metric registry
-// and a cycle timeline. Handles are resolved once at construction so
-// the scheduler's hot loop performs only atomic adds; a nil
+// and a cycle timeline. Handles are resolved once at construction; a nil
 // *Instruments (and a nil registry or timeline inside one) is a no-op
 // everywhere, keeping every instrumented path nil-safe and the
 // uninstrumented cost to a single branch.
 //
-// Metric semantics:
+// What is recorded falls in two categories:
 //
-//   - prudentia_trials_*_total count every attempt the scheduler
-//     launches: started = completed + failed + discarded + corrupt
-//     (the manifest reconciliation identity; "trials run" equals
-//     started minus the retried duplicates).
-//   - prudentia_netem_*/prudentia_transport_*/prudentia_chaos_* fold the
-//     deterministic TrialObs aggregate of counted pair trials only — the
-//     traffic that enters the heatmaps — so they reconcile exactly with
-//     the published report (calibration traffic is counted separately).
-//   - Metrics with "wall" in the name (trial wall-time histogram, pool
-//     busy fraction) are the only nondeterministic ones; determinism
-//     tests compare snapshots through Snapshot.StripWallClock.
+//   - Deterministic families are a fold over released results, written
+//     on the caller goroutine's release path: prudentia_trials_*_total
+//     (started = completed + failed + discarded + corrupt, the manifest
+//     reconciliation identity; "trials run" equals started minus the
+//     retried duplicates) and the prudentia_netem_*/prudentia_transport_*/
+//     prudentia_chaos_* aggregates of counted pair trials only — the
+//     traffic that enters the heatmaps; calibration traffic is counted
+//     separately — all through foldPair, plus the pair, adaptive,
+//     calibration, breaker and checkpoint counters beside it. A pair an
+//     interrupt abandoned is never released, so it is never counted: an
+//     interrupted cycle's registry names exactly the pairs on disk.
+//   - Live observability is emitted from the executing goroutine:
+//     timeline events, the trial sim/wall duration histograms, the pool
+//     busy fraction, and the two counter families that describe work
+//     executed rather than results published (screening attempts,
+//     journal appends and replays — plain commutative adds). Metrics
+//     with "wall" in the name are the nondeterministic ones;
+//     determinism tests compare snapshots through
+//     Snapshot.StripWallClock.
 type Instruments struct {
 	Registry *obs.Registry
 	Timeline *obs.Timeline
@@ -165,241 +172,53 @@ func (in *Instruments) now() time.Time {
 	return time.Now()
 }
 
-// trialAccum is a pair-local batched view of the hottest counter
-// families — the trial ledger (started/completed) and the per-trial
-// netem/transport/chaos aggregates folded by foldObs. The pair
-// protocol adds deltas to plain cells while it owns the accumulator
-// and commits each family's net total with one atomic add at pair
-// completion (stats.Accum), cutting ~16 contended atomic operations
-// per counted trial to ~16 per *pair*. The occupancy high water is
-// max-semantics, not additive, so it batches as a local max committed
-// through SetMax — max is commutative too, so totals and gauges are
-// identical to the unbatched path for any worker count or flush
-// schedule.
-type trialAccum struct {
-	ins *Instruments
-	acc *stats.Accum
-
-	started, completed                                       int
-	arrived, dropped, delivered, delBytes, external, chaosDp int
-	retx, timeouts, cwnd, tailProbes                         int
-	flaps, sags, stalls                                      int
-
-	occHigh float64
-}
-
-// newTrialAccum binds a fresh accumulator to the registry's hot
-// counters (nil-safe: nil Instruments yields a nil accumulator, and
-// every trialAccum method no-ops on nil).
-func (in *Instruments) newTrialAccum() *trialAccum {
-	if in == nil {
-		return nil
-	}
-	ta := &trialAccum{ins: in, acc: stats.NewAccum()}
-	ta.started = ta.acc.Cell(in.trialsStarted.Add)
-	ta.completed = ta.acc.Cell(in.trialsCompleted.Add)
-	ta.arrived = ta.acc.Cell(in.netemArrived.Add)
-	ta.dropped = ta.acc.Cell(in.netemDropped.Add)
-	ta.delivered = ta.acc.Cell(in.netemDelivered.Add)
-	ta.delBytes = ta.acc.Cell(in.netemDelBytes.Add)
-	ta.external = ta.acc.Cell(in.netemExternal.Add)
-	ta.chaosDp = ta.acc.Cell(in.netemChaos.Add)
-	ta.retx = ta.acc.Cell(in.transportRetx.Add)
-	ta.timeouts = ta.acc.Cell(in.transportTimeouts.Add)
-	ta.cwnd = ta.acc.Cell(in.transportCwndEvents.Add)
-	ta.tailProbes = ta.acc.Cell(in.transportTailProbes.Add)
-	ta.flaps = ta.acc.Cell(in.chaosFlaps.Add)
-	ta.sags = ta.acc.Cell(in.chaosSags.Add)
-	ta.stalls = ta.acc.Cell(in.chaosStalls.Add)
-	return ta
-}
-
-// foldObs batches one counted trial's aggregate (the accumulator
-// counterpart of Instruments.foldObs).
-func (ta *trialAccum) foldObs(o TrialObs) {
-	ta.acc.Add(ta.arrived, o.ArrivedPackets)
-	ta.acc.Add(ta.dropped, o.DroppedPackets)
-	ta.acc.Add(ta.delivered, o.DeliveredPackets)
-	ta.acc.Add(ta.delBytes, o.DeliveredBytes)
-	ta.acc.Add(ta.external, o.ExternalDrops)
-	ta.acc.Add(ta.chaosDp, o.ChaosDrops)
-	ta.acc.Add(ta.retx, o.Retransmits)
-	ta.acc.Add(ta.timeouts, o.Timeouts)
-	ta.acc.Add(ta.cwnd, o.CwndEvents)
-	ta.acc.Add(ta.tailProbes, o.TailProbes)
-	ta.acc.Add(ta.flaps, o.ChaosFlaps)
-	ta.acc.Add(ta.sags, o.ChaosSags)
-	ta.acc.Add(ta.stalls, o.ChaosStalls)
-	if hw := float64(o.OccupancyHighWater); hw > ta.occHigh {
-		ta.occHigh = hw
-	}
-}
-
-// flush commits every batched delta to the shared registry.
-func (ta *trialAccum) flush() {
-	if ta == nil {
-		return
-	}
-	ta.acc.Flush()
-	if ta.occHigh > 0 {
-		ta.ins.occupancyHigh.SetMax(ta.occHigh)
-		ta.occHigh = 0
-	}
-}
-
-// trialStart records one attempt entering execution.
+// trialStart announces one attempt entering execution on the timeline.
 func (in *Instruments) trialStart(pair string, seed uint64, attempt int) {
-	if in == nil {
-		return
-	}
-	in.trialsStarted.Inc()
 	in.emit(obs.TimelineEvent{Kind: "trial_start", Pair: pair, Seed: seed, Attempt: attempt})
 }
 
-// trialStartBatched is trialStart with the started counter routed
-// through the pair's accumulator (timeline events are not batched —
-// they are ordered observability data, not contended counters).
-func (in *Instruments) trialStartBatched(ta *trialAccum, pair string, seed uint64, attempt int) {
+// trialEnd records a classified attempt's wall-clock observability from
+// the executing goroutine: the sim/wall duration histograms (individual
+// samples, not summable deltas) and the trial_<class> timeline event. It
+// touches no counter — the trial ledger is foldPair's, on the release
+// path. Failures carry no simulated duration; discards and corrupt
+// results carry only theirs, never the rejected metrics.
+func (in *Instruments) trialEnd(pair string, seed uint64, attempt int, ar *attemptResult, start time.Time) {
 	if in == nil {
 		return
-	}
-	if ta == nil {
-		in.trialStart(pair, seed, attempt)
-		return
-	}
-	ta.acc.Inc(ta.started)
-	in.emit(obs.TimelineEvent{Kind: "trial_start", Pair: pair, Seed: seed, Attempt: attempt})
-}
-
-// trialDurations records a finished attempt's sim/wall time histograms.
-func (in *Instruments) trialDurations(simSeconds float64, start time.Time) float64 {
-	if in == nil {
-		return 0
 	}
 	wall := time.Since(start).Seconds()
-	in.trialSim.Observe(simSeconds)
+	in.trialSim.Observe(ar.simSeconds)
 	in.trialWall.Observe(wall)
-	return wall
+	ev := obs.TimelineEvent{Kind: "trial_" + ar.class, Pair: pair, Seed: seed, Attempt: attempt,
+		SimSeconds: ar.simSeconds, WallSeconds: wall}
+	switch ar.class {
+	case "fail":
+		ev.Detail = ar.failKind + ": " + ar.failMsg
+	case "corrupt":
+		ev.Detail = ar.detail
+	}
+	in.emit(ev)
 }
 
-// trialOK records a counted trial and folds its deterministic testbed
-// aggregate into the registry.
-func (in *Instruments) trialOK(pair string, seed uint64, attempt int, res *TrialResult, start time.Time) {
+// foldPair folds one released pair's outcome into the registry's
+// deterministic families: the trial ledger (started = completed + failed
+// + discarded + corrupt, the manifest reconciliation identity), per-kind
+// failures, retries, and the netem/transport/chaos aggregates of its
+// counted trials. It is the only writer of those families and its only
+// caller is Matrix.finish, on the canonical release path, so what the
+// registry counts is by construction a fold over exactly the outcomes
+// that were published — whichever goroutine, process or fleet worker
+// executed them, and never a pair an interrupt abandoned.
+func (in *Instruments) foldPair(o *PairOutcome) {
 	if in == nil {
 		return
 	}
-	in.trialsCompleted.Inc()
-	in.foldObs(res.Obs)
-	wall := in.trialDurations(res.Obs.SimSeconds, start)
-	in.emit(obs.TimelineEvent{Kind: "trial_ok", Pair: pair, Seed: seed, Attempt: attempt,
-		SimSeconds: res.Obs.SimSeconds, WallSeconds: wall})
-}
-
-// trialOKBatched is trialOK with the completed counter and the foldObs
-// family routed through the pair's accumulator. Duration histograms
-// record per trial either way: histogram observations are individual
-// samples, not summable deltas.
-func (in *Instruments) trialOKBatched(ta *trialAccum, pair string, seed uint64, attempt int, res *TrialResult, start time.Time) {
-	if in == nil {
-		return
-	}
-	if ta == nil {
-		in.trialOK(pair, seed, attempt, res, start)
-		return
-	}
-	ta.acc.Inc(ta.completed)
-	ta.foldObs(res.Obs)
-	wall := in.trialDurations(res.Obs.SimSeconds, start)
-	in.emit(obs.TimelineEvent{Kind: "trial_ok", Pair: pair, Seed: seed, Attempt: attempt,
-		SimSeconds: res.Obs.SimSeconds, WallSeconds: wall})
-}
-
-// foldObs adds one counted trial's aggregate to the netem/transport/
-// chaos counter families.
-func (in *Instruments) foldObs(o TrialObs) {
-	if in == nil {
-		return
-	}
-	in.netemArrived.Add(o.ArrivedPackets)
-	in.netemDropped.Add(o.DroppedPackets)
-	in.netemDelivered.Add(o.DeliveredPackets)
-	in.netemDelBytes.Add(o.DeliveredBytes)
-	in.netemExternal.Add(o.ExternalDrops)
-	in.netemChaos.Add(o.ChaosDrops)
-	in.occupancyHigh.SetMax(float64(o.OccupancyHighWater))
-	in.transportRetx.Add(o.Retransmits)
-	in.transportTimeouts.Add(o.Timeouts)
-	in.transportCwndEvents.Add(o.CwndEvents)
-	in.transportTailProbes.Add(o.TailProbes)
-	in.chaosFlaps.Add(o.ChaosFlaps)
-	in.chaosSags.Add(o.ChaosSags)
-	in.chaosStalls.Add(o.ChaosStalls)
-}
-
-// trialFail records a failed attempt (injected error or recovered panic).
-func (in *Instruments) trialFail(pair string, seed uint64, attempt int, kind, msg string, simSeconds float64, start time.Time) {
-	if in == nil {
-		return
-	}
-	in.trialsFailed.Inc()
-	switch kind {
-	case "panic":
-		in.failPanic.Inc()
-	case "error":
-		in.failError.Inc()
-	case "reap":
-		in.failReap.Inc()
-	case "brownout":
-		in.failBrownout.Inc()
-	}
-	wall := in.trialDurations(simSeconds, start)
-	in.emit(obs.TimelineEvent{Kind: "trial_fail", Pair: pair, Seed: seed, Attempt: attempt,
-		WallSeconds: wall, Detail: kind + ": " + msg})
-}
-
-// trialDiscard records a noise-discarded attempt. It takes the bare
-// simulated duration rather than the result: journal-replayed discards
-// carry only their classification, not the discarded metrics.
-func (in *Instruments) trialDiscard(pair string, seed uint64, attempt int, simSeconds float64, start time.Time) {
-	if in == nil {
-		return
-	}
-	in.trialsDiscarded.Inc()
-	wall := in.trialDurations(simSeconds, start)
-	in.emit(obs.TimelineEvent{Kind: "trial_discard", Pair: pair, Seed: seed, Attempt: attempt,
-		SimSeconds: simSeconds, WallSeconds: wall})
-}
-
-// trialCorrupt records a validity-gate rejection. Like trialDiscard it
-// takes the bare simulated duration: corrupt results can hold NaN and
-// are never carried past classification.
-func (in *Instruments) trialCorrupt(pair string, seed uint64, attempt int, simSeconds float64, detail string, start time.Time) {
-	if in == nil {
-		return
-	}
-	in.trialsCorrupt.Inc()
-	wall := in.trialDurations(simSeconds, start)
-	in.emit(obs.TimelineEvent{Kind: "trial_corrupt", Pair: pair, Seed: seed, Attempt: attempt,
-		SimSeconds: simSeconds, WallSeconds: wall, Detail: detail})
-}
-
-// remotePair folds a remotely-executed pair's trial ledger into the
-// registry on the matrix's canonical release path. Fleet workers
-// execute trials in their own processes, so the coordinator cannot
-// observe trial_start/trial_ok as they happen; instead the finished
-// outcome carries exactly the counts needed to preserve the manifest
-// reconciliation identity (started = completed + failed + discarded +
-// corrupt) and the deterministic netem/transport/chaos aggregates.
-// Per-trial timeline events and wall-clock histograms are worker-local
-// and deliberately not reconstructed here.
-func (in *Instruments) remotePair(o *PairOutcome) {
-	if in == nil || o == nil {
-		return
-	}
-	started := int64(o.Counted() + len(o.Failures) + o.Discards + o.Corrupt)
-	in.trialsStarted.Add(started)
-	in.trialsCompleted.Add(int64(o.Counted()))
-	in.trialsFailed.Add(int64(len(o.Failures)))
+	counted, failed := int64(o.Counted()), int64(len(o.Failures))
+	discarded, corrupt := int64(o.Discards), int64(o.Corrupt)
+	in.trialsStarted.Add(counted + failed + discarded + corrupt)
+	in.trialsCompleted.Add(counted)
+	in.trialsFailed.Add(failed)
 	for _, f := range o.Failures {
 		switch f.Kind {
 		case "panic":
@@ -412,16 +231,47 @@ func (in *Instruments) remotePair(o *PairOutcome) {
 			in.failBrownout.Inc()
 		}
 	}
-	in.trialsDiscarded.Add(int64(o.Discards))
-	in.trialsCorrupt.Add(int64(o.Corrupt))
+	in.trialsDiscarded.Add(discarded)
+	in.trialsCorrupt.Add(corrupt)
 	in.retries.Add(int64(o.Retries))
+
+	var t TrialObs
+	if o.Sketches != nil {
+		t = o.Sketches.Obs // sketch mode keeps the summed aggregate, not the trials
+	} else {
+		for i := range o.Trials {
+			t.add(o.Trials[i].Obs)
+		}
+	}
+	in.netemArrived.Add(t.ArrivedPackets)
+	in.netemDropped.Add(t.DroppedPackets)
+	in.netemDelivered.Add(t.DeliveredPackets)
+	in.netemDelBytes.Add(t.DeliveredBytes)
+	in.netemExternal.Add(t.ExternalDrops)
+	in.netemChaos.Add(t.ChaosDrops)
+	in.occupancyHigh.SetMax(float64(t.OccupancyHighWater))
+	in.transportRetx.Add(t.Retransmits)
+	in.transportTimeouts.Add(t.Timeouts)
+	in.transportCwndEvents.Add(t.CwndEvents)
+	in.transportTailProbes.Add(t.TailProbes)
+	in.chaosFlaps.Add(t.ChaosFlaps)
+	in.chaosSags.Add(t.ChaosSags)
+	in.chaosStalls.Add(t.ChaosStalls)
+}
+
+// remoteSimDurations replays a remotely executed pair's counted-trial
+// durations into the sim-seconds histogram. Duration samples are
+// worker-local observability (trialEnd); a fleet worker's never reach
+// the coordinator, so its counted trials are reconstructed from the
+// outcome — from the duration sketch in sketch mode (exact samples
+// within the buffer cap, bucket representatives beyond it; histograms
+// only see bucketed values anyway). Timeline events and wall-clock
+// histograms are deliberately not reconstructed.
+func (in *Instruments) remoteSimDurations(o *PairOutcome) {
+	if in == nil {
+		return
+	}
 	if sk := o.Sketches; sk != nil {
-		// Sketch mode ships no per-trial data; the summed aggregate
-		// carries identical counter totals in one fold, and the
-		// sim-duration histogram replays from the duration sketch
-		// (exact samples within the buffer cap, bucket representatives
-		// beyond it — histograms only see bucketed values anyway).
-		in.foldObs(sk.Obs)
 		sk.SimSeconds.Each(func(v float64, n int64) {
 			for k := int64(0); k < n; k++ {
 				in.trialSim.Observe(v)
@@ -430,15 +280,7 @@ func (in *Instruments) remotePair(o *PairOutcome) {
 		return
 	}
 	for i := range o.Trials {
-		in.foldObs(o.Trials[i].Obs)
 		in.trialSim.Observe(o.Trials[i].Obs.SimSeconds)
-	}
-}
-
-// retry records a backoff-scheduled retry.
-func (in *Instruments) retry() { // counter only; the ledger carries detail
-	if in != nil {
-		in.retries.Inc()
 	}
 }
 

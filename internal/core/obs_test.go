@@ -3,28 +3,28 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"prudentia/internal/netem"
 	"prudentia/internal/obs"
+	"prudentia/internal/services"
 )
 
 // obsWatchdog builds a small chaos-enabled watchdog wired to a fresh
 // registry and timeline, over the three iPerf baselines in the
 // highly-constrained setting.
 func obsWatchdog(workers int, tl *obs.Timeline) (*Watchdog, *obs.Registry) {
-	net := netem.HighlyConstrained()
-	opts := fastOpts(net)
-	opts.BaseSeed = 77
-	opts.Chaos = hotChaos()
-	reg := obs.NewRegistry()
+	m, reg := obsMatrix(false, tl)
 	w := &Watchdog{
-		Services: threeServices(),
-		Settings: []netem.Config{net},
-		Opts:     opts,
+		Services: m.Services,
+		Settings: []netem.Config{m.Net},
+		Opts:     m.Opts,
 		Workers:  workers,
-		Obs:      NewInstruments(reg, tl),
+		Obs:      m.Obs,
 	}
 	return w, reg
 }
@@ -215,5 +215,128 @@ func TestObsUninstrumentedIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("instrumentation changed the cycle result")
+	}
+}
+
+// obsMatrix builds the chaos matrix the ledger tests share: the three
+// iPerf baselines, hot chaos, seed 77, instruments on a fresh registry.
+func obsMatrix(sketch bool, tl *obs.Timeline) (*Matrix, *obs.Registry) {
+	net := netem.HighlyConstrained()
+	opts := fastOpts(net)
+	opts.BaseSeed = 77
+	opts.Chaos = hotChaos()
+	opts.SketchStats = sketch
+	reg := obs.NewRegistry()
+	return &Matrix{Services: threeServices(), Net: net, Opts: opts,
+		Obs: NewInstruments(reg, tl)}, reg
+}
+
+// TestObsRegistryParityLocalVsFleet: the registry's counters and gauges
+// are a fold over released outcomes, so the same seeded chaos matrix run
+// through the local pool and through a remote runner (the in-process
+// RunPairTask stub) must leave identical ones. Histograms are excepted:
+// wall-clock and per-attempt sim samples are worker-local observability,
+// which a remote worker's never reach the coordinator.
+func TestObsRegistryParityLocalVsFleet(t *testing.T) {
+	for _, sketch := range []bool{false, true} {
+		run := func(remote bool) obs.Snapshot {
+			m, reg := obsMatrix(sketch, nil)
+			m.Workers = 2
+			if remote {
+				m.Remote = localRemote{m}
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatalf("matrix (sketch=%v remote=%v): %v", sketch, remote, err)
+			}
+			s := reg.Snapshot().StripWallClock()
+			s.Histograms = nil
+			return s
+		}
+		local, fleet := run(false), run(true)
+		if !local.Equal(fleet) {
+			t.Errorf("sketch=%v: registry differs between local and fleet execution:\nlocal %v %v\nfleet %v %v",
+				sketch, local.Counters, local.Gauges, fleet.Counters, fleet.Gauges)
+		}
+		if local.Counters["prudentia_trials_failed_total"] == 0 || local.Counters["prudentia_netem_arrived_packets_total"] == 0 {
+			t.Errorf("sketch=%v: parity check saw no failures or no traffic: %v", sketch, local.Counters)
+		}
+	}
+}
+
+// TestInterruptedRegistryNamesOnlyReleasedPairs: after an interrupt the
+// deterministic families equal the fold of exactly the outcomes that
+// were released (and so checkpointed) — the abandoned pair's attempts
+// appear on the timeline, which is live observability, but in no
+// counter, so an interrupted manifest reconciles with the pairs on disk.
+func TestInterruptedRegistryNamesOnlyReleasedPairs(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		var buf bytes.Buffer
+		tl := obs.NewTimeline(&buf)
+		m, reg := obsMatrix(false, tl)
+		// Fifteen pairs: more than four workers can finish before the
+		// interrupt lands.
+		m.Services = append(m.Services, services.ByName("Dropbox"), services.ByName("Netflix"))
+		m.Workers = workers
+		// Interrupt one poll per worker after the first release: at least
+		// one pair is published, and every worker still running has
+		// started another trial of a pair it must then abandon.
+		var firstRelease atomic.Bool
+		var pollsSince atomic.Int64
+		m.Interrupt = func() bool { return firstRelease.Load() && pollsSince.Add(1) > int64(workers) }
+		var released []*PairOutcome
+		m.OnPair = func(_ string, out *PairOutcome) {
+			released = append(released, out)
+			firstRelease.Store(true)
+		}
+		if _, err := m.Run(); !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("workers=%d: Run returned %v, want ErrInterrupted", workers, err)
+		}
+		if err := tl.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		wantReg := obs.NewRegistry()
+		fold := NewInstruments(wantReg, nil)
+		var started int64
+		for _, o := range released {
+			fold.foldPair(o)
+			started += int64(len(o.Trials) + len(o.Failures) + o.Discards + o.Corrupt)
+		}
+		got, want := reg.Snapshot(), wantReg.Snapshot()
+		if len(released) == 0 || got.Counters["prudentia_pairs_completed_total"] != int64(len(released)) {
+			t.Fatalf("workers=%d: %d pairs released, registry says %d (want at least one)",
+				workers, len(released), got.Counters["prudentia_pairs_completed_total"])
+		}
+		if c := got.Counters["prudentia_trials_started_total"]; c != started {
+			t.Errorf("workers=%d: trials_started = %d, released outcomes hold %d attempts", workers, c, started)
+		}
+		for name, w := range want.Counters {
+			for _, family := range []string{"prudentia_trials_", "prudentia_trial_failures_", "prudentia_trial_retries_",
+				"prudentia_netem_", "prudentia_transport_", "prudentia_chaos_"} {
+				if strings.HasPrefix(name, family) && got.Counters[name] != w {
+					t.Errorf("workers=%d: %s = %d, fold of released outcomes = %d", workers, name, got.Counters[name], w)
+				}
+			}
+		}
+		const hw = "prudentia_netem_occupancy_high_water_packets"
+		if got.Gauges[hw] != want.Gauges[hw] {
+			t.Errorf("workers=%d: %s = %v, fold of released outcomes = %v", workers, hw, got.Gauges[hw], want.Gauges[hw])
+		}
+
+		// The abandoned pair did run: its attempts are on the timeline.
+		events, err := obs.ReadTimeline(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live int64
+		for _, ev := range events {
+			if ev.Kind == "trial_start" {
+				live++
+			}
+		}
+		if live < started || (workers == 1 && live == started) {
+			t.Errorf("workers=%d: timeline shows %d trial_start events against %d counted attempts; the interrupt must land mid-pair",
+				workers, live, started)
+		}
 	}
 }

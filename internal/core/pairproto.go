@@ -89,25 +89,17 @@ type pairProtocol struct {
 	// including the attempt that quarantines the pair or marks it
 	// Unstable. Must be non-nil (use a no-op func for no listener).
 	emit func(FaultEvent)
-	// ins, when non-nil, receives live telemetry (counters, duration
-	// histograms, timeline events) for every attempt. Unlike emit, which
-	// the matrix buffers per pair to preserve canonical ledger order,
-	// instruments record from the executing goroutine: counters are
-	// commutative (deterministic totals for any worker count) and
-	// timeline events are wall-stamped observability data, not part of
-	// the deterministic output contract.
+	// ins, when non-nil, receives live observability (duration
+	// histograms, timeline events) for every attempt, recorded from the
+	// executing goroutine: wall-stamped data, not part of the
+	// deterministic output contract. The protocol counts nothing — the
+	// registry's trial ledger is folded from the finished outcome on the
+	// release path (Instruments.foldPair).
 	ins *Instruments
 	// sink, when non-nil, is the write-ahead trial journal: every
 	// executed attempt is recorded, and attempts recovered from a
 	// previous process are replayed by seed instead of re-simulated.
 	sink *journalSink
-	// batch, when non-nil, is the pair-local accumulator batching the
-	// hottest counter traffic (trial ledger, netem packet aggregates)
-	// into one commit per pair instead of a dozen atomic adds per
-	// trial. Committed totals are identical either way — counter
-	// addition is commutative — so batching changes cost, never
-	// values. Lazily created in run from ins.
-	batch *trialAccum
 }
 
 // attemptResult is one executed (or journal-replayed) attempt after
@@ -211,12 +203,6 @@ func executeAttempt(sink *journalSink, ins *Instruments, opts SchedulerOptions,
 // (if non-nil) before every trial. It returns false if interrupted, in
 // which case the outcome is incomplete and must not be treated as final.
 func (pp *pairProtocol) run(st *pairState, interrupt func() bool) bool {
-	if pp.batch == nil {
-		pp.batch = pp.ins.newTrialAccum() // nil ins → nil batch (unbatched no-op)
-	}
-	// Flush on every exit so an interrupted drain still commits the
-	// deltas its counted attempts accumulated.
-	defer pp.batch.flush()
 	for !st.done {
 		if interrupt != nil && interrupt() {
 			return false
@@ -237,37 +223,36 @@ func (pp *pairProtocol) run(st *pairState, interrupt func() bool) bool {
 // panic — records a TrialFailure and returns so the pair backs off;
 // MaxFailures quarantines the pair.
 func (pp *pairProtocol) runOne(st *pairState) {
+	label := st.pairLabel()
 	for {
 		seed := trialSeed(pp.opts.BaseSeed, st.seedID, st.attempt)
 		attempt := st.attempt
 		st.attempt++
 		spec := pp.opts.spec(st.svcA, st.svcB, pp.net, seed)
 		start := pp.ins.now()
-		pp.ins.trialStartBatched(pp.batch, st.pairLabel(), seed, attempt)
-		ar := executeAttempt(pp.sink, pp.ins, pp.opts, spec, st.pairLabel(), attempt)
+		pp.ins.trialStart(label, seed, attempt)
+		ar := executeAttempt(pp.sink, pp.ins, pp.opts, spec, label, attempt)
+		pp.ins.trialEnd(label, seed, attempt, &ar, start)
 		switch ar.class {
 		case "fail":
-			pp.ins.trialFail(st.pairLabel(), seed, attempt, ar.failKind, ar.failMsg, 0, start)
 			st.outcome.Failures = append(st.outcome.Failures,
 				TrialFailure{Attempt: attempt, Seed: seed, Kind: ar.failKind, Msg: ar.failMsg})
-			pp.emit(FaultEvent{Pair: st.pairLabel(), Kind: ar.failKind, Attempt: attempt, Seed: seed, Detail: ar.failMsg})
+			pp.emit(FaultEvent{Pair: label, Kind: ar.failKind, Attempt: attempt, Seed: seed, Detail: ar.failMsg})
 			if len(st.outcome.Failures) >= pp.opts.MaxFailures {
 				st.outcome.Failed = true
 				st.done = true
-				pp.emit(FaultEvent{Pair: st.pairLabel(), Kind: "quarantine", Attempt: attempt, Seed: seed,
+				pp.emit(FaultEvent{Pair: label, Kind: "quarantine", Attempt: attempt, Seed: seed,
 					Detail: fmt.Sprintf("%d failures", len(st.outcome.Failures))})
 			} else {
 				st.outcome.Retries++
-				pp.ins.retry()
 				st.cooldown = backoffRounds(len(st.outcome.Failures))
-				pp.emit(FaultEvent{Pair: st.pairLabel(), Kind: "retry", Attempt: attempt, Seed: seed,
+				pp.emit(FaultEvent{Pair: label, Kind: "retry", Attempt: attempt, Seed: seed,
 					Detail: fmt.Sprintf("backoff %d rounds", st.cooldown)})
 			}
 			return
 		case "discard":
-			pp.ins.trialDiscard(st.pairLabel(), seed, attempt, ar.simSeconds, start)
 			st.outcome.Discards++
-			pp.emit(FaultEvent{Pair: st.pairLabel(), Kind: "discard", Attempt: attempt, Seed: seed,
+			pp.emit(FaultEvent{Pair: label, Kind: "discard", Attempt: attempt, Seed: seed,
 				Detail: ar.detail})
 			if st.outcome.Discards+st.outcome.Corrupt > pp.opts.MaxDiscards {
 				st.outcome.Unstable = true
@@ -276,9 +261,8 @@ func (pp *pairProtocol) runOne(st *pairState) {
 			}
 			continue
 		case "corrupt":
-			pp.ins.trialCorrupt(st.pairLabel(), seed, attempt, ar.simSeconds, ar.detail, start)
 			st.outcome.Corrupt++
-			pp.emit(FaultEvent{Pair: st.pairLabel(), Kind: "corrupt", Attempt: attempt, Seed: seed, Detail: ar.detail})
+			pp.emit(FaultEvent{Pair: label, Kind: "corrupt", Attempt: attempt, Seed: seed, Detail: ar.detail})
 			if st.outcome.Discards+st.outcome.Corrupt > pp.opts.MaxDiscards {
 				st.outcome.Unstable = true
 				st.done = true
@@ -286,7 +270,6 @@ func (pp *pairProtocol) runOne(st *pairState) {
 			}
 			continue
 		}
-		pp.ins.trialOKBatched(pp.batch, st.pairLabel(), seed, attempt, &ar.res, start)
 		if st.outcome.Sketches != nil {
 			st.outcome.Sketches.observe(&ar.res)
 		} else {

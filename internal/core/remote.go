@@ -91,7 +91,7 @@ func (m *Matrix) runAllRemote(states []*pairState) (interrupted bool, err error)
 			// place: res.Pairs already points at st.outcome.
 			st := states[r.Index]
 			*st.outcome = *r.Outcome
-			m.Obs.remotePair(st.outcome)
+			m.Obs.remoteSimDurations(st.outcome)
 			yield(r.Index, r.Events)
 		}
 	}, m.releasePair(states)), nil

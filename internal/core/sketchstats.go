@@ -22,8 +22,8 @@ import (
 // PairSketches is the O(1) statistics state of one pair: a sketch per
 // reported metric, keyed by the same slot convention as TrialResult
 // (slot 0 incumbent, slot 1 contender), plus the summed TrialObs
-// aggregate that lets the coordinator reconstruct counter totals for
-// remotely executed pairs without per-trial data. It rides checkpoint
+// aggregate the release path folds into the registry's counter totals
+// (Instruments.foldPair) without per-trial data. It rides checkpoint
 // JSON and the fleet protocol via the sketches' base64 binary
 // encoding.
 type PairSketches struct {
@@ -78,30 +78,7 @@ func (ps *PairSketches) observe(res *TrialResult) {
 	}
 	ps.Utilization.Add(res.Utilization)
 	ps.SimSeconds.Add(res.Obs.SimSeconds)
-	ps.foldObs(res.Obs)
-}
-
-// foldObs accumulates one trial's telemetry aggregate: every counter
-// field sums; the occupancy high water takes the max.
-func (ps *PairSketches) foldObs(o TrialObs) {
-	ps.Obs.ArrivedPackets += o.ArrivedPackets
-	ps.Obs.DroppedPackets += o.DroppedPackets
-	ps.Obs.DeliveredPackets += o.DeliveredPackets
-	ps.Obs.DeliveredBytes += o.DeliveredBytes
-	if o.OccupancyHighWater > ps.Obs.OccupancyHighWater {
-		ps.Obs.OccupancyHighWater = o.OccupancyHighWater
-	}
-	ps.Obs.UpstreamSent += o.UpstreamSent
-	ps.Obs.ExternalDrops += o.ExternalDrops
-	ps.Obs.ChaosDrops += o.ChaosDrops
-	ps.Obs.Retransmits += o.Retransmits
-	ps.Obs.Timeouts += o.Timeouts
-	ps.Obs.CwndEvents += o.CwndEvents
-	ps.Obs.TailProbes += o.TailProbes
-	ps.Obs.ChaosFlaps += o.ChaosFlaps
-	ps.Obs.ChaosSags += o.ChaosSags
-	ps.Obs.ChaosStalls += o.ChaosStalls
-	ps.Obs.SimSeconds += o.SimSeconds
+	ps.Obs.add(res.Obs)
 }
 
 // Merge folds other's sketches, counts, and telemetry aggregate into
@@ -135,10 +112,9 @@ func (ps *PairSketches) Merge(other *PairSketches) error {
 		return fmt.Errorf("core: merging sim-seconds sketches: %w", err)
 	}
 	ps.N += other.N
-	// other.Obs is itself the summed aggregate of other's trials; sums
-	// of sums are sums, and the one max-semantics field
-	// (OccupancyHighWater) folds by max, matching foldObs.
-	ps.foldObs(other.Obs)
+	// other.Obs is itself the summed aggregate of other's trials, which
+	// TrialObs.add folds like any single trial's.
+	ps.Obs.add(other.Obs)
 	return nil
 }
 

@@ -98,6 +98,9 @@ type Watchdog struct {
 	resume      *Checkpoint
 	lastJournal *obs.JournalInfo
 	cycleOffset int
+	// inFlight is the number of the cycle RunCycle most recently started,
+	// which an interrupted run's manifest reports.
+	inFlight int
 }
 
 // CycleResult is one complete iteration over all pairs in all settings.
@@ -267,6 +270,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 	if cp != nil {
 		cr.Cycle = cp.Cycle
 	}
+	w.inFlight = cr.Cycle
 	if w.Breakers == nil {
 		w.Breakers = &BreakerSet{}
 	}
@@ -456,7 +460,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 	if jw != nil && w.JournalPath != "" {
 		os.Remove(w.JournalPath)
 	}
-	w.Breakers.decay()
+	w.Breakers.Decay()
 	w.cycles = append(w.cycles, cr)
 	w.Obs.emit(obs.TimelineEvent{Kind: "cycle_end", Cycle: cr.Cycle, Detail: "completed"})
 	return cr, nil
@@ -547,12 +551,12 @@ func (w *Watchdog) probeOpenServices(sink *journalSink, cycle int) {
 		if svc == nil {
 			continue // service left the catalog; breaker ages out via decay
 		}
-		w.Breakers.beginProbe(name)
+		w.Breakers.BeginProbe(name)
 		seed := trialSeed(opts.BaseSeed, canarySeedID(name), cycle)
 		spec := opts.spec(svc, nil, net, seed)
 		ar := executeAttempt(sink, w.Obs, opts, spec, name+" (canary)", cycle)
 		ok := ar.class == "ok"
-		w.Breakers.probeResult(name, ok)
+		w.Breakers.ProbeResult(name, ok)
 		w.Obs.breakerProbe(name, ok)
 		if w.Progress != nil {
 			verdict := "failed; breaker stays open"

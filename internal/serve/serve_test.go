@@ -388,7 +388,8 @@ func TestReadinessAndMethods(t *testing.T) {
 }
 
 // TestZeroAllocHotPath pins the cached read path's allocation budget to
-// exactly zero for 200s and 304s on both report and heatmap routes.
+// exactly zero for every cached handler: the JSON report, the text
+// report and the heatmap on a hit, and the 304 revalidation.
 func TestZeroAllocHotPath(t *testing.T) {
 	s, _ := newPublishedServer(t, 42)
 
@@ -396,6 +397,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 		name, path, etagOf string
 	}{
 		{"report-hit", "/api/v1/report", ""},
+		{"report-txt-hit", "/api/v1/report.txt", ""},
 		{"heatmap-hit", "/api/v1/heatmap", ""},
 		{"report-304", "/api/v1/report", "/api/v1/report"},
 	} {

@@ -23,15 +23,6 @@
 #                                  Fails if the saving is under the 30% acceptance
 #                                  floor.
 #
-#   scripts/bench.sh serve [benchtime]
-#                                  serving hot-path gate (BenchmarkCached*,
-#                                  BenchmarkReportNotModified) -> BENCH_serve.json.
-#                                  Fails if any cached read handler (report hit,
-#                                  heatmap hit, text hit, 304 revalidation)
-#                                  allocates at all — the read path serves
-#                                  precomputed artifacts and must stay at
-#                                  0 allocs/op.
-#
 #   scripts/bench.sh stats [benchtime]
 #                                  sketch statistics gate (BenchmarkSketchAdd,
 #                                  BenchmarkSketchState) -> BENCH_stats.json.
@@ -347,63 +338,6 @@ stats_mode() {
     echo "bench-stats: OK (Add is allocation-free; 10x trials grew state only ${ratio}x)"
 }
 
-# serve_mode reduces the cached-handler benchmarks into BENCH_serve.json
-# and enforces the serving hot-path acceptance gate: every cached read
-# handler — report hit, heatmap hit, text-report hit, and the 304
-# revalidation path — must be allocation-free. The handlers serve
-# precomputed artifacts through preassigned header slices, so like the
-# sketch gate this is deterministic (allocation counts don't wobble with
-# runner noise) and no tolerance knob exists. ns/op is recorded for the
-# JSON but not gated — wall time on shared runners is noise.
-#
-# CI hook: BENCH_SERVE_OUT overrides the output path (the workflow
-# writes into its artifact dir so the gate never dirties the committed
-# BENCH_serve.json).
-serve_mode() {
-    local benchtime="${1:-1s}"
-    local out="${BENCH_SERVE_OUT:-BENCH_serve.json}"
-    RAWTMP="$(mktemp)"
-    trap 'rm -f "$RAWTMP"' EXIT
-    local raw="$RAWTMP"
-
-    go test ./internal/serve -run '^$' \
-        -bench '^Benchmark(CachedReportHit|CachedHeatmapHit|CachedReportTextHit|ReportNotModified)$' \
-        -benchmem -benchtime "$benchtime" -count=1 | tee "$raw"
-
-    awk '
-    /^Benchmark/ {
-        name = $1
-        sub(/-[0-9]+$/, "", name)
-        ns = by = al = -1
-        for (i = 2; i < NF; i++) {
-            if ($(i+1) == "ns/op") ns = $i + 0
-            if ($(i+1) == "B/op") by = $i + 0
-            if ($(i+1) == "allocs/op") al = $i + 0
-        }
-        if (ns < 0 || by < 0 || al < 0) next
-        printf "{\"benchmark\":\"%s\",\"ns_op\":%.2f,\"bytes_op\":%d,\"allocs_op\":%d}\n", \
-            name, ns, by, al
-        n++
-    }
-    END {
-        if (n < 4) {
-            print "bench-serve: expected 4 handler benchmarks, parsed " n > "/dev/stderr"
-            exit 1
-        }
-    }' "$raw" > "$out"
-
-    echo
-    echo "wrote $out:"
-    cat "$out"
-
-    if grep -vq '"allocs_op":0}' "$out"; then
-        echo "bench-serve: FAILED — a cached handler allocates (gate: 0 allocs/op on every read path)" >&2
-        grep -v '"allocs_op":0}' "$out" >&2
-        exit 1
-    fi
-    echo "bench-serve: OK (all cached read handlers are allocation-free)"
-}
-
 case "${1:-}" in
 sim)
     sim_mode "${2:-1s}"
@@ -414,14 +348,11 @@ adaptive)
 stats)
     stats_mode "${2:-1s}"
     ;;
-serve)
-    serve_mode "${2:-1s}"
-    ;;
 -check)
     check_mode
     ;;
 *)
-    echo "usage: scripts/bench.sh sim|adaptive|stats|serve [benchtime] | -check" >&2
+    echo "usage: scripts/bench.sh sim|adaptive|stats [benchtime] | -check" >&2
     exit 2
     ;;
 esac
