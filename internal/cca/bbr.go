@@ -103,12 +103,6 @@ const (
 // draining phase, six cruising phases, each lasting about one min-RTT.
 var bbrGainCycle = [8]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 
-// bwSample is one entry of the windowed-max bandwidth filter.
-type bwSample struct {
-	round int64
-	bw    int64 // bytes/sec
-}
-
 // BBRAlg implements BBRv1 (Cardwell et al., "BBR: Congestion-Based
 // Congestion Control"): it builds a model of the path — bottleneck
 // bandwidth (windowed max of delivery-rate samples) and round-trip
@@ -123,7 +117,7 @@ type BBRAlg struct {
 	state bbrState
 
 	// Path model.
-	bwFilter   []bwSample
+	bwFilter   maxFilter
 	rtProp     sim.Time
 	rtPropAt   sim.Time
 	rtPropSeen bool
@@ -186,15 +180,7 @@ func (b *BBRAlg) Name() string { return fmt.Sprintf("bbr1/%s", b.variant.Label) 
 func (b *BBRAlg) State() string { return b.state.String() }
 
 // BtlBw returns the current bottleneck-bandwidth estimate in bytes/sec.
-func (b *BBRAlg) BtlBw() int64 {
-	var max int64
-	for _, s := range b.bwFilter {
-		if s.bw > max {
-			max = s.bw
-		}
-	}
-	return max
-}
+func (b *BBRAlg) BtlBw() int64 { return b.bwFilter.Max() }
 
 // RTProp returns the current min-RTT estimate.
 func (b *BBRAlg) RTProp() sim.Time { return b.rtProp }
@@ -208,13 +194,7 @@ func (b *BBRAlg) updateBw(s AckSample) {
 	if s.RateAppLimited && s.DeliveryRate <= b.BtlBw() {
 		return
 	}
-	b.bwFilter = append(b.bwFilter, bwSample{round: b.round, bw: s.DeliveryRate})
-	// Evict samples older than the window.
-	cut := 0
-	for cut < len(b.bwFilter) && b.bwFilter[cut].round < b.round-bbrBwWindowRounds {
-		cut++
-	}
-	b.bwFilter = b.bwFilter[cut:]
+	b.bwFilter.Add(b.round, s.DeliveryRate, b.round-bbrBwWindowRounds)
 }
 
 // updateRTProp updates the min-RTT filter and reports whether the filter

@@ -43,7 +43,7 @@ type BBRv3Alg struct {
 	state bbrState // reuses startup/drain/probebw/probertt
 	phase bbr3Phase
 
-	bwFilter   []bwSample
+	bwFilter   maxFilter
 	bwLo       int64 // short-term loss-responsive bound (0 = unset)
 	rtProp     sim.Time
 	rtPropAt   sim.Time
@@ -113,15 +113,7 @@ func (b *BBRv3Alg) State() string {
 }
 
 // maxBw returns the windowed-max bandwidth estimate.
-func (b *BBRv3Alg) maxBw() int64 {
-	var max int64
-	for _, s := range b.bwFilter {
-		if s.bw > max {
-			max = s.bw
-		}
-	}
-	return max
-}
+func (b *BBRv3Alg) maxBw() int64 { return b.bwFilter.Max() }
 
 // effectiveBw applies the loss-responsive short-term bound.
 func (b *BBRv3Alg) effectiveBw() int64 {
@@ -154,12 +146,7 @@ func (b *BBRv3Alg) OnAck(now sim.Time, s AckSample) {
 	}
 
 	if s.DeliveryRate > 0 && (!s.RateAppLimited || s.DeliveryRate > b.maxBw()) {
-		b.bwFilter = append(b.bwFilter, bwSample{round: b.round, bw: s.DeliveryRate})
-		cut := 0
-		for cut < len(b.bwFilter) && b.bwFilter[cut].round < b.round-bbrBwWindowRounds {
-			cut++
-		}
-		b.bwFilter = b.bwFilter[cut:]
+		b.bwFilter.Add(b.round, s.DeliveryRate, b.round-bbrBwWindowRounds)
 	}
 	rtExpired := b.rtPropSeen && now > b.rtPropAt+bbrMinRTTWindow
 	if s.RTT > 0 {

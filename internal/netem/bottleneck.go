@@ -91,11 +91,14 @@ type Bottleneck struct {
 	samples     []OccupancySample
 	sampling    bool
 
-	// serDoneEv and deliverEv are the two hot-path callbacks, prebound once
-	// at construction and scheduled with AfterArg carrying the packet: the
-	// steady-state forwarding loop allocates no closures.
-	serDoneEv sim.ArgEvent
-	deliverEv sim.ArgEvent
+	// serDoneEv is the serializer's callback, prebound once at construction
+	// and scheduled with AfterArg carrying the packet, so the steady-state
+	// forwarding loop allocates no closures. At most one serialization is
+	// in flight, so it is a plain heap entry. The downstream hop holds a
+	// propagation delay's worth of packets and is FIFO (constant delay), so
+	// it is a delay line: only its head is in the engine's heap.
+	serDoneEv   sim.ArgEvent
+	deliverLine *sim.Line
 
 	// memoSize/memoRate/memoSer memoize SerializationDelay for the common
 	// case of back-to-back same-size packets (MTU-filled bulk flows). The
@@ -141,7 +144,7 @@ func NewBottleneck(eng *sim.Engine, rateBps int64, capacityPkts int, downstream 
 		queue:           make([]*Packet, capacityPkts),
 	}
 	b.serDoneEv = b.serDone
-	b.deliverEv = b.deliver
+	b.deliverLine = eng.NewLine(b.deliver)
 	return b
 }
 
@@ -241,7 +244,7 @@ func (b *Bottleneck) serDone(done sim.Time, arg any) {
 	st.DeliveredPackets++
 	st.DeliveredBytes += int64(p.Size)
 	if b.Output != nil {
-		b.eng.AfterArg(b.DownstreamDelay, b.deliverEv, p)
+		b.deliverLine.After(b.DownstreamDelay, p)
 	} else if b.release != nil {
 		b.release(p)
 	}

@@ -82,10 +82,14 @@ type Testbed struct {
 	// returns). Handlers must not retain packets past their call.
 	pool sim.Pool[Packet]
 
-	// arriveEv and ackEv are the prebound per-packet events for the
-	// upstream and ACK-return hops; see Bottleneck for the pattern.
-	arriveEv sim.ArgEvent
-	ackEv    sim.ArgEvent
+	// The upstream and ACK-return hops are delay lines (see sim.Line): one
+	// per flow upstream, where lastArrival keeps each flow's arrivals
+	// monotone, and one per slot on the return path, where the ACK delay
+	// is constant and stallUntil only grows. arriveEv is the upstream
+	// callback, kept for packets whose FlowID names no registered flow.
+	arriveEv    sim.ArgEvent
+	arriveLines []*sim.Line
+	ackLines    [MaxServices]*sim.Line
 
 	// UpstreamJitter is the maximum uniform per-packet delay jitter on
 	// the server→switch hop. Real Internet paths exhibit millisecond
@@ -159,7 +163,9 @@ func NewTestbed(eng *sim.Engine, cfg Config, rng *sim.RNG) *Testbed {
 	tb.Bneck.Output = tb.deliverToClient
 	tb.Bneck.release = tb.ReleasePacket
 	tb.arriveEv = tb.arrive
-	tb.ackEv = tb.ackArrive
+	for i := range tb.ackLines {
+		tb.ackLines[i] = eng.NewLine(tb.ackArrive)
+	}
 	if cfg.Noise != nil {
 		tb.noise = newNoiseInjector(eng, rng, *cfg.Noise)
 	}
@@ -184,6 +190,7 @@ func (tb *Testbed) RegisterFlow(service int, toClient, toServer Handler) int {
 	}
 	tb.flows = append(tb.flows, endpoint{service: service, toClient: toClient, toServer: toServer})
 	tb.lastArrival = append(tb.lastArrival, 0)
+	tb.arriveLines = append(tb.arriveLines, tb.Eng.NewLine(tb.arriveEv))
 	return len(tb.flows) - 1
 }
 
@@ -208,13 +215,16 @@ func (tb *Testbed) SendData(now sim.Time, p *Packet) {
 	}
 	// Keep arrivals within a flow in order despite the jitter.
 	arrival := now + delay
-	if fid := p.FlowID; fid >= 0 && fid < len(tb.lastArrival) {
-		if arrival <= tb.lastArrival[fid] {
-			arrival = tb.lastArrival[fid] + sim.Nanosecond
-		}
-		tb.lastArrival[fid] = arrival
+	fid := p.FlowID
+	if fid < 0 || fid >= len(tb.lastArrival) {
+		tb.Eng.ScheduleArg(arrival, tb.arriveEv, p)
+		return
 	}
-	tb.Eng.ScheduleArg(arrival, tb.arriveEv, p)
+	if arrival <= tb.lastArrival[fid] {
+		arrival = tb.lastArrival[fid] + sim.Nanosecond
+	}
+	tb.lastArrival[fid] = arrival
+	tb.arriveLines[fid].Schedule(arrival, p)
 }
 
 // arrive fires when a data packet reaches the switch after the upstream
@@ -245,7 +255,7 @@ func (tb *Testbed) SendAck(now sim.Time, p *Packet) {
 	if stall := tb.stallUntil[ep.service]; at < stall {
 		at = stall
 	}
-	tb.Eng.ScheduleArg(at, tb.ackEv, p)
+	tb.ackLines[ep.service].Schedule(at, p)
 }
 
 // ackArrive fires when an ACK reaches the server. The endpoint is looked

@@ -109,6 +109,8 @@ func (s *Video) Start(env *Env) Instance {
 		renderCap: env.Client.RenderCapBps(),
 		resTime:   make(map[int]sim.Time),
 	}
+	inst.refillTimer = env.Eng.NewTimer()
+	inst.fillEv = inst.fill
 	for i := 0; i < s.Flows; i++ {
 		alg := s.Factory(env.RNG.Split())
 		inst.flows = append(inst.flows,
@@ -148,8 +150,10 @@ type videoInstance struct {
 	// guarantees chunks complete in request order).
 	chunks []*chunkRequest
 
-	// refillTimer wakes the fetch loop when the buffer drains to target.
+	// refillTimer wakes the fetch loop when the buffer drains to target;
+	// one timer and one bound callback per instance, re-armed with Reset.
 	refillTimer *sim.Timer
+	fillEv      sim.Event
 	// lastDoneAt is when the most recent chunk completed (estimator
 	// window start for pipelined requests).
 	lastDoneAt sim.Time
@@ -215,7 +219,7 @@ func (v *videoInstance) fill(now sim.Time) {
 				wait = min
 			}
 			if !v.refillTimer.Pending() {
-				v.refillTimer = v.env.Eng.AfterTimer(wait, v.fill)
+				v.refillTimer.Reset(wait, v.fillEv)
 			}
 			return
 		}

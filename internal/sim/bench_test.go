@@ -37,6 +37,48 @@ func BenchmarkEngineDeepHeap(b *testing.B) {
 	}
 }
 
+// BenchmarkDelayLine measures a packet's trip through a FIFO stage with
+// 256 entries in flight (a 50 Mbps downstream hop holds about 80): one
+// line enqueue and one dispatch per iteration. Only the line's head is in
+// the heap, so unlike BenchmarkEngineDeepHeap the cost does not grow with
+// the number of entries in flight.
+func BenchmarkDelayLine(b *testing.B) {
+	e := NewEngine()
+	arg := new(int)
+	var l *Line
+	l = e.NewLine(func(Time, any) { l.After(Millisecond, arg) })
+	for i := 0; i < 256; i++ {
+		l.Schedule(Time(i)*Microsecond, arg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// BenchmarkEngineLazyTimer measures the RTO pattern: Stop, then Reset to
+// a deadline later than the pending one, on every packet, with 64 other
+// events pending. The heap entry is only touched when it surfaces (once
+// per 20 ms of virtual time here), not on every re-arm.
+func BenchmarkEngineLazyTimer(b *testing.B) {
+	e := NewEngine()
+	fn := func(Time) {}
+	t := e.NewTimer()
+	var tick Event
+	tick = func(now Time) { e.After(64*Microsecond, tick) }
+	for i := 0; i < 64; i++ {
+		e.After(Time(i)*Microsecond, tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Stop()
+		t.Reset(20*Millisecond, fn)
+		e.Step()
+	}
+}
+
 // BenchmarkEngineTimerChurn measures the arm/cancel cycle transport flows
 // perform on every ACK (RTO re-arm) and every paced send: one reusable
 // timer, Reset and Stopped per operation, as Flow does with its pacing

@@ -15,18 +15,22 @@ type ArgEvent func(now Time, arg any)
 
 // scheduled is a heap entry, stored by value: the event queue owns its
 // entries in one contiguous slice, so steady-state scheduling recycles
-// slots instead of allocating per event. Exactly one of fn and argFn is
-// set. seq breaks ties so that events scheduled for the same instant run
-// in FIFO order, keeping the simulation deterministic — and because
+// slots instead of allocating per event. An entry is one of four kinds:
+// a plain event (fn), an argument event (argFn, arg), the one physical
+// entry of a Timer (timer; the callback lives in the handle), or the
+// armed head of a Line (line; callback and argument live in the line).
+// seq breaks ties so that events scheduled for the same instant run in
+// FIFO order, keeping the simulation deterministic — and because
 // (at, seq) is a strict total order, dispatch order is independent of the
-// heap's internal layout.
+// heap's internal layout and of when an entry entered the heap.
 type scheduled struct {
-	at     Time
-	seq    uint64
-	fn     Event
-	argFn  ArgEvent
-	arg    any
-	cancel *Timer
+	at    Time
+	seq   uint64
+	fn    Event
+	argFn ArgEvent
+	arg   any
+	timer *Timer
+	line  *Line
 }
 
 func lessScheduled(a, b *scheduled) bool {
@@ -36,61 +40,32 @@ func lessScheduled(a, b *scheduled) bool {
 	return a.seq < b.seq
 }
 
-// Timer is a handle for a cancellable scheduled event. A Timer can be
-// reused across arm/cancel cycles with Reset, which is how the transport
-// hot path (RTO re-arm on every ACK, pacing on every send) avoids
-// allocating a handle per arm. idx is the entry's index in the event
-// queue, -1 when idle (fired, stopped, or never armed).
-type Timer struct {
-	engine *Engine
-	idx    int
-}
-
-// NewTimer returns an idle reusable timer. Arm it with Reset.
-func (e *Engine) NewTimer() *Timer {
-	return &Timer{engine: e, idx: -1}
-}
-
-// Reset arms the timer to run fn after d, cancelling any pending arm
-// first. It is the allocation-free counterpart of AfterTimer.
-func (t *Timer) Reset(d Time, fn Event) {
-	t.Stop()
-	if d < 0 {
-		d = 0
-	}
-	e := t.engine
-	e.seq++
-	e.push(scheduled{at: e.now + d, seq: e.seq, fn: fn, cancel: t})
-}
-
-// Stop cancels the timer if it has not fired yet. It reports whether the
-// timer was still pending.
-func (t *Timer) Stop() bool {
-	if t == nil || t.idx < 0 {
-		return false
-	}
-	t.engine.remove(t.idx)
-	t.idx = -1
-	return true
-}
-
-// Pending reports whether the timer is still scheduled to fire.
-func (t *Timer) Pending() bool { return t != nil && t.idx >= 0 }
-
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; a simulation is a deterministic sequential program.
 //
 // The event queue is a 4-ary min-heap ordered by (at, seq), stored by
 // value in one slice. 4-ary beats binary here: sift-down visits 4 children
 // per level but the tree is half as deep, and the children share cache
-// lines — dispatch in a busy experiment (thousands of pending events) is
-// dominated by sift-down cache misses, not comparisons.
+// lines.
+//
+// Ordering contract: every arm (Schedule, After, Timer.Reset, Line
+// enqueue) consumes exactly one seq and is dispatched at its (at, seq)
+// place in the strict total order. A Line or a lazy Timer may change
+// *when* an entry enters the heap, never its (at, seq): a line keeps only
+// its head in the heap and a timer keeps one physical entry however often
+// it is re-armed, so the heap holds O(flows + stages) entries instead of
+// one per packet in flight, and the callback sequence is the one a plain
+// heap would produce.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events []scheduled
-	// Ran counts executed events, useful for budget checks in tests.
+	// ran counts executed events, useful for budget checks in tests.
 	ran uint64
+	// dead counts heap entries of stopped timers awaiting their reap;
+	// lined counts line entries queued behind an armed head. Together
+	// they reconcile len(events) with the number of live events.
+	dead, lined int
 	// abort, when set, is polled by the run loops (see SetAbort).
 	abort *atomic.Bool
 }
@@ -130,8 +105,10 @@ func (e *Engine) Now() Time { return e.now }
 // EventsRun reports the number of events executed so far.
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
-// Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending reports the number of events waiting to run: cancelled timer
+// entries still in the heap are not counted, line entries queued behind
+// their head are.
+func (e *Engine) Pending() int { return len(e.events) - e.dead + e.lined }
 
 // push appends an entry and restores the heap property.
 func (e *Engine) push(s scheduled) {
@@ -152,14 +129,14 @@ func (e *Engine) siftUp(i int) {
 			break
 		}
 		h[i] = h[p]
-		if h[i].cancel != nil {
-			h[i].cancel.idx = i
+		if h[i].timer != nil {
+			h[i].timer.idx = i
 		}
 		i = p
 	}
 	h[i] = s
-	if s.cancel != nil {
-		s.cancel.idx = i
+	if s.timer != nil {
+		s.timer.idx = i
 	}
 }
 
@@ -187,14 +164,14 @@ func (e *Engine) siftDown(i int) {
 			break
 		}
 		h[i] = h[m]
-		if h[i].cancel != nil {
-			h[i].cancel.idx = i
+		if h[i].timer != nil {
+			h[i].timer.idx = i
 		}
 		i = m
 	}
 	h[i] = s
-	if s.cancel != nil {
-		s.cancel.idx = i
+	if s.timer != nil {
+		s.timer.idx = i
 	}
 }
 
@@ -211,31 +188,10 @@ func (e *Engine) popRoot() scheduled {
 	e.events = h[:n]
 	if n > 1 {
 		e.siftDown(0)
-	} else if n == 1 && h[0].cancel != nil {
-		h[0].cancel.idx = 0
+	} else if n == 1 && h[0].timer != nil {
+		h[0].timer.idx = 0
 	}
 	return s
-}
-
-// remove deletes the entry at i (timer cancellation), moving the tail
-// entry into the gap and re-sifting it in whichever direction restores
-// order. The vacated tail slot is zeroed so no references leak.
-func (e *Engine) remove(i int) {
-	h := e.events
-	n := len(h) - 1
-	if i != n {
-		moved := h[n]
-		h[i] = moved
-		h[n] = scheduled{}
-		e.events = h[:n]
-		e.siftDown(i)
-		if e.events[i].seq == moved.seq {
-			e.siftUp(i)
-		}
-	} else {
-		h[n] = scheduled{}
-		e.events = h[:n]
-	}
 }
 
 // Schedule runs fn at absolute virtual time at. Scheduling in the past
@@ -277,31 +233,76 @@ func (e *Engine) AfterArg(d Time, fn ArgEvent, arg any) {
 	e.ScheduleArg(e.now+d, fn, arg)
 }
 
-// AfterTimer schedules fn after d and returns a cancellable handle. Code
-// that arms repeatedly should hold one NewTimer and Reset it instead.
-func (e *Engine) AfterTimer(d Time, fn Event) *Timer {
-	t := e.NewTimer()
-	t.Reset(d, fn)
-	return t
+// settle resolves the root until it is an entry that will really run,
+// and reports whether one exists. A stopped timer's entry is reaped and a
+// timer re-armed to a later deadline is moved to its current stamp; both
+// are invisible to the simulation: no clock advance, no EventsRun count,
+// no callback.
+func (e *Engine) settle() bool {
+	for len(e.events) > 0 {
+		root := &e.events[0]
+		t := root.timer
+		if t == nil {
+			return true
+		}
+		if !t.armed {
+			e.popRoot()
+			t.idx = -1
+			e.dead--
+			continue
+		}
+		if root.at == t.at && root.seq == t.seq {
+			return true
+		}
+		root.at, root.seq = t.at, t.seq
+		e.siftDown(0)
+	}
+	return false
+}
+
+// dispatch runs the root entry, which settle has vetted. A line head is
+// replaced in place by the line's next entry (one sift instead of a pop
+// and a push); everything else is popped.
+func (e *Engine) dispatch() {
+	root := &e.events[0]
+	e.now = root.at
+	e.ran++
+	switch {
+	case root.line != nil:
+		l := root.line
+		arg := l.q.PopFront().arg
+		if l.q.Len() > 0 {
+			next := l.q.Front()
+			root.at, root.seq = next.at, next.seq
+			e.lined--
+			e.siftDown(0)
+		} else {
+			e.popRoot()
+		}
+		l.fn(e.now, arg)
+	case root.timer != nil:
+		t := root.timer
+		e.popRoot()
+		t.idx = -1
+		t.armed = false
+		t.fn(e.now)
+	default:
+		s := e.popRoot()
+		if s.argFn != nil {
+			s.argFn(e.now, s.arg)
+		} else {
+			s.fn(e.now)
+		}
+	}
 }
 
 // Step executes the next pending event, advancing the clock to its
-// timestamp. It reports false when the queue is empty.
+// timestamp. It reports false when no event is pending.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if !e.settle() {
 		return false
 	}
-	s := e.popRoot()
-	if s.cancel != nil {
-		s.cancel.idx = -1
-	}
-	e.now = s.at
-	e.ran++
-	if s.argFn != nil {
-		s.argFn(e.now, s.arg)
-	} else {
-		s.fn(e.now)
-	}
+	e.dispatch()
 	return true
 }
 
@@ -309,11 +310,9 @@ func (e *Engine) Step() bool {
 // queue drains. The clock is left at min(deadline, last event time); events
 // scheduled after deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		if e.abort != nil && e.ran&1023 == 0 && e.abort.Load() {
-			panic(Aborted{At: e.now})
-		}
-		e.Step()
+	for e.settle() && e.events[0].at <= deadline {
+		e.pollAbort()
+		e.dispatch()
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -324,10 +323,14 @@ func (e *Engine) RunUntil(deadline Time) {
 // RunUntil with an explicit horizon; Run exists for self-terminating
 // workloads such as fixed-size file downloads in tests.
 func (e *Engine) Run() {
-	for len(e.events) > 0 {
-		if e.abort != nil && e.ran&1023 == 0 && e.abort.Load() {
-			panic(Aborted{At: e.now})
-		}
-		e.Step()
+	for e.settle() {
+		e.pollAbort()
+		e.dispatch()
+	}
+}
+
+func (e *Engine) pollAbort() {
+	if e.abort != nil && e.ran&1023 == 0 && e.abort.Load() {
+		panic(Aborted{At: e.now})
 	}
 }

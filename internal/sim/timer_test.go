@@ -2,15 +2,17 @@ package sim
 
 import "testing"
 
-// TestTimerCancelLeavesNoHeapEntry is the regression test for the
-// cancel-before-fire leak: a stopped timer's heap entry must be removed
-// eagerly, not left to rot until its deadline. Transport flows re-arm
-// their RTO on every ACK, so a lazy-cancel scheme would grow the heap
-// with one dead entry per ACK and drag every subsequent sift through
-// them.
+// TestTimerCancelLeavesNoHeapEntry states the cancellation contract. A
+// timer owns at most one heap entry however often it is re-armed, and
+// Stop is lazy: the entry stays where it is, is never dispatched, and is
+// reaped when its instant comes up, so it never outlives that instant.
+// Transport flows re-arm their RTO on every ACK; one dead entry per ACK
+// would drag every sift through them, and one eager removal per ACK is
+// the mid-heap churn this contract replaced.
 func TestTimerCancelLeavesNoHeapEntry(t *testing.T) {
 	e := NewEngine()
-	fn := func(Time) {}
+	fired := 0
+	fn := func(Time) { fired++ }
 	const n = 1000
 	timers := make([]*Timer, n)
 	for i := range timers {
@@ -25,20 +27,81 @@ func TestTimerCancelLeavesNoHeapEntry(t *testing.T) {
 		}
 	}
 	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after stopping every timer; cancelled entries leaked in the heap", got)
+		t.Fatalf("Pending() = %d after stopping every timer; cancelled entries count as pending", got)
 	}
-	// Churn: repeated arm/cancel through one reusable timer must not
-	// accumulate entries either.
+	// Cancelled entries are invisible: no step to take, clock and event
+	// count untouched.
+	if e.Step() {
+		t.Fatal("Step ran something with only cancelled entries queued")
+	}
+	if e.Now() != 0 || e.EventsRun() != 0 || fired != 0 {
+		t.Fatalf("cancelled entries were visible: now %v, events run %d, fired %d", e.Now(), e.EventsRun(), fired)
+	}
+	if got := len(e.events); got != 0 {
+		t.Fatalf("%d cancelled entries left in the heap after Step found nothing to run", got)
+	}
+
+	// A cancelled entry does not outlive its instant: once the clock has
+	// reached it, it is gone, though nothing ran for it.
+	for i := range timers {
+		timers[i].Reset(Time(i+1)*Millisecond, fn)
+		timers[i].Stop()
+	}
+	e.After(n/2*Millisecond, func(Time) {})
+	e.RunUntil(n / 2 * Millisecond)
+	if got := len(e.events); got > n/2 {
+		t.Fatalf("%d heap entries at %v; the %d cancelled entries due by then outlived their instant", got, e.Now(), n/2)
+	}
+	if e.EventsRun() != 1 || fired != 0 {
+		t.Fatalf("events run %d, fired %d; want only the marker event", e.EventsRun(), fired)
+	}
+
+	// Churn: repeated arm/cancel through one reusable timer keeps one entry.
+	e = NewEngine()
 	tm := e.NewTimer()
 	for i := 0; i < 10_000; i++ {
 		tm.Reset(Millisecond, fn)
+		if i%3 == 0 {
+			tm.Stop()
+		}
 	}
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d after 10k Resets of one timer, want 1", got)
+	if got := len(e.events); got != 1 {
+		t.Fatalf("%d heap entries after 10k Resets of one timer, want 1", got)
 	}
 	tm.Stop()
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after final Stop", got)
+	}
+}
+
+// TestTimerChurnDoesNotGrowHeap runs the loop bench/'s
+// sim.probe_timer_churn_ns times (Reset, Stop, Step beside a ticking
+// clock) a million times. The timer's one entry surfaces every
+// millisecond of virtual time and is reaped or moved; the heap must end,
+// and stay, at the size it started.
+func TestTimerChurnDoesNotGrowHeap(t *testing.T) {
+	e := NewEngine()
+	fn := func(Time) { t.Fatal("stopped timer fired") }
+	tm := e.NewTimer()
+	var tick Event
+	tick = func(Time) { e.After(Microsecond, tick) }
+	e.After(Microsecond, tick)
+	tm.Reset(Millisecond, fn)
+	start := len(e.events)
+	rounds := 1_000_000
+	if testing.Short() {
+		rounds = 100_000
+	}
+	for i := 0; i < rounds; i++ {
+		tm.Reset(Millisecond, fn)
+		tm.Stop()
+		e.Step()
+		if got := len(e.events); got > start {
+			t.Fatalf("round %d: heap holds %d entries, started at %d", i, got, start)
+		}
+	}
+	if got := e.EventsRun(); got != uint64(rounds) {
+		t.Fatalf("EventsRun() = %d after %d steps; reaping or moving the timer entry was counted", got, rounds)
 	}
 }
 
@@ -73,8 +136,8 @@ func TestTimerResetSemantics(t *testing.T) {
 }
 
 // TestTimerStopMidHeap stops timers from the middle of a populated heap
-// and verifies the survivors still fire in deadline order — the index
-// bookkeeping under remove() is what keeps Stop O(log n) and correct.
+// and verifies the survivors still fire in deadline order and the stopped
+// ones, whose entries stay in the heap until their instant, never do.
 func TestTimerStopMidHeap(t *testing.T) {
 	e := NewEngine()
 	const n = 64

@@ -94,7 +94,7 @@ type Flow struct {
 	cumAck     int64
 	sent       metaRing
 	inflight   int
-	rtxQueue   []int64
+	rtxQueue   sim.Ring[int64]
 	lossScan   int64 // seqs below this have been loss-checked
 	nextSendAt sim.Time
 	paceTimer  *sim.Timer
@@ -107,7 +107,7 @@ type Flow struct {
 	// App data.
 	bulk        bool
 	pendingPkts int64
-	messages    []message
+	messages    sim.Ring[message]
 
 	// Idle-restart burst budget (see Options.BurstOnIdleRestart).
 	burstBudget int
@@ -203,7 +203,7 @@ func (f *Flow) Close() {
 	f.closed = true
 	f.bulk = false
 	f.pendingPkts = 0
-	f.messages = nil
+	f.messages.Clear()
 	f.rtoTimer.Stop()
 	f.paceTimer.Stop()
 }
@@ -225,7 +225,7 @@ func (f *Flow) Write(size int64, onDone func(now sim.Time)) {
 	f.pendingPkts += pkts
 	end := f.nextSeq + f.pendingPkts
 	if onDone != nil {
-		f.messages = append(f.messages, message{endSeq: end, onDone: onDone})
+		f.messages.PushBack(message{endSeq: end, onDone: onDone})
 	}
 	f.trySend(f.eng.Now())
 }
@@ -265,7 +265,7 @@ func (f *Flow) trySend(now sim.Time) {
 		if f.inflight >= cwnd {
 			return
 		}
-		retransmit := len(f.rtxQueue) > 0
+		retransmit := f.rtxQueue.Len() > 0
 		if !retransmit && !f.hasData() {
 			// Application-limited: subsequent samples up to nextSeq must
 			// not raise bandwidth estimates.
@@ -311,8 +311,7 @@ func (f *Flow) sendNew(now sim.Time) {
 }
 
 func (f *Flow) sendRetransmit(now sim.Time) {
-	seq := f.rtxQueue[0]
-	f.rtxQueue = f.rtxQueue[1:]
+	seq := f.rtxQueue.PopFront()
 	if m := f.sent.get(seq); m == nil || m.acked {
 		return // delivered in the meantime
 	}
@@ -498,7 +497,7 @@ func (f *Flow) detectLosses(now sim.Time, highest int64) {
 		}
 		m.lost = true
 		f.inflight--
-		f.rtxQueue = append(f.rtxQueue, seq)
+		f.rtxQueue.PushBack(seq)
 		lost++
 	}
 	f.lossScan = limit
@@ -548,7 +547,7 @@ func (f *Flow) detectLostRetransmits(now sim.Time) {
 			m.lost = true
 			f.inflight--
 		}
-		f.rtxQueue = append(f.rtxQueue, seq)
+		f.rtxQueue.PushBack(seq)
 		relost++
 	}
 	f.rtxOutstanding = kept
@@ -638,7 +637,7 @@ func (f *Flow) sendTailProbe(now sim.Time) {
 }
 
 func (f *Flow) onRTO(now sim.Time) {
-	if f.closed || f.inflight == 0 && len(f.rtxQueue) == 0 {
+	if f.closed || f.inflight == 0 && f.rtxQueue.Len() == 0 {
 		return
 	}
 	if f.probePending {
@@ -653,7 +652,7 @@ func (f *Flow) onRTO(now sim.Time) {
 	f.tb.TransportTimeouts++
 	f.alg.OnTimeout(now)
 	// Everything outstanding is presumed lost and must be retransmitted.
-	f.rtxQueue = f.rtxQueue[:0]
+	f.rtxQueue.Clear()
 	for seq := f.cumAck; seq < f.nextSeq; seq++ {
 		m := f.sent.get(seq)
 		if m == nil || m.acked {
@@ -663,7 +662,7 @@ func (f *Flow) onRTO(now sim.Time) {
 			m.lost = true
 			f.inflight--
 		}
-		f.rtxQueue = append(f.rtxQueue, seq)
+		f.rtxQueue.PushBack(seq)
 	}
 	f.lossScan = f.nextSeq
 	f.inRecovery = true
@@ -676,10 +675,8 @@ func (f *Flow) onRTO(now sim.Time) {
 }
 
 func (f *Flow) checkMessageCompletion(now sim.Time) {
-	for len(f.messages) > 0 && f.cumAck >= f.messages[0].endSeq {
-		done := f.messages[0].onDone
-		f.messages = f.messages[1:]
-		if done != nil {
+	for f.messages.Len() > 0 && f.cumAck >= f.messages.Front().endSeq {
+		if done := f.messages.PopFront().onDone; done != nil {
 			done(now)
 		}
 	}

@@ -4,7 +4,8 @@
 #
 #   scripts/bench.sh sim [benchtime]
 #                                  hot-path benchmarks (BenchmarkEngine*,
-#                                  BenchmarkBottleneck*) -> BENCH_sim.json, one JSON
+#                                  BenchmarkDelayLine, BenchmarkBottleneck*,
+#                                  BenchmarkBBROnAckFullWindow) -> BENCH_sim.json, one JSON
 #                                  object per line with the pre-optimization baseline
 #                                  (scripts/bench_baseline_sim.json) and the speedup
 #                                  against it
@@ -35,8 +36,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SIM_PKGS="./internal/sim ./internal/netem"
-SIM_PATTERN='BenchmarkEngine|BenchmarkBottleneck'
+SIM_PKGS="./internal/sim ./internal/netem ./internal/cca"
+SIM_PATTERN='BenchmarkEngine|BenchmarkDelayLine|BenchmarkBottleneck|BenchmarkBBROnAckFullWindow'
 SIM_OUT="BENCH_sim.json"
 SIM_BASELINE="scripts/bench_baseline_sim.json"
 

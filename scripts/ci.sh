@@ -447,14 +447,17 @@ else
 fi
 
 # Fuzz smoke gate: randomized operation sequences against the drop-tail
-# queue's structural invariants (occupancy, FIFO, byte conservation),
-# and arbitrary bytes against the parsers that read the network and the
+# queue's structural invariants (occupancy, FIFO, byte conservation) and
+# against the event engine's ordering contract (delay lines and lazy
+# timers dispatch exactly as the heap-only oracle does), and arbitrary
+# bytes against the parsers that read the network and the
 # disk — the frame readers and submission-WAL recovery — so they see
 # more than their seed corpus. Long exploratory campaigns run
 # out-of-band; this catches gross regressions on every CI pass.
 FUZZTIME=10s
 if [ "$SHORT" -eq 1 ]; then FUZZTIME=5s; fi
 go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime="$FUZZTIME" ./internal/netem
+go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime="$FUZZTIME" ./internal/sim
 go test -run '^$' -fuzz '^FuzzFrameScanner$' -fuzztime="$FUZZTIME" ./internal/journal
 go test -run '^$' -fuzz '^FuzzSubsWALOpen$' -fuzztime="$FUZZTIME" ./internal/serve
 
