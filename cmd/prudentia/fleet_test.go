@@ -47,7 +47,11 @@ func TestEndToEndFleetKillLoop(t *testing.T) {
 	}
 	bin := buildBinary(t)
 	dir := t.TempDir()
-	seedArgs := cycleArgs("31")
+	// The whole catalog (55 pairs), not cycleArgs' three iPerf flows:
+	// three workers finish those six pairs in under the 150 ms that
+	// pass before the first kill, and the test then fails with no
+	// worker killed.
+	seedArgs := []string{"-cycles", "1", "-setting", "high", "-workers", "2", "-seed", "31"}
 
 	// Serial reference: same workload, no fleet.
 	refFaults := filepath.Join(dir, "ref-faults.jsonl")

@@ -57,6 +57,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -72,6 +73,7 @@ import (
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/core"
+	"prudentia/internal/journal"
 	"prudentia/internal/netem"
 	"prudentia/internal/obs"
 	"prudentia/internal/report"
@@ -284,7 +286,7 @@ func main() {
 	// still leaves reconciliation artifacts behind.
 	exportObs := func(cr *core.CycleResult) {
 		if *metricsOut != "" {
-			if err := writeMetrics(*metricsOut, reg.Snapshot()); err != nil {
+			if err := writeMetrics(*metricsOut, reg); err != nil {
 				fmt.Fprintf(os.Stderr, "prudentia: %v\n", err)
 			}
 		}
@@ -459,28 +461,28 @@ func breakerSummary(infos []obs.BreakerInfo) string {
 	return strings.Join(parts, " ")
 }
 
-// writeMetrics stores a snapshot at path, choosing the format by
-// extension: .json gets the JSON exposition, anything else the
-// Prometheus text format.
-func writeMetrics(path string, snap obs.Snapshot) error {
+// writeMetrics stores reg's current state at path, choosing the format
+// by extension: .json gets the JSON exposition, anything else the
+// Prometheus text format. The file is replaced atomically
+// (journal.ReplaceFile), so a textfile collector reading it between two
+// cycles of a long-lived watchdog never finds it empty or cut short.
+func writeMetrics(path string, reg *obs.Registry) error {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
+	var data []byte
 	if strings.HasSuffix(path, ".json") {
-		err = snap.WriteJSON(f)
+		var b bytes.Buffer
+		if err := reg.Snapshot().WriteJSON(&b); err != nil {
+			return err
+		}
+		data = b.Bytes()
 	} else {
-		err = snap.WritePrometheus(f)
+		data = reg.AppendPrometheus(nil)
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return journal.ReplaceFile(path, data, nil)
 }
 
 // startProfiles begins a CPU profile for one cycle and returns a stop

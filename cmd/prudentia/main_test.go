@@ -148,3 +148,53 @@ func TestEndToEndSeededDeterminism(t *testing.T) {
 		t.Fatal("determinism check ran zero trials")
 	}
 }
+
+// TestWriteMetricsKeepsOldFileOnFailure: -metrics-out is rewritten after
+// every cycle while a textfile collector may be reading it, so the file
+// is replaced atomically, in both formats. A write that fails (here the
+// temp name journal.ReplaceFile stages under is taken by a directory)
+// must return the error and leave the previous cycle's file whole,
+// where truncating in place would already have emptied it.
+func TestWriteMetricsKeepsOldFileOnFailure(t *testing.T) {
+	for _, name := range []string{"metrics.prom", "metrics.json"} {
+		path := filepath.Join(t.TempDir(), "out", name)
+		reg := obs.NewRegistry()
+		cycles := reg.Counter("cycles_total")
+		cycles.Inc()
+		if err := writeMetrics(path, reg); err != nil {
+			t.Fatal(err)
+		}
+		first, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(first), "cycles_total") {
+			t.Fatalf("%s after cycle 1 = %q", name, first)
+		}
+		if name == "metrics.prom" && string(first) != string(reg.AppendPrometheus(nil)) {
+			t.Fatalf("%s = %q, want the registry's exposition", name, first)
+		}
+
+		tmp := filepath.Join(filepath.Dir(path), "."+name+".tmp")
+		if err := os.Mkdir(tmp, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		cycles.Inc()
+		if err := writeMetrics(path, reg); err == nil {
+			t.Fatalf("%s: write with its temp name blocked reported no error", name)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != string(first) {
+			t.Fatalf("%s after a failed write = %q (err %v), want the previous file %q", name, got, err, first)
+		}
+
+		if err := os.Remove(tmp); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeMetrics(path, reg); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(path); string(got) == string(first) {
+			t.Fatalf("%s not replaced by the next successful write", name)
+		}
+	}
+}

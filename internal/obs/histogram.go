@@ -57,8 +57,11 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	return float64(h.sumMicros.Load()) / 1e6
+	return fromMicros(h.sumMicros.Load())
 }
+
+// fromMicros converts the fixed-point sum back to the observed unit.
+func fromMicros(m int64) float64 { return float64(m) / 1e6 }
 
 func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{

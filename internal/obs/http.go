@@ -1,36 +1,10 @@
 package obs
 
-import (
-	"net/http"
-)
-
-// This file is the obs ⇄ net/http bridge the serving daemon uses: a
-// /metrics handler over the Prometheus text writer, and per-route
-// instrument handles following the package's resolve-once convention so
-// the request hot path touches no maps and allocates nothing.
-
-// prometheusContentType is the text exposition format version emitted by
-// Snapshot.WritePrometheus.
-const prometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// MetricsHandler serves reg's live state in the Prometheus text
-// exposition format. Each request takes a fresh snapshot, so consecutive
-// scrapes observe monotonically non-decreasing counters. A nil registry
-// serves an empty (but well-formed) exposition.
-func MetricsHandler(reg *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", prometheusContentType)
-		if r.Method == http.MethodHead {
-			return
-		}
-		_ = reg.Snapshot().WritePrometheus(w)
-	})
-}
+// This file holds the per-route instrument handles of the serving
+// daemon, following the package's resolve-once convention so the request
+// hot path touches no maps and allocates nothing. The /metrics route
+// itself is internal/serve's: it appends Registry.AppendPrometheus to a
+// pooled buffer and replies through the artifacts' write path.
 
 // RouteInstruments are one route's resolved handles: requests served,
 // cache activity, and wall latency. All fields are nil-safe, so a route
@@ -60,7 +34,7 @@ func HTTPRequestWallBuckets() []float64 { return ExpBuckets(0.0001, 4, 8) } // 1
 
 // HTTPRoute resolves the instrument handles for one named route. Metric
 // names follow prudentia_http_* with a literal {route="..."} label
-// suffix, which WritePrometheus emits verbatim under a single TYPE
+// suffix, which the exposition carries verbatim under a single TYPE
 // header per family. Resolve once at mux construction; never per
 // request.
 func HTTPRoute(reg *Registry, route string) RouteInstruments {

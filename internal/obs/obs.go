@@ -21,6 +21,14 @@
 //     or the same cycle at different worker counts, produce identical
 //     snapshots apart from explicitly wall-clock metrics (whose names
 //     contain "wall"; see Snapshot.StripWallClock).
+//   - Scrapes walk a plan built at registration; the exposition is
+//     always live. The Prometheus text's fixed part (line order, TYPE
+//     headers, names, labels, bucket bounds) is rendered once per
+//     registration into a plan, and Registry.AppendPrometheus, the one
+//     encoder of the format, walks it with atomic loads: no map, sort,
+//     fmt or lock while encoding, no allocation into a reused buffer.
+//     Nothing of the text is cached, so a scrape reflects everything
+//     that happened before it.
 //   - No dependencies: obs imports only the standard library and is
 //     imported from anywhere in the stack without cycles.
 package obs
@@ -108,6 +116,10 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// plan is the exposition layout (plan.go). A registration sets it
+	// to nil and the next scrape rebuilds it, so registering costs
+	// nothing and a scrape sorts no names.
+	plan []planLine
 }
 
 // NewRegistry returns an empty registry.
@@ -130,6 +142,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c == nil {
 		c = &Counter{}
 		r.counters[name] = c
+		r.plan = nil
 	}
 	return c
 }
@@ -145,6 +158,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g == nil {
 		g = &Gauge{}
 		r.gauges[name] = g
+		r.plan = nil
 	}
 	return g
 }
@@ -163,6 +177,7 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	if h == nil {
 		h = newHistogram(buckets)
 		r.hists[name] = h
+		r.plan = nil
 	}
 	return h
 }

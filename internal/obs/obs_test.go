@@ -36,6 +36,15 @@ func TestNilSafety(t *testing.T) {
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
 	}
+	if out := reg.AppendPrometheus(nil); len(out) != 0 {
+		t.Fatalf("nil registry exposition = %q, want empty", out)
+	}
+	ri := HTTPRoute(nil, "report")
+	ri.Requests.Inc()
+	ri.WallLatency.Observe(1)
+	if ri.Requests.Value() != 0 {
+		t.Fatal("nil-registry route counter recorded")
+	}
 }
 
 func TestCounterAndGaugeSemantics(t *testing.T) {
@@ -175,11 +184,7 @@ func TestPrometheusExposition(t *testing.T) {
 	h.Observe(1.5)
 	h.Observe(9)
 
-	var b strings.Builder
-	if err := reg.Snapshot().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := string(reg.AppendPrometheus(nil))
 	for _, want := range []string{
 		"# TYPE prudentia_chaos_episodes_total counter\n",
 		`prudentia_chaos_episodes_total{kind="flap"} 3`,

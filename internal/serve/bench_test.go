@@ -56,3 +56,4 @@ func BenchmarkCachedReportHit(b *testing.B)     { benchRoute(b, "/api/v1/report"
 func BenchmarkCachedHeatmapHit(b *testing.B)    { benchRoute(b, "/api/v1/heatmap", "") }
 func BenchmarkCachedReportTextHit(b *testing.B) { benchRoute(b, "/api/v1/report.txt", "") }
 func BenchmarkReportNotModified(b *testing.B)   { benchRoute(b, "/api/v1/report", "etag") }
+func BenchmarkMetricsScrape(b *testing.B)       { benchRoute(b, "/metrics", "") }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"prudentia/internal/obs"
@@ -15,13 +16,15 @@ import (
 // handles, artifact selectors) is resolved here, never per request.
 func (s *Server) buildMux() {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/v1/report", s.artifactHandler(s.mReport, func(c *cycleArtifacts) *artifact { return &c.report }))
-	mux.HandleFunc("/api/v1/report.txt", s.artifactHandler(s.mReportText, func(c *cycleArtifacts) *artifact { return &c.reportText }))
-	mux.HandleFunc("/api/v1/heatmap", s.artifactHandler(s.mHeatmap, func(c *cycleArtifacts) *artifact { return &c.heatmap }))
-	mux.HandleFunc("/api/v1/faults", s.artifactHandler(s.mFaults, func(c *cycleArtifacts) *artifact { return &c.faults }))
-	mux.HandleFunc("/api/v1/cycles", s.indexHandler())
+	mux.HandleFunc("/api/v1/report", s.artifactHandler(s.mReport, cycleArtifact(func(c *cycleArtifacts) *artifact { return &c.report })))
+	mux.HandleFunc("/api/v1/report.txt", s.artifactHandler(s.mReportText, cycleArtifact(func(c *cycleArtifacts) *artifact { return &c.reportText })))
+	mux.HandleFunc("/api/v1/heatmap", s.artifactHandler(s.mHeatmap, cycleArtifact(func(c *cycleArtifacts) *artifact { return &c.heatmap })))
+	mux.HandleFunc("/api/v1/faults", s.artifactHandler(s.mFaults, cycleArtifact(func(c *cycleArtifacts) *artifact { return &c.faults })))
+	// The retained-cycles index is itself a per-publish artifact, under
+	// the same caching protocol; it has no ?cycle=N form.
+	mux.HandleFunc("/api/v1/cycles", s.artifactHandler(s.mCycles, func(c *cycleCache, _ string) *artifact { return &c.index }))
 	mux.HandleFunc("/api/v1/submissions", s.submissionsHandler())
-	mux.Handle("/metrics", obs.MetricsHandler(s.cfg.Registry))
+	mux.HandleFunc("/metrics", s.metricsHandler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		io.WriteString(w, "ok\n")
@@ -45,29 +48,63 @@ func (s *Server) buildMux() {
 	s.mux = mux
 }
 
-// artifactHandler serves one precomputed per-cycle artifact. The
-// latest-cycle fast path (no query string) performs zero allocations:
-// one atomic load, three precomputed header-slice assignments, one
-// string compare for ETag revalidation, one body write. ?cycle=N takes
-// the slow path through the history ring.
-func (s *Server) artifactHandler(ri obs.RouteInstruments, pick func(*cycleArtifacts) *artifact) http.HandlerFunc {
+// cycleArtifact adapts a per-cycle artifact selector to artifactHandler:
+// the latest cycle when there is no query string, the ?cycle=N one from
+// the history ring otherwise (nil if it is not retained).
+func cycleArtifact(sel func(*cycleArtifacts) *artifact) func(*cycleCache, string) *artifact {
+	return func(c *cycleCache, rawQuery string) *artifact {
+		ca := c.latest
+		if rawQuery != "" {
+			if ca = historical(c, rawQuery); ca == nil {
+				return nil
+			}
+		}
+		return sel(ca)
+	}
+}
+
+// readMethod reports whether r is a GET or a HEAD, answering 405 if not.
+func readMethod(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method == http.MethodGet || r.Method == http.MethodHead {
+		return true
+	}
+	w.Header().Set("Allow", "GET, HEAD")
+	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	return false
+}
+
+// writeBody finishes a 200 on the read side, a cached artifact or the
+// live exposition alike: an explicit Content-Length (so the reply is
+// never chunked and a HEAD carries the length), the status, and the
+// body in one Write.
+func writeBody(w http.ResponseWriter, r *http.Request, clen []string, body []byte) {
+	w.Header()["Content-Length"] = clen
+	w.WriteHeader(http.StatusOK)
+	if r.Method != http.MethodHead {
+		w.Write(body)
+	}
+}
+
+// artifactHandler serves one precomputed artifact, picked from the
+// current cache and the request's query string. Without a query string
+// it performs zero allocations: one atomic load, three precomputed
+// header-slice assignments, one string compare for ETag revalidation,
+// one body write. ?cycle=N takes the slow path through the history
+// ring.
+func (s *Server) artifactHandler(ri obs.RouteInstruments, pick func(c *cycleCache, rawQuery string) *artifact) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ri.Requests.Inc()
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		if !readMethod(w, r) {
 			return
 		}
 		c := s.cache.Load()
-		var a *artifact
-		if c != nil {
-			if r.URL.RawQuery == "" {
-				a = pick(c.latest)
-			} else if ca := s.historical(c, r.URL.RawQuery); ca != nil {
-				a = pick(ca)
-			}
+		if c == nil {
+			ri.Misses.Inc()
+			http.Error(w, "no completed cycle yet", http.StatusServiceUnavailable)
+			return
 		}
+		a := pick(c, r.URL.RawQuery)
 		if a == nil {
 			ri.Misses.Inc()
 			http.Error(w, "no such completed cycle", http.StatusServiceUnavailable)
@@ -81,22 +118,38 @@ func (s *Server) artifactHandler(ri obs.RouteInstruments, pick func(*cycleArtifa
 		if r.Header.Get("If-None-Match") == a.etag {
 			ri.NotModified.Inc()
 			w.WriteHeader(http.StatusNotModified)
-			ri.WallLatency.Observe(time.Since(start).Seconds())
-			return
-		}
-		ri.CacheHits.Inc()
-		h["Content-Length"] = a.clen
-		w.WriteHeader(http.StatusOK)
-		if r.Method != http.MethodHead {
-			w.Write(a.body)
+		} else {
+			ri.CacheHits.Inc()
+			writeBody(w, r, a.clen, a.body)
 		}
 		ri.WallLatency.Observe(time.Since(start).Seconds())
 	}
 }
 
+// metricsHandler serves the registry's live state in the Prometheus
+// text format: one walk of the exposition plan into a pooled buffer,
+// sent the way an artifact is. Nothing of the text is kept between
+// requests, so a counter incremented before a scrape is in that scrape;
+// and because the body changes from one request to the next, the reply
+// carries no ETag. A nil registry serves an empty exposition.
+func (s *Server) metricsHandler() http.HandlerFunc {
+	ctype := []string{obs.PrometheusContentType}
+	bufs := sync.Pool{New: func() any { return new([]byte) }}
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !readMethod(w, r) {
+			return
+		}
+		buf := bufs.Get().(*[]byte)
+		*buf = s.cfg.Registry.AppendPrometheus((*buf)[:0])
+		w.Header()["Content-Type"] = ctype
+		writeBody(w, r, []string{strconv.Itoa(len(*buf))}, *buf)
+		bufs.Put(buf)
+	}
+}
+
 // historical resolves a ?cycle=N query against the retained ring
 // (allocation cost is fine here — it is the explicitly non-hot path).
-func (s *Server) historical(c *cycleCache, rawQuery string) *cycleArtifacts {
+func historical(c *cycleCache, rawQuery string) *cycleArtifacts {
 	q, err := parseCycleQuery(rawQuery)
 	if err != nil {
 		return nil
@@ -111,46 +164,6 @@ func parseCycleQuery(rawQuery string) (int, error) {
 		return 0, fmt.Errorf("serve: unsupported query %q", rawQuery)
 	}
 	return strconv.Atoi(rawQuery[len(prefix):])
-}
-
-// indexHandler serves the retained-cycles index (same caching protocol
-// as the artifacts; the index is itself a per-publish artifact).
-func (s *Server) indexHandler() http.HandlerFunc {
-	ri := s.mCycles
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ri.Requests.Inc()
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET, HEAD")
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		c := s.cache.Load()
-		if c == nil {
-			ri.Misses.Inc()
-			http.Error(w, "no completed cycle yet", http.StatusServiceUnavailable)
-			return
-		}
-		a := &c.index
-		h := w.Header()
-		h["Etag"] = a.etagV
-		h["Cache-Control"] = a.cctl
-		h["Content-Type"] = a.ctype
-		c.setStaleHeaders(h)
-		if r.Header.Get("If-None-Match") == a.etag {
-			ri.NotModified.Inc()
-			w.WriteHeader(http.StatusNotModified)
-			ri.WallLatency.Observe(time.Since(start).Seconds())
-			return
-		}
-		ri.CacheHits.Inc()
-		h["Content-Length"] = a.clen
-		w.WriteHeader(http.StatusOK)
-		if r.Method != http.MethodHead {
-			w.Write(a.body)
-		}
-		ri.WallLatency.Observe(time.Since(start).Seconds())
-	}
 }
 
 // submissionRequest is the POST /api/v1/submissions body.

@@ -2,8 +2,11 @@
 // a campaign scheduler drives measurement cycles through a
 // core.CycleSource, and a read-optimized HTTP API serves each completed
 // cycle's artifacts — canonical JSON report, batch-identical text
-// report, HTML heatmap, fault ledger, Prometheus metrics — from an
-// immutable per-cycle cache swapped atomically at cycle boundaries.
+// report, HTML heatmap, fault ledger — from an immutable per-cycle
+// cache swapped atomically at cycle boundaries. /metrics is the one
+// read route outside that cache: it encodes the live registry per
+// request (obs.Registry.AppendPrometheus) and shares only the
+// artifacts' write path.
 //
 // The design splits the world in two:
 //

@@ -389,7 +389,8 @@ func TestReadinessAndMethods(t *testing.T) {
 
 // TestZeroAllocHotPath pins the cached read path's allocation budget to
 // exactly zero for every cached handler: the JSON report, the text
-// report and the heatmap on a hit, and the 304 revalidation.
+// report, the heatmap and the cycles index on a hit, and the 304
+// revalidation.
 func TestZeroAllocHotPath(t *testing.T) {
 	s, _ := newPublishedServer(t, 42)
 
@@ -399,6 +400,7 @@ func TestZeroAllocHotPath(t *testing.T) {
 		{"report-hit", "/api/v1/report", ""},
 		{"report-txt-hit", "/api/v1/report.txt", ""},
 		{"heatmap-hit", "/api/v1/heatmap", ""},
+		{"cycles-hit", "/api/v1/cycles", ""},
 		{"report-304", "/api/v1/report", "/api/v1/report"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

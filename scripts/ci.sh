@@ -25,7 +25,8 @@
 #                          ephemeral port, hit every endpoint, assert
 #                          ETag revalidation, byte-compare the daemon's
 #                          text report against a batch run at the same
-#                          seed, queue a submission, require a graceful
+#                          seed, queue a submission and see it in the
+#                          next /metrics scrape, require a graceful
 #                          SIGTERM drain, then the
 #                          crash-safety gate (randomized SIGKILL
 #                          restart loop with a durable submission,
@@ -275,6 +276,25 @@ if [ "$SERVE" -eq 1 ]; then
         exit 1
     }
 
+    # /metrics is live and a single write: the 202 above is in the very
+    # next scrape (no cached copy to go stale), the reply carries an
+    # explicit Content-Length (not chunked) and, because its body changes
+    # between requests, no ETag.
+    curl -fsS -D "$ARTIFACTS/serve-metrics-headers.txt" \
+        -o "$ARTIFACTS/serve-metrics.prom" "$BASE/metrics"
+    grep -q '^prudentia_serve_submissions_accepted_total 1$' "$ARTIFACTS/serve-metrics.prom" || {
+        echo "ci: /metrics scraped after the 202 does not show the accepted submission" >&2
+        exit 1
+    }
+    grep -qi '^content-length:' "$ARTIFACTS/serve-metrics-headers.txt" || {
+        echo "ci: /metrics reply carries no Content-Length" >&2
+        exit 1
+    }
+    if grep -qi '^etag:' "$ARTIFACTS/serve-metrics-headers.txt"; then
+        echo "ci: /metrics reply carries an ETag" >&2
+        exit 1
+    fi
+
     # Graceful drain: SIGTERM → clean exit → drain line in the log.
     kill -TERM "$SERVE_PID"
     SERVE_FAIL=0
@@ -313,7 +333,7 @@ if [ "$SERVE" -eq 1 ]; then
     go test -race -count=1 -timeout 10m ./internal/serve
 
     rm -f "$ARTIFACTS/prudentia" "$ARTIFACTS/serve-batch-cycle.txt"
-    echo "ci: serve smoke passed (ETag/304, byte-identical report, 202 submission, graceful drain, kill-restart durability, race-clean)"
+    echo "ci: serve smoke passed (ETag/304, byte-identical report, 202 submission, live /metrics, graceful drain, kill-restart durability, race-clean)"
     exit 0
 fi
 
@@ -471,11 +491,18 @@ else
 fi
 
 # Hot-path benchmark regression gate: re-runs the engine/bottleneck
-# microbenchmarks (min of 3) and fails on >10% ns/op regression or any
+# microbenchmarks (min of 3) and fails on a ns/op regression or any
 # allocs/op increase versus the committed BENCH_sim.json. On failure the
 # fresh candidate reduction stays in the artifact dir for comparison
 # against the committed baseline.
-if ! BENCH_CHECK_RAW_OUT="$PWD/$ARTIFACTS/BENCH_sim.candidate.txt" scripts/bench.sh -check; then
+# The ns/op tolerance is widened from the script's default 1.10 to 2.0
+# here: on the shared 2-vCPU hosts this gate runs on, the same ~35 ns
+# benchmark reads 34 and 55 ns in consecutive runs of one process and
+# the 10% gate failed 2 of 3 runs at an unchanged commit (CHANGES.md,
+# PR 16 "NOTE"). A factor of two still catches what the gate is for (the
+# O(window) BBR filter back would be 180x); the exact allocs/op
+# comparison is untouched.
+if ! BENCH_NS_TOLERANCE=2.0 BENCH_CHECK_RAW_OUT="$PWD/$ARTIFACTS/BENCH_sim.candidate.txt" scripts/bench.sh -check; then
     echo "ci: bench gate failed; candidate reduction in $ARTIFACTS/BENCH_sim.candidate.txt" >&2
     cp -f BENCH_sim.json "$ARTIFACTS/BENCH_sim.baseline.json" 2>/dev/null || true
     exit 1
