@@ -490,15 +490,16 @@ func BenchmarkFig10Instability(b *testing.B) {
 		trials = 30
 	}
 	for i := 0; i < b.N; i++ {
-		tab := &report.Table{Header: []string{"pair (bold = measured)", "trial Mbps", "IQR"}}
+		tab := &report.Table{Header: []string{"pair (bold = measured)", "trial Mbps (sorted)", "IQR"}}
 		for _, p := range []struct{ inc, cont string }{
 			{"OneDrive", "iPerf (BBR)"},
 			{"Dropbox", "iPerf (BBR)"},
 		} {
 			out := runPair(b, p.inc, p.cont, net, multiTrialOpts(net, trials))
 			var series string
-			for _, tr := range out.Trials {
-				series += fmt.Sprintf("%.0f ", tr.Mbps[0])
+			mbps, _ := out.Sketches.Mbps[0].Values() // sorted
+			for _, v := range mbps {
+				series += fmt.Sprintf("%.0f ", v)
 			}
 			tab.Add(p.inc+" vs "+p.cont, series, fmt.Sprintf("%.1f Mbps", out.IQRSharePct(0)/100*25))
 		}

@@ -39,13 +39,9 @@ func fleetFingerprint(w *core.Watchdog, quick, chaosOn bool, maxWall float64) ui
 		fmt.Sprintf("quick=%v", quick),
 		fmt.Sprintf("chaos=%v", chaosOn),
 		fmt.Sprintf("wall=%g", maxWall),
-	}
-	if w.Opts.SketchStats {
-		// Sketch mode replaces the outcome's raw trial ledger with
-		// mergeable sketches on the wire; a worker without it would ship
-		// a different PairOutcome shape. Appended only when armed, so
-		// -exact-stats fingerprints match pre-sketch builds.
-		parts = append(parts, "stats=sketch")
+		// The outcome's wire shape: an older worker run with
+		// -exact-stats ships raw trials instead and is rejected here.
+		"stats=sketch",
 	}
 	if ad := w.Opts.Adaptive; ad != nil {
 		// Adaptive stopping parameters change every pair's trial count,

@@ -27,11 +27,10 @@
 // trials. A -resume from a pre-adaptive checkpoint finishes that cycle
 // with the fixed protocol.
 //
-// Per-pair statistics accumulate in O(1) mergeable quantile sketches by
-// default (docs/SKETCHES.md): bit-identical medians/CIs at the standard
-// trial budgets with constant memory per pair at any trial count.
-// -exact-stats retains the raw per-trial ledger instead (the escape
-// hatch; reports are byte-identical either way). -sweep replaces the
+// Per-pair statistics accumulate in O(1) mergeable quantile sketches
+// (docs/SKETCHES.md): medians/CIs bit-identical to order statistics
+// over the raw samples at the standard trial budgets, with constant
+// memory per pair at any trial count. -sweep replaces the
 // watchdog cycles with a rate × RTT × queue × CCA parameter grid and
 // writes consolidated TSV/JSON artifacts (-sweep-rates, -sweep-rtts,
 // -sweep-queues, -sweep-ccas, -sweep-out; scripts/sweep.sh wraps it).
@@ -107,7 +106,6 @@ func main() {
 		ciWidth    = flag.Float64("ci-width", 0, "adaptive: stop a pair when the 95% CI on both slots' share medians is at most this many share points wide (0 = default 10)")
 		minTrials  = flag.Int("min-trials", 0, "adaptive: floor below which no pair stops early (0 = default 2)")
 		soak       = flag.Int("soak", 0, "soak mode: run N consecutive cycles carrying circuit-breaker state across cycles, printing breaker status after each (overrides -cycles)")
-		exactStats = flag.Bool("exact-stats", false, "retain the raw per-trial ledger instead of O(1) mergeable quantile sketches (the statistics escape hatch; reports are byte-identical either way at the standard trial budgets)")
 
 		// Sweep mode: a rate × RTT × queue × CCA parameter grid instead
 		// of watchdog cycles, emitting consolidated TSV/JSON artifacts
@@ -178,7 +176,6 @@ func main() {
 			MinTrials:  *minTrials,
 		}
 	}
-	w.Opts.SketchStats = !*exactStats
 	w.JournalPath = *journal
 	soakMode := *soak > 0
 	if soakMode {
@@ -217,7 +214,6 @@ func main() {
 			Out:     *sweepOut,
 			Workers: *workers,
 			Seed:    *seed,
-			Exact:   *exactStats,
 			Verbose: *verbose,
 		}
 		var err error

@@ -37,7 +37,6 @@ type sweepConfig struct {
 	Out       string
 	Workers   int
 	Seed      uint64
-	Exact     bool
 	Verbose   bool
 }
 
@@ -49,7 +48,7 @@ type sweepCell struct {
 	Pairs     []sweepPair `json:"pairs"`
 	// MergedShare is the union of every non-failed pair's two share
 	// sketches — the cell's full share distribution in one mergeable,
-	// O(1) object. Omitted under -exact-stats.
+	// O(1) object. Omitted when no pair counted a trial.
 	MergedShare *stats.Sketch `json:"merged_share_sketch,omitempty"`
 }
 
@@ -148,7 +147,6 @@ func runSweep(cfg sweepConfig) error {
 					QueueCapacity: queue,
 				}
 				opts := core.QuickOptions(net)
-				opts.SketchStats = !cfg.Exact
 				if cfg.Seed != 0 {
 					opts.BaseSeed = cfg.Seed
 				}

@@ -10,9 +10,9 @@ import (
 // BenchmarkAdaptiveMatrix measures the adaptive subsystem's headline
 // claim: trials per cycle and simulated-seconds throughput for the
 // same matrix under the fixed §3.4 protocol and under adaptive
-// stopping. scripts/bench.sh reduces the two sub-benchmarks into
-// BENCH_adaptive.json, including the trials-saved percentage the
-// acceptance criterion tracks.
+// stopping. TestAdaptiveVsFixedEquivalence holds the 30% savings floor
+// on the same matrix; bench/ reports the saving end to end as
+// core.adaptive_trials_saved.
 func BenchmarkAdaptiveMatrix(b *testing.B) {
 	net := netem.HighlyConstrained()
 	for _, mode := range []string{"fixed", "adaptive"} {
@@ -33,10 +33,8 @@ func BenchmarkAdaptiveMatrix(b *testing.B) {
 				}
 				trials, simSecs = 0, 0
 				for _, p := range res.Pairs {
-					trials += len(p.Trials)
-					for _, tr := range p.Trials {
-						simSecs += tr.Obs.SimSeconds
-					}
+					trials += p.Counted()
+					simSecs += p.Sketches.Obs.SimSeconds
 				}
 			}
 			wall := time.Since(start).Seconds()

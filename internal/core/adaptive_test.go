@@ -13,7 +13,6 @@ import (
 	"prudentia/internal/chaos"
 	"prudentia/internal/netem"
 	"prudentia/internal/sim"
-	"prudentia/internal/stats"
 )
 
 // adaptiveTestOpts returns options where the fixed protocol runs 6
@@ -58,8 +57,8 @@ func TestAdaptiveVsFixedEquivalence(t *testing.T) {
 		if pa == nil {
 			t.Fatalf("pair %s missing from adaptive result", key)
 		}
-		vf := stats.Fair(pf.SharePcts(0), pf.SharePcts(1), fairPct)
-		va := stats.Fair(pa.SharePcts(0), pa.SharePcts(1), fairPct)
+		vf := pf.MedianSharePct(0) >= fairPct && pf.MedianSharePct(1) >= fairPct
+		va := pa.MedianSharePct(0) >= fairPct && pa.MedianSharePct(1) >= fairPct
 		if vf != va {
 			t.Errorf("pair %s (%s vs %s): fixed verdict fair=%v, adaptive fair=%v",
 				key, pf.Incumbent, pf.Contender, vf, va)
@@ -74,8 +73,8 @@ func TestAdaptiveVsFixedEquivalence(t *testing.T) {
 			t.Errorf("pair %s: fixed outcome leaked adaptive fields: %q/%d",
 				key, pf.StopReason, pf.Budget)
 		}
-		totalFixed += len(pf.Trials)
-		totalAdaptive += len(pa.Trials)
+		totalFixed += pf.Counted()
+		totalAdaptive += pa.Counted()
 	}
 	if totalAdaptive >= totalFixed {
 		t.Fatalf("adaptive ran %d trials, fixed %d; want strictly fewer", totalAdaptive, totalFixed)
@@ -389,8 +388,8 @@ func TestRunPairAdaptive(t *testing.T) {
 	if out.StopReason == "" {
 		t.Fatal("adaptive RunPair outcome carries no stop reason")
 	}
-	if len(out.Trials) >= opts.MinTrials {
+	if out.Counted() >= opts.MinTrials {
 		t.Fatalf("adaptive RunPair ran %d trials; want early stop below the fixed floor %d",
-			len(out.Trials), opts.MinTrials)
+			out.Counted(), opts.MinTrials)
 	}
 }

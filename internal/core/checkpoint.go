@@ -120,7 +120,10 @@ func SaveCheckpointDisk(path string, cp *Checkpoint, disk *chaos.DiskPlan) error
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint. The
 // schema is probed before the full parse, so a future-version file —
 // whose body this build might misread — is rejected with a clear
-// ErrFutureCheckpoint rather than a confusing field error.
+// ErrFutureCheckpoint rather than a confusing field error. A pair
+// that ran trials without sketch state (ErrNoSketches: an older build's
+// -exact-stats checkpoint) is rejected too, instead of being adopted as
+// a blank cell.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -145,6 +148,16 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	}
 	if cp.Cycle <= 0 {
 		return nil, fmt.Errorf("core: checkpoint %s has invalid cycle %d", path, cp.Cycle)
+	}
+	for si, pairs := range cp.Pairs {
+		for key, p := range pairs {
+			if p == nil {
+				continue // Matrix.Run re-runs a null pair
+			}
+			if err := p.Validate(); err != nil {
+				return nil, fmt.Errorf("core: checkpoint %s: setting %d pair %s: %w", path, si, key, err)
+			}
+		}
 	}
 	return cp, nil
 }

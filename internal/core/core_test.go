@@ -131,8 +131,8 @@ func TestRunPairEscalatesOnWideCI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Trials) != opts.MaxTrials {
-		t.Fatalf("trials = %d, want max %d", len(out.Trials), opts.MaxTrials)
+	if out.Counted() != opts.MaxTrials {
+		t.Fatalf("trials = %d, want max %d", out.Counted(), opts.MaxTrials)
 	}
 	if !out.Unstable {
 		t.Fatal("pair should be flagged unstable")
@@ -146,8 +146,8 @@ func TestRunPairStopsEarlyWhenTight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Trials) != opts.MinTrials {
-		t.Fatalf("trials = %d, want min %d", len(out.Trials), opts.MinTrials)
+	if out.Counted() != opts.MinTrials {
+		t.Fatalf("trials = %d, want min %d", out.Counted(), opts.MinTrials)
 	}
 	if out.Unstable {
 		t.Fatal("reno-vs-reno should satisfy a 50 Mbps tolerance")

@@ -14,8 +14,7 @@ import (
 // The snapshot's counters reconcile exactly with the cycle result:
 //
 //	prudentia_trials_completed_total == Σ PairOutcome.Counted()
-//	prudentia_netem_dropped_packets_total == Σ Trials[].Obs.DroppedPackets
-//	  (in sketch mode, == Σ Sketches.Obs.DroppedPackets — same totals)
+//	prudentia_netem_dropped_packets_total == Σ PairOutcome.Sketches.Obs.DroppedPackets
 //
 // and so on for every netem/transport/chaos family, because those
 // families are a fold over released pair outcomes (see Instruments). An
@@ -27,9 +26,7 @@ func (w *Watchdog) BuildManifest(cr *CycleResult, reg *obs.Registry) obs.Manifes
 	m.BaseSeed = w.Opts.BaseSeed
 	m.ChaosEnabled = w.Opts.Chaos.Enabled()
 	m.AdaptiveEnabled = w.Opts.Adaptive != nil
-	if w.Opts.SketchStats {
-		m.StatsMode = "sketch"
-	}
+	m.StatsMode = "sketch"
 	for _, svc := range w.Services {
 		m.Services = append(m.Services, svc.Name())
 	}

@@ -235,14 +235,7 @@ func (in *Instruments) foldPair(o *PairOutcome) {
 	in.trialsCorrupt.Add(corrupt)
 	in.retries.Add(int64(o.Retries))
 
-	var t TrialObs
-	if o.Sketches != nil {
-		t = o.Sketches.Obs // sketch mode keeps the summed aggregate, not the trials
-	} else {
-		for i := range o.Trials {
-			t.add(o.Trials[i].Obs)
-		}
-	}
+	t := o.Sketches.Obs
 	in.netemArrived.Add(t.ArrivedPackets)
 	in.netemDropped.Add(t.DroppedPackets)
 	in.netemDelivered.Add(t.DeliveredPackets)
@@ -263,25 +256,19 @@ func (in *Instruments) foldPair(o *PairOutcome) {
 // durations into the sim-seconds histogram. Duration samples are
 // worker-local observability (trialEnd); a fleet worker's never reach
 // the coordinator, so its counted trials are reconstructed from the
-// outcome — from the duration sketch in sketch mode (exact samples
-// within the buffer cap, bucket representatives beyond it; histograms
-// only see bucketed values anyway). Timeline events and wall-clock
-// histograms are deliberately not reconstructed.
+// outcome's duration sketch (exact samples within the buffer cap,
+// bucket representatives beyond it; histograms only see bucketed values
+// anyway). Timeline events and wall-clock histograms are deliberately
+// not reconstructed.
 func (in *Instruments) remoteSimDurations(o *PairOutcome) {
 	if in == nil {
 		return
 	}
-	if sk := o.Sketches; sk != nil {
-		sk.SimSeconds.Each(func(v float64, n int64) {
-			for k := int64(0); k < n; k++ {
-				in.trialSim.Observe(v)
-			}
-		})
-		return
-	}
-	for i := range o.Trials {
-		in.trialSim.Observe(o.Trials[i].Obs.SimSeconds)
-	}
+	o.Sketches.SimSeconds.Each(func(v float64, n int64) {
+		for k := int64(0); k < n; k++ {
+			in.trialSim.Observe(v)
+		}
+	})
 }
 
 // pairDone records a pair reaching a final state. Called from the

@@ -18,7 +18,7 @@ import (
 // registry and timeline, over the three iPerf baselines in the
 // highly-constrained setting.
 func obsWatchdog(workers int, tl *obs.Timeline) (*Watchdog, *obs.Registry) {
-	m, reg := obsMatrix(false, tl)
+	m, reg := obsMatrix(tl)
 	w := &Watchdog{
 		Services: m.Services,
 		Settings: []netem.Config{m.Net},
@@ -82,7 +82,7 @@ func TestObsManifestReconciliation(t *testing.T) {
 	for _, ms := range cr.PerSetting {
 		for _, p := range ms.Pairs {
 			pairs++
-			completed += int64(len(p.Trials))
+			completed += int64(p.Counted())
 			failed += int64(len(p.Failures))
 			discarded += int64(p.Discards)
 			corrupt += int64(p.Corrupt)
@@ -90,20 +90,8 @@ func TestObsManifestReconciliation(t *testing.T) {
 			if p.Failed {
 				quarantined++
 			}
-			for _, tr := range p.Trials {
-				agg.ArrivedPackets += tr.Obs.ArrivedPackets
-				agg.DroppedPackets += tr.Obs.DroppedPackets
-				agg.DeliveredPackets += tr.Obs.DeliveredPackets
-				agg.DeliveredBytes += tr.Obs.DeliveredBytes
-				agg.ExternalDrops += tr.Obs.ExternalDrops
-				agg.ChaosDrops += tr.Obs.ChaosDrops
-				agg.Retransmits += tr.Obs.Retransmits
-				agg.Timeouts += tr.Obs.Timeouts
-				agg.CwndEvents += tr.Obs.CwndEvents
-				agg.TailProbes += tr.Obs.TailProbes
-				agg.ChaosFlaps += tr.Obs.ChaosFlaps
-				agg.ChaosSags += tr.Obs.ChaosSags
-				agg.ChaosStalls += tr.Obs.ChaosStalls
+			if p.Sketches != nil { // nil: breaker-skipped, nothing ran
+				agg.add(p.Sketches.Obs)
 			}
 		}
 	}
@@ -220,12 +208,11 @@ func TestObsUninstrumentedIdentical(t *testing.T) {
 
 // obsMatrix builds the chaos matrix the ledger tests share: the three
 // iPerf baselines, hot chaos, seed 77, instruments on a fresh registry.
-func obsMatrix(sketch bool, tl *obs.Timeline) (*Matrix, *obs.Registry) {
+func obsMatrix(tl *obs.Timeline) (*Matrix, *obs.Registry) {
 	net := netem.HighlyConstrained()
 	opts := fastOpts(net)
 	opts.BaseSeed = 77
 	opts.Chaos = hotChaos()
-	opts.SketchStats = sketch
 	reg := obs.NewRegistry()
 	return &Matrix{Services: threeServices(), Net: net, Opts: opts,
 		Obs: NewInstruments(reg, tl)}, reg
@@ -238,28 +225,26 @@ func obsMatrix(sketch bool, tl *obs.Timeline) (*Matrix, *obs.Registry) {
 // wall-clock and per-attempt sim samples are worker-local observability,
 // which a remote worker's never reach the coordinator.
 func TestObsRegistryParityLocalVsFleet(t *testing.T) {
-	for _, sketch := range []bool{false, true} {
-		run := func(remote bool) obs.Snapshot {
-			m, reg := obsMatrix(sketch, nil)
-			m.Workers = 2
-			if remote {
-				m.Remote = localRemote{m}
-			}
-			if _, err := m.Run(); err != nil {
-				t.Fatalf("matrix (sketch=%v remote=%v): %v", sketch, remote, err)
-			}
-			s := reg.Snapshot().StripWallClock()
-			s.Histograms = nil
-			return s
+	run := func(remote bool) obs.Snapshot {
+		m, reg := obsMatrix(nil)
+		m.Workers = 2
+		if remote {
+			m.Remote = localRemote{m}
 		}
-		local, fleet := run(false), run(true)
-		if !local.Equal(fleet) {
-			t.Errorf("sketch=%v: registry differs between local and fleet execution:\nlocal %v %v\nfleet %v %v",
-				sketch, local.Counters, local.Gauges, fleet.Counters, fleet.Gauges)
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("matrix (remote=%v): %v", remote, err)
 		}
-		if local.Counters["prudentia_trials_failed_total"] == 0 || local.Counters["prudentia_netem_arrived_packets_total"] == 0 {
-			t.Errorf("sketch=%v: parity check saw no failures or no traffic: %v", sketch, local.Counters)
-		}
+		s := reg.Snapshot().StripWallClock()
+		s.Histograms = nil
+		return s
+	}
+	local, fleet := run(false), run(true)
+	if !local.Equal(fleet) {
+		t.Errorf("registry differs between local and fleet execution:\nlocal %v %v\nfleet %v %v",
+			local.Counters, local.Gauges, fleet.Counters, fleet.Gauges)
+	}
+	if local.Counters["prudentia_trials_failed_total"] == 0 || local.Counters["prudentia_netem_arrived_packets_total"] == 0 {
+		t.Errorf("parity check saw no failures or no traffic: %v", local.Counters)
 	}
 }
 
@@ -272,7 +257,7 @@ func TestInterruptedRegistryNamesOnlyReleasedPairs(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		var buf bytes.Buffer
 		tl := obs.NewTimeline(&buf)
-		m, reg := obsMatrix(false, tl)
+		m, reg := obsMatrix(tl)
 		// Fifteen pairs: more than four workers can finish before the
 		// interrupt lands.
 		m.Services = append(m.Services, services.ByName("Dropbox"), services.ByName("Netflix"))
@@ -300,7 +285,7 @@ func TestInterruptedRegistryNamesOnlyReleasedPairs(t *testing.T) {
 		var started int64
 		for _, o := range released {
 			fold.foldPair(o)
-			started += int64(len(o.Trials) + len(o.Failures) + o.Discards + o.Corrupt)
+			started += int64(o.Counted() + len(o.Failures) + o.Discards + o.Corrupt)
 		}
 		got, want := reg.Snapshot(), wantReg.Snapshot()
 		if len(released) == 0 || got.Counters["prudentia_pairs_completed_total"] != int64(len(released)) {

@@ -1,20 +1,22 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/netem"
 	"prudentia/internal/services"
 	"prudentia/internal/sim"
-	"prudentia/internal/stats"
 )
 
 // SchedulerOptions govern the §3.4 trial-escalation protocol.
 type SchedulerOptions struct {
 	// MinTrials is the initial batch (paper: 10); more trials run in
 	// Step-sized sets up to MaxTrials (paper: 30) until the 95% CI of
-	// the median throughput is within ToleranceMbps.
+	// the median throughput is within ToleranceMbps. Past
+	// stats.SketchBufferCap (128) counted trials a pair's quantiles
+	// carry 1% relative error (see PairOutcome.Sketches).
 	MinTrials, MaxTrials, Step int
 	// ToleranceMbps is the CI half-width target: 0.5 in the
 	// highly-constrained setting, 1.5 in the moderately-constrained one.
@@ -49,28 +51,19 @@ type SchedulerOptions struct {
 	// moment its verdict is statistically settled. Nil preserves the
 	// fixed protocol — and the golden acceptance output — bit for bit.
 	Adaptive *AdaptiveOptions
-	// SketchStats replaces the store-everything per-pair statistics
-	// (PairOutcome.Trials) with mergeable quantile sketches
-	// (sketchstats.go): state per pair becomes O(1) in the trial
-	// count, and fleet workers ship fixed-size encoded sketches
-	// instead of raw samples. Within stats.SketchBufferCap counted
-	// trials — which covers every paper budget — sketch queries are
-	// bit-identical to the raw-sample statistics, so the verdict
-	// matrix and report do not change byte for byte; only the retained
-	// state does. False preserves the raw Trials slice exactly as
-	// before.
+	// Deprecated: SketchStats is read by nothing (sketches are the only
+	// statistics store); it remains until bench/ drops its assignment.
 	SketchStats bool
 }
 
 // IsZero reports whether no field was set. Watchdog.RunCycle applies
 // the per-setting PaperOptions only in that case — a caller who sets
 // any field (for example only Timing) keeps their options, with the
-// remaining fields defaulted. WallBudget, Adaptive, and SketchStats
-// are deliberately excluded: the reaper is a supervision knob, the
-// adaptive stopper a budget policy, and the sketch switch a statistics
-// representation — all orthogonal to the measurement protocol — so
+// remaining fields defaulted. WallBudget and Adaptive are deliberately
+// excluded: the reaper is a supervision knob and the adaptive stopper a
+// budget policy, both orthogonal to the measurement protocol, so
 // setting only them still gets the per-setting paper options (RunCycle
-// carries all three over).
+// carries both over).
 func (o SchedulerOptions) IsZero() bool {
 	return o.MinTrials == 0 && o.MaxTrials == 0 && o.Step == 0 &&
 		o.ToleranceMbps == 0 && o.BaseSeed == 0 && o.Timing == nil &&
@@ -158,7 +151,6 @@ func backoffRounds(n int) int {
 // slot 1 the contender's, so a single pair fills two heatmap cells.
 type PairOutcome struct {
 	Incumbent, Contender string
-	Trials               []TrialResult
 	// Discards counts noise-discarded (re-run) trials.
 	Discards int
 	// Corrupt counts trials the validity gate rejected (re-run like
@@ -187,101 +179,69 @@ type PairOutcome struct {
 	// Budget is the pair's allocated trial ceiling under adaptive
 	// budgets (zero on fixed-budget runs).
 	Budget int `json:"budget,omitempty"`
-	// Sketches, under SchedulerOptions.SketchStats, replaces Trials as
-	// the pair's statistics state: O(1) mergeable quantile sketches
-	// per metric plus the summed telemetry aggregate. Nil on
-	// exact-sample runs, so their checkpoints and wire format are
-	// unchanged byte for byte.
+	// Sketches is the pair's statistics state, and the only one: an O(1)
+	// mergeable quantile sketch per metric plus the summed telemetry
+	// aggregate (sketchstats.go). Up to stats.SketchBufferCap (128)
+	// counted trials every accessor below is bit-identical to order
+	// statistics over the raw samples; a caller asking for more gets
+	// quantiles within 1% relative error (docs/SKETCHES.md). Nil only on
+	// a breaker-skipped pair, which ran no trials: check Skipped or
+	// Counted before reading a statistic, as MatrixResult's accessors do.
 	Sketches *PairSketches `json:"sketches,omitempty"`
 }
 
-// Counted returns the number of counted trials regardless of the
-// statistics representation: the sketch count under SketchStats, the
-// raw slice length otherwise. All "how many trials entered the
-// statistic" logic goes through here.
+// ErrNoSketches marks a decoded pair that ran trials yet carries no
+// usable sketch state: the raw-sample shape older builds wrote under
+// -exact-stats. Adopting it would publish silent blank cells.
+var ErrNoSketches = errors.New("pair holds raw samples instead of sketches (written with -exact-stats by an older build); re-run the cycle")
+
+// Validate checks a pair decoded from a checkpoint or a fleet result:
+// every pair except a breaker-skipped one must carry its full sketch
+// set (ErrNoSketches otherwise).
+func (p *PairOutcome) Validate() error {
+	if p.Skipped || p.Sketches.complete() {
+		return nil
+	}
+	return ErrNoSketches
+}
+
+// Counted returns the number of counted trials. All "how many trials
+// entered the statistic" logic goes through here.
 func (p *PairOutcome) Counted() int {
-	if p.Sketches != nil {
-		return p.Sketches.N
+	if p.Sketches == nil { // breaker-skipped: no trials ran
+		return 0
 	}
-	return len(p.Trials)
-}
-
-// mbps returns the per-trial throughput series for one slot.
-func (p *PairOutcome) mbps(slot int) []float64 {
-	out := make([]float64, len(p.Trials))
-	for i, t := range p.Trials {
-		out[i] = t.Mbps[slot]
-	}
-	return out
-}
-
-// SharePcts returns the per-trial MmF share percentages for one slot.
-func (p *PairOutcome) SharePcts(slot int) []float64 {
-	out := make([]float64, len(p.Trials))
-	for i, t := range p.Trials {
-		out[i] = t.SharePct[slot]
-	}
-	return out
+	return p.Sketches.N
 }
 
 // MedianSharePct is the heatmap cell value for a slot.
 func (p *PairOutcome) MedianSharePct(slot int) float64 {
-	if p.Sketches != nil {
-		return p.Sketches.SharePct[slot].Median()
-	}
-	return stats.Median(p.SharePcts(slot))
+	return p.Sketches.SharePct[slot].Median()
 }
 
 // IQRSharePct is the error bar for a slot.
 func (p *PairOutcome) IQRSharePct(slot int) float64 {
-	if p.Sketches != nil {
-		return p.Sketches.SharePct[slot].IQR()
-	}
-	return stats.IQR(p.SharePcts(slot))
+	return p.Sketches.SharePct[slot].IQR()
 }
 
 // MedianMbps is the median measured throughput for a slot.
 func (p *PairOutcome) MedianMbps(slot int) float64 {
-	if p.Sketches != nil {
-		return p.Sketches.Mbps[slot].Median()
-	}
-	return stats.Median(p.mbps(slot))
+	return p.Sketches.Mbps[slot].Median()
 }
 
 // MedianUtilization is the Fig 11 cell value.
 func (p *PairOutcome) MedianUtilization() float64 {
-	if p.Sketches != nil {
-		return p.Sketches.Utilization.Median()
-	}
-	xs := make([]float64, len(p.Trials))
-	for i, t := range p.Trials {
-		xs[i] = t.Utilization
-	}
-	return stats.Median(xs)
+	return p.Sketches.Utilization.Median()
 }
 
 // MedianLoss is the Fig 12 cell value for a slot.
 func (p *PairOutcome) MedianLoss(slot int) float64 {
-	if p.Sketches != nil {
-		return p.Sketches.Loss[slot].Median()
-	}
-	xs := make([]float64, len(p.Trials))
-	for i, t := range p.Trials {
-		xs[i] = t.Loss[slot]
-	}
-	return stats.Median(xs)
+	return p.Sketches.Loss[slot].Median()
 }
 
 // MedianQueueDelay is the Fig 13 cell value for a slot.
 func (p *PairOutcome) MedianQueueDelay(slot int) sim.Time {
-	if p.Sketches != nil {
-		return sim.Time(p.Sketches.QueueDelaySec[slot].Median() * float64(sim.Second))
-	}
-	xs := make([]float64, len(p.Trials))
-	for i, t := range p.Trials {
-		xs[i] = t.QueueDelay[slot].Seconds()
-	}
-	return sim.Time(stats.Median(xs) * float64(sim.Second))
+	return sim.Time(p.Sketches.QueueDelaySec[slot].Median() * float64(sim.Second))
 }
 
 // ShareCI returns the 95% order-statistic confidence interval on one
@@ -289,24 +249,12 @@ func (p *PairOutcome) MedianQueueDelay(slot int) sim.Time {
 // watches and the sweep harness exports. Zero-width at the sample when
 // fewer than three trials counted.
 func (p *PairOutcome) ShareCI(slot int) (lo, hi float64) {
-	if p.Counted() == 0 {
-		return 0, 0
-	}
-	if p.Sketches != nil {
-		return p.Sketches.SharePct[slot].MedianCI()
-	}
-	return stats.MedianCI(p.SharePcts(slot))
+	return p.Sketches.SharePct[slot].MedianCI()
 }
 
 // ciSatisfied applies the §3.4 stopping rule to both slots' throughput.
 func (p *PairOutcome) ciSatisfied(tol float64) bool {
-	if p.Counted() == 0 {
-		return false
-	}
-	if p.Sketches != nil {
-		return p.Sketches.Mbps[0].CIWithin(tol) && p.Sketches.Mbps[1].CIWithin(tol)
-	}
-	return stats.CIWithin(p.mbps(0), tol) && stats.CIWithin(p.mbps(1), tol)
+	return p.Sketches.Mbps[0].CIWithin(tol) && p.Sketches.Mbps[1].CIWithin(tol)
 }
 
 // RunPair runs the full protocol for one pair in one network setting.

@@ -29,28 +29,25 @@ type pairState struct {
 	svcA     services.Service
 	svcB     services.Service
 
-	// Sketch-mode adaptive-stopper state (transient: both are
-	// reconstructed deterministically by the protocol itself, so they
-	// never ride a checkpoint — only completed pairs checkpoint, and
-	// journal replay re-runs the protocol from attempt 0).
+	// Adaptive-stopper state (transient: both are reconstructed
+	// deterministically by the protocol itself, so they never ride a
+	// checkpoint — only completed pairs checkpoint, and journal replay
+	// re-runs the protocol from attempt 0).
 	//
 	// evalN is the counted-trial count at the last adaptive
 	// evaluation, making re-evaluations after non-counted attempts
-	// no-ops (the slice path gets the same idempotence by recomputing
-	// an unchanged prefix).
+	// no-ops.
 	evalN int
 	// ring holds the Fair verdict recorded after each of the most
-	// recent counted trials (at most StableK−1 entries), replacing the
-	// slice path's prefix recomputation one-for-one: entry i is
-	// exactly the verdict the recomputation would recompute for that
-	// prefix, because the verdict is a pure function of the prefix.
+	// recent counted trials (at most StableK−1 entries): the verdict is
+	// a pure function of the counted-trial prefix, so entry i is what
+	// recomputing that prefix would yield.
 	ring []bool
 }
 
 // newPairState builds the protocol's starting state for catalog pair
 // (a, b): identity, seed namespace, first evaluation target, and an
-// empty outcome carrying the statistics representation opts selects.
-// svcB may be nil (a solo RunPair).
+// empty outcome with its sketch set. svcB may be nil (a solo RunPair).
 func newPairState(a, b int, svcA, svcB services.Service, opts SchedulerOptions) *pairState {
 	st := &pairState{
 		a: a, b: b,
@@ -59,13 +56,10 @@ func newPairState(a, b int, svcA, svcB services.Service, opts SchedulerOptions) 
 		svcA:    svcA,
 		svcB:    svcB,
 		target:  opts.MinTrials,
-		outcome: &PairOutcome{Incumbent: svcA.Name()},
+		outcome: &PairOutcome{Incumbent: svcA.Name(), Sketches: newPairSketches()},
 	}
 	if svcB != nil {
 		st.outcome.Contender = svcB.Name()
-	}
-	if opts.SketchStats {
-		st.outcome.Sketches = newPairSketches()
 	}
 	return st
 }
@@ -270,11 +264,7 @@ func (pp *pairProtocol) runOne(st *pairState) {
 			}
 			continue
 		}
-		if st.outcome.Sketches != nil {
-			st.outcome.Sketches.observe(&ar.res)
-		} else {
-			st.outcome.Trials = append(st.outcome.Trials, ar.res)
-		}
+		st.outcome.Sketches.observe(&ar.res)
 		return
 	}
 }
@@ -312,36 +302,29 @@ func (pp *pairProtocol) evaluate(st *pairState) {
 }
 
 // evaluateAdaptive applies the sequential stopper (internal/stats) to
-// the pair's accumulated share series. The decision is a pure function
-// of that series and the pair's allocated ceiling, so resumed, fleet,
-// and serial executions of the same pair stop identically. A pair that
-// exhausts the scheduler-wide MaxTrials without converging is marked
-// Unstable exactly as under the fixed rule; one cut short by a smaller
-// screening allocation is merely budget-stopped — it was never given
-// full depth, so it earns no instability verdict.
+// the pair's share sketches and its ring of recorded verdicts. The
+// decision is a pure function of the counted-trial prefix and the
+// pair's allocated ceiling, so resumed, fleet, and serial executions of
+// the same pair stop identically. A pair that exhausts the
+// scheduler-wide MaxTrials without converging is marked Unstable
+// exactly as under the fixed rule; one cut short by a smaller screening
+// allocation is merely budget-stopped — it was never given full depth,
+// so it earns no instability verdict.
 func (pp *pairProtocol) evaluateAdaptive(st *pairState, ad *AdaptiveOptions) {
+	// Evaluate only when a counted trial arrived, which keeps the ring
+	// at one entry per prefix.
+	sk := st.outcome.Sketches
+	if sk.N == st.evalN {
+		return
+	}
+	st.evalN = sk.N
 	pol := ad.policy(st.budget, pp.opts.MaxTrials)
-	var d stats.StopDecision
-	if sk := st.outcome.Sketches; sk != nil {
-		// Sketch mode: the stopper reads sketch quantiles, and the
-		// stability rule reads the recorded verdict ring instead of
-		// recomputing prefixes. Evaluate only when a counted trial
-		// actually arrived — the slice path's re-evaluation of an
-		// unchanged prefix is a no-op by purity, and skipping it here
-		// keeps the ring one-entry-per-prefix.
-		if sk.N == st.evalN {
-			return
+	d := pol.EvaluateSketch(sk.SharePct[0], sk.SharePct[1], st.ring)
+	if pol.StableK > 1 {
+		st.ring = append(st.ring, d.Fair)
+		if len(st.ring) > pol.StableK-1 {
+			st.ring = st.ring[1:]
 		}
-		st.evalN = sk.N
-		d = pol.EvaluateSketch(sk.SharePct[0], sk.SharePct[1], st.ring)
-		if pol.StableK > 1 {
-			st.ring = append(st.ring, d.Fair)
-			if len(st.ring) > pol.StableK-1 {
-				st.ring = st.ring[1:]
-			}
-		}
-	} else {
-		d = pol.Evaluate(st.outcome.SharePcts(0), st.outcome.SharePcts(1))
 	}
 	if !d.Stop {
 		return

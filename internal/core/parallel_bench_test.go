@@ -42,7 +42,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, p := range res.Pairs {
-					trials += int64(len(p.Trials))
+					trials += int64(p.Counted())
 				}
 			}
 			b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")

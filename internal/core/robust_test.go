@@ -169,17 +169,17 @@ func TestMatrixDiscardExhaustionInterleaving(t *testing.T) {
 	if !noisy.Unstable {
 		t.Fatalf("noisy pair not marked Unstable: %+v", noisy)
 	}
-	if len(noisy.Trials) != 0 {
-		t.Fatalf("noisy pair counted %d trials, want 0", len(noisy.Trials))
+	if noisy.Counted() != 0 {
+		t.Fatalf("noisy pair counted %d trials, want 0", noisy.Counted())
 	}
 	if noisy.Discards != opts.MaxDiscards+1 {
 		t.Fatalf("noisy pair discards = %d, want %d", noisy.Discards, opts.MaxDiscards+1)
 	}
 	for _, key := range []string{pairKey(0, 0), pairKey(1, 1)} {
 		p := res.Pairs[key]
-		if p.Unstable || len(p.Trials) < opts.MinTrials {
+		if p.Unstable || p.Counted() < opts.MinTrials {
 			t.Fatalf("self pair %s did not complete: trials=%d unstable=%v",
-				key, len(p.Trials), p.Unstable)
+				key, p.Counted(), p.Unstable)
 		}
 	}
 }
@@ -225,7 +225,7 @@ func TestMatrixSurvivesPanicInjection(t *testing.T) {
 	failures := 0
 	for key, p := range res.Pairs {
 		failures += len(p.Failures)
-		if !p.Failed && len(p.Trials) == 0 {
+		if !p.Failed && p.Counted() == 0 {
 			t.Errorf("non-quarantined pair %s has no trials", key)
 		}
 		for _, f := range p.Failures {
@@ -343,12 +343,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "state.json")
 	cp := newCheckpoint(3, 2)
 	cp.Calibration[0] = map[string]float64{"iPerf (Reno)": 7.5}
+	sk := newPairSketches()
+	sk.observe(&TrialResult{
+		Mbps: [2]float64{4, 4}, FairShareMbps: [2]float64{4, 4},
+		SharePct: [2]float64{100, 100}, Utilization: 1,
+	})
 	cp.Pairs[1]["0|1"] = &PairOutcome{
 		Incumbent: "iPerf (Reno)", Contender: "iPerf (Cubic)",
-		Trials: []TrialResult{{
-			Mbps: [2]float64{4, 4}, FairShareMbps: [2]float64{4, 4},
-			SharePct: [2]float64{100, 100}, Utilization: 1,
-		}},
+		Sketches: sk,
 		Retries:  1,
 		Failures: []TrialFailure{{Attempt: 0, Seed: 9, Kind: "panic", Msg: "boom"}},
 	}

@@ -6,18 +6,20 @@ import (
 	"prudentia/internal/stats"
 )
 
-// Sketch-backed per-pair statistics (SchedulerOptions.SketchStats).
-// Instead of retaining every TrialResult on the outcome — O(trials)
-// state per pair, raw samples shipped over checkpoints and the fleet
-// wire — a pair carries one PairSketches: a fixed set of mergeable
-// quantile sketches (internal/stats) plus the summed deterministic
-// telemetry aggregate. State per pair is O(1) in the trial count.
+// Per-pair statistics. A pair never retains its TrialResults: it
+// carries one PairSketches, a fixed set of mergeable quantile sketches
+// (internal/stats) plus the summed deterministic telemetry aggregate,
+// so state per pair is O(1) in the trial count and checkpoints and
+// fleet results carry fixed-size encoded sketches instead of raw
+// samples.
 //
 // Up to stats.SketchBufferCap counted trials (far beyond any paper
 // budget) the sketches hold every sample exactly and answer with the
-// very same R-7 / order-statistic code the raw path uses, so a
-// sketch-backed run's verdict matrix, report, and stopping decisions
-// are byte-identical to the exact-sample path on the seed matrix.
+// R-7 / order-statistic code of stats.Quantile and stats.MedianCI, so
+// the verdict matrix, report, and stopping decisions are those of
+// order statistics over the raw samples, bit for bit
+// (TestSketchMatrixEquivalence replays the slice arithmetic as the
+// oracle). Past the cap quantiles carry 1% relative error.
 
 // PairSketches is the O(1) statistics state of one pair: a sketch per
 // reported metric, keyed by the same slot convention as TrialResult
@@ -27,8 +29,7 @@ import (
 // JSON and the fleet protocol via the sketches' base64 binary
 // encoding.
 type PairSketches struct {
-	// N counts the counted trials folded in (the sketch-mode
-	// counterpart of len(PairOutcome.Trials)).
+	// N counts the counted trials folded in.
 	N int `json:"n"`
 	// Mbps holds each slot's per-trial throughput distribution.
 	Mbps [2]*stats.Sketch `json:"mbps"`
@@ -66,8 +67,21 @@ func newPairSketches() *PairSketches {
 	return ps
 }
 
-// observe folds one counted trial into the sketch set — the sketch-mode
-// counterpart of appending to PairOutcome.Trials.
+// complete reports whether every sketch of the set is present: a
+// decoded set (checkpoint, fleet result) may be nil or hold null members.
+func (ps *PairSketches) complete() bool {
+	if ps == nil || ps.Utilization == nil || ps.SimSeconds == nil {
+		return false
+	}
+	for s := 0; s < 2; s++ {
+		if ps.Mbps[s] == nil || ps.SharePct[s] == nil || ps.Loss[s] == nil || ps.QueueDelaySec[s] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// observe folds one counted trial into the sketch set.
 func (ps *PairSketches) observe(res *TrialResult) {
 	ps.N++
 	for s := 0; s < 2; s++ {
@@ -120,14 +134,14 @@ func (ps *PairSketches) Merge(other *PairSketches) error {
 
 // MergedShareSketch merges every non-quarantined pair's two slot share
 // sketches into one distribution — the cycle-level "all counted shares"
-// aggregate the sweep harness reports. Returns nil when the matrix ran
-// in exact-sample mode (no sketches to merge).
+// aggregate the sweep harness reports. Returns nil when no pair counted
+// a trial.
 func (r *MatrixResult) MergedShareSketch() *stats.Sketch {
 	var agg *stats.Sketch
 	for i := range r.Names {
 		for j := i; j < len(r.Names); j++ {
 			p := r.Pairs[pairKey(i, j)]
-			if p == nil || p.Failed || p.Sketches == nil || p.Counted() == 0 {
+			if p == nil || p.Failed || p.Counted() == 0 {
 				continue
 			}
 			if agg == nil {

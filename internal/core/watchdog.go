@@ -11,7 +11,6 @@ import (
 	"prudentia/internal/netem"
 	"prudentia/internal/obs"
 	"prudentia/internal/services"
-	"prudentia/internal/stats"
 )
 
 // Watchdog is the continuously-running fairness monitor: it cycles the
@@ -477,11 +476,10 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 func (w *Watchdog) SettingOptions(cycle, si int) SchedulerOptions {
 	opts := w.Opts
 	if opts.IsZero() {
-		wb, ad, sk := opts.WallBudget, opts.Adaptive, opts.SketchStats
+		wb, ad := opts.WallBudget, opts.Adaptive
 		opts = PaperOptions(w.Settings[si])
 		opts.WallBudget = wb
 		opts.Adaptive = ad
-		opts.SketchStats = sk
 	}
 	opts = opts.withDefaults()
 	// Seed-scope each cycle and setting so re-runs differ but stay
@@ -710,11 +708,9 @@ func CompareCycles(before, after *CycleResult, setting int, service, versus stri
 type InstabilityReport struct {
 	Incumbent, Contender string
 	Slot                 int
-	// TrialMbps is the slot's per-trial throughput series. Raw-sample
-	// runs report it in trial order; sketch-backed runs report the
-	// retained samples in sorted order while the sketch is exact
-	// (every paper budget), and leave it empty once compacted — the
-	// IQR remains available in either case.
+	// TrialMbps is the slot's per-trial throughput samples in sorted
+	// order (not trial order), empty once the pair counted more than
+	// stats.SketchBufferCap trials; the IQR is available in either case.
 	TrialMbps []float64
 	IQR       float64
 	Unstable  bool
@@ -730,14 +726,7 @@ func (r *MatrixResult) Instability(incumbent, contender string) (InstabilityRepo
 		Incumbent: incumbent, Contender: contender, Slot: slot,
 		Unstable: p.Unstable,
 	}
-	if sk := p.Sketches; sk != nil {
-		if vs, exact := sk.Mbps[slot].Values(); exact {
-			rep.TrialMbps = vs
-		}
-		rep.IQR = sk.Mbps[slot].IQR()
-		return rep, true
-	}
-	rep.TrialMbps = p.mbps(slot)
-	rep.IQR = stats.IQR(rep.TrialMbps)
+	rep.TrialMbps, _ = p.Sketches.Mbps[slot].Values()
+	rep.IQR = p.Sketches.Mbps[slot].IQR()
 	return rep, true
 }

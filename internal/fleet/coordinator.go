@@ -416,8 +416,12 @@ func (c *Coordinator) dropWorkerLocked(w *remoteWorker, reason string, penalize 
 // loses nothing because re-dispatched executions are byte-identical.
 func (c *Coordinator) handleResult(w *remoteWorker, m *msg) bool {
 	out := &core.PairOutcome{}
-	if len(m.Outcome) == 0 || json.Unmarshal(m.Outcome, out) != nil {
-		c.dropWorker(w, fmt.Sprintf("protocol error: bad outcome on lease %d", m.Lease), true)
+	err := json.Unmarshal(m.Outcome, out) // an absent outcome fails to parse too
+	if err == nil {
+		err = out.Validate()
+	}
+	if err != nil {
+		c.dropWorker(w, fmt.Sprintf("protocol error: bad outcome on lease %d: %v", m.Lease, err), true)
 		return false
 	}
 	c.mu.Lock()

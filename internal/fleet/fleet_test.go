@@ -227,42 +227,55 @@ func (f *fakeWorker) awaitAssign() *msg {
 	}
 }
 
-// TestWorkerDeathRedispatch: a worker that dies holding a lease has its
+// TestWorkerDeathRedispatch: a worker that dies holding a lease — or is
+// dropped for answering it with a pair that carries raw trials and no
+// sketches, the shape older builds shipped under -exact-stats — has its
 // pair re-queued and executed by a survivor; the dispatch still
 // completes with every result delivered exactly once.
 func TestWorkerDeathRedispatch(t *testing.T) {
-	reg := obs.NewRegistry()
-	coord := startTestCoordinator(t, func(c *Coordinator) {
-		c.Obs = NewInstruments(reg)
-		c.HeartbeatTimeout = 500 * time.Millisecond
-	})
+	for name, fail := range map[string]func(f *fakeWorker, assign *msg){
+		"dies mid-lease": func(f *fakeWorker, _ *msg) { f.fc.close() },
+		"ships a raw-sample outcome": func(f *fakeWorker, assign *msg) {
+			raw := json.RawMessage(`{"Incumbent":"iPerf (Reno)","Contender":"iPerf (Reno)","Trials":[{"Mbps":[4,4],"SharePct":[100,100]}]}`)
+			if err := f.fc.write(&msg{Type: msgResult, Lease: assign.Lease, Outcome: raw}, time.Second); err != nil {
+				t.Fatalf("raw-sample result write: %v", err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			coord := startTestCoordinator(t, func(c *Coordinator) {
+				c.Obs = NewInstruments(reg)
+				c.HeartbeatTimeout = 500 * time.Millisecond
+			})
 
-	flaky := dialFake(t, "a-flaky", coord.Addr())
-	if err := coord.WaitForWorkers(1, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	tasks := allPairs(1)[:1]
-	ch, err := coord.RunPairs(tasks, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flaky.awaitAssign()
-	flaky.fc.close() // dies mid-lease
+			flaky := dialFake(t, "a-flaky", coord.Addr())
+			if err := coord.WaitForWorkers(1, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			tasks := allPairs(1)[:1]
+			ch, err := coord.RunPairs(tasks, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fail(flaky, flaky.awaitAssign())
 
-	startTestWorker(t, "b-steady", coord.Addr())
-	got := collect(t, ch, len(tasks))
+			startTestWorker(t, "b-steady", coord.Addr())
+			got := collect(t, ch, len(tasks))
 
-	wantOut, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), tasks[0])
-	gj, _ := json.Marshal(got[0].Outcome)
-	wj, _ := json.Marshal(wantOut)
-	if string(gj) != string(wj) {
-		t.Fatalf("re-dispatched pair diverged from serial\nfleet:  %s\nserial: %s", gj, wj)
-	}
-	if reg.Counter("fleet_pairs_reassigned_total").Value() < 1 {
-		t.Fatal("death did not count a reassignment")
-	}
-	if reg.Counter("fleet_workers_dead_total").Value() < 1 {
-		t.Fatal("death did not count the worker as dead")
+			wantOut, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), tasks[0])
+			gj, _ := json.Marshal(got[0].Outcome)
+			wj, _ := json.Marshal(wantOut)
+			if string(gj) != string(wj) {
+				t.Fatalf("re-dispatched pair diverged from serial\nfleet:  %s\nserial: %s", gj, wj)
+			}
+			if reg.Counter("fleet_pairs_reassigned_total").Value() < 1 {
+				t.Fatal("death did not count a reassignment")
+			}
+			if reg.Counter("fleet_workers_dead_total").Value() < 1 {
+				t.Fatal("death did not count the worker as dead")
+			}
+		})
 	}
 }
 
@@ -292,7 +305,12 @@ func TestStragglerDuplicateDropped(t *testing.T) {
 
 	// The straggler finally reports; its result must vanish as a
 	// duplicate, not corrupt anything.
-	if err := slow.fc.write(&msg{Type: msgResult, Lease: assign.Lease, Outcome: json.RawMessage(`{}`)}, time.Second); err != nil {
+	late, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), tasks[0])
+	lateJSON, err := json.Marshal(late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slow.fc.write(&msg{Type: msgResult, Lease: assign.Lease, Outcome: lateJSON}, time.Second); err != nil {
 		t.Fatalf("straggler write: %v", err)
 	}
 	dupes := reg.Counter("fleet_duplicate_results_total")

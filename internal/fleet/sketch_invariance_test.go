@@ -11,33 +11,8 @@ import (
 	"prudentia/internal/stats"
 )
 
-// sketchOptions is testOptions with sketch statistics armed — the
-// worker-side option derivation for the invariance test.
-func sketchOptions(cycle, setting int) core.SchedulerOptions {
-	o := testOptions(cycle, setting)
-	o.SketchStats = true
-	return o
-}
-
-// startSketchWorker mirrors startTestWorker with sketch options.
-func startSketchWorker(t *testing.T, name, addr string) {
-	t.Helper()
-	w := &Worker{
-		Name:        name,
-		Coordinator: addr,
-		Fingerprint: testFP,
-		Services:    testCatalog(),
-		Settings:    testSettings(),
-		Options:     sketchOptions,
-		ReadTimeout: 2 * time.Second,
-		BackoffBase: 10 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-	}
-	go func() { _ = w.Run() }()
-}
-
-// TestSketchShardSplitInvariance: the consolidated report of a
-// sketch-mode fleet is byte-identical whether 1, 2, or 5 workers
+// TestSketchShardSplitInvariance: the consolidated report of a fleet
+// is byte-identical whether 1, 2, or 5 workers
 // executed the pair matrix. Each worker ships encoded sketches inside
 // its PairOutcome JSON; the coordinator-side merge of all share
 // sketches must land on identical bytes at every fleet size, which is
@@ -52,7 +27,7 @@ func TestSketchShardSplitInvariance(t *testing.T) {
 	runFleet := func(workers int) report {
 		coord := startTestCoordinator(t, nil)
 		for i := 0; i < workers; i++ {
-			startSketchWorker(t, fmt.Sprintf("inv-w%d-%d", workers, i), coord.Addr())
+			startTestWorker(t, fmt.Sprintf("inv-w%d-%d", workers, i), coord.Addr())
 		}
 		if err := coord.WaitForWorkers(workers, 10*time.Second); err != nil {
 			t.Fatal(err)
@@ -104,7 +79,7 @@ func TestSketchShardSplitInvariance(t *testing.T) {
 	// execution, anchoring the whole chain to the local path.
 	for i, task := range tasks {
 		wantOut, _ := core.RunPairTask(testCatalog(), testSettings()[task.Setting],
-			sketchOptions(task.Cycle, task.Setting), task)
+			testOptions(task.Cycle, task.Setting), task)
 		wj, _ := json.Marshal(wantOut)
 		if !bytes.Equal(ref.outcomes[i], wj) {
 			t.Errorf("task %d: fleet outcome diverged from serial\nfleet:  %s\nserial: %s",

@@ -6,16 +6,19 @@ import (
 	"prudentia/internal/sim"
 )
 
-// BenchmarkBottleneckSteadyState measures the saturated forwarding path —
-// the regime every contended trial spends its measurement window in. A
-// fixed population of packets cycles through the drop-tail queue, the
-// serializer, and the downstream hop, with the Output handler re-enqueuing
-// each delivery (a closed loop, so the queue never drains). Each iteration
-// is one engine event; the benchmark also reports virtual time simulated
-// per wall-clock second, the paper-facing throughput number (§3: sweep
-// cost scales with per-trial emulation speed).
-func BenchmarkBottleneckSteadyState(b *testing.B) {
-	eng := sim.NewEngine()
+// Each workload builds a warm bottleneck and returns the operation one
+// iteration performs: the Benchmark* functions time it (go test -bench;
+// the committed nanoseconds are netem.probe_ns_per_packet in bench/) and
+// TestZeroAllocHotPath holds it to 0 allocs/op.
+
+// steadyStateWorkload is the saturated forwarding path — the regime every
+// contended trial spends its measurement window in. A fixed population of
+// packets cycles through the drop-tail queue, the serializer, and the
+// downstream hop, with the Output handler re-enqueuing each delivery (a
+// closed loop, so the queue never drains). Each operation is one engine
+// event.
+func steadyStateWorkload() (eng *sim.Engine, op func()) {
+	eng = sim.NewEngine()
 	// 96 Mbps → 125 µs per 1500 B packet; 1 ms downstream ≈ 8 packets in
 	// flight, the rest queued: serializer stays busy throughout.
 	bn := NewBottleneck(eng, 96_000_000, 64, sim.Millisecond)
@@ -25,11 +28,19 @@ func BenchmarkBottleneckSteadyState(b *testing.B) {
 		pkts[i] = Packet{Size: 1500, Service: i % 2, Seq: int64(i)}
 		bn.Enqueue(0, &pkts[i])
 	}
+	return eng, func() { eng.Step() }
+}
+
+// BenchmarkBottleneckSteadyState also reports virtual time simulated per
+// wall-clock second, the paper-facing throughput number (§3: sweep cost
+// scales with per-trial emulation speed).
+func BenchmarkBottleneckSteadyState(b *testing.B) {
+	eng, op := steadyStateWorkload()
 	b.ReportAllocs()
 	b.ResetTimer()
 	startSim := eng.Now()
 	for i := 0; i < b.N; i++ {
-		eng.Step()
+		op()
 	}
 	b.StopTimer()
 	if wall := b.Elapsed().Seconds(); wall > 0 {
@@ -37,9 +48,9 @@ func BenchmarkBottleneckSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkBottleneckDropTail measures the overload path: bursts beyond
-// capacity, so a large fraction of enqueues take the drop branch.
-func BenchmarkBottleneckDropTail(b *testing.B) {
+// dropTailWorkload is the overload path: bursts beyond capacity, so a
+// large fraction of enqueues take the drop branch.
+func dropTailWorkload() func() {
 	eng := sim.NewEngine()
 	bn := NewBottleneck(eng, 96_000_000, 16, 0)
 	bn.Output = func(now sim.Time, p *Packet) {}
@@ -47,12 +58,33 @@ func BenchmarkBottleneckDropTail(b *testing.B) {
 	for i := range pkts {
 		pkts[i] = Packet{Size: 1500, Service: i % 2, Seq: int64(i)}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		bn.Enqueue(eng.Now(), &pkts[i%len(pkts)])
 		if i%4 == 0 {
 			eng.Step()
 		}
+		i++
+	}
+}
+
+func BenchmarkBottleneckDropTail(b *testing.B) {
+	op := dropTailWorkload()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// TestZeroAllocHotPath holds the bottleneck's per-packet paths — steady
+// forwarding and the drop-tail branch — to 0 allocs/op once warm.
+func TestZeroAllocHotPath(t *testing.T) {
+	_, steady := steadyStateWorkload()
+	if n := testing.AllocsPerRun(1000, steady); n != 0 {
+		t.Errorf("steady-state forwarding allocates %v times per op", n)
+	}
+	if n := testing.AllocsPerRun(1000, dropTailWorkload()); n != 0 {
+		t.Errorf("drop-tail enqueue allocates %v times per op", n)
 	}
 }

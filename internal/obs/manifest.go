@@ -38,9 +38,7 @@ type Manifest struct {
 	// unchanged byte for byte).
 	AdaptiveEnabled bool `json:"adaptive_enabled,omitempty"`
 	// StatsMode records how per-pair statistics were accumulated:
-	// "sketch" when mergeable quantile sketches replaced the raw trial
-	// ledger, empty on exact-sample runs (so their manifests are
-	// unchanged byte for byte).
+	// always "sketch" (mergeable quantile sketches), the only store.
 	StatsMode   string `json:"stats_mode,omitempty"`
 	Interrupted bool   `json:"interrupted"`
 

@@ -88,8 +88,7 @@ type CellDoc struct {
 }
 
 // round2 trims a float to 2 decimals so document bytes do not depend on
-// the last ulp of a median computation path (sketch and exact paths
-// agree far beyond 2 decimals at standard budgets).
+// the last ulp of a median computation.
 func round2(v float64) float64 {
 	if v < 0 {
 		return float64(int64(v*100-0.5)) / 100

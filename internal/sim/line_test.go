@@ -109,9 +109,16 @@ func TestLineSchedulePastPanics(t *testing.T) {
 }
 
 // TestZeroAllocHotPath holds the per-packet paths to 0 allocs/op once
-// warm: a line enqueue and fire with a pointer argument, and the RTO
-// pattern (Stop, Reset to a later deadline) beside a ticking clock.
+// warm: every benchmark workload (dispatch, deep heap, delay line, lazy
+// timer, timer churn), a line enqueue and fire with a pointer argument,
+// and the RTO pattern (Stop, Reset to a later deadline) beside a ticking
+// clock.
 func TestZeroAllocHotPath(t *testing.T) {
+	for _, w := range hotPathWorkloads {
+		if n := testing.AllocsPerRun(1000, w.warm()); n != 0 {
+			t.Errorf("%s allocates %v times per op", w.name, n)
+		}
+	}
 	e := NewEngine()
 	arg := new(int)
 	l := e.NewLine(func(Time, any) {})

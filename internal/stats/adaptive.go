@@ -1,15 +1,14 @@
 package stats
 
 // Sequential stopping for adaptive trial budgets. A SequentialPolicy is
-// evaluated after every counted trial on the accumulated MmF-share
-// series of both slots, and decides — as a pure function of those
-// series and nothing else — whether the pair needs more trials. Purity
-// is the load-bearing property: a resumed cycle replaying journaled
-// trials, a fleet worker executing the pair remotely, and an
-// uninterrupted serial run all reconstruct the identical share prefix
-// and therefore reach the identical stopping decision, which is what
-// keeps adaptive reports byte-identical across resume/replay and any
-// worker count.
+// evaluated after every counted trial on the share sketches of both
+// slots, and decides — as a pure function of the counted-trial prefix
+// and nothing else — whether the pair needs more trials. Purity is the
+// load-bearing property: a resumed cycle replaying journaled trials, a
+// fleet worker executing the pair remotely, and an uninterrupted serial
+// run all reconstruct the identical share prefix and therefore reach
+// the identical stopping decision, which is what keeps adaptive reports
+// byte-identical across resume/replay and any worker count.
 
 // DefaultFairSharePct is the paper's "roughly fair" verdict boundary:
 // a slot achieving at least this percentage of its max-min fair share
@@ -17,7 +16,7 @@ package stats
 // SequentialPolicy.FairSharePct zero default to it.
 const DefaultFairSharePct = 80.0
 
-// Stop reasons reported by SequentialPolicy.Evaluate. They label the
+// Stop reasons reported by SequentialPolicy.EvaluateSketch. They label the
 // prudentia_adaptive_stops_total counter and PairOutcome.StopReason.
 const (
 	// StopCIWidth: the distribution-free 95% CI on both slots' share
@@ -35,7 +34,7 @@ const (
 // after every trial, stop as soon as the verdict is statistically
 // settled or the budget runs out.
 type SequentialPolicy struct {
-	// MinTrials is the floor below which Evaluate never stops (clamped
+	// MinTrials is the floor below which the stopper never stops (clamped
 	// to MaxTrials when the allocated budget is smaller).
 	MinTrials int
 	// MaxTrials is the pair's trial ceiling — under coarse-to-fine
@@ -55,7 +54,7 @@ type SequentialPolicy struct {
 	FairSharePct float64
 }
 
-// StopDecision is Evaluate's verdict on one share prefix.
+// StopDecision is the stopper's verdict on one share prefix.
 type StopDecision struct {
 	// Stop reports whether the pair needs no further trials.
 	Stop bool
@@ -69,72 +68,19 @@ type StopDecision struct {
 	Fair bool
 }
 
-// CIWidth returns the width of the distribution-free 95% CI on the
-// median (MedianCI's hi − lo). For n < 3 this degrades to the sample
-// range, which is exactly the conservative behaviour a stopper wants:
-// two agreeing trials may stop, two disagreeing ones cannot.
-func CIWidth(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	lo, hi := MedianCI(xs)
-	return hi - lo
-}
-
-// Fair reports the pair's fairness verdict on a share prefix: both
-// slots' median MmF shares are at least fairPct percent.
-func Fair(s0, s1 []float64, fairPct float64) bool {
-	return Median(s0) >= fairPct && Median(s1) >= fairPct
-}
-
-// Evaluate applies the stopping rules to the accumulated share series
-// of both slots (equal length, one entry per counted trial, in trial
-// order). Rules are checked in a fixed order — CI width, verdict
-// stability, budget — so the recorded stop reason is deterministic too.
-func (p SequentialPolicy) Evaluate(s0, s1 []float64) StopDecision {
-	n := len(s0)
-	d := StopDecision{Fair: Fair(s0, s1, p.FairSharePct)}
-	if w := CIWidth(s1); w > d.CIWidth {
-		d.CIWidth = w
-	}
-	if w := CIWidth(s0); w > d.CIWidth {
-		d.CIWidth = w
-	}
-	if n == 0 {
-		return d
-	}
-	min := p.MinTrials
-	if p.MaxTrials > 0 && min > p.MaxTrials {
-		min = p.MaxTrials
-	}
-	if n < min {
-		return d
-	}
-	if p.MaxCIWidth > 0 && d.CIWidth <= p.MaxCIWidth {
-		d.Stop, d.Reason = true, StopCIWidth
-		return d
-	}
-	if p.StableK > 0 && n >= p.StableK && p.verdictStable(s0, s1) {
-		d.Stop, d.Reason = true, StopStable
-		return d
-	}
-	if p.MaxTrials > 0 && n >= p.MaxTrials {
-		d.Stop, d.Reason = true, StopBudget
-		return d
-	}
-	return d
-}
-
-// EvaluateSketch applies the same stopping rules as Evaluate to
-// sketch-backed share summaries instead of raw series. prior is the
-// ring of Fair verdicts recorded after each previous counted trial
-// (oldest first, latest last, at most StableK−1 entries kept by the
-// caller); because every verdict is a pure function of its prefix,
-// checking the recorded ring is equivalent to Evaluate's prefix
-// recomputation — the ring simply remembers what the recomputation
-// would recompute. In the sketch's exact regime (n ≤ SketchBufferCap,
-// which covers every real trial budget) the decision is bit-identical
-// to Evaluate on the raw series.
+// EvaluateSketch applies the stopping rules to both slots' share
+// sketches (equal counts, one sample per counted trial). Rules are
+// checked in a fixed order — CI width, verdict stability, budget — so
+// the recorded stop reason is deterministic too. prior is the ring of
+// Fair verdicts recorded after each previous counted trial (oldest
+// first, latest last, at most StableK−1 entries kept by the caller):
+// every verdict is a pure function of its prefix, so the ring remembers
+// what recomputing the last StableK prefixes would yield. A verdict
+// flip inside the window restarts the stability count by construction:
+// the flipped entry disagrees with its successors until it ages out.
+// In the sketch's exact regime (n ≤ SketchBufferCap, which covers every
+// real trial budget) the decision is bit-identical to the same rules
+// over the raw series (the oracle in oracle_test.go).
 func (p SequentialPolicy) EvaluateSketch(s0, s1 *Sketch, prior []bool) StopDecision {
 	n := s0.Count()
 	d := StopDecision{Fair: s0.Median() >= p.FairSharePct && s1.Median() >= p.FairSharePct}
@@ -169,8 +115,11 @@ func (p SequentialPolicy) EvaluateSketch(s0, s1 *Sketch, prior []bool) StopDecis
 	return d
 }
 
-// sketchCIWidth mirrors CIWidth for a sketch: MedianCI width, with the
-// same n<3 degradation to the sample range and 0 for empty input.
+// sketchCIWidth returns the width of the sketch's 95% median CI
+// (MedianCI's hi − lo), 0 for an empty sketch. For n < 3 it degrades to
+// the sample range, which is exactly the conservative behaviour a
+// stopper wants: two agreeing trials may stop, two disagreeing ones
+// cannot.
 func sketchCIWidth(s *Sketch) float64 {
 	if s.Count() == 0 {
 		return 0
@@ -180,28 +129,13 @@ func sketchCIWidth(s *Sketch) float64 {
 }
 
 // ringStable reports whether the last stableK−1 recorded verdicts all
-// match the current one — the ring counterpart of verdictStable.
+// match the current one.
 func ringStable(prior []bool, want bool, stableK int) bool {
 	if len(prior) < stableK-1 {
 		return false
 	}
 	for _, v := range prior[len(prior)-(stableK-1):] {
 		if v != want {
-			return false
-		}
-	}
-	return true
-}
-
-// verdictStable reports whether the fair/unfair verdict was identical
-// after each of the last StableK prefixes. A verdict flip inside the
-// window restarts the stability count by construction: the flipped
-// prefix disagrees with its successors until it ages out.
-func (p SequentialPolicy) verdictStable(s0, s1 []float64) bool {
-	n := len(s0)
-	want := Fair(s0, s1, p.FairSharePct)
-	for i := 1; i < p.StableK; i++ {
-		if Fair(s0[:n-i], s1[:n-i], p.FairSharePct) != want {
 			return false
 		}
 	}

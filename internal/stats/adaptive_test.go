@@ -11,6 +11,30 @@ func repeat(v float64, n int) []float64 {
 	return out
 }
 
+// evaluateSeries drives the production stopper over a share series the
+// way core's pair protocol does — one EvaluateSketch per counted trial,
+// the verdict ring carried between calls — and returns the decision on
+// the whole series.
+func evaluateSeries(p SequentialPolicy, s0, s1 []float64) StopDecision {
+	sk0, sk1 := NewSketch(), NewSketch()
+	d := p.EvaluateSketch(sk0, sk1, nil)
+	var ring []bool
+	for i := range s0 {
+		sk0.Add(s0[i])
+		sk1.Add(s1[i])
+		d = p.EvaluateSketch(sk0, sk1, ring)
+		if p.StableK > 1 {
+			ring = append(ring, d.Fair)
+			if len(ring) > p.StableK-1 {
+				ring = ring[1:]
+			}
+		}
+	}
+	return d
+}
+
+// TestSequentialPolicyTable pins the stopping rules on the production
+// stopper and on the slice oracle alike.
 func TestSequentialPolicyTable(t *testing.T) {
 	base := SequentialPolicy{
 		MinTrials:    2,
@@ -104,34 +128,40 @@ func TestSequentialPolicyTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := tc.pol.Evaluate(tc.s0, tc.s1)
+			d := evaluateSeries(tc.pol, tc.s0, tc.s1)
 			if d.Stop != tc.wantStop || d.Reason != tc.wantReason {
-				t.Fatalf("Evaluate = stop=%v reason=%q, want stop=%v reason=%q (ciWidth=%.2f fair=%v)",
+				t.Fatalf("EvaluateSketch = stop=%v reason=%q, want stop=%v reason=%q (ciWidth=%.2f fair=%v)",
 					d.Stop, d.Reason, tc.wantStop, tc.wantReason, d.CIWidth, d.Fair)
 			}
+			if o := tc.pol.Evaluate(tc.s0, tc.s1); o != d {
+				t.Fatalf("oracle Evaluate = %+v, EvaluateSketch = %+v", o, d)
+			}
 			// Purity: re-evaluating the same prefix must reproduce the
-			// decision, and must not have mutated the inputs.
-			d2 := tc.pol.Evaluate(tc.s0, tc.s1)
-			if d != d2 {
-				t.Fatalf("Evaluate is not deterministic: %+v then %+v", d, d2)
+			// decision.
+			if d2 := evaluateSeries(tc.pol, tc.s0, tc.s1); d != d2 {
+				t.Fatalf("EvaluateSketch is not deterministic: %+v then %+v", d, d2)
 			}
 		})
 	}
 }
 
 func TestCIWidth(t *testing.T) {
-	if w := CIWidth(nil); w != 0 {
-		t.Fatalf("CIWidth(nil) = %v, want 0", w)
-	}
-	if w := CIWidth([]float64{50}); w != 0 {
-		t.Fatalf("CIWidth(single) = %v, want 0", w)
-	}
-	// n < 3 degrades to the sample range.
-	if w := CIWidth([]float64{40, 50}); w != 10 {
-		t.Fatalf("CIWidth(two) = %v, want 10", w)
-	}
-	if w := CIWidth(repeat(75, 20)); w != 0 {
-		t.Fatalf("CIWidth(constant) = %v, want 0", w)
+	for _, tc := range []struct {
+		name string
+		xs   []float64
+		want float64
+	}{
+		{"nil", nil, 0},
+		{"single", []float64{50}, 0},
+		{"two: n < 3 degrades to the sample range", []float64{40, 50}, 10},
+		{"constant", repeat(75, 20), 0},
+	} {
+		if w := sketchCIWidth(sketchOf(tc.xs)); w != tc.want {
+			t.Fatalf("sketchCIWidth(%s) = %v, want %v", tc.name, w, tc.want)
+		}
+		if w := CIWidth(tc.xs); w != tc.want {
+			t.Fatalf("oracle CIWidth(%s) = %v, want %v", tc.name, w, tc.want)
+		}
 	}
 }
 

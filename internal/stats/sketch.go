@@ -13,11 +13,10 @@ package stats
 //
 //   - Exact regime (n ≤ SketchBufferCap): samples live in a sorted
 //     buffer and every query runs the same R-7 / order-statistic code
-//     as Quantile/MedianCI, so results are bit-identical to the
-//     store-everything path. Prudentia's per-pair trial counts (tens)
-//     sit entirely inside this regime, which is what lets a
-//     sketch-backed run reproduce the exact-sample verdict matrix
-//     byte for byte.
+//     as Quantile/MedianCI, so results are bit-identical to those
+//     functions over the raw samples. Prudentia's per-pair trial
+//     counts (tens) sit entirely inside this regime, so its verdict
+//     matrix is that of raw-sample order statistics, byte for byte.
 //
 //   - Compacted regime (n > SketchBufferCap): the whole multiset is
 //     folded into DDSketch-style logarithmic buckets — key(v) =
@@ -56,8 +55,8 @@ const (
 	SketchDefaultAlpha = 0.01
 
 	// SketchBufferCap is the exact-regime capacity: sketches holding at
-	// most this many samples answer queries bit-identically to the
-	// store-everything path. It deliberately exceeds the paper's
+	// most this many samples answer queries bit-identically to
+	// Quantile/MedianCI over them. It deliberately exceeds the paper's
 	// per-pair trial ceilings (MaxTrials 30/36) so seed-matrix verdicts
 	// are reproduced exactly.
 	SketchBufferCap = 128
@@ -173,7 +172,7 @@ func (s *Sketch) Max() float64 {
 }
 
 // Exact reports whether the sketch is still in the exact regime, where
-// every query is bit-identical to the store-everything path.
+// every query is bit-identical to Quantile/MedianCI over the samples.
 func (s *Sketch) Exact() bool { return !s.compacted }
 
 // Values returns a sorted copy of the samples while the sketch is in
@@ -189,8 +188,8 @@ func (s *Sketch) Values() ([]float64, bool) {
 
 // Add folds one sample into the sketch. NaN samples are ignored and
 // ±Inf is clamped to ±MaxFloat64, keeping the state finite so the
-// logarithmic buckets stay well-defined; this mirrors how the exact
-// path's order statistics would be poisoned by non-finite input.
+// logarithmic buckets stay well-defined; order statistics over the raw
+// samples would be poisoned by non-finite input the same way.
 func (s *Sketch) Add(v float64) {
 	if math.IsNaN(v) {
 		return
@@ -414,7 +413,7 @@ func (s *Sketch) MedianCI() (lo, hi float64) {
 }
 
 // CIWithin reports whether the sketch's median CI spans at most
-// ±tolerance around the median — Sketch's counterpart of CIWithin.
+// ±tolerance around the median (the §3.4 stopping rule).
 func (s *Sketch) CIWithin(tolerance float64) bool {
 	if s.n == 0 {
 		return false

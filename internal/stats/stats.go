@@ -39,7 +39,7 @@ func Quantile(xs []float64, q float64) float64 {
 // quantileSorted is the R-7 rule on an already-sorted non-empty slice.
 // It is shared verbatim with Sketch's exact regime so that a sketch
 // whose buffer still holds every sample returns bit-identical quantiles
-// to the store-everything path.
+// to Quantile over them.
 func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
@@ -105,7 +105,7 @@ func MedianCI(xs []float64) (lo, hi float64) {
 
 // medianCIRanks returns the order-statistic ranks that bound the ~95%
 // median CI for n ≥ 3 samples (binomial method, ranks clamped to the
-// sample). Shared by the exact path and the sketch so both regimes
+// sample). Shared by MedianCI and the sketch so both regimes
 // agree on which order statistics form the interval.
 func medianCIRanks(n int) (loIdx, hiIdx int) {
 	half := 1.96 * math.Sqrt(float64(n)) / 2
@@ -129,17 +129,6 @@ func medianCISorted(s []float64) (lo, hi float64) {
 	}
 	loIdx, hiIdx := medianCIRanks(n)
 	return s[loIdx], s[hiIdx]
-}
-
-// CIWithin reports whether the 95% CI of the median spans at most
-// ±tolerance around the median (the §3.4 stopping rule).
-func CIWithin(xs []float64, tolerance float64) bool {
-	if len(xs) == 0 {
-		return false
-	}
-	lo, hi := MedianCI(xs)
-	m := Median(xs)
-	return m-lo <= tolerance && hi-m <= tolerance
 }
 
 // Jain returns Jain's fairness index Σx² form: (Σx)²/(n·Σx²); 1 is

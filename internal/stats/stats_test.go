@@ -104,7 +104,7 @@ func TestMedianCITightensWithSamples(t *testing.T) {
 	if lo != 7 || hi != 7 {
 		t.Fatalf("CI of constant = [%v %v]", lo, hi)
 	}
-	if !CIWithin(xs, 0.001) {
+	if !sketchOf(xs).CIWithin(0.001) || !CIWithin(xs, 0.001) {
 		t.Fatal("constant sample should satisfy any tolerance")
 	}
 }
@@ -113,13 +113,14 @@ func TestCIWithinStoppingRule(t *testing.T) {
 	// A widely-dispersed small sample must fail a tight tolerance — this
 	// is what forces the scheduler to escalate trials (§3.4).
 	xs := []float64{1, 9, 2, 8, 3, 7, 4, 6, 5, 10}
-	if CIWithin(xs, 0.5) {
+	// Production reads the rule off a sketch; the slice oracle agrees.
+	if sketchOf(xs).CIWithin(0.5) || CIWithin(xs, 0.5) {
 		t.Fatal("dispersed sample should fail ±0.5 tolerance")
 	}
-	if !CIWithin(xs, 10) {
+	if !sketchOf(xs).CIWithin(10) || !CIWithin(xs, 10) {
 		t.Fatal("any sample should pass a huge tolerance")
 	}
-	if CIWithin(nil, 10) {
+	if sketchOf(nil).CIWithin(10) || CIWithin(nil, 10) {
 		t.Fatal("empty sample cannot satisfy the rule")
 	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"prudentia/internal/core"
@@ -21,30 +20,5 @@ func TestFaultLedgerCountsAndSummary(t *testing.T) {
 	}
 	if got := l.Summary(); got != "panic=2 retry=1" {
 		t.Fatalf("Summary = %q, want %q", got, "panic=2 retry=1")
-	}
-}
-
-func TestWriteFaultsCSV(t *testing.T) {
-	events := []core.FaultEvent{
-		{Pair: "a vs b", Kind: "panic", Attempt: 3, Seed: 42, Detail: "chaos: injected panic"},
-		{Pair: "a vs b", Kind: "quarantine", Attempt: 3, Seed: 42, Detail: "3 failures"},
-	}
-	var b strings.Builder
-	if err := WriteFaultsCSV(&b, events); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	want := []string{
-		"pair,kind,attempt,seed,detail",
-		"a vs b,panic,3,42,chaos: injected panic",
-		"a vs b,quarantine,3,42,3 failures",
-	}
-	if len(lines) != len(want) {
-		t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(want), b.String())
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Errorf("line %d = %q, want %q", i, lines[i], want[i])
-		}
 	}
 }

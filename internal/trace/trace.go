@@ -1,7 +1,7 @@
 // Package trace exports per-experiment artifacts in the spirit of the
 // data the Prudentia website publishes for every experiment (§7):
-// bottleneck queue logs, packet drop logs, and per-service throughput
-// series, as CSV and JSON for offline analysis.
+// bottleneck queue logs and per-service throughput series as CSV, and
+// the robustness fault ledger as JSON Lines, for offline analysis.
 package trace
 
 import (
@@ -16,32 +16,7 @@ import (
 	"prudentia/internal/core"
 	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
-	"prudentia/internal/sim"
 )
-
-// DropEvent records one drop-tail loss at the bottleneck.
-type DropEvent struct {
-	At      sim.Time `json:"at_ns"`
-	Service int      `json:"service"`
-	FlowID  int      `json:"flow_id"`
-	Seq     int64    `json:"seq"`
-	Size    int      `json:"size"`
-}
-
-// Collector gathers artifacts from a bottleneck during one experiment.
-// Attach before the experiment starts.
-type Collector struct {
-	Drops []DropEvent
-}
-
-// Attach registers the collector's hooks on the bottleneck.
-func (c *Collector) Attach(b *netem.Bottleneck) {
-	b.DropHook = func(now sim.Time, p *netem.Packet) {
-		c.Drops = append(c.Drops, DropEvent{
-			At: now, Service: p.Service, FlowID: p.FlowID, Seq: p.Seq, Size: p.Size,
-		})
-	}
-}
 
 // WriteQueueCSV emits the queue occupancy series as CSV
 // (time_s,total,svc0,svc1) — the signal in Fig 8.
@@ -77,28 +52,6 @@ func WriteRateCSV(w io.Writer, points []metrics.RatePoint) error {
 			strconv.FormatFloat(p.At.Seconds(), 'f', 6, 64),
 			strconv.FormatFloat(p.Mbps[0], 'f', 4, 64),
 			strconv.FormatFloat(p.Mbps[1], 'f', 4, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteDropsCSV emits the drop log as CSV.
-func WriteDropsCSV(w io.Writer, drops []DropEvent) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_s", "service", "flow_id", "seq", "size"}); err != nil {
-		return err
-	}
-	for _, d := range drops {
-		rec := []string{
-			strconv.FormatFloat(d.At.Seconds(), 'f', 6, 64),
-			strconv.Itoa(d.Service),
-			strconv.Itoa(d.FlowID),
-			strconv.FormatInt(d.Seq, 10),
-			strconv.Itoa(d.Size),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -171,29 +124,6 @@ func (l *FaultLedger) Summary() string {
 	return string(b)
 }
 
-// WriteFaultsCSV emits the robustness ledger as CSV
-// (pair,kind,attempt,seed,detail).
-func WriteFaultsCSV(w io.Writer, events []core.FaultEvent) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"pair", "kind", "attempt", "seed", "detail"}); err != nil {
-		return err
-	}
-	for _, ev := range events {
-		rec := []string{
-			ev.Pair,
-			ev.Kind,
-			strconv.Itoa(ev.Attempt),
-			strconv.FormatUint(ev.Seed, 10),
-			ev.Detail,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // WriteFaultsJSONL emits the robustness ledger as JSON Lines, one event
 // per line — the same framing as the obs cycle timeline, so the two
 // files can be merged or tailed with the same tooling.
@@ -205,31 +135,4 @@ func WriteFaultsJSONL(w io.Writer, events []core.FaultEvent) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON emits any artifact as indented JSON.
-func WriteJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
-// Summary is the top-level per-experiment record published alongside the
-// raw logs.
-type Summary struct {
-	Incumbent  string  `json:"incumbent"`
-	Contender  string  `json:"contender"`
-	LinkMbps   float64 `json:"link_mbps"`
-	RTTMs      float64 `json:"rtt_ms"`
-	QueuePkts  int     `json:"queue_pkts"`
-	Trials     int     `json:"trials"`
-	SharePct   [2]float64
-	MedianMbps [2]float64
-}
-
-// FormatSummary renders a one-line human-readable summary.
-func (s Summary) String() string {
-	return fmt.Sprintf("%s vs %s @%.0f Mbps: %.1f/%.1f Mbps (%.0f%%/%.0f%% of MmF), %d trials",
-		s.Incumbent, s.Contender, s.LinkMbps,
-		s.MedianMbps[0], s.MedianMbps[1], s.SharePct[0], s.SharePct[1], s.Trials)
 }

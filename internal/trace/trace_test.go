@@ -9,26 +9,6 @@ import (
 	"prudentia/internal/sim"
 )
 
-func TestCollectorRecordsDrops(t *testing.T) {
-	eng := sim.NewEngine()
-	b := netem.NewBottleneck(eng, 12_000_000, 2, 0)
-	b.Output = func(sim.Time, *netem.Packet) {}
-	var c Collector
-	c.Attach(b)
-	for i := 0; i < 6; i++ {
-		b.Enqueue(eng.Now(), &netem.Packet{Size: 1500, Seq: int64(i), Service: 1, FlowID: 3})
-	}
-	eng.Run()
-	// Capacity 2 + 1 in service: 3 drops.
-	if len(c.Drops) != 3 {
-		t.Fatalf("drops = %d, want 3", len(c.Drops))
-	}
-	d := c.Drops[0]
-	if d.Service != 1 || d.FlowID != 3 || d.Size != 1500 {
-		t.Fatalf("drop record = %+v", d)
-	}
-}
-
 func TestWriteQueueCSV(t *testing.T) {
 	var sb strings.Builder
 	samples := []netem.OccupancySample{
@@ -58,34 +38,5 @@ func TestWriteRateCSV(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "1.000000,12.5000,3.2500") {
 		t.Fatalf("csv = %q", sb.String())
-	}
-}
-
-func TestWriteDropsCSV(t *testing.T) {
-	var sb strings.Builder
-	drops := []DropEvent{{At: sim.Millisecond, Service: 1, FlowID: 2, Seq: 9, Size: 1500}}
-	if err := WriteDropsCSV(&sb, drops); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "0.001000,1,2,9,1500") {
-		t.Fatalf("csv = %q", sb.String())
-	}
-}
-
-func TestWriteJSONAndSummary(t *testing.T) {
-	var sb strings.Builder
-	s := Summary{
-		Incumbent: "YouTube", Contender: "Mega", LinkMbps: 8,
-		MedianMbps: [2]float64{1.2, 6.5}, SharePct: [2]float64{30, 162}, Trials: 10,
-	}
-	if err := WriteJSON(&sb, s); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `"incumbent": "YouTube"`) {
-		t.Fatalf("json = %q", sb.String())
-	}
-	str := s.String()
-	if !strings.Contains(str, "YouTube vs Mega @8 Mbps") || !strings.Contains(str, "10 trials") {
-		t.Fatalf("summary = %q", str)
 	}
 }

@@ -70,6 +70,9 @@ type Experiment struct {
 	Setting Setting
 	// Trials is the number of counted trials (default: the paper's
 	// escalation protocol starting at 10; small values pin the count).
+	// Statistics are exact order statistics up to 128 counted trials;
+	// beyond that, medians and IQRs carry 1% relative error
+	// (docs/SKETCHES.md).
 	Trials int
 	// Quick compresses trials to 60 s (for interactive use); otherwise
 	// the paper's 10-minute timing is used.

@@ -7,8 +7,8 @@
 #
 #   scripts/sweep.sh                     default paper-style grid
 #   scripts/sweep.sh [extra flags...]    extra cmd/prudentia flags pass
-#                                        through verbatim (e.g.
-#                                        -exact-stats, -v, -workers 8)
+#                                        through verbatim (e.g. -v,
+#                                        -workers 8)
 #
 # Environment overrides (all optional):
 #   SWEEP_RATES    comma-separated bottleneck rates in Mbps  (8,50)
