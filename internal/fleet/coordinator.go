@@ -126,11 +126,11 @@ type dispatchState struct {
 // stays occupied so stragglers are not fed more work) but its pair is
 // re-queued for redundant dispatch.
 type lease struct {
-	id      uint64
-	task    int
-	worker  *remoteWorker
+	id       uint64
+	task     int
+	worker   *remoteWorker
 	deadline time.Time
-	expired bool
+	expired  bool
 }
 
 func (c *Coordinator) heartbeatInterval() time.Duration {

@@ -82,9 +82,9 @@ type msg struct {
 	Fingerprint uint64 `json:"fingerprint,omitempty"`
 
 	// assign + result
-	Lease   uint64           `json:"lease,omitempty"`
-	Task    *core.PairTask   `json:"task,omitempty"`
-	Outcome json.RawMessage  `json:"outcome,omitempty"`
+	Lease   uint64            `json:"lease,omitempty"`
+	Task    *core.PairTask    `json:"task,omitempty"`
+	Outcome json.RawMessage   `json:"outcome,omitempty"`
 	Events  []core.FaultEvent `json:"events,omitempty"`
 
 	// ping + pong: the coordinator's UnixNano send stamp, echoed back

@@ -48,6 +48,44 @@ func BenchmarkBottleneckSteadyState(b *testing.B) {
 	}
 }
 
+// roundTripWorkload is a packet's whole loop through the dumbbell, every
+// stage of it a delay line: the flow's upstream line, the serializer
+// (one entry, re-armed from its own callback), the downstream hop, and
+// the slot's ACK line; the server answers every ACK with a new data
+// packet, so a fixed window of pooled packets circulates. Each operation
+// is one engine event.
+func roundTripWorkload() func() {
+	eng := sim.NewEngine()
+	tb := NewTestbed(eng, ModeratelyConstrained(), sim.NewRNG(1))
+	var id int
+	send := func(now sim.Time) {
+		p := tb.AllocPacket()
+		p.FlowID, p.Size = id, 1500
+		tb.SendData(now, p)
+	}
+	id = tb.RegisterFlow(0,
+		func(now sim.Time, _ *Packet) {
+			ack := tb.AllocPacket()
+			ack.FlowID, ack.Size, ack.IsAck = id, 64, true
+			tb.SendAck(now, ack)
+		},
+		func(now sim.Time, _ *Packet) { send(now) })
+	for i := 0; i < 128; i++ {
+		send(0)
+	}
+	eng.RunUntil(sim.Second) // every ring at its high-water size
+	return func() { eng.Step() }
+}
+
+func BenchmarkTestbedRoundTrip(b *testing.B) {
+	op := roundTripWorkload()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
 // dropTailWorkload is the overload path: bursts beyond capacity, so a
 // large fraction of enqueues take the drop branch.
 func dropTailWorkload() func() {
@@ -77,12 +115,16 @@ func BenchmarkBottleneckDropTail(b *testing.B) {
 	}
 }
 
-// TestZeroAllocHotPath holds the bottleneck's per-packet paths — steady
-// forwarding and the drop-tail branch — to 0 allocs/op once warm.
+// TestZeroAllocHotPath holds the per-packet paths — steady forwarding
+// through the serializer line, the whole dumbbell loop and the drop-tail
+// branch — to 0 allocs/op once warm.
 func TestZeroAllocHotPath(t *testing.T) {
 	_, steady := steadyStateWorkload()
 	if n := testing.AllocsPerRun(1000, steady); n != 0 {
 		t.Errorf("steady-state forwarding allocates %v times per op", n)
+	}
+	if n := testing.AllocsPerRun(1000, roundTripWorkload()); n != 0 {
+		t.Errorf("dumbbell round trip allocates %v times per op", n)
 	}
 	if n := testing.AllocsPerRun(1000, dropTailWorkload()); n != 0 {
 		t.Errorf("drop-tail enqueue allocates %v times per op", n)

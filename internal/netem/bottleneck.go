@@ -91,13 +91,13 @@ type Bottleneck struct {
 	samples     []OccupancySample
 	sampling    bool
 
-	// serDoneEv is the serializer's callback, prebound once at construction
-	// and scheduled with AfterArg carrying the packet, so the steady-state
-	// forwarding loop allocates no closures. At most one serialization is
-	// in flight, so it is a plain heap entry. The downstream hop holds a
-	// propagation delay's worth of packets and is FIFO (constant delay), so
-	// it is a delay line: only its head is in the engine's heap.
-	serDoneEv   sim.ArgEvent
+	// Both stages after the queue are delay lines (sim.Line), so the
+	// steady-state forwarding loop allocates no closures and sifts no heap
+	// entry. The serializer holds one packet at a time and is re-armed from
+	// its own callback (serDone starts the next transmission); the
+	// downstream hop holds a propagation delay's worth of packets and is
+	// FIFO because the delay is constant.
+	serLine     *sim.Line
 	deliverLine *sim.Line
 
 	// memoSize/memoRate/memoSer memoize SerializationDelay for the common
@@ -143,7 +143,7 @@ func NewBottleneck(eng *sim.Engine, rateBps int64, capacityPkts int, downstream 
 		DownstreamDelay: downstream,
 		queue:           make([]*Packet, capacityPkts),
 	}
-	b.serDoneEv = b.serDone
+	b.serLine = eng.NewLine(b.serDone)
 	b.deliverLine = eng.NewLine(b.deliver)
 	return b
 }
@@ -230,7 +230,7 @@ func (b *Bottleneck) transmitNext(now sim.Time) {
 		ser = b.SerializationDelay(p.Size)
 		b.memoSize, b.memoRate, b.memoSer = p.Size, b.RateBps, ser
 	}
-	b.eng.AfterArg(ser, b.serDoneEv, p)
+	b.serLine.After(ser, p)
 }
 
 // serDone fires when the serializer finishes putting p on the wire: it

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +238,30 @@ func TestTestbedRTTNormalization(t *testing.T) {
 	want := 50*sim.Millisecond + sim.Millisecond // RTT + 1ms serialization
 	if ackAt != want {
 		t.Fatalf("ack at %v, want %v", ackAt, want)
+	}
+}
+
+// TestSendDataUnregisteredFlowPanics: a packet whose FlowID names no
+// registered flow is refused where it is injected, with the id in the
+// message, and nothing of it reaches the path. It used to be accepted and
+// to kill deliverToClient with an index error a path delay later.
+func TestSendDataUnregisteredFlowPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	tb := NewTestbed(eng, HighlyConstrained(), sim.NewRNG(0))
+	tb.RegisterFlow(0, func(sim.Time, *Packet) {}, nil)
+	for _, id := range []int{7, 1, -1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("flow id %d", id); !strings.Contains(msg, want) {
+					t.Fatalf("FlowID %d: recovered %q, want a panic naming %q", id, msg, want)
+				}
+			}()
+			tb.SendData(eng.Now(), &Packet{FlowID: id, Size: 1500})
+		}()
+	}
+	if eng.Pending() != 0 || tb.UpstreamSentPackets() != 0 {
+		t.Fatalf("refused packets left %d events pending, %d counted as sent", eng.Pending(), tb.UpstreamSentPackets())
 	}
 }
 

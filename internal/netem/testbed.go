@@ -85,9 +85,7 @@ type Testbed struct {
 	// The upstream and ACK-return hops are delay lines (see sim.Line): one
 	// per flow upstream, where lastArrival keeps each flow's arrivals
 	// monotone, and one per slot on the return path, where the ACK delay
-	// is constant and stallUntil only grows. arriveEv is the upstream
-	// callback, kept for packets whose FlowID names no registered flow.
-	arriveEv    sim.ArgEvent
+	// is constant and stallUntil only grows.
 	arriveLines []*sim.Line
 	ackLines    [MaxServices]*sim.Line
 
@@ -162,7 +160,6 @@ func NewTestbed(eng *sim.Engine, cfg Config, rng *sim.RNG) *Testbed {
 	tb.Bneck = NewBottleneck(eng, cfg.RateBps, cfg.queueCapacity(), down)
 	tb.Bneck.Output = tb.deliverToClient
 	tb.Bneck.release = tb.ReleasePacket
-	tb.arriveEv = tb.arrive
 	for i := range tb.ackLines {
 		tb.ackLines[i] = eng.NewLine(tb.ackArrive)
 	}
@@ -190,7 +187,7 @@ func (tb *Testbed) RegisterFlow(service int, toClient, toServer Handler) int {
 	}
 	tb.flows = append(tb.flows, endpoint{service: service, toClient: toClient, toServer: toServer})
 	tb.lastArrival = append(tb.lastArrival, 0)
-	tb.arriveLines = append(tb.arriveLines, tb.Eng.NewLine(tb.arriveEv))
+	tb.arriveLines = append(tb.arriveLines, tb.Eng.NewLine(tb.arrive))
 	return len(tb.flows) - 1
 }
 
@@ -198,6 +195,9 @@ func (tb *Testbed) RegisterFlow(service int, toClient, toServer Handler) int {
 // traverses the upstream hop (where background noise may drop it) and then
 // the bottleneck.
 func (tb *Testbed) SendData(now sim.Time, p *Packet) {
+	if p.FlowID < 0 || p.FlowID >= len(tb.flows) {
+		panic(fmt.Sprintf("netem: SendData for unregistered flow id %d (%d registered)", p.FlowID, len(tb.flows)))
+	}
 	tb.upstreamSent++
 	if now < tb.linkDownUntil {
 		tb.ChaosDrops++
@@ -216,10 +216,6 @@ func (tb *Testbed) SendData(now sim.Time, p *Packet) {
 	// Keep arrivals within a flow in order despite the jitter.
 	arrival := now + delay
 	fid := p.FlowID
-	if fid < 0 || fid >= len(tb.lastArrival) {
-		tb.Eng.ScheduleArg(arrival, tb.arriveEv, p)
-		return
-	}
 	if arrival <= tb.lastArrival[fid] {
 		arrival = tb.lastArrival[fid] + sim.Nanosecond
 	}

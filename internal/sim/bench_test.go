@@ -13,6 +13,8 @@ var hotPathWorkloads = []struct {
 	{"dispatch", dispatchWorkload},
 	{"deep heap", deepHeapWorkload},
 	{"delay line", delayLineWorkload},
+	{"line re-armed from its own callback", selfArmedLineWorkload},
+	{"timer re-armed from its own callback", selfArmedTimerWorkload},
 	{"lazy timer", lazyTimerWorkload},
 	{"timer churn", timerChurnWorkload},
 }
@@ -57,9 +59,9 @@ func BenchmarkEngineDeepHeap(b *testing.B) { benchWorkload(b, deepHeapWorkload) 
 
 // delayLineWorkload is a packet's trip through a FIFO stage with 256
 // entries in flight (a 50 Mbps downstream hop holds about 80): one line
-// enqueue and one dispatch per iteration. Only the line's head is in the
-// heap, so unlike the deep heap the cost does not grow with the number of
-// entries in flight.
+// enqueue and one dispatch per iteration. The line has one armed head and
+// no heap entry, so unlike the deep heap the cost does not grow with the
+// number of entries in flight.
 func delayLineWorkload() func() {
 	e := NewEngine()
 	arg := new(int)
@@ -72,6 +74,47 @@ func delayLineWorkload() func() {
 }
 
 func BenchmarkDelayLine(b *testing.B) { benchWorkload(b, delayLineWorkload) }
+
+// selfArmedLineWorkload is the serializer shape: a line that holds one
+// entry and enqueues the next from its own callback, beside three other
+// armed lines (the stages a packet crosses). Every iteration empties the
+// line (its slot is given to the last) and arms it again (a new slot).
+func selfArmedLineWorkload() func() {
+	e := NewEngine()
+	arg := new(int)
+	for i := 0; i < 3; i++ {
+		var l *Line
+		l = e.NewLine(func(Time, any) { l.After(3*Microsecond, arg) })
+		l.After(Time(i)*Microsecond, arg)
+		l.After(Time(i)*Microsecond+Millisecond, arg)
+	}
+	var ser *Line
+	ser = e.NewLine(func(Time, any) { ser.After(Microsecond, arg) })
+	ser.After(Microsecond, arg)
+	return func() { e.Step() }
+}
+
+func BenchmarkSelfArmedLine(b *testing.B) { benchWorkload(b, selfArmedLineWorkload) }
+
+// selfArmedTimerWorkload is the pacer shape: a timer whose callback
+// re-arms it, with 8 one-shots pending beside it. The fired entry stays
+// in the heap and is moved to the new deadline when it surfaces; nothing
+// is popped or pushed for the timer.
+func selfArmedTimerWorkload() func() {
+	e := NewEngine()
+	t := e.NewTimer()
+	var pace Event
+	pace = func(Time) { t.Reset(3*Microsecond, pace) }
+	t.Reset(Microsecond, pace)
+	var tick Event
+	tick = func(Time) { e.After(8*Microsecond, tick) }
+	for i := 0; i < 8; i++ {
+		e.After(Time(i)*Microsecond, tick)
+	}
+	return func() { e.Step() }
+}
+
+func BenchmarkSelfArmedTimer(b *testing.B) { benchWorkload(b, selfArmedTimerWorkload) }
 
 // lazyTimerWorkload is the RTO pattern: Stop, then Reset to a deadline
 // later than the pending one, on every packet, with 64 other events

@@ -15,14 +15,14 @@ type ArgEvent func(now Time, arg any)
 
 // scheduled is a heap entry, stored by value: the event queue owns its
 // entries in one contiguous slice, so steady-state scheduling recycles
-// slots instead of allocating per event. An entry is one of four kinds:
-// a plain event (fn), an argument event (argFn, arg), the one physical
-// entry of a Timer (timer; the callback lives in the handle), or the
-// armed head of a Line (line; callback and argument live in the line).
+// slots instead of allocating per event. An entry is one of three kinds:
+// a plain event (fn), an argument event (argFn, arg), or the one physical
+// entry of a Timer (timer; the callback lives in the handle). Delay lines
+// have no heap entries: their heads wait in Engine.heads.
 // seq breaks ties so that events scheduled for the same instant run in
 // FIFO order, keeping the simulation deterministic — and because
 // (at, seq) is a strict total order, dispatch order is independent of the
-// heap's internal layout and of when an entry entered the heap.
+// heap's internal layout and of where an entry waits.
 type scheduled struct {
 	at    Time
 	seq   uint64
@@ -30,7 +30,14 @@ type scheduled struct {
 	argFn ArgEvent
 	arg   any
 	timer *Timer
-	line  *Line
+}
+
+// lineHead is the armed head of a non-empty Line: the (at, seq) its front
+// entry was stamped with at enqueue. Callback and argument stay in the line.
+type lineHead struct {
+	at   Time
+	seq  uint64
+	line *Line
 }
 
 func lessScheduled(a, b *scheduled) bool {
@@ -43,28 +50,38 @@ func lessScheduled(a, b *scheduled) bool {
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; a simulation is a deterministic sequential program.
 //
-// The event queue is a 4-ary min-heap ordered by (at, seq), stored by
-// value in one slice. 4-ary beats binary here: sift-down visits 4 children
-// per level but the tree is half as deep, and the children share cache
-// lines.
+// Pending events wait in two places. Timers and one-shots (Schedule,
+// After and their Arg forms) are in a 4-ary min-heap ordered by (at, seq),
+// stored by value in one slice; 4-ary beats binary here because sift-down
+// visits 4 children per level but the tree is half as deep, and the
+// children share cache lines. The head of every non-empty Line is in
+// heads, a dense unordered slice that the run loop scans: arming, firing
+// and emptying a line move no heap entry. The scan is short because a
+// stage that holds many packets holds them in one ring behind one head;
+// only the per-flow upstream lines are many, and no more of them are
+// non-empty at once than there are packets inside the few milliseconds of
+// the upstream hop.
 //
 // Ordering contract: every arm (Schedule, After, Timer.Reset, Line
 // enqueue) consumes exactly one seq and is dispatched at its (at, seq)
-// place in the strict total order. A Line or a lazy Timer may change
-// *when* an entry enters the heap, never its (at, seq): a line keeps only
-// its head in the heap and a timer keeps one physical entry however often
-// it is re-armed, so the heap holds O(flows + stages) entries instead of
-// one per packet in flight, and the callback sequence is the one a plain
-// heap would produce.
+// place in the strict total order over everything pending, heap and
+// lines alike. A Line or a lazy Timer changes *where* an entry waits,
+// never its (at, seq): a line arms one head however many entries it
+// holds and a timer keeps one physical heap entry however often it is
+// re-armed, so the heap holds O(timers + one-shots) entries, the scan
+// O(non-empty lines), and the callback sequence is the one a plain heap
+// of every arm would produce.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events []scheduled
+	heads  []lineHead
 	// ran counts executed events, useful for budget checks in tests.
 	ran uint64
-	// dead counts heap entries of stopped timers awaiting their reap;
-	// lined counts line entries queued behind an armed head. Together
-	// they reconcile len(events) with the number of live events.
+	// dead counts heap entries of stopped or fired timers awaiting their
+	// reap; lined counts the entries waiting in lines, armed heads
+	// included. Together they reconcile len(events) with the number of
+	// live events.
 	dead, lined int
 	// abort, when set, is polled by the run loops (see SetAbort).
 	abort *atomic.Bool
@@ -105,9 +122,10 @@ func (e *Engine) Now() Time { return e.now }
 // EventsRun reports the number of events executed so far.
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
-// Pending reports the number of events waiting to run: cancelled timer
-// entries still in the heap are not counted, line entries queued behind
-// their head are.
+// Pending reports the number of events waiting to run: the heap's
+// entries, less those of stopped or fired timers awaiting their reap,
+// plus every entry waiting in a line (lined: heads and the entries behind
+// them alike).
 func (e *Engine) Pending() int { return len(e.events) - e.dead + e.lined }
 
 // push appends an entry and restores the heap property.
@@ -233,11 +251,11 @@ func (e *Engine) AfterArg(d Time, fn ArgEvent, arg any) {
 	e.ScheduleArg(e.now+d, fn, arg)
 }
 
-// settle resolves the root until it is an entry that will really run,
-// and reports whether one exists. A stopped timer's entry is reaped and a
-// timer re-armed to a later deadline is moved to its current stamp; both
-// are invisible to the simulation: no clock advance, no EventsRun count,
-// no callback.
+// settle resolves the heap root until it is an entry that will really
+// run, and reports whether one exists. The entry of a stopped timer, or
+// of a fired one that was not re-armed, is reaped, and a timer re-armed
+// to a later deadline is moved to its current stamp; both are invisible
+// to the simulation: no clock advance, no EventsRun count, no callback.
 func (e *Engine) settle() bool {
 	for len(e.events) > 0 {
 		root := &e.events[0]
@@ -260,72 +278,101 @@ func (e *Engine) settle() bool {
 	return false
 }
 
-// dispatch runs the root entry, which settle has vetted. A line head is
-// replaced in place by the line's next entry (one sift instead of a pop
-// and a push); everything else is popped.
-func (e *Engine) dispatch() {
-	root := &e.events[0]
-	e.now = root.at
+// next finds the (at, seq) minimum over everything pending: the settled
+// heap root against a scan of the armed line heads. It reports the
+// instant, the index in heads of the line to fire or -1 for the heap
+// root, and false when nothing is pending.
+func (e *Engine) next() (at Time, head int, ok bool) {
+	head = -1
+	var seq uint64
+	if ok = e.settle(); ok {
+		at, seq = e.events[0].at, e.events[0].seq
+	}
+	for i := range e.heads {
+		h := &e.heads[i]
+		if !ok || h.at < at || h.at == at && h.seq < seq {
+			at, seq, head, ok = h.at, h.seq, i, true
+		}
+	}
+	return at, head, ok
+}
+
+// dispatch runs what next chose. A line's slot is re-armed with the
+// stamped pair of its next entry, or removed (the last slot takes its
+// place) when the ring empties, before the callback runs, so a callback
+// that enqueues on its own line finds it consistent. A fired timer is
+// marked idle and its entry left at the root for settle: a callback that
+// re-arms the timer costs one move instead of a pop and a push.
+func (e *Engine) dispatch(at Time, head int) {
+	e.now = at
 	e.ran++
-	switch {
-	case root.line != nil:
-		l := root.line
+	if head >= 0 {
+		l := e.heads[head].line
 		arg := l.q.PopFront().arg
+		e.lined--
 		if l.q.Len() > 0 {
 			next := l.q.Front()
-			root.at, root.seq = next.at, next.seq
-			e.lined--
-			e.siftDown(0)
+			e.heads[head].at, e.heads[head].seq = next.at, next.seq
 		} else {
-			e.popRoot()
+			n := len(e.heads) - 1
+			e.heads[head] = e.heads[n]
+			e.heads = e.heads[:n]
 		}
-		l.fn(e.now, arg)
-	case root.timer != nil:
-		t := root.timer
-		e.popRoot()
-		t.idx = -1
+		l.fn(at, arg)
+		return
+	}
+	if t := e.events[0].timer; t != nil {
 		t.armed = false
-		t.fn(e.now)
-	default:
-		s := e.popRoot()
-		if s.argFn != nil {
-			s.argFn(e.now, s.arg)
-		} else {
-			s.fn(e.now)
-		}
+		e.dead++
+		t.fn(at)
+		return
+	}
+	s := e.popRoot()
+	if s.argFn != nil {
+		s.argFn(at, s.arg)
+	} else {
+		s.fn(at)
 	}
 }
 
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports false when no event is pending.
 func (e *Engine) Step() bool {
-	if !e.settle() {
-		return false
+	at, head, ok := e.next()
+	if ok {
+		e.dispatch(at, head)
 	}
-	e.dispatch()
-	return true
+	return ok
 }
 
-// RunUntil executes events until the clock would pass deadline or the
-// queue drains. The clock is left at min(deadline, last event time); events
-// scheduled after deadline remain queued.
+// RunUntil executes events until the clock would pass deadline or
+// nothing is pending. The clock is left at min(deadline, last event
+// time); events scheduled after deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	for e.settle() && e.events[0].at <= deadline {
+	for {
+		at, head, ok := e.next()
+		if !ok || at > deadline {
+			break
+		}
 		e.pollAbort()
-		e.dispatch()
+		e.dispatch(at, head)
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
 }
 
-// Run drains the event queue completely. Most experiments should prefer
-// RunUntil with an explicit horizon; Run exists for self-terminating
-// workloads such as fixed-size file downloads in tests.
+// Run executes events until nothing is pending. Most experiments should
+// prefer RunUntil with an explicit horizon; Run exists for
+// self-terminating workloads such as fixed-size file downloads in tests.
 func (e *Engine) Run() {
-	for e.settle() {
+	for {
+		at, head, ok := e.next()
+		if !ok {
+			return
+		}
 		e.pollAbort()
-		e.dispatch()
+		e.dispatch(at, head)
 	}
 }
 

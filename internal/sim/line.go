@@ -4,9 +4,10 @@ import "fmt"
 
 // Line is a FIFO delay line: a stage whose entries fire in the order they
 // were enqueued (a constant propagation delay, a per-flow monotone arrival
-// clock). Entries wait in a ring buffer and only the head is armed in the
-// engine's heap, so a stage with hundreds of packets in flight costs the
-// heap one entry.
+// clock, a serializer with one entry in flight). Entries wait in a ring
+// buffer and a non-empty line has exactly one armed head in Engine.heads,
+// which the run loop scans beside the heap root; a line never has a heap
+// entry, so enqueueing, firing and re-arming it sift nothing.
 //
 // Each enqueue stamps (at, seq) exactly as ScheduleArg would — one seq per
 // entry — and when the head fires the next entry is armed with the pair it
@@ -41,17 +42,15 @@ func (l *Line) Schedule(at Time, arg any) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	ent := lineEntry{at: at, seq: e.seq, arg: arg}
 	switch {
 	case l.q.Len() == 0:
-		l.q.PushBack(ent)
-		e.push(scheduled{at: at, seq: e.seq, line: l})
+		e.heads = append(e.heads, lineHead{at: at, seq: e.seq, line: l})
 	case at < l.q.Back().at:
 		e.push(scheduled{at: at, seq: e.seq, argFn: l.fn, arg: arg})
-	default:
-		l.q.PushBack(ent)
-		e.lined++
+		return
 	}
+	l.q.PushBack(lineEntry{at: at, seq: e.seq, arg: arg})
+	e.lined++
 }
 
 // After runs fn(now, arg) after delay d. See Schedule.

@@ -1,11 +1,15 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// TestLineKeepsOnlyItsHeadInTheHeap pins the structural property: a line
-// with many entries in flight costs the heap one entry, and entries fire
-// in enqueue order at their stamped instants.
-func TestLineKeepsOnlyItsHeadInTheHeap(t *testing.T) {
+// TestLineHoldsOneArmedHeadAndNoHeapEntry pins the structural property: a
+// line with many entries in flight costs the scan one armed head and the
+// heap nothing, entries fire in enqueue order at their stamped instants,
+// and a drained line leaves no head behind.
+func TestLineHoldsOneArmedHeadAndNoHeapEntry(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	l := e.NewLine(func(now Time, arg any) {
@@ -18,8 +22,8 @@ func TestLineKeepsOnlyItsHeadInTheHeap(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.Schedule(Time(i/2)*Microsecond, i) // pairs of equal instants
 	}
-	if len(e.events) != 1 {
-		t.Fatalf("heap holds %d entries for one line, want 1", len(e.events))
+	if HeapLen(e) != 0 || ActiveLines(e) != 1 {
+		t.Fatalf("one line holds %d heap entries and %d armed heads, want 0 and 1", HeapLen(e), ActiveLines(e))
 	}
 	if e.Pending() != n {
 		t.Fatalf("Pending() = %d, want %d", e.Pending(), n)
@@ -27,6 +31,9 @@ func TestLineKeepsOnlyItsHeadInTheHeap(t *testing.T) {
 	// Drain half, refill, drain: the ring wraps.
 	for i := 0; i < n/2; i++ {
 		e.Step()
+		if HeapLen(e) != 0 || ActiveLines(e) != 1 {
+			t.Fatalf("after %d steps: %d heap entries and %d armed heads, want 0 and 1", i+1, HeapLen(e), ActiveLines(e))
+		}
 	}
 	for i := n; i < n+n/2; i++ {
 		l.Schedule(Time(i/2)*Microsecond, i)
@@ -40,8 +47,66 @@ func TestLineKeepsOnlyItsHeadInTheHeap(t *testing.T) {
 			t.Fatalf("entry %d fired in position %d", v, i)
 		}
 	}
-	if e.Pending() != 0 || len(e.events) != 0 {
-		t.Fatalf("drained line left Pending() = %d, heap %d", e.Pending(), len(e.events))
+	if e.Pending() != 0 || HeapLen(e) != 0 || ActiveLines(e) != 0 {
+		t.Fatalf("drained line left Pending() = %d, heap %d, armed heads %d", e.Pending(), HeapLen(e), ActiveLines(e))
+	}
+}
+
+// TestEmptiedLineGivesItsSlotToTheLast drains lines in an order that
+// makes every removal move another line's head into the freed slot, and
+// checks that each line still fires its own entries, in order.
+func TestEmptiedLineGivesItsSlotToTheLast(t *testing.T) {
+	e := NewEngine()
+	const lines = 5
+	var got []int
+	for i := 0; i < lines; i++ {
+		i := i
+		l := e.NewLine(func(_ Time, arg any) { got = append(got, 10*i+arg.(int)) })
+		// Line i holds i+1 entries, one per millisecond: line 0 empties
+		// first while it sits in slot 0, then line 1, and so on.
+		for k := 0; k <= i; k++ {
+			l.Schedule(Time(k)*Millisecond+Time(i)*Microsecond, k)
+		}
+	}
+	for want := lines; want > 0; want-- {
+		if ActiveLines(e) != want {
+			t.Fatalf("at %v: %d armed heads, want %d", e.Now(), ActiveLines(e), want)
+		}
+		e.RunUntil(Time(lines-want)*Millisecond + 999*Microsecond)
+	}
+	if want := []int{0, 10, 20, 30, 40, 11, 21, 31, 41, 22, 32, 42, 33, 43, 44}; !slices.Equal(got, want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	if ActiveLines(e) != 0 || e.Pending() != 0 {
+		t.Fatalf("drained: %d armed heads, Pending() = %d", ActiveLines(e), e.Pending())
+	}
+}
+
+// TestSameInstantFiresInSeqOrder arms three lines, a timer and two
+// one-shots for one instant, interleaved, with a second entry behind one
+// line's head. The armed slice, the heap and the rings hold them, and
+// they fire in the order they were armed.
+func TestSameInstantFiresInSeqOrder(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	mark := func(s string) Event { return func(Time) { got = append(got, s) } }
+	lineFn := func(_ Time, arg any) { got = append(got, arg.(string)) }
+	l1, l2, l3 := e.NewLine(lineFn), e.NewLine(lineFn), e.NewLine(lineFn)
+	tm := e.NewTimer()
+	const at = 3 * Millisecond
+	l2.Schedule(at, "line2")
+	e.Schedule(at, mark("shot1"))
+	l1.Schedule(at, "line1")
+	tm.Reset(at, mark("timer"))
+	l3.Schedule(at, "line3")
+	e.ScheduleArg(at, lineFn, "shot2")
+	l2.Schedule(at, "line2 again")
+	e.Run()
+	if want := []string{"line2", "shot1", "line1", "timer", "line3", "shot2", "line2 again"}; !slices.Equal(got, want) {
+		t.Fatalf("order %v, want %v", got, want)
+	}
+	if e.Now() != at {
+		t.Fatalf("clock at %v, want %v", e.Now(), at)
 	}
 }
 
@@ -56,7 +121,7 @@ func TestLineInterleavesWithHeapBySeq(t *testing.T) {
 	mark := func(s string) Event { return func(Time) { got = append(got, s) } }
 	l.Schedule(Millisecond, "L1")
 	e.Schedule(Millisecond, mark("a"))
-	l.Schedule(Millisecond, "L2") // behind L1 in the ring, not in the heap
+	l.Schedule(Millisecond, "L2") // behind L1 in the ring, not armed
 	e.Schedule(Millisecond, mark("b"))
 	l.Schedule(Millisecond, "L3")
 	e.Run()
@@ -109,7 +174,8 @@ func TestLineSchedulePastPanics(t *testing.T) {
 }
 
 // TestZeroAllocHotPath holds the per-packet paths to 0 allocs/op once
-// warm: every benchmark workload (dispatch, deep heap, delay line, lazy
+// warm: every benchmark workload (dispatch, deep heap, delay line, the
+// serializer and pacer shapes that re-arm from their own callback, lazy
 // timer, timer churn), a line enqueue and fire with a pointer argument,
 // and the RTO pattern (Stop, Reset to a later deadline) beside a ticking
 // clock.

@@ -7,13 +7,15 @@ package sim
 //
 // The handle, not the heap, holds the deadline: (at, seq) is the stamp of
 // the latest arm and fn its callback. The timer owns at most one physical
-// heap entry (idx is its index, -1 when there is none), and Stop and a
-// Reset to a not-earlier instant leave that entry where it is. When it
-// surfaces the engine reaps it (stopped), moves it to the handle's stamp
-// (re-armed later) or fires it (stamps equal). A flow that pushes its RTO
-// out on every ACK therefore touches the heap once per timeout interval
-// instead of twice per packet, and the heap never holds more than one
-// entry per timer.
+// heap entry (idx is its index, -1 when there is none), and Stop, firing
+// and a Reset to a not-earlier instant leave that entry where it is. When
+// it surfaces the engine reaps it (stopped, or fired and not re-armed),
+// moves it to the handle's stamp (re-armed later) or fires it (stamps
+// equal). A flow that pushes its RTO out on every ACK therefore touches
+// the heap once per timeout interval instead of twice per packet, a pacer
+// that re-arms itself from its own callback moves its entry once per
+// firing instead of popping and pushing it, and the heap never holds more
+// than one entry per timer.
 type Timer struct {
 	engine *Engine
 	idx    int

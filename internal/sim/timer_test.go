@@ -105,6 +105,65 @@ func TestTimerChurnDoesNotGrowHeap(t *testing.T) {
 	}
 }
 
+// TestFiredTimerKeepsItsEntryUntilSettled states what firing does to the
+// timer's one heap entry: nothing. The timer is idle during and after its
+// callback (Pending false, not counted by Engine.Pending), and the entry
+// is moved when the callback re-armed the timer (the pacer shape: no pop,
+// no push, the heap never changes size) or reaped when it did not.
+func TestFiredTimerKeepsItsEntryUntilSettled(t *testing.T) {
+	e := NewEngine()
+	tm := e.NewTimer()
+	var fired []Time
+	var pace Event
+	pace = func(now Time) {
+		if tm.Pending() {
+			t.Fatal("timer pending inside its own callback")
+		}
+		if got := e.Pending(); got != 1 {
+			t.Fatalf("Pending() = %d inside the callback, want 1 (the far event only)", got)
+		}
+		fired = append(fired, now)
+		if len(fired) < 5 {
+			tm.Reset(2*Millisecond, pace)
+		}
+	}
+	e.After(Second, func(Time) {})
+	tm.Reset(2*Millisecond, pace)
+	for i := 0; i < 5; i++ {
+		if got, heap := e.Pending(), len(e.events); got != 2 || heap != 2 {
+			t.Fatalf("before firing %d: Pending() = %d, heap %d, want 2 and 2", i, got, heap)
+		}
+		if !e.Step() {
+			t.Fatal("nothing to step")
+		}
+	}
+	for i, at := range fired {
+		if want := Time(i+1) * 2 * Millisecond; at != want {
+			t.Fatalf("firing %d at %v, want %v", i, at, want)
+		}
+	}
+	// The last callback did not re-arm: the entry is still there, dead.
+	if got, heap := e.Pending(), len(e.events); got != 1 || heap != 2 || tm.Pending() {
+		t.Fatalf("after the last firing: Pending() = %d, heap %d, timer pending %v; want 1, 2, false", got, heap, tm.Pending())
+	}
+	if tm.Stop() {
+		t.Fatal("Stop reported a fired timer as pending")
+	}
+	e.Run()
+	if got := e.EventsRun(); got != 6 {
+		t.Fatalf("EventsRun() = %d, want 6; reaping the fired entry was counted or it fired again", got)
+	}
+	if e.Pending() != 0 || len(e.events) != 0 {
+		t.Fatalf("drained: Pending() = %d, heap %d", e.Pending(), len(e.events))
+	}
+	// And the idle timer arms again with a fresh entry.
+	tm.Reset(Millisecond, func(now Time) { fired = append(fired, now) })
+	e.Run()
+	if len(fired) != 6 || fired[5] != Second+Millisecond {
+		t.Fatalf("re-armed after reap: fired %v", fired)
+	}
+}
+
 // TestTimerResetSemantics pins the reusable-timer contract: Reset re-arms
 // (cancelling any pending arm), the callback fires at the new deadline
 // only, and a fired timer reports not-pending and can be re-armed.

@@ -78,6 +78,14 @@ type pktMeta struct {
 	present       bool
 }
 
+// rtxEntry is one retransmission awaiting its acknowledgement. at is when
+// it was sent; the packet's sentAt only ever moves later (a tail probe of
+// the same sequence refreshes it), so at is a lower bound on it.
+type rtxEntry struct {
+	seq int64
+	at  sim.Time
+}
+
 // Flow is one reliable transport connection between a service's server
 // and the testbed client.
 type Flow struct {
@@ -116,8 +124,9 @@ type Flow struct {
 	// numbers. The packet-threshold detector cannot re-detect them (its
 	// watermark already passed), so they get RACK-style time-based
 	// detection: still unacked 1.25×SRTT after (re)transmission while
-	// later data keeps being acknowledged ⇒ lost again.
-	rtxOutstanding []int64
+	// later data keeps being acknowledged ⇒ lost again. Entries are in
+	// send order, so the first one's send time bounds them all.
+	rtxOutstanding []rtxEntry
 
 	// Delivery accounting (bytes).
 	delivered     int64
@@ -317,7 +326,7 @@ func (f *Flow) sendRetransmit(now sim.Time) {
 	}
 	f.Retransmits++
 	f.tb.TransportRetransmits++
-	f.rtxOutstanding = append(f.rtxOutstanding, seq)
+	f.rtxOutstanding = append(f.rtxOutstanding, rtxEntry{seq, now})
 	f.transmit(now, seq, true)
 }
 
@@ -358,7 +367,7 @@ func (f *Flow) onDataAtClient(now sim.Time, p *netem.Packet) {
 	switch {
 	case p.Seq == f.rcvExpected:
 		f.rcvExpected++
-		for f.rcvOOO[f.rcvExpected] {
+		for len(f.rcvOOO) > 0 && f.rcvOOO[f.rcvExpected] {
 			delete(f.rcvOOO, f.rcvExpected)
 			f.rcvExpected++
 		}
@@ -523,24 +532,28 @@ func (f *Flow) detectLosses(now sim.Time, highest int64) {
 }
 
 // detectLostRetransmits requeues retransmitted packets that are still
-// unacked well past an RTT while later data is being delivered.
+// unacked well past an RTT while later data is being delivered. It runs
+// on every ACK that advances, so it returns before the scan while even
+// the oldest entry cannot be overdue; delivered entries then stay in the
+// list until the next scan that can find a loss.
 func (f *Flow) detectLostRetransmits(now sim.Time) {
 	if len(f.rtxOutstanding) == 0 {
 		return
 	}
 	deadline := f.srtt + f.srtt/4
-	if deadline == 0 {
+	if deadline == 0 || now-f.rtxOutstanding[0].at <= deadline {
 		return
 	}
 	kept := f.rtxOutstanding[:0]
 	relost := 0
-	for _, seq := range f.rtxOutstanding {
+	for _, ent := range f.rtxOutstanding {
+		seq := ent.seq
 		m := f.sent.get(seq)
 		if m == nil || m.acked {
 			continue // delivered; drop from tracking
 		}
 		if now-m.sentAt <= deadline {
-			kept = append(kept, seq)
+			kept = append(kept, ent)
 			continue
 		}
 		if !m.lost {
@@ -632,7 +645,7 @@ func (f *Flow) sendTailProbe(now sim.Time) {
 	f.Retransmits++
 	f.tb.TransportTailProbes++
 	f.tb.TransportRetransmits++
-	f.rtxOutstanding = append(f.rtxOutstanding, highest)
+	f.rtxOutstanding = append(f.rtxOutstanding, rtxEntry{highest, now})
 	f.transmit(now, highest, true)
 }
 

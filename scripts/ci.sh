@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, vet, static analysis, doc-comment gate,
+# Tier-1 verification: build, vet, gofmt, static analysis, doc-comment gate,
 # the durable-primitive and dispatch-loop layering gates, the
 # internal/stats coverage floor, the focused dispatch-loop race gate,
 # the fuzz smoke gate, the full test suite under the race detector
@@ -338,6 +338,14 @@ fi
 
 go build ./...
 go vet ./...
+
+# Format gate: gofmt has nothing to say about any file in the tree.
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+    echo "ci: gofmt -l names these files (run gofmt -w on them):" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 # Static analysis / vulnerability scan: optional locally (warn + skip
 # when the tool is absent), mandatory in the GitHub workflow via
