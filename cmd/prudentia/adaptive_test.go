@@ -2,7 +2,7 @@ package main
 
 // End-to-end acceptance tests for the adaptive trial-budget flags: the
 // -adaptive run produces the observability evidence (manifest flag,
-// stop counters, saved-trials counter), and -resume from a pre-adaptive
+// stop counters, saved-trials counter), and resuming from a pre-adaptive
 // checkpoint falls back to fixed trials with a warning instead of
 // failing the cycle.
 
@@ -77,7 +77,7 @@ func TestEndToEndAdaptiveResumeFallback(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-cycles", "1", "-setting", "high", "-workers", "2", "-seed", "42",
 		"-services", "iPerf (Cubic),iPerf (BBR)",
-		"-adaptive", "-resume", "-checkpoint", ckpt)
+		"-adaptive", "-checkpoint", ckpt)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("fallback run failed: %v\n%s", err, out)

@@ -8,78 +8,27 @@ import (
 	"prudentia/internal/chaos"
 	"prudentia/internal/core"
 	"prudentia/internal/fleet"
-	"prudentia/internal/netem"
 	"prudentia/internal/obs"
 	"prudentia/internal/trace"
 )
 
 // Fleet mode glue. A fleet run is one coordinator process
 // (-coordinator -listen addr -expect-workers N) plus N worker processes
-// (-worker -connect addr), each started with the SAME experiment flags
-// (-services, -setting, -seed, -quick, -chaos, -max-trial-wall): the
-// configuration fingerprint in the hello handshake rejects workers
-// whose flags diverge, because they would compute silently different
-// results. All fleet status lines go to stderr — the coordinator's
-// stdout carries exactly the serial report, byte for byte.
-
-// fleetStderr is the Progress hook for fleet components: membership and
-// re-dispatch chatter belongs on stderr, never in the comparable report.
-func fleetStderr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "prudentia: "+format+"\n", args...)
-}
-
-// fleetFingerprint hashes everything that determines a trial's bytes:
-// the catalog (names, in order), the network settings, the seed, and
-// the mode flags that alter options. Derived from the resolved watchdog
-// config rather than raw flags so -services filtering is included.
-func fleetFingerprint(w *core.Watchdog, quick, chaosOn bool, maxWall float64) uint64 {
-	parts := []string{
-		fleet.Schema,
-		fmt.Sprintf("seed=%d", w.Opts.BaseSeed),
-		fmt.Sprintf("quick=%v", quick),
-		fmt.Sprintf("chaos=%v", chaosOn),
-		fmt.Sprintf("wall=%g", maxWall),
-		// The outcome's wire shape: an older worker run with
-		// -exact-stats ships raw trials instead and is rejected here.
-		"stats=sketch",
-	}
-	if ad := w.Opts.Adaptive; ad != nil {
-		// Adaptive stopping parameters change every pair's trial count,
-		// so a worker with divergent (or absent) adaptive flags would
-		// compute different bytes. Appended only when armed, so
-		// fixed-budget fingerprints match pre-adaptive builds.
-		parts = append(parts, fmt.Sprintf("adaptive=%d:%g:%d:%g:%d:%g",
-			ad.MinTrials, ad.CIWidthPct, ad.StableK, ad.FairSharePct,
-			ad.ScreenTrials, ad.BudgetFrac))
-	}
-	for _, svc := range w.Services {
-		parts = append(parts, "svc:"+svc.Name())
-	}
-	for _, cfg := range w.Settings {
-		parts = append(parts, settingFingerprint(cfg))
-	}
-	return fleet.Fingerprint(parts...)
-}
-
-// settingFingerprint renders one netem.Config's identity-bearing
-// fields. Noise is dereferenced (a pointer would render its address,
-// which differs per process and would falsely reject every worker).
-func settingFingerprint(cfg netem.Config) string {
-	noise := "none"
-	if cfg.Noise != nil {
-		noise = fmt.Sprintf("%+v", *cfg.Noise)
-	}
-	return fmt.Sprintf("net:%d:%v:%d:%d:%s:%v",
-		cfg.RateBps, cfg.RTT, cfg.QueueCapacity, cfg.BufferBDP, noise, cfg.NoJitter)
-}
+// (-connect addr) whose flags resolve to the same recipe (fingerprint,
+// config.go): the hello handshake rejects a worker that would compute
+// different results. All fleet status lines go to stderr — the
+// coordinator's stdout carries exactly the serial report, byte for byte.
 
 // runWorker runs the process as a fleet worker until the coordinator
-// shuts it down; it never returns to the cycle loop.
-func runWorker(w *core.Watchdog, connect, name string, capacity int, fp uint64) {
-	if connect == "" {
-		fmt.Fprintln(os.Stderr, "prudentia: -worker requires -connect host:port")
-		os.Exit(1)
+// shuts it down. Signals keep their default (terminate) behaviour: a
+// killed worker's pairs are re-dispatched.
+func runWorker(cfg config, logf func(string, ...any)) error {
+	w := cfg.watchdog
+	fp, err := fingerprint(w)
+	if err != nil {
+		return err
 	}
+	name := cfg.workerName
 	if name == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -89,19 +38,15 @@ func runWorker(w *core.Watchdog, connect, name string, capacity int, fp uint64) 
 	}
 	fw := &fleet.Worker{
 		Name:        name,
-		Coordinator: connect,
-		Capacity:    capacity,
+		Coordinator: cfg.connect,
+		Capacity:    w.Workers,
 		Fingerprint: fp,
 		Services:    w.Services,
 		Settings:    w.Settings,
 		Options:     w.SettingOptions,
-		Progress:    fleetStderr,
+		Progress:    logf,
 	}
-	if err := fw.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "prudentia: %v\n", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
+	return fw.Run()
 }
 
 // startCoordinator brings up the fleet listener, optionally publishes
@@ -109,45 +54,49 @@ func runWorker(w *core.Watchdog, connect, name string, capacity int, fp uint64) 
 // for the expected fleet size, and attaches the coordinator to the
 // watchdog as its remote runner. The returned cleanup shuts the fleet
 // down after the last cycle.
-func startCoordinator(w *core.Watchdog, ledger *trace.FaultLedger, reg *obs.Registry,
-	listen, addrFile string, expect, partitions int, fp uint64) func() {
+func startCoordinator(cfg config, ledger *trace.FaultLedger, reg *obs.Registry,
+	logf func(string, ...any)) (func(), error) {
+	w := cfg.watchdog
+	fp, err := fingerprint(w)
+	if err != nil {
+		return nil, err
+	}
 	coord := &fleet.Coordinator{
-		ListenAddr:  listen,
+		ListenAddr:  cfg.listen,
 		Fingerprint: fp,
 		Breakers:    &core.BreakerSet{},
 		OnFault:     ledger.Record,
-		Progress:    fleetStderr,
+		Progress:    logf,
 		Obs:         fleet.NewInstruments(reg),
 	}
-	if partitions > 0 {
+	if cfg.chaosPartitions > 0 {
 		// Coordinator-side chaos only: partitions never reach a trial,
-		// so workers need no matching flag and the fingerprint ignores
-		// it. The report stays byte-identical regardless — partitioned
+		// so workers need no matching flag and the recipe leaves it out.
+		// The report stays byte-identical regardless — partitioned
 		// workers' pairs are re-executed deterministically elsewhere.
 		coord.Chaos = &chaos.Config{
-			Partitions: []*chaos.WorkerPartition{{Times: int64(partitions)}},
+			Partitions: []*chaos.WorkerPartition{{Times: int64(cfg.chaosPartitions)}},
 		}
 	}
 	if err := coord.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "prudentia: %v\n", err)
-		os.Exit(1)
+		return nil, err
 	}
-	if addrFile != "" {
-		if err := os.WriteFile(addrFile, []byte(coord.Addr()+"\n"), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "prudentia: write -listen-addr-file: %v\n", err)
-			os.Exit(1)
+	if cfg.listenAddrFile != "" {
+		if err := os.WriteFile(cfg.listenAddrFile, []byte(coord.Addr()+"\n"), 0o644); err != nil {
+			_ = coord.Close()
+			return nil, fmt.Errorf("-listen-addr-file: %w", err)
 		}
 	}
-	fleetStderr("fleet: coordinator listening on %s (fingerprint %x, expecting %d workers)",
-		coord.Addr(), fp, expect)
-	if err := coord.WaitForWorkers(expect, 2*time.Minute); err != nil {
-		fmt.Fprintf(os.Stderr, "prudentia: %v\n", err)
-		os.Exit(1)
+	logf("fleet: coordinator listening on %s (fingerprint %x, expecting %d workers)",
+		coord.Addr(), fp, cfg.expectWorkers)
+	if err := coord.WaitForWorkers(cfg.expectWorkers, 2*time.Minute); err != nil {
+		_ = coord.Close()
+		return nil, err
 	}
-	fleetStderr("fleet: %d workers connected; starting cycles", expect)
+	logf("fleet: %d workers connected; starting cycles", cfg.expectWorkers)
 	w.Remote = coord
 	return func() {
-		fleetStderr("fleet: worker breakers: %s", breakerSummary(coord.BreakerStatus()))
+		logf("fleet: worker breakers: %s", breakerSummary(coord.BreakerStatus()))
 		_ = coord.Close()
-	}
+	}, nil
 }

@@ -88,7 +88,7 @@ func TestEndToEndFleetKillLoop(t *testing.T) {
 	addr := awaitAddrFile(t, addrFile, &coordErr)
 	startWorker := func(i int) *exec.Cmd {
 		cmd := exec.Command(bin, append(seedArgs,
-			"-worker", "-connect", addr, "-worker-name", fmt.Sprintf("w%d", i))...)
+			"-connect", addr, "-worker-name", fmt.Sprintf("w%d", i))...)
 		cmd.Stdout, cmd.Stderr = io.Discard, io.Discard
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
@@ -187,7 +187,7 @@ func TestEndToEndFleetPartitions(t *testing.T) {
 	var workers []*exec.Cmd
 	for i := 0; i < 2; i++ {
 		cmd := exec.Command(bin, append(seedArgs,
-			"-worker", "-connect", addr, "-worker-name", fmt.Sprintf("p%d", i))...)
+			"-connect", addr, "-worker-name", fmt.Sprintf("p%d", i))...)
 		cmd.Stdout, cmd.Stderr = io.Discard, io.Discard
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)

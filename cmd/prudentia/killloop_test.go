@@ -3,7 +3,7 @@ package main
 // End-to-end durability tests: SIGKILL the real binary mid-cycle at
 // randomized points and require the journal-reconciled resume to
 // converge on output byte-identical to an uninterrupted run, plus
-// acceptance coverage for the -soak and -max-trial-wall flags.
+// acceptance coverage for multi-cycle supervision (-cycles N -v) and -max-trial-wall.
 
 import (
 	"bytes"
@@ -71,7 +71,7 @@ func TestEndToEndKillLoop(t *testing.T) {
 	wal := filepath.Join(dir, "trials.wal")
 	faults := filepath.Join(dir, "faults.jsonl")
 	args := append(cycleArgs("23"),
-		"-checkpoint", ckpt, "-resume", "-journal", wal, "-faults-out", faults)
+		"-checkpoint", ckpt, "-journal", wal, "-faults-out", faults)
 
 	kills := 0
 	var final []byte
@@ -132,20 +132,20 @@ func TestEndToEndKillLoop(t *testing.T) {
 	}
 }
 
-// TestEndToEndSoak runs consecutive cycles in soak mode and requires
-// the per-cycle breaker status line.
+// TestEndToEndSoak runs consecutive cycles (breaker state carries across
+// them) and requires the per-cycle breaker status line -v prints.
 func TestEndToEndSoak(t *testing.T) {
 	bin := buildBinary(t)
 	cmd := exec.Command(bin,
-		"-soak", "2", "-setting", "high", "-workers", "2", "-seed", "9",
+		"-cycles", "2", "-v", "-setting", "high", "-workers", "2", "-seed", "9",
 		"-services", "iPerf (Cubic),iPerf (BBR)")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("soak run: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"soak: cycle 1/2 complete; breakers: all closed",
-		"soak: cycle 2/2 complete; breakers: all closed",
+		"cycle 1 complete; breakers: all closed",
+		"cycle 2 complete; breakers: all closed",
 	} {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("soak output missing %q:\n%s", want, out)

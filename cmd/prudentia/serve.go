@@ -1,18 +1,18 @@
 package main
 
-// Serve-mode wiring: translate CLI flags into a serve.Server over the
-// configured watchdog and run it until the signal handler asks for a
-// graceful stop. The daemon mirrors each completed cycle's batch report
-// to stdout through the same renderer its /api/v1/report.txt serves, so
-// daemon logs and daemon responses are byte-interchangeable with a
-// batch run at the same seed.
+// Serve-mode wiring: a serve.Server over the configured watchdog, run
+// until the signal handler asks for a graceful stop. The daemon mirrors
+// each completed cycle's batch report to stdout through the same
+// renderer its /api/v1/report.txt serves, so daemon logs and daemon
+// responses are byte-interchangeable with a batch run at the same seed.
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"os"
-	"time"
+	"path/filepath"
 
 	"prudentia/internal/core"
 	"prudentia/internal/obs"
@@ -21,60 +21,53 @@ import (
 	"prudentia/internal/trace"
 )
 
-// serveOptions is the flag bundle for -serve.
-type serveOptions struct {
-	addr           string
-	addrFile       string
-	cycleInterval  time.Duration
-	history        int
-	submissionsMax int
-	maxCycles      int
-	stateDir       string
-}
-
-// runServe boots the daemon and blocks until stopped closes (first
+// runServe boots the daemon and blocks until ctx is cancelled (first
 // SIGINT/SIGTERM) and the HTTP server drains, or a cycle fails.
-func runServe(w *core.Watchdog, ledger *trace.FaultLedger, reg *obs.Registry,
-	opts serveOptions, stopped <-chan struct{}, exportObs func(*core.CycleResult)) error {
+func runServe(ctx context.Context, cfg config, ledger *trace.FaultLedger, reg *obs.Registry,
+	exportObs func(*core.CycleResult), stdout io.Writer) error {
+	w := cfg.watchdog
+	if cfg.serveDir != "" {
+		// The state directory is the one-stop durability root: the
+		// engine's checkpoint and trial journal default into it so a
+		// plain `-serve -serve-dir d` restart resumes an interrupted
+		// cycle without further flags.
+		if w.CheckpointPath == "" {
+			w.CheckpointPath = filepath.Join(cfg.serveDir, "checkpoint.json")
+		}
+		if w.JournalPath == "" {
+			w.JournalPath = filepath.Join(cfg.serveDir, "trials.wal")
+		}
+	}
 	s, err := serve.New(serve.Config{
-		Source:         w,
-		Ledger:         ledger,
-		Registry:       reg,
-		CycleInterval:  opts.cycleInterval,
-		History:        opts.history,
-		SubmissionsMax: opts.submissionsMax,
-		MaxCycles:      opts.maxCycles,
-		StateDir:       opts.stateDir,
-		DiskChaos:      w.DiskChaos,
+		Source:        w,
+		Ledger:        ledger,
+		Registry:      reg,
+		CycleInterval: cfg.cycleInterval,
+		MaxCycles:     cfg.cycles,
+		StateDir:      cfg.serveDir,
+		DiskChaos:     w.DiskChaos,
 		Log: func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
+			fmt.Fprintf(stdout, format+"\n", args...)
 		},
 		OnCycle: func(cr *core.CycleResult) {
 			exportObs(cr)
 			// Mirror the batch report to stdout, bytes for bytes.
-			fmt.Print(report.ReportText(cr, w.Settings, w.Services, ledger.Summary()))
+			fmt.Fprint(stdout, report.ReportText(cr, w.Settings, w.Services, ledger.Summary()))
 		},
 	})
 	if err != nil {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", opts.addr)
+	ln, err := net.Listen("tcp", cfg.serveAddr)
 	if err != nil {
 		return err
 	}
-	if opts.addrFile != "" {
-		if err := os.WriteFile(opts.addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+	if cfg.serveAddrFile != "" {
+		if err := os.WriteFile(cfg.serveAddrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
 			ln.Close()
-			return fmt.Errorf("serve-addr-file: %w", err)
+			return fmt.Errorf("-serve-addr-file: %w", err)
 		}
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-stopped
-		cancel()
-	}()
 	return s.Run(ctx, ln)
 }

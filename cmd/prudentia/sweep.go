@@ -3,13 +3,12 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"prudentia/internal/core"
 	"prudentia/internal/netem"
-	"prudentia/internal/services"
 	"prudentia/internal/sim"
 	"prudentia/internal/stats"
 )
@@ -21,24 +20,13 @@ import (
 // for gnuplot/pandas) and a JSON document that additionally carries
 // each cell's merged share-percentage sketch, so a downstream consumer
 // can recover any quantile of the whole cell without the raw trials.
-// The grid reuses the quick trial protocol and the deterministic seed
-// schedule, so a sweep is reproducible bit for bit.
+// Each cell is one more setting to the watchdog's option resolver, so
+// -quick, -seed, -adaptive, -chaos and -max-trial-wall mean here what
+// they mean for a cycle, and a sweep is reproducible bit for bit.
 
 // sweepTSVHeader is the column schema of <prefix>.tsv, asserted by the
 // CI smoke test — extend it only together with scripts/ci.sh.
 const sweepTSVHeader = "rate_mbps\trtt_ms\tqueue_pkts\tincumbent\tcontender\tslot\tservice\tn\tmedian_share_pct\tiqr_share_pct\tci_lo_pct\tci_hi_pct\tverdict"
-
-// sweepConfig collects the resolved -sweep-* flags.
-type sweepConfig struct {
-	RatesMbps []float64
-	RTTsMs    []float64
-	Queues    []int
-	CCAs      []string
-	Out       string
-	Workers   int
-	Seed      uint64
-	Verbose   bool
-}
 
 // sweepCell is one grid point's consolidated result in <prefix>.json.
 type sweepCell struct {
@@ -64,43 +52,6 @@ type sweepPair struct {
 	Verdict   string     `json:"verdict"`
 }
 
-// splitTrim splits a comma-separated flag into trimmed entries.
-func splitTrim(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// parseSweepFloats parses a comma-separated float list flag.
-func parseSweepFloats(flagName, s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("-%s: bad value %q", flagName, f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// parseSweepInts parses a comma-separated int list flag.
-func parseSweepInts(flagName, s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("-%s: bad value %q", flagName, f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // sweepVerdict classifies one pair: "fair" when both slots' median MmF
 // shares clear the paper's 80% bar, "unfair" otherwise, with the
 // protocol states passed through.
@@ -120,38 +71,33 @@ func sweepVerdict(p *core.PairOutcome) string {
 	}
 }
 
-// runSweep executes the grid and writes <Out>.tsv and <Out>.json.
-// Cells run sequentially (each matrix already fans trials out to
-// cfg.Workers); rows and cells appear in deterministic grid order
-// (rate-major, then RTT, then queue).
-func runSweep(cfg sweepConfig) error {
-	var svcs []services.Service
-	for _, name := range cfg.CCAs {
-		svc := services.ByName(name)
-		if svc == nil {
-			return fmt.Errorf("-sweep-ccas: unknown service %q", name)
-		}
-		svcs = append(svcs, svc)
+// runSweep executes the grid and writes <sweepOut>.tsv and
+// <sweepOut>.json. Cells run sequentially (each matrix already fans
+// trials out to the worker pool); rows and cells appear in deterministic
+// grid order (rate-major, then RTT, then queue). The configured
+// watchdog is used only to resolve each cell's options.
+func runSweep(cfg config, stdout, stderr io.Writer) error {
+	w, svcs := cfg.watchdog, cfg.sweepCCAs
+	var ccas []string
+	for _, svc := range svcs {
+		ccas = append(ccas, svc.Name())
 	}
 	var tsv strings.Builder
 	tsv.WriteString(sweepTSVHeader + "\n")
 	var cells []sweepCell
-	total := len(cfg.RatesMbps) * len(cfg.RTTsMs) * len(cfg.Queues)
+	total := len(cfg.sweepRates) * len(cfg.sweepRTTs) * len(cfg.sweepQueues)
 	done := 0
-	for _, rate := range cfg.RatesMbps {
-		for _, rtt := range cfg.RTTsMs {
-			for _, queue := range cfg.Queues {
+	for _, rate := range cfg.sweepRates {
+		for _, rtt := range cfg.sweepRTTs {
+			for _, queue := range cfg.sweepQueues {
 				net := netem.Config{
 					RateBps:       int64(rate * 1e6),
 					RTT:           sim.Time(rtt * float64(sim.Millisecond)),
 					QueueCapacity: queue,
 				}
-				opts := core.QuickOptions(net)
-				if cfg.Seed != 0 {
-					opts.BaseSeed = cfg.Seed
-				}
-				m := &core.Matrix{Services: svcs, Net: net, Opts: opts,
-					Workers: cfg.Workers}
+				w.Settings = []netem.Config{net}
+				m := &core.Matrix{Services: svcs, Net: net, Opts: w.SettingOptions(0, 0),
+					Workers: w.Workers}
 				res, err := m.Run()
 				if err != nil {
 					return fmt.Errorf("sweep cell rate=%g rtt=%g queue=%d: %w",
@@ -186,15 +132,15 @@ func runSweep(cfg sweepConfig) error {
 				}
 				cells = append(cells, cell)
 				done++
-				if cfg.Verbose {
-					fmt.Fprintf(os.Stderr,
+				if cfg.verbose {
+					fmt.Fprintf(stderr,
 						"prudentia: sweep cell %d/%d done (rate=%g Mbps rtt=%g ms queue=%d)\n",
 						done, total, rate, rtt, queue)
 				}
 			}
 		}
 	}
-	if err := os.WriteFile(cfg.Out+".tsv", []byte(tsv.String()), 0o644); err != nil {
+	if err := os.WriteFile(cfg.sweepOut+".tsv", []byte(tsv.String()), 0o644); err != nil {
 		return err
 	}
 	doc := struct {
@@ -202,15 +148,15 @@ func runSweep(cfg sweepConfig) error {
 		Seed   uint64      `json:"seed"`
 		CCAs   []string    `json:"ccas"`
 		Cells  []sweepCell `json:"cells"`
-	}{Schema: "prudentia.sweep/1", Seed: cfg.Seed, CCAs: cfg.CCAs, Cells: cells}
+	}{Schema: "prudentia.sweep/1", Seed: w.Opts.BaseSeed, CCAs: ccas, Cells: cells}
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(cfg.Out+".json", append(blob, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(cfg.sweepOut+".json", append(blob, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("sweep: %d cells × %d services → %s.tsv, %s.json\n",
-		total, len(svcs), cfg.Out, cfg.Out)
+	fmt.Fprintf(stdout, "sweep: %d cells × %d services → %s.tsv, %s.json\n",
+		total, len(svcs), cfg.sweepOut, cfg.sweepOut)
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -58,24 +59,12 @@ type AdaptiveOptions struct {
 // goroutines and processes).
 func (a *AdaptiveOptions) withDefaults() *AdaptiveOptions {
 	d := *a
-	if d.MinTrials == 0 {
-		d.MinTrials = 2
-	}
-	if d.CIWidthPct == 0 {
-		d.CIWidthPct = 10
-	}
-	if d.StableK == 0 {
-		d.StableK = 3
-	}
-	if d.FairSharePct == 0 {
-		d.FairSharePct = stats.DefaultFairSharePct
-	}
-	if d.ScreenTrials == 0 {
-		d.ScreenTrials = 1
-	}
-	if d.BudgetFrac == 0 {
-		d.BudgetFrac = 0.6
-	}
+	d.MinTrials = cmp.Or(d.MinTrials, 2)
+	d.CIWidthPct = cmp.Or(d.CIWidthPct, 10)
+	d.StableK = cmp.Or(d.StableK, 3)
+	d.FairSharePct = cmp.Or(d.FairSharePct, stats.DefaultFairSharePct)
+	d.ScreenTrials = cmp.Or(d.ScreenTrials, 1)
+	d.BudgetFrac = cmp.Or(d.BudgetFrac, 0.6)
 	return &d
 }
 

@@ -127,7 +127,7 @@ func pairKey(a, b int) string { return fmt.Sprintf("%d|%d", a, b) }
 
 // Run executes the matrix.
 func (m *Matrix) Run() (*MatrixResult, error) {
-	opts := m.Opts.withDefaults()
+	opts := m.Opts.withDefaults(m.Net)
 	res := &MatrixResult{
 		Net:   m.Net,
 		Pairs: make(map[string]*PairOutcome),

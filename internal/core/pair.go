@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -10,7 +11,11 @@ import (
 	"prudentia/internal/sim"
 )
 
-// SchedulerOptions govern the §3.4 trial-escalation protocol.
+// SchedulerOptions govern the §3.4 trial-escalation protocol. A field
+// left zero means "the preset's value for the setting this runs in":
+// Matrix.Run, RunPair and RunPairTask fill it from PaperOptions(net),
+// Watchdog.SettingOptions from the paper or the quick preset, field by
+// field, so the stopping tolerance always belongs to its setting.
 type SchedulerOptions struct {
 	// MinTrials is the initial batch (paper: 10); more trials run in
 	// Step-sized sets up to MaxTrials (paper: 30) until the 95% CI of
@@ -25,7 +30,7 @@ type SchedulerOptions struct {
 	BaseSeed uint64
 	// Timing transforms each trial's Spec (DefaultTiming, QuickTiming,
 	// or custom); nil means DefaultTiming.
-	Timing func(Spec) Spec
+	Timing func(Spec) Spec `json:"-"`
 	// MaxDiscards bounds re-runs of noise-discarded (and validity-gate
 	// rejected) trials before a pair is marked Unstable.
 	MaxDiscards int
@@ -53,21 +58,7 @@ type SchedulerOptions struct {
 	Adaptive *AdaptiveOptions
 	// Deprecated: SketchStats is read by nothing (sketches are the only
 	// statistics store); it remains until bench/ drops its assignment.
-	SketchStats bool
-}
-
-// IsZero reports whether no field was set. Watchdog.RunCycle applies
-// the per-setting PaperOptions only in that case — a caller who sets
-// any field (for example only Timing) keeps their options, with the
-// remaining fields defaulted. WallBudget and Adaptive are deliberately
-// excluded: the reaper is a supervision knob and the adaptive stopper a
-// budget policy, both orthogonal to the measurement protocol, so
-// setting only them still gets the per-setting paper options (RunCycle
-// carries both over).
-func (o SchedulerOptions) IsZero() bool {
-	return o.MinTrials == 0 && o.MaxTrials == 0 && o.Step == 0 &&
-		o.ToleranceMbps == 0 && o.BaseSeed == 0 && o.Timing == nil &&
-		o.MaxDiscards == 0 && o.MaxFailures == 0 && o.Chaos == nil
+	SketchStats bool `json:"-"`
 }
 
 // PaperOptions returns the per-setting options the paper uses.
@@ -94,24 +85,26 @@ func QuickOptions(net netem.Config) SchedulerOptions {
 	return o
 }
 
-func (o SchedulerOptions) withDefaults() SchedulerOptions {
-	if o.MinTrials == 0 {
-		o.MinTrials = 10
-	}
-	if o.MaxTrials == 0 {
-		o.MaxTrials = 30
-	}
-	if o.Step == 0 {
-		o.Step = 10
-	}
-	if o.ToleranceMbps == 0 {
-		o.ToleranceMbps = 1.5
-	}
-	if o.MaxDiscards == 0 {
-		o.MaxDiscards = 10
-	}
-	if o.MaxFailures == 0 {
-		o.MaxFailures = 3
+// withDefaults resolves o for the network setting it will run in: every
+// field left zero takes the value PaperOptions(net) gives it. Resolution
+// is field by field, so a caller who sets only a seed, a Timing or a
+// chaos plan still gets the setting's own tolerance.
+func (o SchedulerOptions) withDefaults(net netem.Config) SchedulerOptions {
+	return o.over(PaperOptions(net))
+}
+
+// over returns base with every field o sets laid over it — the one
+// place options are resolved (withDefaults over the paper preset,
+// Watchdog.SettingOptions over the paper or the quick one).
+func (o SchedulerOptions) over(base SchedulerOptions) SchedulerOptions {
+	o.MinTrials = cmp.Or(o.MinTrials, base.MinTrials)
+	o.MaxTrials = cmp.Or(o.MaxTrials, base.MaxTrials)
+	o.Step = cmp.Or(o.Step, base.Step)
+	o.ToleranceMbps = cmp.Or(o.ToleranceMbps, base.ToleranceMbps)
+	o.MaxDiscards = cmp.Or(o.MaxDiscards, base.MaxDiscards)
+	o.MaxFailures = cmp.Or(o.MaxFailures, base.MaxFailures)
+	if o.Timing == nil {
+		o.Timing = base.Timing
 	}
 	if o.Adaptive != nil {
 		o.Adaptive = o.Adaptive.withDefaults()
@@ -281,7 +274,7 @@ func RunPairObserved(incumbent, contender services.Service, net netem.Config, op
 	if incumbent == nil {
 		return nil, fmt.Errorf("core: RunPair requires an incumbent service")
 	}
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(net)
 	st := newPairState(0, 1, incumbent, contender, opts)
 	emit := onFault
 	if emit == nil {

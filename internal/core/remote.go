@@ -59,7 +59,7 @@ type RemoteRunner interface {
 // adaptive stopper is a pure function of the counted-trial prefix and
 // the task's Budget.
 func RunPairTask(svcs []services.Service, net netem.Config, opts SchedulerOptions, task PairTask) (*PairOutcome, []FaultEvent) {
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(net)
 	st := newPairState(task.A, task.B, svcs[task.A], svcs[task.B], opts)
 	st.budget = task.Budget
 	var events []FaultEvent

@@ -80,28 +80,73 @@ func TestBackoffRounds(t *testing.T) {
 	}
 }
 
-// TestSchedulerOptionsIsZero covers the satellite fix for RunCycle
-// silently replacing Timing-only options with PaperOptions: IsZero must
-// be false the moment any field is set.
-func TestSchedulerOptionsIsZero(t *testing.T) {
-	if !(SchedulerOptions{}).IsZero() {
-		t.Fatal("zero options must report IsZero")
+// TestSettingOptionsResolvePerSetting pins the §3.4 stopping rule to the
+// setting it runs in. Both rows that read 1.5/1.5 before the resolver
+// went field-wise are here: the quick preset used to be resolved once,
+// for the first setting, and any single non-zero Opts field (a seed, a
+// chaos plan) used to switch the per-setting paper tolerance off.
+func TestSettingOptionsResolvePerSetting(t *testing.T) {
+	plan := chaos.Default()
+	cases := []struct {
+		name    string
+		quick   bool
+		opts    SchedulerOptions
+		tol     [2]float64 // at 8 Mbps, at 50 Mbps
+		trials  int        // resolved MinTrials
+		seconds float64    // resolved trial duration
+	}{
+		{"zero", false, SchedulerOptions{}, [2]float64{0.5, 1.5}, 10, 600},
+		{"quick", true, SchedulerOptions{}, [2]float64{1.5, 4.5}, 3, 60},
+		{"seed only", false, SchedulerOptions{BaseSeed: 7}, [2]float64{0.5, 1.5}, 10, 600},
+		{"chaos only", false, SchedulerOptions{Chaos: &plan}, [2]float64{0.5, 1.5}, 10, 600},
+		{"adaptive only", false, SchedulerOptions{Adaptive: &AdaptiveOptions{}}, [2]float64{0.5, 1.5}, 10, 600},
+		{"wall budget only", false, SchedulerOptions{WallBudget: 50}, [2]float64{0.5, 1.5}, 10, 600},
+		{"quick with a seed", true, SchedulerOptions{BaseSeed: 7}, [2]float64{1.5, 4.5}, 3, 60},
+		{"explicit tolerance", true, SchedulerOptions{ToleranceMbps: 2}, [2]float64{2, 2}, 3, 60},
 	}
-	cases := map[string]SchedulerOptions{
-		"MinTrials":     {MinTrials: 1},
-		"MaxTrials":     {MaxTrials: 1},
-		"Step":          {Step: 1},
-		"ToleranceMbps": {ToleranceMbps: 1},
-		"BaseSeed":      {BaseSeed: 1},
-		"Timing":        {Timing: func(s Spec) Spec { return s }},
-		"MaxDiscards":   {MaxDiscards: 1},
-		"MaxFailures":   {MaxFailures: 1},
-		"Chaos":         {Chaos: &chaos.Config{}},
-	}
-	for name, o := range cases {
-		if o.IsZero() {
-			t.Errorf("options with only %s set must not report IsZero", name)
+	for _, tc := range cases {
+		w := NewWatchdog()
+		w.Quick, w.Opts = tc.quick, tc.opts
+		for si := range w.Settings {
+			got := w.SettingOptions(1, si)
+			if got.ToleranceMbps != tc.tol[si] {
+				t.Errorf("%s: setting %d tolerance = %g, want %g", tc.name, si, got.ToleranceMbps, tc.tol[si])
+			}
+			if got.MinTrials != tc.trials || got.MaxDiscards != 10 || got.MaxFailures != 3 {
+				t.Errorf("%s: setting %d resolved %+v", tc.name, si, got)
+			}
+			if d := got.spec(nil, nil, w.Settings[si], 0).Duration.Seconds(); d != tc.seconds {
+				t.Errorf("%s: setting %d trial lasts %g s, want %g", tc.name, si, d, tc.seconds)
+			}
+			// What the caller set rides through untouched.
+			wantSeed := tc.opts.BaseSeed + 1_000_003 + uint64(si)*7_919
+			if got.BaseSeed != wantSeed || got.Chaos != tc.opts.Chaos || got.WallBudget != tc.opts.WallBudget ||
+				(got.Adaptive != nil) != (tc.opts.Adaptive != nil) {
+				t.Errorf("%s: setting %d dropped a caller field: %+v", tc.name, si, got)
+			}
+			if got.Adaptive != nil && got.Adaptive.CIWidthPct != 10 {
+				t.Errorf("%s: adaptive options not defaulted: %+v", tc.name, got.Adaptive)
+			}
 		}
+	}
+
+	// A fully-set Opts (what bench/ hands the watchdog) resolves to
+	// itself whatever Quick says.
+	net := netem.HighlyConstrained()
+	full := QuickOptions(net)
+	full.BaseSeed = 9
+	w := &Watchdog{Settings: []netem.Config{net}, Opts: full}
+	got := w.SettingOptions(0, 0)
+	if got.MinTrials != 3 || got.MaxTrials != 9 || got.Step != 3 || got.ToleranceMbps != 1.5 ||
+		got.BaseSeed != 9 || got.Timing == nil {
+		t.Errorf("fully-set Opts changed under resolution: %+v", got)
+	}
+
+	// Matrix.Run, RunPair and RunPairTask resolve through withDefaults
+	// for the net they run in: an unset tolerance at 8 Mbps is 0.5.
+	if got := (SchedulerOptions{MinTrials: 2, BaseSeed: 3}).withDefaults(net); got.ToleranceMbps != 0.5 ||
+		got.MinTrials != 2 || got.MaxTrials != 30 {
+		t.Errorf("withDefaults at 8 Mbps = %+v", got)
 	}
 }
 

@@ -25,10 +25,16 @@ type Watchdog struct {
 	// Settings are the network environments to cycle through; defaults
 	// to the paper's two standing settings.
 	Settings []netem.Config
-	// Opts configures the per-pair protocol. The per-setting
-	// PaperOptions apply only when Opts.IsZero(); a caller who sets any
-	// field (for example only Timing) keeps their options.
+	// Opts overrides the per-pair protocol field by field: every field
+	// left zero takes its value, per setting, from PaperOptions — or from
+	// QuickOptions when Quick is set — so a caller who sets only a seed,
+	// a Timing or a chaos plan keeps each setting's own tolerance (see
+	// SettingOptions).
 	Opts SchedulerOptions
+	// Quick selects the compressed QuickOptions preset instead of the
+	// paper protocol as the base Opts is laid over. It is a flag, not a
+	// value in Opts, because the preset depends on the setting.
+	Quick bool
 	// Workers is the number of concurrent trial workers used for solo
 	// calibrations and the pair matrices; values <= 1 run everything
 	// serially. Results — heatmaps, medians, checkpoints, fault ledger —
@@ -466,22 +472,18 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 }
 
 // SettingOptions resolves the scheduler options RunCycle uses for one
-// (cycle, setting) pair: the watchdog's own Opts, or — when those are
-// zero — the per-setting paper defaults, with WallBudget and Adaptive
-// carried over, defaults filled in, and the cycle/setting seed offset
-// applied.
+// (cycle, setting) pair: the setting's preset (PaperOptions, or
+// QuickOptions when Quick is set) with every non-zero field of Opts laid
+// over it and the cycle/setting seed offset applied.
 // It is exported for fleet workers, which must derive trial seeds
 // identically to the coordinator's watchdog from their own (matching)
 // configuration.
 func (w *Watchdog) SettingOptions(cycle, si int) SchedulerOptions {
-	opts := w.Opts
-	if opts.IsZero() {
-		wb, ad := opts.WallBudget, opts.Adaptive
-		opts = PaperOptions(w.Settings[si])
-		opts.WallBudget = wb
-		opts.Adaptive = ad
+	base := PaperOptions(w.Settings[si])
+	if w.Quick {
+		base = QuickOptions(w.Settings[si])
 	}
-	opts = opts.withDefaults()
+	opts := w.Opts.over(base)
 	// Seed-scope each cycle and setting so re-runs differ but stay
 	// reproducible.
 	opts.BaseSeed += uint64(cycle)*1_000_003 + uint64(si)*7_919

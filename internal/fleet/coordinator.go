@@ -285,7 +285,7 @@ func (c *Coordinator) admit(conn net.Conn) {
 		return
 	}
 	if hello.Fingerprint != c.Fingerprint {
-		reject(fmt.Sprintf("configuration fingerprint %x, coordinator has %x: catalog, settings, seed, and mode flags must match exactly",
+		reject(fmt.Sprintf("configuration fingerprint %x, coordinator has %x: catalog, settings, seed, and resolved options must match exactly",
 			hello.Fingerprint, c.Fingerprint))
 		return
 	}

@@ -25,7 +25,7 @@
 //	coord  → shutdown{detail}             — terminal; worker exits clean
 //
 // The hello fingerprint hashes the deterministic run configuration
-// (catalog, settings, seed, mode flags); a mismatch is rejected at the
+// (catalog, settings, seed, resolved options); a mismatch is rejected at the
 // door because a worker with a different catalog would compute
 // different — silently wrong — results.
 //
@@ -148,9 +148,9 @@ func (fc *frameConn) close() { _ = fc.c.Close() }
 
 // Fingerprint hashes an ordered list of configuration parts (FNV-1a
 // with a separator mix, so part boundaries matter). Coordinator and
-// workers must compute it over the same parts — service names, network
-// settings, base seed, mode flags — for the hello handshake to admit a
-// worker.
+// workers must compute it over the same parts — the CLI hashes
+// core.Recipe: service names, network settings, resolved options — for
+// the hello handshake to admit a worker.
 func Fingerprint(parts ...string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)

@@ -33,6 +33,9 @@ type Manifest struct {
 	// (obs stays dependency-free, so the concrete type lives upstream).
 	Settings     any  `json:"settings"`
 	ChaosEnabled bool `json:"chaos_enabled"`
+	// Recipe carries the caller's resolved per-setting options verbatim
+	// (core.Recipe): what the fields above leave out of "re-run it exactly".
+	Recipe any `json:"recipe,omitempty"`
 	// AdaptiveEnabled records whether the run used adaptive trial
 	// budgets (omitted on fixed-budget runs so their manifests are
 	// unchanged byte for byte).

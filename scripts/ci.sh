@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, vet, gofmt, static analysis, doc-comment gate,
-# the durable-primitive and dispatch-loop layering gates, the
+# the docs gate (scripts/docs-gate.sh), the durable-primitive and dispatch-loop layering gates, the
 # internal/stats coverage floor, the focused dispatch-loop race gate,
 # the fuzz smoke gate, the full test suite under the race detector
 # (which holds the hot paths to 0 allocs/op and sketch state to O(1)),
@@ -83,7 +83,7 @@ if [ "$SOAK" -eq 1 ]; then
     go test -count=1 -timeout 15m -v \
         -run 'TestEndToEndKillLoop|TestEndToEndSoak|TestEndToEndReaperFlag' \
         ./cmd/prudentia
-    go run ./cmd/prudentia -soak 3 -setting high -workers 2 -seed 7 \
+    go run ./cmd/prudentia -cycles 3 -v -setting high -workers 2 -seed 7 \
         -services "iPerf (Cubic),iPerf (BBR)" \
         -journal "$ARTIFACTS/soak-trials.wal" \
         -checkpoint "$ARTIFACTS/soak-state.json" \
@@ -135,7 +135,7 @@ if [ "$FLEET" -eq 1 ]; then
     ADDR="$(head -n1 "$ARTIFACTS/fleet-addr.txt")"
 
     start_worker() {
-        "$BIN" "${FLEET_ARGS[@]}" -worker -connect "$ADDR" -worker-name "$1" \
+        "$BIN" "${FLEET_ARGS[@]}" -connect "$ADDR" -worker-name "$1" \
             >> "$ARTIFACTS/fleet-$1.log" 2>&1 &
         echo $!
     }
@@ -417,6 +417,10 @@ for pkg in internal/stats internal/fleet internal/journal; do
 done
 [ "$missing" -eq 0 ] || { echo "ci: exported-symbol doc gate failed" >&2; exit 1; }
 
+# Docs gate: the documents that describe the current system name only
+# flags some command here defines and tests go test -list prints.
+scripts/docs-gate.sh
+
 # Layering gate: internal/journal is the only package that knows the
 # frame checksum and the only one that renames a file into place
 # (journal.ReplaceFile), so no second copy of the frame codec or of the
@@ -477,9 +481,10 @@ fi
 # queue's structural invariants (occupancy, FIFO, byte conservation) and
 # against the event engine's ordering contract (delay lines and lazy
 # timers dispatch exactly as the heap-only oracle does), and arbitrary
-# bytes against the parsers that read the network and the
-# disk — the frame readers and submission-WAL recovery — so they see
-# more than their seed corpus. Long exploratory campaigns run
+# bytes against the parsers that read the network, the disk and the
+# command line — the frame readers, submission-WAL recovery and
+# parseConfig (flags, the -sweep grid) — so they see more than their
+# seed corpus. Long exploratory campaigns run
 # out-of-band; this catches gross regressions on every CI pass.
 FUZZTIME=10s
 if [ "$SHORT" -eq 1 ]; then FUZZTIME=5s; fi
@@ -487,6 +492,7 @@ go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime="$FUZZTIME" ./internal
 go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime="$FUZZTIME" ./internal/sim
 go test -run '^$' -fuzz '^FuzzFrameScanner$' -fuzztime="$FUZZTIME" ./internal/journal
 go test -run '^$' -fuzz '^FuzzSubsWALOpen$' -fuzztime="$FUZZTIME" ./internal/serve
+go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime="$FUZZTIME" ./cmd/prudentia
 
 # The race detector slows the simulation-heavy core tests well past the
 # default 10m per-package budget. -short trims the slowest e2e tests on
