@@ -62,12 +62,8 @@ func TestEndToEndAdaptiveResumeFallback(t *testing.T) {
 	bin := buildBinary(t)
 	ckpt := filepath.Join(t.TempDir(), "state.json")
 	// A fixed-mode (and hence pre-adaptive-shaped) checkpoint: cycle 1,
-	// one setting, nothing completed, no budget state.
-	pre := &core.Checkpoint{
-		Cycle:       1,
-		Calibration: make([]map[string]float64, 1),
-		Pairs:       []map[string]*core.PairOutcome{{}},
-	}
+	// no budget state.
+	pre := &core.Checkpoint{Cycle: 1}
 	if pre.HasBudgetState() {
 		t.Fatal("setup: checkpoint must not carry budget state")
 	}

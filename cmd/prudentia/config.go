@@ -91,7 +91,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&code, "code", "", "access code for -submit")
 	fs.StringVar(&setting, "setting", "both", "highly | moderately | both")
 	fs.BoolVar(&c.verbose, "v", false, "per-pair progress output, plus circuit-breaker status after every cycle")
-	fs.StringVar(&w.CheckpointPath, "checkpoint", "", "checkpoint file: flush cycle state after every pair, and resume the interrupted cycle it holds when it exists")
+	fs.StringVar(&w.CheckpointPath, "checkpoint", "", "checkpoint file: keep the in-progress cycle's header here and journal every attempt beside it (at <file>.wal unless -journal names a path), so a cycle interrupted or killed -9 resumes on the next run; both files are removed when the cycle completes")
 	fs.BoolVar(&chaosOn, "chaos", false, "arm the deterministic fault-injection plan (all classes)")
 	fs.IntVar(&w.Workers, "workers", runtime.GOMAXPROCS(0),
 		"parallel trial workers for calibrations and the pair matrix (1 = serial; output is byte-identical for any value)")
@@ -102,7 +102,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&c.manifest, "manifest", "", "write the run manifest here after every cycle (default: manifest.json beside -timeline)")
 	fs.StringVar(&c.pprofDir, "pprof-dir", "", "capture cycle<N>.cpu.pprof and cycle<N>.heap.pprof profiles into this directory")
 	fs.StringVar(&c.faultsOut, "faults-out", "", "write the robustness fault ledger as JSONL here at exit")
-	fs.StringVar(&w.JournalPath, "journal", "", "write-ahead trial journal: append every executed attempt (fsynced) so a crashed cycle loses at most the in-flight trial and replays the rest")
+	fs.StringVar(&w.JournalPath, "journal", "", "write-ahead trial journal path: every executed attempt is appended (fsynced), so a crashed cycle loses at most the in-flight trial and replays the rest; overrides the <checkpoint>.wal default, or journals a run without -checkpoint")
 	fs.Float64Var(&w.Opts.WallBudget, "max-trial-wall", 0, "hung-trial reaper: wall-clock budget factor per trial (emulated duration × factor; 0 = off)")
 	fs.BoolVar(&adaptive, "adaptive", false, "adaptive trial budgets: coarse screening ranks pairs, the sequential stopper ends each pair's trials once its verdict is stable")
 

@@ -40,18 +40,60 @@ func cycleOutput(t *testing.T, out []byte) string {
 	return s[i:]
 }
 
-// TestEndToEndKillLoop repeatedly SIGKILLs a journaled run at
-// randomized (seed-logged) points until one attempt completes; the
-// survivor's report and fault ledger must be byte-identical to an
-// uninterrupted run — kill -9 loses at most the in-flight trial, and
-// the journal-reconciled resume replays everything else.
+// killUntilDone runs bin with args, SIGKILLing it at a random point and
+// starting it again, until one attempt runs to completion; it returns
+// that attempt's combined output. At least one kill must have landed.
+func killUntilDone(t *testing.T, bin string, args []string, rng *rand.Rand) []byte {
+	t.Helper()
+	for kills := 0; kills < 60; kills++ {
+		cmd := exec.Command(bin, args...)
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- cmd.Wait() }()
+		// The kill window starts well inside the cycle and widens with
+		// each attempt, so early attempts reliably die mid-cycle and the
+		// journal-accelerated later attempts get room to finish.
+		delay := time.Duration(40+rng.Intn(60+kills*120)) * time.Millisecond
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run failed (after %d kills): %v\n%s", kills, err, out.Bytes())
+			}
+			if kills == 0 {
+				t.Fatal("cycle completed before any kill fired; widen the workload")
+			}
+			t.Logf("survived %d SIGKILLs before completing", kills)
+			return out.Bytes()
+		case <-time.After(delay):
+			cmd.Process.Kill()
+			<-done
+		}
+	}
+	t.Fatal("no attempt completed after 60 kills")
+	return nil
+}
+
+// TestEndToEndKillLoop repeatedly SIGKILLs a durable run at randomized
+// (seed-logged) points until one attempt completes; the survivor's
+// report and fault ledger must be byte-identical to an uninterrupted
+// run — kill -9 loses at most the in-flight trial, and the resume
+// replays everything else from the journal. -checkpoint alone is as
+// safe as -checkpoint with -journal: the journal is implied beside it.
 func TestEndToEndKillLoop(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
 
-	// Reference: uninterrupted, no durability files.
+	// Reference: uninterrupted, no durability files. Fault injection is
+	// armed so the ledger the rows must reproduce is not an empty file.
+	workload := func(extra ...string) []string {
+		return append(append(cycleArgs("23"), "-chaos"), extra...)
+	}
 	refFaults := filepath.Join(dir, "ref-faults.jsonl")
-	ref := exec.Command(bin, append(cycleArgs("23"), "-faults-out", refFaults)...)
+	ref := exec.Command(bin, workload("-faults-out", refFaults)...)
 	refOut, err := ref.CombinedOutput()
 	if err != nil {
 		t.Fatalf("reference run: %v\n%s", err, refOut)
@@ -67,68 +109,43 @@ func TestEndToEndKillLoop(t *testing.T) {
 	t.Logf("kill-point seed: %d (re-run with PRUDENTIA_KILL_SEED=%d)", killSeed, killSeed)
 	rng := rand.New(rand.NewSource(killSeed))
 
-	ckpt := filepath.Join(dir, "state.json")
-	wal := filepath.Join(dir, "trials.wal")
-	faults := filepath.Join(dir, "faults.jsonl")
-	args := append(cycleArgs("23"),
-		"-checkpoint", ckpt, "-journal", wal, "-faults-out", faults)
-
-	kills := 0
-	var final []byte
-	for attempt := 0; ; attempt++ {
-		if attempt >= 60 {
-			t.Fatalf("no attempt completed after %d kills", kills)
-		}
-		cmd := exec.Command(bin, args...)
-		var out bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &out
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- cmd.Wait() }()
-		// The kill window starts well inside the cycle and widens with
-		// each attempt, so early attempts reliably die mid-cycle and the
-		// journal-accelerated later attempts get room to finish.
-		delay := time.Duration(40+rng.Intn(60+attempt*120)) * time.Millisecond
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("run failed (attempt %d): %v\n%s", attempt, err, out.Bytes())
+	for _, row := range []struct {
+		name    string
+		journal bool
+	}{{"checkpoint and journal", true}, {"checkpoint alone", false}} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ckpt := filepath.Join(dir, "state.json")
+			wal := ckpt + ".wal"
+			faults := filepath.Join(dir, "faults.jsonl")
+			args := workload("-checkpoint", ckpt, "-faults-out", faults)
+			if row.journal {
+				wal = filepath.Join(dir, "trials.wal")
+				args = append(args, "-journal", wal)
 			}
-			final = out.Bytes()
-		case <-time.After(delay):
-			cmd.Process.Kill()
-			<-done
-			kills++
-			continue
-		}
-		break
-	}
-	if kills == 0 {
-		t.Fatal("cycle completed before any kill fired; widen the workload")
-	}
-	t.Logf("survived %d SIGKILLs before completing", kills)
 
-	if got, want := cycleOutput(t, final), cycleOutput(t, refOut); got != want {
-		t.Fatalf("resumed report differs from uninterrupted run:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
-	}
-	got, err := os.ReadFile(faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(refFaults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("resumed fault ledger differs from uninterrupted run:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
-	}
-	// Converged: both durability files were cleaned up by the completed cycle.
-	for _, p := range []string{ckpt, wal} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("%s not removed after completed cycle", p)
-		}
+			final := killUntilDone(t, bin, args, rng)
+			if got, want := cycleOutput(t, final), cycleOutput(t, refOut); got != want {
+				t.Fatalf("resumed report differs from uninterrupted run:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
+			}
+			got, err := os.ReadFile(faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(refFaults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("resumed fault ledger differs from uninterrupted run:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
+			}
+			// Converged: both durability files were cleaned up by the completed cycle.
+			for _, p := range []string{ckpt, wal} {
+				if _, err := os.Stat(p); !os.IsNotExist(err) {
+					t.Fatalf("%s not removed after completed cycle", p)
+				}
+			}
+		})
 	}
 }
 

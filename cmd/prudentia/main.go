@@ -10,19 +10,21 @@
 // recipe, the sweep cells and the daemon all derive from; a flag the
 // selected mode would ignore is an error, not a no-op.
 //
-// The watchdog is crash-safe: with -checkpoint it flushes completed-pair
-// state to disk after every pair, SIGINT/SIGTERM stop it gracefully, and
-// the next run with the same -checkpoint resumes the cycle, skipping
-// completed pairs, with results identical to an uninterrupted run (the
-// file exists only while a cycle is interrupted). -journal adds a
-// write-ahead trial journal below the checkpoint: every executed attempt
-// is fsynced as it completes, so even kill -9 loses at most the one
-// in-flight trial and the next run replays the rest instead of
-// re-simulating it. -max-trial-wall arms the hung-trial reaper,
-// circuit-breaker state carries across the cycles of one run (-v prints
-// it after each), and -chaos arms the deterministic fault-injection plan
-// (link flaps, bandwidth sags, client stalls, trial panics/errors,
-// result corruption, service brownouts) to exercise those defenses.
+// The watchdog is crash-safe: with -checkpoint f it keeps the cycle's
+// header in f (cycle number, cycle-start breakers, admission and budget
+// decisions) and fsyncs every executed attempt to the write-ahead trial
+// journal f.wal as it completes. SIGINT/SIGTERM stop it gracefully, a
+// kill -9 loses at most the one in-flight trial, and either way the next
+// run with the same -checkpoint resumes the cycle by replaying the
+// journal instead of re-simulating it, with a report and fault ledger
+// identical to an uninterrupted run (both files exist only while a cycle
+// is in progress). -journal moves the journal to another path, or
+// journals a run that has no checkpoint. -max-trial-wall arms the
+// hung-trial reaper, circuit-breaker state carries across the cycles of
+// one run (-v prints it after each), and -chaos arms the deterministic
+// fault-injection plan (link flaps, bandwidth sags, client stalls, trial
+// panics/errors, result corruption, service brownouts) to exercise those
+// defenses.
 //
 // -adaptive replaces the fixed trial protocol with adaptive budgets
 // (docs/ADAPTIVE.md): a coarse screening pass ranks pairs by predicted
@@ -43,7 +45,7 @@
 // -workers N (default GOMAXPROCS) fans calibrations and pair trials out
 // to a worker pool; every trial owns a private simulation engine and
 // emulated testbed, and completed work is merged in canonical order, so
-// heatmaps, checkpoints, and the fault ledger are byte-identical for any
+// heatmaps, reports, and the fault ledger are byte-identical for any
 // worker count. The first SIGINT drains the trials in flight before
 // flushing the checkpoint; a resumed parallel run replays identically.
 //
@@ -52,8 +54,7 @@
 //	prudentia -cycles 1 -quick
 //	prudentia -cycles 0            # run forever (live watchdog mode)
 //	prudentia -workers 8           # parallel matrix, identical output
-//	prudentia -checkpoint state.json            # crash-safe; rerun to resume
-//	prudentia -checkpoint s.json -journal t.wal # journal: kill -9 safe
+//	prudentia -checkpoint state.json            # kill -9 safe; rerun to resume
 //	prudentia -cycles 5 -v -max-trial-wall 50   # long-run supervision
 //	prudentia -chaos -v                         # fault-injection run
 //	prudentia -submit https://my.service/page -code <access code>
@@ -170,8 +171,8 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM requests a stop at the
-	// next trial boundary (the checkpoint is flushed after every pair, so
-	// nothing completed is lost); a second signal kills immediately.
+	// next trial boundary (every attempt is journaled as it completes, so
+	// nothing finished is lost); a second signal kills immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sigc := make(chan os.Signal, 2)

@@ -99,6 +99,6 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\ntotals: %d retries, %d discards, %d corrupt results gated, %d pairs quarantined\n",
 		retries, discards, corrupt, len(res.FailedPairs()))
-	fmt.Fprintf(w, "checkpoint flushed to %s after every pair (removed on completion)\n", ckpt)
+	fmt.Fprintf(w, "checkpoint flushed to %s, every attempt journaled to %s.wal (both removed on completion)\n", ckpt, ckpt)
 	return nil
 }

@@ -261,7 +261,7 @@ func TestAdaptiveResumeEquivalence(t *testing.T) {
 // fallback cmd/prudentia performs automatically.
 func TestAdaptiveResumeRejectsPreAdaptiveCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	cp := newCheckpoint(1, 1)
+	cp := &Checkpoint{Cycle: 1}
 	if cp.HasBudgetState() {
 		t.Fatal("fixed-mode checkpoint must not carry budget state")
 	}

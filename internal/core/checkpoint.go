@@ -19,15 +19,17 @@ const CheckpointSchema = "prudentia.checkpoint/1"
 // ErrFutureCheckpoint marks a checkpoint written by a newer schema
 // version than this build understands. Resuming from it could silently
 // misparse fields this build does not know about, so it is rejected
-// outright instead of being half-adopted.
+// outright instead of being half-read.
 var ErrFutureCheckpoint = journal.ErrFutureVersion
 
-// Checkpoint is the crash-safe serialization of an in-progress watchdog
-// cycle: everything completed so far, flushed to disk after every pair.
-// Because each pair's trial seeds are pure functions of
-// (BaseSeed, pair, attempt), a cycle resumed from a checkpoint replays
-// the remaining pairs exactly and produces a CycleResult identical to an
-// uninterrupted run.
+// Checkpoint is the header of an in-progress watchdog cycle: the
+// decisions a resumed cycle must not re-litigate and the one piece of
+// state it cannot recompute, flushed when one of them changes — a few
+// service names, plus one integer per pair under adaptive budgets; no
+// outcome, no sketch. Everything a cycle has done — calibrations,
+// canary probes, screening, pair trials — lives in the trial journal
+// beside it and comes back by replay (Watchdog.RunCycle), so there is
+// one recovery routine and this file is only where it starts.
 type Checkpoint struct {
 	// Schema is CheckpointSchema; SaveCheckpoint stamps it and
 	// LoadCheckpoint rejects future versions (empty is accepted for
@@ -36,47 +38,27 @@ type Checkpoint struct {
 	// Cycle is the 1-based cycle number the state belongs to; it scopes
 	// the per-cycle seed offset, so resume must reuse it.
 	Cycle int `json:"cycle"`
-	// Calibration[si] holds setting si's completed solo-calibration map
-	// (nil while that setting's calibration is still in progress).
-	Calibration []map[string]float64 `json:"calibration"`
-	// Pairs[si] maps pairKey → completed outcome for setting si.
-	Pairs []map[string]*PairOutcome `json:"pairs"`
-	// Breakers snapshots the per-service circuit-breaker state at the
-	// last flush, so a resumed cycle restores health scores instead of
-	// forgetting every past failure.
+	// Breakers snapshots the per-service circuit-breaker state at cycle
+	// start — the history earlier cycles left, which no journal of this
+	// cycle holds. A resumed cycle restores it and lets the replayed work
+	// re-score it on the ordinary release path.
 	Breakers []obs.BreakerInfo `json:"breakers,omitempty"`
 	// Budget[si] maps pairKey → the adaptive trial ceiling allocated by
 	// setting si's screening pass (nil until that setting's screening
 	// ran). It is the allocation *decision record*: a resumed adaptive
-	// cycle adopts it verbatim instead of re-screening, so the stopping
+	// cycle takes it verbatim instead of re-screening, so the stopping
 	// ceilings — and with them every stopping decision — cannot be
 	// re-litigated mid-cycle. The whole slice is nil on fixed-budget
-	// runs, keeping their checkpoints byte-identical to pre-adaptive
-	// builds, and nil on checkpoints written by those builds —
+	// runs and on checkpoints written by pre-adaptive builds —
 	// HasBudgetState distinguishes the two.
 	Budget []map[string]int `json:"budget,omitempty"`
 	// OpenServices[si] records the admission decision made when setting
 	// si's matrix started: the sorted list of services whose breakers
 	// were open (possibly empty but non-nil once the setting started).
-	// Resume adopts the stored decision verbatim — including skipping
-	// the canary probes that already ran — so an interrupted cycle
+	// Resume takes the stored decision verbatim, so an interrupted cycle
 	// cannot re-litigate admission and diverge from the uninterrupted
 	// run.
 	OpenServices [][]string `json:"open_services,omitempty"`
-}
-
-// newCheckpoint returns an empty checkpoint sized for nSettings.
-func newCheckpoint(cycle, nSettings int) *Checkpoint {
-	cp := &Checkpoint{
-		Cycle:        cycle,
-		Calibration:  make([]map[string]float64, nSettings),
-		Pairs:        make([]map[string]*PairOutcome, nSettings),
-		OpenServices: make([][]string, nSettings),
-	}
-	for i := range cp.Pairs {
-		cp.Pairs[i] = make(map[string]*PairOutcome)
-	}
-	return cp
 }
 
 // HasBudgetState reports whether the checkpoint carries adaptive
@@ -120,10 +102,9 @@ func SaveCheckpointDisk(path string, cp *Checkpoint, disk *chaos.DiskPlan) error
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint. The
 // schema is probed before the full parse, so a future-version file —
 // whose body this build might misread — is rejected with a clear
-// ErrFutureCheckpoint rather than a confusing field error. A pair
-// that ran trials without sketch state (ErrNoSketches: an older build's
-// -exact-stats checkpoint) is rejected too, instead of being adopted as
-// a blank cell.
+// ErrFutureCheckpoint rather than a confusing field error. The
+// "pairs" and "calibration" members older builds wrote are ignored:
+// that work replays from the journal or re-simulates to the same bytes.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -148,16 +129,6 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	}
 	if cp.Cycle <= 0 {
 		return nil, fmt.Errorf("core: checkpoint %s has invalid cycle %d", path, cp.Cycle)
-	}
-	for si, pairs := range cp.Pairs {
-		for key, p := range pairs {
-			if p == nil {
-				continue // Matrix.Run re-runs a null pair
-			}
-			if err := p.Validate(); err != nil {
-				return nil, fmt.Errorf("core: checkpoint %s: setting %d pair %s: %w", path, si, key, err)
-			}
-		}
 	}
 	return cp, nil
 }

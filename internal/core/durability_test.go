@@ -6,9 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"prudentia/internal/chaos"
+	"prudentia/internal/journal"
 	"prudentia/internal/netem"
 	"prudentia/internal/obs"
 )
@@ -176,16 +178,16 @@ func TestReaperGenerousBudgetIsTransparent(t *testing.T) {
 	}
 }
 
-// TestJournalResumeEquivalence is the tentpole acceptance test at the
-// package level: an interrupted journaled cycle, resumed, must produce
-// a CycleResult and fault ledger identical to an uninterrupted run —
-// with the resumed process re-simulating strictly fewer trials than a
-// checkpoint-only resume of the same interruption, because journaled
-// attempts replay instead of re-running.
+// TestJournalResumeEquivalence is the recovery acceptance test at the
+// package level: an interrupted cycle, resumed, must produce a
+// CycleResult and fault ledger identical to an uninterrupted run, by
+// replaying what the journal holds — with the journal at an explicit
+// path, and with CheckpointPath alone (the journal then lives beside
+// it) under a checkpoint shaped the way the previous build wrote it,
+// whose finished-work keys this build ignores.
 func TestJournalResumeEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	type run struct {
-		cr     *CycleResult
 		ledger []FaultEvent
 		reg    *obs.Registry
 	}
@@ -240,11 +242,33 @@ func TestJournalResumeEquivalence(t *testing.T) {
 		t.Fatalf("journal not removed after completed cycle: %v", err)
 	}
 
-	// Checkpoint-only mode: same interruption point, no journal.
+	// CheckpointPath alone, same interruption point: the journal is
+	// implied. Before resuming, the header is rewritten into the shape
+	// the previous build flushed — finished work under "pairs" and
+	// "calibration", here deliberately wrong — which must be ignored.
 	ckptC := filepath.Join(dir, "c.ckpt")
 	wC, _ := mk(ckptC, "", interruptAfter(12))
 	if _, err := wC.RunCycle(); err != ErrInterrupted {
 		t.Fatalf("interrupted cycle returned %v, want ErrInterrupted", err)
+	}
+	if _, err := os.Stat(ckptC + ".wal"); err != nil {
+		t.Fatalf("CheckpointPath alone left no journal beside it: %v", err)
+	}
+	data, err := os.ReadFile(ckptC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var header map[string]json.RawMessage
+	if err := json.Unmarshal(data, &header); err != nil {
+		t.Fatal(err)
+	}
+	header["calibration"] = json.RawMessage(`[{"iPerf (Reno)": 0.001}]`)
+	header["pairs"] = json.RawMessage(`[{"0|0": {"Incumbent": "iPerf (Reno)", "Contender": "iPerf (Reno)", "Failed": true}}]`)
+	if data, err = json.Marshal(header); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckptC, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	wD, rd := mk(ckptC, "", nil)
 	if found, err := wD.LoadCheckpoint(); err != nil || !found {
@@ -254,36 +278,180 @@ func TestJournalResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// All three produce the same CycleResult.
-	jRef, _ := json.Marshal(crRef)
-	for name, cr := range map[string]*CycleResult{"journal resume": crB, "checkpoint resume": crD} {
-		got, _ := json.Marshal(cr)
-		if !bytes.Equal(jRef, got) {
-			t.Fatalf("%s differs from uninterrupted run:\n%s\nvs\n%s", name, jRef, got)
+	for _, p := range []string{ckptC, ckptC + ".wal"} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s not removed after completed cycle: %v", p, err)
 		}
 	}
 
-	// Journal replay re-emits the full ledger: the resumed process alone
-	// reproduces the uninterrupted run's event stream, event for event.
+	// Each resumed process alone reproduces the uninterrupted run's
+	// CycleResult and — because replay drives the ordinary release path —
+	// its fault ledger, event for event, and did so by replaying.
+	jRef, _ := json.Marshal(crRef)
 	lRef, _ := json.Marshal(ref.ledger)
-	lB, _ := json.Marshal(rb.ledger)
-	if !bytes.Equal(lRef, lB) {
-		t.Fatalf("journal-resumed ledger differs from uninterrupted run:\n%s\nvs\n%s", lRef, lB)
+	for _, c := range []struct {
+		name string
+		cr   *CycleResult
+		r    *run
+	}{{"journal resume", crB, rb}, {"checkpoint-only resume", crD, rd}} {
+		if got, _ := json.Marshal(c.cr); !bytes.Equal(jRef, got) {
+			t.Fatalf("%s differs from uninterrupted run:\n%s\nvs\n%s", c.name, jRef, got)
+		}
+		if got, _ := json.Marshal(c.r.ledger); !bytes.Equal(lRef, got) {
+			t.Fatalf("%s: ledger differs from uninterrupted run:\n%s\nvs\n%s", c.name, lRef, got)
+		}
+		if c.r.reg.Snapshot().Counters["prudentia_journal_replayed_total"] == 0 {
+			t.Fatalf("%s replayed nothing", c.name)
+		}
 	}
+}
 
-	// And it re-simulates strictly less: every fresh execution in the
-	// resumed journal run appends a record, so the append count bounds
-	// its simulation work; the checkpoint-only resume re-simulates at
-	// least every pair attempt it started.
-	snapB, snapD := rb.reg.Snapshot(), rd.reg.Snapshot()
-	if snapB.Counters["prudentia_journal_replayed_total"] == 0 {
-		t.Fatal("journal resume replayed nothing")
+// cutRemote is a coordinator that can lose its fleet: it runs tasks
+// through localRemote (in-process RunPairTask), records what each
+// RunPairs call was handed, and with limit > 0 delivers only the first
+// limit results before closing the channel, which the matrix reads as
+// an interrupted dispatch.
+type cutRemote struct {
+	w     *Watchdog
+	limit int
+	calls [][]PairTask
+}
+
+func (r *cutRemote) RunPairs(tasks []PairTask, _ func() bool) (<-chan PairTaskResult, error) {
+	r.calls = append(r.calls, tasks)
+	if r.limit > 0 && r.limit < len(tasks) {
+		tasks = tasks[:r.limit]
 	}
-	fresh := snapB.Counters["prudentia_journal_records_total"]
-	rerun := snapD.Counters["prudentia_trials_started_total"]
-	if fresh >= rerun {
-		t.Fatalf("journal resume re-simulated %d attempts, checkpoint-only %d; journal must re-run strictly fewer", fresh, rerun)
+	m := &Matrix{Services: r.w.Services, Net: r.w.Settings[0], Opts: r.w.SettingOptions(1, 0)}
+	return localRemote{m}.RunPairs(tasks, nil)
+}
+
+// TestCoordinatorResume: a cycle whose pairs run on a RemoteRunner
+// leaves no attempts in the coordinator's journal, only one pair record
+// per released pair. Interrupted after k of them, the resumed cycle must
+// dispatch exactly the pairs that were never released — not the whole
+// setting — and still equal an uninterrupted run in its CycleResult, its
+// fault ledger and its breaker state, fixed and adaptive (so the budget
+// a task carries is covered). A record with its sketches stripped is
+// ignored: that pair is dispatched again.
+func TestCoordinatorResume(t *testing.T) {
+	const released = 2
+	type run struct {
+		w      *Watchdog
+		remote *cutRemote
+		ledger []FaultEvent
+	}
+	for _, adaptive := range []bool{false, true} {
+		mk := func(ckpt string, limit int) *run {
+			opts := fastOpts(netem.HighlyConstrained())
+			opts.BaseSeed = 11
+			opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
+			if adaptive {
+				opts.MinTrials, opts.MaxTrials, opts.Step = 4, 8, 4
+				opts.Adaptive = &AdaptiveOptions{}
+			}
+			r := &run{}
+			r.w = &Watchdog{
+				Services:       threeServices(),
+				Settings:       []netem.Config{netem.HighlyConstrained()},
+				Opts:           opts,
+				CheckpointPath: ckpt,
+				OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
+			}
+			if ckpt != "" {
+				r.w.JournalPath = ckpt + ".wal"
+			}
+			r.remote = &cutRemote{w: r.w, limit: limit}
+			r.w.Remote = r.remote
+			return r
+		}
+		outputs := func(r *run, cr *CycleResult) string {
+			a, _ := json.Marshal(cr)
+			b, _ := json.Marshal(r.ledger)
+			c, _ := json.Marshal(r.w.Breakers.Status())
+			return string(a) + "\n" + string(b) + "\n" + string(c)
+		}
+		resume := func(ckpt string) (*run, string) {
+			t.Helper()
+			r := mk(ckpt, 0)
+			if found, err := r.w.LoadCheckpoint(); err != nil || !found {
+				t.Fatalf("LoadCheckpoint = %v, %v", found, err)
+			}
+			cr, err := r.w.RunCycle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.remote.calls) != 1 {
+				t.Fatalf("resumed cycle dispatched %d times, want once", len(r.remote.calls))
+			}
+			return r, outputs(r, cr)
+		}
+		interrupt := func(ckpt string) {
+			t.Helper()
+			if _, err := mk(ckpt, released).w.RunCycle(); err != ErrInterrupted {
+				t.Fatalf("cut-off dispatch returned %v, want ErrInterrupted", err)
+			}
+		}
+
+		ref := mk("", 0)
+		crRef, err := ref.w.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, all := outputs(ref, crRef), ref.remote.calls[0]
+		if adaptive && all[released].Budget == 0 {
+			t.Fatal("adaptive tasks must carry their budget")
+		}
+
+		dir := t.TempDir()
+		ckpt := filepath.Join(dir, "ckpt.json")
+		interrupt(ckpt)
+		r, got := resume(ckpt)
+		if !reflect.DeepEqual(r.remote.calls[0], all[released:]) {
+			t.Fatalf("adaptive=%v: resumed cycle dispatched %+v, want the unreleased %+v", adaptive, r.remote.calls[0], all[released:])
+		}
+		if got != want {
+			t.Fatalf("adaptive=%v: resumed coordinator cycle differs from uninterrupted run:\n%s\nvs\n%s", adaptive, got, want)
+		}
+
+		// Same interruption, but the first pair's record is superseded by
+		// one without sketches before the resume.
+		ckpt = filepath.Join(dir, "stripped.json")
+		interrupt(ckpt)
+		jw, rec, err := journal.Open(ckpt + ".wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *journal.Entry
+		for i := range rec.Entries {
+			if rec.Entries[i].Kind == "pair" {
+				first = &rec.Entries[i]
+				break
+			}
+		}
+		if first == nil {
+			t.Fatal("interrupted coordinator cycle journaled no pair record")
+		}
+		var body struct {
+			Outcome map[string]json.RawMessage `json:"outcome"`
+			Events  json.RawMessage            `json:"events,omitempty"`
+		}
+		if err := json.Unmarshal(first.Result, &body); err != nil {
+			t.Fatal(err)
+		}
+		delete(body.Outcome, "sketches")
+		first.Result, _ = json.Marshal(body)
+		if err := jw.Append(*first); err != nil {
+			t.Fatal(err)
+		}
+		jw.Close()
+		r, got = resume(ckpt)
+		if wantTasks := append([]PairTask{all[0]}, all[released:]...); !reflect.DeepEqual(r.remote.calls[0], wantTasks) {
+			t.Fatalf("adaptive=%v: with a sketch-less record the resume dispatched %+v, want %+v", adaptive, r.remote.calls[0], wantTasks)
+		}
+		if got != want {
+			t.Fatalf("adaptive=%v: resume past a sketch-less record differs from uninterrupted run:\n%s\nvs\n%s", adaptive, got, want)
+		}
 	}
 }
 

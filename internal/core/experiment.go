@@ -9,7 +9,7 @@
 // out to a worker pool (the Workers field): every trial owns a private
 // sim.Engine and netem testbed, every trial seed is a pure function of
 // (BaseSeed, pair, attempt), and completed pairs are merged back in
-// canonical order — heatmaps, checkpoints, and the fault ledger are
+// canonical order — heatmaps, reports, and the fault ledger are
 // byte-identical for any worker count. See ARCHITECTURE.md for the data
 // flow and pairproto.go / parallel.go for the protocol and pool.
 package core
@@ -138,7 +138,7 @@ type TrialResult struct {
 // water, upstream loss processes, transport rare events, and chaos
 // episodes. It is deterministic in the trial seed — wall-clock timing
 // lives in the registry's "wall" metrics and the timeline, never here —
-// so it can ride on TrialResult through checkpoints and the parallel
+// so it can ride on TrialResult through the journal and the parallel
 // merge without breaking byte-identical determinism.
 type TrialObs struct {
 	ArrivedPackets   int64 `json:"arrived_pkts"`

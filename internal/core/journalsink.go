@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"sync"
 
 	"prudentia/internal/journal"
@@ -23,11 +22,6 @@ import (
 // journalEntry aliases the journal's record type for the protocol code.
 type journalEntry = journal.Entry
 
-// jsonUnmarshal decodes a journaled payload (nil-tolerant).
-func jsonUnmarshal(data json.RawMessage, v any) error {
-	return json.Unmarshal(data, v)
-}
-
 type journalSink struct {
 	w *journal.Writer
 
@@ -37,9 +31,9 @@ type journalSink struct {
 }
 
 // newJournalSink indexes the recovered entries by seed. Later
-// duplicates win, matching append order (an attempt journaled twice —
-// possible only if a previous process died between append and
-// checkpoint bookkeeping — replays its final classification).
+// duplicates win, matching append order (a seed journaled twice — a
+// remote pair whose earlier record failed to decode and was dispatched
+// again — replays its final record).
 func newJournalSink(w *journal.Writer, recovered []journal.Entry) *journalSink {
 	s := &journalSink{w: w, seen: make(map[uint64]journal.Entry, len(recovered))}
 	for _, e := range recovered {
@@ -91,16 +85,4 @@ func (s *journalSink) replayCount() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.replayed
-}
-
-// marshalResult serializes a counted TrialResult for journaling. A
-// result that cannot round-trip through JSON (it should always be able
-// to — counted results passed the validity gate) reports false and the
-// attempt simply goes unjournaled.
-func marshalResult(res *TrialResult) (json.RawMessage, bool) {
-	data, err := json.Marshal(res)
-	if err != nil {
-		return nil, false
-	}
-	return data, true
 }

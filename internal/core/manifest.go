@@ -58,7 +58,7 @@ func (w *Watchdog) Recipe() Recipe {
 // and so on for every netem/transport/chaos family, because those
 // families are a fold over released pair outcomes (see Instruments). An
 // interrupted cycle's snapshot reconciles the same way with the pairs
-// its checkpoint holds: an abandoned pair is in neither.
+// it released: an abandoned pair is in neither.
 func (w *Watchdog) BuildManifest(cr *CycleResult, reg *obs.Registry) obs.Manifest {
 	m := obs.NewManifest()
 	m.Workers = w.Workers

@@ -25,8 +25,8 @@ import (
 // With Workers > 1 the matrix fans pairs out to a worker pool
 // (parallel.go). Every trial owns a private sim.Engine + netem testbed
 // and every seed is a pure function of (BaseSeed, pair, attempt), so
-// results — heatmaps, medians, checkpoints, fault ledger — are
-// byte-identical for any worker count, including 1.
+// results — heatmaps, medians, fault ledger — are byte-identical for
+// any worker count, including 1.
 type Matrix struct {
 	Services []services.Service
 	Net      netem.Config
@@ -52,7 +52,7 @@ type Matrix struct {
 	// Budgets maps pairKey → allocated trial ceiling, restored from a
 	// checkpoint. When nil and Opts.Adaptive is armed, Run performs the
 	// coarse screening pass itself and allocates budgets from the
-	// scores; when non-nil the stored allocation is adopted verbatim —
+	// scores; when non-nil the stored allocation is taken verbatim —
 	// screening is skipped — so a resumed adaptive cycle reproduces the
 	// original run's stopping decisions without re-planning them.
 	Budgets map[string]int
@@ -62,12 +62,6 @@ type Matrix struct {
 	// Run, before any full-depth trial starts, from the goroutine that
 	// called Run; not called when Budgets was supplied.
 	OnBudgets func(budgets map[string]int)
-
-	// Completed maps pairKey → outcomes restored from a checkpoint;
-	// those pairs are adopted verbatim and not re-run, which — because
-	// every trial seed is a pure function of (BaseSeed, pair, attempt) —
-	// makes a resumed matrix identical to an uninterrupted one.
-	Completed map[string]*PairOutcome
 
 	// SkipService, if non-nil, denies admission by service name: every
 	// pair with a member the hook rejects is marked Skipped (rendered
@@ -79,7 +73,10 @@ type Matrix struct {
 
 	// Journal, if non-nil, is the cycle's write-ahead trial journal
 	// sink: every executed attempt is recorded, and recovered attempts
-	// replay by seed instead of re-simulating.
+	// replay by seed instead of re-simulating — which is all a resumed
+	// matrix needs to be identical to an uninterrupted one, every trial
+	// seed being a pure function of (BaseSeed, pair, attempt). Under
+	// Remote it holds one record per finished pair instead (remote.go).
 	Journal *journalSink
 
 	// Breakers, if non-nil, accumulates per-service health scores from
@@ -93,9 +90,8 @@ type Matrix struct {
 	Interrupt func() bool
 
 	// OnPair, if non-nil, is invoked each time a pair reaches a final
-	// state (the checkpoint flush hook). Pairs are delivered in
-	// canonical catalog order regardless of Workers, always from the
-	// goroutine that called Run.
+	// state. Pairs are delivered in canonical catalog order regardless
+	// of Workers, always from the goroutine that called Run.
 	OnPair func(key string, out *PairOutcome)
 
 	// OnFault, if non-nil, receives the live robustness ledger:
@@ -137,10 +133,6 @@ func (m *Matrix) Run() (*MatrixResult, error) {
 		res.Names = append(res.Names, m.Services[i].Name())
 		for j := i; j < len(m.Services); j++ {
 			key := pairKey(i, j)
-			if done, ok := m.Completed[key]; ok && done != nil {
-				res.Pairs[key] = done
-				continue
-			}
 			if open, skip := m.skipPair(i, j); skip {
 				out := &PairOutcome{
 					Incumbent: m.Services[i].Name(),
@@ -220,9 +212,10 @@ func (m *Matrix) skipPair(i, j int) (openService string, skip bool) {
 }
 
 // finish publishes a pair that reached a final state: breaker scores,
-// registry counters and the checkpoint hook are all derived here, from
-// the outcome, on the canonical release path — so they are ordered and
-// identical for any worker count, and for local and fleet pairs alike.
+// registry counters and the OnPair hook are all derived here, from the
+// outcome, on the canonical release path — the only one, which executed,
+// replayed and fleet pairs alike go through — so they are ordered and
+// identical for any worker count and across a resume.
 func (m *Matrix) finish(st *pairState) {
 	m.Breakers.scorePair(st.outcome)
 	m.Obs.foldPair(st.outcome)

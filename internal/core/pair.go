@@ -166,8 +166,8 @@ type PairOutcome struct {
 	Failures []TrialFailure
 	// StopReason records why the adaptive sequential stopper ended the
 	// pair (stats.StopCIWidth, StopStable, or StopBudget). Empty on
-	// fixed-budget runs, so their checkpoints and artifacts are
-	// unchanged byte for byte.
+	// fixed-budget runs, so their artifacts are unchanged byte for
+	// byte.
 	StopReason string `json:"stop_reason,omitempty"`
 	// Budget is the pair's allocated trial ceiling under adaptive
 	// budgets (zero on fixed-budget runs).
@@ -185,12 +185,12 @@ type PairOutcome struct {
 
 // ErrNoSketches marks a decoded pair that ran trials yet carries no
 // usable sketch state: the raw-sample shape older builds wrote under
-// -exact-stats. Adopting it would publish silent blank cells.
+// -exact-stats. Accepting it would publish silent blank cells.
 var ErrNoSketches = errors.New("pair holds raw samples instead of sketches (written with -exact-stats by an older build); re-run the cycle")
 
-// Validate checks a pair decoded from a checkpoint or a fleet result:
-// every pair except a breaker-skipped one must carry its full sketch
-// set (ErrNoSketches otherwise).
+// Validate checks a pair decoded from a journaled pair record or a
+// fleet result: every pair except a breaker-skipped one must carry its
+// full sketch set (ErrNoSketches otherwise).
 func (p *PairOutcome) Validate() error {
 	if p.Skipped || p.Sketches.complete() {
 		return nil

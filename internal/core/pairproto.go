@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"prudentia/internal/netem"
@@ -30,9 +31,8 @@ type pairState struct {
 	svcB     services.Service
 
 	// Adaptive-stopper state (transient: both are reconstructed
-	// deterministically by the protocol itself, so they never ride a
-	// checkpoint — only completed pairs checkpoint, and journal replay
-	// re-runs the protocol from attempt 0).
+	// deterministically by the protocol itself, so they are never
+	// persisted — journal replay re-runs the protocol from attempt 0).
 	//
 	// evalN is the counted-trial count at the last adaptive
 	// evaluation, making re-evaluations after non-counted attempts
@@ -146,7 +146,7 @@ func attemptFromEntry(e journalEntry) (attemptResult, bool) {
 		simSeconds: e.SimSeconds, replayed: true}
 	switch e.Kind {
 	case "ok":
-		if err := jsonUnmarshal(e.Result, &ar.res); err != nil {
+		if err := json.Unmarshal(e.Result, &ar.res); err != nil {
 			return attemptResult{}, false
 		}
 		ar.simSeconds = ar.res.Obs.SimSeconds
@@ -181,12 +181,14 @@ func executeAttempt(sink *journalSink, ins *Instruments, opts SchedulerOptions,
 			e.Detail = ar.failMsg
 			e.SimSeconds = 0
 		}
-		ok := true
+		var merr error
 		if ar.class == "ok" {
-			e.Result, ok = marshalResult(&ar.res)
+			// Counted results passed the validity gate, so they always
+			// round-trip through JSON; one that could not goes unjournaled.
+			e.Result, merr = json.Marshal(&ar.res)
 			e.SimSeconds = 0 // carried inside Result
 		}
-		if ok {
+		if merr == nil {
 			sink.record(e, ins)
 		}
 	}

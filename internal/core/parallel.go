@@ -27,8 +27,8 @@ import (
 // runOrdered, strictly in index order, streamed as the canonical prefix
 // completes — turns it into OnFault/OnPair/Progress traffic. The
 // released byte stream is therefore identical for any worker count,
-// including 1, and a crash mid-cycle still finds every released task on
-// disk.
+// including 1; and since every attempt is journaled before its task
+// returns, a crash mid-cycle finds every released task on disk.
 //
 // Interrupt and drain: the hook is polled by the tasks themselves, at
 // their own safe points (before a calibration, before every screening
@@ -38,9 +38,8 @@ import (
 // value is dropped (never released), its worker takes no further task,
 // and the other workers stop at their next poll after draining the
 // trial in flight. Completed tasks stranded behind an abandoned index
-// are still released, in index order, so their outcomes reach the
-// checkpoint — resume correctness needs only per-task purity, not a
-// canonical prefix.
+// are still released, in index order — resume correctness needs only
+// per-task purity, not a canonical prefix.
 
 // workerCount clamps a requested worker count to [1, tasks] (minimum 1
 // even for zero tasks).
@@ -191,7 +190,8 @@ func (m *Matrix) runAll(states []*pairState, opts SchedulerOptions) (interrupted
 
 // releasePair returns the pair matrix's release half, shared by the
 // local pool and the remote runner: a finished pair's ledger events,
-// then the OnPair checkpoint hook, then the Progress line.
+// then breaker scoring, telemetry, OnPair and the Progress line
+// (Matrix.finish).
 func (m *Matrix) releasePair(states []*pairState) func(i int, events []FaultEvent) {
 	return func(i int, events []FaultEvent) {
 		for _, ev := range events {

@@ -23,11 +23,11 @@ import (
 // which imports core.
 
 // TestWatchdogCheckpointDeterminismAcrossWorkers asserts the stronger
-// cycle-level property: not only the final CycleResult but every
-// intermediate checkpoint flushed during the cycle is byte-identical
-// between a serial and an 8-worker run. The checkpoint file is sampled
-// at each per-pair Progress callback, which the ordered merge fires
-// after the corresponding checkpoint flush.
+// cycle-level property: not only the final CycleResult but the
+// checkpoint header on disk at every released pair is byte-identical
+// between a serial and an 8-worker run. The file is sampled at each
+// per-pair Progress callback, which the ordered merge fires on the
+// release path, where the header's decisions are made and flushed.
 func TestWatchdogCheckpointDeterminismAcrossWorkers(t *testing.T) {
 	run := func(workers int) (snaps []string, final []byte) {
 		ckpt := filepath.Join(t.TempDir(), "ckpt.json")

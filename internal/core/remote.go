@@ -1,6 +1,10 @@
 package core
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+
 	"prudentia/internal/netem"
 	"prudentia/internal/services"
 )
@@ -69,30 +73,90 @@ func RunPairTask(svcs []services.Service, net netem.Config, opts SchedulerOption
 	return st.outcome, events
 }
 
+// pairRecord is the Result payload of a "pair" journal entry: a pair a
+// remote runner finished, whole. A remote pair's attempts run in
+// another process and never reach this journal, so the finished pair is
+// what the coordinator has to make durable.
+type pairRecord struct {
+	Outcome *PairOutcome `json:"outcome"`
+	Events  []FaultEvent `json:"events,omitempty"`
+}
+
+// decodePairRecord reads a journaled pair back: an outcome that passes
+// PairOutcome.Validate, or an error — a record this build cannot use
+// (torn, foreign, sketch-less: ErrNoSketches) is never half-read into a
+// blank cell; its pair is simply dispatched again.
+func decodePairRecord(e journalEntry) (*PairOutcome, []FaultEvent, error) {
+	var r pairRecord
+	err := json.Unmarshal(e.Result, &r)
+	if err == nil && r.Outcome == nil {
+		err = errors.New("no outcome")
+	}
+	if err == nil {
+		err = r.Outcome.Validate()
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: pair record %s: %w", e.Pair, err)
+	}
+	return r.Outcome, r.Events, nil
+}
+
 // runAllRemote executes every pending pair through m.Remote and feeds
 // the results into the canonical-order merge. Duplicate and
 // re-dispatched executions on the runner's side are invisible here:
 // the runner delivers each task once, and — because re-runs are
 // deterministic — whichever worker's result survives carries the same
 // bytes. Seed derivation happens worker-side, from the same options.
+//
+// Each delivered result is journaled as one pair record before it
+// enters the merge, and a pending pair whose record a previous process
+// left is not dispatched: its record is yielded into the merge exactly
+// as a worker's result is. The journal is a third producer of results
+// beside the pool and the fleet, not a second scheduler.
 func (m *Matrix) runAllRemote(states []*pairState) (interrupted bool, err error) {
-	tasks := make([]PairTask, len(states))
+	recordKey := func(st *pairState) uint64 {
+		return trialSeed(m.Opts.BaseSeed, pairRecordSeedID(st.a, st.b), 0)
+	}
+	var recovered []PairTaskResult // Index is into states
+	var tasks []PairTask
+	var dispatched []int // tasks[k] is states[dispatched[k]]
 	for i, st := range states {
-		tasks[i] = PairTask{Cycle: m.Cycle, Setting: m.Setting, A: st.a, B: st.b,
-			Budget: st.budget}
+		if e, ok := m.Journal.lookup(recordKey(st)); ok {
+			if out, events, derr := decodePairRecord(e); derr == nil {
+				m.Obs.journalReplay()
+				recovered = append(recovered, PairTaskResult{Index: i, Outcome: out, Events: events})
+				continue
+			}
+		}
+		dispatched = append(dispatched, i)
+		tasks = append(tasks, PairTask{Cycle: m.Cycle, Setting: m.Setting, A: st.a, B: st.b,
+			Budget: st.budget})
 	}
 	ch, err := m.Remote.RunPairs(tasks, m.Interrupt)
 	if err != nil {
 		return false, err
 	}
 	return mergeOrdered(len(states), func(yield func(int, []FaultEvent)) {
-		for r := range ch {
+		accept := func(r PairTaskResult) {
 			// The result's outcome replaces the placeholder's fields in
 			// place: res.Pairs already points at st.outcome.
 			st := states[r.Index]
 			*st.outcome = *r.Outcome
 			m.Obs.remoteSimDurations(st.outcome)
 			yield(r.Index, r.Events)
+		}
+		for _, r := range recovered {
+			accept(r)
+		}
+		for r := range ch {
+			r.Index = dispatched[r.Index]
+			if m.Journal != nil {
+				st := states[r.Index]
+				if data, merr := json.Marshal(pairRecord{r.Outcome, r.Events}); merr == nil {
+					m.Journal.record(journalEntry{Seed: recordKey(st), Pair: st.pairLabel(), Kind: "pair", Result: data}, m.Obs)
+				}
+			}
+			accept(r)
 		}
 	}, m.releasePair(states)), nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/netem"
+	"prudentia/internal/obs"
 	"prudentia/internal/services"
 	"prudentia/internal/sim"
 )
@@ -386,18 +387,11 @@ func TestWatchdogResumeEquivalence(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
-	cp := newCheckpoint(3, 2)
-	cp.Calibration[0] = map[string]float64{"iPerf (Reno)": 7.5}
-	sk := newPairSketches()
-	sk.observe(&TrialResult{
-		Mbps: [2]float64{4, 4}, FairShareMbps: [2]float64{4, 4},
-		SharePct: [2]float64{100, 100}, Utilization: 1,
-	})
-	cp.Pairs[1]["0|1"] = &PairOutcome{
-		Incumbent: "iPerf (Reno)", Contender: "iPerf (Cubic)",
-		Sketches: sk,
-		Retries:  1,
-		Failures: []TrialFailure{{Attempt: 0, Seed: 9, Kind: "panic", Msg: "boom"}},
+	cp := &Checkpoint{
+		Cycle:        3,
+		Breakers:     []obs.BreakerInfo{{Service: "iPerf (Reno)", State: "open", Score: 6}},
+		OpenServices: [][]string{{"iPerf (Reno)"}, nil},
+		Budget:       []map[string]int{{"0|1": 7}, nil},
 	}
 	if err := SaveCheckpoint(path, cp); err != nil {
 		t.Fatal(err)
@@ -428,6 +422,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(path); err == nil {
 		t.Fatal("cycle-0 checkpoint must fail to load")
+	}
+	// A checkpoint from a build that still stored finished work loads as
+	// its header: the pairs and calibration keys are ignored, whatever
+	// they hold (here a raw-sample pair those builds themselves refused).
+	if err := os.WriteFile(path, []byte(exactStatsCheckpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("checkpoint with pairs and calibration must load as a header: %v", err)
+	}
+	if old.Cycle != 1 || len(old.OpenServices) != 1 || old.OpenServices[0] == nil {
+		t.Fatalf("header of an older checkpoint = %+v", old)
 	}
 	w := &Watchdog{CheckpointPath: filepath.Join(dir, "missing.json")}
 	if found, err := w.LoadCheckpoint(); err != nil || found {

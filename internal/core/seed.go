@@ -46,6 +46,13 @@ func canarySeedID(name string) uint64 {
 	return 1<<62 | h>>2
 }
 
+// pairRecordSeedID encodes the identity of a finished remote pair's
+// journal record (remote.go) under a 0001 prefix, a namespace disjoint
+// from pair trials (top bits 0000), screening (001), canaries (01) and
+// solo calibration (1): a record is looked up by key like an attempt,
+// and must never be mistaken for one.
+func pairRecordSeedID(a, b int) uint64 { return 1<<60 | pairSeedID(a, b) }
+
 // trialSeed derives the seed for one attempt of one experiment.
 func trialSeed(base, id uint64, attempt int) uint64 {
 	h := mix64(base ^ mix64(id+0x9e3779b97f4a7c15))
@@ -53,8 +60,8 @@ func trialSeed(base, id uint64, attempt int) uint64 {
 }
 
 // ErrInterrupted is returned by Matrix.Run and Watchdog.RunCycle when an
-// Interrupt hook requested a graceful stop; completed-pair state has
-// been delivered via OnPair / flushed to the checkpoint.
+// Interrupt hook requested a graceful stop; every completed pair has
+// been released, and what ran is in the journal for the resume.
 var ErrInterrupted = errors.New("core: interrupted")
 
 // TrialError is the typed failure a single trial can produce: a panic
@@ -85,7 +92,7 @@ func asTrialError(err error, seed uint64) *TrialError {
 }
 
 // TrialFailure is the persisted record of one failed attempt, kept on
-// the PairOutcome so checkpoints and artifacts carry the full ledger.
+// the PairOutcome so pair records and artifacts carry the full ledger.
 type TrialFailure struct {
 	Attempt int    `json:"attempt"`
 	Seed    uint64 `json:"seed"`

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -437,35 +436,44 @@ const (
 }`
 )
 
-// TestLoadCheckpointRejectsRawSamplePairs: a pair that ran trials but
-// decodes to no sketch state must not be adopted as a silent blank
-// cell; a skipped pair, which has none by construction, still loads.
-func TestLoadCheckpointRejectsRawSamplePairs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := os.WriteFile(path, []byte(exactStatsCheckpoint), 0o644); err != nil {
+// checkpointPairRecord lifts pair "0|0" out of a checkpoint an older
+// build wrote and wraps it as the journal's pair record, so the fixtures
+// above keep guarding the decode that now reads finished pairs back.
+func checkpointPairRecord(t testing.TB, checkpoint string) journalEntry {
+	t.Helper()
+	var doc struct {
+		Pairs []map[string]json.RawMessage `json:"pairs"`
+	}
+	if err := json.Unmarshal([]byte(checkpoint), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path); !errors.Is(err, ErrNoSketches) {
-		t.Fatalf("exact-stats checkpoint: LoadCheckpoint returned %v, want ErrNoSketches", err)
+	return journalEntry{Kind: "pair", Pair: "fixture",
+		Result: json.RawMessage(`{"outcome":` + string(doc.Pairs[0]["0|0"]) + `}`)}
+}
+
+// TestPairRecordRejectsRawSamplePairs: a pair that ran trials but
+// decodes to no sketch state must not be accepted as a silent blank
+// cell; a skipped pair, which has none by construction, still decodes.
+func TestPairRecordRejectsRawSamplePairs(t *testing.T) {
+	if _, _, err := decodePairRecord(checkpointPairRecord(t, exactStatsCheckpoint)); !errors.Is(err, ErrNoSketches) {
+		t.Fatalf("raw-sample pair: decodePairRecord returned %v, want ErrNoSketches", err)
 	}
 	// Sketch state with a null member is as unusable as none.
-	partial := `{"Incumbent": "a", "Contender": "b", "sketches": {"n": 1, "mbps": [null, null]}}`
-	var p PairOutcome
-	if err := json.Unmarshal([]byte(partial), &p); err != nil {
-		t.Fatal(err)
+	partial := `{"outcome": {"Incumbent": "a", "Contender": "b", "sketches": {"n": 1, "mbps": [null, null]}}}`
+	if _, _, err := decodePairRecord(journalEntry{Result: json.RawMessage(partial)}); !errors.Is(err, ErrNoSketches) {
+		t.Fatalf("partial sketch set: decodePairRecord returned %v, want ErrNoSketches", err)
 	}
-	if err := p.Validate(); !errors.Is(err, ErrNoSketches) {
-		t.Fatalf("partial sketch set: Validate returned %v, want ErrNoSketches", err)
+	for _, bad := range []string{``, `{`, `{}`, `{"outcome": null}`, `[1]`} {
+		if out, _, err := decodePairRecord(journalEntry{Result: json.RawMessage(bad)}); err == nil {
+			t.Fatalf("record %q decoded to %+v, want an error", bad, out)
+		}
 	}
 
-	if err := os.WriteFile(path, []byte(skippedCheckpoint), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := LoadCheckpoint(path)
+	p, _, err := decodePairRecord(checkpointPairRecord(t, skippedCheckpoint))
 	if err != nil {
-		t.Fatalf("skipped pair without sketches must load: %v", err)
+		t.Fatalf("skipped pair without sketches must decode: %v", err)
 	}
-	if p := cp.Pairs[0]["0|0"]; p == nil || !p.Skipped || p.Counted() != 0 {
+	if !p.Skipped || p.Counted() != 0 {
 		t.Fatalf("skipped pair decoded as %+v", p)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // Per-pair statistics. A pair never retains its TrialResults: it
 // carries one PairSketches, a fixed set of mergeable quantile sketches
 // (internal/stats) plus the summed deterministic telemetry aggregate,
-// so state per pair is O(1) in the trial count and checkpoints and
+// so state per pair is O(1) in the trial count and pair records and
 // fleet results carry fixed-size encoded sketches instead of raw
 // samples.
 //
@@ -25,7 +25,7 @@ import (
 // reported metric, keyed by the same slot convention as TrialResult
 // (slot 0 incumbent, slot 1 contender), plus the summed TrialObs
 // aggregate the release path folds into the registry's counter totals
-// (Instruments.foldPair) without per-trial data. It rides checkpoint
+// (Instruments.foldPair) without per-trial data. It rides pair-record
 // JSON and the fleet protocol via the sketches' base64 binary
 // encoding.
 type PairSketches struct {
@@ -68,7 +68,7 @@ func newPairSketches() *PairSketches {
 }
 
 // complete reports whether every sketch of the set is present: a
-// decoded set (checkpoint, fleet result) may be nil or hold null members.
+// decoded set (pair record, fleet result) may be nil or hold null members.
 func (ps *PairSketches) complete() bool {
 	if ps == nil || ps.Utilization == nil || ps.SimSeconds == nil {
 		return false

@@ -55,19 +55,21 @@ type Watchdog struct {
 	// Progress, if non-nil, receives human-readable progress lines.
 	Progress func(format string, args ...any)
 
-	// CheckpointPath, when set, makes RunCycle flush a Checkpoint to
-	// this file after every completed pair (and calibration), and
-	// remove it when the cycle completes. A checkpoint-save failure is
-	// reported via Progress but never aborts the cycle.
+	// CheckpointPath, when set, makes RunCycle durable: the cycle's
+	// Checkpoint header lives in this file (flushed when it changes,
+	// not per pair) and every attempt is journaled beside it, at
+	// JournalPath or else CheckpointPath+".wal". A completed cycle
+	// removes both; after an interrupt or a kill -9 the next RunCycle
+	// resumes from them. A checkpoint-save failure is reported via
+	// Progress but never aborts the cycle.
 	CheckpointPath string
-	// JournalPath, when set, makes RunCycle append every executed trial
-	// attempt — counted, discarded, corrupt, or failed — to a
-	// write-ahead journal (internal/journal) at this path, one fsynced
-	// record per attempt. After a crash, even kill -9, the next RunCycle
-	// recovers the journal, truncates any torn tail, and replays the
+	// JournalPath names the write-ahead trial journal (internal/journal):
+	// one fsynced record per executed attempt — counted, discarded,
+	// corrupt, or failed — or per pair a RemoteRunner finished. The next
+	// RunCycle recovers it, truncates any torn tail, and replays the
 	// recovered attempts by seed instead of re-simulating them: at most
-	// the single in-flight trial is lost. The file is removed when the
-	// cycle completes. Journal open failures degrade to unjournaled
+	// the single in-flight trial is lost. It may be set without
+	// CheckpointPath. Journal open failures degrade to unjournaled
 	// operation (reported via Progress), never abort the cycle.
 	JournalPath string
 	// DiskChaos, when non-nil, runs the watchdog's durable writers —
@@ -188,8 +190,8 @@ func customURLService(url string) services.Service {
 	return page
 }
 
-// Resume stages a checkpoint: the next RunCycle adopts its completed
-// pairs and calibrations instead of re-running them.
+// Resume stages a checkpoint: the next RunCycle continues the cycle it
+// heads instead of starting a new one.
 func (w *Watchdog) Resume(cp *Checkpoint) { w.resume = cp }
 
 // StagedCheckpoint returns the checkpoint staged by Resume or
@@ -229,7 +231,7 @@ func (w *Watchdog) AdvanceTo(next int) {
 	}
 }
 
-// flush persists the live checkpoint. Failures are reported, never
+// flush persists the cycle's header. Failures are reported, never
 // fatal: a watchdog with a broken disk should keep measuring.
 func (w *Watchdog) flush(cp *Checkpoint) {
 	if w.CheckpointPath == "" {
@@ -247,18 +249,17 @@ func (w *Watchdog) flush(cp *Checkpoint) {
 
 // RunCycle executes one full iteration and appends it to the history.
 // It is crash-safe end to end: trial panics and errors are quarantined
-// per pair, completed state is checkpointed after every pair when
-// CheckpointPath is set, every executed attempt is journaled when
+// per pair, every executed attempt is journaled when CheckpointPath or
 // JournalPath is set, and an Interrupt request returns ErrInterrupted
-// with in-flight trials drained and the checkpoint flushed. A cycle
-// resumed from a checkpoint (see Resume/LoadCheckpoint) produces a
-// CycleResult identical to an uninterrupted run; with a journal, the
-// resumed cycle additionally replays every journaled attempt —
-// including the ones a checkpoint alone would force it to re-simulate —
-// so recovery re-runs strictly less work. With Workers > 1 calibrations
-// and pair trials run on a worker pool; the cycle's outputs (and any
-// resumed continuation of it) are byte-identical for every worker
-// count.
+// with in-flight trials drained and the checkpoint header flushed.
+// Recovery is replay: a resumed cycle (see Resume/LoadCheckpoint)
+// restores the header and runs from the top, with every attempt the
+// journal holds served back by seed instead of simulated (a pair a
+// RemoteRunner finished comes back whole, remote.go), so ledger events,
+// breaker scoring, telemetry and Progress lines happen on the ordinary
+// release path and nowhere else; what the journal lacks is simulated
+// again from the same seeds. Either way the CycleResult and fault
+// ledger are identical to an uninterrupted run's, at every worker count.
 func (w *Watchdog) RunCycle() (*CycleResult, error) {
 	if w.resume != nil && w.Opts.Adaptive != nil && !w.resume.HasBudgetState() {
 		// A pre-adaptive checkpoint records no budget allocations;
@@ -269,54 +270,53 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		// (cmd/prudentia does exactly that, with a stderr warning).
 		return nil, ErrCheckpointNoBudget
 	}
-	cr := &CycleResult{Cycle: w.cycleOffset + len(w.cycles) + 1}
-	cp := w.resume
+	// live is the cycle's header: the staged checkpoint when resuming —
+	// its decisions stand, later ones are added to it — else a fresh one.
+	live := w.resume
 	w.resume = nil
-	if cp != nil {
-		cr.Cycle = cp.Cycle
-	}
-	w.inFlight = cr.Cycle
+	resumed := live != nil
 	if w.Breakers == nil {
 		w.Breakers = &BreakerSet{}
 	}
 	if w.Breakers.OnTransition == nil {
 		w.Breakers.OnTransition = w.Obs.breakerTransition
 	}
+	if resumed {
+		// The header's breaker snapshot is the *cycle-start* state;
+		// restoring it and letting the replayed work re-score it
+		// reproduces the uninterrupted run's breaker evolution exactly.
+		w.Breakers.Restore(live.Breakers)
+	} else {
+		live = &Checkpoint{Cycle: w.cycleOffset + len(w.cycles) + 1, Breakers: w.Breakers.Status()}
+	}
+	// A header sized for other settings (or none: an older build's, a
+	// caller's own) records no decision about these.
+	if len(live.OpenServices) != len(w.Settings) {
+		live.OpenServices = make([][]string, len(w.Settings))
+	}
+	if (live.Budget != nil || w.Opts.Adaptive != nil) && len(live.Budget) != len(w.Settings) {
+		// Non-nil before the first screening pass, so the header says it
+		// is adaptive from the start (HasBudgetState).
+		live.Budget = make([]map[string]int, len(w.Settings))
+	}
+	cr := &CycleResult{Cycle: live.Cycle}
+	w.inFlight = cr.Cycle
 	sink, jw, rec, err := w.openJournal()
 	if err != nil {
 		return nil, err
 	}
-	if cp != nil {
-		// The checkpoint's breaker snapshot is the *cycle-start* state;
-		// restoring it and then re-scoring the adopted (or, with a
-		// journal, replayed) work reproduces the uninterrupted run's
-		// breaker evolution exactly.
-		w.Breakers.Restore(cp.Breakers)
-	}
-	live := newCheckpoint(cr.Cycle, len(w.Settings))
-	live.Breakers = w.Breakers.Status()
-	if w.Opts.Adaptive != nil {
-		// Allocate budget state eagerly so even a checkpoint flushed
-		// before the first screening pass identifies itself as
-		// adaptive (HasBudgetState). Fixed runs leave it nil and their
-		// checkpoints unchanged.
-		live.Budget = make([]map[string]int, len(w.Settings))
-	}
-	// With a journal, completed work is replayed from it rather than
-	// adopted from the checkpoint: replay drives the full protocol —
-	// ledger events, telemetry, breaker scoring — so the resumed
-	// process's outputs match the uninterrupted run event for event,
-	// not just pair for pair.
-	adopt := cp != nil && sink == nil
+	// Flushed before any work, so a kill in the first calibration
+	// already finds the cycle number and the breaker snapshot on disk.
+	w.flush(live)
 	w.Obs.emit(obs.TimelineEvent{Kind: "cycle_start", Cycle: cr.Cycle,
-		Detail: fmt.Sprintf("%d services, %d settings, resumed=%v", len(w.Services), len(w.Settings), cp != nil)})
+		Detail: fmt.Sprintf("%d services, %d settings, resumed=%v", len(w.Services), len(w.Settings), resumed)})
 	finishJournal := func() {
 		if jw == nil {
 			return
 		}
 		records, bytes := jw.Stats()
 		w.lastJournal = &obs.JournalInfo{
-			Path:      w.JournalPath,
+			Path:      w.journalPath(),
 			Records:   records,
 			Bytes:     bytes,
 			Replayed:  sink.replayCount(),
@@ -325,7 +325,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		}
 		jw.Close()
 	}
-	interruptedExit := func(live *Checkpoint) {
+	interruptedExit := func() {
 		w.flush(live)
 		finishJournal()
 		w.Obs.emit(obs.TimelineEvent{Kind: "cycle_end", Cycle: cr.Cycle, Detail: "interrupted"})
@@ -342,64 +342,22 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		opts := w.SettingOptions(cr.Cycle, si)
 
 		// Solo calibration first (§3.1): detect upstream throttling.
-		var cal map[string]float64
-		if adopt && si < len(cp.Calibration) && cp.Calibration[si] != nil {
-			cal = cp.Calibration[si]
-			// Re-score adopted calibration omissions so the restored
-			// breakers see the same penalties. A service absent from a
-			// completed map either exhausted its attempt budget
-			// (penalized) or was skipped because its breaker was open
-			// (not penalized) — and the restored breaker state, evolved
-			// through the same adoption sequence, distinguishes the two
-			// exactly as the original run did.
-			for _, svc := range w.Services {
-				if _, ok := cal[svc.Name()]; !ok && w.Breakers.State(svc.Name()) != BreakerOpen {
-					w.Breakers.scoreCalibrationFailure(svc.Name())
-				}
-			}
-		} else {
-			var stopped bool
-			cal, stopped = w.calibrateAll(net, opts, sink)
-			if stopped {
-				interruptedExit(live)
-				return nil, ErrInterrupted
-			}
+		cal, stopped := w.calibrateAll(net, opts, sink)
+		if stopped {
+			interruptedExit()
+			return nil, ErrInterrupted
 		}
-		live.Calibration[si] = cal
-		w.flush(live)
 		cr.Calibration = append(cr.Calibration, cal)
 
-		var completed map[string]*PairOutcome
-		if adopt && si < len(cp.Pairs) && len(cp.Pairs[si]) > 0 {
-			completed = cp.Pairs[si]
-			// Carry restored pairs into the live checkpoint so a second
-			// interruption still has them, and re-score them in
-			// canonical order (the checkpoint holds a canonical-order
-			// prefix, so the penalty sequence matches the uninterrupted
-			// run's).
-			for k, p := range completed {
-				live.Pairs[si][k] = p
-			}
-			for i := range w.Services {
-				for j := i; j < len(w.Services); j++ {
-					if p := completed[pairKey(i, j)]; p != nil {
-						w.Breakers.scorePair(p)
-					}
-				}
-			}
-		}
-
 		// Admission: decided once, here, before the matrix starts; the
-		// checkpoint stores the decision so a resumed cycle skips
-		// exactly the same pairs.
-		var open []string
-		if cp != nil && si < len(cp.OpenServices) && cp.OpenServices[si] != nil {
-			open = cp.OpenServices[si]
-		} else {
-			open = w.Breakers.OpenServices()
+		// header stores the decision so a resumed cycle skips exactly
+		// the same pairs.
+		open := live.OpenServices[si]
+		if open == nil {
+			open = append([]string{}, w.Breakers.OpenServices()...)
+			live.OpenServices[si] = open
+			w.flush(live)
 		}
-		live.OpenServices[si] = append([]string{}, open...)
-		w.flush(live)
 		var skip func(string) bool
 		if len(open) > 0 {
 			openSet := make(map[string]bool, len(open))
@@ -409,17 +367,14 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 			skip = func(name string) bool { return openSet[name] }
 		}
 
-		// Adaptive budgets: a checkpoint that recorded this setting's
+		// Adaptive budgets: a header that recorded this setting's
 		// allocation hands it over verbatim (screening is skipped), so
 		// the resumed cycle's stopping ceilings match the interrupted
 		// run's; a fresh allocation is flushed the moment it is
 		// decided, before any full-depth trial runs.
 		var budgets map[string]int
-		if cp != nil && si < len(cp.Budget) && cp.Budget[si] != nil {
-			budgets = cp.Budget[si]
-			if live.Budget != nil {
-				live.Budget[si] = budgets
-			}
+		if live.Budget != nil {
+			budgets = live.Budget[si]
 		}
 
 		si := si
@@ -434,26 +389,19 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 			Progress:    w.Progress,
 			OnFault:     w.OnFault,
 			Interrupt:   w.Interrupt,
-			Completed:   completed,
 			SkipService: skip,
 			Journal:     sink,
 			Breakers:    w.Breakers,
 			Obs:         w.Obs,
 			Budgets:     budgets,
 			OnBudgets: func(b map[string]int) {
-				if live.Budget != nil {
-					live.Budget[si] = b
-					w.flush(live)
-				}
-			},
-			OnPair: func(key string, out *PairOutcome) {
-				live.Pairs[si][key] = out
+				live.Budget[si] = b
 				w.flush(live)
 			},
 		}
 		res, err := m.Run()
 		if err != nil {
-			interruptedExit(live)
+			interruptedExit()
 			return nil, err
 		}
 		cr.PerSetting = append(cr.PerSetting, res)
@@ -462,8 +410,8 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		os.Remove(w.CheckpointPath)
 	}
 	finishJournal()
-	if jw != nil && w.JournalPath != "" {
-		os.Remove(w.JournalPath)
+	if jw != nil {
+		os.Remove(w.journalPath())
 	}
 	w.Breakers.Decay()
 	w.cycles = append(w.cycles, cr)
@@ -490,18 +438,29 @@ func (w *Watchdog) SettingOptions(cycle, si int) SchedulerOptions {
 	return opts
 }
 
+// journalPath resolves where the cycle's trial journal lives:
+// JournalPath, else beside the checkpoint, else nowhere.
+func (w *Watchdog) journalPath() string {
+	if w.JournalPath == "" && w.CheckpointPath != "" {
+		return w.CheckpointPath + ".wal"
+	}
+	return w.JournalPath
+}
+
 // openJournal opens (or creates) the write-ahead journal, recovering
 // any records a previous process left behind. A journal that cannot be
-// opened degrades to unjournaled operation: the journal is a durability
-// optimization, never a correctness dependency. The one exception is a
-// future-version journal, which is a hard error — appending a fresh
-// prudentia.journal/1 beside history a newer binary still considers
-// authoritative would silently fork the trial record.
+// opened degrades to unjournaled operation — a resumed cycle then
+// re-simulates from the header alone, to the same bytes: the journal is
+// a durability optimization, never a correctness dependency. The one
+// exception is a future-version journal, which is a hard error —
+// appending a fresh prudentia.journal/1 beside history a newer binary
+// still considers authoritative would silently fork the trial record.
 func (w *Watchdog) openJournal() (*journalSink, *journal.Writer, journal.Recovery, error) {
-	if w.JournalPath == "" {
+	path := w.journalPath()
+	if path == "" {
 		return nil, nil, journal.Recovery{}, nil
 	}
-	jw, rec, err := journal.OpenWrapped(w.JournalPath, w.DiskChaos.WrapFunc())
+	jw, rec, err := journal.OpenWrapped(path, w.DiskChaos.WrapFunc())
 	if errors.Is(err, journal.ErrFutureVersion) {
 		return nil, nil, journal.Recovery{}, err
 	}

@@ -494,8 +494,8 @@ func (c *Coordinator) RunPairs(tasks []core.PairTask, interrupt func() bool) (<-
 // the scan tick, repeat until every pair is delivered or the interrupt
 // hook fires. On interrupt the channel closes immediately — in-flight
 // workers finish their pairs and their late results are dropped as
-// duplicates; the matrix flushes its undelivered pairs to the
-// checkpoint as pending, and a resumed run re-executes them with the
+// duplicates; the matrix journaled a pair record for every result it
+// was delivered, and a resumed run dispatches only the rest, with the
 // same seeds.
 func (c *Coordinator) dispatchLoop(d *dispatchState, interrupt func() bool) {
 	tick := time.NewTicker(dispatchTick)

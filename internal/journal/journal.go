@@ -16,11 +16,12 @@
 // The frame layout and the recovery rules are specified once, in
 // ARCHITECTURE.md "Durability & supervision".
 //
-// The trial journal closes the gap the pair-granular checkpoint
-// (internal/core) leaves open: with both artifacts a `kill -9` loses at
-// most the single trial that was executing when the process died —
-// resume replays journaled attempts without re-running their simulations
-// and re-runs only what is genuinely missing.
+// The trial journal is where an in-progress cycle's finished work
+// lives (the checkpoint beside it, internal/core, is only the cycle's
+// header): a `kill -9` loses at most the single trial that was
+// executing when the process died — resume replays journaled attempts
+// without re-running their simulations and re-runs only what is
+// genuinely missing.
 package journal
 
 import (
@@ -48,10 +49,13 @@ type Entry struct {
 	Attempt int `json:"attempt"`
 	// Kind classifies the attempt outcome: "ok" (counted trial),
 	// "discard" (noise-discarded), "corrupt" (validity-gate rejection),
-	// or "fail" (error or recovered panic).
+	// or "fail" (error or recovered panic). "pair" marks the one record
+	// that is not an attempt: a whole pair a remote runner finished,
+	// with Seed its record key rather than a trial seed.
 	Kind string `json:"kind"`
 	// Result carries the caller's serialized trial result for "ok" and
-	// "discard" entries (the journal does not interpret it).
+	// "discard" entries, the finished pair for "pair" (the journal does
+	// not interpret it).
 	Result json.RawMessage `json:"result,omitempty"`
 	// Detail carries the validity error for "corrupt" and the failure
 	// message for "fail".

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -87,25 +90,67 @@ func TestDegradedModeServing(t *testing.T) {
 
 // TestCampaignRetriesFailedCycle: a failing cycle is retried (with
 // backoff) under the same cycle number until it succeeds; the campaign
-// completes its budget with no gap in the numbering.
+// completes its budget with no gap in the numbering. That holds for a
+// cycle the engine failed and for one that ran but could not be
+// published: the finished result is held and only the publish retried,
+// so the engine is not asked for another cycle in between.
 func TestCampaignRetriesFailedCycle(t *testing.T) {
-	src := &fakeSource{failNext: 2}
-	s := newFakeServer(t, src, func(c *Config) { c.MaxCycles = 1 })
-	start := time.Now()
-	if err := s.campaign(context.Background()); err != nil {
-		t.Fatalf("campaign with transient failures = %v, want nil", err)
-	}
-	if src.failures != 2 || src.cycle != 1 {
-		t.Fatalf("attempts = %d, published cycle = %d; want 2 failures then cycle 1", src.failures, src.cycle)
-	}
-	// Backoff before success: 100ms then 200ms (the CycleInterval<=0
-	// floor doubled once).
-	if elapsed := time.Since(start); elapsed < 250*time.Millisecond {
-		t.Errorf("retries took %v, want >= ~300ms of backoff", elapsed)
-	}
-	if s.Latest() != 1 {
-		t.Fatalf("latest = %d, want 1", s.Latest())
-	}
+	t.Run("engine fails twice", func(t *testing.T) {
+		src := &fakeSource{failNext: 2}
+		s := newFakeServer(t, src, func(c *Config) { c.MaxCycles = 1 })
+		start := time.Now()
+		if err := s.campaign(context.Background()); err != nil {
+			t.Fatalf("campaign with transient failures = %v, want nil", err)
+		}
+		if src.failures != 2 || src.cycle != 1 {
+			t.Fatalf("attempts = %d, published cycle = %d; want 2 failures then cycle 1", src.failures, src.cycle)
+		}
+		// Backoff before success: 100ms then 200ms (the CycleInterval<=0
+		// floor doubled once).
+		if elapsed := time.Since(start); elapsed < 250*time.Millisecond {
+			t.Errorf("retries took %v, want >= ~300ms of backoff", elapsed)
+		}
+		if s.Latest() != 1 {
+			t.Fatalf("latest = %d, want 1", s.Latest())
+		}
+	})
+	t.Run("publish fails once", func(t *testing.T) {
+		dir := t.TempDir()
+		// A regular file where the artifacts directory belongs fails the
+		// publish; the first failure report removes it.
+		block := filepath.Join(dir, "cycles")
+		failed := 0
+		src := &fakeSource{}
+		s := newFakeServer(t, src, func(c *Config) {
+			c.MaxCycles = 2
+			c.StateDir = dir
+			c.Log = func(format string, _ ...any) {
+				if strings.Contains(format, "cycle failed") {
+					failed++
+					os.Remove(block)
+				}
+			}
+		})
+		if err := os.WriteFile(block, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.campaign(context.Background()); err != nil {
+			t.Fatalf("campaign with a failed publish = %v, want nil", err)
+		}
+		if failed != 1 {
+			t.Fatalf("publish failures reported = %d, want 1", failed)
+		}
+		// Two RunCycle calls for two published cycles: the one whose
+		// publish failed was not run again, and no number was skipped.
+		if src.cycle != 2 || s.Latest() != 2 {
+			t.Fatalf("engine ran %d cycles, latest published = %d; want 2 and 2", src.cycle, s.Latest())
+		}
+		for _, n := range []int{1, 2} {
+			if rec := get(t, s.Handler(), fmt.Sprintf("/api/v1/report?cycle=%d", n), nil); rec.Code != http.StatusOK {
+				t.Fatalf("cycle %d = %d, want 200 (numbering must be contiguous)", n, rec.Code)
+			}
+		}
+	})
 }
 
 // TestCampaignStopsDuringBackoff: cancellation during the failure

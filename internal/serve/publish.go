@@ -109,7 +109,7 @@ func (s *Server) publish(cr *core.CycleResult) error {
 		faults:     newArtifact(faultsBody.Bytes(), "application/x-ndjson"),
 	}
 	if s.cfg.StateDir != "" {
-		if err := saveCycleDir(s.cfg.StateDir, ca); err != nil {
+		if err := saveCycleDir(s.cfg.StateDir, ca, s.cfg.DiskChaos.WrapFunc()); err != nil {
 			return err
 		}
 	}

@@ -102,8 +102,9 @@ type Config struct {
 	// from disk. Empty disables persistence (in-memory daemon).
 	StateDir string
 	// DiskChaos, when enabled, runs the daemon's durable writers — the
-	// submission WAL and its compaction — through a seed-deterministic
-	// disk-fault plan. Test instrumentation; nil in production.
+	// submission WAL, its compaction and the per-cycle artifact files —
+	// through a seed-deterministic disk-fault plan. Test
+	// instrumentation; nil in production.
 	DiskChaos *chaos.DiskPlan
 	// Log, if non-nil, receives human-readable daemon progress lines.
 	Log func(format string, args ...any)
@@ -363,20 +364,27 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 // publish its artifacts, settle tenant state, sleep, repeat. A failed
 // cycle (engine error or persistence failure) does not advance the
 // cycle number or kill the loop: the daemon enters degraded mode —
-// last good artifacts keep serving with staleness signals — re-stages
-// the engine's checkpoint so the retry resumes rather than restarts,
-// and retries the same cycle after a capped exponential backoff.
+// last good artifacts keep serving with staleness signals — and retries
+// the same cycle after a capped exponential backoff. An engine failure
+// re-stages the engine's checkpoint so the retry resumes rather than
+// restarts; a publish failure keeps the finished result and retries
+// only the publish, so the number the submissions' apply records name
+// is the number that gets published.
 func (s *Server) campaign(ctx context.Context) error {
 	failures := 0
+	var unpublished *core.CycleResult // ran, not yet published
 	for cycle := s.startCycle; s.cfg.MaxCycles == 0 || cycle <= s.cfg.MaxCycles; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s.applySubmissions(cycle)
-		cr, err := s.cfg.Source.RunCycle()
+		var err error
+		if unpublished == nil {
+			s.applySubmissions(cycle)
+			unpublished, err = s.cfg.Source.RunCycle()
+		}
 		if err == nil {
-			if perr := s.publish(cr); perr != nil {
-				err = fmt.Errorf("serve: publish cycle %d: %w", cr.Cycle, perr)
+			if perr := s.publish(unpublished); perr != nil {
+				err = fmt.Errorf("serve: publish cycle %d: %w", unpublished.Cycle, perr)
 			}
 		}
 		if err != nil {
@@ -390,6 +398,8 @@ func (s *Server) campaign(ctx context.Context) error {
 			}
 			continue
 		}
+		cr := unpublished
+		unpublished = nil
 		if failures > 0 {
 			s.logf("serve: recovered after %d failed attempt(s)", failures)
 		}

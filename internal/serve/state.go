@@ -60,11 +60,10 @@ var cycleFiles = []struct {
 func cyclesRoot(stateDir string) string { return filepath.Join(stateDir, "cycles") }
 
 // saveCycleDir persists one published cycle: temp directory, each file
-// (meta.json last) written durably through journal.ReplaceFile, atomic
-// rename to cycles/<N>, parent fsync. The files are not armed with the
-// -chaos-disk plan: the campaign loop cannot re-publish a completed
-// cycle, so an injected publish failure would skip a cycle number.
-func saveCycleDir(stateDir string, ca *cycleArtifacts) error {
+// (meta.json last) written durably through journal.ReplaceFile (under
+// the -chaos-disk plan when wrap is non-nil), atomic rename to
+// cycles/<N>, parent fsync.
+func saveCycleDir(stateDir string, ca *cycleArtifacts, wrap journal.WrapFunc) error {
 	root := cyclesRoot(stateDir)
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return fmt.Errorf("serve: state dir: %w", err)
@@ -77,7 +76,7 @@ func saveCycleDir(stateDir string, ca *cycleArtifacts) error {
 
 	bodies := [][]byte{ca.report.body, ca.reportText.body, ca.heatmap.body, ca.faults.body}
 	for i, cf := range cycleFiles {
-		if err := journal.ReplaceFile(filepath.Join(tmp, cf.name), bodies[i], nil); err != nil {
+		if err := journal.ReplaceFile(filepath.Join(tmp, cf.name), bodies[i], wrap); err != nil {
 			return err
 		}
 	}
@@ -85,7 +84,7 @@ func saveCycleDir(stateDir string, ca *cycleArtifacts) error {
 	if err != nil {
 		return fmt.Errorf("serve: marshal cycle meta: %w", err)
 	}
-	if err := journal.ReplaceFile(filepath.Join(tmp, "meta.json"), meta, nil); err != nil {
+	if err := journal.ReplaceFile(filepath.Join(tmp, "meta.json"), meta, wrap); err != nil {
 		return err
 	}
 	final := filepath.Join(root, strconv.Itoa(ca.cycle))

@@ -482,9 +482,10 @@ fi
 # against the event engine's ordering contract (delay lines and lazy
 # timers dispatch exactly as the heap-only oracle does), and arbitrary
 # bytes against the parsers that read the network, the disk and the
-# command line — the frame readers, submission-WAL recovery and
-# parseConfig (flags, the -sweep grid) — so they see more than their
-# seed corpus. Long exploratory campaigns run
+# command line — the frame readers, submission-WAL recovery, the two
+# readers a resumed cycle trusts (the checkpoint header, the journaled
+# pair record) and parseConfig (flags, the -sweep grid) — so they see
+# more than their seed corpus. Long exploratory campaigns run
 # out-of-band; this catches gross regressions on every CI pass.
 FUZZTIME=10s
 if [ "$SHORT" -eq 1 ]; then FUZZTIME=5s; fi
@@ -492,6 +493,8 @@ go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime="$FUZZTIME" ./internal
 go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime="$FUZZTIME" ./internal/sim
 go test -run '^$' -fuzz '^FuzzFrameScanner$' -fuzztime="$FUZZTIME" ./internal/journal
 go test -run '^$' -fuzz '^FuzzSubsWALOpen$' -fuzztime="$FUZZTIME" ./internal/serve
+go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime="$FUZZTIME" ./internal/core
+go test -run '^$' -fuzz '^FuzzPairRecord$' -fuzztime="$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime="$FUZZTIME" ./cmd/prudentia
 
 # The race detector slows the simulation-heavy core tests well past the
