@@ -8,7 +8,9 @@
 // By default the harness runs compressed trials (60–120 virtual seconds,
 // 1–3 trials per pair) so a full sweep finishes on a laptop. Set
 // PRUDENTIA_FULL=1 to run the paper's actual protocol (10-minute trials,
-// 10–30 per pair) — expect hours.
+// 10–30 per pair) — expect hours. A trial stops where its measurement
+// window closes (Duration − Cooldown), so QoE accumulators and the
+// queue/rate series end there too.
 package prudentia
 
 import (
@@ -28,7 +30,8 @@ import (
 // fullRun reports whether the paper-faithful protocol was requested.
 func fullRun() bool { return os.Getenv("PRUDENTIA_FULL") == "1" }
 
-// benchTiming is the compressed per-trial timing used by default.
+// benchTiming is the compressed per-trial timing used by default: a
+// 90-second trial whose window closes, and whose engine stops, at 80 s.
 func benchTiming(s core.Spec) core.Spec {
 	if fullRun() {
 		return s.DefaultTiming()
@@ -292,7 +295,9 @@ func BenchmarkFig6PageLoadTimes(b *testing.B) {
 						Net:       net.cfg,
 						Seed:      23,
 						// Page loads need wall time: keep trials longer
-						// even in compressed mode (loads start at 30s).
+						// even in compressed mode (loads start at 30s). The
+						// engine stops at Duration − Cooldown = 195 s, which
+						// is where the load count ends.
 						Duration: 200 * sim.Second, Warmup: 5 * sim.Second, Cooldown: 5 * sim.Second,
 					}
 					if fullRun() {
@@ -580,7 +585,7 @@ func BenchmarkFig13QueueingDelay(b *testing.B) {
 // wall-clock second buys).
 func BenchmarkEngineThroughput(b *testing.B) {
 	var packets int64
-	var virtual sim.Time
+	var virtual float64
 	for i := 0; i < b.N; i++ {
 		spec := core.Spec{
 			Incumbent: services.ByName("iPerf (Reno)"),
@@ -594,10 +599,10 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		packets += int64((res.Mbps[0] + res.Mbps[1]) * 16 / 8 * 1e6 / 1500)
-		virtual += 20 * sim.Second
+		virtual += res.Obs.SimSeconds // 18: the engine stops where the window closes
 	}
 	b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "pkts/s")
-	b.ReportMetric(virtual.Seconds()/b.Elapsed().Seconds(), "virtual-s/s")
+	b.ReportMetric(virtual/b.Elapsed().Seconds(), "virtual-s/s")
 }
 
 var _ = metrics.MmFShares // linked for documentation cross-reference

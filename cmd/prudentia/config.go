@@ -86,7 +86,7 @@ func parseConfig(args []string) (config, error) {
 	fs.SetOutput(&usage)
 
 	fs.IntVar(&c.cycles, "cycles", 1, "number of full all-pairs cycles (0 = run forever)")
-	fs.BoolVar(&w.Quick, "quick", true, "compressed trials (60s, 3-9 per pair) instead of the paper protocol")
+	fs.BoolVar(&w.Quick, "quick", true, "compressed trials (60s, of which 55 are simulated; 3-9 per pair) instead of the paper protocol")
 	fs.StringVar(&c.submit, "submit", "", "submit a custom URL for testing (Appendix A)")
 	fs.StringVar(&code, "code", "", "access code for -submit")
 	fs.StringVar(&setting, "setting", "both", "highly | moderately | both")
@@ -103,7 +103,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&c.pprofDir, "pprof-dir", "", "capture cycle<N>.cpu.pprof and cycle<N>.heap.pprof profiles into this directory")
 	fs.StringVar(&c.faultsOut, "faults-out", "", "write the robustness fault ledger as JSONL here at exit")
 	fs.StringVar(&w.JournalPath, "journal", "", "write-ahead trial journal path: every executed attempt is appended (fsynced), so a crashed cycle loses at most the in-flight trial and replays the rest; overrides the <checkpoint>.wal default, or journals a run without -checkpoint")
-	fs.Float64Var(&w.Opts.WallBudget, "max-trial-wall", 0, "hung-trial reaper: wall-clock budget factor per trial (emulated duration × factor; 0 = off)")
+	fs.Float64Var(&w.Opts.WallBudget, "max-trial-wall", 0, "hung-trial reaper: wall-clock budget factor per trial (simulated seconds × factor; 0 = off)")
 	fs.BoolVar(&adaptive, "adaptive", false, "adaptive trial budgets: coarse screening ranks pairs, the sequential stopper ends each pair's trials once its verdict is stable")
 
 	// Sweep mode: a rate × RTT × queue × CCA parameter grid instead of

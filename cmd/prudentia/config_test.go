@@ -5,18 +5,31 @@ package main
 // None of them needs the binary.
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
 	"prudentia/internal/core"
+	"prudentia/internal/fleet"
 	"prudentia/internal/netem"
 	"prudentia/internal/obs"
 	"prudentia/internal/sim"
 )
+
+// update rewrites testdata/quick-high-seed23.txt instead of comparing
+// against it. Use only after a deliberate change of verdicts, and say
+// why in the commit:
+//
+//	go test ./cmd/prudentia -run TestQuickReportPinned -update
+var update = flag.Bool("update", false, "rewrite the pinned report instead of verifying it")
 
 const accessCode = "KD4p1Z8Gs1SVPHUrTOVTMNHtvUnMSmvZ"
 
@@ -226,6 +239,22 @@ func TestFingerprintFollowsTheRecipe(t *testing.T) {
 		}
 	}
 
+	// A build from before the cooldown stopped being simulated marshals
+	// the same recipe without simulated_s (the struct's last field). Its
+	// trial counters would differ from a serial run's, so it must not
+	// be admitted.
+	blob, err := json.Marshal(mustWatchdog(t, base...).Recipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := regexp.MustCompile(`,"simulated_s":[0-9.]+`).ReplaceAll(blob, nil)
+	if len(older) == len(blob) {
+		t.Fatalf("recipe JSON has no simulated_s to drop: %s", blob)
+	}
+	if fleet.Fingerprint(fleet.Schema, string(older)) == want {
+		t.Error("a recipe without simulated_s fingerprints like one with it")
+	}
+
 	// Two processes given the same flags must agree: a pointer in the
 	// recipe (Noise, Adaptive) is hashed by value, never by address.
 	noisy := func() uint64 {
@@ -276,9 +305,42 @@ func TestManifestRecordsTheRecipe(t *testing.T) {
 		t.Fatalf("recipe tolerances: %+v", got.Settings)
 	}
 	s, o := got.Settings[1], got.Settings[1].Options
-	if o.MinTrials != 3 || o.MaxTrials != 9 || s.DurationSec != 60 || s.WarmupSec != 10 || s.CooldownSec != 5 ||
+	if o.MinTrials != 3 || o.MaxTrials != 9 || s.DurationSec != 60 || s.WarmupSec != 10 || s.CooldownSec != 5 || s.SimulatedSec != 55 ||
 		o.BaseSeed != 5+7_919 || o.WallBudget != 50 || o.Adaptive == nil || o.Adaptive.CIWidthPct != 10 ||
 		s.Net.RateBps != 50_000_000 {
 		t.Errorf("recipe setting 1: %+v", s)
+	}
+}
+
+// TestQuickReportPinned makes "same verdicts" a test instead of a
+// procedure: the report of the fleet smoke's cycle (scripts/ci.sh -fleet
+// diffs its serial reference against the same file) is pinned byte for
+// byte. The file predates trials stopping where their window closes, so
+// it also pins that stopping there moved no verdict.
+func TestQuickReportPinned(t *testing.T) {
+	const pinned = "testdata/quick-high-seed23.txt"
+	cfg, err := parseConfig([]string{"-cycles", "1", "-setting", "high", "-seed", "23",
+		"-services", "iPerf (Reno),iPerf (Cubic),iPerf (BBR)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run(cfg, &got, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(pinned, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("recorded %s: %d bytes", pinned, got.Len())
+		return
+	}
+	want, err := os.ReadFile(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("report moved from %s (rerun with -update only if the verdicts were meant to change):\n got:\n%s\nwant:\n%s",
+			pinned, got.Bytes(), want)
 	}
 }

@@ -177,6 +177,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	defer cancel()
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	go func() {
 		<-sigc
 		cancel()

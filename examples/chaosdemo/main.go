@@ -39,7 +39,8 @@ func run(w io.Writer) error {
 		return s
 	}
 
-	// Every fault class, hot enough to fire constantly in 30 s trials.
+	// Every fault class, hot enough to fire constantly in 30 s trials
+	// (28 simulated: a trial stops where its window closes).
 	opts.Chaos = &chaos.Config{
 		FlapMeanGap:  8 * sim.Second,
 		FlapMeanLen:  300 * sim.Millisecond,

@@ -18,6 +18,8 @@ import (
 
 func main() {
 	for _, inc := range []string{"iPerf (Reno)", "Dropbox"} {
+		// The engine stops where the window closes, Duration − Cooldown =
+		// 110 s, and both series end there.
 		spec := core.Spec{
 			Incumbent:        services.ByName(inc),
 			Contender:        services.ByName("Mega"),

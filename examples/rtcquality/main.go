@@ -25,6 +25,8 @@ func main() {
 			if cont != "" {
 				contSvc = services.ByName(cont)
 			}
+			// The engine stops where the window closes, Duration − Cooldown
+			// = 85 s: the QoE accumulators cover the call up to there.
 			spec := core.Spec{
 				Incumbent: services.ByName(rtc),
 				Contender: contSvc,

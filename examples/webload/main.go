@@ -26,6 +26,8 @@ func main() {
 			if cont != "" {
 				contSvc = services.ByName(cont)
 			}
+			// The engine stops where the window closes, Duration − Cooldown
+			// = 235 s: page loads are counted up to there.
 			spec := core.Spec{
 				Incumbent: services.ByName(page),
 				Contender: contSvc,

@@ -360,7 +360,10 @@ func (p InjectedPanic) String() string {
 // Arm schedules the in-simulation fault processes on a trial's engine
 // and testbed. rng must be dedicated to chaos (see StreamSeed); each
 // fault family splits its own child stream so disabling one family does
-// not shift another's draws.
+// not shift another's draws. The processes are open-ended: a flap, sag
+// or stall whose turn comes after the trial's engine stops (where the
+// measurement window closes, see core.RunTrial) simply never happens
+// and is not counted.
 func (c *Config) Arm(eng *sim.Engine, tb *netem.Testbed, rng *sim.RNG) {
 	if c == nil || !c.simEnabled() {
 		return

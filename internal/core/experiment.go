@@ -37,10 +37,15 @@ type Spec struct {
 	Contender services.Service
 	// Net is the emulated bottleneck setting.
 	Net netem.Config
-	// Duration is the trial length; Warmup and Cooldown are trimmed from
-	// the measurement window. The paper runs 10-minute trials and
-	// ignores the first and last two minutes (§3.4); DefaultTiming
-	// applies those values, QuickTiming a laptop-scale equivalent.
+	// Duration is the trial length in the paper's terms; Warmup and
+	// Cooldown are trimmed from its head and tail, leaving the
+	// measurement window [Warmup, Duration-Cooldown]. The paper runs
+	// 10-minute trials and ignores the first and last two minutes
+	// (§3.4) because live services stop raggedly; a simulated one stops
+	// on command, so Cooldown only places the window's closing edge and
+	// is trimmed by not being simulated: the engine runs to
+	// Duration-Cooldown (horizon) and no further. DefaultTiming applies
+	// the paper's values, QuickTiming a laptop-scale equivalent.
 	Duration, Warmup, Cooldown sim.Time
 	// Seed makes the trial fully reproducible.
 	Seed uint64
@@ -71,30 +76,39 @@ type Spec struct {
 }
 
 // DefaultTiming applies the paper's trial timing: 10 minutes total,
-// first and last 2 minutes ignored.
+// first and last 2 minutes ignored, so 480 simulated seconds.
 func (s Spec) DefaultTiming() Spec {
 	s.Duration, s.Warmup, s.Cooldown = 10*sim.Minute, 2*sim.Minute, 2*sim.Minute
 	return s
 }
 
 // QuickTiming applies a compressed trial suitable for tests and laptop
-// benchmark runs: 60 seconds with 10-second head/tail trims. Shape-level
-// conclusions are unchanged; absolute confidence is lower, which the
-// scheduler's trial escalation compensates for.
+// benchmark runs: 60 seconds with a 10-second head trim and a 5-second
+// tail trim, so 55 simulated seconds. Shape-level conclusions are
+// unchanged; absolute confidence is lower, which the scheduler's trial
+// escalation compensates for.
 func (s Spec) QuickTiming() Spec {
 	s.Duration, s.Warmup, s.Cooldown = 60*sim.Second, 10*sim.Second, 5*sim.Second
 	return s
 }
 
 // ScreenTiming applies the coarse-to-fine screening pass's timing: a
-// 15-second trial with minimal head/tail trims, roughly a quarter of a
-// QuickTiming trial. Screening only ranks pairs by predicted
+// 15-second trial with minimal head/tail trims (3 s and 2 s, so 13
+// simulated seconds), roughly a quarter of a QuickTiming trial.
+// Screening only ranks pairs by predicted
 // unfairness — the ranking feeds budget allocation, never the heatmaps
 // — so the lower absolute confidence is acceptable by construction.
 func (s Spec) ScreenTiming() Spec {
 	s.Duration, s.Warmup, s.Cooldown = 15*sim.Second, 3*sim.Second, 2*sim.Second
 	return s
 }
+
+// horizon is the instant the measurement window closes, which is how far
+// a trial simulates: nothing after the closing snapshot can change what
+// it read. The snapshot, the engine's run, TrialObs.SimSeconds, the
+// reaper's wall budget, the injected-panic draw and the manifest's
+// simulated_s all read it here.
+func (s Spec) horizon() sim.Time { return s.Duration - s.Cooldown }
 
 // MaxExternalLoss is the external (upstream) loss fraction above which a
 // trial is discarded (§3.1: 0.05%).
@@ -116,7 +130,8 @@ type TrialResult struct {
 	Loss [2]float64
 	// QueueDelay is each slot's mean queueing delay (Fig 13).
 	QueueDelay [2]sim.Time
-	// ExternalLossRate is upstream (background-noise) loss over the run.
+	// ExternalLossRate is upstream (background-noise) loss over the
+	// simulated span, start to window close.
 	ExternalLossRate float64
 	// Discarded marks trials that exceeded MaxExternalLoss and must be
 	// re-run rather than counted (§3.1).
@@ -161,7 +176,7 @@ type TrialObs struct {
 	ChaosFlaps  int64 `json:"chaos_flaps"`
 	ChaosSags   int64 `json:"chaos_sags"`
 	ChaosStalls int64 `json:"chaos_stalls"`
-	// SimSeconds is the trial's simulated duration.
+	// SimSeconds is the trial's simulated duration, Duration-Cooldown.
 	SimSeconds float64 `json:"sim_seconds"`
 }
 
@@ -190,8 +205,9 @@ func (t *TrialObs) add(o TrialObs) {
 	t.SimSeconds += o.SimSeconds
 }
 
-// scrapeObs fills a TrialObs from a finished trial's testbed.
-func scrapeObs(tb *netem.Testbed, duration sim.Time) TrialObs {
+// scrapeObs fills a TrialObs from a finished trial's testbed; simulated
+// is how far its engine ran.
+func scrapeObs(tb *netem.Testbed, simulated sim.Time) TrialObs {
 	o := TrialObs{
 		OccupancyHighWater: tb.Bneck.HighWater(),
 		UpstreamSent:       tb.UpstreamSentPackets(),
@@ -204,7 +220,7 @@ func scrapeObs(tb *netem.Testbed, duration sim.Time) TrialObs {
 		ChaosFlaps:         tb.ChaosFlaps,
 		ChaosSags:          tb.ChaosSags,
 		ChaosStalls:        tb.ChaosStalls,
-		SimSeconds:         duration.Seconds(),
+		SimSeconds:         simulated.Seconds(),
 	}
 	for slot := 0; slot < netem.MaxServices; slot++ {
 		st := tb.Bneck.Stats(slot)
@@ -231,8 +247,10 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// RunTrial executes one experiment and reports its results. The entire
-// run is deterministic in (Spec, Seed) — including any chaos faults,
+// RunTrial executes one experiment and reports its results. The engine
+// runs to the instant the measurement window closes (Duration-Cooldown)
+// and stops there; the cooldown is never simulated. The entire run is
+// deterministic in (Spec, Seed) — including any chaos faults,
 // which are decided by hashing the seed. Injected panics propagate to
 // the caller; the scheduler runs trials through runTrialSafe to convert
 // them into recorded failures.
@@ -256,6 +274,7 @@ func RunTrial(spec Spec) (TrialResult, error) {
 	if fault == chaos.FaultError {
 		return TrialResult{}, &TrialError{Kind: "error", Seed: spec.Seed, Msg: "chaos: injected trial error"}
 	}
+	horizon := spec.horizon()
 	eng := sim.NewEngine()
 	eng.SetAbort(spec.Abort)
 	rng := sim.NewRNG(spec.Seed)
@@ -264,7 +283,8 @@ func RunTrial(spec Spec) (TrialResult, error) {
 		// A dedicated RNG keeps the base experiment's streams untouched.
 		crng := sim.NewRNG(chaos.StreamSeed(spec.Seed))
 		if fault == chaos.FaultPanic {
-			at := crng.Duration(spec.Duration)
+			// Drawn inside the simulated span, so a planned panic fires.
+			at := crng.Duration(horizon)
 			eng.Schedule(at, func(now sim.Time) {
 				panic(chaos.InjectedPanic{Seed: spec.Seed, At: now})
 			})
@@ -317,21 +337,24 @@ func RunTrial(spec Spec) (TrialResult, error) {
 		})
 	}
 
-	// Snapshot bottleneck counters at the window edges.
+	// Snapshot bottleneck counters at the window edges. The closing one
+	// is an event scheduled here, before any traffic, not a read after
+	// the run returns: its (at, seq) place among same-instant events is
+	// what the reports are pinned to.
 	var snapStart, snapEnd [2]netem.ServiceStats
 	eng.Schedule(spec.Warmup, func(sim.Time) {
 		snapStart = [2]netem.ServiceStats{tb.Bneck.Stats(0), tb.Bneck.Stats(1)}
 	})
-	eng.Schedule(spec.Duration-spec.Cooldown, func(sim.Time) {
+	eng.Schedule(horizon, func(sim.Time) {
 		snapEnd = [2]netem.ServiceStats{tb.Bneck.Stats(0), tb.Bneck.Stats(1)}
 	})
 
-	eng.RunUntil(spec.Duration)
+	eng.RunUntil(horizon)
 
-	window := spec.Duration - spec.Warmup - spec.Cooldown
+	window := horizon - spec.Warmup
 	res := TrialResult{ExternalLossRate: tb.ExternalLossRate()}
 	res.Discarded = res.ExternalLossRate > MaxExternalLoss
-	res.Obs = scrapeObs(tb, spec.Duration)
+	res.Obs = scrapeObs(tb, horizon)
 
 	var win [2]metrics.WindowStats
 	for slot := 0; slot < 2; slot++ {
@@ -469,13 +492,13 @@ func runTrialBudgeted(spec Spec, budget time.Duration) (TrialResult, error) {
 }
 
 // wallBudget converts the scheduler's WallBudget factor into this
-// spec's absolute wall-clock deadline: emulated duration × factor.
+// spec's absolute wall-clock deadline: simulated seconds × factor.
 // Zero (reaper disabled) if no factor is configured.
 func wallBudget(spec Spec, factor float64) time.Duration {
 	if factor <= 0 {
 		return 0
 	}
-	return time.Duration(spec.Duration.Seconds() * factor * float64(time.Second))
+	return time.Duration(spec.horizon().Seconds() * factor * float64(time.Second))
 }
 
 // RunSolo measures a service alone (the calibration runs Prudentia uses

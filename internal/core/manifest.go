@@ -19,12 +19,19 @@ type Recipe struct {
 
 // SettingRecipe is one setting's network and its SettingOptions(0, si).
 // Timing, a func, cannot be written down; the trial timing it yields is.
+// The first three timing fields speak the paper's vocabulary;
+// SimulatedSec is what a trial actually runs, duration_s - cooldown_s
+// (the engine stops where the window closes). It is in the recipe, hence
+// in the fleet fingerprint, so a build that still simulates the tail,
+// whose TrialObs counters would differ from a serial run's, is refused
+// at hello.
 type SettingRecipe struct {
-	Net         netem.Config     `json:"net"`
-	Options     SchedulerOptions `json:"options"`
-	DurationSec float64          `json:"duration_s"`
-	WarmupSec   float64          `json:"warmup_s"`
-	CooldownSec float64          `json:"cooldown_s"`
+	Net          netem.Config     `json:"net"`
+	Options      SchedulerOptions `json:"options"`
+	DurationSec  float64          `json:"duration_s"`
+	WarmupSec    float64          `json:"warmup_s"`
+	CooldownSec  float64          `json:"cooldown_s"`
+	SimulatedSec float64          `json:"simulated_s"`
 }
 
 // Recipe renders the watchdog's resolved configuration.
@@ -37,8 +44,13 @@ func (w *Watchdog) Recipe() Recipe {
 		o := w.SettingOptions(0, si)
 		t := o.spec(nil, nil, net, 0)
 		o.Timing = nil
-		r.Settings = append(r.Settings, SettingRecipe{net, o,
-			t.Duration.Seconds(), t.Warmup.Seconds(), t.Cooldown.Seconds()})
+		r.Settings = append(r.Settings, SettingRecipe{
+			Net: net, Options: o,
+			DurationSec:  t.Duration.Seconds(),
+			WarmupSec:    t.Warmup.Seconds(),
+			CooldownSec:  t.Cooldown.Seconds(),
+			SimulatedSec: t.horizon().Seconds(),
+		})
 	}
 	return r
 }

@@ -42,7 +42,7 @@ type SchedulerOptions struct {
 	// trial the scheduler runs.
 	Chaos *chaos.Config
 	// WallBudget is the hung-trial reaper's wall-clock budget factor:
-	// each trial may spend at most (emulated duration × WallBudget) of
+	// each trial may spend at most (simulated seconds × WallBudget) of
 	// real time before it is reaped and recorded as a typed "reap"
 	// failure feeding the retry/quarantine machinery. Zero disables
 	// reaping. A simulated trial normally runs orders of magnitude

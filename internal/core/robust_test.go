@@ -520,6 +520,41 @@ func TestRunTrialSafeFaultClasses(t *testing.T) {
 	}
 }
 
+// TestInjectedPanicAlwaysFires pins that the FaultPanic instant is drawn
+// inside the simulated span: the engine stops where the window closes,
+// so an instant drawn over the whole Duration would land in the
+// never-simulated cooldown one time in twelve under QuickTiming (half
+// the time for the second spec here) and a trial the plan marked as
+// crashed would silently succeed.
+func TestInjectedPanicAlwaysFires(t *testing.T) {
+	cfg := &chaos.Config{PanicRate: 0.10}
+	base := Spec{
+		Incumbent: services.ByName("iPerf (Reno)"),
+		Contender: services.ByName("iPerf (Cubic)"),
+		Net:       netem.HighlyConstrained(),
+		Chaos:     cfg,
+	}
+	halfTail := base
+	halfTail.Duration, halfTail.Warmup, halfTail.Cooldown = 8*sim.Second, sim.Second, 4*sim.Second
+	for _, spec := range []Spec{base.ScreenTiming(), halfTail} {
+		fired := 0
+		for seed := uint64(1); fired < 200; seed++ {
+			if cfg.TrialFault(seed) != chaos.FaultPanic {
+				continue
+			}
+			fired++
+			spec.Seed = seed
+			_, err := runTrialSafe(spec)
+			if err == nil {
+				t.Fatalf("seed %d (cooldown %v of %v): planned panic never fired", seed, spec.Cooldown, spec.Duration)
+			}
+			if te := asTrialError(err, seed); te.Kind != "panic" {
+				t.Fatalf("seed %d: fault = %+v, want a panic", seed, te)
+			}
+		}
+	}
+}
+
 // TestMatrixRaceSmoke runs several chaos-enabled matrices concurrently;
 // under `go test -race` (scripts/ci.sh) this verifies independent
 // matrices share no mutable state.

@@ -190,8 +190,14 @@ func (s *Server) submissionsHandler() http.HandlerFunc {
 			return
 		}
 		var req submissionRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096))
-		if err := dec.Decode(&req); err != nil {
+		body := http.MaxBytesReader(w, r.Body, 4096)
+		err := json.NewDecoder(body).Decode(&req)
+		if err == nil {
+			// A body over the limit is refused whole, even when its
+			// first JSON value ends inside it.
+			_, err = io.Copy(io.Discard, body)
+		}
+		if err != nil {
 			s.subsDenied.Inc()
 			http.Error(w, "malformed submission body", http.StatusBadRequest)
 			return

@@ -142,3 +142,44 @@ func TestSubmissionsFlowIntoCycles(t *testing.T) {
 		t.Fatalf("applied submissions = %v", src.submitted)
 	}
 }
+
+// FuzzSubmissionBody: arbitrary bytes POSTed to the submissions route
+// never panic the handler, are answered only with 202, 400, 429 or 503,
+// are each counted exactly once as accepted or denied, and are refused
+// whole when they exceed the 4096-byte body limit. Every body is sent
+// three times to a tenant burst of two, so a well-formed one walks
+// 202, 202, 429 and a malformed one is a 400 each time.
+func FuzzSubmissionBody(f *testing.F) {
+	f.Add([]byte(`{"url":"https://example.com/p","access_code":"c","tenant":"t"}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"url":"https://example.com/p","acc`))
+	f.Add([]byte(`{"url":"https://example.com/` + strings.Repeat("a", 5000) + `","tenant":"t"}`))
+	f.Add([]byte(`{"url":"https://example.com/p"}` + strings.Repeat(" ", 5000)))
+	f.Add([]byte(`{"url":{"nested":[1,{"deep":null}]},"tenant":["t"]}`))
+	f.Add([]byte("{\"url\":\"https://example.com/\xff\xfe\",\"tenant\":\"\xc3\x28\"}"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := newFakeServer(t, &fakeSource{}, func(c *Config) { c.TenantBurst = 2 })
+		const sends = 3
+		var first int
+		for i := 0; i < sends; i++ {
+			code := postSubmission(t, s, string(body)).Code
+			switch code {
+			case http.StatusAccepted, http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			default:
+				t.Fatalf("send %d answered %d", i, code)
+			}
+			if i == 0 {
+				first = code
+			}
+			if (code == http.StatusBadRequest) != (first == http.StatusBadRequest) {
+				t.Fatalf("send %d answered %d after a first answer of %d", i, code, first)
+			}
+			if len(body) > 4096 && code != http.StatusBadRequest {
+				t.Fatalf("%d-byte body answered %d, want 400", len(body), code)
+			}
+		}
+		if a, d := s.subsAccepted.Value(), s.subsDenied.Value(); a+d != sends {
+			t.Fatalf("accepted %d + denied %d != %d requests sent", a, d, sends)
+		}
+	})
+}

@@ -133,7 +133,15 @@ func corpusService(name string) services.Service {
 // Record runs the entry's trial and returns its uncompressed trace: a
 // header line describing the configuration, one line per lifecycle event,
 // and a trailer with the event count and final virtual clock.
-func Record(e Entry) ([]byte, error) {
+//
+// The harness records the packet stream, not a measurement, so it has no
+// tail to trim: Cooldown is 0 and the engine, which stops where a trial's
+// window closes, covers the entry's whole Duration.
+func Record(e Entry) ([]byte, error) { return recordTrial(e, 0) }
+
+// recordTrial is Record for a trial whose window closes cooldown before
+// the entry's Duration (TestTrialTraceIsPrefix).
+func recordTrial(e Entry, cooldown sim.Time) ([]byte, error) {
 	inc := corpusService(e.Incumbent)
 	if inc == nil {
 		return nil, fmt.Errorf("golden: unknown incumbent %q", e.Incumbent)
@@ -154,7 +162,7 @@ func Record(e Entry) ([]byte, error) {
 		Net:       e.Net,
 		Duration:  e.Duration,
 		Warmup:    e.Duration / 4,
-		Cooldown:  e.Duration / 4,
+		Cooldown:  cooldown,
 		Seed:      e.Seed,
 		Observe:   rec.attach,
 	}

@@ -5,7 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"testing"
+
+	"prudentia/internal/sim"
 )
 
 // record re-records the committed corpus instead of verifying it. Use only
@@ -44,6 +47,60 @@ func TestGoldenTraceReplay(t *testing.T) {
 				reportDivergence(t, e.Name, line, gl, wl)
 				t.Fatalf("trace diverged from golden at line %d:\n  got:  %s\n  want: %s\n(%d vs %d bytes; the hot path changed observable behaviour)",
 					line, gl, wl, len(got), len(want))
+			}
+		})
+	}
+}
+
+// eventsThrough returns a trace's header and its event lines with
+// t <= until, without the event-count trailer.
+func eventsThrough(t *testing.T, trace []byte, until sim.Time) []byte {
+	t.Helper()
+	var out []byte
+	for _, line := range bytes.SplitAfter(trace, []byte("\n")) {
+		if rest, ok := bytes.CutPrefix(line, []byte(`{"t":`)); ok {
+			num, _, _ := bytes.Cut(rest, []byte(","))
+			at, err := strconv.ParseInt(string(num), 10, 64)
+			if err != nil {
+				t.Fatalf("bad trace line %q: %v", line, err)
+			}
+			if sim.Time(at) > until {
+				continue
+			}
+		} else if bytes.HasPrefix(line, []byte(`{"events":`)) {
+			continue
+		}
+		out = append(out, line...)
+	}
+	return out
+}
+
+// TestTrialTraceIsPrefix pins what "the cooldown is trimmed by not
+// simulating it" means for the packet stream: a trial whose window
+// closes at 3/4 of the entry's Duration produces exactly the committed
+// trace's events up to that instant, and none after.
+func TestTrialTraceIsPrefix(t *testing.T) {
+	for _, e := range Corpus() {
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
+			cooldown := e.Duration / 4
+			trial, err := recordTrial(e, cooldown)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := ReadGolden(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := eventsThrough(t, trial, e.Duration)
+			want := eventsThrough(t, golden, e.Duration-cooldown)
+			if !bytes.Equal(got, want) {
+				line, gl, wl := FirstDiff(got, want)
+				t.Fatalf("trial trace is not the golden trace's prefix; first divergence at line %d:\n  got:  %s\n  want: %s\n(%d vs %d bytes)",
+					line, gl, wl, len(got), len(want))
+			}
+			if full := eventsThrough(t, golden, e.Duration); len(want) >= len(full) {
+				t.Fatalf("golden trace has no events after %v: the prefix proves nothing", e.Duration-cooldown)
 			}
 		})
 	}

@@ -113,6 +113,12 @@ if [ "$FLEET" -eq 1 ]; then
 
     echo "ci: fleet smoke: serial reference run"
     "$BIN" "${FLEET_ARGS[@]}" > "$ARTIFACTS/fleet-serial.txt"
+    # The same arguments are pinned in tier 1 (TestQuickReportPinned), so
+    # the reference the fleet is held to is itself held to a committed file.
+    if ! diff -u cmd/prudentia/testdata/quick-high-seed23.txt "$ARTIFACTS/fleet-serial.txt"; then
+        echo "ci: serial reference diverged from the pinned report" >&2
+        exit 1
+    fi
 
     echo "ci: fleet smoke: coordinator + 2 workers (one SIGKILLed mid-cycle)"
     rm -f "$ARTIFACTS/fleet-addr.txt"
@@ -482,10 +488,11 @@ fi
 # against the event engine's ordering contract (delay lines and lazy
 # timers dispatch exactly as the heap-only oracle does), and arbitrary
 # bytes against the parsers that read the network, the disk and the
-# command line — the frame readers, submission-WAL recovery, the two
-# readers a resumed cycle trusts (the checkpoint header, the journaled
-# pair record) and parseConfig (flags, the -sweep grid) — so they see
-# more than their seed corpus. Long exploratory campaigns run
+# command line — the frame readers, submission-WAL recovery, the
+# submissions route's request body, the two readers a resumed cycle
+# trusts (the checkpoint header, the journaled pair record) and
+# parseConfig (flags, the -sweep grid) — so they see more than their
+# seed corpus. Long exploratory campaigns run
 # out-of-band; this catches gross regressions on every CI pass.
 FUZZTIME=10s
 if [ "$SHORT" -eq 1 ]; then FUZZTIME=5s; fi
@@ -493,6 +500,7 @@ go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime="$FUZZTIME" ./internal
 go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime="$FUZZTIME" ./internal/sim
 go test -run '^$' -fuzz '^FuzzFrameScanner$' -fuzztime="$FUZZTIME" ./internal/journal
 go test -run '^$' -fuzz '^FuzzSubsWALOpen$' -fuzztime="$FUZZTIME" ./internal/serve
+go test -run '^$' -fuzz '^FuzzSubmissionBody$' -fuzztime="$FUZZTIME" ./internal/serve
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime="$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz '^FuzzPairRecord$' -fuzztime="$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime="$FUZZTIME" ./cmd/prudentia
