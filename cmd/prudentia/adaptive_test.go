@@ -2,17 +2,18 @@ package main
 
 // End-to-end acceptance tests for the adaptive trial-budget flags: the
 // -adaptive run produces the observability evidence (manifest flag,
-// stop counters, saved-trials counter), and resuming from a pre-adaptive
-// checkpoint falls back to fixed trials with a warning instead of
-// failing the cycle.
+// stop counters, saved-trials counter), and a cycle a plain run left
+// behind resumes under -adaptive as if it had run that way throughout.
 
 import (
+	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
-	"prudentia/internal/core"
 	"prudentia/internal/obs"
 )
 
@@ -54,34 +55,60 @@ func TestEndToEndAdaptiveRun(t *testing.T) {
 	}
 }
 
-// TestEndToEndAdaptiveResumeFallback: resuming -adaptive from a
-// checkpoint written before the budget field existed must not error
-// out — the binary warns on stderr and finishes the cycle with fixed
-// trials (regression test for the ErrCheckpointNoBudget path).
-func TestEndToEndAdaptiveResumeFallback(t *testing.T) {
+// TestEndToEndCrossProtocolResume: a plain -checkpoint run interrupted
+// mid-cycle and rerun with -adaptive exits 0, warns about nothing, and
+// reports exactly what an uninterrupted -adaptive run reports — the
+// header records no protocol, and the resumed run screens for itself.
+func TestEndToEndCrossProtocolResume(t *testing.T) {
 	bin := buildBinary(t)
-	ckpt := filepath.Join(t.TempDir(), "state.json")
-	// A fixed-mode (and hence pre-adaptive-shaped) checkpoint: cycle 1,
-	// no budget state.
-	pre := &core.Checkpoint{Cycle: 1}
-	if pre.HasBudgetState() {
-		t.Fatal("setup: checkpoint must not carry budget state")
+	args := cycleArgs("31")
+	ref, err := exec.Command(bin, append(args, "-adaptive")...).Output()
+	if err != nil {
+		t.Fatalf("adaptive reference run: %v", err)
 	}
-	if err := core.SaveCheckpoint(ckpt, pre); err != nil {
+
+	ckpt := filepath.Join(t.TempDir(), "state.json")
+	interruptPlainRun(t, bin, append(args, "-checkpoint", ckpt), ckpt)
+
+	cmd := exec.Command(bin, append(args, "-adaptive", "-checkpoint", ckpt)...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("adaptive resume: %v\n%s%s", err, out, stderr.String())
+	}
+	if stderr.Len() != 0 {
+		t.Fatalf("adaptive resume of a plain run's header wrote to stderr:\n%s", stderr.String())
+	}
+	if !strings.Contains(string(out), "resuming interrupted cycle from") {
+		t.Fatalf("rerun did not resume:\n%s", out)
+	}
+	if got, want := cycleOutput(t, out), cycleOutput(t, ref); got != want {
+		t.Fatalf("resumed report differs from an uninterrupted -adaptive run:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
+	}
+}
+
+// interruptPlainRun starts bin with args and sends one SIGINT as soon as
+// its trial journal (beside ckpt) holds a record, so the graceful stop
+// lands mid-cycle and leaves the header behind.
+func interruptPlainRun(t *testing.T, bin string, args []string, ckpt string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin,
-		"-cycles", "1", "-setting", "high", "-workers", "2", "-seed", "42",
-		"-services", "iPerf (Cubic),iPerf (BBR)",
-		"-adaptive", "-checkpoint", ckpt)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("fallback run failed: %v\n%s", err, out)
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if fi, err := os.Stat(ckpt + ".wal"); err == nil && fi.Size() > 0 {
+			break
+		}
 	}
-	if !strings.Contains(string(out), "predates adaptive budgets") {
-		t.Fatalf("no fallback warning in output:\n%s", out)
+	cmd.Process.Signal(os.Interrupt)
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("interrupted run: %v\n%s", err, out.Bytes())
 	}
-	if !strings.Contains(string(out), "=== cycle") {
-		t.Fatalf("fallback run produced no cycle report:\n%s", out)
+	if !strings.Contains(out.String(), "interrupted; cycle state saved") {
+		t.Fatalf("SIGINT did not land mid-cycle:\n%s", out.Bytes())
 	}
 }

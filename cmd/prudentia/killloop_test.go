@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -83,24 +84,39 @@ func killUntilDone(t *testing.T, bin string, args []string, rng *rand.Rand) []by
 // run — kill -9 loses at most the in-flight trial, and the resume
 // replays everything else from the journal. -checkpoint alone is as
 // safe as -checkpoint with -journal: the journal is implied beside it.
+// Under -adaptive a kill mid-screening leaves no allocation anywhere
+// but in the journaled screening trials the resume replays.
 func TestEndToEndKillLoop(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
 
-	// Reference: uninterrupted, no durability files. Fault injection is
-	// armed so the ledger the rows must reproduce is not an empty file.
-	workload := func(extra ...string) []string {
-		return append(append(cycleArgs("23"), "-chaos"), extra...)
+	// References: uninterrupted, no durability files, one per protocol.
+	// Fault injection is armed so the ledger the rows must reproduce is
+	// not an empty file.
+	workload := func(adaptive bool, extra ...string) []string {
+		args := append(cycleArgs("23"), "-chaos")
+		if adaptive {
+			args = append(args, "-adaptive")
+		}
+		return append(args, extra...)
 	}
-	refFaults := filepath.Join(dir, "ref-faults.jsonl")
-	ref := exec.Command(bin, workload("-faults-out", refFaults)...)
-	refOut, err := ref.CombinedOutput()
-	if err != nil {
-		t.Fatalf("reference run: %v\n%s", err, refOut)
+	type reference struct {
+		out    []byte
+		faults string
+	}
+	refs := map[bool]reference{}
+	for _, adaptive := range []bool{false, true} {
+		faults := filepath.Join(dir, fmt.Sprintf("ref-faults-%v.jsonl", adaptive))
+		out, err := exec.Command(bin, workload(adaptive, "-faults-out", faults)...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("reference run (adaptive=%v): %v\n%s", adaptive, err, out)
+		}
+		refs[adaptive] = reference{out, faults}
 	}
 
 	killSeed := time.Now().UnixNano()
 	if env := os.Getenv("PRUDENTIA_KILL_SEED"); env != "" {
+		var err error
 		killSeed, err = strconv.ParseInt(env, 10, 64)
 		if err != nil {
 			t.Fatalf("PRUDENTIA_KILL_SEED: %v", err)
@@ -110,29 +126,34 @@ func TestEndToEndKillLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(killSeed))
 
 	for _, row := range []struct {
-		name    string
-		journal bool
-	}{{"checkpoint and journal", true}, {"checkpoint alone", false}} {
+		name              string
+		journal, adaptive bool
+	}{
+		{"checkpoint and journal", true, false},
+		{"checkpoint alone", false, false},
+		{"adaptive", false, true},
+	} {
 		t.Run(row.name, func(t *testing.T) {
 			dir := t.TempDir()
 			ckpt := filepath.Join(dir, "state.json")
 			wal := ckpt + ".wal"
 			faults := filepath.Join(dir, "faults.jsonl")
-			args := workload("-checkpoint", ckpt, "-faults-out", faults)
+			args := workload(row.adaptive, "-checkpoint", ckpt, "-faults-out", faults)
 			if row.journal {
 				wal = filepath.Join(dir, "trials.wal")
 				args = append(args, "-journal", wal)
 			}
+			ref := refs[row.adaptive]
 
 			final := killUntilDone(t, bin, args, rng)
-			if got, want := cycleOutput(t, final), cycleOutput(t, refOut); got != want {
+			if got, want := cycleOutput(t, final), cycleOutput(t, ref.out); got != want {
 				t.Fatalf("resumed report differs from uninterrupted run:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
 			}
 			got, err := os.ReadFile(faults)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(refFaults)
+			want, err := os.ReadFile(ref.faults)
 			if err != nil {
 				t.Fatal(err)
 			}

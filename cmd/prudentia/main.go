@@ -11,28 +11,29 @@
 // selected mode would ignore is an error, not a no-op.
 //
 // The watchdog is crash-safe: with -checkpoint f it keeps the cycle's
-// header in f (cycle number, cycle-start breakers, admission and budget
-// decisions) and fsyncs every executed attempt to the write-ahead trial
-// journal f.wal as it completes. SIGINT/SIGTERM stop it gracefully, a
-// kill -9 loses at most the one in-flight trial, and either way the next
-// run with the same -checkpoint resumes the cycle by replaying the
-// journal instead of re-simulating it, with a report and fault ledger
-// identical to an uninterrupted run (both files exist only while a cycle
-// is in progress). -journal moves the journal to another path, or
-// journals a run that has no checkpoint. -max-trial-wall arms the
-// hung-trial reaper, circuit-breaker state carries across the cycles of
-// one run (-v prints it after each), and -chaos arms the deterministic
-// fault-injection plan (link flaps, bandwidth sags, client stalls, trial
-// panics/errors, result corruption, service brownouts) to exercise those
-// defenses.
+// header in f (the cycle number and the cycle-start breakers) and fsyncs
+// every executed attempt to the write-ahead trial journal f.wal as it
+// completes. SIGINT/SIGTERM stop it gracefully, a kill -9 loses at most
+// the one in-flight trial, and either way the next run with the same
+// -checkpoint resumes the cycle by replaying the journal instead of
+// re-simulating it, with a report and fault ledger identical to an
+// uninterrupted run of the resuming invocation (both files exist only
+// while a cycle is in progress). -journal moves the journal to another
+// path, or journals a run that has no checkpoint. -max-trial-wall arms
+// the hung-trial reaper, circuit-breaker state carries across the cycles
+// of one run (-v prints it after each), and -chaos arms the
+// deterministic fault-injection plan (link flaps, bandwidth sags, client
+// stalls, trial panics/errors, result corruption, service brownouts) to
+// exercise those defenses.
 //
 // -adaptive replaces the fixed trial protocol with adaptive budgets
 // (docs/ADAPTIVE.md): a coarse screening pass ranks pairs by predicted
 // unfairness and allocates the cycle's trial budget depth-first to the
 // most contested pairs, and a sequential stopper ends each pair's
 // trials the moment its fairness verdict is statistically settled —
-// same verdicts, typically ≥30% fewer trials. Resuming a pre-adaptive
-// checkpoint finishes that cycle with the fixed protocol.
+// same verdicts, typically ≥30% fewer trials. A cycle interrupted
+// under one protocol resumes under the other as if it had run that way
+// from the start.
 //
 // Per-pair statistics accumulate in O(1) mergeable quantile sketches
 // (docs/SKETCHES.md): medians/CIs bit-identical to order statistics
@@ -194,14 +195,6 @@ func run(cfg config, stdout, stderr io.Writer) error {
 		}
 		if found {
 			fmt.Fprintf(stdout, "resuming interrupted cycle from %s\n", w.CheckpointPath)
-			if w.Opts.Adaptive != nil && !w.StagedCheckpoint().HasBudgetState() {
-				// Pre-adaptive checkpoints carry no budget allocations;
-				// re-screening could change the interrupted run's
-				// stopping decisions, so finish this cycle with the
-				// fixed protocol instead of erroring.
-				warnf("checkpoint predates adaptive budgets; running this cycle with the fixed protocol")
-				w.Opts.Adaptive = nil
-			}
 		} else {
 			fmt.Fprintf(stdout, "no checkpoint at %s; starting fresh\n", w.CheckpointPath)
 		}

@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -86,37 +86,34 @@ func TestAdaptiveVsFixedEquivalence(t *testing.T) {
 }
 
 // TestAdaptiveWorkerDeterminism: the adaptive result — outcomes, stop
-// reasons, and the budget allocation itself — is byte-identical for
-// any worker count, even with chaos making screening trials fail.
+// reasons, and the budget allocation itself, which every stopped
+// outcome carries as its Budget — is byte-identical for any worker
+// count, even with chaos making screening trials fail.
 func TestAdaptiveWorkerDeterminism(t *testing.T) {
 	net := netem.HighlyConstrained()
-	run := func(workers int) (resJSON, budgetJSON []byte) {
+	run := func(workers int) []byte {
 		opts := adaptiveTestOpts(net)
 		opts.MaxTrials = 9
 		opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
 		opts.Adaptive = &AdaptiveOptions{}
-		var budgets map[string]int
-		m := &Matrix{
-			Services:  threeServices(),
-			Net:       net,
-			Opts:      opts,
-			Workers:   workers,
-			OnBudgets: func(b map[string]int) { budgets = b },
-		}
+		m := &Matrix{Services: threeServices(), Net: net, Opts: opts, Workers: workers}
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
+		allocated := 0
+		for _, p := range res.Pairs {
+			if p.Budget > 0 {
+				allocated++
+			}
+		}
+		if allocated == 0 {
+			t.Fatal("no outcome carries a budget: the result JSON has no allocation to compare")
+		}
 		rj, _ := json.Marshal(res)
-		bj, _ := json.Marshal(budgets)
-		return rj, bj
+		return rj
 	}
-	r1, b1 := run(1)
-	r4, b4 := run(4)
-	if !bytes.Equal(b1, b4) {
-		t.Fatalf("budget allocation differs across worker counts:\n%s\nvs\n%s", b1, b4)
-	}
-	if !bytes.Equal(r1, r4) {
+	if r1, r4 := run(1), run(4); !bytes.Equal(r1, r4) {
 		t.Fatalf("adaptive matrix differs across worker counts:\n%s\nvs\n%s", r1, r4)
 	}
 }
@@ -135,12 +132,24 @@ func (r localRemote) RunPairs(tasks []PairTask, _ func() bool) (<-chan PairTaskR
 	return ch, nil
 }
 
+// taskRecorder is a localRemote that keeps every task it is handed.
+type taskRecorder struct {
+	localRemote
+	tasks []PairTask
+}
+
+func (r *taskRecorder) RunPairs(tasks []PairTask, interrupt func() bool) (<-chan PairTaskResult, error) {
+	r.tasks = append(r.tasks, tasks...)
+	return r.localRemote.RunPairs(tasks, interrupt)
+}
+
 // TestFleetScreeningUsesLocalPool: in fleet mode screening stays on the
 // coordinator, at the coordinator's pool width — a -workers 4
 // coordinator must not screen every pair serially before dispatching
-// anything — and the allocation it reaches does not depend on that
-// width. Every screening task polls the hook once before its trial, so
-// two polls in flight at once are two screening tasks in flight.
+// anything — and the allocation it reaches, which travels to the
+// workers as each PairTask's Budget, does not depend on that width.
+// Every screening task polls the hook once before its trial, so two
+// polls in flight at once are two screening tasks in flight.
 func TestFleetScreeningUsesLocalPool(t *testing.T) {
 	net := netem.HighlyConstrained()
 	var inHook atomic.Int32
@@ -163,18 +172,28 @@ func TestFleetScreeningUsesLocalPool(t *testing.T) {
 	run := func(workers int, hook func() bool) []byte {
 		opts := adaptiveTestOpts(net)
 		opts.Adaptive = &AdaptiveOptions{}
-		var budgets map[string]int
 		m := &Matrix{
 			Services:  threeServices(),
 			Net:       net,
 			Opts:      opts,
 			Workers:   workers,
 			Interrupt: hook,
-			OnBudgets: func(b map[string]int) { budgets = b },
 		}
-		m.Remote = localRemote{m}
-		if _, err := m.Run(); err != nil {
+		remote := &taskRecorder{localRemote: localRemote{m}}
+		m.Remote = remote
+		res, err := m.Run()
+		if err != nil {
 			t.Fatal(err)
+		}
+		budgets := make([]int, len(remote.tasks))
+		for i, task := range remote.tasks {
+			if task.Budget <= 0 {
+				t.Fatalf("task %+v carries no budget", task)
+			}
+			if p := res.Pairs[pairKey(task.A, task.B)]; p.StopReason != "" && p.Budget != task.Budget {
+				t.Fatalf("task %+v: outcome records budget %d", task, p.Budget)
+			}
+			budgets[i] = task.Budget
 		}
 		bj, _ := json.Marshal(budgets)
 		return bj
@@ -217,8 +236,8 @@ func TestAdaptiveResumeEquivalence(t *testing.T) {
 
 	// Tasks poll once per calibration, screening trial and pair trial:
 	// 12 polls is past the 3 calibrations and the 6 screening trials,
-	// three trials into the matrix (the allocation is on disk); 7 polls
-	// lands mid-screening (it is not).
+	// three trials into the matrix; 7 polls lands mid-screening. Either
+	// way the allocation comes back from the replayed screening.
 	for _, after := range []int{12, 7} {
 		dir := t.TempDir()
 		ckpt := filepath.Join(dir, "ckpt.json")
@@ -228,16 +247,6 @@ func TestAdaptiveResumeEquivalence(t *testing.T) {
 		wA := mk(ckpt, jrnl, func() bool { calls++; return calls > after })
 		if _, err := wA.RunCycle(); err != ErrInterrupted {
 			t.Fatalf("interrupted cycle returned %v, want ErrInterrupted", err)
-		}
-		saved, err := LoadCheckpoint(ckpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !saved.HasBudgetState() {
-			t.Fatal("adaptive checkpoint must carry budget state")
-		}
-		if allocated := saved.Budget[0] != nil; allocated != (after == 12) {
-			t.Fatalf("interrupt after %d polls: allocation on disk = %v", after, allocated)
 		}
 
 		wB := mk(ckpt, jrnl, nil)
@@ -254,45 +263,98 @@ func TestAdaptiveResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestAdaptiveResumeRejectsPreAdaptiveCheckpoint: resuming an adaptive
-// cycle from a checkpoint without budget state fails with
-// ErrCheckpointNoBudget (the staged checkpoint is retained), and the
-// same checkpoint resumes cleanly once Adaptive is disarmed — the
-// fallback cmd/prudentia performs automatically.
-func TestAdaptiveResumeRejectsPreAdaptiveCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	cp := &Checkpoint{Cycle: 1}
-	if cp.HasBudgetState() {
-		t.Fatal("fixed-mode checkpoint must not carry budget state")
+// TestCrossProtocolResume: the header records no protocol, so a cycle
+// interrupted under one protocol and resumed under the other — fixed to
+// adaptive and back — equals an uninterrupted run under the resumed
+// protocol, CycleResult and fault ledger alike: the resumed process
+// screens (or does not) for itself, and the journaled trials it shares
+// with the interrupted one replay by seed. Local rows interrupt in the
+// calibrations, in screening and in the matrix; the coordinator row
+// journals finished pairs, which belong to the protocol that ran them
+// and are dispatched again.
+func TestCrossProtocolResume(t *testing.T) {
+	type run struct {
+		w      *Watchdog
+		ledger []FaultEvent
 	}
-	if err := SaveCheckpoint(path, cp); err != nil {
-		t.Fatal(err)
+	mk := func(adaptive bool, ckpt string, interrupt func() bool) *run {
+		opts := fastOpts(netem.HighlyConstrained())
+		opts.MinTrials, opts.MaxTrials, opts.Step = 4, 8, 4
+		opts.BaseSeed = 11
+		opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
+		if adaptive {
+			opts.Adaptive = &AdaptiveOptions{}
+		}
+		r := &run{}
+		r.w = &Watchdog{
+			Services:       threeServices(),
+			Settings:       []netem.Config{netem.HighlyConstrained()},
+			Opts:           opts,
+			CheckpointPath: ckpt,
+			Interrupt:      interrupt,
+			OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
+		}
+		return r
 	}
-	loaded, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
+	outputs := func(r *run, cr *CycleResult) string {
+		a, _ := json.Marshal(cr)
+		b, _ := json.Marshal(r.ledger)
+		return string(a) + "\n" + string(b)
 	}
-	if loaded.HasBudgetState() {
-		t.Fatal("loaded fixed-mode checkpoint must not carry budget state")
+	want := map[bool]string{}
+	for _, adaptive := range []bool{false, true} {
+		r := mk(adaptive, "", nil)
+		cr, err := r.w.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[adaptive] = outputs(r, cr)
+	}
+	if want[false] == want[true] {
+		t.Fatal("setup: the two protocols produced the same cycle")
 	}
 
-	opts := fastOpts(netem.HighlyConstrained())
-	opts.Adaptive = &AdaptiveOptions{}
-	w := &Watchdog{
-		Services: threeServices()[:2],
-		Settings: []netem.Config{netem.HighlyConstrained()},
-		Opts:     opts,
+	// resume finishes ckpt's cycle under the resumed protocol and checks
+	// it against that protocol's uninterrupted run.
+	resume := func(name string, r *run) {
+		t.Helper()
+		if found, err := r.w.LoadCheckpoint(); err != nil || !found {
+			t.Fatalf("%s: LoadCheckpoint = %v, %v", name, found, err)
+		}
+		cr, err := r.w.RunCycle()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := outputs(r, cr); got != want[r.w.Opts.Adaptive != nil] {
+			t.Fatalf("%s: resumed cycle differs from an uninterrupted run under the resumed protocol:\n%s\nvs\n%s",
+				name, got, want[r.w.Opts.Adaptive != nil])
+		}
 	}
-	w.Resume(loaded)
-	if _, err := w.RunCycle(); !errors.Is(err, ErrCheckpointNoBudget) {
-		t.Fatalf("RunCycle = %v, want ErrCheckpointNoBudget", err)
-	}
-	if w.StagedCheckpoint() != loaded {
-		t.Fatal("refused resume must retain the staged checkpoint")
-	}
-	w.Opts.Adaptive = nil
-	if _, err := w.RunCycle(); err != nil {
-		t.Fatalf("fixed-trials resume of the same checkpoint failed: %v", err)
+	for _, from := range []bool{false, true} {
+		for _, after := range []int{2, 7, 12, 20} {
+			name := fmt.Sprintf("adaptive=%v→%v, interrupt after %d polls", from, !from, after)
+			ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+			calls := 0
+			if _, err := mk(from, ckpt, func() bool { calls++; return calls > after }).w.RunCycle(); err != ErrInterrupted {
+				t.Fatalf("%s: interrupted cycle returned %v", name, err)
+			}
+			resume(name, mk(!from, ckpt, nil))
+		}
+
+		name := fmt.Sprintf("coordinator adaptive=%v→%v", from, !from)
+		ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+		cut := mk(from, ckpt, nil)
+		cut.w.Remote = &cutRemote{w: cut.w, limit: 2}
+		if _, err := cut.w.RunCycle(); err != ErrInterrupted {
+			t.Fatalf("%s: cut-off dispatch returned %v", name, err)
+		}
+		r := mk(!from, ckpt, nil)
+		remote := &cutRemote{w: r.w}
+		r.w.Remote = remote
+		resume(name, r)
+		if n := len(remote.calls[0]); n != 6 {
+			t.Fatalf("%s: resume dispatched %d pairs, want all 6", name, n)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 
@@ -22,14 +21,15 @@ const CheckpointSchema = "prudentia.checkpoint/1"
 // outright instead of being half-read.
 var ErrFutureCheckpoint = journal.ErrFutureVersion
 
-// Checkpoint is the header of an in-progress watchdog cycle: the
-// decisions a resumed cycle must not re-litigate and the one piece of
-// state it cannot recompute, flushed when one of them changes — a few
-// service names, plus one integer per pair under adaptive budgets; no
-// outcome, no sketch. Everything a cycle has done — calibrations,
-// canary probes, screening, pair trials — lives in the trial journal
-// beside it and comes back by replay (Watchdog.RunCycle), so there is
-// one recovery routine and this file is only where it starts.
+// Checkpoint is the header of an in-progress watchdog cycle: what
+// replay cannot recompute, and nothing else — the cycle number and the
+// breaker state the cycle started from. It is flushed at cycle start
+// and again on interrupt. Everything the cycle has done — canary
+// probes, calibrations, screening, pair trials — lives in the trial
+// journal beside it, and every decision made from that work (which
+// services a setting admits, each adaptive budget) is recomputed from
+// it by replay (Watchdog.RunCycle), so there is one recovery routine
+// and this file is only where it starts.
 type Checkpoint struct {
 	// Schema is CheckpointSchema; SaveCheckpoint stamps it and
 	// LoadCheckpoint rejects future versions (empty is accepted for
@@ -43,37 +43,7 @@ type Checkpoint struct {
 	// cycle holds. A resumed cycle restores it and lets the replayed work
 	// re-score it on the ordinary release path.
 	Breakers []obs.BreakerInfo `json:"breakers,omitempty"`
-	// Budget[si] maps pairKey → the adaptive trial ceiling allocated by
-	// setting si's screening pass (nil until that setting's screening
-	// ran). It is the allocation *decision record*: a resumed adaptive
-	// cycle takes it verbatim instead of re-screening, so the stopping
-	// ceilings — and with them every stopping decision — cannot be
-	// re-litigated mid-cycle. The whole slice is nil on fixed-budget
-	// runs and on checkpoints written by pre-adaptive builds —
-	// HasBudgetState distinguishes the two.
-	Budget []map[string]int `json:"budget,omitempty"`
-	// OpenServices[si] records the admission decision made when setting
-	// si's matrix started: the sorted list of services whose breakers
-	// were open (possibly empty but non-nil once the setting started).
-	// Resume takes the stored decision verbatim, so an interrupted cycle
-	// cannot re-litigate admission and diverge from the uninterrupted
-	// run.
-	OpenServices [][]string `json:"open_services,omitempty"`
 }
-
-// HasBudgetState reports whether the checkpoint carries adaptive
-// budget allocations — i.e. was written by an adaptive-mode run of a
-// build that knows the field. Resuming an adaptive run from a
-// checkpoint without budget state would re-screen and could allocate
-// different ceilings than the interrupted run used; callers must
-// either fall back to fixed budgets (cmd/prudentia does, with a
-// warning) or refuse (RunCycle returns ErrCheckpointNoBudget).
-func (cp *Checkpoint) HasBudgetState() bool { return cp.Budget != nil }
-
-// ErrCheckpointNoBudget marks an attempt to resume an adaptive cycle
-// from a pre-adaptive checkpoint (no budget state). See
-// Checkpoint.HasBudgetState.
-var ErrCheckpointNoBudget = errors.New("checkpoint carries no adaptive budget state; resume with fixed trials")
 
 // SaveCheckpoint writes the checkpoint atomically and durably
 // (journal.ReplaceFile): a crash mid-write never truncates the previous
@@ -102,9 +72,11 @@ func SaveCheckpointDisk(path string, cp *Checkpoint, disk *chaos.DiskPlan) error
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint. The
 // schema is probed before the full parse, so a future-version file —
 // whose body this build might misread — is rejected with a clear
-// ErrFutureCheckpoint rather than a confusing field error. The
-// "pairs" and "calibration" members older builds wrote are ignored:
-// that work replays from the journal or re-simulates to the same bytes.
+// ErrFutureCheckpoint rather than a confusing field error. The members
+// older builds wrote beside the header — "pairs" and "calibration",
+// "open_services" and "budget" — are ignored: that work replays from
+// the journal or re-simulates to the same bytes, and those decisions
+// are recomputed from it.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

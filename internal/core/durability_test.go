@@ -455,6 +455,92 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 }
 
+// TestAdmissionReplayResume: admission is recomputed, never recorded —
+// each setting admits what the breakers allow when it starts, and a
+// resumed cycle's replayed calibrations and earlier settings re-score
+// the restored cycle-start snapshot to that same point. A two-setting
+// brownout cycle whose breaker opens in setting 0, so that setting 1
+// skips the sick service, is interrupted at every 3rd interrupt poll
+// (every 9th under -short), fixed and adaptive, and resumed with its
+// journal and with the journal deleted: the CycleResult, fault ledger
+// and breaker state must equal an uninterrupted run's at every point.
+func TestAdmissionReplayResume(t *testing.T) {
+	const sick = "iPerf (BBR)"
+	nets := []netem.Config{netem.HighlyConstrained(), netem.ModeratelyConstrained()}
+	step := 3
+	if testing.Short() {
+		step = 9
+	}
+	type run struct {
+		w      *Watchdog
+		ledger []FaultEvent
+	}
+	for _, adaptive := range []bool{false, true} {
+		mk := func(ckpt string, interrupt func() bool) *run {
+			opts := fastOpts(nets[0])
+			opts.BaseSeed = 5
+			opts.Chaos = &chaos.Config{Brownouts: []*chaos.Brownout{{Service: sick, Trials: 1 << 40}}}
+			if adaptive {
+				opts.Adaptive = &AdaptiveOptions{}
+			}
+			r := &run{}
+			r.w = &Watchdog{
+				Services:       threeServices(),
+				Settings:       nets,
+				Opts:           opts,
+				CheckpointPath: ckpt,
+				Interrupt:      interrupt,
+				OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
+			}
+			return r
+		}
+		outputs := func(r *run, cr *CycleResult) string {
+			a, _ := json.Marshal(cr)
+			b, _ := json.Marshal(r.ledger)
+			c, _ := json.Marshal(r.w.Breakers.Status())
+			return string(a) + "\n" + string(b) + "\n" + string(c)
+		}
+
+		polls := 0
+		ref := mk("", func() bool { polls++; return false })
+		crRef, err := ref.w.RunCycle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := crRef.PerSetting[1].SharePct(sick, "iPerf (Reno)"); !ok || !math.IsInf(v, -1) {
+			t.Fatalf("adaptive=%v setup: setting 1 sick cell = %v, %v; want -Inf (breaker-skipped)", adaptive, v, ok)
+		}
+		want := outputs(ref, crRef)
+
+		for after := 0; after < polls; after += step {
+			for _, keepJournal := range []bool{true, false} {
+				ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+				calls := 0
+				if _, err := mk(ckpt, func() bool { calls++; return calls > after }).w.RunCycle(); err != ErrInterrupted {
+					t.Fatalf("adaptive=%v, after %d polls: interrupted cycle returned %v", adaptive, after, err)
+				}
+				if !keepJournal {
+					if err := os.Remove(ckpt + ".wal"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r := mk(ckpt, nil)
+				if found, err := r.w.LoadCheckpoint(); err != nil || !found {
+					t.Fatalf("LoadCheckpoint = %v, %v", found, err)
+				}
+				cr, err := r.w.RunCycle()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := outputs(r, cr); got != want {
+					t.Fatalf("adaptive=%v, journal=%v, interrupt after %d of %d polls: resumed cycle differs from uninterrupted run:\n%s\nvs\n%s",
+						adaptive, keepJournal, after, polls, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestInterruptedManifestCycleNumber: an interrupted run's manifest must
 // name the cycle its checkpoint names — past an AdvanceTo offset, and
 // again when the resumed cycle is itself interrupted in a new process.

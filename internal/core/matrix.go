@@ -49,20 +49,6 @@ type Matrix struct {
 	Cycle   int
 	Setting int
 
-	// Budgets maps pairKey → allocated trial ceiling, restored from a
-	// checkpoint. When nil and Opts.Adaptive is armed, Run performs the
-	// coarse screening pass itself and allocates budgets from the
-	// scores; when non-nil the stored allocation is taken verbatim —
-	// screening is skipped — so a resumed adaptive cycle reproduces the
-	// original run's stopping decisions without re-planning them.
-	Budgets map[string]int
-
-	// OnBudgets, if non-nil, receives the budget allocation the moment
-	// it is decided (the checkpoint-persistence hook). Called once per
-	// Run, before any full-depth trial starts, from the goroutine that
-	// called Run; not called when Budgets was supplied.
-	OnBudgets func(budgets map[string]int)
-
 	// SkipService, if non-nil, denies admission by service name: every
 	// pair with a member the hook rejects is marked Skipped (rendered
 	// ○○) and released immediately, without running a single trial.
@@ -75,8 +61,11 @@ type Matrix struct {
 	// sink: every executed attempt is recorded, and recovered attempts
 	// replay by seed instead of re-simulating — which is all a resumed
 	// matrix needs to be identical to an uninterrupted one, every trial
-	// seed being a pure function of (BaseSeed, pair, attempt). Under
-	// Remote it holds one record per finished pair instead (remote.go).
+	// seed being a pure function of (BaseSeed, pair, attempt). That
+	// includes the adaptive budgets: screening replays like any other
+	// attempt, so a resumed Run allocates the interrupted run's ceilings
+	// again. Under Remote it holds one record per finished pair instead
+	// (remote.go).
 	Journal *journalSink
 
 	// Breakers, if non-nil, accumulates per-service health scores from
@@ -158,16 +147,9 @@ func (m *Matrix) Run() (*MatrixResult, error) {
 	}
 
 	if opts.Adaptive != nil && len(states) > 0 {
-		budgets := m.Budgets
-		if budgets == nil {
-			var interrupted bool
-			budgets, interrupted = m.screen(states, opts)
-			if interrupted {
-				return res, ErrInterrupted
-			}
-			if m.OnBudgets != nil {
-				m.OnBudgets(budgets)
-			}
+		budgets, interrupted := m.screen(states, opts)
+		if interrupted {
+			return res, ErrInterrupted
 		}
 		m.applyBudgets(states, budgets)
 	}

@@ -27,7 +27,8 @@ import (
 // checkpoint header on disk at every released pair is byte-identical
 // between a serial and an 8-worker run. The file is sampled at each
 // per-pair Progress callback, which the ordered merge fires on the
-// release path, where the header's decisions are made and flushed.
+// release path; the header records no decision, so it is the one
+// written at cycle start at every sample.
 func TestWatchdogCheckpointDeterminismAcrossWorkers(t *testing.T) {
 	run := func(workers int) (snaps []string, final []byte) {
 		ckpt := filepath.Join(t.TempDir(), "ckpt.json")
@@ -65,6 +66,9 @@ func TestWatchdogCheckpointDeterminismAcrossWorkers(t *testing.T) {
 		t.Fatalf("snapshot counts differ: serial %d, parallel %d", len(serialSnaps), len(parallelSnaps))
 	}
 	for i := range serialSnaps {
+		if serialSnaps[i] != serialSnaps[0] {
+			t.Fatalf("checkpoint %d changed mid-cycle:\n%s\nvs\n%s", i, serialSnaps[i], serialSnaps[0])
+		}
 		if serialSnaps[i] != parallelSnaps[i] {
 			t.Fatalf("checkpoint %d differs between worker counts:\n%s\nvs\n%s",
 				i, serialSnaps[i], parallelSnaps[i])

@@ -14,8 +14,9 @@ import (
 // panic the loader — they load as a header or fail cleanly — and a
 // header that loads is one this build can save and load back unchanged.
 func FuzzLoadCheckpoint(f *testing.F) {
-	f.Add([]byte(`{"schema":"prudentia.checkpoint/1","cycle":2,"breakers":[{"service":"iPerf (BBR)","state":"open","score":6}],"budget":[{"0|1":7},null],"open_services":[["iPerf (BBR)"],null]}`))
-	f.Add([]byte(exactStatsCheckpoint)) // a previous build's, with pairs and calibration
+	f.Add([]byte(`{"schema":"prudentia.checkpoint/1","cycle":2,"breakers":[{"service":"iPerf (BBR)","state":"open","score":6}]}`))
+	f.Add([]byte(decisionsCheckpoint))  // a previous build's, with open_services and budget
+	f.Add([]byte(exactStatsCheckpoint)) // an older build's, with pairs and calibration
 	f.Add([]byte(skippedCheckpoint))
 	f.Add([]byte(`{"schema":"prudentia.checkpoint/7","cycle":"three","pairs":42}`))
 	f.Add([]byte(`{"cycle":0}`))

@@ -112,10 +112,14 @@ func decodePairRecord(e journalEntry) (*PairOutcome, []FaultEvent, error) {
 // enters the merge, and a pending pair whose record a previous process
 // left is not dispatched: its record is yielded into the merge exactly
 // as a worker's result is. The journal is a third producer of results
-// beside the pool and the fleet, not a second scheduler.
+// beside the pool and the fleet, not a second scheduler. A record is
+// keyed by its pair and the trial ceiling the pair ran under (0 for
+// the fixed protocol), so one a cycle interrupted under the other
+// protocol left is never taken for this one's: that pair is
+// dispatched again.
 func (m *Matrix) runAllRemote(states []*pairState) (interrupted bool, err error) {
 	recordKey := func(st *pairState) uint64 {
-		return trialSeed(m.Opts.BaseSeed, pairRecordSeedID(st.a, st.b), 0)
+		return trialSeed(m.Opts.BaseSeed, pairRecordSeedID(st.a, st.b), st.budget)
 	}
 	var recovered []PairTaskResult // Index is into states
 	var tasks []PairTask

@@ -388,10 +388,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
 	cp := &Checkpoint{
-		Cycle:        3,
-		Breakers:     []obs.BreakerInfo{{Service: "iPerf (Reno)", State: "open", Score: 6}},
-		OpenServices: [][]string{{"iPerf (Reno)"}, nil},
-		Budget:       []map[string]int{{"0|1": 7}, nil},
+		Cycle:    3,
+		Breakers: []obs.BreakerInfo{{Service: "iPerf (Reno)", State: "open", Score: 6}},
 	}
 	if err := SaveCheckpoint(path, cp); err != nil {
 		t.Fatal(err)
@@ -433,8 +431,21 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checkpoint with pairs and calibration must load as a header: %v", err)
 	}
-	if old.Cycle != 1 || len(old.OpenServices) != 1 || old.OpenServices[0] == nil {
+	if old.Cycle != 1 || old.Breakers != nil {
 		t.Fatalf("header of an older checkpoint = %+v", old)
+	}
+	// So does the header the build before this one wrote, which still
+	// recorded each setting's admission and adaptive budgets: replay
+	// recomputes both, and saving it back drops them.
+	if err := os.WriteFile(path, []byte(decisionsCheckpoint), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err = LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("checkpoint with open_services and budget must load as a header: %v", err)
+	}
+	if a, _ := json.Marshal(old); string(a) != `{"schema":"prudentia.checkpoint/1","cycle":2,"breakers":[{"service":"iPerf (BBR)","state":"open","score":6}]}` {
+		t.Fatalf("header of a checkpoint with recorded decisions = %s", a)
 	}
 	w := &Watchdog{CheckpointPath: filepath.Join(dir, "missing.json")}
 	if found, err := w.LoadCheckpoint(); err != nil || found {

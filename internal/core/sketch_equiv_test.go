@@ -312,18 +312,16 @@ func TestSketchAdaptiveEquivalence(t *testing.T) {
 	opts := fastOpts(net)
 	opts.MaxTrials, opts.Step = 8, 2
 	opts.Adaptive = &AdaptiveOptions{MinTrials: 2, CIWidthPct: 10}
-	var budgets map[string]int
-	m := &Matrix{Services: sketchTestServices(), Net: net, Opts: opts,
-		OnBudgets: func(b map[string]int) { budgets = b }}
+	m := &Matrix{Services: sketchTestServices(), Net: net, Opts: opts}
 	res, trials := runJournaled(t, m)
 	reasons := map[string]int{}
 	for key, p := range res.Pairs {
 		tr := trials[p.Incumbent+" vs "+p.Contender]
 		checkPairAgainstSlices(t, res, p, tr)
-		pol := opts.Adaptive.withDefaults().policy(budgets[key], opts.MaxTrials)
-		if p.Budget != pol.MaxTrials {
-			t.Fatalf("pair %s: recorded budget %d, allocated ceiling %d", key, p.Budget, pol.MaxTrials)
-		}
+		// The recorded Budget is the allocated ceiling the stopper ran
+		// under (TestFleetScreeningUsesLocalPool pins it to the
+		// allocation a task carries).
+		pol := opts.Adaptive.withDefaults().policy(p.Budget, opts.MaxTrials)
 		for n := 1; n <= len(tr); n++ {
 			s0 := series(tr, n, func(t *TrialResult) float64 { return t.SharePct[0] })
 			s1 := series(tr, n, func(t *TrialResult) float64 { return t.SharePct[1] })
@@ -404,8 +402,17 @@ func TestPairBeyondSketchBufferCap(t *testing.T) {
 // exactStatsCheckpoint is a checkpoint as a build that still had
 // -exact-stats wrote it: the pair carries its raw trials and no
 // sketches. skippedCheckpoint holds a breaker-skipped pair, which never
-// had either.
+// had either. decisionsCheckpoint is the header as the build before the
+// three-field one wrote it under -adaptive, with each setting's
+// admission list and budget map.
 const (
+	decisionsCheckpoint = `{
+  "schema": "prudentia.checkpoint/1",
+  "cycle": 2,
+  "breakers": [{"service": "iPerf (BBR)", "state": "open", "score": 6}],
+  "budget": [{"0|1": 7}, null],
+  "open_services": [["iPerf (BBR)"], null]
+}`
 	exactStatsCheckpoint = `{
   "schema": "prudentia.checkpoint/1",
   "cycle": 1,

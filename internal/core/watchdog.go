@@ -56,9 +56,9 @@ type Watchdog struct {
 	Progress func(format string, args ...any)
 
 	// CheckpointPath, when set, makes RunCycle durable: the cycle's
-	// Checkpoint header lives in this file (flushed when it changes,
-	// not per pair) and every attempt is journaled beside it, at
-	// JournalPath or else CheckpointPath+".wal". A completed cycle
+	// Checkpoint header lives in this file (flushed at cycle start and
+	// on interrupt, never per pair) and every attempt is journaled beside
+	// it, at JournalPath or else CheckpointPath+".wal". A completed cycle
 	// removes both; after an interrupt or a kill -9 the next RunCycle
 	// resumes from them. A checkpoint-save failure is reported via
 	// Progress but never aborts the cycle.
@@ -190,18 +190,10 @@ func customURLService(url string) services.Service {
 	return page
 }
 
-// Resume stages a checkpoint: the next RunCycle continues the cycle it
-// heads instead of starting a new one.
-func (w *Watchdog) Resume(cp *Checkpoint) { w.resume = cp }
-
-// StagedCheckpoint returns the checkpoint staged by Resume or
-// LoadCheckpoint (nil if none), letting callers inspect it — e.g. for
-// HasBudgetState — before deciding how to run the next cycle.
-func (w *Watchdog) StagedCheckpoint() *Checkpoint { return w.resume }
-
-// LoadCheckpoint stages the checkpoint at CheckpointPath if one exists.
-// It reports whether a checkpoint was found; a missing file is not an
-// error (the watchdog simply starts fresh).
+// LoadCheckpoint stages the checkpoint at CheckpointPath if one exists:
+// the next RunCycle continues the cycle it heads instead of starting a
+// new one. It reports whether a checkpoint was found; a missing file is
+// not an error (the watchdog simply starts fresh).
 func (w *Watchdog) LoadCheckpoint() (bool, error) {
 	if w.CheckpointPath == "" {
 		return false, nil
@@ -252,29 +244,25 @@ func (w *Watchdog) flush(cp *Checkpoint) {
 // per pair, every executed attempt is journaled when CheckpointPath or
 // JournalPath is set, and an Interrupt request returns ErrInterrupted
 // with in-flight trials drained and the checkpoint header flushed.
-// Recovery is replay: a resumed cycle (see Resume/LoadCheckpoint)
-// restores the header and runs from the top, with every attempt the
-// journal holds served back by seed instead of simulated (a pair a
-// RemoteRunner finished comes back whole, remote.go), so ledger events,
-// breaker scoring, telemetry and Progress lines happen on the ordinary
-// release path and nowhere else; what the journal lacks is simulated
-// again from the same seeds. Either way the CycleResult and fault
-// ledger are identical to an uninterrupted run's, at every worker count.
+// Recovery is replay: a resumed cycle (see LoadCheckpoint) restores the
+// header and runs from the top, with every attempt the journal holds
+// served back by seed instead of simulated (a pair a RemoteRunner
+// finished comes back whole, remote.go), so ledger events, breaker
+// scoring, telemetry and Progress lines happen on the ordinary release
+// path and nowhere else; what the journal lacks is simulated again from
+// the same seeds. Decisions are recomputed the same way: each
+// setting's admission is the breaker state the replayed work re-scored
+// the restored snapshot to, and each adaptive allocation comes from the
+// replayed screening. Either way the CycleResult and fault ledger are
+// identical to an uninterrupted run's under this watchdog's
+// configuration, at every worker count — whatever protocol the
+// interrupted process ran.
 func (w *Watchdog) RunCycle() (*CycleResult, error) {
-	if w.resume != nil && w.Opts.Adaptive != nil && !w.resume.HasBudgetState() {
-		// A pre-adaptive checkpoint records no budget allocations;
-		// re-screening could allocate different ceilings than the
-		// interrupted run used and silently change its stopping
-		// decisions. Refuse before consuming the staged checkpoint so
-		// the caller can disarm Adaptive and resume fixed
-		// (cmd/prudentia does exactly that, with a stderr warning).
-		return nil, ErrCheckpointNoBudget
-	}
-	// live is the cycle's header: the staged checkpoint when resuming —
-	// its decisions stand, later ones are added to it — else a fresh one.
-	live := w.resume
+	// cp is the cycle's header: the staged checkpoint when resuming,
+	// else a fresh one.
+	cp := w.resume
 	w.resume = nil
-	resumed := live != nil
+	resumed := cp != nil
 	if w.Breakers == nil {
 		w.Breakers = &BreakerSet{}
 	}
@@ -285,21 +273,11 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		// The header's breaker snapshot is the *cycle-start* state;
 		// restoring it and letting the replayed work re-score it
 		// reproduces the uninterrupted run's breaker evolution exactly.
-		w.Breakers.Restore(live.Breakers)
+		w.Breakers.Restore(cp.Breakers)
 	} else {
-		live = &Checkpoint{Cycle: w.cycleOffset + len(w.cycles) + 1, Breakers: w.Breakers.Status()}
+		cp = &Checkpoint{Cycle: w.cycleOffset + len(w.cycles) + 1, Breakers: w.Breakers.Status()}
 	}
-	// A header sized for other settings (or none: an older build's, a
-	// caller's own) records no decision about these.
-	if len(live.OpenServices) != len(w.Settings) {
-		live.OpenServices = make([][]string, len(w.Settings))
-	}
-	if (live.Budget != nil || w.Opts.Adaptive != nil) && len(live.Budget) != len(w.Settings) {
-		// Non-nil before the first screening pass, so the header says it
-		// is adaptive from the start (HasBudgetState).
-		live.Budget = make([]map[string]int, len(w.Settings))
-	}
-	cr := &CycleResult{Cycle: live.Cycle}
+	cr := &CycleResult{Cycle: cp.Cycle}
 	w.inFlight = cr.Cycle
 	sink, jw, rec, err := w.openJournal()
 	if err != nil {
@@ -307,7 +285,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 	}
 	// Flushed before any work, so a kill in the first calibration
 	// already finds the cycle number and the breaker snapshot on disk.
-	w.flush(live)
+	w.flush(cp)
 	w.Obs.emit(obs.TimelineEvent{Kind: "cycle_start", Cycle: cr.Cycle,
 		Detail: fmt.Sprintf("%d services, %d settings, resumed=%v", len(w.Services), len(w.Settings), resumed)})
 	finishJournal := func() {
@@ -326,7 +304,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		jw.Close()
 	}
 	interruptedExit := func() {
-		w.flush(live)
+		w.flush(cp)
 		finishJournal()
 		w.Obs.emit(obs.TimelineEvent{Kind: "cycle_end", Cycle: cr.Cycle, Detail: "interrupted"})
 	}
@@ -349,17 +327,12 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		}
 		cr.Calibration = append(cr.Calibration, cal)
 
-		// Admission: decided once, here, before the matrix starts; the
-		// header stores the decision so a resumed cycle skips exactly
-		// the same pairs.
-		open := live.OpenServices[si]
-		if open == nil {
-			open = append([]string{}, w.Breakers.OpenServices()...)
-			live.OpenServices[si] = open
-			w.flush(live)
-		}
+		// Admission: decided once, here, before the matrix starts, from
+		// the breakers as the probes, the calibrations and the earlier
+		// settings left them — on a resumed cycle, as their replay
+		// re-scored the restored snapshot, so the same pairs are skipped.
 		var skip func(string) bool
-		if len(open) > 0 {
+		if open := w.Breakers.OpenServices(); len(open) > 0 {
 			openSet := make(map[string]bool, len(open))
 			for _, n := range open {
 				openSet[n] = true
@@ -367,17 +340,6 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 			skip = func(name string) bool { return openSet[name] }
 		}
 
-		// Adaptive budgets: a header that recorded this setting's
-		// allocation hands it over verbatim (screening is skipped), so
-		// the resumed cycle's stopping ceilings match the interrupted
-		// run's; a fresh allocation is flushed the moment it is
-		// decided, before any full-depth trial runs.
-		var budgets map[string]int
-		if live.Budget != nil {
-			budgets = live.Budget[si]
-		}
-
-		si := si
 		m := &Matrix{
 			Services:    w.Services,
 			Net:         net,
@@ -393,11 +355,6 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 			Journal:     sink,
 			Breakers:    w.Breakers,
 			Obs:         w.Obs,
-			Budgets:     budgets,
-			OnBudgets: func(b map[string]int) {
-				live.Budget[si] = b
-				w.flush(live)
-			},
 		}
 		res, err := m.Run()
 		if err != nil {

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
+	"prudentia/internal/core"
 	"prudentia/internal/obs"
 	"prudentia/internal/trace"
 )
@@ -94,6 +96,45 @@ func TestStateRehydration(t *testing.T) {
 		if !bytes.Equal(r1.Body.Bytes(), r2.Body.Bytes()) {
 			t.Errorf("%s: restarted daemon diverged from uninterrupted run", path)
 		}
+	}
+}
+
+// TestAdaptiveDaemonResumesFixedHeader: a daemon restarted with adaptive
+// budgets over the header a fixed-protocol process left in its state
+// dir publishes that cycle on the first attempt: the header records no
+// protocol, so the resumed cycle simply runs adaptive.
+func TestAdaptiveDaemonResumesFixedHeader(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "checkpoint.json")
+	if err := core.SaveCheckpoint(ckpt, &core.Checkpoint{Cycle: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := newStatefulServer(t, 42, dir, func(c *Config) {
+		c.MaxCycles = 1
+		w := c.Source.(*core.Watchdog)
+		w.CheckpointPath = ckpt
+		w.Opts.Adaptive = &core.AdaptiveOptions{}
+		// A failed attempt is retried forever; the first one ends the test.
+		c.Log = func(format string, args ...any) {
+			if strings.Contains(format, "cycle failed") {
+				t.Logf(format, args...)
+				cancel()
+			}
+		}
+	})
+	if err := s.campaign(ctx); err != nil {
+		t.Fatalf("campaign = %v, want cycle 1 published", err)
+	}
+	if s.Latest() != 1 {
+		t.Fatalf("latest = %d, want 1", s.Latest())
+	}
+	if m := get(t, s.Handler(), "/metrics", nil).Body.String(); !strings.Contains(m, "prudentia_serve_cycle_failures_total 0\n") {
+		t.Fatalf("metrics do not show zero cycle failures:\n%s", m)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("header not removed after the resumed cycle published: %v", err)
 	}
 }
 
