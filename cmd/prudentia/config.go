@@ -20,12 +20,16 @@ import (
 )
 
 // config is one prudentia invocation, parsed and validated once.
-// parseConfig is the only code that touches package flag; the watchdog
-// it configures and, through that watchdog's core.Recipe, the fleet
-// fingerprint, the manifest, the sweep cells and the daemon all derive
-// from this value.
+// parseConfig, with parsePair for the `pair` subcommand, is the only code
+// that touches package flag; the watchdog it configures and, through
+// that watchdog's core.Recipe, the fleet fingerprint, the manifest, the
+// sweep cells and the daemon all derive from this value.
 type config struct {
 	usage string // -h was given: the text to print instead of running
+
+	// pair is set by the `pair` subcommand (pair.go): one pair measured
+	// instead of watchdog cycles; nothing below it is.
+	pair *pairConfig
 
 	// watchdog is the engine the experiment flags describe: catalog,
 	// settings, preset, seed, fault plans, worker pool, durability paths
@@ -74,16 +78,18 @@ var flagConflicts = [][2]string{
 }
 
 // parseConfig turns an argument vector into a validated config with its
-// watchdog configured. Every error names the flag at fault.
+// watchdog configured, or, when the first argument is `pair`, into a
+// pair subcommand. Every error names the flag at fault.
 func parseConfig(args []string) (config, error) {
+	if len(args) > 0 && args[0] == "pair" {
+		return parsePair(args[1:])
+	}
 	w := core.NewWatchdog()
 	c := config{watchdog: w}
 	var setting, svcFilter, code, rates, rtts, queues, ccas string
 	var chaosOn, adaptive bool
 	var chaosDisk uint64
 	fs := flag.NewFlagSet("prudentia", flag.ContinueOnError)
-	var usage strings.Builder
-	fs.SetOutput(&usage)
 
 	fs.IntVar(&c.cycles, "cycles", 1, "number of full all-pairs cycles (0 = run forever)")
 	fs.BoolVar(&w.Quick, "quick", true, "compressed trials (60s, of which 55 are simulated; 3-9 per pair) instead of the paper protocol")
@@ -135,14 +141,8 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&c.connect, "connect", "", "fleet worker: execute pairs for the coordinator at this address (host:port) instead of running cycles")
 	fs.StringVar(&c.workerName, "worker-name", "", "fleet worker: stable name for lease accounting (default host-pid)")
 
-	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
-		return config{usage: usage.String()}, nil
-	} else if err != nil {
-		// flag has already rendered the message and the usage.
-		return c, errors.New(strings.TrimRight(usage.String(), "\n"))
-	}
-	if fs.NArg() > 0 {
-		return c, fmt.Errorf("unexpected argument %q (flags after it would be ignored)", fs.Arg(0))
+	if usage, err := parseFlags(fs, args); usage != "" || err != nil {
+		return config{usage: usage}, err
 	}
 
 	// given reports whether a flag is in effect: a mode by its value (so
@@ -162,13 +162,9 @@ func parseConfig(args []string) (config, error) {
 			return c, fmt.Errorf("-%s cannot be combined with -%s", p[1], p[0])
 		}
 	}
-	switch {
-	case setting != "" && strings.HasPrefix("highly", setting):
-		w.Settings = []netem.Config{netem.HighlyConstrained()}
-	case setting != "" && strings.HasPrefix("moderately", setting):
-		w.Settings = []netem.Config{netem.ModeratelyConstrained()}
-	case setting == "both": // NewWatchdog's two standing settings
-	default:
+	if net, ok := standingSetting(setting); ok {
+		w.Settings = []netem.Config{net}
+	} else if setting != "both" { // both: NewWatchdog's two standing settings
 		return c, fmt.Errorf("-setting: %q is not highly, moderately or both", setting)
 	}
 	if c.cycles < 0 {
@@ -233,6 +229,36 @@ func parseConfig(args []string) (config, error) {
 		}
 	}
 	return c, nil
+}
+
+// parseFlags parses args into fs. -h returns the usage text to print
+// instead of running; an unknown flag, a bad value or a positional
+// argument is an error.
+func parseFlags(fs *flag.FlagSet, args []string) (usage string, err error) {
+	var out strings.Builder
+	fs.SetOutput(&out)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return out.String(), nil
+	} else if err != nil {
+		// flag has already rendered the message and the usage.
+		return "", errors.New(strings.TrimRight(out.String(), "\n"))
+	}
+	if fs.NArg() > 0 {
+		return "", fmt.Errorf("unexpected argument %q (flags after it would be ignored)", fs.Arg(0))
+	}
+	return "", nil
+}
+
+// standingSetting resolves a -setting value naming one of the paper's
+// two standing settings, by any non-empty prefix of its name.
+func standingSetting(s string) (netem.Config, bool) {
+	switch {
+	case s != "" && strings.HasPrefix("highly", s):
+		return netem.HighlyConstrained(), true
+	case s != "" && strings.HasPrefix("moderately", s):
+		return netem.ModeratelyConstrained(), true
+	}
+	return netem.Config{}, false
 }
 
 // splitTrim splits a comma-separated flag into trimmed, non-empty entries.

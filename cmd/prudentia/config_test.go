@@ -134,6 +134,22 @@ func TestParseConfigValidation(t *testing.T) {
 		{"-resume", "-resume"},
 		{"-worker", "-worker"},
 		{"-soak 2", "-soak"},
+
+		{"pair", ""},
+		{"pair -list", ""},
+		{"pair -contender Mega -setting hi -mbps 20 -buffer-bdp 8 -trials 0 -quick=false -seed 3 -out o", ""},
+		{"pair -setting both", "-setting"},
+		{"pair -buffer-bdp 0", "-buffer-bdp"},
+		{"pair -buffer-bdp -1", "-buffer-bdp"},
+		{"pair -mbps -8", "-mbps"},
+		{"pair -mbps NaN", "-mbps"},
+		{"pair -trials -1", "-trials"},
+		{"pair -incumbent Nope", "-incumbent"},
+		{"pair -contender Nope", "-contender"},
+		{"pair high", "unexpected argument"},
+		{"pair -cycles 1", "-cycles"},
+		{"-trials 3", "-trials"},
+		{"-buffer-bdp 8", "-buffer-bdp"},
 	}
 	for _, tc := range cases {
 		_, err := parseConfig(strings.Fields(tc.args))
@@ -154,6 +170,18 @@ func TestParseConfigValidation(t *testing.T) {
 	if got := strings.Count(cfg.usage, "\n  -"); got != 38 {
 		t.Errorf("-h lists %d flags, want 38 (a new flag needs a caller that exists; see ROADMAP item 5)", got)
 	}
+	// pair keeps the single-pair runner's flags, names and defaults, and
+	// adds none.
+	if cfg, err = parseConfig([]string{"pair", "-h"}); err != nil {
+		t.Fatal(err)
+	}
+	var flags []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(cfg.usage, -1) {
+		flags = append(flags, m[1])
+	}
+	if want := "buffer-bdp contender incumbent list mbps out quick seed setting trials"; strings.Join(flags, " ") != want {
+		t.Errorf("pair -h lists %q, want %q", flags, want)
+	}
 }
 
 // ciInvocations are the argument vectors scripts/ci.sh and the e2e tests
@@ -167,12 +195,14 @@ var ciInvocations = []string{
 	"-sweep\n-sweep-rates\n8,50\n-sweep-rtts\n25,50\n-sweep-queues\n64\n-sweep-ccas\niPerf (Cubic),iPerf (BBR)\n-sweep-out\no\n-seed\n42",
 	"-adaptive\n-setting\nmod\n-chaos\n-quick=false\n-submit\nhttps://example.com/p\n-code\n" + accessCode,
 	"-setting\nboth\n-max-trial-wall\nInf",
+	"pair\n-incumbent\niPerf (Reno)\n-contender\niPerf (Cubic)\n-setting\nhighly\n-trials\n3\n-seed\n7\n-out\no",
 }
 
 // FuzzParseConfig: an arbitrary argument vector never panics, and what
 // parseConfig accepts is usable — the watchdog has settings and a
 // catalog, resolves options for every setting, and renders a recipe the
-// fingerprint can hash.
+// fingerprint can hash; a pair has an incumbent, a link, a queue and a
+// trial budget.
 func FuzzParseConfig(f *testing.F) {
 	for _, inv := range ciInvocations {
 		f.Add(inv)
@@ -180,6 +210,12 @@ func FuzzParseConfig(f *testing.F) {
 	f.Fuzz(func(t *testing.T, argv string) {
 		cfg, err := parseConfig(strings.Split(argv, "\n"))
 		if err != nil || cfg.usage != "" {
+			return
+		}
+		if pc := cfg.pair; pc != nil {
+			if pc.incumbent == nil || pc.net.RateBps < 1 || pc.net.BufferBDP < 1 || pc.opts.MinTrials < 1 {
+				t.Fatalf("%q: accepted an unrunnable pair: %+v", argv, pc)
+			}
 			return
 		}
 		w := cfg.watchdog

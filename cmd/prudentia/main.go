@@ -50,6 +50,11 @@
 // worker count. The first SIGINT drains the trials in flight before
 // flushing the checkpoint; a resumed parallel run replays identically.
 //
+// `prudentia pair` measures one service pair in one setting instead,
+// through the same §3.4 protocol path, and prints what a cycle would
+// record for it; -out exports its first counted trial's queue and
+// throughput series (pair.go).
+//
 // Usage:
 //
 //	prudentia -cycles 1 -quick
@@ -59,6 +64,7 @@
 //	prudentia -cycles 5 -v -max-trial-wall 50   # long-run supervision
 //	prudentia -chaos -v                         # fault-injection run
 //	prudentia -submit https://my.service/page -code <access code>
+//	prudentia pair -incumbent YouTube -contender Mega -setting highly -trials 3 -out dir
 package main
 
 import (
@@ -93,8 +99,8 @@ func main() {
 	}
 }
 
-// run executes one validated invocation: a sweep, a fleet worker, or
-// watchdog cycles (batch, fleet coordinator, or behind the -serve
+// run executes one validated invocation: a pair, a sweep, a fleet
+// worker, or watchdog cycles (batch, fleet coordinator, or behind the -serve
 // daemon). stdout carries the comparable report and nothing else;
 // status and warnings go to stderr, and every failure is the returned
 // error.
@@ -102,6 +108,9 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	if cfg.usage != "" {
 		fmt.Fprint(stderr, cfg.usage)
 		return nil
+	}
+	if cfg.pair != nil {
+		return runPair(cfg.pair, stdout)
 	}
 	warnf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "prudentia: "+format+"\n", args...)

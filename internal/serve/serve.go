@@ -62,15 +62,12 @@ type Config struct {
 	// Registry, if non-nil, backs /metrics and the per-route HTTP
 	// instruments. Nil disables telemetry (handles degrade to no-ops).
 	Registry *obs.Registry
-	// CycleInterval is the pause between consecutive cycle starts
-	// (jittered per cycle; see JitterFrac). Default 10m; negative means
-	// no pause.
+	// CycleInterval is the pause between consecutive cycle starts,
+	// lengthened by up to 20% per cycle (a deterministic function of the
+	// cycle number, so a fleet of daemons started together
+	// de-synchronizes without any wall-clock state leaking into
+	// artifacts). Default 10m; negative means no pause.
 	CycleInterval time.Duration
-	// JitterFrac spreads each pause by up to this fraction of
-	// CycleInterval, derived deterministically from the cycle number so
-	// a fleet of daemons started together de-synchronizes without any
-	// wall-clock state leaking into artifacts. Default 0.2.
-	JitterFrac float64
 	// History is how many completed cycles stay addressable via
 	// ?cycle=N (a ring; older cycles evict). Default 8, minimum 1.
 	History int
@@ -154,9 +151,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.CycleInterval == 0 {
 		cfg.CycleInterval = 10 * time.Minute
-	}
-	if cfg.JitterFrac == 0 {
-		cfg.JitterFrac = 0.2
 	}
 	if cfg.History < 1 {
 		cfg.History = 8
@@ -415,7 +409,7 @@ func (s *Server) campaign(ctx context.Context) error {
 			return nil
 		}
 		cycle++
-		if !sleepJittered(ctx, cycle, s.cfg.CycleInterval, s.cfg.JitterFrac) {
+		if !sleepJittered(ctx, cycle, s.cfg.CycleInterval) {
 			return ctx.Err()
 		}
 	}
@@ -490,11 +484,12 @@ func (s *Server) applySubmissions(cycle int) {
 }
 
 // sleepJittered pauses between cycles. The jitter is a deterministic
-// function of the cycle number (FNV hash → [0, frac·interval)), so a
+// function of the cycle number (FNV hash → [0, 0.2·interval)), so a
 // fleet of daemons launched simultaneously spreads out without
 // consulting anything nondeterministic. Returns false if ctx ended the
 // sleep.
-func sleepJittered(ctx context.Context, cycle int, interval time.Duration, frac float64) bool {
+func sleepJittered(ctx context.Context, cycle int, interval time.Duration) bool {
+	const frac = 0.2
 	if interval <= 0 {
 		return ctx.Err() == nil
 	}

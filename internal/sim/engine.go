@@ -243,14 +243,6 @@ func (e *Engine) After(d Time, fn Event) {
 	e.Schedule(e.now+d, fn)
 }
 
-// AfterArg runs fn(now, arg) after delay d. See ScheduleArg.
-func (e *Engine) AfterArg(d Time, fn ArgEvent, arg any) {
-	if d < 0 {
-		d = 0
-	}
-	e.ScheduleArg(e.now+d, fn, arg)
-}
-
 // settle resolves the heap root until it is an entry that will really
 // run, and reports whether one exists. The entry of a stopped timer, or
 // of a fired one that was not re-armed, is reaped, and a timer re-armed

@@ -159,7 +159,6 @@ type Flow struct {
 	Retransmits int64
 	Timeouts    int64
 	RTTSamples  int64
-	lastRTT     sim.Time
 
 	closed bool
 }
@@ -189,17 +188,11 @@ func (f *Flow) ID() int { return f.id }
 // Algorithm returns the flow's congestion controller.
 func (f *Flow) Algorithm() cca.Algorithm { return f.alg }
 
-// LastRTT returns the most recent RTT sample (0 before the first).
-func (f *Flow) LastRTT() sim.Time { return f.lastRTT }
-
 // SRTT returns the smoothed RTT estimate.
 func (f *Flow) SRTT() sim.Time { return f.srtt }
 
 // DeliveredBytes returns the sender's count of acknowledged bytes.
 func (f *Flow) DeliveredBytes() int64 { return f.delivered }
-
-// InflightPackets returns the number of unacknowledged packets.
-func (f *Flow) InflightPackets() int { return f.inflight }
 
 // SetBulk puts the flow in infinite-source mode (iPerf-style).
 func (f *Flow) SetBulk() {
@@ -576,7 +569,6 @@ func (f *Flow) sampleRTT(rtt sim.Time) {
 		return
 	}
 	f.RTTSamples++
-	f.lastRTT = rtt
 	if f.srtt == 0 {
 		f.srtt = rtt
 		f.rttvar = rtt / 2

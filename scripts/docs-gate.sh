@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Docs gate: the documents that describe the system as it is name only
-# flags and tests that exist. Checked: every inline code span that starts
-# with a flag or with one of our commands, every command line in a fenced
-# block that runs one of them, and every Test*/Benchmark*/Fuzz* name in
-# an inline span (a trailing * or { makes it a prefix). CHANGES.md,
+# flags, tests and commands that exist. Checked: every inline code span
+# that starts with a flag or with one of our commands, every command line
+# in a fenced block that runs one of them, every Test*/Benchmark*/Fuzz*
+# name in an inline span (a trailing * or { makes it a prefix), and every
+# `go run ./cmd/<x>` or `go run ./examples/<x>` directory. CHANGES.md,
 # ROADMAP.md and ISSUE.md are history and plans — they name what was
 # removed on purpose — and PAPER(S).md/SNIPPETS.md are not about this
 # code, so none of them is read here.
@@ -15,9 +16,10 @@ DOCS=(README.md ARCHITECTURE.md DESIGN.md EXPERIMENTS.md docs/*.md .claude/skill
 OURS='(bin|\$BIN|"\$BIN"|prudentia|/tmp/prudentia-bin|go run \./cmd/[a-z]+|go run \./bench|bash bench/run\.sh|go test)'
 
 flags="$(
-    for pkg in ./cmd/prudentia ./cmd/experiment ./cmd/report ./bench; do
-        go run "$pkg" -h 2>&1 || true
-    done | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p'
+    { go run ./cmd/prudentia -h 2>&1 || true
+      go run ./cmd/prudentia pair -h 2>&1 || true
+      go run ./bench -h 2>&1 || true
+    } | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p'
     # -h, and the go test flags the docs use.
     printf '%s\n' h run bench benchtime benchmem count race short timeout fuzz fuzztime cover list v cpu
 )"
@@ -42,6 +44,11 @@ for doc in "${DOCS[@]}"; do
             echo "ci: $doc names -$flag, which no command here defines" >&2
             bad=1
         fi
+    done
+    # A deleted command's flags may live on elsewhere, so the flag check
+    # alone would pass docs that still run it.
+    for dir in $({ grep -oE 'go run \./(cmd|examples)/[A-Za-z0-9_-]+' <<<"$inline"$'\n'"$fenced" || true; } | sed 's|^go run \./||' | sort -u); do
+        [ -d "$dir" ] || { echo "ci: $doc runs go run ./$dir, which does not exist" >&2; bad=1; }
     done
     for name in $({ grep -oE '\b(Test|Benchmark|Fuzz)[A-Z0-9][A-Za-z0-9_]*[*{]?' <<<"$inline" || true; } | sort -u); do
         case "$name" in
