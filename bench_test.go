@@ -188,14 +188,17 @@ func BenchmarkFig4MegaBurstTimeseries(b *testing.B) {
 				Net:       netem.ModeratelyConstrained(),
 				Seed:      42,
 			})
-			spec.SampleRateEvery = 500 * sim.Millisecond
+			var rate *metrics.RateSampler
+			spec.Observe = func(tb *netem.Testbed) {
+				rate = metrics.NewRateSampler(tb.Eng, tb.Bneck, 500*sim.Millisecond)
+			}
 			res, err := core.RunTrial(spec)
 			if err != nil {
 				b.Fatal(err)
 			}
 			fmt.Printf("\n%s", report.RateSeries(
 				fmt.Sprintf("[Fig 4] %s vs Mega @50 Mbps (%.1f vs %.1f Mbps):", inc, res.Mbps[0], res.Mbps[1]),
-				res.RateSeries, 50, [2]string{inc, "Mega"}))
+				rate.Points, 50, [2]string{inc, "Mega"}))
 		}
 	}
 }
@@ -361,7 +364,11 @@ func BenchmarkFig8BufferSizing(b *testing.B) {
 				Net:       cfg,
 				Seed:      42,
 			})
-			spec.SampleQueueEvery = 250 * sim.Millisecond
+			var bneck *netem.Bottleneck
+			spec.Observe = func(tb *netem.Testbed) {
+				tb.Bneck.StartSampling(250 * sim.Millisecond)
+				bneck = tb.Bneck
+			}
 			res, err := core.RunTrial(spec)
 			if err != nil {
 				b.Fatal(err)
@@ -370,7 +377,7 @@ func BenchmarkFig8BufferSizing(b *testing.B) {
 			fmt.Printf("\n%s  reno=%.1f mega=%.1f Mbps util=%.0f%%\n",
 				report.QueueSeries(
 					fmt.Sprintf("[Fig 8] NewReno vs Mega @50 Mbps, %dxBDP (%d pkt) buffer:", mult, capPkts),
-					res.QueueSeries, capPkts),
+					bneck.Samples(), capPkts),
 				res.Mbps[0], res.Mbps[1], 100*res.Utilization)
 		}
 	}

@@ -251,15 +251,15 @@ func TestFingerprintFollowsTheRecipe(t *testing.T) {
 	}
 
 	changed := map[string]func(w *core.Watchdog){
-		"the tolerance":         func(w *core.Watchdog) { w.Opts.ToleranceMbps = 2 },
-		"one setting's rate":    func(w *core.Watchdog) { w.Settings[1].RateBps = 40_000_000 },
-		"the trial duration":    func(w *core.Watchdog) { w.Opts.Timing = longerQuickTiming },
-		"the service order":     func(w *core.Watchdog) { w.Services[0], w.Services[1] = w.Services[1], w.Services[0] },
-		"an adaptive parameter": func(w *core.Watchdog) { w.Opts.Adaptive.StableK = 4 },
-		"the preset":            func(w *core.Watchdog) { w.Quick = false },
-		"the seed":              func(w *core.Watchdog) { w.Opts.BaseSeed++ },
-		"the wall budget":       func(w *core.Watchdog) { w.Opts.WallBudget = 50 },
-		"upstream noise":        func(w *core.Watchdog) { w.Settings[0].Noise = &netem.NoiseConfig{DropProbability: 0.01} },
+		"the tolerance":      func(w *core.Watchdog) { w.Opts.ToleranceMbps = 2 },
+		"one setting's rate": func(w *core.Watchdog) { w.Settings[1].RateBps = 40_000_000 },
+		"the trial duration": func(w *core.Watchdog) { w.Opts.Timing = longerQuickTiming },
+		"the service order":  func(w *core.Watchdog) { w.Services[0], w.Services[1] = w.Services[1], w.Services[0] },
+		"the protocol":       func(w *core.Watchdog) { w.Opts.Adaptive = nil },
+		"the preset":         func(w *core.Watchdog) { w.Quick = false },
+		"the seed":           func(w *core.Watchdog) { w.Opts.BaseSeed++ },
+		"the wall budget":    func(w *core.Watchdog) { w.Opts.WallBudget = 50 },
+		"upstream noise":     func(w *core.Watchdog) { w.Settings[0].Noise = &netem.NoiseConfig{DropProbability: 0.01} },
 	}
 	for what, mutate := range changed {
 		w := mustWatchdog(t, base...)
@@ -337,46 +337,64 @@ func TestManifestRecordsTheRecipe(t *testing.T) {
 	if !reflect.DeepEqual(got, w.Recipe()) {
 		t.Errorf("recipe did not round-trip:\n got %+v\nwant %+v", got, w.Recipe())
 	}
+	// The adaptive rule and the retry budgets are constants, not options.
+	if !bytes.Contains(blob, []byte(`"Adaptive":{}`)) || bytes.Contains(blob, []byte("MaxDiscards")) {
+		t.Errorf("recipe options: %s", blob)
+	}
 	if len(got.Settings) != 2 || got.Settings[0].Options.ToleranceMbps != 1.5 || got.Settings[1].Options.ToleranceMbps != 4.5 {
 		t.Fatalf("recipe tolerances: %+v", got.Settings)
 	}
 	s, o := got.Settings[1], got.Settings[1].Options
 	if o.MinTrials != 3 || o.MaxTrials != 9 || s.DurationSec != 60 || s.WarmupSec != 10 || s.CooldownSec != 5 || s.SimulatedSec != 55 ||
-		o.BaseSeed != 5+7_919 || o.WallBudget != 50 || o.Adaptive == nil || o.Adaptive.CIWidthPct != 10 ||
+		o.BaseSeed != 5+7_919 || o.WallBudget != 50 || o.Adaptive == nil ||
 		s.Net.RateBps != 50_000_000 {
 		t.Errorf("recipe setting 1: %+v", s)
 	}
 }
 
 // TestQuickReportPinned makes "same verdicts" a test instead of a
-// procedure: the report of the fleet smoke's cycle (scripts/ci.sh -fleet
-// diffs its serial reference against the same file) is pinned byte for
-// byte. The file predates trials stopping where their window closes, so
-// it also pins that stopping there moved no verdict.
+// procedure: three quick reports are pinned byte for byte. The fixed row
+// is the fleet smoke's cycle (scripts/ci.sh -fleet diffs its serial
+// reference against the same file); it predates trials stopping where
+// their window closes, so it also pins that stopping there moved no
+// verdict. The adaptive row pins the stopping rule and the screening
+// budget. The chaos row, whose ledger shows retries and corrupt results,
+// pins the retry and discard budgets, and over its second cycle the
+// breaker threshold. Changing any of those constants moves a row.
 func TestQuickReportPinned(t *testing.T) {
-	const pinned = "testdata/quick-high-seed23.txt"
-	cfg, err := parseConfig([]string{"-cycles", "1", "-setting", "high", "-seed", "23",
-		"-services", "iPerf (Reno),iPerf (Cubic),iPerf (BBR)"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := run(cfg, &got, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if *update {
-		if err := os.WriteFile(pinned, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("recorded %s: %d bytes", pinned, got.Len())
-		return
-	}
-	want, err := os.ReadFile(pinned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("report moved from %s (rerun with -update only if the verdicts were meant to change):\n got:\n%s\nwant:\n%s",
-			pinned, got.Bytes(), want)
+	const catalog = "iPerf (Reno),iPerf (Cubic),iPerf (BBR),Netflix"
+	for _, row := range []struct {
+		pinned string
+		args   []string
+	}{
+		{"testdata/quick-high-seed23.txt", []string{"-cycles", "1", "-seed", "23", "-services", "iPerf (Reno),iPerf (Cubic),iPerf (BBR)"}},
+		{"testdata/adaptive-high-seed23.txt", []string{"-cycles", "1", "-seed", "23", "-services", catalog, "-adaptive"}},
+		{"testdata/chaos-high-seed7.txt", []string{"-cycles", "2", "-seed", "7", "-services", catalog, "-chaos"}},
+	} {
+		t.Run(filepath.Base(row.pinned), func(t *testing.T) {
+			cfg, err := parseConfig(append([]string{"-setting", "high"}, row.args...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(cfg, &got, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if *update {
+				if err := os.WriteFile(row.pinned, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("recorded %s: %d bytes", row.pinned, got.Len())
+				return
+			}
+			want, err := os.ReadFile(row.pinned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("report moved from %s (rerun with -update only if the verdicts were meant to change):\n got:\n%s\nwant:\n%s",
+					row.pinned, got.Bytes(), want)
+			}
+		})
 	}
 }

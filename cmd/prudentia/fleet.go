@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"prudentia/internal/chaos"
-	"prudentia/internal/core"
 	"prudentia/internal/fleet"
 	"prudentia/internal/obs"
 	"prudentia/internal/trace"
@@ -64,7 +63,6 @@ func startCoordinator(cfg config, ledger *trace.FaultLedger, reg *obs.Registry,
 	coord := &fleet.Coordinator{
 		ListenAddr:  cfg.listen,
 		Fingerprint: fp,
-		Breakers:    &core.BreakerSet{},
 		OnFault:     ledger.Record,
 		Progress:    logf,
 		Obs:         fleet.NewInstruments(reg),

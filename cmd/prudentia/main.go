@@ -229,7 +229,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	}
 
 	for cycle := 1; cfg.cycles == 0 || cycle <= cfg.cycles; cycle++ {
-		fmt.Fprintf(stdout, "=== cycle %d (catalog: %d services) ===\n", cycle, len(w.Services))
+		fmt.Fprint(stdout, report.CycleBanner(cycle, len(w.Services)))
 		stopProfiles, err := startProfiles(cfg.pprofDir, cycle, warnf)
 		if err != nil {
 			return err

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"prudentia/internal/core"
+	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
 	"prudentia/internal/report"
 	"prudentia/internal/services"
@@ -18,18 +19,23 @@ import (
 
 func main() {
 	for _, inc := range []string{"iPerf (Reno)", "Dropbox"} {
+		// The samplers attach to the testbed before any traffic starts.
 		// The engine stops where the window closes, Duration − Cooldown =
 		// 110 s, and both series end there.
+		var bneck *netem.Bottleneck
+		var rate *metrics.RateSampler
 		spec := core.Spec{
-			Incumbent:        services.ByName(inc),
-			Contender:        services.ByName("Mega"),
-			Net:              netem.ModeratelyConstrained(),
-			Seed:             7,
-			Duration:         120 * sim.Second,
-			Warmup:           20 * sim.Second,
-			Cooldown:         10 * sim.Second,
-			SampleRateEvery:  sim.Second,
-			SampleQueueEvery: 250 * sim.Millisecond,
+			Incumbent: services.ByName(inc),
+			Contender: services.ByName("Mega"),
+			Net:       netem.ModeratelyConstrained(),
+			Seed:      7,
+			Duration:  120 * sim.Second,
+			Warmup:    20 * sim.Second,
+			Cooldown:  10 * sim.Second,
+			Observe: func(tb *netem.Testbed) {
+				tb.Bneck.StartSampling(250 * sim.Millisecond)
+				bneck, rate = tb.Bneck, metrics.NewRateSampler(tb.Eng, tb.Bneck, sim.Second)
+			},
 		}
 		res, err := core.RunTrial(spec)
 		if err != nil {
@@ -38,9 +44,9 @@ func main() {
 		fmt.Printf("%s vs Mega @50 Mbps: %.1f vs %.1f Mbps (%.0f%% / %.0f%% of MmF), util %.0f%%, loss %.1f%%/%.1f%%\n",
 			inc, res.Mbps[0], res.Mbps[1], res.SharePct[0], res.SharePct[1],
 			100*res.Utilization, 100*res.Loss[0], 100*res.Loss[1])
-		fmt.Print(report.RateSeries("  throughput (1s bins):", res.RateSeries, 50,
+		fmt.Print(report.RateSeries("  throughput (1s bins):", rate.Points, 50,
 			[2]string{inc, "Mega"}))
-		fmt.Print(report.QueueSeries("  bottleneck queue:", res.QueueSeries, 1024))
+		fmt.Print(report.QueueSeries("  bottleneck queue:", bneck.Samples(), 1024))
 		fmt.Println()
 	}
 	fmt.Println("Note how the BBR-based competitor recovers bandwidth between")

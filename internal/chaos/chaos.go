@@ -127,7 +127,7 @@ type Config struct {
 	// soak runs, not golden traces.
 	Brownouts []*Brownout
 
-	// Partitions sever the fleet coordinator from named workers for a
+	// Partitions sever the fleet coordinator from its workers for a
 	// bounded number of assignments each (the "switch between racks
 	// lost its mind" scenario that lease re-dispatch exists for). Like
 	// brownouts they are budgeted and stateful, so they are excluded
@@ -172,18 +172,12 @@ func (b *Brownout) take() bool {
 }
 
 // WorkerPartition is a bounded coordinator↔worker network partition:
-// assignments to Worker are severed (connection dropped at the
-// coordinator, pair re-queued) until Times units of budget have been
-// consumed, after which the worker may rejoin and serve normally.
+// the next Times assignments, to whichever worker, are severed
+// (connection dropped at the coordinator, pair re-queued), after which
+// the workers may rejoin and serve normally.
 type WorkerPartition struct {
-	// Worker is the exact worker name affected; "" matches any worker.
-	Worker string
 	// Times is the partition budget: how many assignments are severed.
 	Times int64
-	// Rate gates each eligible assignment by hashing its decision seed:
-	// the partition fires when unit(seed) < Rate. Zero or negative
-	// means every eligible assignment fires until the budget is spent.
-	Rate float64
 
 	taken atomic.Int64
 }
@@ -210,24 +204,16 @@ func (p *WorkerPartition) take() bool {
 	}
 }
 
-// PartitionFor checks one fleet assignment against the plan's active
-// partitions: worker is the assignee's name and seed the assignment's
-// deterministic decision seed (for Rate gating). On a match with
-// remaining budget it consumes one unit and reports true — the
-// coordinator then severs the worker instead of assigning. Safe on a
-// nil Config.
-func (c *Config) PartitionFor(worker string, seed uint64) bool {
-	if c == nil || len(c.Partitions) == 0 {
+// TakePartition checks one fleet assignment against the plan's
+// partitions: while one has budget left it consumes one unit and
+// reports true — the coordinator then severs the assignee instead of
+// assigning. Safe on a nil Config.
+func (c *Config) TakePartition() bool {
+	if c == nil {
 		return false
 	}
 	for _, p := range c.Partitions {
-		if p == nil || (p.Worker != "" && p.Worker != worker) {
-			continue
-		}
-		if p.Rate > 0 && unit(seed, saltPartition) >= p.Rate {
-			continue
-		}
-		if p.take() {
+		if p != nil && p.take() {
 			return true
 		}
 	}
@@ -295,8 +281,6 @@ const (
 	saltCorrupt = 0xc5a7_0003_9e37_79b9
 	saltKind    = 0xc5a7_0004_9e37_79b9
 	saltStream  = 0xc5a7_0005_9e37_79b9
-
-	saltPartition = 0xc5a7_0006_9e37_79b9
 
 	saltDiskWrite = 0xc5a7_0007_9e37_79b9
 	saltDiskStall = 0xc5a7_0008_9e37_79b9

@@ -2,15 +2,15 @@ package chaos
 
 import "testing"
 
-// TestPartitionBudget: each eligible assignment burns one unit of
-// budget; a spent partition never fires again.
+// TestPartitionBudget: each assignment, to whichever worker, burns one
+// unit of budget; a spent partition never fires again.
 func TestPartitionBudget(t *testing.T) {
-	cfg := &Config{Partitions: []*WorkerPartition{{Worker: "w1", Times: 2}}}
+	cfg := &Config{Partitions: []*WorkerPartition{{Times: 2}}}
 	if cfg.Partitions[0].Remaining() != 2 {
 		t.Fatalf("fresh Remaining = %d, want 2", cfg.Partitions[0].Remaining())
 	}
 	for i := 0; i < 2; i++ {
-		if !cfg.PartitionFor("w1", uint64(i)) {
+		if !cfg.TakePartition() {
 			t.Fatalf("assignment %d: partition did not fire with budget left", i)
 		}
 	}
@@ -18,72 +18,9 @@ func TestPartitionBudget(t *testing.T) {
 		t.Fatalf("Remaining after 2 fires = %d, want 0", cfg.Partitions[0].Remaining())
 	}
 	for i := 0; i < 5; i++ {
-		if cfg.PartitionFor("w1", uint64(i)) {
+		if cfg.TakePartition() {
 			t.Fatal("partition fired after its budget was spent")
 		}
-	}
-}
-
-// TestPartitionNameMatching: a named partition only hits its worker;
-// the empty name is a wildcard.
-func TestPartitionNameMatching(t *testing.T) {
-	cfg := &Config{Partitions: []*WorkerPartition{{Worker: "w1", Times: 100}}}
-	if cfg.PartitionFor("w2", 1) {
-		t.Fatal("partition for w1 fired against w2")
-	}
-	if !cfg.PartitionFor("w1", 1) {
-		t.Fatal("partition for w1 did not fire against w1")
-	}
-
-	wild := &Config{Partitions: []*WorkerPartition{{Times: 2}}}
-	if !wild.PartitionFor("anyone", 1) || !wild.PartitionFor("else", 2) {
-		t.Fatal("wildcard partition did not match arbitrary workers")
-	}
-	if wild.PartitionFor("third", 3) {
-		t.Fatal("wildcard partition exceeded its budget")
-	}
-}
-
-// TestPartitionRateGateDeterminism: with Rate set, whether a given seed
-// fires is a pure function of the seed — identical across Configs —
-// and roughly Rate of seeds fire.
-func TestPartitionRateGateDeterminism(t *testing.T) {
-	const n = 2000
-	fired := make([]bool, n)
-	hits := 0
-	cfg := &Config{Partitions: []*WorkerPartition{{Times: n, Rate: 0.3}}}
-	for i := range fired {
-		fired[i] = cfg.PartitionFor("w", uint64(i)*2654435761)
-		if fired[i] {
-			hits++
-		}
-	}
-	if hits < n*20/100 || hits > n*40/100 {
-		t.Fatalf("rate 0.3: %d/%d fired, outside [20%%, 40%%]", hits, n)
-	}
-
-	// Replay against a fresh Config: same seeds, same decisions.
-	replay := &Config{Partitions: []*WorkerPartition{{Times: n, Rate: 0.3}}}
-	for i := range fired {
-		if replay.PartitionFor("w", uint64(i)*2654435761) != fired[i] {
-			t.Fatalf("seed %d: rate gate decision not deterministic", i)
-		}
-	}
-
-	// A seed the gate rejects must not consume budget.
-	var miss uint64
-	probe := &Config{Partitions: []*WorkerPartition{{Times: 1, Rate: 0.3}}}
-	for i := range fired {
-		if !fired[i] {
-			miss = uint64(i) * 2654435761
-			break
-		}
-	}
-	if probe.PartitionFor("w", miss) {
-		t.Fatal("gate-rejected seed fired")
-	}
-	if probe.Partitions[0].Remaining() != 1 {
-		t.Fatal("gate-rejected seed consumed budget")
 	}
 }
 
@@ -91,14 +28,14 @@ func TestPartitionRateGateDeterminism(t *testing.T) {
 // never fire and never panic.
 func TestPartitionNilSafety(t *testing.T) {
 	var nilCfg *Config
-	if nilCfg.PartitionFor("w", 1) {
+	if nilCfg.TakePartition() {
 		t.Fatal("nil Config fired")
 	}
-	if (&Config{}).PartitionFor("w", 1) {
+	if (&Config{}).TakePartition() {
 		t.Fatal("empty Config fired")
 	}
 	holey := &Config{Partitions: []*WorkerPartition{nil, {Times: 1}}}
-	if !holey.PartitionFor("w", 1) {
+	if !holey.TakePartition() {
 		t.Fatal("nil entry masked a live partition")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -22,67 +21,50 @@ import (
 // replay, and shard across the fleet byte-identically, exactly like
 // fixed-budget runs.
 
-// AdaptiveOptions arm and tune the adaptive trial-budget subsystem on
-// SchedulerOptions.Adaptive. The zero value of every field selects a
-// sensible default; a nil *AdaptiveOptions disables the subsystem
-// entirely (the fixed §3.4 batch-escalation protocol, and with it the
-// golden acceptance output, is preserved bit for bit).
-type AdaptiveOptions struct {
-	// MinTrials is the floor below which no pair stops early
-	// (default 2 — two agreeing trials may stop, two disagreeing ones
-	// keep going, because the n<3 CI degrades to the sample range).
-	MinTrials int
-	// CIWidthPct is the convergence target in MmF-share points: a pair
-	// stops when the 95% CI on both slots' share medians is at most
-	// this wide (default 10).
-	CIWidthPct float64
-	// StableK stops a pair after K consecutive trials that each left
-	// the fair/unfair verdict unchanged (default 3).
-	StableK int
-	// FairSharePct is the verdict boundary used by the stability rule
-	// and the screening score (default 80, the paper's "roughly fair"
-	// line).
-	FairSharePct float64
-	// ScreenTrials is the number of coarse screening trials per pair
-	// (ScreenTiming, screen-seed namespace; default 1).
-	ScreenTrials int
-	// BudgetFrac sizes the cycle's total trial budget as a fraction of
-	// the fixed protocol's worst case (pairs × MaxTrials, default 0.6).
-	// The floor (MinTrials per pair) is always granted; the remainder
-	// is handed depth-first to the most contested pairs until it runs
-	// out.
-	BudgetFrac float64
-}
+// AdaptiveOptions selects the adaptive trial-budget subsystem: a non-nil
+// SchedulerOptions.Adaptive arms it, and nil keeps the fixed §3.4
+// batch-escalation protocol, and with it the golden acceptance output,
+// bit for bit. It has no fields. The rule it selects is the one below,
+// so there is one stopping rule to measure, not a family of them.
+type AdaptiveOptions struct{}
 
-// withDefaults returns a defaulted copy (the caller's struct is never
-// mutated — SchedulerOptions values are copied freely across
-// goroutines and processes).
-func (a *AdaptiveOptions) withDefaults() *AdaptiveOptions {
-	d := *a
-	d.MinTrials = cmp.Or(d.MinTrials, 2)
-	d.CIWidthPct = cmp.Or(d.CIWidthPct, 10)
-	d.StableK = cmp.Or(d.StableK, 3)
-	d.FairSharePct = cmp.Or(d.FairSharePct, stats.DefaultFairSharePct)
-	d.ScreenTrials = cmp.Or(d.ScreenTrials, 1)
-	d.BudgetFrac = cmp.Or(d.BudgetFrac, 0.6)
-	return &d
-}
+// The adaptive rule. The verdict boundary, for the stability rule and
+// the screening score alike, is stats.DefaultFairSharePct, and every
+// pair gets one screening trial.
+const (
+	// adaptiveMinTrials is the floor below which no pair stops early:
+	// two agreeing trials may stop, two disagreeing ones keep going,
+	// because the n<3 CI degrades to the sample range.
+	adaptiveMinTrials = 2
+	// adaptiveCIWidthPct is the convergence target in MmF-share points:
+	// a pair stops when the 95% CI on both slots' share medians is at
+	// most this wide.
+	adaptiveCIWidthPct = 10
+	// adaptiveStableK stops a pair after this many consecutive trials
+	// that each left the fair/unfair verdict unchanged.
+	adaptiveStableK = 3
+	// adaptiveBudgetFrac sizes the cycle's total trial budget as a
+	// fraction of the fixed protocol's worst case (pairs × MaxTrials).
+	// The floor (adaptiveMinTrials per pair) is always granted; the
+	// remainder is handed depth-first to the most contested pairs until
+	// it runs out.
+	adaptiveBudgetFrac = 0.6
+)
 
-// policy builds the stats-layer stopper for one pair: the pair's
+// adaptivePolicy builds the stats-layer stopper for one pair: the pair's
 // allocated ceiling (budget) caps MaxTrials; a pair with no allocation
-// (direct RunPair calls, restored pre-screening states) falls back to
-// the scheduler-wide maximum.
-func (a *AdaptiveOptions) policy(budget, maxTrials int) stats.SequentialPolicy {
+// (direct RunPair calls) falls back to the scheduler-wide maximum.
+func adaptivePolicy(budget, maxTrials int) stats.SequentialPolicy {
 	ceil := budget
 	if ceil <= 0 {
 		ceil = maxTrials
 	}
 	return stats.SequentialPolicy{
-		MinTrials:    a.MinTrials,
+		MinTrials:    adaptiveMinTrials,
 		MaxTrials:    ceil,
-		MaxCIWidth:   a.CIWidthPct,
-		StableK:      a.StableK,
-		FairSharePct: a.FairSharePct,
+		MaxCIWidth:   adaptiveCIWidthPct,
+		StableK:      adaptiveStableK,
+		FairSharePct: stats.DefaultFairSharePct,
 	}
 }
 
@@ -103,10 +85,10 @@ type screenResult struct {
 }
 
 // screen runs the coarse screening pass over the pending pair states
-// and returns the per-pair budget allocation. Screening trials run
-// ScreenTiming specs with screen-namespace seeds through
-// executeAttempt, so they are journaled and replay by seed on resume;
-// they do no trial counting, no breaker scoring, and emit no
+// and returns the per-pair budget allocation. Each pair gets one
+// screening trial, a ScreenTiming spec with a screen-namespace seed run
+// through executeAttempt, so it is journaled and replays by seed on
+// resume; it does no trial counting, no breaker scoring, and emits no
 // fault-ledger events (screening is planning, not measurement — a
 // failed screen costs a score, never a retry or quarantine). The
 // returned map is a pure function of the screening results, which
@@ -115,37 +97,29 @@ type screenResult struct {
 // fleet mode it stays coordinator-side — the budgets ride the PairTasks
 // — and uses the coordinator's local pool width.
 func (m *Matrix) screen(states []*pairState, opts SchedulerOptions) (budgets map[string]int, interrupted bool) {
-	ad := opts.Adaptive
 	results := make([]screenResult, len(states))
 	interrupted = runOrdered(len(states), m.Workers, m.Interrupt,
 		func(i int, interrupt func() bool) (screenResult, bool) {
+			if interrupt() {
+				return screenResult{}, false
+			}
 			st := states[i]
 			label := st.pairLabel() + " (screen)"
-			var s0, s1 []float64
-			for k := 0; k < ad.ScreenTrials; k++ {
-				if interrupt() {
-					return screenResult{}, false
-				}
-				seed := trialSeed(opts.BaseSeed, screenSeedID(st.a, st.b), k)
-				spec := Spec{
-					Incumbent: st.svcA,
-					Contender: st.svcB,
-					Net:       m.Net,
-					Seed:      seed,
-					Chaos:     opts.Chaos,
-				}.ScreenTiming()
-				ar := executeAttempt(m.Journal, m.Obs, opts, spec, label, k)
-				m.Obs.screenTrial(label, seed, k, ar.class)
-				if ar.class == "ok" {
-					s0 = append(s0, ar.res.SharePct[0])
-					s1 = append(s1, ar.res.SharePct[1])
-				}
-			}
-			if len(s0) == 0 {
+			seed := trialSeed(opts.BaseSeed, screenSeedID(st.a, st.b), 0)
+			spec := Spec{
+				Incumbent: st.svcA,
+				Contender: st.svcB,
+				Net:       m.Net,
+				Seed:      seed,
+				Chaos:     opts.Chaos,
+			}.ScreenTiming()
+			ar := executeAttempt(m.Journal, m.Obs, opts, spec, label, 0)
+			m.Obs.screenTrial(label, seed, 0, ar.class)
+			if ar.class != "ok" {
 				return screenResult{}, true // unscored: sorts as most contested
 			}
 			return screenResult{
-				score:  stats.ScreenScore(stats.Median(s0), stats.Median(s1), ad.FairSharePct),
+				score:  stats.ScreenScore(ar.res.SharePct[0], ar.res.SharePct[1], stats.DefaultFairSharePct),
 				scored: true,
 			}, true
 		},
@@ -153,25 +127,19 @@ func (m *Matrix) screen(states []*pairState, opts SchedulerOptions) (budgets map
 	if interrupted {
 		return nil, true
 	}
-	return allocateBudgets(states, results, opts), false
+	return allocateBudgets(states, results, opts.MaxTrials), false
 }
 
 // allocateBudgets turns screening scores into per-pair trial ceilings:
 // every pair gets the adaptive floor, and the remaining pool — the
-// BudgetFrac slice of the fixed protocol's worst case — is granted
-// depth-first (up to MaxTrials each) in contestedness order, ties
-// broken by canonical pair index so the allocation is deterministic.
-func allocateBudgets(states []*pairState, results []screenResult, opts SchedulerOptions) map[string]int {
-	ad := opts.Adaptive
+// adaptiveBudgetFrac slice of the fixed protocol's worst case — is
+// granted depth-first (up to MaxTrials each) in contestedness order,
+// ties broken by canonical pair index so the allocation is
+// deterministic.
+func allocateBudgets(states []*pairState, results []screenResult, maxTrials int) map[string]int {
 	n := len(states)
-	floor := ad.MinTrials
-	if floor > opts.MaxTrials {
-		floor = opts.MaxTrials
-	}
-	pool := int(math.Ceil(ad.BudgetFrac*float64(n)*float64(opts.MaxTrials))) - n*floor
-	if pool < 0 {
-		pool = 0
-	}
+	floor := min(adaptiveMinTrials, maxTrials)
+	pool := max(int(math.Ceil(adaptiveBudgetFrac*float64(n)*float64(maxTrials)))-n*floor, 0)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -194,10 +162,7 @@ func allocateBudgets(states []*pairState, results []screenResult, opts Scheduler
 		budgets[st.key] = floor
 	}
 	for _, i := range order {
-		extra := opts.MaxTrials - floor
-		if extra > pool {
-			extra = pool
-		}
+		extra := min(maxTrials-floor, pool)
 		budgets[states[i].key] += extra
 		pool -= extra
 		if pool == 0 {

@@ -392,10 +392,7 @@ func TestAllocateBudgets(t *testing.T) {
 		}
 		return out
 	}
-	opts := SchedulerOptions{
-		MaxTrials: 10,
-		Adaptive:  (&AdaptiveOptions{MinTrials: 2, BudgetFrac: 0.5}).withDefaults(),
-	}
+	const maxTrials = 12
 	states := mkStates(4)
 	results := []screenResult{
 		{score: 5, scored: true},  // second most contested
@@ -403,14 +400,15 @@ func TestAllocateBudgets(t *testing.T) {
 		{scored: false},           // unscored: most contested
 		{score: 20, scored: true},
 	}
-	// total = ceil(0.5·4·10) = 20; floors 4·2 = 8; pool 12.
-	// Order: state 2 (unscored, −1) +8 → 10; state 0 (+4, pool dry) → 6.
-	budgets := allocateBudgets(states, results, opts)
+	// total = ceil(0.6·4·12) = 29; floors 4·2 = 8; pool 21.
+	// Order: state 2 (unscored, −1) +10 → 12; state 0 +10 → 12; state 3
+	// (+1, pool dry) → 3.
+	budgets := allocateBudgets(states, results, maxTrials)
 	want := map[string]int{
-		pairKey(0, 0): 6,
+		pairKey(0, 0): 12,
 		pairKey(0, 1): 2,
-		pairKey(0, 2): 10,
-		pairKey(0, 3): 2,
+		pairKey(0, 2): 12,
+		pairKey(0, 3): 3,
 	}
 	for k, w := range want {
 		if budgets[k] != w {
@@ -421,15 +419,14 @@ func TestAllocateBudgets(t *testing.T) {
 	for _, b := range budgets {
 		sum += b
 	}
-	if sum != 20 {
-		t.Errorf("allocated %d trials total, want 20", sum)
+	if sum != 29 {
+		t.Errorf("allocated %d trials total, want 29", sum)
 	}
 
-	// Ceilings never exceed MaxTrials even with a lavish pool.
-	opts.Adaptive = (&AdaptiveOptions{MinTrials: 2, BudgetFrac: 5}).withDefaults()
-	for _, b := range allocateBudgets(states, results, opts) {
-		if b > opts.MaxTrials {
-			t.Fatalf("budget %d exceeds MaxTrials %d", b, opts.MaxTrials)
+	// A ceiling below the floor caps the floor too.
+	for k, b := range allocateBudgets(states, results, 1) {
+		if b != 1 {
+			t.Fatalf("budget[%s] = %d under MaxTrials 1", k, b)
 		}
 	}
 }

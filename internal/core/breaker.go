@@ -65,11 +65,11 @@ func parseBreakerState(s string) BreakerState {
 	return BreakerClosed
 }
 
-// DefaultBreakerThreshold is the health-score trip point when
-// BreakerSet.Threshold is unset. With the default scoring weights
-// (+1 per failed or corrupt attempt, +2 per quarantined pair or failed
-// calibration) a service must be implicated in several independent
-// incidents within a cycle or two before it is ejected.
+// DefaultBreakerThreshold is the health score at which a closed breaker
+// opens. With the scoring weights (+1 per failed or corrupt attempt, +2
+// per quarantined pair or failed calibration) a service must be
+// implicated in several independent incidents within a cycle or two
+// before it is ejected.
 const DefaultBreakerThreshold = 5
 
 // scoreDecay halves closed services' scores at each cycle end, so
@@ -82,10 +82,6 @@ const scoreDecay = 0.5
 // is precisely what keeps trip decisions deterministic. The zero value
 // is ready to use.
 type BreakerSet struct {
-	// Threshold is the score at which a closed breaker opens;
-	// DefaultBreakerThreshold when zero.
-	Threshold float64
-
 	// OnTransition, if non-nil, observes every state change.
 	OnTransition func(service string, from, to BreakerState)
 
@@ -95,13 +91,6 @@ type BreakerSet struct {
 type breakerEntry struct {
 	state BreakerState
 	score float64
-}
-
-func (bs *BreakerSet) threshold() float64 {
-	if bs.Threshold > 0 {
-		return bs.Threshold
-	}
-	return DefaultBreakerThreshold
 }
 
 func (bs *BreakerSet) entry(service string) *breakerEntry {
@@ -153,7 +142,7 @@ func (bs *BreakerSet) Penalize(service string, pts float64) {
 	}
 	e := bs.entry(service)
 	e.score += pts
-	if e.state == BreakerClosed && e.score >= bs.threshold() {
+	if e.state == BreakerClosed && e.score >= DefaultBreakerThreshold {
 		bs.transition(service, e, BreakerOpen)
 	}
 }

@@ -23,11 +23,11 @@ func TestBreakerTripsAtExactThreshold(t *testing.T) {
 		t.Fatalf("at exact threshold: state %v, want open", got)
 	}
 
-	// Same boundary through a custom threshold, in one penalty.
-	bs2 := &BreakerSet{Threshold: 3}
-	bs2.Penalize("svc", 3)
+	// The same boundary in one penalty.
+	bs2 := &BreakerSet{}
+	bs2.Penalize("svc", DefaultBreakerThreshold)
 	if got := bs2.State("svc"); got != BreakerOpen {
-		t.Fatalf("score == custom threshold: state %v, want open", got)
+		t.Fatalf("score == threshold in one penalty: state %v, want open", got)
 	}
 }
 

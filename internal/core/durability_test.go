@@ -100,7 +100,7 @@ func TestBreakerLifecycle(t *testing.T) {
 // both members except brownouts (exact attribution via the error
 // message), corruption and quarantine hit both, self-pairs count once.
 func TestBreakerScorePair(t *testing.T) {
-	bs := &BreakerSet{Threshold: 1000}
+	bs := &BreakerSet{}
 	bs.scorePair(&PairOutcome{
 		Incumbent: "A", Contender: "B",
 		Corrupt: 1,
@@ -119,7 +119,7 @@ func TestBreakerScorePair(t *testing.T) {
 		t.Fatalf("B score = %v, want 5", got)
 	}
 
-	bs2 := &BreakerSet{Threshold: 1000}
+	bs2 := &BreakerSet{}
 	bs2.scorePair(&PairOutcome{
 		Incumbent: "A", Contender: "A",
 		Failures: []TrialFailure{{Kind: "error", Msg: "x"}},
@@ -146,8 +146,8 @@ func TestReaperQuarantinesHungTrials(t *testing.T) {
 	if !out.Failed {
 		t.Fatal("reaped pair must be quarantined")
 	}
-	if len(out.Failures) != opts.MaxFailures {
-		t.Fatalf("got %d failures, want %d", len(out.Failures), opts.MaxFailures)
+	if len(out.Failures) != maxFailures {
+		t.Fatalf("got %d failures, want %d", len(out.Failures), maxFailures)
 	}
 	for _, f := range out.Failures {
 		if f.Kind != "reap" {

@@ -52,11 +52,6 @@ type Spec struct {
 	// Client is the browser environment (defaults to the full-fidelity
 	// testbed client of §3.3).
 	Client *browser.Client
-	// SampleQueueEvery enables queue-occupancy sampling (Fig 8); zero
-	// disables it.
-	SampleQueueEvery sim.Time
-	// SampleRateEvery enables per-service throughput series (Fig 4).
-	SampleRateEvery sim.Time
 	// Chaos, if non-nil, arms the deterministic fault plan for this
 	// trial: in-simulation faults on the testbed plus seed-decided
 	// trial-level panics/errors/corruption.
@@ -64,8 +59,9 @@ type Spec struct {
 	// Observe, if non-nil, receives the fully-assembled testbed before
 	// any traffic starts. The golden-trace conformance harness
 	// (internal/sim/golden) uses it to attach the netem packet-lifecycle
-	// hooks; trace collectors can use it the same way. It must not start
-	// traffic or advance the engine.
+	// hooks; trace collectors and the queue/throughput series samplers
+	// (netem.Bottleneck.StartSampling, metrics.NewRateSampler) attach the
+	// same way. It must not start traffic or advance the engine.
 	Observe func(*netem.Testbed)
 	// Abort, if non-nil, is installed on the trial's engine: setting it
 	// true makes an in-progress run panic with sim.Aborted, which the
@@ -138,9 +134,6 @@ type TrialResult struct {
 	Discarded bool
 	// ServiceStats carries per-slot QoE metrics (§5).
 	ServiceStats [2]services.Stats
-	// QueueSeries and RateSeries are optional diagnostics.
-	QueueSeries []netem.OccupancySample
-	RateSeries  []metrics.RatePoint
 	// Obs is the trial's deterministic telemetry aggregate, scraped from
 	// the testbed after the run (never on the packet path). The obs
 	// layer folds it into the registry; because every field is a pure
@@ -182,8 +175,8 @@ type TrialObs struct {
 
 // add folds o into t: every field sums except OccupancyHighWater, which
 // takes the max. Sums of sums are sums and max is commutative, so an
-// aggregate of aggregates (a pair's sketch total, a merged shard) folds
-// through the same method as a single trial.
+// aggregate of aggregates (a pair's sketch total) folds through the same
+// method as a single trial.
 func (t *TrialObs) add(o TrialObs) {
 	t.ArrivedPackets += o.ArrivedPackets
 	t.DroppedPackets += o.DroppedPackets
@@ -300,14 +293,6 @@ func RunTrial(spec Spec) (TrialResult, error) {
 		client = *spec.Client
 	}
 
-	if spec.SampleQueueEvery > 0 {
-		tb.Bneck.StartSampling(spec.SampleQueueEvery)
-	}
-	var sampler *metrics.RateSampler
-	if spec.SampleRateEvery > 0 {
-		sampler = metrics.NewRateSampler(eng, tb.Bneck, spec.SampleRateEvery)
-	}
-
 	// Start services with a small jitter so paired control loops do not
 	// phase-lock on the simulation grid.
 	type started struct {
@@ -378,10 +363,6 @@ func RunTrial(spec Spec) (TrialResult, error) {
 		}
 		res.ServiceStats[slot] = st.inst.Stats()
 		st.inst.Stop()
-	}
-	res.QueueSeries = tb.Bneck.Samples()
-	if sampler != nil {
-		res.RateSeries = sampler.Points
 	}
 	if fault == chaos.FaultCorrupt {
 		applyCorruption(&res, spec.Chaos.Corruption(spec.Seed))

@@ -258,17 +258,14 @@ func (in *Instruments) foldPair(o *PairOutcome) {
 // the coordinator, so its counted trials are reconstructed from the
 // outcome's duration sketch (exact samples within the buffer cap,
 // bucket representatives beyond it; histograms only see bucketed values
-// anyway). Timeline events and wall-clock histograms are deliberately
-// not reconstructed.
+// anyway). The replay costs one observation per sample or bucket, never
+// one per trial a bucket counts. Timeline events and wall-clock
+// histograms are deliberately not reconstructed.
 func (in *Instruments) remoteSimDurations(o *PairOutcome) {
 	if in == nil {
 		return
 	}
-	o.Sketches.SimSeconds.Each(func(v float64, n int64) {
-		for k := int64(0); k < n; k++ {
-			in.trialSim.Observe(v)
-		}
-	})
+	o.Sketches.SimSeconds.Each(in.trialSim.ObserveN)
 }
 
 // pairDone records a pair reaching a final state. Called from the

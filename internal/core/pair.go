@@ -31,13 +31,6 @@ type SchedulerOptions struct {
 	// Timing transforms each trial's Spec (DefaultTiming, QuickTiming,
 	// or custom); nil means DefaultTiming.
 	Timing func(Spec) Spec `json:"-"`
-	// MaxDiscards bounds re-runs of noise-discarded (and validity-gate
-	// rejected) trials before a pair is marked Unstable.
-	MaxDiscards int
-	// MaxFailures bounds erroring/panicking attempts before a pair is
-	// quarantined (marked Failed); default 3. Failed attempts retry with
-	// fresh seeds under capped exponential backoff in scheduler rounds.
-	MaxFailures int
 	// Chaos, if non-nil, arms the deterministic fault plan on every
 	// trial the scheduler runs.
 	Chaos *chaos.Config
@@ -70,8 +63,6 @@ func PaperOptions(net netem.Config) SchedulerOptions {
 	return SchedulerOptions{
 		MinTrials: 10, MaxTrials: 30, Step: 10,
 		ToleranceMbps: tol,
-		MaxDiscards:   10,
-		MaxFailures:   3,
 	}
 }
 
@@ -101,13 +92,8 @@ func (o SchedulerOptions) over(base SchedulerOptions) SchedulerOptions {
 	o.MaxTrials = cmp.Or(o.MaxTrials, base.MaxTrials)
 	o.Step = cmp.Or(o.Step, base.Step)
 	o.ToleranceMbps = cmp.Or(o.ToleranceMbps, base.ToleranceMbps)
-	o.MaxDiscards = cmp.Or(o.MaxDiscards, base.MaxDiscards)
-	o.MaxFailures = cmp.Or(o.MaxFailures, base.MaxFailures)
 	if o.Timing == nil {
 		o.Timing = base.Timing
-	}
-	if o.Adaptive != nil {
-		o.Adaptive = o.Adaptive.withDefaults()
 	}
 	return o
 }
@@ -123,9 +109,19 @@ func (o SchedulerOptions) spec(incumbent, contender services.Service, net netem.
 	return s.DefaultTiming()
 }
 
-// maxBackoffRounds caps the exponential retry backoff (in scheduler
-// rounds, i.e. virtual attempts the pair sits out).
-const maxBackoffRounds = 8
+// The retry budgets, the same under every preset.
+const (
+	// maxDiscards bounds re-runs of noise-discarded (and validity-gate
+	// rejected) trials before a pair is marked Unstable.
+	maxDiscards = 10
+	// maxFailures bounds erroring/panicking attempts before a pair is
+	// quarantined (marked Failed). Failed attempts retry with fresh
+	// seeds under capped exponential backoff in scheduler rounds.
+	maxFailures = 3
+	// maxBackoffRounds caps that backoff (in scheduler rounds, i.e.
+	// virtual attempts the pair sits out).
+	maxBackoffRounds = 8
+)
 
 // backoffRounds returns the capped exponential backoff after the n-th
 // failure (1-based): 1, 2, 4, 8, 8, ...
@@ -147,12 +143,12 @@ type PairOutcome struct {
 	// Discards counts noise-discarded (re-run) trials.
 	Discards int
 	// Corrupt counts trials the validity gate rejected (re-run like
-	// discards; Discards+Corrupt share the MaxDiscards budget).
+	// discards; Discards+Corrupt share the maxDiscards budget).
 	Corrupt int
 	// Unstable marks pairs that exhausted MaxTrials without meeting the
 	// CI criterion — the paper's Obs 15 services (OneDrive, Vimeo).
 	Unstable bool
-	// Failed marks quarantined pairs: MaxFailures attempts errored or
+	// Failed marks quarantined pairs: maxFailures attempts errored or
 	// panicked, so the pair is excluded from this cycle's statistics
 	// and its heatmap cells render as ××.
 	Failed bool
@@ -190,12 +186,23 @@ var ErrNoSketches = errors.New("pair holds raw samples instead of sketches (writ
 
 // Validate checks a pair decoded from a journaled pair record or a
 // fleet result: every pair except a breaker-skipped one must carry its
-// full sketch set (ErrNoSketches otherwise).
+// full sketch set (ErrNoSketches otherwise), and every sketch must hold
+// exactly one sample per counted trial, as observe leaves it. A sketch
+// that claims more samples than the pair counted is refused before any
+// reader walks them.
 func (p *PairOutcome) Validate() error {
-	if p.Skipped || p.Sketches.complete() {
+	if p.Skipped {
 		return nil
 	}
-	return ErrNoSketches
+	if !p.Sketches.complete() {
+		return ErrNoSketches
+	}
+	for _, s := range p.Sketches.all() {
+		if s.Count() != p.Sketches.N {
+			return fmt.Errorf("core: a sketch holds %d samples for %d counted trials", s.Count(), p.Sketches.N)
+		}
+	}
+	return nil
 }
 
 // Counted returns the number of counted trials. All "how many trials
@@ -253,7 +260,7 @@ func (p *PairOutcome) ciSatisfied(tol float64) bool {
 // RunPair runs the full protocol for one pair in one network setting.
 // Trial errors and panics never propagate: they are recorded on the
 // outcome, retried with fresh seeds, and quarantine the pair (Failed)
-// after MaxFailures. The only returned errors are structural
+// after maxFailures. The only returned errors are structural
 // (impossible specs). To observe the per-attempt fault ledger, use
 // RunPairObserved.
 func RunPair(incumbent, contender services.Service, net netem.Config, opts SchedulerOptions) (*PairOutcome, error) {
@@ -266,7 +273,7 @@ func RunPair(incumbent, contender services.Service, net netem.Config, opts Sched
 // Matrix.OnFault delivers. Recording is unconditional: every attempt is
 // both kept on the outcome and emitted to the ledger before any return
 // path, including the attempt that quarantines the pair or exhausts
-// MaxDiscards. (Earlier versions of RunPair bypassed the ledger
+// maxDiscards. (Earlier versions of RunPair bypassed the ledger
 // entirely and returned on terminal attempts without reporting them;
 // it now shares the matrix scheduler's pairProtocol, so the two paths
 // cannot drift.)

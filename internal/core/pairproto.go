@@ -39,9 +39,9 @@ type pairState struct {
 	// no-ops.
 	evalN int
 	// ring holds the Fair verdict recorded after each of the most
-	// recent counted trials (at most StableK−1 entries): the verdict is
-	// a pure function of the counted-trial prefix, so entry i is what
-	// recomputing that prefix would yield.
+	// recent counted trials (at most adaptiveStableK−1 entries): the
+	// verdict is a pure function of the counted-trial prefix, so entry i
+	// is what recomputing that prefix would yield.
 	ring []bool
 }
 
@@ -217,7 +217,7 @@ func (pp *pairProtocol) run(st *pairState, interrupt func() bool) bool {
 // noise-discarded and validity-gate-rejected trials immediately (each
 // with a fresh seed). A failing attempt — injected error or recovered
 // panic — records a TrialFailure and returns so the pair backs off;
-// MaxFailures quarantines the pair.
+// maxFailures quarantines the pair.
 func (pp *pairProtocol) runOne(st *pairState) {
 	label := st.pairLabel()
 	for {
@@ -234,7 +234,7 @@ func (pp *pairProtocol) runOne(st *pairState) {
 			st.outcome.Failures = append(st.outcome.Failures,
 				TrialFailure{Attempt: attempt, Seed: seed, Kind: ar.failKind, Msg: ar.failMsg})
 			pp.emit(FaultEvent{Pair: label, Kind: ar.failKind, Attempt: attempt, Seed: seed, Detail: ar.failMsg})
-			if len(st.outcome.Failures) >= pp.opts.MaxFailures {
+			if len(st.outcome.Failures) >= maxFailures {
 				st.outcome.Failed = true
 				st.done = true
 				pp.emit(FaultEvent{Pair: label, Kind: "quarantine", Attempt: attempt, Seed: seed,
@@ -250,7 +250,7 @@ func (pp *pairProtocol) runOne(st *pairState) {
 			st.outcome.Discards++
 			pp.emit(FaultEvent{Pair: label, Kind: "discard", Attempt: attempt, Seed: seed,
 				Detail: ar.detail})
-			if st.outcome.Discards+st.outcome.Corrupt > pp.opts.MaxDiscards {
+			if st.outcome.Discards+st.outcome.Corrupt > maxDiscards {
 				st.outcome.Unstable = true
 				st.done = true
 				return
@@ -259,7 +259,7 @@ func (pp *pairProtocol) runOne(st *pairState) {
 		case "corrupt":
 			st.outcome.Corrupt++
 			pp.emit(FaultEvent{Pair: label, Kind: "corrupt", Attempt: attempt, Seed: seed, Detail: ar.detail})
-			if st.outcome.Discards+st.outcome.Corrupt > pp.opts.MaxDiscards {
+			if st.outcome.Discards+st.outcome.Corrupt > maxDiscards {
 				st.outcome.Unstable = true
 				st.done = true
 				return
@@ -282,8 +282,8 @@ func (pp *pairProtocol) evaluate(st *pairState) {
 	if st.done {
 		return
 	}
-	if ad := pp.opts.Adaptive; ad != nil {
-		pp.evaluateAdaptive(st, ad)
+	if pp.opts.Adaptive != nil {
+		pp.evaluateAdaptive(st)
 		return
 	}
 	n := st.outcome.Counted()
@@ -312,7 +312,7 @@ func (pp *pairProtocol) evaluate(st *pairState) {
 // exactly as under the fixed rule; one cut short by a smaller screening
 // allocation is merely budget-stopped — it was never given full depth,
 // so it earns no instability verdict.
-func (pp *pairProtocol) evaluateAdaptive(st *pairState, ad *AdaptiveOptions) {
+func (pp *pairProtocol) evaluateAdaptive(st *pairState) {
 	// Evaluate only when a counted trial arrived, which keeps the ring
 	// at one entry per prefix.
 	sk := st.outcome.Sketches
@@ -320,13 +320,11 @@ func (pp *pairProtocol) evaluateAdaptive(st *pairState, ad *AdaptiveOptions) {
 		return
 	}
 	st.evalN = sk.N
-	pol := ad.policy(st.budget, pp.opts.MaxTrials)
+	pol := adaptivePolicy(st.budget, pp.opts.MaxTrials)
 	d := pol.EvaluateSketch(sk.SharePct[0], sk.SharePct[1], st.ring)
-	if pol.StableK > 1 {
-		st.ring = append(st.ring, d.Fair)
-		if len(st.ring) > pol.StableK-1 {
-			st.ring = st.ring[1:]
-		}
+	st.ring = append(st.ring, d.Fair)
+	if len(st.ring) > adaptiveStableK-1 {
+		st.ring = st.ring[1:]
 	}
 	if !d.Stop {
 		return

@@ -143,7 +143,7 @@ func TestParallelInterruptCheckpointResume(t *testing.T) {
 // RunPair fix: every attempt must be recorded on both the outcome and
 // the fault ledger before any return path — including the attempt that
 // quarantines the pair and the discard/corrupt attempt that exhausts
-// MaxDiscards, which earlier versions dropped from the ledger by
+// maxDiscards, which earlier versions dropped from the ledger by
 // returning first.
 func TestRunPairLedgerUnconditional(t *testing.T) {
 	net := netem.HighlyConstrained()
@@ -151,7 +151,6 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 	// Quarantine path: every trial errors; the final (quarantining)
 	// attempt must appear in the ledger too.
 	opts := fastOpts(net)
-	opts.MaxFailures = 3
 	opts.Chaos = &chaos.Config{ErrorRate: 1}
 	var events []FaultEvent
 	p, err := RunPairObserved(threeServices()[0], threeServices()[1], net, opts,
@@ -159,20 +158,20 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Failed || len(p.Failures) != opts.MaxFailures {
-		t.Fatalf("pair not quarantined after %d failures: %+v", opts.MaxFailures, p)
+	if !p.Failed || len(p.Failures) != maxFailures {
+		t.Fatalf("pair not quarantined after %d failures: %+v", maxFailures, p)
 	}
 	byKind := map[string]int{}
 	for _, ev := range events {
 		byKind[ev.Kind]++
 	}
-	if byKind["error"] != opts.MaxFailures {
+	if byKind["error"] != maxFailures {
 		t.Errorf("ledger recorded %d error attempts, want %d (unconditional recording)",
-			byKind["error"], opts.MaxFailures)
+			byKind["error"], maxFailures)
 	}
-	if byKind["retry"] != opts.MaxFailures-1 || byKind["quarantine"] != 1 {
+	if byKind["retry"] != maxFailures-1 || byKind["quarantine"] != 1 {
 		t.Errorf("ledger transitions = %v, want %d retries and 1 quarantine",
-			byKind, opts.MaxFailures-1)
+			byKind, maxFailures-1)
 	}
 	// Ledger attempts must match the outcome's failure records 1:1.
 	i := 0
@@ -189,10 +188,9 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 	}
 
 	// Discard-exhaustion path: every trial is corrupted; the attempt
-	// that exhausts MaxDiscards must be in the ledger despite the early
+	// that exhausts maxDiscards must be in the ledger despite the early
 	// Unstable return.
 	opts = fastOpts(net)
-	opts.MaxDiscards = 2
 	opts.Chaos = &chaos.Config{CorruptRate: 1}
 	events = nil
 	p, err = RunPairObserved(threeServices()[0], threeServices()[1], net, opts,
@@ -200,7 +198,7 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Unstable || p.Corrupt != opts.MaxDiscards+1 {
+	if !p.Unstable || p.Corrupt != maxDiscards+1 {
 		t.Fatalf("pair not unstable after exhausting discards: %+v", p)
 	}
 	corrupt := 0
@@ -209,9 +207,9 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 			corrupt++
 		}
 	}
-	if corrupt != opts.MaxDiscards+1 {
+	if corrupt != maxDiscards+1 {
 		t.Errorf("ledger recorded %d corrupt attempts, want %d (terminal attempt included)",
-			corrupt, opts.MaxDiscards+1)
+			corrupt, maxDiscards+1)
 	}
 
 	// Plain RunPair (nil ledger) must behave identically.

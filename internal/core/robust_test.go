@@ -113,7 +113,7 @@ func TestSettingOptionsResolvePerSetting(t *testing.T) {
 			if got.ToleranceMbps != tc.tol[si] {
 				t.Errorf("%s: setting %d tolerance = %g, want %g", tc.name, si, got.ToleranceMbps, tc.tol[si])
 			}
-			if got.MinTrials != tc.trials || got.MaxDiscards != 10 || got.MaxFailures != 3 {
+			if got.MinTrials != tc.trials {
 				t.Errorf("%s: setting %d resolved %+v", tc.name, si, got)
 			}
 			if d := got.spec(nil, nil, w.Settings[si], 0).Duration.Seconds(); d != tc.seconds {
@@ -124,9 +124,6 @@ func TestSettingOptionsResolvePerSetting(t *testing.T) {
 			if got.BaseSeed != wantSeed || got.Chaos != tc.opts.Chaos || got.WallBudget != tc.opts.WallBudget ||
 				(got.Adaptive != nil) != (tc.opts.Adaptive != nil) {
 				t.Errorf("%s: setting %d dropped a caller field: %+v", tc.name, si, got)
-			}
-			if got.Adaptive != nil && got.Adaptive.CIWidthPct != 10 {
-				t.Errorf("%s: adaptive options not defaulted: %+v", tc.name, got.Adaptive)
 			}
 		}
 	}
@@ -178,13 +175,12 @@ func TestWatchdogKeepsTimingOnlyOpts(t *testing.T) {
 }
 
 // TestMatrixDiscardExhaustionInterleaving covers the satellite: a pair
-// whose trials are always noise-discarded must exhaust MaxDiscards and
+// whose trials are always noise-discarded must exhaust maxDiscards and
 // be marked Unstable without consuming counted trials, while the other
 // pairs keep interleaving to completion.
 func TestMatrixDiscardExhaustionInterleaving(t *testing.T) {
 	net := netem.HighlyConstrained()
 	opts := fastOpts(net)
-	opts.MaxDiscards = 2
 	// Per-pair noise via the Timing hook: only the cross pair sees an
 	// upstream loss process hot enough to trip the §3.1 discard gate on
 	// every trial.
@@ -218,8 +214,8 @@ func TestMatrixDiscardExhaustionInterleaving(t *testing.T) {
 	if noisy.Counted() != 0 {
 		t.Fatalf("noisy pair counted %d trials, want 0", noisy.Counted())
 	}
-	if noisy.Discards != opts.MaxDiscards+1 {
-		t.Fatalf("noisy pair discards = %d, want %d", noisy.Discards, opts.MaxDiscards+1)
+	if noisy.Discards != maxDiscards+1 {
+		t.Fatalf("noisy pair discards = %d, want %d", noisy.Discards, maxDiscards+1)
 	}
 	for _, key := range []string{pairKey(0, 0), pairKey(1, 1)} {
 		p := res.Pairs[key]
@@ -289,13 +285,12 @@ func TestMatrixSurvivesPanicInjection(t *testing.T) {
 }
 
 // TestMatrixQuarantinesAlwaysPanicking drives every trial into a panic:
-// each pair must retire into quarantine after MaxFailures attempts, the
+// each pair must retire into quarantine after maxFailures attempts, the
 // matrix must still return cleanly, and the quarantined cells must read
 // as NaN (the report layer's ××).
 func TestMatrixQuarantinesAlwaysPanicking(t *testing.T) {
 	opts := fastOpts(netem.HighlyConstrained())
 	opts.Chaos = &chaos.Config{PanicRate: 1}
-	opts.MaxFailures = 2
 	svcs := []services.Service{
 		services.ByName("iPerf (Reno)"),
 		services.ByName("iPerf (Cubic)"),
@@ -309,9 +304,9 @@ func TestMatrixQuarantinesAlwaysPanicking(t *testing.T) {
 		t.Fatalf("FailedPairs = %d, want all 3", got)
 	}
 	for key, p := range res.Pairs {
-		if !p.Failed || len(p.Failures) != opts.MaxFailures || p.Retries != opts.MaxFailures-1 {
+		if !p.Failed || len(p.Failures) != maxFailures || p.Retries != maxFailures-1 {
 			t.Fatalf("pair %s: failed=%v failures=%d retries=%d, want quarantine after %d",
-				key, p.Failed, len(p.Failures), p.Retries, opts.MaxFailures)
+				key, p.Failed, len(p.Failures), p.Retries, maxFailures)
 		}
 	}
 	v, ok := res.SharePct("iPerf (Reno)", "iPerf (Cubic)")

@@ -311,7 +311,7 @@ func TestSketchAdaptiveEquivalence(t *testing.T) {
 	net := netem.HighlyConstrained()
 	opts := fastOpts(net)
 	opts.MaxTrials, opts.Step = 8, 2
-	opts.Adaptive = &AdaptiveOptions{MinTrials: 2, CIWidthPct: 10}
+	opts.Adaptive = &AdaptiveOptions{}
 	m := &Matrix{Services: sketchTestServices(), Net: net, Opts: opts}
 	res, trials := runJournaled(t, m)
 	reasons := map[string]int{}
@@ -321,7 +321,7 @@ func TestSketchAdaptiveEquivalence(t *testing.T) {
 		// The recorded Budget is the allocated ceiling the stopper ran
 		// under (TestFleetScreeningUsesLocalPool pins it to the
 		// allocation a task carries).
-		pol := opts.Adaptive.withDefaults().policy(p.Budget, opts.MaxTrials)
+		pol := adaptivePolicy(p.Budget, opts.MaxTrials)
 		for n := 1; n <= len(tr); n++ {
 			s0 := series(tr, n, func(t *TrialResult) float64 { return t.SharePct[0] })
 			s1 := series(tr, n, func(t *TrialResult) float64 { return t.SharePct[1] })

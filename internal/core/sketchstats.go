@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 
 	"prudentia/internal/stats"
 )
@@ -67,18 +67,16 @@ func newPairSketches() *PairSketches {
 	return ps
 }
 
+// all lists the set's ten sketches.
+func (ps *PairSketches) all() []*stats.Sketch {
+	return []*stats.Sketch{ps.Mbps[0], ps.Mbps[1], ps.SharePct[0], ps.SharePct[1], ps.Utilization,
+		ps.Loss[0], ps.Loss[1], ps.QueueDelaySec[0], ps.QueueDelaySec[1], ps.SimSeconds}
+}
+
 // complete reports whether every sketch of the set is present: a
 // decoded set (pair record, fleet result) may be nil or hold null members.
 func (ps *PairSketches) complete() bool {
-	if ps == nil || ps.Utilization == nil || ps.SimSeconds == nil {
-		return false
-	}
-	for s := 0; s < 2; s++ {
-		if ps.Mbps[s] == nil || ps.SharePct[s] == nil || ps.Loss[s] == nil || ps.QueueDelaySec[s] == nil {
-			return false
-		}
-	}
-	return true
+	return ps != nil && !slices.Contains(ps.all(), nil)
 }
 
 // observe folds one counted trial into the sketch set.
@@ -93,43 +91,6 @@ func (ps *PairSketches) observe(res *TrialResult) {
 	ps.Utilization.Add(res.Utilization)
 	ps.SimSeconds.Add(res.Obs.SimSeconds)
 	ps.Obs.add(res.Obs)
-}
-
-// Merge folds other's sketches, counts, and telemetry aggregate into
-// ps. Like stats.Sketch.Merge it is commutative, associative, and
-// shard-split invariant, so per-pair sketches from any number of fleet
-// workers — or per-cell sketches from a sweep grid — combine into the
-// same aggregate regardless of who produced which shard. other is not
-// modified; a nil other is a no-op.
-func (ps *PairSketches) Merge(other *PairSketches) error {
-	if other == nil {
-		return nil
-	}
-	for s := 0; s < 2; s++ {
-		if err := ps.Mbps[s].Merge(other.Mbps[s]); err != nil {
-			return fmt.Errorf("core: merging mbps sketches: %w", err)
-		}
-		if err := ps.SharePct[s].Merge(other.SharePct[s]); err != nil {
-			return fmt.Errorf("core: merging share sketches: %w", err)
-		}
-		if err := ps.Loss[s].Merge(other.Loss[s]); err != nil {
-			return fmt.Errorf("core: merging loss sketches: %w", err)
-		}
-		if err := ps.QueueDelaySec[s].Merge(other.QueueDelaySec[s]); err != nil {
-			return fmt.Errorf("core: merging queue-delay sketches: %w", err)
-		}
-	}
-	if err := ps.Utilization.Merge(other.Utilization); err != nil {
-		return fmt.Errorf("core: merging utilization sketches: %w", err)
-	}
-	if err := ps.SimSeconds.Merge(other.SimSeconds); err != nil {
-		return fmt.Errorf("core: merging sim-seconds sketches: %w", err)
-	}
-	ps.N += other.N
-	// other.Obs is itself the summed aggregate of other's trials, which
-	// TrialObs.add folds like any single trial's.
-	ps.Obs.add(other.Obs)
-	return nil
 }
 
 // MergedShareSketch merges every non-quarantined pair's two slot share

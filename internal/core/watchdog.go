@@ -81,7 +81,7 @@ type Watchdog struct {
 	DiskChaos *chaos.DiskPlan
 	// Breakers holds the per-service circuit breakers (breaker.go). Nil
 	// means RunCycle creates a fresh set on first use; supply one to
-	// tune Threshold or observe transitions. The set persists across
+	// observe transitions. The set persists across
 	// cycles — soak runs carry trip state forward — with closed-state
 	// scores decaying at each cycle end.
 	Breakers *BreakerSet
@@ -540,12 +540,12 @@ func (w *Watchdog) calibrateAll(net netem.Config, opts SchedulerOptions, sink *j
 // Attempts run through executeAttempt, so they are journaled (and
 // replayed on resume) and subject to the wall-clock reaper, but they do
 // no trial counting — calibration stays out of prudentia_trials_*.
-// After MaxFailures fruitless attempts the service's calibration entry
-// is omitted for the cycle (reported on the fault ledger) instead of
-// killing the cycle.
+// After maxFailures+maxDiscards fruitless attempts the service's
+// calibration entry is omitted for the cycle (reported on the fault
+// ledger) instead of killing the cycle.
 func (w *Watchdog) calibrate(svc services.Service, net netem.Config, opts SchedulerOptions, idx int, sink *journalSink, emit func(FaultEvent)) (float64, bool) {
 	id := soloSeedID(idx)
-	budget := opts.MaxFailures + opts.MaxDiscards
+	budget := maxFailures + maxDiscards
 	for attempt := 0; attempt < budget; attempt++ {
 		seed := trialSeed(opts.BaseSeed, id, attempt)
 		spec := opts.spec(svc, nil, net, seed)

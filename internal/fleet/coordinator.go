@@ -59,16 +59,8 @@ type Coordinator struct {
 	// before the pair is redundantly re-dispatched to another worker.
 	LeaseTTL time.Duration
 
-	// Breakers, if non-nil, quarantines flapping workers with the same
-	// state machine the watchdog uses for sick services, keyed by
-	// worker name: +2 per disconnect or heartbeat timeout, +1 per lease
-	// expiry; an open worker gets exactly one canary pair when idle.
-	// The coordinator allocates its own private set when nil. All
-	// access is serialized under the coordinator's lock.
-	Breakers *core.BreakerSet
-
 	// Chaos, if non-nil, supplies budgeted coordinator↔worker partition
-	// faults (chaos.Config.PartitionFor), consulted at assignment time.
+	// faults (chaos.Config.TakePartition), consulted at assignment time.
 	Chaos *chaos.Config
 
 	// OnFault, if non-nil, receives chaos partition events for the
@@ -86,9 +78,14 @@ type Coordinator struct {
 	// Obs, if non-nil, receives fleet telemetry (see Instruments).
 	Obs *Instruments
 
-	mu       sync.Mutex
-	ln       net.Listener
-	workers  map[string]*remoteWorker
+	mu      sync.Mutex
+	ln      net.Listener
+	workers map[string]*remoteWorker
+	// breakers quarantines flapping workers with the same state machine
+	// the watchdog uses for sick services, keyed by worker name: +2 per
+	// disconnect or heartbeat timeout, +1 per lease expiry; an open
+	// worker gets exactly one canary pair when idle. Guarded by mu.
+	breakers core.BreakerSet
 	run      *dispatchState
 	leaseSeq uint64
 	partSeq  uint64
@@ -160,15 +157,6 @@ func (c *Coordinator) progress(format string, args ...any) {
 	}
 }
 
-// breakers returns the worker breaker set, allocating a private one on
-// first use. Callers hold c.mu.
-func (c *Coordinator) breakers() *core.BreakerSet {
-	if c.Breakers == nil {
-		c.Breakers = &core.BreakerSet{}
-	}
-	return c.Breakers
-}
-
 // Start binds the listener and begins admitting workers.
 func (c *Coordinator) Start() error {
 	ln, err := net.Listen("tcp", c.ListenAddr)
@@ -199,7 +187,7 @@ func (c *Coordinator) Addr() string {
 func (c *Coordinator) BreakerStatus() []obs.BreakerInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.breakers().Status()
+	return c.breakers.Status()
 }
 
 // WaitForWorkers blocks until at least n workers are connected, the
@@ -397,11 +385,11 @@ func (c *Coordinator) dropWorkerLocked(w *remoteWorker, reason string, penalize 
 		}
 	}
 	if penalize {
-		c.breakers().Penalize(w.name, 2)
+		c.breakers.Penalize(w.name, 2)
 	}
 	if w.probing {
 		w.probing = false
-		c.breakers().ProbeResult(w.name, false)
+		c.breakers.ProbeResult(w.name, false)
 	}
 	c.Obs.died(live)
 	w.fc.close()
@@ -419,6 +407,11 @@ func (c *Coordinator) handleResult(w *remoteWorker, m *msg) bool {
 	err := json.Unmarshal(m.Outcome, out) // an absent outcome fails to parse too
 	if err == nil {
 		err = out.Validate()
+	}
+	if err == nil && out.Skipped {
+		// Admission is decided coordinator-side: a worker runs every pair
+		// it is sent, and a skipped one carries no statistics to release.
+		err = errors.New("a worker never skips a pair")
 	}
 	if err != nil {
 		c.dropWorker(w, fmt.Sprintf("protocol error: bad outcome on lease %d: %v", m.Lease, err), true)
@@ -440,7 +433,7 @@ func (c *Coordinator) handleResult(w *remoteWorker, m *msg) bool {
 	delete(d.leases, m.Lease)
 	if w.probing {
 		w.probing = false
-		c.breakers().ProbeResult(w.name, true)
+		c.breakers.ProbeResult(w.name, true)
 		c.progress("fleet: worker %s canary pair succeeded; breaker closed", w.name)
 	}
 	if d.done[l.task] {
@@ -535,7 +528,7 @@ func (c *Coordinator) expireLeases(d *dispatchState) {
 			continue
 		}
 		l.expired = true
-		c.breakers().Penalize(l.worker.name, 1)
+		c.breakers.Penalize(l.worker.name, 1)
 		if d.done[l.task] {
 			continue
 		}
@@ -567,7 +560,8 @@ func (c *Coordinator) assignPending(d *dispatchState) []grant {
 		}
 		d.pending = d.pending[1:]
 		c.partSeq++
-		if seed := partitionSeed(d.tasks[t], c.partSeq); c.Chaos.PartitionFor(w.name, seed) {
+		if c.Chaos.TakePartition() {
+			seed := partitionSeed(d.tasks[t], c.partSeq)
 			c.Obs.partitionInjected()
 			if c.OnFault != nil {
 				c.OnFault(core.FaultEvent{
@@ -581,8 +575,8 @@ func (c *Coordinator) assignPending(d *dispatchState) []grant {
 			c.dropWorkerLocked(w, "chaos partition", true)
 			continue
 		}
-		if c.breakers().State(w.name) == core.BreakerOpen {
-			c.breakers().BeginProbe(w.name)
+		if c.breakers.State(w.name) == core.BreakerOpen {
+			c.breakers.BeginProbe(w.name)
 			w.probing = true
 			c.progress("fleet: worker %s breaker open; granting canary pair %d", w.name, t)
 		}
@@ -615,7 +609,7 @@ func (c *Coordinator) pickWorker(d *dispatchState, t int) *remoteWorker {
 			continue
 		}
 		capacity := w.capacity
-		switch c.Breakers.State(n) {
+		switch c.breakers.State(n) {
 		case core.BreakerOpen:
 			if len(w.leases) > 0 {
 				continue // canary requires an idle worker
@@ -648,8 +642,8 @@ func (c *Coordinator) holdsLease(d *dispatchState, w *remoteWorker, t int) bool 
 	return false
 }
 
-// partitionSeed derives the deterministic decision seed for one chaos
-// partition check from the task identity and the assignment ordinal.
+// partitionSeed derives the seed the fault ledger records for one chaos
+// partition from the task identity and the assignment ordinal.
 func partitionSeed(t core.PairTask, seq uint64) uint64 {
 	return Fingerprint(fmt.Sprintf("partition|%d|%d|%d|%d|%d", t.Cycle, t.Setting, t.A, t.B, seq))
 }

@@ -229,18 +229,30 @@ func (f *fakeWorker) awaitAssign() *msg {
 
 // TestWorkerDeathRedispatch: a worker that dies holding a lease — or is
 // dropped for answering it with a pair that carries raw trials and no
-// sketches, the shape older builds shipped under -exact-stats — has its
-// pair re-queued and executed by a survivor; the dispatch still
-// completes with every result delivered exactly once.
+// sketches, the shape older builds shipped under -exact-stats, with a
+// pair whose sketches hold more samples than it counted trials, or
+// with a skipped pair — has its pair re-queued and executed by a
+// survivor; the dispatch still completes with every result delivered
+// exactly once.
 func TestWorkerDeathRedispatch(t *testing.T) {
-	for name, fail := range map[string]func(f *fakeWorker, assign *msg){
-		"dies mid-lease": func(f *fakeWorker, _ *msg) { f.fc.close() },
-		"ships a raw-sample outcome": func(f *fakeWorker, assign *msg) {
-			raw := json.RawMessage(`{"Incumbent":"iPerf (Reno)","Contender":"iPerf (Reno)","Trials":[{"Mbps":[4,4],"SharePct":[100,100]}]}`)
-			if err := f.fc.write(&msg{Type: msgResult, Lease: assign.Lease, Outcome: raw}, time.Second); err != nil {
-				t.Fatalf("raw-sample result write: %v", err)
+	ship := func(outcome string) func(f *fakeWorker, assign *msg) {
+		return func(f *fakeWorker, assign *msg) {
+			if err := f.fc.write(&msg{Type: msgResult, Lease: assign.Lease, Outcome: json.RawMessage(outcome)}, time.Second); err != nil {
+				t.Fatalf("result write: %v", err)
 			}
-		},
+		}
+	}
+	honest, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), allPairs(1)[0])
+	honest.Sketches.N++
+	miscounted, err := json.Marshal(honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fail := range map[string]func(f *fakeWorker, assign *msg){
+		"dies mid-lease":             func(f *fakeWorker, _ *msg) { f.fc.close() },
+		"ships a raw-sample outcome": ship(`{"Incumbent":"iPerf (Reno)","Contender":"iPerf (Reno)","Trials":[{"Mbps":[4,4],"SharePct":[100,100]}]}`),
+		"ships a miscounted outcome": ship(string(miscounted)),
+		"ships a skipped outcome":    ship(`{"Incumbent":"iPerf (Reno)","Contender":"iPerf (Reno)","Skipped":true}`),
 	} {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
@@ -330,12 +342,12 @@ func TestStragglerDuplicateDropped(t *testing.T) {
 // canary pair; success closes the breaker with a clean score and
 // normal assignment resumes.
 func TestBreakerCanary(t *testing.T) {
-	bs := &core.BreakerSet{}
-	bs.Penalize("w1", 5) // open before the fleet even starts
-	if bs.State("w1") != core.BreakerOpen {
-		t.Fatal("setup: breaker not open")
-	}
-	coord := startTestCoordinator(t, func(c *Coordinator) { c.Breakers = bs })
+	coord := startTestCoordinator(t, func(c *Coordinator) {
+		c.breakers.Penalize("w1", core.DefaultBreakerThreshold) // open before the fleet even starts
+		if c.breakers.State("w1") != core.BreakerOpen {
+			t.Fatal("setup: breaker not open")
+		}
+	})
 	startTestWorker(t, "w1", coord.Addr())
 	if err := coord.WaitForWorkers(1, 10*time.Second); err != nil {
 		t.Fatal(err)

@@ -13,13 +13,16 @@ import (
 	"prudentia/internal/services"
 )
 
-// Worker default tuning.
+// Worker tuning. dialTimeout bounds each connection attempt, and
+// maxDialFailures bounds consecutive failed attempts before Run gives
+// up: a coordinator restart must complete within roughly
+// maxDialFailures × BackoffMax.
 const (
-	defaultDialTimeout     = 5 * time.Second
-	defaultWorkerReadTime  = 15 * time.Second
-	defaultBackoffBase     = 100 * time.Millisecond
-	defaultBackoffMax      = 5 * time.Second
-	defaultMaxDialFailures = 20
+	dialTimeout           = 5 * time.Second
+	defaultWorkerReadTime = 15 * time.Second
+	defaultBackoffBase    = 100 * time.Millisecond
+	defaultBackoffMax     = 5 * time.Second
+	maxDialFailures       = 20
 )
 
 // RejectedError is the terminal handshake failure: the coordinator
@@ -72,15 +75,10 @@ type Worker struct {
 	// then redials with backoff.
 	ReadTimeout time.Duration
 
-	// DialTimeout bounds each connection attempt; BackoffBase and
-	// BackoffMax shape the capped exponential redial backoff; and
-	// MaxDialFailures bounds consecutive failed attempts before Run
-	// gives up (a coordinator restart must complete within roughly
-	// MaxDialFailures × BackoffMax).
-	DialTimeout     time.Duration
-	BackoffBase     time.Duration
-	BackoffMax      time.Duration
-	MaxDialFailures int
+	// BackoffBase and BackoffMax shape the capped exponential redial
+	// backoff.
+	BackoffBase time.Duration
+	BackoffMax  time.Duration
 
 	// Progress, if non-nil, receives human-readable connection and task
 	// lines. Called from task goroutines too: must be concurrency-safe.
@@ -99,20 +97,6 @@ func (w *Worker) readTimeout() time.Duration {
 		return w.ReadTimeout
 	}
 	return defaultWorkerReadTime
-}
-
-func (w *Worker) dialTimeout() time.Duration {
-	if w.DialTimeout > 0 {
-		return w.DialTimeout
-	}
-	return defaultDialTimeout
-}
-
-func (w *Worker) maxDialFailures() int {
-	if w.MaxDialFailures > 0 {
-		return w.MaxDialFailures
-	}
-	return defaultMaxDialFailures
 }
 
 // backoff returns the pause before attempt n (1-based): BackoffBase
@@ -151,11 +135,11 @@ func (w *Worker) Run() error {
 	fails := 0
 	var lastErr error
 	for {
-		conn, err := net.DialTimeout("tcp", w.Coordinator, w.dialTimeout())
+		conn, err := net.DialTimeout("tcp", w.Coordinator, dialTimeout)
 		if err != nil {
 			fails++
 			lastErr = err
-			if fails >= w.maxDialFailures() {
+			if fails >= maxDialFailures {
 				return fmt.Errorf("fleet: worker %s: giving up after %d dial failures: %w", w.Name, fails, lastErr)
 			}
 			pause := w.backoff(fails)

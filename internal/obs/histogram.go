@@ -29,8 +29,12 @@ func newHistogram(buckets []float64) *Histogram {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of one value at the cost of one, for
+// replaying a summary whose buckets count many samples each.
+func (h *Histogram) ObserveN(v float64, n int64) {
+	if h == nil || math.IsNaN(v) || n <= 0 {
 		return
 	}
 	// Linear scan: bucket counts are small (≤ ~20) and the loop is
@@ -39,9 +43,9 @@ func (h *Histogram) Observe(v float64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sumMicros.Add(int64(math.Round(v * 1e6)))
+	h.counts[i].Add(n)
+	h.count.Add(n)
+	h.sumMicros.Add(n * int64(math.Round(v*1e6)))
 }
 
 // Count returns the number of observations.

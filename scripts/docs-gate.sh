@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Docs gate: the documents that describe the system as it is name only
-# flags, tests and commands that exist. Checked: every inline code span
-# that starts with a flag or with one of our commands, every command line
-# in a fenced block that runs one of them, every Test*/Benchmark*/Fuzz*
-# name in an inline span (a trailing * or { makes it a prefix), and every
-# `go run ./cmd/<x>` or `go run ./examples/<x>` directory. CHANGES.md,
+# flags, tests, commands and symbols that exist. Checked: every inline
+# code span that starts with a flag or with one of our commands, every
+# command line in a fenced block that runs one of them, every
+# Test*/Benchmark*/Fuzz* name in an inline span (a trailing * or { makes
+# it a prefix), every `go run ./cmd/<x>` or `go run ./examples/<x>`
+# directory, and every inline span that is a `pkg.Symbol` or
+# `pkg.Type.Member`, which `go doc` must find (our packages by
+# directory, standard ones by name). CHANGES.md,
 # ROADMAP.md and ISSUE.md are history and plans — they name what was
 # removed on purpose — and PAPER(S).md/SNIPPETS.md are not about this
 # code, so none of them is read here.
@@ -26,6 +29,7 @@ flags="$(
 tests="$(go test -list . ./... | grep -E '^(Test|Benchmark|Fuzz)')"
 
 bad=0
+declare -A documented # pkg.Symbol -> 1 (found) or 0, so go doc runs once per symbol
 for doc in "${DOCS[@]}"; do
     [ -e "$doc" ] || continue
     # Inline spans may wrap across lines: drop fenced blocks, then match
@@ -55,6 +59,18 @@ for doc in "${DOCS[@]}"; do
             *[*{]) grep -q "^${name%?}" <<<"$tests" ;;
             *) grep -qx "$name" <<<"$tests" ;;
         esac || { echo "ci: $doc names $name, which go test -list does not" >&2; bad=1; }
+    done
+    for sym in $({ grep -xE '[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*(\.[A-Za-z][A-Za-z0-9_]*)?' <<<"$inline" || true; } | sort -u); do
+        if [ -z "${documented[$sym]+set}" ]; then
+            pkg="${sym%%.*}"
+            case "$pkg" in
+                prudentia) dir=. ;;
+                *) dir="$pkg"; [ -d "internal/$pkg" ] && dir="./internal/$pkg" ;;
+            esac
+            documented[$sym]=0
+            go doc "$dir" "${sym#*.}" >/dev/null 2>&1 && documented[$sym]=1
+        fi
+        [ "${documented[$sym]}" -eq 1 ] || { echo "ci: $doc names $sym, which go doc does not find" >&2; bad=1; }
     done
 done
 [ "$bad" -eq 0 ] || { echo "ci: docs gate failed" >&2; exit 1; }
