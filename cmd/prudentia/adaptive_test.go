@@ -13,8 +13,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"prudentia/internal/obs"
 )
 
 // TestEndToEndAdaptiveRun: -adaptive completes a cycle, stamps the
@@ -32,10 +30,7 @@ func TestEndToEndAdaptiveRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("adaptive run: %v\n%s", err, out)
 	}
-	m, err := obs.ReadManifest(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := readManifest(t, filepath.Join(dir, "manifest.json"))
 	if !m.AdaptiveEnabled {
 		t.Fatal("manifest does not record adaptive mode")
 	}

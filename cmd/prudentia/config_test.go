@@ -20,7 +20,6 @@ import (
 	"prudentia/internal/core"
 	"prudentia/internal/fleet"
 	"prudentia/internal/netem"
-	"prudentia/internal/obs"
 	"prudentia/internal/sim"
 )
 
@@ -311,7 +310,7 @@ func longerQuickTiming(s core.Spec) core.Spec {
 
 // TestManifestRecordsTheRecipe: the manifest of a `-setting both` run
 // names each setting's own tolerance and the rest of what "re-run it
-// exactly" needs, survives obs.ReadManifest, and is the value the
+// exactly" needs, decodes back into an obs.Manifest, and is the value the
 // fingerprint hashes.
 func TestManifestRecordsTheRecipe(t *testing.T) {
 	w := mustWatchdog(t, "-setting", "both", "-seed", "5", "-adaptive", "-max-trial-wall", "50")
@@ -319,10 +318,7 @@ func TestManifestRecordsTheRecipe(t *testing.T) {
 	if err := w.BuildManifest(nil, nil).Write(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := obs.ReadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := readManifest(t, path)
 	if m.BaseSeed != 5 || !m.AdaptiveEnabled || m.ChaosEnabled || len(m.Services) != len(w.Services) {
 		t.Errorf("manifest envelope: %+v", m)
 	}

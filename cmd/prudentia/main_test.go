@@ -5,9 +5,12 @@ package main
 // artifacts to exist, parse, and reconcile with each other.
 
 import (
+	"encoding/json"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -44,14 +47,36 @@ func runCycle(t *testing.T, bin string, seed string) string {
 	return dir
 }
 
+// deterministic drops the metrics that time this host: by convention each
+// carries "wall" in its name. What remains is a pure function of the
+// seeded work, so reruns and worker counts must agree on it.
+func deterministic(s obs.Snapshot) obs.Snapshot {
+	wall := func(name string) bool { return strings.Contains(name, "wall") }
+	maps.DeleteFunc(s.Counters, func(k string, _ int64) bool { return wall(k) })
+	maps.DeleteFunc(s.Gauges, func(k string, _ float64) bool { return wall(k) })
+	maps.DeleteFunc(s.Histograms, func(k string, _ obs.HistogramSnapshot) bool { return wall(k) })
+	return s
+}
+
+// readManifest decodes a manifest the binary wrote.
+func readManifest(t *testing.T, path string) obs.Manifest {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m obs.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("parse manifest %s: %v", path, err)
+	}
+	return m
+}
+
 func TestEndToEndObservabilityArtifacts(t *testing.T) {
 	dir := runCycle(t, buildBinary(t), "42")
 
 	// Manifest: schema, flag echo, and the reconciliation identity.
-	m, err := obs.ReadManifest(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := readManifest(t, filepath.Join(dir, "manifest.json"))
 	if m.Schema != obs.ManifestSchema {
 		t.Fatalf("manifest schema = %q", m.Schema)
 	}
@@ -133,15 +158,12 @@ func TestEndToEndObservabilityArtifacts(t *testing.T) {
 func TestEndToEndSeededDeterminism(t *testing.T) {
 	bin := buildBinary(t)
 	read := func(dir string) obs.Snapshot {
-		m, err := obs.ReadManifest(filepath.Join(dir, "manifest.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Metrics.StripWallClock()
+		m := readManifest(t, filepath.Join(dir, "manifest.json"))
+		return deterministic(m.Metrics)
 	}
 	a := read(runCycle(t, bin, "7"))
 	b := read(runCycle(t, bin, "7"))
-	if !a.Equal(b) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("identical seeded runs produced different metric snapshots")
 	}
 	if a.Counters["prudentia_trials_completed_total"] == 0 {

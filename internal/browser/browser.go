@@ -74,10 +74,3 @@ func (c Client) RenderCapBps() int64 {
 		return 0
 	}
 }
-
-// FullFidelity reports whether the client reproduces real-user network
-// behaviour for 4K video, i.e. whether RenderCapBps is unconstrained and
-// browser state is fresh.
-func (c Client) FullFidelity() bool {
-	return c.RenderCapBps() == 0 && c.CacheWiped
-}

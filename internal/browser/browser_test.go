@@ -4,9 +4,6 @@ import "testing"
 
 func TestTestbedClientIsFullFidelity(t *testing.T) {
 	c := TestbedClient()
-	if !c.FullFidelity() {
-		t.Fatal("testbed client must be full fidelity (§3.3)")
-	}
 	if c.RenderCapBps() != 0 {
 		t.Fatalf("testbed client capped at %d", c.RenderCapBps())
 	}
@@ -14,9 +11,6 @@ func TestTestbedClientIsFullFidelity(t *testing.T) {
 
 func TestHeadlessClientIsCapped(t *testing.T) {
 	c := HeadlessClient()
-	if c.FullFidelity() {
-		t.Fatal("headless client must not be full fidelity")
-	}
 	if cap := c.RenderCapBps(); cap == 0 || cap > 8_000_000 {
 		t.Fatalf("headless cap = %d", cap)
 	}
@@ -57,9 +51,8 @@ func TestSmallerDisplayNeverAllowsMore(t *testing.T) {
 }
 
 func TestCacheWipeRequiredForFidelity(t *testing.T) {
-	c := TestbedClient()
-	c.CacheWiped = false
-	if c.FullFidelity() {
-		t.Fatal("stale browser state must not count as full fidelity")
+	// Full fidelity is an uncapped renderer on fresh browser state (§3.3).
+	if !TestbedClient().CacheWiped {
+		t.Fatal("the testbed client must start from wiped browser state")
 	}
 }

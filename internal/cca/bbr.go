@@ -63,15 +63,6 @@ type BBRVariant struct {
 	NoPacing bool
 }
 
-// BBRUnpaced returns the cwnd-driven BBRv1 flavour Mega's servers
-// exhibit.
-func BBRUnpaced() BBRVariant {
-	v := BBRLinux415()
-	v.Label = "unpaced"
-	v.NoPacing = true
-	return v
-}
-
 // BBRLinux415 is the BBRv1 tree the paper's 2022-era iPerf baseline ran.
 func BBRLinux415() BBRVariant {
 	return BBRVariant{
@@ -176,14 +167,8 @@ func NewBBR(cfg Config, variant BBRVariant, rng *sim.RNG) *BBRAlg {
 // Name implements Algorithm.
 func (b *BBRAlg) Name() string { return fmt.Sprintf("bbr1/%s", b.variant.Label) }
 
-// State exposes the current state for tests and traces.
-func (b *BBRAlg) State() string { return b.state.String() }
-
 // BtlBw returns the current bottleneck-bandwidth estimate in bytes/sec.
 func (b *BBRAlg) BtlBw() int64 { return b.bwFilter.Max() }
-
-// RTProp returns the current min-RTT estimate.
-func (b *BBRAlg) RTProp() sim.Time { return b.rtProp }
 
 func (b *BBRAlg) updateBw(s AckSample) {
 	if s.DeliveryRate <= 0 {

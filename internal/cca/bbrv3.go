@@ -14,20 +14,6 @@ const (
 	bbr3Up
 )
 
-func (p bbr3Phase) String() string {
-	switch p {
-	case bbr3Down:
-		return "down"
-	case bbr3Cruise:
-		return "cruise"
-	case bbr3Refill:
-		return "refill"
-	case bbr3Up:
-		return "up"
-	}
-	return "unknown"
-}
-
 // BBRv3Alg implements the BBRv3 algorithm as described in the IETF CCWG
 // material the paper cites [5]: the v1 model (windowed-max bandwidth,
 // windowed-min RTT) extended with an explicit loss response (the
@@ -103,14 +89,6 @@ func NewBBRv3(cfg Config, rng *sim.RNG) *BBRv3Alg {
 
 // Name implements Algorithm.
 func (b *BBRv3Alg) Name() string { return "bbr3" }
-
-// State exposes state+phase for tests and traces.
-func (b *BBRv3Alg) State() string {
-	if b.state == bbrProbeBW {
-		return "probe_bw/" + b.phase.String()
-	}
-	return b.state.String()
-}
 
 // maxBw returns the windowed-max bandwidth estimate.
 func (b *BBRv3Alg) maxBw() int64 { return b.bwFilter.Max() }

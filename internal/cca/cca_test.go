@@ -162,17 +162,17 @@ func TestBBRStartupExitsOnPlateau(t *testing.T) {
 	b := NewBBR(Config{}, BBRVariant{
 		Label: "test", HighGain: 2.885, DrainGain: 1 / 2.885, CwndGainProbeBW: 2,
 	}, sim.NewRNG(1))
-	if b.State() != "startup" {
-		t.Fatalf("initial state = %s", b.State())
+	if b.state.String() != "startup" {
+		t.Fatalf("initial state = %s", b.state.String())
 	}
 	// Constant delivery rate: bandwidth stops growing, so after ~3 rounds
 	// the pipe is declared full and we eventually reach probe_bw.
 	feedBBR(b, 50*sim.Millisecond, 1_250_000, 20)
-	if b.State() == "startup" {
+	if b.state.String() == "startup" {
 		t.Fatalf("BBR never left startup")
 	}
-	if b.State() != "probe_bw" {
-		t.Fatalf("state = %s, want probe_bw", b.State())
+	if b.state.String() != "probe_bw" {
+		t.Fatalf("state = %s, want probe_bw", b.state.String())
 	}
 }
 
@@ -232,11 +232,11 @@ func TestBBRProbeRTTOnStaleMinRTT(t *testing.T) {
 			TotalDelivered: int64(i+1000) * 15000, PacketDelivered: int64(i+1000) * 15000, DeliveryRate: 1_250_000,
 			Inflight: 40,
 		})
-		if b.State() == "probe_rtt" {
+		if b.state.String() == "probe_rtt" {
 			return
 		}
 	}
-	t.Fatalf("BBR never entered probe_rtt; state=%s", b.State())
+	t.Fatalf("BBR never entered probe_rtt; state=%s", b.state.String())
 }
 
 func TestBBRVariantsDiffer(t *testing.T) {

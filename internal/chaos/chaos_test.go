@@ -184,7 +184,7 @@ func TestScheduleIndependence(t *testing.T) {
 }
 
 // TestBrownoutBudget: a brownout consumes exactly Trials units, only
-// for matching names, and reports recovery via Remaining.
+// for matching names, and then lets the service recover.
 func TestBrownoutBudget(t *testing.T) {
 	b := &Brownout{Service: "S", Trials: 3}
 	c := &Config{Brownouts: []*Brownout{b}}
@@ -202,8 +202,8 @@ func TestBrownoutBudget(t *testing.T) {
 	if got := c.BrownoutFor("S"); got != "" {
 		t.Fatalf("budget overrun: %q", got)
 	}
-	if b.Remaining() != 0 {
-		t.Fatalf("Remaining = %d", b.Remaining())
+	if taken := b.taken.Load(); taken != 3 {
+		t.Fatalf("spent %d units of a 3-trial budget", taken)
 	}
 	var nilCfg *Config
 	if got := nilCfg.BrownoutFor("S"); got != "" {

@@ -48,11 +48,9 @@ type DiskPlan struct {
 	// (nothing is written when it fires).
 	WriteErrRate float64
 	// TornTailRate is the per-sync probability that the file's tail is
-	// truncated by 1..TornMaxBytes bytes before the sync reports
+	// truncated by 1..tornMaxBytes bytes before the sync reports
 	// ErrInjectedSyncFail.
 	TornTailRate float64
-	// TornMaxBytes bounds how much a torn sync cuts; 0 means 16.
-	TornMaxBytes int
 	// StallRate is the per-sync probability of sleeping Stall before
 	// the sync proceeds (a slow device, not a failure).
 	StallRate float64
@@ -62,18 +60,12 @@ type DiskPlan struct {
 	ops atomic.Uint64
 }
 
+// tornMaxBytes bounds how much a torn sync cuts.
+const tornMaxBytes = 16
+
 // Enabled reports whether any disk-fault class is armed. Safe on nil.
 func (p *DiskPlan) Enabled() bool {
 	return p != nil && (p.WriteErrRate > 0 || p.TornTailRate > 0 || p.StallRate > 0)
-}
-
-// Ops reports how many fault decisions the plan has made — one per
-// write and one per sync on wrapped files. Safe on nil.
-func (p *DiskPlan) Ops() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.ops.Load()
 }
 
 // decide draws one uniform [0,1) value for the next operation under the
@@ -98,11 +90,7 @@ func (p *DiskPlan) syncFault() (stall time.Duration, torn int) {
 		}
 	}
 	if p.TornTailRate > 0 && p.decide(saltDiskTear) < p.TornTailRate {
-		max := p.TornMaxBytes
-		if max <= 0 {
-			max = 16
-		}
-		torn = 1 + int(mix(p.Seed^p.ops.Load()^saltDiskTear)%uint64(max))
+		torn = 1 + int(mix(p.Seed^p.ops.Load()^saltDiskTear)%tornMaxBytes)
 	}
 	return stall, torn
 }
@@ -128,11 +116,6 @@ func DefaultDiskPlan(seed uint64) *DiskPlan {
 type FaultyFile struct {
 	f    *os.File
 	plan *DiskPlan
-
-	// Injection bookkeeping (observable by tests and logs).
-	writesFailed atomic.Int64
-	syncsTorn    atomic.Int64
-	syncsStalled atomic.Int64
 }
 
 // WrapFile wraps f with the plan's fault decisions. With a nil or
@@ -152,24 +135,17 @@ func (p *DiskPlan) WrapFunc() journal.WrapFunc {
 	return func(f *os.File) journal.File { return WrapFile(f, p) }
 }
 
-// InjectedFaults reports how many writes failed and how many syncs were
-// torn or stalled on this file.
-func (ff *FaultyFile) InjectedFaults() (writesFailed, syncsTorn, syncsStalled int64) {
-	return ff.writesFailed.Load(), ff.syncsTorn.Load(), ff.syncsStalled.Load()
-}
-
 // Write delegates to the wrapped file unless the plan injects ENOSPC,
 // in which case nothing is written.
 func (ff *FaultyFile) Write(p []byte) (int, error) {
 	if ff.plan.Enabled() && ff.plan.writeErr() {
-		ff.writesFailed.Add(1)
 		return 0, fmt.Errorf("%w (%d bytes dropped)", ErrInjectedDiskFull, len(p))
 	}
 	return ff.f.Write(p)
 }
 
 // Sync applies the plan's sync fate: an injected stall sleeps first; an
-// injected torn tail truncates up to TornMaxBytes from the file's end
+// injected torn tail truncates up to tornMaxBytes from the file's end
 // (never past offset zero), syncs the truncation so the tear is what
 // recovery actually reads, and reports ErrInjectedSyncFail. A clean
 // decision delegates to the real fsync.
@@ -179,7 +155,6 @@ func (ff *FaultyFile) Sync() error {
 	}
 	stall, torn := ff.plan.syncFault()
 	if stall > 0 {
-		ff.syncsStalled.Add(1)
 		time.Sleep(stall)
 	}
 	if torn > 0 {
@@ -191,7 +166,6 @@ func (ff *FaultyFile) Sync() error {
 			}
 			if terr := ff.f.Truncate(st.Size() - cut); terr == nil {
 				ff.f.Sync()
-				ff.syncsTorn.Add(1)
 				return fmt.Errorf("%w (%d bytes torn)", ErrInjectedSyncFail, cut)
 			}
 		}
@@ -211,6 +185,3 @@ func (ff *FaultyFile) Truncate(size int64) error { return ff.f.Truncate(size) }
 
 // Close delegates to the wrapped file.
 func (ff *FaultyFile) Close() error { return ff.f.Close() }
-
-// Name reports the wrapped file's path.
-func (ff *FaultyFile) Name() string { return ff.f.Name() }

@@ -6,16 +6,16 @@ import "testing"
 // unit of budget; a spent partition never fires again.
 func TestPartitionBudget(t *testing.T) {
 	cfg := &Config{Partitions: []*WorkerPartition{{Times: 2}}}
-	if cfg.Partitions[0].Remaining() != 2 {
-		t.Fatalf("fresh Remaining = %d, want 2", cfg.Partitions[0].Remaining())
+	if taken := cfg.Partitions[0].taken.Load(); taken != 0 {
+		t.Fatalf("fresh partition has spent %d, want 0", taken)
 	}
 	for i := 0; i < 2; i++ {
 		if !cfg.TakePartition() {
 			t.Fatalf("assignment %d: partition did not fire with budget left", i)
 		}
 	}
-	if cfg.Partitions[0].Remaining() != 0 {
-		t.Fatalf("Remaining after 2 fires = %d, want 0", cfg.Partitions[0].Remaining())
+	if taken := cfg.Partitions[0].taken.Load(); taken != 2 {
+		t.Fatalf("spent after 2 fires = %d, want 2", taken)
 	}
 	for i := 0; i < 5; i++ {
 		if cfg.TakePartition() {

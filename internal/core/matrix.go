@@ -16,8 +16,8 @@ import (
 // exactly the live system's behaviour.
 //
 // The scheduler is crash-safe: a panicking or erroring trial becomes a
-// recorded failure, failed attempts retry with fresh seeds under capped
-// exponential backoff, pairs that keep failing are quarantined
+// recorded failure, failed attempts retry at once with fresh seeds,
+// pairs that keep failing are quarantined
 // (Failed), and corrupt results are discarded by the validity gate. No
 // trial fault ever propagates out of Run; the only error Run returns is
 // ErrInterrupted when the Interrupt hook requests a graceful stop.
@@ -78,19 +78,15 @@ type Matrix struct {
 	// flight. Must be concurrency-safe when Workers > 1.
 	Interrupt func() bool
 
-	// OnPair, if non-nil, is invoked each time a pair reaches a final
-	// state. Pairs are delivered in canonical catalog order regardless
-	// of Workers, always from the goroutine that called Run.
-	OnPair func(key string, out *PairOutcome)
-
 	// OnFault, if non-nil, receives the live robustness ledger:
 	// failures, retries, discards, corrupt results, quarantines. Events
 	// are delivered grouped per pair in canonical order, always from
 	// the goroutine that called Run.
 	OnFault func(ev FaultEvent)
 
-	// Progress, if non-nil, receives a line per completed pair (same
-	// ordering and goroutine guarantees as OnPair).
+	// Progress, if non-nil, receives a line per pair that reached a final
+	// state. Pairs are delivered in canonical catalog order regardless of
+	// Workers, always from the goroutine that called Run.
 	Progress func(format string, args ...any)
 
 	// Obs, if non-nil, receives telemetry: trial/pair counters folded
@@ -132,9 +128,6 @@ func (m *Matrix) Run() (*MatrixResult, error) {
 				label := out.Incumbent + " vs " + out.Contender
 				m.Obs.pairSkipped(label, open)
 				m.fault(FaultEvent{Pair: label, Kind: "breaker_skip", Detail: "breaker open: " + open})
-				if m.OnPair != nil {
-					m.OnPair(key, out)
-				}
 				if m.Progress != nil {
 					m.Progress("pair %s: SKIPPED (breaker open: %s)", label, open)
 				}
@@ -194,7 +187,7 @@ func (m *Matrix) skipPair(i, j int) (openService string, skip bool) {
 }
 
 // finish publishes a pair that reached a final state: breaker scores,
-// registry counters and the OnPair hook are all derived here, from the
+// registry counters and the Progress line are all derived here, from the
 // outcome, on the canonical release path — the only one, which executed,
 // replayed and fleet pairs alike go through — so they are ordered and
 // identical for any worker count and across a resume.
@@ -202,9 +195,6 @@ func (m *Matrix) finish(st *pairState) {
 	m.Breakers.scorePair(st.outcome)
 	m.Obs.foldPair(st.outcome)
 	m.Obs.pairDone(st)
-	if m.OnPair != nil {
-		m.OnPair(st.key, st.outcome)
-	}
 	if m.Progress == nil {
 		return
 	}

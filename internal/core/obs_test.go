@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -40,14 +42,14 @@ func TestObsSnapshotDeterminism(t *testing.T) {
 		if _, err := w.RunCycle(); err != nil {
 			t.Fatalf("cycle (workers=%d): %v", workers, err)
 		}
-		return reg.Snapshot().StripWallClock()
+		return deterministic(reg.Snapshot())
 	}
 	serial := run(1)
-	if again := run(1); !serial.Equal(again) {
+	if again := run(1); !reflect.DeepEqual(serial, again) {
 		t.Fatal("re-running an identical seeded cycle changed the snapshot")
 	}
 	for _, nw := range []int{2, 4} {
-		if par := run(nw); !serial.Equal(par) {
+		if par := run(nw); !reflect.DeepEqual(serial, par) {
 			t.Fatalf("snapshot at %d workers differs from serial", nw)
 		}
 	}
@@ -234,12 +236,12 @@ func TestObsRegistryParityLocalVsFleet(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatalf("matrix (remote=%v): %v", remote, err)
 		}
-		s := reg.Snapshot().StripWallClock()
+		s := deterministic(reg.Snapshot())
 		s.Histograms = nil
 		return s
 	}
 	local, fleet := run(false), run(true)
-	if !local.Equal(fleet) {
+	if !reflect.DeepEqual(local, fleet) {
 		t.Errorf("registry differs between local and fleet execution:\nlocal %v %v\nfleet %v %v",
 			local.Counters, local.Gauges, fleet.Counters, fleet.Gauges)
 	}
@@ -268,13 +270,20 @@ func TestInterruptedRegistryNamesOnlyReleasedPairs(t *testing.T) {
 		var firstRelease atomic.Bool
 		var pollsSince atomic.Int64
 		m.Interrupt = func() bool { return firstRelease.Load() && pollsSince.Add(1) > int64(workers) }
-		var released []*PairOutcome
-		m.OnPair = func(_ string, out *PairOutcome) {
-			released = append(released, out)
+		releasedLabels := map[string]bool{}
+		m.Progress = func(format string, args ...any) {
+			releasedLabels[releasedLabel(fmt.Sprintf(format, args...))] = true
 			firstRelease.Store(true)
 		}
-		if _, err := m.Run(); !errors.Is(err, ErrInterrupted) {
+		res, err := m.Run()
+		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("workers=%d: Run returned %v, want ErrInterrupted", workers, err)
+		}
+		var released []*PairOutcome
+		for _, o := range res.Pairs {
+			if releasedLabels[o.Incumbent+" vs "+o.Contender] {
+				released = append(released, o)
+			}
 		}
 		if err := tl.Close(); err != nil {
 			t.Fatal(err)

@@ -115,25 +115,11 @@ const (
 	// rejected) trials before a pair is marked Unstable.
 	maxDiscards = 10
 	// maxFailures bounds erroring/panicking attempts before a pair is
-	// quarantined (marked Failed). Failed attempts retry with fresh
-	// seeds under capped exponential backoff in scheduler rounds.
+	// quarantined (marked Failed). Failed attempts retry at once with
+	// fresh seeds: a trial simulates on its own engine, so waiting would
+	// change nothing it computes.
 	maxFailures = 3
-	// maxBackoffRounds caps that backoff (in scheduler rounds, i.e.
-	// virtual attempts the pair sits out).
-	maxBackoffRounds = 8
 )
-
-// backoffRounds returns the capped exponential backoff after the n-th
-// failure (1-based): 1, 2, 4, 8, 8, ...
-func backoffRounds(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	if n > 4 {
-		return maxBackoffRounds
-	}
-	return 1 << (n - 1)
-}
 
 // PairOutcome aggregates all counted trials of one service pair. One
 // experiment yields two numbers (§2.2): slot 0 is the incumbent's view,

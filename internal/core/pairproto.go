@@ -18,17 +18,16 @@ import (
 
 // pairState tracks one unordered pair through the trial protocol.
 type pairState struct {
-	a, b     int // indices into the catalog (a <= b)
-	key      string
-	seedID   uint64
-	outcome  *PairOutcome
-	target   int // trials to run before the next CI evaluation
-	budget   int // adaptive trial ceiling (0 = opts.MaxTrials)
-	attempt  int // every attempt: counted, discarded, corrupt, or failed
-	cooldown int // protocol rounds to sit out (retry backoff)
-	done     bool
-	svcA     services.Service
-	svcB     services.Service
+	a, b    int // indices into the catalog (a <= b)
+	key     string
+	seedID  uint64
+	outcome *PairOutcome
+	target  int // trials to run before the next CI evaluation
+	budget  int // adaptive trial ceiling (0 = opts.MaxTrials)
+	attempt int // every attempt: counted, discarded, corrupt, or failed
+	done    bool
+	svcA    services.Service
+	svcB    services.Service
 
 	// Adaptive-stopper state (transient: both are reconstructed
 	// deterministically by the protocol itself, so they are never
@@ -203,10 +202,6 @@ func (pp *pairProtocol) run(st *pairState, interrupt func() bool) bool {
 		if interrupt != nil && interrupt() {
 			return false
 		}
-		if st.cooldown > 0 {
-			st.cooldown--
-			continue
-		}
 		pp.runOne(st)
 		pp.evaluate(st)
 	}
@@ -216,8 +211,8 @@ func (pp *pairProtocol) run(st *pairState, interrupt func() bool) bool {
 // runOne executes a single counted trial for the pair, retrying
 // noise-discarded and validity-gate-rejected trials immediately (each
 // with a fresh seed). A failing attempt — injected error or recovered
-// panic — records a TrialFailure and returns so the pair backs off;
-// maxFailures quarantines the pair.
+// panic — records a TrialFailure and returns, so the next round retries
+// with the next seed; maxFailures quarantines the pair.
 func (pp *pairProtocol) runOne(st *pairState) {
 	label := st.pairLabel()
 	for {
@@ -241,9 +236,8 @@ func (pp *pairProtocol) runOne(st *pairState) {
 					Detail: fmt.Sprintf("%d failures", len(st.outcome.Failures))})
 			} else {
 				st.outcome.Retries++
-				st.cooldown = backoffRounds(len(st.outcome.Failures))
 				pp.emit(FaultEvent{Pair: label, Kind: "retry", Attempt: attempt, Seed: seed,
-					Detail: fmt.Sprintf("backoff %d rounds", st.cooldown)})
+					Detail: fmt.Sprintf("failure %d of %d", len(st.outcome.Failures), maxFailures)})
 			}
 			return
 		case "discard":

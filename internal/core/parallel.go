@@ -25,7 +25,7 @@ import (
 // returns its value (a pair's buffered ledger events, a calibration's
 // reading) and release — always on the goroutine that called
 // runOrdered, strictly in index order, streamed as the canonical prefix
-// completes — turns it into OnFault/OnPair/Progress traffic. The
+// completes — turns it into OnFault/Progress traffic. The
 // released byte stream is therefore identical for any worker count,
 // including 1; and since every attempt is journaled before its task
 // returns, a crash mid-cycle finds every released task on disk.
@@ -190,7 +190,7 @@ func (m *Matrix) runAll(states []*pairState, opts SchedulerOptions) (interrupted
 
 // releasePair returns the pair matrix's release half, shared by the
 // local pool and the remote runner: a finished pair's ledger events,
-// then breaker scoring, telemetry, OnPair and the Progress line
+// then breaker scoring, telemetry and the Progress line
 // (Matrix.finish).
 func (m *Matrix) releasePair(states []*pairState) func(i int, events []FaultEvent) {
 	return func(i int, events []FaultEvent) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -339,8 +340,8 @@ func TestRunOrdered(t *testing.T) {
 // checkpoint-only resume re-runs that pair from attempt 0 and emits them
 // again, so a leaked event is double-counted across the two processes'
 // ledgers. Every event delivered to OnFault therefore names a pair that
-// was also released through OnPair, for any worker count and any
-// interruption point.
+// was also released (it has a Progress line), for any worker count and
+// any interruption point.
 func TestInterruptedLedgerNamesOnlyReleasedPairs(t *testing.T) {
 	net := netem.HighlyConstrained()
 	svcs := threeServices()
@@ -359,8 +360,8 @@ func TestInterruptedLedgerNamesOnlyReleasedPairs(t *testing.T) {
 				Workers:   workers,
 				Interrupt: func() bool { return polls.Add(1) > after },
 				OnFault:   func(ev FaultEvent) { events = append(events, ev) },
-				OnPair: func(key string, out *PairOutcome) {
-					released[out.Incumbent+" vs "+out.Contender] = true
+				Progress: func(format string, args ...any) {
+					released[releasedLabel(fmt.Sprintf(format, args...))] = true
 				},
 			}
 			if _, err := m.Run(); err == nil {

@@ -137,7 +137,7 @@ func TestRemoteDurationsReplayBuckets(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	NewInstruments(reg, nil).remoteSimDurations(out)
-	if got := reg.Histogram("prudentia_trial_sim_seconds", nil).Count(); got != claimed {
+	if got := reg.Snapshot().Histograms["prudentia_trial_sim_seconds"].Count; got != claimed {
 		t.Fatalf("replayed %d durations, want %d", got, claimed)
 	}
 }

@@ -72,15 +72,6 @@ func TestTrialSeedUniqueness(t *testing.T) {
 	}
 }
 
-func TestBackoffRounds(t *testing.T) {
-	want := map[int]int{0: 0, 1: 1, 2: 2, 3: 4, 4: 8, 5: 8, 10: 8}
-	for n, w := range want {
-		if got := backoffRounds(n); got != w {
-			t.Errorf("backoffRounds(%d) = %d, want %d", n, got, w)
-		}
-	}
-}
-
 // TestSettingOptionsResolvePerSetting pins the §3.4 stopping rule to the
 // setting it runs in. Both rows that read 1.5/1.5 before the resolver
 // went field-wise are here: the quick preset used to be resolved once,

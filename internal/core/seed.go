@@ -104,7 +104,7 @@ type TrialFailure struct {
 // emitted through Matrix.OnFault / Watchdog.OnFault as faults are
 // detected and handled. Kinds: "panic", "error", "reap" (hung trial
 // reaped), "brownout" (chaos service brownout) for failed attempts,
-// "retry" (backoff scheduled), "quarantine" (pair failed permanently),
+// "retry" (the next attempt follows), "quarantine" (pair failed permanently),
 // "discard" (noise-discarded trial), "corrupt" (validity-gate
 // rejection), "calibration" (solo-run failure), "breaker_skip" (pair
 // denied admission because a member's circuit breaker was open).

@@ -39,7 +39,7 @@ func sketchTestServices() []services.Service {
 func runJournaled(t *testing.T, m *Matrix) (*MatrixResult, map[string][]TrialResult) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trials.wal")
-	jw, err := journal.Create(path)
+	jw, err := journal.CreateWrapped(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,22 +180,14 @@ func checkPairAgainstSlices(t *testing.T, res *MatrixResult, p *PairOutcome, tri
 			gotLo != lo || gotHi != hi {
 			t.Fatalf("%s slot %d: sketch statistics diverged from slice arithmetic", label, slot)
 		}
-		if !p.Sketches.SharePct[slot].Exact() {
+		if _, exact := p.Sketches.SharePct[slot].Values(); !exact {
 			t.Fatalf("%s: sketch left exact regime at test trial budgets", label)
 		}
-		// Instability reads the first-named service's slot; a self-pair
-		// only ever exposes slot 0.
-		a, b := p.Incumbent, p.Contender
-		if slot == 1 {
-			if a == b {
-				continue
-			}
-			a, b = b, a
-		}
-		rep, ok := res.Instability(a, b)
+		// The Fig 10 scatter: the slot's trial throughputs, sorted.
+		scatter, _ := p.Sketches.Mbps[slot].Values()
 		sort.Float64s(mbps)
-		if !ok || rep.IQR != stats.IQR(mbps) || !slices.Equal(rep.TrialMbps, mbps) {
-			t.Fatalf("%s slot %d: Instability %+v, want sorted %v", label, slot, rep, mbps)
+		if p.Sketches.Mbps[slot].IQR() != stats.IQR(mbps) || !slices.Equal(scatter, mbps) {
+			t.Fatalf("%s slot %d: scatter %v, want sorted %v", label, slot, scatter, mbps)
 		}
 	}
 }
@@ -384,7 +376,7 @@ func TestPairBeyondSketchBufferCap(t *testing.T) {
 	res, trials := runJournaled(t, &Matrix{Services: []services.Service{svc}, Net: net, Opts: opts})
 	p := res.Pairs[pairKey(0, 0)]
 	tr := trials[p.Incumbent+" vs "+p.Contender]
-	if p.Counted() != n || len(tr) != n || p.Sketches.SharePct[0].Exact() {
+	if _, exact := p.Sketches.SharePct[0].Values(); p.Counted() != n || len(tr) != n || exact {
 		t.Fatalf("counted %d trials (journal %d), want %d in the compacted regime", p.Counted(), len(tr), n)
 	}
 	for slot := 0; slot < 2; slot++ {
@@ -393,9 +385,8 @@ func TestPairBeyondSketchBufferCap(t *testing.T) {
 			t.Fatalf("slot %d: median share %v not within 1%% of %v", slot, got, want)
 		}
 	}
-	rep, ok := res.Instability(svc.Name(), svc.Name())
-	if !ok || len(rep.TrialMbps) != 0 || rep.IQR < 0 {
-		t.Fatalf("Instability past the cap = %+v, %v; want an IQR and no scatter", rep, ok)
+	if scatter, _ := p.Sketches.Mbps[0].Values(); len(scatter) != 0 || p.Sketches.Mbps[0].IQR() < 0 {
+		t.Fatalf("scatter past the cap = %v; want an IQR and no scatter", scatter)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 )
 
 // Watchdog is the continuously-running fairness monitor: it cycles the
-// all-pairs matrix across its network settings, keeps per-cycle history
-// (how the paper detected the 2022→2023 Google Drive and YouTube stack
-// changes, Obs 13), runs solo calibrations to detect upstream throttling
+// all-pairs matrix across its network settings, one numbered cycle after
+// another (repeated cycles are how the paper detected the 2022→2023
+// Google Drive and YouTube stack changes, Obs 13), runs solo calibrations to detect upstream throttling
 // (§3.1), and accepts third-party service submissions gated by access
 // codes (Appendix A).
 type Watchdog struct {
@@ -100,11 +100,12 @@ type Watchdog struct {
 	// with NewInstruments; nil disables instrumentation entirely.
 	Obs *Instruments
 
-	cycles      []*CycleResult
-	submissions []Submission
+	// done counts the cycles this watchdog completed or was advanced
+	// past (AdvanceTo); a fresh cycle is number done+1. Results are
+	// returned, never retained.
+	done        int
 	resume      *Checkpoint
 	lastJournal *obs.JournalInfo
-	cycleOffset int
 	// inFlight is the number of the cycle RunCycle most recently started,
 	// which an interrupted run's manifest reports.
 	inFlight int
@@ -120,12 +121,6 @@ type CycleResult struct {
 	// Calibration holds each service's solo throughput per setting, the
 	// Table 1 "Max Xput" check.
 	Calibration []map[string]float64
-}
-
-// Submission is a third-party service queued for evaluation (Appendix A).
-type Submission struct {
-	URL     string
-	Service services.Service
 }
 
 // NewWatchdog returns a watchdog over the standard catalog and settings.
@@ -162,14 +157,9 @@ func (w *Watchdog) Submit(url, accessCode string) error {
 	if url == "" {
 		return fmt.Errorf("core: submission requires a URL")
 	}
-	svc := customURLService(url)
-	w.submissions = append(w.submissions, Submission{URL: url, Service: svc})
-	w.Services = append(w.Services, svc)
+	w.Services = append(w.Services, customURLService(url))
 	return nil
 }
-
-// Submissions lists accepted submissions.
-func (w *Watchdog) Submissions() []Submission { return w.submissions }
 
 // customURLService builds a web-page model whose weight and flow count
 // derive deterministically from the URL (a stand-in for fetching and
@@ -210,16 +200,14 @@ func (w *Watchdog) LoadCheckpoint() (bool, error) {
 }
 
 // AdvanceTo tells the watchdog that its next cycle is cycle `next`,
-// even though it holds no in-memory history for the earlier ones. A
-// restarted daemon that rehydrated N completed cycles from disk calls
+// even though it did not run the earlier ones. A restarted daemon that rehydrated N completed cycles from disk calls
 // AdvanceTo(N+1) so cycle numbering — and with it every cycle-derived
 // trial seed — continues exactly where the previous process stopped.
 // A staged checkpoint still overrides: resuming an interrupted cycle
 // reuses the checkpoint's own number.
 func (w *Watchdog) AdvanceTo(next int) {
-	off := next - 1 - len(w.cycles)
-	if off > w.cycleOffset {
-		w.cycleOffset = off
+	if next-1 > w.done {
+		w.done = next - 1
 	}
 }
 
@@ -239,7 +227,7 @@ func (w *Watchdog) flush(cp *Checkpoint) {
 	w.Obs.emit(obs.TimelineEvent{Kind: "checkpoint", Cycle: cp.Cycle})
 }
 
-// RunCycle executes one full iteration and appends it to the history.
+// RunCycle executes one full iteration and returns it.
 // It is crash-safe end to end: trial panics and errors are quarantined
 // per pair, every executed attempt is journaled when CheckpointPath or
 // JournalPath is set, and an Interrupt request returns ErrInterrupted
@@ -275,7 +263,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		// reproduces the uninterrupted run's breaker evolution exactly.
 		w.Breakers.Restore(cp.Breakers)
 	} else {
-		cp = &Checkpoint{Cycle: w.cycleOffset + len(w.cycles) + 1, Breakers: w.Breakers.Status()}
+		cp = &Checkpoint{Cycle: w.done + 1, Breakers: w.Breakers.Status()}
 	}
 	cr := &CycleResult{Cycle: cp.Cycle}
 	w.inFlight = cr.Cycle
@@ -371,7 +359,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		os.Remove(w.journalPath())
 	}
 	w.Breakers.Decay()
-	w.cycles = append(w.cycles, cr)
+	w.done++
 	w.Obs.emit(obs.TimelineEvent{Kind: "cycle_end", Cycle: cr.Cycle, Detail: "completed"})
 	return cr, nil
 }
@@ -567,9 +555,6 @@ func (w *Watchdog) calibrate(svc services.Service, net netem.Config, opts Schedu
 	return 0, false
 }
 
-// History returns all completed cycles.
-func (w *Watchdog) History() []*CycleResult { return w.cycles }
-
 // ThrottledServices reports services whose solo throughput in the given
 // setting stayed below frac of the link capacity — the rule that flags
 // OneDrive's external 45 Mbps cap in Table 1. Only meaningful for
@@ -618,33 +603,5 @@ func CompareCycles(before, after *CycleResult, setting int, service, versus stri
 	if rep.BeforeMbps > 0 {
 		rep.ImprovementPct = 100 * (rep.AfterMbps - rep.BeforeMbps) / rep.BeforeMbps
 	}
-	return rep, true
-}
-
-// InstabilityReport summarizes trial-level spread for a pair (Fig 10):
-// services like OneDrive and Vimeo show wide trial-to-trial variance.
-type InstabilityReport struct {
-	Incumbent, Contender string
-	Slot                 int
-	// TrialMbps is the slot's per-trial throughput samples in sorted
-	// order (not trial order), empty once the pair counted more than
-	// stats.SketchBufferCap trials; the IQR is available in either case.
-	TrialMbps []float64
-	IQR       float64
-	Unstable  bool
-}
-
-// Instability extracts the Fig 10 scatter for one ordered pair.
-func (r *MatrixResult) Instability(incumbent, contender string) (InstabilityReport, bool) {
-	p, slot, ok := r.Cell(incumbent, contender)
-	if !ok || p.Counted() == 0 {
-		return InstabilityReport{}, false
-	}
-	rep := InstabilityReport{
-		Incumbent: incumbent, Contender: contender, Slot: slot,
-		Unstable: p.Unstable,
-	}
-	rep.TrialMbps, _ = p.Sketches.Mbps[slot].Values()
-	rep.IQR = p.Sketches.Mbps[slot].IQR()
 	return rep, true
 }

@@ -39,7 +39,7 @@ func TestOrphanedTempSwept(t *testing.T) {
 	}
 
 	wal := filepath.Join(dir, "subs.wal")
-	w, err := Create(wal)
+	w, err := CreateWrapped(wal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,11 +97,8 @@ func (w *Writer) Err() error { return (*Log)(w).Err() }
 // Close releases the file; every acknowledged append is already durable.
 func (w *Writer) Close() error { return (*Log)(w).Close() }
 
-// Create makes a new journal at path (replacing any previous one) whose
-// schema header is durable before it returns.
-func Create(path string) (*Writer, error) { return CreateWrapped(path, nil) }
-
-// CreateWrapped is Create with a storage wrapper: every file the
+// CreateWrapped makes a new journal at path (replacing any previous one)
+// whose schema header is durable before it returns. Every file the
 // journal opens is passed through wrap (nil = none), so fault-injecting
 // wrappers see every byte the journal ever writes, header included.
 func CreateWrapped(path string, wrap WrapFunc) (*Writer, error) {

@@ -29,7 +29,7 @@ func entry(i int) Entry {
 // truncation.
 func TestRoundTrip(t *testing.T) {
 	path := tmpJournal(t)
-	w, err := Create(path)
+	w, err := CreateWrapped(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRoundTrip(t *testing.T) {
 // the recovered ones, and a second recovery sees both generations.
 func TestAppendAfterRecovery(t *testing.T) {
 	path := tmpJournal(t)
-	w, err := Create(path)
+	w, err := CreateWrapped(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAppendAfterRecovery(t *testing.T) {
 // after recovery works.
 func TestTornTailTruncated(t *testing.T) {
 	path := tmpJournal(t)
-	w, err := Create(path)
+	w, err := CreateWrapped(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestTornTailTruncated(t *testing.T) {
 // before survives.
 func TestBitFlipTruncates(t *testing.T) {
 	path := tmpJournal(t)
-	w, err := Create(path)
+	w, err := CreateWrapped(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestBitFlipTruncates(t *testing.T) {
 }
 
 // TestOpenMissingCreates: Open on a nonexistent path behaves like
-// Create.
+// CreateWrapped.
 func TestOpenMissingCreates(t *testing.T) {
 	path := tmpJournal(t)
 	w, rec, err := Open(path)
@@ -244,7 +244,7 @@ func TestGarbageFileRebuilt(t *testing.T) {
 }
 
 // journalFixture is a 3-record trial journal exactly as the parent
-// commit's journal.Create/Append wrote it.
+// commit's journal.CreateWrapped/Append wrote it.
 const journalFixture = "\x00\x00\x00 \xa5\xff\xe4\xa2{\"schema\":\"prudentia.journal/1\"}" +
 	"\x00\x00\x00S\x80+hz{\"seed\":1001,\"pair\":\"A vs B\",\"attempt\":0,\"kind\":\"ok\",\"result\":{\"mbps\":[3.91,3.87]}}" +
 	"\x00\x00\x00i\xbfI\xc1P{\"seed\":1002,\"pair\":\"A vs B\",\"attempt\":1,\"kind\":\"corrupt\",\"detail\":\"share out of range\",\"sim_seconds\":60}" +
@@ -272,7 +272,7 @@ func TestJournalFormatPinned(t *testing.T) {
 		t.Fatalf("fixture decoded to %+v", rec.Entries)
 	}
 	fresh := tmpJournal(t)
-	w2, err := Create(fresh)
+	w2, err := CreateWrapped(fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func FuzzScan(f *testing.F) {
 	// Seed corpus: a clean journal, a torn one, a bit-flipped one.
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.journal")
-	w, err := Create(path)
+	w, err := CreateWrapped(path, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -29,24 +29,6 @@ type ServiceStats struct {
 	QueueDelaySum sim.Time
 }
 
-// LossRate returns the fraction of arrived packets that were dropped,
-// the quantity plotted in the paper's Fig 12.
-func (s ServiceStats) LossRate() float64 {
-	if s.ArrivedPackets == 0 {
-		return 0
-	}
-	return float64(s.DroppedPackets) / float64(s.ArrivedPackets)
-}
-
-// MeanQueueDelay returns the average queueing delay of delivered packets,
-// the quantity plotted in the paper's Fig 13 (Appendix B.3).
-func (s ServiceStats) MeanQueueDelay() sim.Time {
-	if s.DeliveredPackets == 0 {
-		return 0
-	}
-	return s.QueueDelaySum / sim.Time(s.DeliveredPackets)
-}
-
 // OccupancySample is one entry in the queue occupancy time series
 // (paper Fig 8 plots exactly this signal).
 type OccupancySample struct {
@@ -164,14 +146,8 @@ func (b *Bottleneck) SerializationDelay(size int) sim.Time {
 	return sim.Time(int64(size) * 8 * int64(sim.Second) / b.RateBps)
 }
 
-// QueueLen reports the instantaneous queue depth in packets.
-func (b *Bottleneck) QueueLen() int { return b.qlen }
-
 // HighWater reports the deepest queue occupancy observed so far.
 func (b *Bottleneck) HighWater() int { return b.highWater }
-
-// QueueLenFor reports the queued packets attributed to one slot.
-func (b *Bottleneck) QueueLenFor(service int) int { return b.perService[service] }
 
 // Stats returns a snapshot of per-slot counters.
 func (b *Bottleneck) Stats(service int) ServiceStats { return b.stats[service] }
@@ -284,12 +260,3 @@ func (b *Bottleneck) StartSampling(every sim.Time) {
 
 // Samples returns the recorded occupancy series.
 func (b *Bottleneck) Samples() []OccupancySample { return b.samples }
-
-// TotalDeliveredBytes sums delivered bytes over all slots.
-func (b *Bottleneck) TotalDeliveredBytes() int64 {
-	var t int64
-	for i := range b.stats {
-		t += b.stats[i].DeliveredBytes
-	}
-	return t
-}

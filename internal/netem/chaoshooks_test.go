@@ -22,7 +22,8 @@ func TestSetLinkDownBlackholesUpstream(t *testing.T) {
 	eng.Schedule(2*sim.Second, func(now sim.Time) {
 		tb.SendData(now, &Packet{FlowID: fid, Service: 0, Size: 1500}) // after it
 	})
-	eng.Run()
+	for eng.Step() {
+	}
 
 	if tb.ChaosDrops != 1 {
 		t.Fatalf("ChaosDrops = %d, want 1", tb.ChaosDrops)
@@ -48,7 +49,8 @@ func TestSetLinkDownExtendsOnly(t *testing.T) {
 	eng.Schedule(1500*sim.Millisecond, func(now sim.Time) {
 		tb.SendData(now, &Packet{FlowID: fid, Service: 0, Size: 1500})
 	})
-	eng.Run()
+	for eng.Step() {
+	}
 	if tb.ChaosDrops != 1 {
 		t.Fatalf("ChaosDrops = %d, want 1 (outage shortened)", tb.ChaosDrops)
 	}
@@ -64,7 +66,8 @@ func TestStallServiceHoldsAcks(t *testing.T) {
 	tb.StallService(0, sim.Second)
 	tb.SendAck(0, &Packet{FlowID: fid0, Service: 0})
 	tb.SendAck(0, &Packet{FlowID: fid1, Service: 1})
-	eng.Run()
+	for eng.Step() {
+	}
 
 	if at0 != sim.Second {
 		t.Fatalf("stalled slot's ACK arrived at %v, want hold until %v", at0, sim.Second)
@@ -77,7 +80,8 @@ func TestStallServiceHoldsAcks(t *testing.T) {
 	var late sim.Time
 	tb.flows[fid0].toServer = func(now sim.Time, _ *Packet) { late = now }
 	tb.SendAck(2*sim.Second, &Packet{FlowID: fid0, Service: 0})
-	eng.Run()
+	for eng.Step() {
+	}
 	if late <= 2*sim.Second {
 		t.Fatalf("post-stall ACK arrived at %v", late)
 	}
@@ -94,7 +98,8 @@ func TestBottleneckSetRate(t *testing.T) {
 		b.SetRate(6_000_000) // halve the link: 2 ms per packet now
 		b.Enqueue(now, &Packet{Size: 1500, Service: 0})
 	})
-	eng.Run()
+	for eng.Step() {
+	}
 
 	want := []sim.Time{sim.Millisecond, 12 * sim.Millisecond}
 	if len(deliveries) != 2 || deliveries[0] != want[0] || deliveries[1] != want[1] {

@@ -36,14 +36,14 @@ func TestBottleneckInvariants(t *testing.T) {
 		var admitted, started []int64 // seqs in admission / serialization order
 		violations := 0
 		occCheck := func() {
-			if b.QueueLen() > cap {
+			if b.qlen > cap {
 				violations++
 			}
 			sum := 0
 			for s := 0; s < MaxServices; s++ {
-				sum += b.QueueLenFor(s)
+				sum += b.perService[s]
 			}
-			if sum != b.QueueLen() {
+			if sum != b.qlen {
 				violations++
 			}
 		}
@@ -85,7 +85,8 @@ func TestBottleneckInvariants(t *testing.T) {
 				at += rng.Duration(200 * sim.Microsecond)
 			}
 		}
-		eng.Run()
+		for eng.Step() {
+		}
 
 		if violations > 0 {
 			t.Errorf("seed %d: %d occupancy violations", seed, violations)
@@ -103,8 +104,8 @@ func TestBottleneckInvariants(t *testing.T) {
 				return false
 			}
 		}
-		if b.QueueLen() != 0 {
-			t.Errorf("seed %d: %d packets still queued after drain", seed, b.QueueLen())
+		if b.qlen != 0 {
+			t.Errorf("seed %d: %d packets still queued after drain", seed, b.qlen)
 			return false
 		}
 		// Byte conservation over both service slots.
@@ -170,7 +171,8 @@ func TestBottleneckConservationMidFlight(t *testing.T) {
 			eng.Schedule(at, func(now sim.Time) { b.Enqueue(now, p) })
 			at += rng.Duration(2 * sim.Millisecond)
 		}
-		eng.Run()
+		for eng.Step() {
+		}
 		balance()
 		if bad > 0 {
 			t.Errorf("seed %d: %d balance violations", seed, bad)

@@ -83,7 +83,8 @@ func TestBottleneckServializesAtLinkRate(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Enqueue(eng.Now(), &Packet{Size: 1500, Service: 0})
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	if len(deliveries) != 5 {
 		t.Fatalf("delivered %d, want 5", len(deliveries))
 	}
@@ -106,7 +107,8 @@ func TestBottleneckDropTail(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Enqueue(eng.Now(), &Packet{Size: 1500, Seq: int64(i), Service: 1})
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	if delivered != 5 {
 		t.Fatalf("delivered %d, want 5", delivered)
 	}
@@ -114,8 +116,8 @@ func TestBottleneckDropTail(t *testing.T) {
 	if st.DroppedPackets != 5 || st.ArrivedPackets != 10 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if got := st.LossRate(); got != 0.5 {
-		t.Fatalf("LossRate = %v, want 0.5", got)
+	if got := float64(st.DroppedPackets) / float64(st.ArrivedPackets); got != 0.5 {
+		t.Fatalf("loss rate = %v, want 0.5", got)
 	}
 	// Drop-tail must drop the latest arrivals.
 	for i, seq := range drops {
@@ -132,10 +134,12 @@ func TestBottleneckQueueDelayAccounting(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Enqueue(eng.Now(), &Packet{Size: 1500, Service: 0})
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	// Packet 0 waits 0, packet 1 waits 1ms, packet 2 waits 2ms => mean 1ms.
-	if got := b.Stats(0).MeanQueueDelay(); got != sim.Millisecond {
-		t.Fatalf("MeanQueueDelay = %v, want 1ms", got)
+	st := b.Stats(0)
+	if got := st.QueueDelaySum / sim.Time(st.DeliveredPackets); got != sim.Millisecond {
+		t.Fatalf("mean queue delay = %v, want 1ms", got)
 	}
 }
 
@@ -146,15 +150,16 @@ func TestBottleneckPerServiceAttribution(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		b.Enqueue(eng.Now(), &Packet{Size: 1500, Service: i % 2})
 	}
-	if b.QueueLenFor(0)+b.QueueLenFor(1) != b.QueueLen() {
+	if b.perService[0]+b.perService[1] != b.qlen {
 		t.Fatalf("per-service occupancy inconsistent")
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	if b.Stats(0).DeliveredPackets != 3 || b.Stats(1).DeliveredPackets != 3 {
 		t.Fatalf("attribution wrong: %+v %+v", b.Stats(0), b.Stats(1))
 	}
-	if b.TotalDeliveredBytes() != 6*1500 {
-		t.Fatalf("TotalDeliveredBytes = %d", b.TotalDeliveredBytes())
+	if total := b.Stats(0).DeliveredBytes + b.Stats(1).DeliveredBytes; total != 6*1500 {
+		t.Fatalf("delivered bytes = %d", total)
 	}
 }
 
@@ -178,7 +183,8 @@ func TestBottleneckRingWraparound(t *testing.T) {
 		}
 	}
 	eng.After(0, emit)
-	eng.Run()
+	for eng.Step() {
+	}
 	st := b.Stats(0)
 	if int(st.DeliveredPackets)+int(st.DroppedPackets) != sent {
 		t.Fatalf("conservation: delivered %d + dropped %d != sent %d",
@@ -187,8 +193,8 @@ func TestBottleneckRingWraparound(t *testing.T) {
 	if delivered != int(st.DeliveredPackets) {
 		t.Fatalf("output count %d != stats %d", delivered, st.DeliveredPackets)
 	}
-	if b.QueueLen() != 0 {
-		t.Fatalf("queue not drained: %d", b.QueueLen())
+	if b.qlen != 0 {
+		t.Fatalf("queue not drained: %d", b.qlen)
 	}
 }
 
@@ -234,7 +240,8 @@ func TestTestbedRTTNormalization(t *testing.T) {
 	)
 	p := &Packet{FlowID: flowID, Service: 0, Size: 1500, SentAt: eng.Now()}
 	tb.SendData(eng.Now(), p)
-	eng.Run()
+	for eng.Step() {
+	}
 	want := 50*sim.Millisecond + sim.Millisecond // RTT + 1ms serialization
 	if ackAt != want {
 		t.Fatalf("ack at %v, want %v", ackAt, want)
@@ -260,8 +267,8 @@ func TestSendDataUnregisteredFlowPanics(t *testing.T) {
 			tb.SendData(eng.Now(), &Packet{FlowID: id, Size: 1500})
 		}()
 	}
-	if eng.Pending() != 0 || tb.UpstreamSentPackets() != 0 {
-		t.Fatalf("refused packets left %d events pending, %d counted as sent", eng.Pending(), tb.UpstreamSentPackets())
+	if eng.Step() || tb.UpstreamSentPackets() != 0 {
+		t.Fatalf("refused packets left an event pending or %d counted as sent", tb.UpstreamSentPackets())
 	}
 }
 

@@ -74,7 +74,8 @@ func TestShortenedDownstreamDelayFallsBack(t *testing.T) {
 	bn.Enqueue(0, &Packet{Size: 1500, Seq: 1})
 	eng.RunUntil(200 * sim.Microsecond) // seq 0 is on the downstream hop
 	bn.DownstreamDelay = sim.Millisecond
-	eng.Run()
+	for eng.Step() {
+	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 0 {
 		t.Fatalf("delivered %v, want seq 1 (1 ms hop) before seq 0 (10 ms hop)", got)
 	}

@@ -48,14 +48,6 @@ func (h *Histogram) ObserveN(v float64, n int64) {
 	h.sumMicros.Add(n * int64(math.Round(v*1e6)))
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the sum of observed values (microunit precision).
 func (h *Histogram) Sum() float64 {
 	if h == nil {

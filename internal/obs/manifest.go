@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -131,17 +130,4 @@ func (m Manifest) Write(path string) error {
 		return fmt.Errorf("obs: write manifest: %w", err)
 	}
 	return nil
-}
-
-// ReadManifest loads a manifest written by Write.
-func ReadManifest(path string) (Manifest, error) {
-	var m Manifest
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("obs: parse manifest %s: %w", path, err)
-	}
-	return m, nil
 }

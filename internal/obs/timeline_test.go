@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -133,8 +134,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got Manifest
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Schema != ManifestSchema {

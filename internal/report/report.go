@@ -11,7 +11,6 @@ import (
 
 	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
-	"prudentia/internal/sim"
 )
 
 // CellFunc supplies one heatmap value: the measurement for incumbent
@@ -173,9 +172,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// Ms formats a sim.Time as milliseconds.
-func Ms(t sim.Time) string { return fmt.Sprintf("%.1fms", t.Seconds()*1000) }
-
-// Pct formats a ratio as a percentage.
-func Pct(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }

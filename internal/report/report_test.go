@@ -90,15 +90,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestFormatters(t *testing.T) {
-	if Ms(1500*sim.Microsecond) != "1.5ms" {
-		t.Fatalf("Ms = %q", Ms(1500*sim.Microsecond))
-	}
-	if Pct(0.5) != "50%" {
-		t.Fatalf("Pct = %q", Pct(0.5))
-	}
-}
-
 func TestAbbreviate(t *testing.T) {
 	cases := map[string]string{
 		"iPerf (BBR)":     "BBR",

@@ -92,7 +92,7 @@ func get(t *testing.T, h http.Handler, path string, hdr map[string]string) *http
 // it down gracefully.
 func TestServeEndToEnd(t *testing.T) {
 	ledger := &trace.FaultLedger{}
-	w := testWatchdog(42, ledger)
+	w := &recordingSource{Watchdog: testWatchdog(42, ledger), results: make(chan *core.CycleResult, 1)}
 	reg := obs.NewRegistry()
 	s, err := New(Config{
 		Source:        w,
@@ -177,7 +177,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// The text report is the exact batch rendering.
 	_, txt := fetch("/api/v1/report.txt")
-	want := report.ReportText(w.History()[0], w.SettingConfigs(), w.Catalog(), ledger.Summary())
+	want := report.ReportText(<-w.results, w.SettingConfigs(), w.Catalog(), ledger.Summary())
 	if string(txt) != want {
 		t.Errorf("report.txt differs from batch rendering:\n%q\nvs\n%q", txt, want)
 	}
@@ -255,6 +255,21 @@ func TestServeDeterminism(t *testing.T) {
 	if r1.Header().Get("Etag") == r3.Header().Get("Etag") {
 		t.Error("different seeds produced identical report ETags")
 	}
+}
+
+// recordingSource runs a real watchdog and hands each cycle it returns
+// to the test, which keeps no results of its own.
+type recordingSource struct {
+	*core.Watchdog
+	results chan *core.CycleResult
+}
+
+func (r *recordingSource) RunCycle() (*core.CycleResult, error) {
+	cr, err := r.Watchdog.RunCycle()
+	if cr != nil {
+		r.results <- cr
+	}
+	return cr, err
 }
 
 // fakeSource is a CycleSource stub for scheduler/handler unit tests.

@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 )
 
 // Time is a virtual timestamp measured in nanoseconds since the start of
@@ -26,12 +25,6 @@ const (
 	Second           = 1000 * Millisecond
 	Minute           = 60 * Second
 )
-
-// FromDuration converts a wall-clock duration into virtual time.
-func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
-
-// Duration converts a virtual time span back into a time.Duration.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }

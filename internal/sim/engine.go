@@ -76,13 +76,9 @@ type Engine struct {
 	seq    uint64
 	events []scheduled
 	heads  []lineHead
-	// ran counts executed events, useful for budget checks in tests.
+	// ran counts executed events; the run loops poll the abort flag
+	// every 1024 of them.
 	ran uint64
-	// dead counts heap entries of stopped or fired timers awaiting their
-	// reap; lined counts the entries waiting in lines, armed heads
-	// included. Together they reconcile len(events) with the number of
-	// live events.
-	dead, lined int
 	// abort, when set, is polled by the run loops (see SetAbort).
 	abort *atomic.Bool
 }
@@ -118,15 +114,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// EventsRun reports the number of events executed so far.
-func (e *Engine) EventsRun() uint64 { return e.ran }
-
-// Pending reports the number of events waiting to run: the heap's
-// entries, less those of stopped or fired timers awaiting their reap,
-// plus every entry waiting in a line (lined: heads and the entries behind
-// them alike).
-func (e *Engine) Pending() int { return len(e.events) - e.dead + e.lined }
 
 // push appends an entry and restores the heap property.
 func (e *Engine) push(s scheduled) {
@@ -247,7 +234,7 @@ func (e *Engine) After(d Time, fn Event) {
 // run, and reports whether one exists. The entry of a stopped timer, or
 // of a fired one that was not re-armed, is reaped, and a timer re-armed
 // to a later deadline is moved to its current stamp; both are invisible
-// to the simulation: no clock advance, no EventsRun count, no callback.
+// to the simulation: no clock advance, no event count, no callback.
 func (e *Engine) settle() bool {
 	for len(e.events) > 0 {
 		root := &e.events[0]
@@ -258,7 +245,6 @@ func (e *Engine) settle() bool {
 		if !t.armed {
 			e.popRoot()
 			t.idx = -1
-			e.dead--
 			continue
 		}
 		if root.at == t.at && root.seq == t.seq {
@@ -301,7 +287,6 @@ func (e *Engine) dispatch(at Time, head int) {
 	if head >= 0 {
 		l := e.heads[head].line
 		arg := l.q.PopFront().arg
-		e.lined--
 		if l.q.Len() > 0 {
 			next := l.q.Front()
 			e.heads[head].at, e.heads[head].seq = next.at, next.seq
@@ -315,7 +300,6 @@ func (e *Engine) dispatch(at Time, head int) {
 	}
 	if t := e.events[0].timer; t != nil {
 		t.armed = false
-		e.dead++
 		t.fn(at)
 		return
 	}
@@ -351,20 +335,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	if e.now < deadline {
 		e.now = deadline
-	}
-}
-
-// Run executes events until nothing is pending. Most experiments should
-// prefer RunUntil with an explicit horizon; Run exists for
-// self-terminating workloads such as fixed-size file downloads in tests.
-func (e *Engine) Run() {
-	for {
-		at, head, ok := e.next()
-		if !ok {
-			return
-		}
-		e.pollAbort()
-		e.dispatch(at, head)
 	}
 }
 

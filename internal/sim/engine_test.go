@@ -3,16 +3,9 @@ package sim
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTimeConversions(t *testing.T) {
-	if got := FromDuration(50 * time.Millisecond); got != 50*Millisecond {
-		t.Fatalf("FromDuration = %d, want %d", got, 50*Millisecond)
-	}
-	if got := (2 * Second).Duration(); got != 2*time.Second {
-		t.Fatalf("Duration = %v, want 2s", got)
-	}
 	if got := (1500 * Millisecond).Seconds(); got != 1.5 {
 		t.Fatalf("Seconds = %v, want 1.5", got)
 	}
@@ -198,22 +191,6 @@ func TestRNGIntnRange(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			v := r.Intn(m)
 			if v < 0 || v >= m {
-				return false
-			}
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRNGJitterBounds(t *testing.T) {
-	if err := quick.Check(func(seed uint64) bool {
-		r := NewRNG(seed)
-		base, spread := 100*Millisecond, 10*Millisecond
-		for i := 0; i < 50; i++ {
-			v := r.Jitter(base, spread)
-			if v < base-spread || v > base+spread {
 				return false
 			}
 		}

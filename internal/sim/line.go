@@ -50,7 +50,6 @@ func (l *Line) Schedule(at Time, arg any) {
 		return
 	}
 	l.q.PushBack(lineEntry{at: at, seq: e.seq, arg: arg})
-	e.lined++
 }
 
 // After runs fn(now, arg) after delay d. See Schedule.

@@ -31,6 +31,3 @@ func (p *Pool[T]) Put(x *T) {
 	*x = zero
 	p.free = append(p.free, x)
 }
-
-// Live reports how many objects are currently parked, for leak tests.
-func (p *Pool[T]) Live() int { return len(p.free) }

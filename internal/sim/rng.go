@@ -70,14 +70,6 @@ func (r *RNG) Duration(d Time) Time {
 	return Time(r.Uint64() % uint64(d))
 }
 
-// Jitter returns a value uniformly drawn from [base-spread, base+spread].
-func (r *RNG) Jitter(base, spread Time) Time {
-	if spread <= 0 {
-		return base
-	}
-	return base - spread + Time(r.Uint64()%uint64(2*spread+1))
-}
-
 // Exp returns an exponentially distributed duration with the given mean,
 // used by the noise injector for memoryless episode arrivals.
 func (r *RNG) Exp(mean Time) Time {

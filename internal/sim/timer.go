@@ -30,14 +30,6 @@ func (e *Engine) NewTimer() *Timer {
 	return &Timer{engine: e, idx: -1}
 }
 
-// AfterTimer schedules fn after d and returns a cancellable handle. Code
-// that arms repeatedly should hold one NewTimer and Reset it instead.
-func (e *Engine) AfterTimer(d Time, fn Event) *Timer {
-	t := e.NewTimer()
-	t.Reset(d, fn)
-	return t
-}
-
 // Reset arms the timer to run fn after d, replacing any pending arm. Each
 // call consumes one seq, so the timer fires at the same place in the
 // dispatch order as a freshly scheduled event would.
@@ -48,14 +40,10 @@ func (t *Timer) Reset(d Time, fn Event) {
 	e := t.engine
 	e.seq++
 	t.at, t.seq, t.fn = e.now+d, e.seq, fn
+	t.armed = true
 	if t.idx < 0 {
-		t.armed = true
 		e.push(scheduled{at: t.at, seq: t.seq, timer: t})
 		return
-	}
-	if !t.armed {
-		t.armed = true
-		e.dead--
 	}
 	// The entry already in the heap surfaces no later than the new
 	// deadline unless the deadline moved earlier; only then is it moved
@@ -74,7 +62,6 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	t.armed = false
-	t.engine.dead++
 	return true
 }
 

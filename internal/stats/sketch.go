@@ -155,26 +155,6 @@ func (s *Sketch) Alpha() float64 { return s.alpha }
 // Count returns the number of samples added so far.
 func (s *Sketch) Count() int { return int(s.n) }
 
-// Min returns the exact minimum sample (0 when empty).
-func (s *Sketch) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the exact maximum sample (0 when empty).
-func (s *Sketch) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Exact reports whether the sketch is still in the exact regime, where
-// every query is bit-identical to Quantile/MedianCI over the samples.
-func (s *Sketch) Exact() bool { return !s.compacted }
-
 // Values returns a sorted copy of the samples while the sketch is in
 // the exact regime, and (nil, false) once compacted. Callers that need
 // raw series diagnostics (e.g. cross-cycle instability) use this and

@@ -37,7 +37,7 @@ func compactedSketch(tb testing.TB, vals []float64) *Sketch {
 	for _, v := range vals {
 		s.Add(v)
 	}
-	if s.Exact() {
+	if !s.compacted {
 		tb.Fatal("warmup did not reach the compacted regime")
 	}
 	return s

@@ -65,7 +65,7 @@ func TestSketchExactRegimeBitIdentical(t *testing.T) {
 		for _, n := range []int{1, 2, 3, 5, 30, 36, 127, SketchBufferCap} {
 			xs := genSamples(r, dist, n)
 			s := sketchOf(xs)
-			if !s.Exact() {
+			if s.compacted {
 				t.Fatalf("%s n=%d: sketch left exact regime below cap", dist, n)
 			}
 			for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 1} {
@@ -103,8 +103,8 @@ func TestSketchEdgeCases(t *testing.T) {
 	if s.CIWithin(1e9) {
 		t.Fatal("empty sketch cannot satisfy any tolerance")
 	}
-	if s.Min() != 0 || s.Max() != 0 {
-		t.Fatal("empty Min/Max must be 0")
+	if s.Quantile(0) != 0 || s.Quantile(1) != 0 {
+		t.Fatal("empty extremes must be 0")
 	}
 
 	s.Add(math.NaN())
@@ -113,8 +113,8 @@ func TestSketchEdgeCases(t *testing.T) {
 	}
 
 	s.Add(42)
-	if s.Median() != 42 || s.Min() != 42 || s.Max() != 42 {
-		t.Fatalf("n=1: median %v min %v max %v", s.Median(), s.Min(), s.Max())
+	if s.Median() != 42 || s.Quantile(0) != 42 || s.Quantile(1) != 42 {
+		t.Fatalf("n=1: median %v min %v max %v", s.Median(), s.Quantile(0), s.Quantile(1))
 	}
 	if lo, hi := s.MedianCI(); lo != 42 || hi != 42 {
 		t.Fatalf("n=1 MedianCI = (%v,%v)", lo, hi)
@@ -131,15 +131,15 @@ func TestSketchEdgeCases(t *testing.T) {
 	inf := NewSketch()
 	inf.Add(math.Inf(1))
 	inf.Add(math.Inf(-1))
-	if inf.Max() != math.MaxFloat64 || inf.Min() != -math.MaxFloat64 {
-		t.Fatalf("±Inf must clamp to ±MaxFloat64, got [%v, %v]", inf.Min(), inf.Max())
+	if inf.max != math.MaxFloat64 || inf.min != -math.MaxFloat64 {
+		t.Fatalf("±Inf must clamp to ±MaxFloat64, got [%v, %v]", inf.min, inf.max)
 	}
 
 	eq := NewSketch()
 	for i := 0; i < 500; i++ { // past the cap: compacted all-equal
 		eq.Add(7.5)
 	}
-	if eq.Exact() {
+	if !eq.compacted {
 		t.Fatal("500 samples must compact")
 	}
 	if m := eq.Median(); math.Abs(m-7.5) > 7.5*SketchDefaultAlpha {
@@ -187,7 +187,7 @@ func TestSketchCompactedErrorBound(t *testing.T) {
 	for _, dist := range sketchDists {
 		xs := genSamples(r, dist, n)
 		s := sketchOf(xs)
-		if s.Exact() {
+		if !s.compacted {
 			t.Fatalf("%s: n=%d did not compact", dist, n)
 		}
 		sorted := append([]float64(nil), xs...)
@@ -204,7 +204,7 @@ func TestSketchCompactedErrorBound(t *testing.T) {
 					dist, q, got, want, math.Abs(got-want), tol)
 			}
 		}
-		if s.Quantile(0) != s.Min() || s.Quantile(1) != s.Max() {
+		if s.Quantile(0) != s.min || s.Quantile(1) != s.max {
 			t.Errorf("%s: extreme quantiles must return exact min/max", dist)
 		}
 	}

@@ -75,19 +75,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		ss += (x - m) * (x - m)
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
 // MedianCI returns a distribution-free ~95% confidence interval for the
 // median using the binomial order-statistic method: for n samples the
 // interval spans the order statistics at ranks n/2 ± 1.96·√n/2. This is
@@ -129,23 +116,4 @@ func medianCISorted(s []float64) (lo, hi float64) {
 	}
 	loIdx, hiIdx := medianCIRanks(n)
 	return s[loIdx], s[hiIdx]
-}
-
-// Jain returns Jain's fairness index Σx² form: (Σx)²/(n·Σx²); 1 is
-// perfectly equal. The paper explains why it does not use this as its
-// headline metric — it cannot say who the winner is (§2.2) — but it is
-// useful as a symmetric sanity check in tests.
-func Jain(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sq)
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -66,10 +65,7 @@ func TestMeanAndStdDev(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if got := StdDev(xs); math.Abs(got-2.138) > 0.01 {
-		t.Fatalf("StdDev = %v", got)
-	}
-	if StdDev([]float64{1}) != 0 || Mean(nil) != 0 {
+	if Mean(nil) != 0 {
 		t.Fatal("degenerate inputs")
 	}
 }
@@ -122,29 +118,6 @@ func TestCIWithinStoppingRule(t *testing.T) {
 	}
 	if sketchOf(nil).CIWithin(10) || CIWithin(nil, 10) {
 		t.Fatal("empty sample cannot satisfy the rule")
-	}
-}
-
-func TestJain(t *testing.T) {
-	if got := Jain([]float64{1, 1, 1, 1}); got != 1 {
-		t.Fatalf("equal allocation Jain = %v", got)
-	}
-	got := Jain([]float64{1, 0, 0, 0})
-	if math.Abs(got-0.25) > 1e-9 {
-		t.Fatalf("max-unfair Jain = %v, want 0.25", got)
-	}
-	if Jain(nil) != 0 || Jain([]float64{0, 0}) != 0 {
-		t.Fatal("degenerate Jain")
-	}
-}
-
-func TestJainBoundsProperty(t *testing.T) {
-	if err := quick.Check(func(a, b, c uint16) bool {
-		xs := []float64{float64(a) + 1, float64(b) + 1, float64(c) + 1}
-		j := Jain(xs)
-		return j > 1.0/3-1e-9 && j <= 1+1e-9
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

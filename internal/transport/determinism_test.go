@@ -39,8 +39,8 @@ func runCCATrial(t *testing.T, mk func(*sim.RNG) cca.Algorithm, seed uint64) cca
 	var tr ccaTrace
 	var tick sim.Event
 	tick = func(now sim.Time) {
-		tr.cwnd = append(tr.cwnd, f.Algorithm().CwndPackets())
-		tr.pacing = append(tr.pacing, f.Algorithm().PacingRate())
+		tr.cwnd = append(tr.cwnd, f.alg.CwndPackets())
+		tr.pacing = append(tr.pacing, f.alg.PacingRate())
 		tr.delivered = append(tr.delivered, f.DeliveredBytes())
 		eng.After(10*sim.Millisecond, tick)
 	}
@@ -64,7 +64,11 @@ func TestCrossCCADeterminism(t *testing.T) {
 		{"newreno", func(*sim.RNG) cca.Algorithm { return cca.NewNewReno(cca.Config{}) }},
 		{"cubic", func(*sim.RNG) cca.Algorithm { return cca.NewCubic(cca.Config{}) }},
 		{"cubic-extended", func(*sim.RNG) cca.Algorithm { return cca.NewCubicExtended(cca.Config{}) }},
-		{"bbr-unpaced", func(r *sim.RNG) cca.Algorithm { return cca.NewBBR(cca.Config{}, cca.BBRUnpaced(), r) }},
+		{"bbr-unpaced", func(r *sim.RNG) cca.Algorithm {
+			v := cca.BBRLinux415()
+			v.NoPacing = true
+			return cca.NewBBR(cca.Config{}, v, r)
+		}},
 		{"bbr-linux-4.15", func(r *sim.RNG) cca.Algorithm { return cca.NewBBR(cca.Config{}, cca.BBRLinux415(), r) }},
 		{"bbr-linux-5.15", func(r *sim.RNG) cca.Algorithm { return cca.NewBBR(cca.Config{}, cca.BBRLinux515(), r) }},
 		{"bbrv3", func(r *sim.RNG) cca.Algorithm { return cca.NewBBRv3(cca.Config{}, r) }},

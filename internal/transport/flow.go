@@ -182,15 +182,6 @@ func NewFlow(tb *netem.Testbed, service int, alg cca.Algorithm, opts Options) *F
 	return f
 }
 
-// ID returns the testbed flow id.
-func (f *Flow) ID() int { return f.id }
-
-// Algorithm returns the flow's congestion controller.
-func (f *Flow) Algorithm() cca.Algorithm { return f.alg }
-
-// SRTT returns the smoothed RTT estimate.
-func (f *Flow) SRTT() sim.Time { return f.srtt }
-
 // DeliveredBytes returns the sender's count of acknowledged bytes.
 func (f *Flow) DeliveredBytes() int64 { return f.delivered }
 

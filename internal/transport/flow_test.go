@@ -252,8 +252,8 @@ func TestRTTSamplesNearConfiguredRTT(t *testing.T) {
 	if f.RTTSamples == 0 {
 		t.Fatal("no RTT samples")
 	}
-	if f.SRTT() < 50*sim.Millisecond || f.SRTT() > 60*sim.Millisecond {
-		t.Fatalf("SRTT = %v, want ~50ms", f.SRTT())
+	if f.srtt < 50*sim.Millisecond || f.srtt > 60*sim.Millisecond {
+		t.Fatalf("SRTT = %v, want ~50ms", f.srtt)
 	}
 }
 
@@ -265,14 +265,16 @@ func TestBBRMinRTTTracking(t *testing.T) {
 	f := NewFlow(tb, 0, alg, Options{})
 	f.SetBulk()
 	eng.RunUntil(15 * sim.Second)
-	rt := alg.RTProp()
-	if rt < 49*sim.Millisecond || rt > 60*sim.Millisecond {
-		t.Fatalf("BBR RTProp = %v, want ~50ms", rt)
-	}
 	bw := alg.BtlBw()
 	// ~10 Mbps = 1.25 MB/s.
 	if bw < 1_000_000 || bw > 1_500_000 {
 		t.Fatalf("BBR BtlBw = %d B/s, want ~1.25MB/s", bw)
+	}
+	// In ProbeBW the window is cwnd_gain (2) x BtlBw x RTProp, so the
+	// window and the bandwidth estimate give away the min-RTT estimate.
+	rt := sim.Time(float64(alg.CwndPackets()*1500) / float64(2*bw) * float64(sim.Second)) // 1500: the default MSS
+	if rt < 49*sim.Millisecond || rt > 60*sim.Millisecond {
+		t.Fatalf("BBR RTProp implied by cwnd %d = %v, want ~50ms", alg.CwndPackets(), rt)
 	}
 }
 

@@ -115,8 +115,9 @@ func TestBurstOnIdleRestartBursts(t *testing.T) {
 
 func TestConservationInvariant(t *testing.T) {
 	// Property: for random configurations, every packet the application
-	// offers is eventually either delivered or still pending — and the
-	// bottleneck's arrival = delivered + dropped accounting always holds.
+	// offers is eventually delivered — and once the completed flow has
+	// drained the queue, the bottleneck's arrival = delivered + dropped
+	// accounting holds.
 	if err := quick.Check(func(seed uint64, q uint8, rate uint8) bool {
 		eng := sim.NewEngine()
 		cfg := netem.Config{
@@ -130,10 +131,7 @@ func TestConservationInvariant(t *testing.T) {
 		f.Write(150_000, func(sim.Time) { completed = true })
 		eng.RunUntil(120 * sim.Second)
 		st := tb.Bneck.Stats(0)
-		if st.ArrivedPackets != st.DeliveredPackets+st.DroppedPackets+int64(tb.Bneck.QueueLen()) {
-			return false
-		}
-		return completed
+		return completed && st.ArrivedPackets == st.DeliveredPackets+st.DroppedPackets
 	}, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}

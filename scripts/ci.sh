@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, vet, gofmt, static analysis, doc-comment gate,
-# the docs gate (scripts/docs-gate.sh), the durable-primitive and dispatch-loop layering gates, the
+# the docs gate (scripts/docs-gate.sh), the dead-surface gate
+# (TestDeadSurface), the durable-primitive and dispatch-loop layering gates, the
 # internal/stats coverage floor, the focused dispatch-loop race gate,
 # the fuzz smoke gate, the full test suite under the race detector
 # (which holds the hot paths to 0 allocs/op and sketch state to O(1)),
@@ -472,6 +473,18 @@ if ! awk -v c="$STATS_COV" 'BEGIN { exit !(c >= 85) }'; then
     exit 1
 fi
 echo "ci: internal/stats coverage ${STATS_COV}% (floor 85%)"
+
+# Dead-surface gate: an exported internal/ identifier no non-test code
+# uses, an option field nothing sets, or one set to a single constant
+# must be deleted or listed with a reason in testdata/deadsurface.txt
+# (deadsurface_test.go). Each finding prints as "file:line pkg.Symbol rule".
+if ! go test -count=1 -run 'TestDeadSurface' . > "$ARTIFACTS/deadsurface.log" 2>&1; then
+    echo "ci: dead-surface gate failed:" >&2
+    findings="$(sed -n -E 's/^[[:space:]]+([^[:space:]]+\.go:[0-9]+ [^[:space:]]+ (dead|unassigned|one value))$/\1/p' "$ARTIFACTS/deadsurface.log")"
+    if [ -n "$findings" ]; then echo "$findings" >&2; else cat "$ARTIFACTS/deadsurface.log" >&2; fi
+    exit 1
+fi
+echo "ci: dead-surface gate passed ($(grep -c '^[a-z]' testdata/deadsurface.txt) allowlisted)"
 
 # Focused race gate for the one dispatch loop: the runner's own contract
 # test plus the determinism and interrupt/resume tests, which double as
