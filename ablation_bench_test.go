@@ -1,19 +1,13 @@
 // Ablation benchmarks for the calibration decisions documented in
 // DESIGN.md §6: each one toggles a single modelling mechanism and prints
 // the fairness outcome with and without it, quantifying how much of the
-// paper's shape that mechanism carries.
+// paper's shape that mechanism carries. The rows come from the ablation
+// figure functions in figures_test.go.
 package prudentia
 
 import (
 	"fmt"
 	"testing"
-
-	"prudentia/internal/cca"
-	"prudentia/internal/core"
-	"prudentia/internal/netem"
-	"prudentia/internal/services"
-	"prudentia/internal/sim"
-	"prudentia/internal/transport"
 )
 
 // BenchmarkAblationUpstreamJitter shows why the testbed injects 2 ms of
@@ -22,21 +16,11 @@ import (
 // Cubic-vs-Reno comes out nearly even instead of Cubic-dominant.
 func BenchmarkAblationUpstreamJitter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, jitter := range []bool{true, false} {
-			cfg := netem.ModeratelyConstrained()
-			cfg.NoJitter = !jitter
-			spec := benchTiming(core.Spec{
-				Incumbent: services.ByName("iPerf (Reno)"),
-				Contender: services.ByName("iPerf (Cubic)"),
-				Net:       cfg,
-				Seed:      12,
-			})
-			res, err := core.RunTrial(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fmt.Printf("[ablation jitter=%v] Reno vs Cubic @50 Mbps: %.1f / %.1f Mbps (Reno %.0f%% of MmF)\n",
-				jitter, res.Mbps[0], res.Mbps[1], res.SharePct[0])
+		ix := printed(b, ablationJitter)
+		for _, on := range []string{"on", "off"} {
+			id := "ablation/jitter/" + on + "/"
+			fmt.Printf("[ablation jitter=%v] Reno vs Cubic @50 Mbps: %s / %s Mbps (Reno %s%% of MmF)\n",
+				on == "on", ix.text(id+"reno-mbps", "%.1f"), ix.text(id+"cubic-mbps", "%.1f"), ix.text(id+"reno-share", "%.0f"))
 		}
 	}
 }
@@ -45,24 +29,11 @@ func BenchmarkAblationUpstreamJitter(b *testing.B) {
 // collapse: the same NewReno flow against Mega, with and without it.
 func BenchmarkAblationFragileRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		ix := printed(b, ablationFragile)
 		for _, fragile := range []bool{true, false} {
-			eng := sim.NewEngine()
-			// The 8 Mbps setting: Mega's bursts span a large fraction of
-			// the 128-packet queue, so burst-loss episodes regularly take
-			// out big chunks of a loss-based window.
-			cfg := netem.HighlyConstrained()
-			tb := netem.NewTestbed(eng, cfg, sim.NewRNG(9))
-			reno := transport.NewFlow(tb, 0, cca.NewNewReno(cca.Config{}),
-				transport.Options{FragileRecovery: fragile})
-			reno.SetBulk()
-			env := &services.Env{Eng: eng, TB: tb, Slot: 1, RNG: sim.NewRNG(10)}
-			mega := services.ByName("Mega").Start(env)
-			eng.RunUntil(90 * sim.Second)
-			mega.Stop()
-			r := float64(tb.Bneck.Stats(0).DeliveredBytes) * 8 / 90 / 1e6
-			m := float64(tb.Bneck.Stats(1).DeliveredBytes) * 8 / 90 / 1e6
-			fmt.Printf("[ablation fragile=%v] NewReno vs Mega @8 Mbps: %.2f / %.2f Mbps (%d collapses)\n",
-				fragile, r, m, reno.Timeouts)
+			id := fmt.Sprintf("ablation/fragile/%v/", fragile)
+			fmt.Printf("[ablation fragile=%v] NewReno vs Mega @8 Mbps: %s / %s Mbps (%s collapses)\n",
+				fragile, ix.text(id+"reno-mbps", "%.2f"), ix.text(id+"mega-mbps", "%.2f"), ix.text(id+"collapses", "%.0f"))
 		}
 	}
 }
@@ -72,12 +43,10 @@ func BenchmarkAblationFragileRecovery(b *testing.B) {
 // much of Mega's contentiousness is application-level scheduling (the
 // paper's Obs 4 point) versus its transport configuration.
 func BenchmarkAblationMegaBatching(b *testing.B) {
-	net := netem.ModeratelyConstrained()
 	for i := 0; i < b.N; i++ {
-		mega := runPair(b, "iPerf (Reno)", "Mega", net, benchOpts(net))
-		plain := runPair(b, "iPerf (Reno)", "iPerf (5xBBR)", net, benchOpts(net))
-		fmt.Printf("[ablation batching] Reno MmF share: vs Mega %.0f%%, vs plain 5xBBR %.0f%%\n",
-			mega.MedianSharePct(0), plain.MedianSharePct(0))
+		ix := printed(b, ablationBatching)
+		fmt.Printf("[ablation batching] Reno MmF share: vs Mega %s%%, vs plain 5xBBR %s%%\n",
+			ix.text("ablation/batching/vs-mega", "%.0f"), ix.text("ablation/batching/vs-5xbbr", "%.0f"))
 	}
 }
 
@@ -87,24 +56,11 @@ func BenchmarkAblationMegaBatching(b *testing.B) {
 // rungs.
 func BenchmarkAblationVideoPipelining(b *testing.B) {
 	for i := 0; i < b.N; i++ {
+		ix := printed(b, ablationPipelining)
 		for _, depth := range []int{1, 2} {
-			yt := services.YouTube(services.Year2023)
-			yt.PipelineDepth = depth
-			// The starving case is a saturated link with a queue-filling
-			// competitor: every duty-cycle gap costs estimator samples.
-			spec := benchTiming(core.Spec{
-				Incumbent: yt,
-				Contender: services.ByName("iPerf (Reno)"),
-				Net:       netem.HighlyConstrained(),
-				Seed:      6,
-			})
-			res, err := core.RunTrial(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := res.ServiceStats[0].Video
-			fmt.Printf("[ablation pipeline=%d] YouTube vs iPerf (Reno) @8 Mbps: %.2f Mbps, dominant %dp\n",
-				depth, res.Mbps[0], st.DominantResolution)
+			id := fmt.Sprintf("ablation/pipeline/depth%d/", depth)
+			fmt.Printf("[ablation pipeline=%d] YouTube vs iPerf (Reno) @8 Mbps: %s Mbps, dominant %sp\n",
+				depth, ix.text(id+"mbps", "%.2f"), ix.text(id+"resolution", "%.0f"))
 		}
 	}
 }

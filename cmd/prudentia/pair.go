@@ -11,8 +11,8 @@ import (
 	"path/filepath"
 
 	"prudentia/internal/core"
-	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
+	"prudentia/internal/obs"
 	"prudentia/internal/report"
 	"prudentia/internal/services"
 	"prudentia/internal/sim"
@@ -100,7 +100,7 @@ func parsePair(args []string) (config, error) {
 type sampledTrial struct {
 	seed  uint64
 	bneck *netem.Bottleneck
-	rate  *metrics.RateSampler
+	rate  *obs.RateSampler
 }
 
 // runPair measures the pair and prints its record: per-slot medians, IQR
@@ -138,7 +138,7 @@ func runPair(pc *pairConfig, stdout io.Writer) error {
 			last, lastFaulted = st, false
 			s.Observe = func(tb *netem.Testbed) {
 				tb.Bneck.StartSampling(100 * sim.Millisecond)
-				st.bneck, st.rate = tb.Bneck, metrics.NewRateSampler(tb.Eng, tb.Bneck, 500*sim.Millisecond)
+				st.bneck, st.rate = tb.Bneck, obs.NewRateSampler(tb.Eng, tb.Bneck, 500*sim.Millisecond)
 			}
 			return s
 		}

@@ -10,8 +10,8 @@ import (
 	"log"
 
 	"prudentia/internal/core"
-	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
+	"prudentia/internal/obs"
 	"prudentia/internal/report"
 	"prudentia/internal/services"
 	"prudentia/internal/sim"
@@ -23,7 +23,7 @@ func main() {
 		// The engine stops where the window closes, Duration − Cooldown =
 		// 110 s, and both series end there.
 		var bneck *netem.Bottleneck
-		var rate *metrics.RateSampler
+		var rate *obs.RateSampler
 		spec := core.Spec{
 			Incumbent: services.ByName(inc),
 			Contender: services.ByName("Mega"),
@@ -34,7 +34,7 @@ func main() {
 			Cooldown:  10 * sim.Second,
 			Observe: func(tb *netem.Testbed) {
 				tb.Bneck.StartSampling(250 * sim.Millisecond)
-				bneck, rate = tb.Bneck, metrics.NewRateSampler(tb.Eng, tb.Bneck, sim.Second)
+				bneck, rate = tb.Bneck, obs.NewRateSampler(tb.Eng, tb.Bneck, sim.Second)
 			},
 		}
 		res, err := core.RunTrial(spec)

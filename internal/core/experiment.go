@@ -22,8 +22,8 @@ import (
 
 	"prudentia/internal/browser"
 	"prudentia/internal/chaos"
-	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
+	"prudentia/internal/obs"
 	"prudentia/internal/services"
 	"prudentia/internal/sim"
 )
@@ -60,7 +60,7 @@ type Spec struct {
 	// any traffic starts. The golden-trace conformance harness
 	// (internal/sim/golden) uses it to attach the netem packet-lifecycle
 	// hooks; trace collectors and the queue/throughput series samplers
-	// (netem.Bottleneck.StartSampling, metrics.NewRateSampler) attach the
+	// (netem.Bottleneck.StartSampling, obs.NewRateSampler) attach the
 	// same way. It must not start traffic or advance the engine.
 	Observe func(*netem.Testbed)
 	// Abort, if non-nil, is installed on the trial's engine: setting it
@@ -341,20 +341,20 @@ func RunTrial(spec Spec) (TrialResult, error) {
 	res.Discarded = res.ExternalLossRate > MaxExternalLoss
 	res.Obs = scrapeObs(tb, horizon)
 
-	var win [2]metrics.WindowStats
+	var win [2]obs.WindowStats
 	for slot := 0; slot < 2; slot++ {
-		win[slot] = metrics.Sub(snapEnd[slot], snapStart[slot])
+		win[slot] = obs.Sub(snapEnd[slot], snapStart[slot])
 		res.Mbps[slot] = win[slot].ThroughputMbps(window)
 		res.Loss[slot] = win[slot].LossRate()
 		res.QueueDelay[slot] = win[slot].MeanQueueDelay()
 	}
-	res.Utilization = metrics.LinkUtilization(
+	res.Utilization = obs.LinkUtilization(
 		[2]int64{win[0].Bytes, win[1].Bytes}, spec.Net.RateBps, window)
 
-	fair := metrics.MmFShares(spec.Net.RateBps, caps)
+	fair := obs.MmFShares(spec.Net.RateBps, caps)
 	for slot := 0; slot < 2; slot++ {
 		res.FairShareMbps[slot] = fair[slot] / 1e6
-		res.SharePct[slot] = metrics.SharePercent(res.Mbps[slot]*1e6, fair[slot])
+		res.SharePct[slot] = obs.SharePercent(res.Mbps[slot]*1e6, fair[slot])
 	}
 
 	for slot, st := range insts {

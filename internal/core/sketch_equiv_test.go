@@ -142,6 +142,13 @@ func sliceAdaptiveStop(pol stats.SequentialPolicy, s0, s1 []float64) (stop bool,
 	return false, ""
 }
 
+// visited lists what Sketch.Each visits, one value per visit, and the
+// sum of the visits' counts.
+func visited(s *stats.Sketch) (vals []float64, total int64) {
+	s.Each(func(v float64, count int64) { vals, total = append(vals, v), total+count })
+	return vals, total
+}
+
 // checkPairAgainstSlices compares every accessor of one pair with slice
 // arithmetic over its raw counted trials.
 func checkPairAgainstSlices(t *testing.T, res *MatrixResult, p *PairOutcome, trials []TrialResult) {
@@ -180,11 +187,13 @@ func checkPairAgainstSlices(t *testing.T, res *MatrixResult, p *PairOutcome, tri
 			gotLo != lo || gotHi != hi {
 			t.Fatalf("%s slot %d: sketch statistics diverged from slice arithmetic", label, slot)
 		}
-		if _, exact := p.Sketches.SharePct[slot].Values(); !exact {
+		// In the exact regime Each visits the raw samples, sorted.
+		sort.Float64s(share)
+		if got, _ := visited(p.Sketches.SharePct[slot]); !slices.Equal(got, share) {
 			t.Fatalf("%s: sketch left exact regime at test trial budgets", label)
 		}
 		// The Fig 10 scatter: the slot's trial throughputs, sorted.
-		scatter, _ := p.Sketches.Mbps[slot].Values()
+		scatter, _ := visited(p.Sketches.Mbps[slot])
 		sort.Float64s(mbps)
 		if p.Sketches.Mbps[slot].IQR() != stats.IQR(mbps) || !slices.Equal(scatter, mbps) {
 			t.Fatalf("%s slot %d: scatter %v, want sorted %v", label, slot, scatter, mbps)
@@ -362,7 +371,8 @@ func TestSketchMergedShareSketch(t *testing.T) {
 // TestPairBeyondSketchBufferCap pins the documented >128-trial rule: a
 // caller asking for more counted trials than stats.SketchBufferCap gets
 // the right count, medians within 1% of slice arithmetic over the raw
-// trials, an IQR, and no TrialMbps scatter.
+// trials, an IQR, and a scatter of bucket representatives whose counts
+// sum to the trials, not the raw samples.
 func TestPairBeyondSketchBufferCap(t *testing.T) {
 	net := netem.HighlyConstrained()
 	opts := fastOpts(net)
@@ -376,8 +386,11 @@ func TestPairBeyondSketchBufferCap(t *testing.T) {
 	res, trials := runJournaled(t, &Matrix{Services: []services.Service{svc}, Net: net, Opts: opts})
 	p := res.Pairs[pairKey(0, 0)]
 	tr := trials[p.Incumbent+" vs "+p.Contender]
-	if _, exact := p.Sketches.SharePct[0].Values(); p.Counted() != n || len(tr) != n || exact {
-		t.Fatalf("counted %d trials (journal %d), want %d in the compacted regime", p.Counted(), len(tr), n)
+	share := series(tr, n, func(t *TrialResult) float64 { return t.SharePct[0] })
+	sort.Float64s(share)
+	got, total := visited(p.Sketches.SharePct[0])
+	if p.Counted() != n || len(tr) != n || total != int64(n) || slices.Equal(got, share) {
+		t.Fatalf("counted %d trials (journal %d, visited %d), want %d in the compacted regime", p.Counted(), len(tr), total, n)
 	}
 	for slot := 0; slot < 2; slot++ {
 		want := stats.Median(series(tr, n, func(t *TrialResult) float64 { return t.SharePct[slot] }))
@@ -385,8 +398,8 @@ func TestPairBeyondSketchBufferCap(t *testing.T) {
 			t.Fatalf("slot %d: median share %v not within 1%% of %v", slot, got, want)
 		}
 	}
-	if scatter, _ := p.Sketches.Mbps[0].Values(); len(scatter) != 0 || p.Sketches.Mbps[0].IQR() < 0 {
-		t.Fatalf("scatter past the cap = %v; want an IQR and no scatter", scatter)
+	if _, total := visited(p.Sketches.Mbps[0]); total != int64(n) || p.Sketches.Mbps[0].IQR() < 0 {
+		t.Fatalf("scatter past the cap covers %d trials, want %d and an IQR", total, n)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"prudentia/internal/core"
-	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
+	"prudentia/internal/obs"
 	"prudentia/internal/services"
 	"prudentia/internal/sim"
 )
@@ -30,7 +30,7 @@ func windowedOf(r core.TrialResult) windowed {
 // windowed fields are computed from those reads with the arithmetic
 // RunTrial uses. tail is how many packets reached the bottleneck after
 // the closing read.
-func oracleTrial(t *testing.T, s core.Spec) (w windowed, obs core.TrialObs, tail int64) {
+func oracleTrial(t *testing.T, s core.Spec) (w windowed, agg core.TrialObs, tail int64) {
 	t.Helper()
 	closeAt := s.Duration - s.Cooldown
 	var open, shut [2]netem.ServiceStats
@@ -54,17 +54,17 @@ func oracleTrial(t *testing.T, s core.Spec) (w windowed, obs core.TrialObs, tail
 	if s.Contender != nil {
 		caps[1] = s.Contender.MaxRateBps()
 	}
-	fair := metrics.MmFShares(s.Net.RateBps, caps)
-	var win [2]metrics.WindowStats
+	fair := obs.MmFShares(s.Net.RateBps, caps)
+	var win [2]obs.WindowStats
 	for slot := range win {
-		win[slot] = metrics.Sub(shut[slot], open[slot])
+		win[slot] = obs.Sub(shut[slot], open[slot])
 		w.Mbps[slot] = win[slot].ThroughputMbps(window)
 		w.Loss[slot] = win[slot].LossRate()
 		w.QueueDelay[slot] = win[slot].MeanQueueDelay()
 		w.FairShareMbps[slot] = fair[slot] / 1e6
-		w.SharePct[slot] = metrics.SharePercent(w.Mbps[slot]*1e6, fair[slot])
+		w.SharePct[slot] = obs.SharePercent(w.Mbps[slot]*1e6, fair[slot])
 	}
-	w.Utilization = metrics.LinkUtilization(
+	w.Utilization = obs.LinkUtilization(
 		[2]int64{win[0].Bytes, win[1].Bytes}, s.Net.RateBps, window)
 	tail = res.Obs.ArrivedPackets - shut[0].ArrivedPackets - shut[1].ArrivedPackets
 	return w, res.Obs, tail

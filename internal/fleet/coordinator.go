@@ -403,16 +403,7 @@ func (c *Coordinator) dropWorkerLocked(w *remoteWorker, reason string, penalize 
 // execution of the pair already won — are counted and discarded; this
 // loses nothing because re-dispatched executions are byte-identical.
 func (c *Coordinator) handleResult(w *remoteWorker, m *msg) bool {
-	out := &core.PairOutcome{}
-	err := json.Unmarshal(m.Outcome, out) // an absent outcome fails to parse too
-	if err == nil {
-		err = out.Validate()
-	}
-	if err == nil && out.Skipped {
-		// Admission is decided coordinator-side: a worker runs every pair
-		// it is sent, and a skipped one carries no statistics to release.
-		err = errors.New("a worker never skips a pair")
-	}
+	out, err := decodeResult(m.Outcome)
 	if err != nil {
 		c.dropWorker(w, fmt.Sprintf("protocol error: bad outcome on lease %d: %v", m.Lease, err), true)
 		return false
@@ -452,6 +443,21 @@ func (c *Coordinator) handleResult(w *remoteWorker, m *msg) bool {
 	c.mu.Unlock()
 	c.kickDispatch()
 	return true
+}
+
+// decodeResult reads a worker's result outcome, untrusted bytes off the
+// wire: it must parse, pass Validate, and not be Skipped (admission is
+// decided coordinator-side; a worker runs every pair it is sent).
+func decodeResult(raw json.RawMessage) (*core.PairOutcome, error) {
+	out := &core.PairOutcome{}
+	err := json.Unmarshal(raw, out) // an absent outcome fails to parse too
+	if err == nil {
+		err = out.Validate()
+	}
+	if err == nil && out.Skipped {
+		err = errors.New("a worker never skips a pair")
+	}
+	return out, err
 }
 
 // RunPairs implements core.RemoteRunner: it dispatches the tasks across

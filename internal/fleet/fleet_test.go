@@ -227,6 +227,24 @@ func (f *fakeWorker) awaitAssign() *msg {
 	}
 }
 
+// badOutcomes are results a worker may ship that the coordinator must
+// refuse, by what is wrong with them: raw trials and no sketches (the
+// shape older builds shipped under -exact-stats), sketches holding more
+// samples than the pair counted trials, and a skipped pair.
+func badOutcomes(t testing.TB) map[string]string {
+	honest, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), allPairs(1)[0])
+	honest.Sketches.N++
+	miscounted, err := json.Marshal(honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]string{
+		"a raw-sample outcome": `{"Incumbent":"iPerf (Reno)","Contender":"iPerf (Reno)","Trials":[{"Mbps":[4,4],"SharePct":[100,100]}]}`,
+		"a miscounted outcome": string(miscounted),
+		"a skipped outcome":    `{"Incumbent":"iPerf (Reno)","Contender":"iPerf (Reno)","Skipped":true}`,
+	}
+}
+
 // TestWorkerDeathRedispatch: a worker that dies holding a lease — or is
 // dropped for answering it with a pair that carries raw trials and no
 // sketches, the shape older builds shipped under -exact-stats, with a
@@ -242,18 +260,13 @@ func TestWorkerDeathRedispatch(t *testing.T) {
 			}
 		}
 	}
-	honest, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), allPairs(1)[0])
-	honest.Sketches.N++
-	miscounted, err := json.Marshal(honest)
-	if err != nil {
-		t.Fatal(err)
+	fails := map[string]func(f *fakeWorker, assign *msg){
+		"dies mid-lease": func(f *fakeWorker, _ *msg) { f.fc.close() },
 	}
-	for name, fail := range map[string]func(f *fakeWorker, assign *msg){
-		"dies mid-lease":             func(f *fakeWorker, _ *msg) { f.fc.close() },
-		"ships a raw-sample outcome": ship(`{"Incumbent":"iPerf (Reno)","Contender":"iPerf (Reno)","Trials":[{"Mbps":[4,4],"SharePct":[100,100]}]}`),
-		"ships a miscounted outcome": ship(string(miscounted)),
-		"ships a skipped outcome":    ship(`{"Incumbent":"iPerf (Reno)","Contender":"iPerf (Reno)","Skipped":true}`),
-	} {
+	for what, outcome := range badOutcomes(t) {
+		fails["ships "+what] = ship(outcome)
+	}
+	for name, fail := range fails {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			coord := startTestCoordinator(t, func(c *Coordinator) {

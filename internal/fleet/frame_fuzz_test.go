@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"net"
 	"reflect"
 	"strings"
@@ -129,6 +130,36 @@ func FuzzFrameScanner(f *testing.F) {
 			if _, err := back.read(0); err != nil {
 				t.Fatalf("accepted message %+v does not survive re-encoding: %v", m, err)
 			}
+		}
+	})
+}
+
+// FuzzFleetResult throws arbitrary bytes at decodeResult, the reader of
+// a worker's result outcome. It never panics, and an outcome it accepts
+// passes Validate and is not Skipped. The corpus starts from an honest
+// pair and the outcomes TestWorkerDeathRedispatch ships.
+func FuzzFleetResult(f *testing.F) {
+	honest, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), allPairs(1)[0])
+	whole, err := json.Marshal(honest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole)
+	bad := badOutcomes(f)
+	for _, what := range []string{"a miscounted outcome", "a raw-sample outcome", "a skipped outcome"} {
+		f.Add([]byte(bad[what]))
+	}
+	f.Add([]byte("null"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := decodeResult(data)
+		if err != nil {
+			return
+		}
+		if verr := out.Validate(); verr != nil {
+			t.Fatalf("accepted an outcome that fails Validate: %v", verr)
+		}
+		if out.Skipped {
+			t.Fatal("accepted a skipped outcome")
 		}
 	})
 }

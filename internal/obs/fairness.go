@@ -1,8 +1,4 @@
-// Package metrics computes the fairness quantities Prudentia reports:
-// application-limit-aware max-min fair (MmF) shares (§2.2), link
-// utilization (Fig 11), loss rates (Fig 12), and queueing delay (Fig 13),
-// plus throughput time series used by Figs 4 and 8.
-package metrics
+package obs
 
 import (
 	"prudentia/internal/netem"

@@ -1,5 +1,7 @@
-// Package obs is Prudentia's internal telemetry layer: a dependency-free,
-// allocation-conscious metric registry (counters, gauges, histograms with
+// Package obs is Prudentia's measurement layer: the fairness arithmetic
+// (fairness.go: application-limit-aware MmF shares per §2.2, utilization,
+// loss, queueing delay, the rate series of Figs 4 and 8) and telemetry:
+// an allocation-conscious metric registry (counters, gauges, histograms with
 // fixed bucket layouts) plus the per-run artifacts a long-lived watchdog
 // needs to be post-hoc debuggable — a JSONL cycle timeline and a run
 // manifest. It exists because a measurement service that must run
@@ -29,8 +31,9 @@
 //     fmt or lock while encoding, no allocation into a reused buffer.
 //     Nothing of the text is cached, so a scrape reflects everything
 //     that happened before it.
-//   - No dependencies: obs imports only the standard library and is
-//     imported from anywhere in the stack without cycles.
+//   - Few dependencies: obs imports the standard library, journal and
+//     the substrate it measures (netem, sim), none of which imports obs,
+//     so it is imported from anywhere above the substrate without cycles.
 package obs
 
 import (

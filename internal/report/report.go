@@ -9,8 +9,8 @@ import (
 	"math"
 	"strings"
 
-	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
+	"prudentia/internal/obs"
 )
 
 // CellFunc supplies one heatmap value: the measurement for incumbent
@@ -110,7 +110,7 @@ func Sparkline(vals []float64, max float64) string {
 
 // RateSeries renders a two-service throughput series (Fig 4) as paired
 // sparklines plus a legend.
-func RateSeries(title string, pts []metrics.RatePoint, linkMbps float64, names [2]string) string {
+func RateSeries(title string, pts []obs.RatePoint, linkMbps float64, names [2]string) string {
 	a := make([]float64, len(pts))
 	c := make([]float64, len(pts))
 	for i, p := range pts {

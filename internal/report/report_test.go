@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
+	"prudentia/internal/obs"
 	"prudentia/internal/sim"
 )
 
@@ -58,7 +58,7 @@ func TestSparkline(t *testing.T) {
 }
 
 func TestRateAndQueueSeries(t *testing.T) {
-	pts := []metrics.RatePoint{{At: sim.Second, Mbps: [2]float64{10, 40}}}
+	pts := []obs.RatePoint{{At: sim.Second, Mbps: [2]float64{10, 40}}}
 	out := RateSeries("title", pts, 50, [2]string{"a", "b"})
 	if !strings.Contains(out, "title") || !strings.Contains(out, "a") {
 		t.Fatalf("rate series = %q", out)

@@ -155,17 +155,6 @@ func (s *Sketch) Alpha() float64 { return s.alpha }
 // Count returns the number of samples added so far.
 func (s *Sketch) Count() int { return int(s.n) }
 
-// Values returns a sorted copy of the samples while the sketch is in
-// the exact regime, and (nil, false) once compacted. Callers that need
-// raw series diagnostics (e.g. cross-cycle instability) use this and
-// degrade gracefully past the cap.
-func (s *Sketch) Values() ([]float64, bool) {
-	if s.compacted {
-		return nil, false
-	}
-	return append([]float64(nil), s.buf...), true
-}
-
 // Add folds one sample into the sketch. NaN samples are ignored and
 // ±Inf is clamped to ±MaxFloat64, keeping the state finite so the
 // logarithmic buckets stay well-defined; order statistics over the raw

@@ -14,8 +14,8 @@ import (
 	"sync"
 
 	"prudentia/internal/core"
-	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
+	"prudentia/internal/obs"
 )
 
 // WriteQueueCSV emits the queue occupancy series as CSV
@@ -42,7 +42,7 @@ func WriteQueueCSV(w io.Writer, samples []netem.OccupancySample) error {
 
 // WriteRateCSV emits a per-service throughput series as CSV
 // (time_s,svc0_mbps,svc1_mbps) — the signal in Fig 4.
-func WriteRateCSV(w io.Writer, points []metrics.RatePoint) error {
+func WriteRateCSV(w io.Writer, points []obs.RatePoint) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"time_s", "svc0_mbps", "svc1_mbps"}); err != nil {
 		return err

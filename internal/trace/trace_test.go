@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"prudentia/internal/metrics"
 	"prudentia/internal/netem"
+	"prudentia/internal/obs"
 	"prudentia/internal/sim"
 )
 
@@ -32,7 +32,7 @@ func TestWriteQueueCSV(t *testing.T) {
 
 func TestWriteRateCSV(t *testing.T) {
 	var sb strings.Builder
-	pts := []metrics.RatePoint{{At: sim.Second, Mbps: [2]float64{12.5, 3.25}}}
+	pts := []obs.RatePoint{{At: sim.Second, Mbps: [2]float64{12.5, 3.25}}}
 	if err := WriteRateCSV(&sb, pts); err != nil {
 		t.Fatal(err)
 	}

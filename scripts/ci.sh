@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, vet, gofmt, static analysis, doc-comment gate,
 # the docs gate (scripts/docs-gate.sh), the dead-surface gate
-# (TestDeadSurface), the durable-primitive and dispatch-loop layering gates, the
-# internal/stats coverage floor, the focused dispatch-loop race gate,
+# (TestDeadSurface), the figure gate (TestFigures), the durable-primitive
+# and dispatch-loop layering gates, the internal/stats coverage floor, the focused dispatch-loop race gate,
 # the fuzz smoke gate, the full test suite under the race detector
 # (which holds the hot paths to 0 allocs/op and sketch state to O(1)),
 # a seeded end-to-end acceptance run whose observability artifacts are
@@ -486,6 +486,19 @@ if ! go test -count=1 -run 'TestDeadSurface' . > "$ARTIFACTS/deadsurface.log" 2>
 fi
 echo "ci: dead-surface gate passed ($(grep -c '^[a-z]' testdata/deadsurface.txt) allowlisted)"
 
+# Figure gate: testdata/figures.json is reproducible and EXPERIMENTS.md
+# cites it (figures_test.go). TestFigures recomputes the 8 Mbps cycle's
+# rows and one trial row; each row that differs from the artifact, or
+# from the number EXPERIMENTS.md cites, prints as
+# "id: committed X, recomputed Y" (or "cited Y").
+if ! go test -count=1 -run 'TestFigures' . > "$ARTIFACTS/figures.log" 2>&1; then
+    echo "ci: figure gate failed:" >&2
+    rows="$(sed -n -E 's/^[[:space:]]+figures_test\.go:[0-9]+: (EXPERIMENTS\.md: )?(.*: committed .*, (recomputed|cited) .*)$/\2/p' "$ARTIFACTS/figures.log")"
+    if [ -n "$rows" ]; then echo "$rows" >&2; else cat "$ARTIFACTS/figures.log" >&2; fi
+    exit 1
+fi
+echo "ci: figure gate passed ($(grep -c '"id":' testdata/figures.json) rows)"
+
 # Focused race gate for the one dispatch loop: the runner's own contract
 # test plus the determinism and interrupt/resume tests, which double as
 # the data-race probes for the worker spawn, the ordered merge, and the
@@ -503,9 +516,9 @@ fi
 # bytes against the parsers that read the network, the disk and the
 # command line — the frame readers, submission-WAL recovery, the
 # submissions route's request body, the two readers a resumed cycle
-# trusts (the checkpoint header, the journaled pair record) and
-# parseConfig (flags, the -sweep grid) — so they see more than their
-# seed corpus. Long exploratory campaigns run
+# trusts (the checkpoint header, the journaled pair record), a fleet
+# worker's result outcome and parseConfig (flags, the -sweep grid) — so
+# they see more than their seed corpus. Long exploratory campaigns run
 # out-of-band; this catches gross regressions on every CI pass.
 FUZZTIME=10s
 if [ "$SHORT" -eq 1 ]; then FUZZTIME=5s; fi
@@ -516,6 +529,7 @@ go test -run '^$' -fuzz '^FuzzSubsWALOpen$' -fuzztime="$FUZZTIME" ./internal/ser
 go test -run '^$' -fuzz '^FuzzSubmissionBody$' -fuzztime="$FUZZTIME" ./internal/serve
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime="$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz '^FuzzPairRecord$' -fuzztime="$FUZZTIME" ./internal/core
+go test -run '^$' -fuzz '^FuzzFleetResult$' -fuzztime="$FUZZTIME" ./internal/fleet
 go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime="$FUZZTIME" ./cmd/prudentia
 
 # The race detector slows the simulation-heavy core tests well past the

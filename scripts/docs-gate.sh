@@ -23,8 +23,8 @@ flags="$(
       go run ./cmd/prudentia pair -h 2>&1 || true
       go run ./bench -h 2>&1 || true
     } | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p'
-    # -h, and the go test flags the docs use.
-    printf '%s\n' h run bench benchtime benchmem count race short timeout fuzz fuzztime cover list v cpu
+    # -h, the go test flags the docs use, and TestFigures' -update.
+    printf '%s\n' h run bench benchtime benchmem count race short timeout fuzz fuzztime cover list v cpu update
 )"
 tests="$(go test -list . ./... | grep -E '^(Test|Benchmark|Fuzz)')"
 
