@@ -16,14 +16,14 @@ import (
 	"prudentia/internal/core"
 	"prudentia/internal/fleet"
 	"prudentia/internal/netem"
-	"prudentia/internal/services"
+	"prudentia/internal/sim"
 )
 
 // config is one prudentia invocation, parsed and validated once.
 // parseConfig, with parsePair for the `pair` subcommand, is the only code
 // that touches package flag; the watchdog it configures and, through
 // that watchdog's core.Recipe, the fleet fingerprint, the manifest, the
-// sweep cells and the daemon all derive from this value.
+// sweep grid and the daemon all derive from this value.
 type config struct {
 	usage string // -h was given: the text to print instead of running
 
@@ -43,11 +43,11 @@ type config struct {
 	timeline, manifest  string
 	pprofDir, faultsOut string
 
-	sweep                 bool
-	sweepRates, sweepRTTs []float64
-	sweepQueues           []int
-	sweepCCAs             []services.Service
-	sweepOut              string
+	// sweep replaces the report with <sweepOut>.tsv/.json; the grid is
+	// also the watchdog's Settings, in the same order (sweep.go).
+	sweep     bool
+	sweepGrid []gridPoint
+	sweepOut  string
 
 	serve                              bool
 	serveAddr, serveAddrFile, serveDir string
@@ -66,14 +66,16 @@ var flagNeeds = map[string]string{
 	"serve-addr": "serve", "serve-addr-file": "serve", "serve-dir": "serve", "cycle-interval": "serve",
 	"listen": "coordinator", "listen-addr-file": "coordinator", "expect-workers": "coordinator", "chaos-partitions": "coordinator",
 	"worker-name": "connect",
-	"sweep-rates": "sweep", "sweep-rtts": "sweep", "sweep-queues": "sweep", "sweep-ccas": "sweep", "sweep-out": "sweep",
+	"sweep-rates": "sweep", "sweep-rtts": "sweep", "sweep-queues": "sweep", "sweep-out": "sweep",
 }
 
 // flagConflicts lists pairs where the first flag's mode never reads the
 // second: a worker runs no cycles of its own, the daemon profiles nothing
-// per cycle and is not a sweep.
+// per cycle and is not a sweep, and a sweep is one cycle over its own
+// settings on this process.
 var flagConflicts = [][2]string{
 	{"serve", "pprof-dir"}, {"serve", "sweep"},
+	{"sweep", "cycles"}, {"sweep", "setting"}, {"sweep", "coordinator"},
 	{"connect", "serve"}, {"connect", "coordinator"}, {"connect", "sweep"}, {"connect", "checkpoint"},
 }
 
@@ -86,7 +88,7 @@ func parseConfig(args []string) (config, error) {
 	}
 	w := core.NewWatchdog()
 	c := config{watchdog: w}
-	var setting, svcFilter, code, rates, rtts, queues, ccas string
+	var setting, svcFilter, code, rates, rtts, queues string
 	var chaosOn, adaptive bool
 	var chaosDisk uint64
 	fs := flag.NewFlagSet("prudentia", flag.ContinueOnError)
@@ -98,11 +100,11 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&setting, "setting", "both", "highly | moderately | both")
 	fs.BoolVar(&c.verbose, "v", false, "per-pair progress output, plus circuit-breaker status after every cycle")
 	fs.StringVar(&w.CheckpointPath, "checkpoint", "", "checkpoint file: keep the in-progress cycle's header here and journal every attempt beside it (at <file>.wal unless -journal names a path), so a cycle interrupted or killed -9 resumes on the next run; both files are removed when the cycle completes")
-	fs.BoolVar(&chaosOn, "chaos", false, "arm the deterministic fault-injection plan (all classes)")
+	fs.BoolVar(&chaosOn, "chaos", false, "arm the deterministic fault-injection plan: link flaps, bandwidth sags, client stalls, trial panics/errors and result corruption")
 	fs.IntVar(&w.Workers, "workers", runtime.GOMAXPROCS(0),
 		"parallel trial workers for calibrations and the pair matrix (1 = serial; output is byte-identical for any value)")
 	fs.Uint64Var(&w.Opts.BaseSeed, "seed", 0, "base seed for the deterministic trial-seed sequence (0 = default)")
-	fs.StringVar(&svcFilter, "services", "", "comma-separated service names: restrict the catalog (exact match)")
+	fs.StringVar(&svcFilter, "services", "", "comma-separated service names: restrict the catalog (exact match; -sweep defaults to "+sweepServices+")")
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the metric snapshot here after every cycle (.json = JSON, else Prometheus text)")
 	fs.StringVar(&c.timeline, "timeline", "", "append the JSONL cycle timeline (trial/pair/checkpoint events) to this file")
 	fs.StringVar(&c.manifest, "manifest", "", "write the run manifest here after every cycle (default: manifest.json beside -timeline)")
@@ -112,13 +114,12 @@ func parseConfig(args []string) (config, error) {
 	fs.Float64Var(&w.Opts.WallBudget, "max-trial-wall", 0, "hung-trial reaper: wall-clock budget factor per trial (simulated seconds × factor; 0 = off)")
 	fs.BoolVar(&adaptive, "adaptive", false, "adaptive trial budgets: coarse screening ranks pairs, the sequential stopper ends each pair's trials once its verdict is stable")
 
-	// Sweep mode: a rate × RTT × queue × CCA parameter grid instead of
-	// watchdog cycles (sweep.go, scripts/sweep.sh).
-	fs.BoolVar(&c.sweep, "sweep", false, "sweep mode: run the pair matrix of -sweep-ccas at every rate × RTT × queue grid point and write <-sweep-out>.tsv/.json instead of running cycles")
+	// Sweep mode: one cycle whose settings are a rate × RTT × queue grid
+	// (sweep.go, scripts/sweep.sh).
+	fs.BoolVar(&c.sweep, "sweep", false, "sweep mode: run one cycle whose settings are the rate × RTT × queue grid and write <-sweep-out>.tsv/.json instead of the report")
 	fs.StringVar(&rates, "sweep-rates", "8,50", "sweep: comma-separated bottleneck rates in Mbps")
 	fs.StringVar(&rtts, "sweep-rtts", "25,50,100", "sweep: comma-separated round-trip times in ms")
 	fs.StringVar(&queues, "sweep-queues", "64,256", "sweep: comma-separated drop-tail queue capacities in packets")
-	fs.StringVar(&ccas, "sweep-ccas", "iPerf (Cubic),iPerf (BBR),iPerf (Reno)", "sweep: comma-separated catalog service names forming the pair matrix at each grid point")
 	fs.StringVar(&c.sweepOut, "sweep-out", "sweep", "sweep: output path prefix (writes <prefix>.tsv and <prefix>.json)")
 
 	// Serve mode: campaign scheduler plus a read-optimized HTTP API over
@@ -178,22 +179,28 @@ func parseConfig(args []string) (config, error) {
 	}
 	if c.sweep {
 		float := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-		var e1, e2, e3 error
-		c.sweepRates, e1 = parseSweepList("sweep-rates", rates, float)
-		c.sweepRTTs, e2 = parseSweepList("sweep-rtts", rtts, float)
-		c.sweepQueues, e3 = parseSweepList("sweep-queues", queues, strconv.Atoi)
+		rateList, e1 := parseSweepList("sweep-rates", rates, float)
+		rttList, e2 := parseSweepList("sweep-rtts", rtts, float)
+		queueList, e3 := parseSweepList("sweep-queues", queues, strconv.Atoi)
 		if err := errors.Join(e1, e2, e3); err != nil {
 			return c, err
 		}
-		for _, name := range splitTrim(ccas) {
-			svc := services.ByName(name)
-			if svc == nil {
-				return c, fmt.Errorf("-sweep-ccas: unknown service %q", name)
+		// Rate-major, then RTT, then queue: the order of the artifacts' cells.
+		w.Settings = nil
+		for _, rate := range rateList {
+			for _, rtt := range rttList {
+				for _, queue := range queueList {
+					c.sweepGrid = append(c.sweepGrid, gridPoint{rate, rtt, queue})
+					w.Settings = append(w.Settings, netem.Config{
+						RateBps:       int64(rate * 1e6),
+						RTT:           sim.Time(rtt * float64(sim.Millisecond)),
+						QueueCapacity: queue,
+					})
+				}
 			}
-			c.sweepCCAs = append(c.sweepCCAs, svc)
 		}
-		if len(c.sweepCCAs) == 0 {
-			return c, errors.New("-sweep-ccas: names no service")
+		if svcFilter == "" {
+			svcFilter = sweepServices
 		}
 	}
 	if chaosOn {

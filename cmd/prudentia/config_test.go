@@ -98,6 +98,16 @@ func TestParseConfigValidation(t *testing.T) {
 		{"-connect 127.0.0.1:9070 -worker-name w1 -submit https://example.com/p -code " + accessCode, ""},
 		{"-coordinator -chaos-partitions 1 -listen-addr-file a", ""},
 		{"-sweep -sweep-rates 8,50 -sweep-rtts 25 -sweep-queues 64 -sweep-out o -adaptive -quick=false", ""},
+		{"-sweep -submit https://example.com/p -code " + accessCode, ""},
+		{"-sweep -services Netflix,Mega", ""},
+		{"-sweep -checkpoint s.json", ""},
+		{"-sweep -journal t.wal", ""},
+		{"-sweep -metrics-out m.prom", ""},
+		{"-sweep -timeline t.jsonl", ""},
+		{"-sweep -manifest m.json", ""},
+		{"-sweep -pprof-dir pp", ""},
+		{"-sweep -faults-out f.jsonl", ""},
+		{"-sweep -chaos-disk 7", ""},
 		{"-setting moderately", ""},
 		{"-setting mod", ""},
 
@@ -126,7 +136,11 @@ func TestParseConfigValidation(t *testing.T) {
 		{"-sweep -sweep-rates 0", "-sweep-rates"},
 		{"-sweep -sweep-rtts NaN", "-sweep-rtts"},
 		{"-sweep -sweep-queues 1.5", "-sweep-queues"},
-		{"-sweep -sweep-ccas Nope", "-sweep-ccas"},
+		{"-sweep -sweep-ccas Netflix", "-sweep-ccas"},
+		{"-sweep -services Nope", "-services"},
+		{"-sweep -cycles 1", "-cycles"},
+		{"-sweep -setting high", "-setting"},
+		{"-sweep -coordinator", "-coordinator"},
 		{"-services Nope", "-services"},
 		{"-submit https://example.com/p -code wrong", "-submit"},
 		{"high", "unexpected argument"},
@@ -166,8 +180,8 @@ func TestParseConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(cfg.usage, "\n  -"); got != 38 {
-		t.Errorf("-h lists %d flags, want 38 (a new flag needs a caller that exists; see ROADMAP item 5)", got)
+	if got := strings.Count(cfg.usage, "\n  -"); got != 37 {
+		t.Errorf("-h lists %d flags, want 37 (a new flag needs a caller that exists; see ROADMAP item 5)", got)
 	}
 	// pair keeps the single-pair runner's flags, names and defaults, and
 	// adds none.
@@ -191,7 +205,7 @@ var ciInvocations = []string{
 	"-cycles\n1\n-setting\nhigh\n-seed\n23\n-coordinator\n-listen\n127.0.0.1:0\n-listen-addr-file\na\n-expect-workers\n2\n-chaos-partitions\n1",
 	"-cycles\n1\n-setting\nhigh\n-seed\n23\n-connect\n127.0.0.1:9070\n-worker-name\nworker1",
 	"-serve\n-serve-addr\n127.0.0.1:0\n-serve-addr-file\na\n-serve-dir\nd\n-cycle-interval\n1h\n-chaos-disk\n7",
-	"-sweep\n-sweep-rates\n8,50\n-sweep-rtts\n25,50\n-sweep-queues\n64\n-sweep-ccas\niPerf (Cubic),iPerf (BBR)\n-sweep-out\no\n-seed\n42",
+	"-sweep\n-sweep-rates\n8,50\n-sweep-rtts\n25,50\n-sweep-queues\n64\n-services\niPerf (Cubic),iPerf (BBR)\n-sweep-out\no\n-seed\n42",
 	"-adaptive\n-setting\nmod\n-chaos\n-quick=false\n-submit\nhttps://example.com/p\n-code\n" + accessCode,
 	"-setting\nboth\n-max-trial-wall\nInf",
 	"pair\n-incumbent\niPerf (Reno)\n-contender\niPerf (Cubic)\n-setting\nhighly\n-trials\n3\n-seed\n7\n-out\no",
@@ -224,8 +238,8 @@ func FuzzParseConfig(f *testing.F) {
 		if _, err := fingerprint(w); err != nil {
 			t.Fatalf("%q: %v", argv, err)
 		}
-		if cfg.sweep && len(cfg.sweepRates)*len(cfg.sweepRTTs)*len(cfg.sweepQueues)*len(cfg.sweepCCAs) == 0 {
-			t.Fatalf("%q: accepted an empty sweep grid", argv)
+		if cfg.sweep && (len(cfg.sweepGrid) == 0 || len(cfg.sweepGrid) != len(w.Settings) || cfg.cycles != 1) {
+			t.Fatalf("%q: accepted a sweep that is not one cycle over its grid: %+v", argv, cfg)
 		}
 	})
 }

@@ -7,7 +7,7 @@
 //
 // An invocation is parsed and validated once into one config value
 // (config.go) that the watchdog, the fleet fingerprint, the manifest
-// recipe, the sweep cells and the daemon all derive from; a flag the
+// recipe, the sweep grid and the daemon all derive from; a flag the
 // selected mode would ignore is an error, not a no-op.
 //
 // The watchdog is crash-safe: with -checkpoint f it keeps the cycle's
@@ -23,8 +23,8 @@
 // the hung-trial reaper, circuit-breaker state carries across the cycles
 // of one run (-v prints it after each), and -chaos arms the
 // deterministic fault-injection plan (link flaps, bandwidth sags, client
-// stalls, trial panics/errors, result corruption, service brownouts) to
-// exercise those defenses.
+// stalls, trial panics/errors, result corruption) to exercise those
+// defenses.
 //
 // -adaptive replaces the fixed trial protocol with adaptive budgets
 // (docs/ADAPTIVE.md): a coarse screening pass ranks pairs by predicted
@@ -38,10 +38,12 @@
 // Per-pair statistics accumulate in O(1) mergeable quantile sketches
 // (docs/SKETCHES.md): medians/CIs bit-identical to order statistics
 // over the raw samples at the standard trial budgets, with constant
-// memory per pair at any trial count. -sweep replaces the
-// watchdog cycles with a rate × RTT × queue × CCA parameter grid and
-// writes consolidated TSV/JSON artifacts (-sweep-rates, -sweep-rtts,
-// -sweep-queues, -sweep-ccas, -sweep-out; scripts/sweep.sh wraps it).
+// memory per pair at any trial count. -sweep runs one cycle whose
+// settings are a rate × RTT × queue grid (-sweep-rates, -sweep-rtts,
+// -sweep-queues) over the -services catalog, and writes it as
+// consolidated TSV/JSON artifacts (-sweep-out) instead of the report;
+// every other cycle flag means what it means for a cycle, and
+// scripts/sweep.sh wraps it.
 //
 // -workers N (default GOMAXPROCS) fans calibrations and pair trials out
 // to a worker pool; every trial owns a private simulation engine and
@@ -64,6 +66,7 @@
 //	prudentia -cycles 5 -v -max-trial-wall 50   # long-run supervision
 //	prudentia -chaos -v                         # fault-injection run
 //	prudentia -submit https://my.service/page -code <access code>
+//	prudentia -sweep -sweep-rates 8,50 -checkpoint sweep.ckpt  # one cycle over a grid
 //	prudentia pair -incumbent YouTube -contender Mega -setting highly -trials 3 -out dir
 package main
 
@@ -99,8 +102,8 @@ func main() {
 	}
 }
 
-// run executes one validated invocation: a pair, a sweep, a fleet
-// worker, or watchdog cycles (batch, fleet coordinator, or behind the -serve
+// run executes one validated invocation: a pair, a fleet worker, or
+// watchdog cycles (batch, sweep, fleet coordinator, or behind the -serve
 // daemon). stdout carries the comparable report and nothing else;
 // status and warnings go to stderr, and every failure is the returned
 // error.
@@ -121,10 +124,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "  "+format+"\n", args...)
 		}
 	}
-	switch {
-	case cfg.sweep:
-		return runSweep(cfg, stdout, stderr)
-	case cfg.connect != "":
+	if cfg.connect != "" {
 		return runWorker(cfg, warnf)
 	}
 
@@ -229,7 +229,9 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	}
 
 	for cycle := 1; cfg.cycles == 0 || cycle <= cfg.cycles; cycle++ {
-		fmt.Fprint(stdout, report.CycleBanner(cycle, len(w.Services)))
+		if !cfg.sweep {
+			fmt.Fprint(stdout, report.CycleBanner(cycle, len(w.Services)))
+		}
 		stopProfiles, err := startProfiles(cfg.pprofDir, cycle, warnf)
 		if err != nil {
 			return err
@@ -249,6 +251,9 @@ func run(cfg config, stdout, stderr io.Writer) error {
 			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
 		exportObs(cr)
+		if cfg.sweep { // one cycle, its grid cells rendered as artifacts
+			return writeSweep(cfg, cr, stdout)
+		}
 		// The shared byte-stable renderer (internal/report) is the one
 		// the daemon's /api/v1/report.txt serves verbatim — the CI serve
 		// gate byte-compares the two, so no private rendering path here.

@@ -8,21 +8,30 @@ import (
 	"strings"
 
 	"prudentia/internal/core"
-	"prudentia/internal/netem"
-	"prudentia/internal/sim"
 	"prudentia/internal/stats"
 )
 
-// Sweep mode: instead of watchdog cycles over the standing settings,
-// -sweep runs the full pair matrix of a small CCA catalog at every
-// point of a rate × RTT × queue grid and writes two consolidated
-// artifacts — a flat TSV (one row per pair slot per grid cell, ready
-// for gnuplot/pandas) and a JSON document that additionally carries
-// each cell's merged share-percentage sketch, so a downstream consumer
-// can recover any quantile of the whole cell without the raw trials.
-// Each cell is one more setting to the watchdog's option resolver, so
-// -quick, -seed, -adaptive, -chaos and -max-trial-wall mean here what
-// they mean for a cycle, and a sweep is reproducible bit for bit.
+// Sweep mode: a rate × RTT × queue grid is one more list of network
+// settings, so -sweep makes its grid the watchdog's Settings and runs one
+// ordinary cycle over them — calibrations, journal, checkpoint,
+// instruments and every cycle flag included. Only the rendering differs:
+// instead of the report, the cycle becomes two consolidated artifacts — a
+// flat TSV (one row per pair slot per grid cell, ready for gnuplot/pandas)
+// and a JSON document that additionally carries each cell's merged
+// share-percentage sketch, so a downstream consumer can recover any
+// quantile of the whole cell without the raw trials. Cell i runs at the
+// seeds of setting i, so a sweep is reproducible bit for bit.
+
+// sweepServices is -services' default under -sweep: the three
+// congestion-control baselines.
+const sweepServices = "iPerf (Cubic),iPerf (BBR),iPerf (Reno)"
+
+// gridPoint is one sweep cell as the flags gave it; cell i is the
+// watchdog's setting i.
+type gridPoint struct {
+	rateMbps, rttMs float64
+	queuePkts       int
+}
 
 // sweepTSVHeader is the column schema of <prefix>.tsv, asserted by the
 // CI smoke test — extend it only together with scripts/ci.sh.
@@ -71,74 +80,43 @@ func sweepVerdict(p *core.PairOutcome) string {
 	}
 }
 
-// runSweep executes the grid and writes <sweepOut>.tsv and
-// <sweepOut>.json. Cells run sequentially (each matrix already fans
-// trials out to the worker pool); rows and cells appear in deterministic
-// grid order (rate-major, then RTT, then queue). The configured
-// watchdog is used only to resolve each cell's options.
-func runSweep(cfg config, stdout, stderr io.Writer) error {
-	w, svcs := cfg.watchdog, cfg.sweepCCAs
-	var ccas []string
-	for _, svc := range svcs {
-		ccas = append(ccas, svc.Name())
+// writeSweep renders a completed sweep cycle as <sweepOut>.tsv and
+// <sweepOut>.json, cell i from the cycle's setting i, and prints the one
+// summary line.
+func writeSweep(cfg config, cr *core.CycleResult, stdout io.Writer) error {
+	w := cfg.watchdog
+	var names []string
+	for _, svc := range w.Services {
+		names = append(names, svc.Name())
 	}
 	var tsv strings.Builder
 	tsv.WriteString(sweepTSVHeader + "\n")
 	var cells []sweepCell
-	total := len(cfg.sweepRates) * len(cfg.sweepRTTs) * len(cfg.sweepQueues)
-	done := 0
-	for _, rate := range cfg.sweepRates {
-		for _, rtt := range cfg.sweepRTTs {
-			for _, queue := range cfg.sweepQueues {
-				net := netem.Config{
-					RateBps:       int64(rate * 1e6),
-					RTT:           sim.Time(rtt * float64(sim.Millisecond)),
-					QueueCapacity: queue,
+	for ci, g := range cfg.sweepGrid {
+		res := cr.PerSetting[ci]
+		cell := sweepCell{RateMbps: g.rateMbps, RTTMs: g.rttMs, QueuePkts: g.queuePkts,
+			MergedShare: res.MergedShareSketch()}
+		for i, a := range res.Names {
+			for _, b := range res.Names[i:] {
+				p, _, ok := res.Cell(a, b)
+				if !ok || p == nil {
+					continue
 				}
-				w.Settings = []netem.Config{net}
-				m := &core.Matrix{Services: svcs, Net: net, Opts: w.SettingOptions(0, 0),
-					Workers: w.Workers}
-				res, err := m.Run()
-				if err != nil {
-					return fmt.Errorf("sweep cell rate=%g rtt=%g queue=%d: %w",
-						rate, rtt, queue, err)
+				sp := sweepPair{Incumbent: a, Contender: b,
+					N: p.Counted(), Verdict: sweepVerdict(p)}
+				for slot, svcName := range [2]string{a, b} {
+					sp.Median[slot] = p.MedianSharePct(slot)
+					sp.IQR[slot] = p.IQRSharePct(slot)
+					sp.CILo[slot], sp.CIHi[slot] = p.ShareCI(slot)
+					fmt.Fprintf(&tsv, "%g\t%g\t%d\t%s\t%s\t%d\t%s\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%s\n",
+						g.rateMbps, g.rttMs, g.queuePkts, a, b, slot, svcName, sp.N,
+						sp.Median[slot], sp.IQR[slot],
+						sp.CILo[slot], sp.CIHi[slot], sp.Verdict)
 				}
-				cell := sweepCell{RateMbps: rate, RTTMs: rtt, QueuePkts: queue,
-					MergedShare: res.MergedShareSketch()}
-				for i, a := range res.Names {
-					for j := i; j < len(res.Names); j++ {
-						b := res.Names[j]
-						p, _, ok := res.Cell(a, b)
-						if !ok || p == nil {
-							continue
-						}
-						sp := sweepPair{Incumbent: a, Contender: b,
-							N: p.Counted(), Verdict: sweepVerdict(p)}
-						for slot := 0; slot < 2; slot++ {
-							sp.Median[slot] = p.MedianSharePct(slot)
-							sp.IQR[slot] = p.IQRSharePct(slot)
-							sp.CILo[slot], sp.CIHi[slot] = p.ShareCI(slot)
-							svcName := a
-							if slot == 1 {
-								svcName = b
-							}
-							fmt.Fprintf(&tsv, "%g\t%g\t%d\t%s\t%s\t%d\t%s\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%s\n",
-								rate, rtt, queue, a, b, slot, svcName, sp.N,
-								sp.Median[slot], sp.IQR[slot],
-								sp.CILo[slot], sp.CIHi[slot], sp.Verdict)
-						}
-						cell.Pairs = append(cell.Pairs, sp)
-					}
-				}
-				cells = append(cells, cell)
-				done++
-				if cfg.verbose {
-					fmt.Fprintf(stderr,
-						"prudentia: sweep cell %d/%d done (rate=%g Mbps rtt=%g ms queue=%d)\n",
-						done, total, rate, rtt, queue)
-				}
+				cell.Pairs = append(cell.Pairs, sp)
 			}
 		}
+		cells = append(cells, cell)
 	}
 	if err := os.WriteFile(cfg.sweepOut+".tsv", []byte(tsv.String()), 0o644); err != nil {
 		return err
@@ -148,7 +126,7 @@ func runSweep(cfg config, stdout, stderr io.Writer) error {
 		Seed   uint64      `json:"seed"`
 		CCAs   []string    `json:"ccas"`
 		Cells  []sweepCell `json:"cells"`
-	}{Schema: "prudentia.sweep/1", Seed: w.Opts.BaseSeed, CCAs: ccas, Cells: cells}
+	}{Schema: "prudentia.sweep/1", Seed: w.Opts.BaseSeed, CCAs: names, Cells: cells}
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
@@ -157,6 +135,6 @@ func runSweep(cfg config, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "sweep: %d cells × %d services → %s.tsv, %s.json\n",
-		total, len(svcs), cfg.sweepOut, cfg.sweepOut)
+		len(cfg.sweepGrid), len(names), cfg.sweepOut, cfg.sweepOut)
 	return nil
 }

@@ -19,7 +19,8 @@
 //     result corruption (NaN/negative/out-of-range metrics).
 //
 // The core scheduler supplies the matching defenses: recover(),
-// bounded retry with backoff, pair quarantine, and a validity gate.
+// bounded retry (at once, with a fresh seed), pair quarantine, and a
+// validity gate.
 package chaos
 
 import (

@@ -96,7 +96,7 @@ type screenResult struct {
 // Screening is one more task set on the shared runner (parallel.go); in
 // fleet mode it stays coordinator-side — the budgets ride the PairTasks
 // — and uses the coordinator's local pool width.
-func (m *Matrix) screen(states []*pairState, opts SchedulerOptions) (budgets map[string]int, interrupted bool) {
+func (m *matrix) screen(states []*pairState, opts SchedulerOptions) (budgets map[string]int, interrupted bool) {
 	results := make([]screenResult, len(states))
 	interrupted = runOrdered(len(states), m.Workers, m.Interrupt,
 		func(i int, interrupt func() bool) (screenResult, bool) {
@@ -174,7 +174,7 @@ func allocateBudgets(states []*pairState, results []screenResult, maxTrials int)
 
 // applyBudgets stamps the allocation onto the pending states and emits
 // one budget_alloc timeline event per pair, in canonical order.
-func (m *Matrix) applyBudgets(states []*pairState, budgets map[string]int) {
+func (m *matrix) applyBudgets(states []*pairState, budgets map[string]int) {
 	for _, st := range states {
 		if b, ok := budgets[st.key]; ok && b > 0 {
 			st.budget = b

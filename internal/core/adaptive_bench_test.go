@@ -26,7 +26,7 @@ func BenchmarkAdaptiveMatrix(b *testing.B) {
 			start := time.Now()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m := &Matrix{Services: threeServices(), Net: net, Opts: opts}
+				m := &matrix{Services: threeServices(), Net: net, Opts: opts}
 				res, err := m.Run()
 				if err != nil {
 					b.Fatal(err)

@@ -38,7 +38,7 @@ func TestAdaptiveVsFixedEquivalence(t *testing.T) {
 	net := netem.HighlyConstrained()
 	run := func(opts SchedulerOptions) *MatrixResult {
 		t.Helper()
-		m := &Matrix{Services: threeServices(), Net: net, Opts: opts}
+		m := &matrix{Services: threeServices(), Net: net, Opts: opts}
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +96,7 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 		opts.MaxTrials = 9
 		opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
 		opts.Adaptive = &AdaptiveOptions{}
-		m := &Matrix{Services: threeServices(), Net: net, Opts: opts, Workers: workers}
+		m := &matrix{Services: threeServices(), Net: net, Opts: opts, Workers: workers}
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 
 // localRemote is a stub RemoteRunner: it runs each task in-process
 // through RunPairTask, the fleet worker's entry point.
-type localRemote struct{ m *Matrix }
+type localRemote struct{ m *matrix }
 
 func (r localRemote) RunPairs(tasks []PairTask, _ func() bool) (<-chan PairTaskResult, error) {
 	ch := make(chan PairTaskResult, len(tasks))
@@ -172,7 +172,7 @@ func TestFleetScreeningUsesLocalPool(t *testing.T) {
 	run := func(workers int, hook func() bool) []byte {
 		opts := adaptiveTestOpts(net)
 		opts.Adaptive = &AdaptiveOptions{}
-		m := &Matrix{
+		m := &matrix{
 			Services:  threeServices(),
 			Net:       net,
 			Opts:      opts,

@@ -15,12 +15,6 @@ import (
 // and are accepted as version 1.
 const CheckpointSchema = "prudentia.checkpoint/1"
 
-// ErrFutureCheckpoint marks a checkpoint written by a newer schema
-// version than this build understands. Resuming from it could silently
-// misparse fields this build does not know about, so it is rejected
-// outright instead of being half-read.
-var ErrFutureCheckpoint = journal.ErrFutureVersion
-
 // Checkpoint is the header of an in-progress watchdog cycle: what
 // replay cannot recompute, and nothing else — the cycle number and the
 // breaker state the cycle started from. It is flushed at cycle start
@@ -72,7 +66,7 @@ func SaveCheckpointDisk(path string, cp *Checkpoint, disk *chaos.DiskPlan) error
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint. The
 // schema is probed before the full parse, so a future-version file —
 // whose body this build might misread — is rejected with a clear
-// ErrFutureCheckpoint rather than a confusing field error. The members
+// journal.ErrFutureVersion rather than a confusing field error. The members
 // older builds wrote beside the header — "pairs" and "calibration",
 // "open_services" and "budget" — are ignored: that work replays from
 // the journal or re-simulates to the same bytes, and those decisions

@@ -165,7 +165,7 @@ func TestMatrixFillsAllPairs(t *testing.T) {
 		services.ByName("iPerf (Cubic)"),
 		services.ByName("iPerf (BBR)"),
 	}
-	m := &Matrix{Services: svcs, Net: netem.HighlyConstrained(), Opts: fastOpts(netem.HighlyConstrained())}
+	m := &matrix{Services: svcs, Net: netem.HighlyConstrained(), Opts: fastOpts(netem.HighlyConstrained())}
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestMatrixCellSlotOrientation(t *testing.T) {
 		services.ByName("iPerf (Reno)"),
 		services.ByName("Mega"),
 	}
-	m := &Matrix{Services: svcs, Net: netem.ModeratelyConstrained(), Opts: fastOpts(netem.ModeratelyConstrained())}
+	m := &matrix{Services: svcs, Net: netem.ModeratelyConstrained(), Opts: fastOpts(netem.ModeratelyConstrained())}
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)

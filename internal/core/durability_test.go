@@ -322,7 +322,7 @@ func (r *cutRemote) RunPairs(tasks []PairTask, _ func() bool) (<-chan PairTaskRe
 	if r.limit > 0 && r.limit < len(tasks) {
 		tasks = tasks[:r.limit]
 	}
-	m := &Matrix{Services: r.w.Services, Net: r.w.Settings[0], Opts: r.w.SettingOptions(1, 0)}
+	m := &matrix{Services: r.w.Services, Net: r.w.Settings[0], Opts: r.w.SettingOptions(1, 0)}
 	return localRemote{m}.RunPairs(tasks, nil)
 }
 

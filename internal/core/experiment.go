@@ -5,7 +5,7 @@
 // round-robin through all service pairs in multiple network settings, and
 // publishing MmF-share heatmaps plus QoE reports.
 //
-// Pairs are independent experiments, so Matrix and Watchdog can fan them
+// Pairs are independent experiments, so matrix and Watchdog can fan them
 // out to a worker pool (the Workers field): every trial owns a private
 // sim.Engine and netem testbed, every trial seed is a pure function of
 // (BaseSeed, pair, attempt), and completed pairs are merged back in

@@ -8,3 +8,6 @@ var (
 	HotChaosForTest      = hotChaos
 	ThreeServicesForTest = threeServices
 )
+
+// MatrixForTest lets external tests drive one setting's matrix directly.
+type MatrixForTest = matrix

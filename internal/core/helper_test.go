@@ -10,7 +10,7 @@ import (
 
 func ccaV() cca.BBRVariant { return cca.BBRLinux415() }
 
-// releasedLabel returns the "A vs B" label of a Matrix Progress line,
+// releasedLabel returns the "A vs B" label of a matrix Progress line,
 // which the matrix emits once per pair as it releases it.
 func releasedLabel(line string) string {
 	label, _, _ := strings.Cut(strings.TrimPrefix(line, "pair "), ": ")

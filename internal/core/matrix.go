@@ -8,9 +8,10 @@ import (
 	"prudentia/internal/services"
 )
 
-// Matrix runs the all-to-all pairwise protocol over a service list in one
+// matrix runs the all-to-all pairwise protocol over a service list in one
 // network setting, producing the data behind the paper's heatmaps
-// (Figs 2, 11, 12, 13). Each pair runs the §3.4 trial-escalation
+// (Figs 2, 11, 12, 13). Watchdog.RunCycle builds one per setting, after
+// that setting's solo calibration; nothing else does. Each pair runs the §3.4 trial-escalation
 // protocol (pairproto.go): an initial batch of MinTrials, escalated in
 // Step-sized sets up to MaxTrials until the throughput CI tightens,
 // exactly the live system's behaviour.
@@ -27,7 +28,7 @@ import (
 // and every seed is a pure function of (BaseSeed, pair, attempt), so
 // results — heatmaps, medians, fault ledger — are byte-identical for
 // any worker count, including 1.
-type Matrix struct {
+type matrix struct {
 	Services []services.Service
 	Net      netem.Config
 	Opts     SchedulerOptions
@@ -107,7 +108,7 @@ type MatrixResult struct {
 func pairKey(a, b int) string { return fmt.Sprintf("%d|%d", a, b) }
 
 // Run executes the matrix.
-func (m *Matrix) Run() (*MatrixResult, error) {
+func (m *matrix) Run() (*MatrixResult, error) {
 	opts := m.Opts.withDefaults(m.Net)
 	res := &MatrixResult{
 		Net:   m.Net,
@@ -165,7 +166,7 @@ func (m *Matrix) Run() (*MatrixResult, error) {
 }
 
 // fault emits a ledger event if a listener is attached.
-func (m *Matrix) fault(ev FaultEvent) {
+func (m *matrix) fault(ev FaultEvent) {
 	if m.OnFault != nil {
 		m.OnFault(ev)
 	}
@@ -173,7 +174,7 @@ func (m *Matrix) fault(ev FaultEvent) {
 
 // skipPair reports whether either member of pair (i, j) is denied
 // admission, returning the first denied member's name.
-func (m *Matrix) skipPair(i, j int) (openService string, skip bool) {
+func (m *matrix) skipPair(i, j int) (openService string, skip bool) {
 	if m.SkipService == nil {
 		return "", false
 	}
@@ -191,7 +192,7 @@ func (m *Matrix) skipPair(i, j int) (openService string, skip bool) {
 // outcome, on the canonical release path — the only one, which executed,
 // replayed and fleet pairs alike go through — so they are ordered and
 // identical for any worker count and across a resume.
-func (m *Matrix) finish(st *pairState) {
+func (m *matrix) finish(st *pairState) {
 	m.Breakers.scorePair(st.outcome)
 	m.Obs.foldPair(st.outcome)
 	m.Obs.pairDone(st)

@@ -206,7 +206,7 @@ func (in *Instruments) trialEnd(pair string, seed uint64, attempt int, ar *attem
 // + discarded + corrupt, the manifest reconciliation identity), per-kind
 // failures, retries, and the netem/transport/chaos aggregates of its
 // counted trials. It is the only writer of those families and its only
-// caller is Matrix.finish, on the canonical release path, so what the
+// caller is matrix.finish, on the canonical release path, so what the
 // registry counts is by construction a fold over exactly the outcomes
 // that were published — whichever goroutine, process or fleet worker
 // executed them, and never a pair an interrupt abandoned.

@@ -210,13 +210,13 @@ func TestObsUninstrumentedIdentical(t *testing.T) {
 
 // obsMatrix builds the chaos matrix the ledger tests share: the three
 // iPerf baselines, hot chaos, seed 77, instruments on a fresh registry.
-func obsMatrix(tl *obs.Timeline) (*Matrix, *obs.Registry) {
+func obsMatrix(tl *obs.Timeline) (*matrix, *obs.Registry) {
 	net := netem.HighlyConstrained()
 	opts := fastOpts(net)
 	opts.BaseSeed = 77
 	opts.Chaos = hotChaos()
 	reg := obs.NewRegistry()
-	return &Matrix{Services: threeServices(), Net: net, Opts: opts,
+	return &matrix{Services: threeServices(), Net: net, Opts: opts,
 		Obs: NewInstruments(reg, tl)}, reg
 }
 

@@ -13,7 +13,7 @@ import (
 
 // SchedulerOptions govern the §3.4 trial-escalation protocol. A field
 // left zero means "the preset's value for the setting this runs in":
-// Matrix.Run, RunPair and RunPairTask fill it from PaperOptions(net),
+// a cycle's matrix, RunPair and RunPairTask fill it from PaperOptions(net),
 // Watchdog.SettingOptions from the paper or the quick preset, field by
 // field, so the stopping tolerance always belongs to its setting.
 type SchedulerOptions struct {
@@ -256,7 +256,7 @@ func RunPair(incumbent, contender services.Service, net netem.Config, opts Sched
 // RunPairObserved is RunPair with a live fault-ledger hook: onFault (if
 // non-nil) receives one FaultEvent per failed, discarded, or corrupt
 // attempt, plus retry/quarantine transitions — the same stream
-// Matrix.OnFault delivers. Recording is unconditional: every attempt is
+// Watchdog.OnFault delivers. Recording is unconditional: every attempt is
 // both kept on the outcome and emitted to the ledger before any return
 // path, including the attempt that quarantines the pair or exhausts
 // maxDiscards. (Earlier versions of RunPair bypassed the ledger

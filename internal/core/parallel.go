@@ -156,7 +156,7 @@ func mergeOrdered[T any](n int, source func(yield func(i int, v T)), release fun
 // runAll executes every pending pair on the local pool and reports
 // whether the run was interrupted. A pair's task value is its buffered
 // ledger events; releasePair publishes them.
-func (m *Matrix) runAll(states []*pairState, opts SchedulerOptions) (interrupted bool) {
+func (m *matrix) runAll(states []*pairState, opts SchedulerOptions) (interrupted bool) {
 	// busyNanos accumulates time spent actually running pairs (as opposed
 	// to waiting for a task), feeding the pool busy-fraction gauge. Only
 	// measured when instrumented: the wall clock stays off the
@@ -191,8 +191,8 @@ func (m *Matrix) runAll(states []*pairState, opts SchedulerOptions) (interrupted
 // releasePair returns the pair matrix's release half, shared by the
 // local pool and the remote runner: a finished pair's ledger events,
 // then breaker scoring, telemetry and the Progress line
-// (Matrix.finish).
-func (m *Matrix) releasePair(states []*pairState) func(i int, events []FaultEvent) {
+// (matrix.finish).
+func (m *matrix) releasePair(states []*pairState) func(i int, events []FaultEvent) {
 	return func(i int, events []FaultEvent) {
 		for _, ev := range events {
 			m.fault(ev)

@@ -36,7 +36,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", nw), func(b *testing.B) {
 			var trials int64
 			for i := 0; i < b.N; i++ {
-				m := &Matrix{Services: svcs, Net: net, Opts: opts, Workers: nw}
+				m := &matrix{Services: svcs, Net: net, Opts: opts, Workers: nw}
 				res, err := m.Run()
 				if err != nil {
 					b.Fatal(err)

@@ -32,7 +32,7 @@ func runMatrixWorkers(t *testing.T, workers int) matrixCapture {
 	opts.Chaos = core.HotChaosForTest()
 	var events []core.FaultEvent
 	var c matrixCapture
-	m := &core.Matrix{
+	m := &core.MatrixForTest{
 		Services: core.ThreeServicesForTest(),
 		Net:      netem.HighlyConstrained(),
 		Opts:     opts,

@@ -353,7 +353,7 @@ func TestInterruptedLedgerNamesOnlyReleasedPairs(t *testing.T) {
 			var polls atomic.Int64
 			released := map[string]bool{}
 			var events []FaultEvent
-			m := &Matrix{
+			m := &matrix{
 				Services:  svcs,
 				Net:       net,
 				Opts:      opts,

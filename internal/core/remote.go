@@ -117,7 +117,7 @@ func decodePairRecord(e journalEntry) (*PairOutcome, []FaultEvent, error) {
 // the fixed protocol), so one a cycle interrupted under the other
 // protocol left is never taken for this one's: that pair is
 // dispatched again.
-func (m *Matrix) runAllRemote(states []*pairState) (interrupted bool, err error) {
+func (m *matrix) runAllRemote(states []*pairState) (interrupted bool, err error) {
 	recordKey := func(st *pairState) uint64 {
 		return trialSeed(m.Opts.BaseSeed, pairRecordSeedID(st.a, st.b), st.budget)
 	}

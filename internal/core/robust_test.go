@@ -131,7 +131,7 @@ func TestSettingOptionsResolvePerSetting(t *testing.T) {
 		t.Errorf("fully-set Opts changed under resolution: %+v", got)
 	}
 
-	// Matrix.Run, RunPair and RunPairTask resolve through withDefaults
+	// matrix.Run, RunPair and RunPairTask resolve through withDefaults
 	// for the net they run in: an unset tolerance at 8 Mbps is 0.5.
 	if got := (SchedulerOptions{MinTrials: 2, BaseSeed: 3}).withDefaults(net); got.ToleranceMbps != 0.5 ||
 		got.MinTrials != 2 || got.MaxTrials != 30 {
@@ -186,7 +186,7 @@ func TestMatrixDiscardExhaustionInterleaving(t *testing.T) {
 		}
 		return s
 	}
-	m := &Matrix{
+	m := &matrix{
 		Services: []services.Service{
 			services.ByName("iPerf (Reno)"),
 			services.ByName("iPerf (Cubic)"),
@@ -225,7 +225,7 @@ func TestChaosMatrixDeterministic(t *testing.T) {
 		opts := fastOpts(netem.HighlyConstrained())
 		opts.BaseSeed = 42
 		opts.Chaos = hotChaos()
-		m := &Matrix{Services: threeServices(), Net: netem.HighlyConstrained(), Opts: opts}
+		m := &matrix{Services: threeServices(), Net: netem.HighlyConstrained(), Opts: opts}
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -250,10 +250,10 @@ func TestMatrixSurvivesPanicInjection(t *testing.T) {
 	opts := fastOpts(netem.HighlyConstrained())
 	opts.BaseSeed = 7
 	opts.Chaos = &chaos.Config{PanicRate: 0.10}
-	m := &Matrix{Services: threeServices(), Net: netem.HighlyConstrained(), Opts: opts}
+	m := &matrix{Services: threeServices(), Net: netem.HighlyConstrained(), Opts: opts}
 	res, err := m.Run()
 	if err != nil {
-		t.Fatalf("Matrix.Run must absorb injected panics, got %v", err)
+		t.Fatalf("matrix.Run must absorb injected panics, got %v", err)
 	}
 	failures := 0
 	for key, p := range res.Pairs {
@@ -286,7 +286,7 @@ func TestMatrixQuarantinesAlwaysPanicking(t *testing.T) {
 		services.ByName("iPerf (Reno)"),
 		services.ByName("iPerf (Cubic)"),
 	}
-	m := &Matrix{Services: svcs, Net: netem.HighlyConstrained(), Opts: opts}
+	m := &matrix{Services: svcs, Net: netem.HighlyConstrained(), Opts: opts}
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -566,7 +566,7 @@ func TestMatrixRaceSmoke(t *testing.T) {
 			opts := fastOpts(netem.HighlyConstrained())
 			opts.BaseSeed = uint64(100 + k)
 			opts.Chaos = hotChaos()
-			m := &Matrix{
+			m := &matrix{
 				Services: []services.Service{
 					services.ByName("iPerf (Reno)"),
 					services.ByName("iPerf (Cubic)"),

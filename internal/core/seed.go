@@ -59,7 +59,7 @@ func trialSeed(base, id uint64, attempt int) uint64 {
 	return mix64(h + uint64(attempt)*0x9e3779b97f4a7c15)
 }
 
-// ErrInterrupted is returned by Matrix.Run and Watchdog.RunCycle when an
+// ErrInterrupted is returned by Watchdog.RunCycle when an
 // Interrupt hook requested a graceful stop; every completed pair has
 // been released, and what ran is in the journal for the resume.
 var ErrInterrupted = errors.New("core: interrupted")
@@ -101,7 +101,7 @@ type TrialFailure struct {
 }
 
 // FaultEvent is one entry in the scheduler's live robustness ledger,
-// emitted through Matrix.OnFault / Watchdog.OnFault as faults are
+// emitted through Watchdog.OnFault as faults are
 // detected and handled. Kinds: "panic", "error", "reap" (hung trial
 // reaped), "brownout" (chaos service brownout) for failed attempts,
 // "retry" (the next attempt follows), "quarantine" (pair failed permanently),

@@ -36,7 +36,7 @@ func sketchTestServices() []services.Service {
 
 // runJournaled runs m with a write-ahead journal and returns its result
 // plus every pair's counted trials in trial order, keyed by pair label.
-func runJournaled(t *testing.T, m *Matrix) (*MatrixResult, map[string][]TrialResult) {
+func runJournaled(t *testing.T, m *matrix) (*MatrixResult, map[string][]TrialResult) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trials.wal")
 	jw, err := journal.CreateWrapped(path, nil)
@@ -213,7 +213,7 @@ func TestSketchMatrixEquivalence(t *testing.T) {
 	for _, tol := range []float64{50, 0.05} {
 		opts := fastOpts(net)
 		opts.ToleranceMbps = tol
-		res, trials := runJournaled(t, &Matrix{Services: sketchTestServices(), Net: net, Opts: opts})
+		res, trials := runJournaled(t, &matrix{Services: sketchTestServices(), Net: net, Opts: opts})
 		for key, p := range res.Pairs {
 			tr := trials[p.Incumbent+" vs "+p.Contender]
 			checkPairAgainstSlices(t, res, p, tr)
@@ -238,7 +238,7 @@ func TestSketchWorkerCountDeterminism(t *testing.T) {
 	svcs := sketchTestServices()
 	net := netem.HighlyConstrained()
 	run := func(workers int) []byte {
-		m := &Matrix{Services: svcs, Net: net, Opts: fastOpts(net), Workers: workers}
+		m := &matrix{Services: svcs, Net: net, Opts: fastOpts(net), Workers: workers}
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -313,7 +313,7 @@ func TestSketchAdaptiveEquivalence(t *testing.T) {
 	opts := fastOpts(net)
 	opts.MaxTrials, opts.Step = 8, 2
 	opts.Adaptive = &AdaptiveOptions{}
-	m := &Matrix{Services: sketchTestServices(), Net: net, Opts: opts}
+	m := &matrix{Services: sketchTestServices(), Net: net, Opts: opts}
 	res, trials := runJournaled(t, m)
 	reasons := map[string]int{}
 	for key, p := range res.Pairs {
@@ -346,7 +346,7 @@ func TestSketchAdaptiveEquivalence(t *testing.T) {
 // every counted trial's two share samples.
 func TestSketchMergedShareSketch(t *testing.T) {
 	net := netem.HighlyConstrained()
-	m := &Matrix{Services: sketchTestServices(), Net: net, Opts: fastOpts(net)}
+	m := &matrix{Services: sketchTestServices(), Net: net, Opts: fastOpts(net)}
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestPairBeyondSketchBufferCap(t *testing.T) {
 		return s
 	}
 	svc := services.ByName("iPerf (Reno)")
-	res, trials := runJournaled(t, &Matrix{Services: []services.Service{svc}, Net: net, Opts: opts})
+	res, trials := runJournaled(t, &matrix{Services: []services.Service{svc}, Net: net, Opts: opts})
 	p := res.Pairs[pairKey(0, 0)]
 	tr := trials[p.Incumbent+" vs "+p.Contender]
 	share := series(tr, n, func(t *TrialResult) float64 { return t.SharePct[0] })

@@ -16,7 +16,7 @@ import (
 // panicked over, misparsed, or silently replaced.
 
 // TestCheckpointFutureVersionRejected: a hand-crafted checkpoint
-// claiming schema version 2 is refused with ErrFutureCheckpoint even
+// claiming schema version 2 is refused with journal.ErrFutureVersion even
 // though its body would parse fine.
 func TestCheckpointFutureVersionRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.json")
@@ -28,8 +28,8 @@ func TestCheckpointFutureVersionRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("future-version checkpoint accepted")
 	}
-	if !errors.Is(err, ErrFutureCheckpoint) {
-		t.Fatalf("error %v is not ErrFutureCheckpoint", err)
+	if !errors.Is(err, journal.ErrFutureVersion) {
+		t.Fatalf("error %v is not journal.ErrFutureVersion", err)
 	}
 	if !strings.Contains(err.Error(), "prudentia.checkpoint/2") ||
 		!strings.Contains(err.Error(), CheckpointSchema) {
@@ -48,8 +48,8 @@ func TestCheckpointFutureVersionUnparseableBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := LoadCheckpoint(path)
-	if !errors.Is(err, ErrFutureCheckpoint) {
-		t.Fatalf("got %v, want ErrFutureCheckpoint", err)
+	if !errors.Is(err, journal.ErrFutureVersion) {
+		t.Fatalf("got %v, want journal.ErrFutureVersion", err)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestCheckpointUnknownSchemaRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := LoadCheckpoint(path)
-	if err == nil || errors.Is(err, ErrFutureCheckpoint) {
+	if err == nil || errors.Is(err, journal.ErrFutureVersion) {
 		t.Fatalf("got %v, want plain schema rejection", err)
 	}
 }

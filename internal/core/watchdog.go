@@ -328,7 +328,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 			skip = func(name string) bool { return openSet[name] }
 		}
 
-		m := &Matrix{
+		m := &matrix{
 			Services:    w.Services,
 			Net:         net,
 			Opts:        opts,

@@ -26,7 +26,7 @@ const (
 
 // Coordinator owns the fleet: it listens for workers, shards pending
 // pairs across them under expiring leases, and implements
-// core.RemoteRunner so a Matrix merges fleet results through its
+// core.RemoteRunner so a cycle's matrix merges fleet results through its
 // canonical ordered-release path. Configure the exported fields before
 // Start; they must not change afterwards.
 //

@@ -64,7 +64,7 @@ func WriteRateCSV(w io.Writer, points []obs.RatePoint) error {
 // FaultLedger accumulates the scheduler's robustness events — trial
 // failures, retries, discards, validity-gate rejections, quarantines —
 // for export alongside the per-experiment artifacts. Wire Record into
-// Matrix.OnFault or Watchdog.OnFault.
+// Watchdog.OnFault.
 //
 // The ledger is safe for concurrent use: one ledger may be shared by
 // several watchdogs or matrices running in parallel. (A single matrix,

@@ -16,9 +16,8 @@
 //	// share; res.MedianSharePct[1] is Mega's.
 //
 // The full catalog of Table 1 service models is available via Services;
-// lower-level control (custom network settings, QoE metrics, matrix
-// sweeps, the continuous watchdog) is exposed through the Watchdog and
-// Matrix types re-exported here.
+// lower-level control (custom network settings and catalogs, the
+// continuous all-pairs watchdog) is exposed through NewWatchdog.
 package prudentia
 
 import (

@@ -561,11 +561,17 @@ echo "ci: acceptance artifacts in $ARTIFACTS/"
 # through the real -sweep driver via its scripts/sweep.sh wrapper. The
 # TSV header is the sweep pipeline's public schema — sweep.go documents
 # that it may only be extended together with this assertion — and the
-# row count pins the grid shape: 4 cells x 3 pairs x 2 slots.
+# row count pins the grid shape: 4 cells x 3 pairs x 2 slots. A sweep is
+# one cycle, so the cycle's -timeline and -faults-out leave their files.
 SWEEP_RATES="8,50" SWEEP_RTTS="25,50" SWEEP_QUEUES="64" \
     SWEEP_CCAS="iPerf (Cubic),iPerf (BBR)" \
     SWEEP_OUT="$ARTIFACTS/sweep-smoke" SWEEP_SEED=42 \
-    scripts/sweep.sh -workers 4
+    scripts/sweep.sh -workers 4 \
+    -timeline "$ARTIFACTS/sweep-timeline.jsonl" \
+    -faults-out "$ARTIFACTS/sweep-faults.jsonl"
+for f in sweep-timeline.jsonl sweep-faults.jsonl; do
+    [ -e "$ARTIFACTS/$f" ] || { echo "ci: sweep smoke produced no $f" >&2; exit 1; }
+done
 SWEEP_HEADER="$(printf 'rate_mbps\trtt_ms\tqueue_pkts\tincumbent\tcontender\tslot\tservice\tn\tmedian_share_pct\tiqr_share_pct\tci_lo_pct\tci_hi_pct\tverdict')"
 if [ "$(head -n1 "$ARTIFACTS/sweep-smoke.tsv")" != "$SWEEP_HEADER" ]; then
     echo "ci: sweep TSV header diverged from the documented schema" >&2
@@ -580,4 +586,4 @@ grep -q '"schema": "prudentia.sweep/1"' "$ARTIFACTS/sweep-smoke.json" || {
     echo "ci: sweep JSON missing the prudentia.sweep/1 schema marker" >&2
     exit 1
 }
-echo "ci: sweep smoke passed (TSV schema + 24 rows + JSON schema marker)"
+echo "ci: sweep smoke passed (TSV schema + 24 rows + JSON schema marker + timeline + fault ledger)"

@@ -5,9 +5,12 @@
 # command line in a fenced block that runs one of them, every
 # Test*/Benchmark*/Fuzz* name in an inline span (a trailing * or { makes
 # it a prefix), every `go run ./cmd/<x>` or `go run ./examples/<x>`
-# directory, and every inline span that is a `pkg.Symbol` or
+# directory, every inline span that is a `pkg.Symbol` or
 # `pkg.Type.Member`, which `go doc` must find (our packages by
-# directory, standard ones by name). CHANGES.md,
+# directory, standard ones by name), and every inline span that is a
+# bare `Type.Member`, which `go doc -u` must find in some package of
+# this module (unexported members count; an unexported type does not
+# answer to its capitalized name). CHANGES.md,
 # ROADMAP.md and ISSUE.md are history and plans — they name what was
 # removed on purpose — and PAPER(S).md/SNIPPETS.md are not about this
 # code, so none of them is read here.
@@ -27,9 +30,21 @@ flags="$(
     printf '%s\n' h run bench benchtime benchmem count race short timeout fuzz fuzztime cover list v cpu update
 )"
 tests="$(go test -list . ./... | grep -E '^(Test|Benchmark|Fuzz)')"
+pkgdirs="$(go list -f '{{.Dir}}' ./...)"
+
+# member_found Type.Member: go doc -u finds it in a package whose files
+# declare Type (the grep only narrows the packages go doc is asked).
+member_found() {
+    local dir
+    for dir in $(grep -lE "^(type[[:space:]]+|[[:space:]]+)${1%%.*}([[:space:]]|\[)" $(printf '%s/*.go ' $pkgdirs) 2>/dev/null |
+        xargs -r -n1 dirname | sort -u); do
+        go doc -u "$dir" "$1" >/dev/null 2>&1 && return 0
+    done
+    return 1
+}
 
 bad=0
-declare -A documented # pkg.Symbol -> 1 (found) or 0, so go doc runs once per symbol
+declare -A documented # symbol span -> 1 (found) or 0, so go doc runs once per symbol
 for doc in "${DOCS[@]}"; do
     [ -e "$doc" ] || continue
     # Inline spans may wrap across lines: drop fenced blocks, then match
@@ -71,6 +86,14 @@ for doc in "${DOCS[@]}"; do
             go doc "$dir" "${sym#*.}" >/dev/null 2>&1 && documented[$sym]=1
         fi
         [ "${documented[$sym]}" -eq 1 ] || { echo "ci: $doc names $sym, which go doc does not find" >&2; bad=1; }
+    done
+    # An all-caps name before the dot (`README.md`) is a file, not a type.
+    for sym in $({ grep -xE '[A-Z][A-Za-z0-9_]*[a-z][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*' <<<"$inline" || true; } | sort -u); do
+        if [ -z "${documented[$sym]+set}" ]; then
+            documented[$sym]=0
+            member_found "$sym" && documented[$sym]=1
+        fi
+        [ "${documented[$sym]}" -eq 1 ] || { echo "ci: $doc names $sym, which go doc -u finds in no package of this module" >&2; bad=1; }
     done
 done
 [ "$bad" -eq 0 ] || { echo "ci: docs gate failed" >&2; exit 1; }

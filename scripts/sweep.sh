@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Sweep harness: drive cmd/prudentia -sweep across a rate x RTT x queue
-# x CCA parameter grid and leave consolidated TSV/JSON artifacts. Every
-# grid cell runs the full pair matrix of the chosen services under the
-# quick trial protocol with sketch-backed statistics, so the whole grid
-# is mergeable, deterministic, and byte-reproducible for a given seed.
+# grid over a catalog of services and leave consolidated TSV/JSON
+# artifacts. The sweep is one watchdog cycle whose settings are the grid
+# cells: each cell runs a solo calibration and the full pair matrix of
+# the chosen services under the quick trial protocol with sketch-backed
+# statistics, so the whole grid is mergeable, deterministic, and
+# byte-reproducible for a given seed, and every cycle flag
+# (-checkpoint, -timeline, -faults-out, ...) works here too.
 #
 #   scripts/sweep.sh                     default paper-style grid
 #   scripts/sweep.sh [extra flags...]    extra cmd/prudentia flags pass
@@ -14,8 +17,8 @@
 #   SWEEP_RATES    comma-separated bottleneck rates in Mbps  (8,50)
 #   SWEEP_RTTS     comma-separated RTTs in ms                (25,50,100)
 #   SWEEP_QUEUES   comma-separated queue capacities in pkts  (64,256)
-#   SWEEP_CCAS     comma-separated catalog service names
-#                  (iPerf (Cubic),iPerf (BBR),iPerf (Reno))
+#   SWEEP_CCAS     comma-separated catalog service names, passed as
+#                  -services (iPerf (Cubic),iPerf (BBR),iPerf (Reno))
 #   SWEEP_OUT      output path prefix                        (sweep)
 #   SWEEP_SEED     base seed                                 (42)
 #
@@ -30,7 +33,7 @@ go run ./cmd/prudentia -sweep \
     -sweep-rates "${SWEEP_RATES:-8,50}" \
     -sweep-rtts "${SWEEP_RTTS:-25,50,100}" \
     -sweep-queues "${SWEEP_QUEUES:-64,256}" \
-    -sweep-ccas "${SWEEP_CCAS:-iPerf (Cubic),iPerf (BBR),iPerf (Reno)}" \
+    -services "${SWEEP_CCAS:-iPerf (Cubic),iPerf (BBR),iPerf (Reno)}" \
     -sweep-out "$OUT" \
     -seed "${SWEEP_SEED:-42}" \
     "$@"
