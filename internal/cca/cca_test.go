@@ -1,6 +1,7 @@
 package cca
 
 import (
+	"math"
 	"testing"
 
 	"prudentia/internal/sim"
@@ -126,6 +127,45 @@ func TestCubicExtendedGrowsFasterAfterLoss(t *testing.T) {
 	ext := grow(NewCubicExtended(Config{InitialCwnd: 400}))
 	if ext <= std {
 		t.Fatalf("extended cubic (%d) should outgrow standard (%d)", ext, std)
+	}
+}
+
+// TestCubicCubeMatchesPow: congestionAvoidance cubes t−K as d*d*d, which
+// must be bitwise equal to the math.Pow(d, 3) it replaced. Pow, for an
+// exponent of 3, multiplies the same mantissas in the same order and
+// rescales exactly, so the two agree wherever the cube is a normal float
+// (|d| from about 1e-102 to 5e102) and at ±0. Cubic's d is t−K: t is a
+// nanosecond count in seconds and K the cube root of a window deficit
+// over C, so a nonzero |d| never falls below about 1e-25.
+func TestCubicCubeMatchesPow(t *testing.T) {
+	same := func(d float64) {
+		t.Helper()
+		if got, want := d*d*d, math.Pow(d, 3); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("d=%v: d*d*d = %v (%#x), math.Pow = %v (%#x)",
+				d, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, d := range []float64{0, math.Copysign(0, -1), 1, -1, 1e-25, -1e-25, 1e-9, -1e-9, 600, -600} {
+		same(d)
+	}
+	rng := sim.NewRNG(3)
+	for i := 0; i < 200_000; i++ {
+		// d as congestionAvoidance forms it: t up to a 600 s trial at
+		// nanosecond resolution, K from a deficit of up to 10^6 packets
+		// (C=0.4 or 0.8), so d is as often negative as positive.
+		ts := (sim.Time(rng.Uint64()%uint64(600*sim.Second)) * sim.Nanosecond).Seconds()
+		c := 0.4
+		if i%2 == 1 {
+			c = 0.8
+		}
+		k := math.Cbrt(rng.Float64() * math.Pow(10, float64(rng.Intn(7))) / c)
+		same(ts - k)
+		// Any magnitude whose cube is a normal float, either sign.
+		d := (0.5 + rng.Float64()) * math.Pow(10, rng.Float64()*200-100)
+		if i%2 == 1 {
+			d = -d
+		}
+		same(d)
 	}
 }
 

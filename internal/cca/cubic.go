@@ -95,8 +95,10 @@ func (cu *CubicAlg) congestionAvoidance(now sim.Time) {
 		}
 		cu.renoCwnd = cu.cwnd
 	}
-	t := (now - cu.epochStart).Seconds()
-	target := cu.c*math.Pow(t-cu.k, 3) + cu.wMax
+	// d*d*d is bitwise equal to math.Pow(d, 3) (TestCubicCubeMatchesPow)
+	// at a fraction of its cost.
+	d := (now - cu.epochStart).Seconds() - cu.k
+	target := cu.c*(d*d*d) + cu.wMax
 
 	// TCP-friendly region: emulate AIMD with beta-derived slope
 	// (RFC 8312 §4.2): W_est grows by 3(1-β)/(1+β) per RTT.

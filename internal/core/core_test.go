@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
@@ -66,6 +68,45 @@ func TestRunTrialDeterminism(t *testing.T) {
 	}
 	if a.Mbps == c.Mbps {
 		t.Fatal("different seeds produced identical throughput")
+	}
+}
+
+// TestTrialResultRepeatsByteIdentical: a trial is a pure function of its
+// spec down to the last byte of its JSON, which journaled and
+// fleet-shipped results are. The dominant-resolution fields are the
+// argmax of a map; before ties went to the higher resolution, slot 1 of
+// the YouTube self-pair took Go's random map order (1440, 480 or 720 from
+// run to run of one process).
+func TestTrialResultRepeatsByteIdentical(t *testing.T) {
+	for _, c := range []struct {
+		incumbent, contender string
+		net                  netem.Config
+	}{
+		{"YouTube", "YouTube", netem.ModeratelyConstrained()},
+		{"Google Meet", "Microsoft Teams", netem.HighlyConstrained()},
+	} {
+		spec := Spec{
+			Incumbent: services.ByName(c.incumbent),
+			Contender: services.ByName(c.contender),
+			Net:       c.net,
+			Seed:      7,
+		}.QuickTiming()
+		var first []byte
+		for i := 0; i < 6; i++ {
+			res, err := RunTrial(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = b
+			} else if !bytes.Equal(b, first) {
+				t.Fatalf("%s vs %s: run %d differs from run 0:\n%s\n%s", c.incumbent, c.contender, i, b, first)
+			}
+		}
 	}
 }
 

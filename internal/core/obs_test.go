@@ -266,10 +266,19 @@ func TestInterruptedRegistryNamesOnlyReleasedPairs(t *testing.T) {
 		m.Workers = workers
 		// Interrupt one poll per worker after the first release: at least
 		// one pair is published, and every worker still running has
-		// started another trial of a pair it must then abandon.
+		// started another trial of a pair it must then abandon. A pool
+		// can finish every later pair while the worker holding pair 0 is
+		// descheduled, leaving no poll after the first release, so the
+		// interrupt also lands at poll 4·workers+1. The whole matrix
+		// makes 37 attempts and no pair more than 4, so by then some
+		// worker has finished a pair (completed pairs are released even
+		// behind an abandoned one) and work is left to abandon.
 		var firstRelease atomic.Bool
-		var pollsSince atomic.Int64
-		m.Interrupt = func() bool { return firstRelease.Load() && pollsSince.Add(1) > int64(workers) }
+		var polls, pollsSince atomic.Int64
+		m.Interrupt = func() bool {
+			n := polls.Add(1)
+			return firstRelease.Load() && pollsSince.Add(1) > int64(workers) || n > 4*int64(workers)
+		}
 		releasedLabels := map[string]bool{}
 		m.Progress = func(format string, args ...any) {
 			releasedLabels[releasedLabel(fmt.Sprintf(format, args...))] = true

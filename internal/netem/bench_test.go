@@ -51,9 +51,9 @@ func BenchmarkBottleneckSteadyState(b *testing.B) {
 // roundTripWorkload is a packet's whole loop through the dumbbell, every
 // stage of it a delay line: the flow's upstream line, the serializer
 // (one entry, re-armed from its own callback), the downstream hop, and
-// the slot's ACK line; the server answers every ACK with a new data
-// packet, so a fixed window of pooled packets circulates. Each operation
-// is one engine event.
+// the ACK line; the server answers every ACK with a new data packet, so a
+// fixed window of pooled packets circulates. Each operation is one engine
+// event.
 func roundTripWorkload() func() {
 	eng := sim.NewEngine()
 	tb := NewTestbed(eng, ModeratelyConstrained(), sim.NewRNG(1))

@@ -60,8 +60,9 @@ type endpoint struct {
 
 // Testbed is the dumbbell: per-flow server-side ingress, an upstream
 // propagation stage (with optional noise), the shared bottleneck, and the
-// uncongested ACK return path. RTT normalization follows §3.1: whatever a
-// service's native path delay, the switch pads the loop to Config.RTT.
+// uncongested ACK return path, one delay line that both slots share. RTT
+// normalization follows §3.1: whatever a service's native path delay, the
+// switch pads the loop to Config.RTT.
 type Testbed struct {
 	Eng *sim.Engine
 	Cfg Config
@@ -84,10 +85,13 @@ type Testbed struct {
 
 	// The upstream and ACK-return hops are delay lines (see sim.Line): one
 	// per flow upstream, where lastArrival keeps each flow's arrivals
-	// monotone, and one per slot on the return path, where the ACK delay
-	// is constant and stallUntil only grows.
+	// monotone, and one for both slots on the return path. An ACK is sent
+	// at the current instant and the ACK delay is constant, so the return
+	// line stays in order; only an ACK that a client stall holds makes the
+	// other slot's ACKs behind it take the line's out-of-order fallback to
+	// the heap, where each keeps its (at, seq) place.
 	arriveLines []*sim.Line
-	ackLines    [MaxServices]*sim.Line
+	ackLine     *sim.Line
 
 	// UpstreamJitter is the maximum uniform per-packet delay jitter on
 	// the server→switch hop. Real Internet paths exhibit millisecond
@@ -160,9 +164,7 @@ func NewTestbed(eng *sim.Engine, cfg Config, rng *sim.RNG) *Testbed {
 	tb.Bneck = NewBottleneck(eng, cfg.RateBps, cfg.queueCapacity(), down)
 	tb.Bneck.Output = tb.deliverToClient
 	tb.Bneck.release = tb.ReleasePacket
-	for i := range tb.ackLines {
-		tb.ackLines[i] = eng.NewLine(tb.ackArrive)
-	}
+	tb.ackLine = eng.NewLine(tb.ackArrive)
 	if cfg.Noise != nil {
 		tb.noise = newNoiseInjector(eng, rng, *cfg.Noise)
 	}
@@ -251,7 +253,7 @@ func (tb *Testbed) SendAck(now sim.Time, p *Packet) {
 	if stall := tb.stallUntil[ep.service]; at < stall {
 		at = stall
 	}
-	tb.ackLines[ep.service].Schedule(at, p)
+	tb.ackLine.Schedule(at, p)
 }
 
 // ackArrive fires when an ACK reaches the server. The endpoint is looked

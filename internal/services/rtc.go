@@ -347,7 +347,7 @@ func (r *rtcInstance) Stats() Stats {
 	}
 	var best sim.Time
 	for res, t := range resTime {
-		if t > best {
+		if t > best || t == best && t > 0 && res > st.Resolution {
 			best = t
 			st.Resolution = res
 		}

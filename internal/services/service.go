@@ -79,7 +79,7 @@ type VideoStats struct {
 	// MeanBitrateBps is the byte-weighted average requested bitrate.
 	MeanBitrateBps int64
 	// DominantResolution is the resolution (height) played for the
-	// longest time.
+	// longest time; a tie goes to the higher resolution.
 	DominantResolution int
 	// RebufferEvents counts playback stalls; RebufferTime totals them.
 	RebufferEvents int
@@ -90,7 +90,8 @@ type VideoStats struct {
 
 // RTCStats reports the §5.1/Table 2 real-time-communication metrics.
 type RTCStats struct {
-	// Resolution is the height the stream spent most time at.
+	// Resolution is the height the stream spent most time at; a tie goes
+	// to the higher resolution.
 	Resolution int
 	// AvgFPS is frames rendered per second on average.
 	AvgFPS float64

@@ -330,7 +330,7 @@ func (v *videoInstance) Stats() Stats {
 	}
 	var best sim.Time
 	for res, t := range v.resTime {
-		if t > best {
+		if t > best || t == best && t > 0 && res > st.DominantResolution {
 			best = t
 			st.DominantResolution = res
 		}

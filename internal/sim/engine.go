@@ -56,11 +56,13 @@ func lessScheduled(a, b *scheduled) bool {
 // visits 4 children per level but the tree is half as deep, and the
 // children share cache lines. The head of every non-empty Line is in
 // heads, a dense unordered slice that the run loop scans: arming, firing
-// and emptying a line move no heap entry. The scan is short because a
-// stage that holds many packets holds them in one ring behind one head;
-// only the per-flow upstream lines are many, and no more of them are
-// non-empty at once than there are packets inside the few milliseconds of
-// the upstream hop.
+// and emptying a line move no heap entry. The run loop scans the heads
+// first and consults the heap root only when it can win (see next), so
+// an event that a line head wins leaves the heap untouched. The scan is
+// short because a stage that holds many packets holds them in one ring
+// behind one head; only the per-flow upstream lines are many, and no more
+// of them are non-empty at once than there are packets inside the few
+// milliseconds of the upstream hop.
 //
 // Ordering contract: every arm (Schedule, After, Timer.Reset, Line
 // enqueue) consumes exactly one seq and is dispatched at its (at, seq)
@@ -256,23 +258,31 @@ func (e *Engine) settle() bool {
 	return false
 }
 
-// next finds the (at, seq) minimum over everything pending: the settled
-// heap root against a scan of the armed line heads. It reports the
-// instant, the index in heads of the line to fire or -1 for the heap
-// root, and false when nothing is pending.
+// next finds the (at, seq) minimum over everything pending: the best of
+// the armed line heads, then the heap root only when it can win. A root's
+// stored stamp is a lower bound on what it stands for: settle reaps it or
+// moves it to its timer's current stamp, which is never earlier, because
+// Timer.Reset moves an entry only to an earlier deadline. So a root whose
+// stored instant is later than the best head's loses without being
+// settled, and only a tie or an earlier instant pays for settle. next
+// reports the instant, the index in heads of the line to fire or -1 for
+// the heap root, and false when nothing is pending.
 func (e *Engine) next() (at Time, head int, ok bool) {
 	head = -1
 	var seq uint64
-	if ok = e.settle(); ok {
-		at, seq = e.events[0].at, e.events[0].seq
-	}
 	for i := range e.heads {
 		h := &e.heads[i]
-		if !ok || h.at < at || h.at == at && h.seq < seq {
-			at, seq, head, ok = h.at, h.seq, i, true
+		if head < 0 || h.at < at || h.at == at && h.seq < seq {
+			at, seq, head = h.at, h.seq, i
 		}
 	}
-	return at, head, ok
+	if (head < 0 || len(e.events) > 0 && e.events[0].at <= at) && e.settle() {
+		r := &e.events[0]
+		if head < 0 || r.at < at || r.at == at && r.seq < seq {
+			return r.at, -1, true
+		}
+	}
+	return at, head, head >= 0
 }
 
 // dispatch runs what next chose. A line's slot is re-armed with the

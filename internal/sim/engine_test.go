@@ -228,3 +228,72 @@ func TestRNGSplitIndependence(t *testing.T) {
 		t.Fatalf("split streams too correlated: %d", same)
 	}
 }
+
+// TestNextSettlesATiedRoot is the settle side of next's gate: a heap root
+// whose stored instant ties the best line head is settled before the two
+// are compared, because its stored seq need not be the one it stands for.
+// A timer armed for 10 ms, stopped and armed for 10 ms again keeps the
+// first arm's entry, stamped below the head's seq, while its real stamp
+// is above it: compared unsettled it would fire first. A stopped timer
+// whose entry ties the head is reaped on the way.
+func TestNextSettlesATiedRoot(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	tm := e.NewTimer()
+	fire := func(Time) { got = append(got, "timer") }
+	l := e.NewLine(func(Time, any) { got = append(got, "line") })
+	tm.Reset(10*Millisecond, fire) // entry (10 ms, 1)
+	tm.Stop()
+	l.Schedule(10*Millisecond, nil) // head (10 ms, 2)
+	tm.Reset(10*Millisecond, fire)  // stamp (10 ms, 3), entry unmoved
+	e.Run()
+	if len(got) != 2 || got[0] != "line" || got[1] != "timer" {
+		t.Fatalf("dispatch order %v, want [line timer]", got)
+	}
+
+	e = NewEngine()
+	tm = e.NewTimer()
+	tm.Reset(10*Millisecond, func(Time) { t.Fatal("stopped timer fired") })
+	tm.Stop()
+	e.NewLine(func(Time, any) {}).Schedule(10*Millisecond, nil)
+	if !e.Step() || e.EventsRun() != 1 {
+		t.Fatal("the line head did not fire")
+	}
+	if len(e.events) != 0 {
+		t.Fatalf("heap holds %d entries after the tie, want the stopped timer's reaped", len(e.events))
+	}
+}
+
+// TestNextSkipsALaterRoot is the other side: a root whose stored instant
+// is later than the best head cannot win, since settling never moves a
+// stamp earlier, so next does not settle it. A stopped timer's entry and
+// a timer re-armed later stay as they were while a line fires before
+// them; the run reaps the one and fires the other at its own stamp.
+func TestNextSkipsALaterRoot(t *testing.T) {
+	e := NewEngine()
+	stopped := e.NewTimer()
+	stopped.Reset(20*Millisecond, func(Time) { t.Fatal("stopped timer fired") })
+	stopped.Stop()
+	var firedAt []Time
+	later := e.NewTimer()
+	later.Reset(25*Millisecond, func(now Time) { firedAt = append(firedAt, now) })
+	later.Reset(30*Millisecond, func(now Time) { firedAt = append(firedAt, now) })
+	l := e.NewLine(func(now Time, _ any) { firedAt = append(firedAt, now) })
+	l.Schedule(10*Millisecond, nil)
+	if !e.Step() || e.Now() != 10*Millisecond {
+		t.Fatalf("first step ran to %v, want the line head at 10ms", e.Now())
+	}
+	if len(e.events) != 2 || e.events[0].at != 20*Millisecond || e.events[0].timer != stopped {
+		t.Fatalf("heap changed while its root could not win: %d entries, root at %v", len(e.events), e.events[0].at)
+	}
+	if later.idx < 0 || e.events[later.idx].at != 25*Millisecond {
+		t.Fatal("the re-armed timer's entry moved before it could win")
+	}
+	e.Run()
+	if len(firedAt) != 2 || firedAt[0] != 10*Millisecond || firedAt[1] != 30*Millisecond || e.EventsRun() != 2 {
+		t.Fatalf("fired at %v after %d events, want [10ms 30ms] after 2", firedAt, e.EventsRun())
+	}
+	if len(e.events) != 0 {
+		t.Fatalf("heap holds %d entries after the run", len(e.events))
+	}
+}

@@ -45,9 +45,9 @@ func TestHeapStaysShallow(t *testing.T) {
 	if heap > 3 {
 		t.Fatalf("heap high-water %d entries with %d events pending, want at most 3 (the flows' timers)", heap, inFlight)
 	}
-	// Two upstream lines, the serializer, the downstream hop, two ACK lines.
-	if heads > 6 {
-		t.Fatalf("%d armed line heads at the peak, want at most 6", heads)
+	// Two upstream lines, the serializer, the downstream hop, the ACK line.
+	if heads > 5 {
+		t.Fatalf("%d armed line heads at the peak, want at most 5", heads)
 	}
 	t.Logf("heap high-water %d entries, %d armed line heads, %d events pending at the peak", heap, heads, inFlight)
 }
@@ -56,8 +56,8 @@ func TestHeapStaysShallow(t *testing.T) {
 // stage but the upstream hop is one line however many packets it holds;
 // the upstream hop is one line per flow, and a flow's line is armed only
 // while one of its packets is inside the hop's 5 to 7 ms. So the number
-// of armed heads is bounded by the packets in that window plus the four
-// fixed stages (serializer, downstream hop, two ACK lines), not by the
+// of armed heads is bounded by the packets in that window plus the three
+// fixed stages (serializer, downstream hop, ACK line), not by the
 // number of flows. The pairs here are the widest in the catalog (web
 // services with tens of connections, Mega's and iPerf's five) at 50 Mbps,
 // where the window holds the most packets: 32 measured, 64 allowed.

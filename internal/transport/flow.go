@@ -152,7 +152,7 @@ type Flow struct {
 	// Receiver state.
 	rcvExpected int64
 	rcvHighest  int64
-	rcvOOO      map[int64]bool
+	rcvOOO      rcvSet // seqs received above rcvExpected
 	rcvCount    int64
 
 	// Counters for reports and tests.
@@ -172,7 +172,6 @@ func NewFlow(tb *netem.Testbed, service int, alg cca.Algorithm, opts Options) *F
 		opts:    opts.withDefaults(),
 		alg:     alg,
 		service: service,
-		rcvOOO:  make(map[int64]bool),
 	}
 	f.paceTimer = tb.Eng.NewTimer()
 	f.rtoTimer = tb.Eng.NewTimer()
@@ -351,12 +350,11 @@ func (f *Flow) onDataAtClient(now sim.Time, p *netem.Packet) {
 	switch {
 	case p.Seq == f.rcvExpected:
 		f.rcvExpected++
-		for len(f.rcvOOO) > 0 && f.rcvOOO[f.rcvExpected] {
-			delete(f.rcvOOO, f.rcvExpected)
+		for f.rcvOOO.take(f.rcvExpected) {
 			f.rcvExpected++
 		}
 	case p.Seq > f.rcvExpected:
-		f.rcvOOO[p.Seq] = true
+		f.rcvOOO.add(f.rcvExpected, p.Seq)
 	default:
 		// duplicate of already-delivered data; still acknowledge
 	}

@@ -510,9 +510,10 @@ else
 fi
 
 # Fuzz smoke gate: randomized operation sequences against the drop-tail
-# queue's structural invariants (occupancy, FIFO, byte conservation) and
+# queue's structural invariants (occupancy, FIFO, byte conservation),
 # against the event engine's ordering contract (delay lines and lazy
-# timers dispatch exactly as the heap-only oracle does), and arbitrary
+# timers dispatch exactly as the heap-only oracle does) and against the
+# receiver's map model (the receive set's ring), and arbitrary
 # bytes against the parsers that read the network, the disk and the
 # command line — the frame readers, submission-WAL recovery, the
 # submissions route's request body, the two readers a resumed cycle
@@ -524,6 +525,7 @@ FUZZTIME=10s
 if [ "$SHORT" -eq 1 ]; then FUZZTIME=5s; fi
 go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime="$FUZZTIME" ./internal/netem
 go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime="$FUZZTIME" ./internal/sim
+go test -run '^$' -fuzz '^FuzzRcvSet$' -fuzztime="$FUZZTIME" ./internal/transport
 go test -run '^$' -fuzz '^FuzzFrameScanner$' -fuzztime="$FUZZTIME" ./internal/journal
 go test -run '^$' -fuzz '^FuzzSubsWALOpen$' -fuzztime="$FUZZTIME" ./internal/serve
 go test -run '^$' -fuzz '^FuzzSubmissionBody$' -fuzztime="$FUZZTIME" ./internal/serve
