@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"prudentia/internal/chaos"
 	"prudentia/internal/fleet"
 	"prudentia/internal/obs"
 	"prudentia/internal/trace"
@@ -60,21 +59,16 @@ func startCoordinator(cfg config, ledger *trace.FaultLedger, reg *obs.Registry,
 	if err != nil {
 		return nil, err
 	}
+	// Partitions are coordinator-side chaos only: they never reach a
+	// trial, so workers need no matching flag and the recipe leaves them
+	// out.
 	coord := &fleet.Coordinator{
 		ListenAddr:  cfg.listen,
 		Fingerprint: fp,
+		Partitions:  cfg.chaosPartitions,
 		OnFault:     ledger.Record,
 		Progress:    logf,
 		Obs:         fleet.NewInstruments(reg),
-	}
-	if cfg.chaosPartitions > 0 {
-		// Coordinator-side chaos only: partitions never reach a trial,
-		// so workers need no matching flag and the recipe leaves it out.
-		// The report stays byte-identical regardless — partitioned
-		// workers' pairs are re-executed deterministically elsewhere.
-		coord.Chaos = &chaos.Config{
-			Partitions: []*chaos.WorkerPartition{{Times: int64(cfg.chaosPartitions)}},
-		}
 	}
 	if err := coord.Start(); err != nil {
 		return nil, err

@@ -197,12 +197,10 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	}()
 	w.Interrupt = func() bool { return ctx.Err() != nil }
 
+	// RunCycle reads the header itself; a header it cannot load is the
+	// cycle's error.
 	if w.CheckpointPath != "" {
-		found, err := w.LoadCheckpoint()
-		if err != nil {
-			return err
-		}
-		if found {
+		if _, err := os.Stat(w.CheckpointPath); err == nil {
 			fmt.Fprintf(stdout, "resuming interrupted cycle from %s\n", w.CheckpointPath)
 		} else {
 			fmt.Fprintf(stdout, "no checkpoint at %s; starting fresh\n", w.CheckpointPath)

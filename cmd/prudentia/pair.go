@@ -21,7 +21,7 @@ import (
 
 // Pair mode: `prudentia pair` measures one service pair in one network
 // setting and prints what a watchdog cycle would record for it. The pair
-// runs through core.RunPairObserved, the §3.4 protocol path prudentia.Run
+// runs through core.RunPair, the §3.4 protocol path prudentia.Run
 // and every cycle take (hashed per-attempt seeds, discard re-runs, the
 // validity gate, retries), with options resolved as prudentia.Run
 // resolves them, so the same flags give the same medians on every
@@ -144,15 +144,12 @@ func runPair(pc *pairConfig, stdout io.Writer) error {
 		}
 	}
 	var faults []core.FaultEvent
-	out, err := core.RunPairObserved(pc.incumbent, pc.contender, pc.net, opts, func(ev core.FaultEvent) {
+	out := core.RunPair([]services.Service{pc.incumbent, pc.contender}, pc.net, opts, core.PairTask{A: 0, B: 1}, func(ev core.FaultEvent) {
 		faults = append(faults, ev)
 		if last != nil && ev.Seed == last.seed {
 			lastFaulted = true
 		}
 	})
-	if err != nil {
-		return err
-	}
 
 	// A solo run has one slot to report and no fairness verdict.
 	names := [2]string{pc.incumbent.Name(), "(solo)"}

@@ -23,13 +23,13 @@ var optionStructs = []string{
 	"core.SchedulerOptions", "core.AdaptiveOptions", "core.Spec", "core.Watchdog",
 	"core.BreakerSet",
 	"fleet.Coordinator", "fleet.Worker",
-	"chaos.Config", "chaos.WorkerPartition", "chaos.Brownout", "chaos.DiskPlan",
+	"chaos.Config", "chaos.Brownout", "chaos.DiskPlan",
 	"serve.Config",
 }
 
 // maxOptionFields is the committed count of exported fields across
 // optionStructs. It may only go down.
-const maxOptionFields = 91
+const maxOptionFields = 89
 
 // deadSurfaceAllowlist pins every finding that has a reason to stay.
 const deadSurfaceAllowlist = "testdata/deadsurface.txt"

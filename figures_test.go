@@ -270,10 +270,7 @@ func (l *lab) runPair(tb testing.TB, inc, cont string, net netem.Config) *core.P
 	if out := l.pairs[key]; out != nil {
 		return out
 	}
-	out, err := core.RunPair(service(inc), service(cont), net, l.options(net))
-	if err != nil {
-		tb.Fatal(err)
-	}
+	out := core.RunPair([]services.Service{service(inc), service(cont)}, net, l.options(net), core.PairTask{A: 0, B: 1}, nil)
 	l.pairs[key] = out
 	return out
 }

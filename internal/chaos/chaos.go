@@ -127,15 +127,6 @@ type Config struct {
 	// byte-identical replay contract. Use it in acceptance tests and
 	// soak runs, not golden traces.
 	Brownouts []*Brownout
-
-	// Partitions sever the fleet coordinator from its workers for a
-	// bounded number of assignments each (the "switch between racks
-	// lost its mind" scenario that lease re-dispatch exists for). Like
-	// brownouts they are budgeted and stateful, so they are excluded
-	// from the byte-identical replay contract — though the watchdog's
-	// *report* stays byte-identical regardless, because a partitioned
-	// worker's pairs are deterministically re-executed by survivors.
-	Partitions []*WorkerPartition
 }
 
 // Brownout is a bounded service outage: every trial involving Service
@@ -161,46 +152,6 @@ func (b *Brownout) take() bool {
 			return true
 		}
 	}
-}
-
-// WorkerPartition is a bounded coordinator↔worker network partition:
-// the next Times assignments, to whichever worker, are severed
-// (connection dropped at the coordinator, pair re-queued), after which
-// the workers may rejoin and serve normally.
-type WorkerPartition struct {
-	// Times is the partition budget: how many assignments are severed.
-	Times int64
-
-	taken atomic.Int64
-}
-
-// take consumes one unit of partition budget, reporting false once spent.
-func (p *WorkerPartition) take() bool {
-	for {
-		t := p.taken.Load()
-		if t >= p.Times {
-			return false
-		}
-		if p.taken.CompareAndSwap(t, t+1) {
-			return true
-		}
-	}
-}
-
-// TakePartition checks one fleet assignment against the plan's
-// partitions: while one has budget left it consumes one unit and
-// reports true — the coordinator then severs the assignee instead of
-// assigning. Safe on a nil Config.
-func (c *Config) TakePartition() bool {
-	if c == nil {
-		return false
-	}
-	for _, p := range c.Partitions {
-		if p != nil && p.take() {
-			return true
-		}
-	}
-	return false
 }
 
 // BrownoutFor checks the given service names against the plan's active
@@ -248,7 +199,7 @@ func (c *Config) Enabled() bool {
 		return false
 	}
 	return c.simEnabled() || c.PanicRate > 0 || c.ErrorRate > 0 || c.CorruptRate > 0 ||
-		len(c.Brownouts) > 0 || len(c.Partitions) > 0
+		len(c.Brownouts) > 0
 }
 
 func (c *Config) simEnabled() bool {

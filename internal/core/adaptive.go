@@ -96,25 +96,25 @@ type screenResult struct {
 // Screening is one more task set on the shared runner (parallel.go); in
 // fleet mode it stays coordinator-side — the budgets ride the PairTasks
 // — and uses the coordinator's local pool width.
-func (m *matrix) screen(states []*pairState, opts SchedulerOptions) (budgets map[string]int, interrupted bool) {
+func (m *matrix) screen(states []*pairState) (budgets map[string]int, interrupted bool) {
 	results := make([]screenResult, len(states))
-	interrupted = runOrdered(len(states), m.Workers, m.Interrupt,
+	interrupted = runOrdered(len(states), m.w.Workers, m.w.Interrupt,
 		func(i int, interrupt func() bool) (screenResult, bool) {
 			if interrupt() {
 				return screenResult{}, false
 			}
 			st := states[i]
 			label := st.pairLabel() + " (screen)"
-			seed := trialSeed(opts.BaseSeed, screenSeedID(st.a, st.b), 0)
+			seed := trialSeed(m.opts.BaseSeed, screenSeedID(st.a, st.b), 0)
 			spec := Spec{
 				Incumbent: st.svcA,
 				Contender: st.svcB,
-				Net:       m.Net,
+				Net:       m.net,
 				Seed:      seed,
-				Chaos:     opts.Chaos,
+				Chaos:     m.opts.Chaos,
 			}.ScreenTiming()
-			ar := executeAttempt(m.Journal, m.Obs, opts, spec, label, 0)
-			m.Obs.screenTrial(label, seed, 0, ar.class)
+			ar := executeAttempt(m.journal, m.w.Obs, m.opts, spec, label, 0)
+			m.w.Obs.screenTrial(label, seed, 0, ar.class)
 			if ar.class != "ok" {
 				return screenResult{}, true // unscored: sorts as most contested
 			}
@@ -127,7 +127,7 @@ func (m *matrix) screen(states []*pairState, opts SchedulerOptions) (budgets map
 	if interrupted {
 		return nil, true
 	}
-	return allocateBudgets(states, results, opts.MaxTrials), false
+	return allocateBudgets(states, results, m.opts.MaxTrials), false
 }
 
 // allocateBudgets turns screening scores into per-pair trial ceilings:
@@ -179,7 +179,7 @@ func (m *matrix) applyBudgets(states []*pairState, budgets map[string]int) {
 		if b, ok := budgets[st.key]; ok && b > 0 {
 			st.budget = b
 		}
-		m.Obs.emit(obs.TimelineEvent{Kind: "budget_alloc", Pair: st.pairLabel(),
+		m.w.Obs.emit(obs.TimelineEvent{Kind: "budget_alloc", Pair: st.pairLabel(),
 			Detail: fmt.Sprintf("budget %d", st.budget)})
 	}
 }

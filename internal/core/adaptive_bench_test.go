@@ -26,7 +26,7 @@ func BenchmarkAdaptiveMatrix(b *testing.B) {
 			start := time.Now()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m := &matrix{Services: threeServices(), Net: net, Opts: opts}
+				m := testMatrix(&Watchdog{Services: threeServices()}, net, opts)
 				res, err := m.Run()
 				if err != nil {
 					b.Fatal(err)

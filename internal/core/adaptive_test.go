@@ -12,6 +12,7 @@ import (
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/netem"
+	"prudentia/internal/services"
 	"prudentia/internal/sim"
 )
 
@@ -38,7 +39,7 @@ func TestAdaptiveVsFixedEquivalence(t *testing.T) {
 	net := netem.HighlyConstrained()
 	run := func(opts SchedulerOptions) *MatrixResult {
 		t.Helper()
-		m := &matrix{Services: threeServices(), Net: net, Opts: opts}
+		m := testMatrix(&Watchdog{Services: threeServices()}, net, opts)
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -96,7 +97,7 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 		opts.MaxTrials = 9
 		opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
 		opts.Adaptive = &AdaptiveOptions{}
-		m := &matrix{Services: threeServices(), Net: net, Opts: opts, Workers: workers}
+		m := testMatrix(&Watchdog{Services: threeServices(), Workers: workers}, net, opts)
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -119,13 +120,14 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 }
 
 // localRemote is a stub RemoteRunner: it runs each task in-process
-// through RunPairTask, the fleet worker's entry point.
+// through RunPair, the fleet worker's entry point.
 type localRemote struct{ m *matrix }
 
 func (r localRemote) RunPairs(tasks []PairTask, _ func() bool) (<-chan PairTaskResult, error) {
 	ch := make(chan PairTaskResult, len(tasks))
 	for i, task := range tasks {
-		out, events := RunPairTask(r.m.Services, r.m.Net, r.m.Opts, task)
+		var events []FaultEvent
+		out := RunPair(r.m.w.Services, r.m.net, r.m.opts, task, func(ev FaultEvent) { events = append(events, ev) })
 		ch <- PairTaskResult{Index: i, Outcome: out, Events: events}
 	}
 	close(ch)
@@ -172,15 +174,9 @@ func TestFleetScreeningUsesLocalPool(t *testing.T) {
 	run := func(workers int, hook func() bool) []byte {
 		opts := adaptiveTestOpts(net)
 		opts.Adaptive = &AdaptiveOptions{}
-		m := &matrix{
-			Services:  threeServices(),
-			Net:       net,
-			Opts:      opts,
-			Workers:   workers,
-			Interrupt: hook,
-		}
+		m := testMatrix(&Watchdog{Services: threeServices(), Workers: workers, Interrupt: hook}, net, opts)
 		remote := &taskRecorder{localRemote: localRemote{m}}
-		m.Remote = remote
+		m.w.Remote = remote
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -250,9 +246,6 @@ func TestAdaptiveResumeEquivalence(t *testing.T) {
 		}
 
 		wB := mk(ckpt, jrnl, nil)
-		if found, err := wB.LoadCheckpoint(); err != nil || !found {
-			t.Fatalf("LoadCheckpoint = %v, %v; want found", found, err)
-		}
 		crB, err := wB.RunCycle()
 		if err != nil {
 			t.Fatal(err)
@@ -318,9 +311,6 @@ func TestCrossProtocolResume(t *testing.T) {
 	// it against that protocol's uninterrupted run.
 	resume := func(name string, r *run) {
 		t.Helper()
-		if found, err := r.w.LoadCheckpoint(); err != nil || !found {
-			t.Fatalf("%s: LoadCheckpoint = %v, %v", name, found, err)
-		}
 		cr, err := r.w.RunCycle()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -440,10 +430,7 @@ func TestRunPairAdaptive(t *testing.T) {
 	svcs := threeServices()
 	// A self-pair converges immediately: both slots run the same stack,
 	// so the share medians agree trial after trial.
-	out, err := RunPair(svcs[0], svcs[0], netem.HighlyConstrained(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := RunPair([]services.Service{svcs[0], svcs[0]}, netem.HighlyConstrained(), opts, PairTask{A: 0, B: 1}, nil)
 	if out.StopReason == "" {
 		t.Fatal("adaptive RunPair outcome carries no stop reason")
 	}

@@ -169,11 +169,8 @@ func TestNoiseDiscard(t *testing.T) {
 func TestRunPairEscalatesOnWideCI(t *testing.T) {
 	opts := fastOpts(netem.HighlyConstrained())
 	opts.ToleranceMbps = 0.000001 // impossible: must escalate to MaxTrials
-	out, err := RunPair(services.ByName("iPerf (Reno)"), services.ByName("iPerf (Cubic)"),
-		netem.HighlyConstrained(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := RunPair([]services.Service{services.ByName("iPerf (Reno)"), services.ByName("iPerf (Cubic)")},
+		netem.HighlyConstrained(), opts, PairTask{A: 0, B: 1}, nil)
 	if out.Counted() != opts.MaxTrials {
 		t.Fatalf("trials = %d, want max %d", out.Counted(), opts.MaxTrials)
 	}
@@ -184,11 +181,8 @@ func TestRunPairEscalatesOnWideCI(t *testing.T) {
 
 func TestRunPairStopsEarlyWhenTight(t *testing.T) {
 	opts := fastOpts(netem.HighlyConstrained())
-	out, err := RunPair(services.ByName("iPerf (Reno)"), services.ByName("iPerf (Reno)"),
-		netem.HighlyConstrained(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := RunPair([]services.Service{services.ByName("iPerf (Reno)"), services.ByName("iPerf (Reno)")},
+		netem.HighlyConstrained(), opts, PairTask{A: 0, B: 1}, nil)
 	if out.Counted() != opts.MinTrials {
 		t.Fatalf("trials = %d, want min %d", out.Counted(), opts.MinTrials)
 	}
@@ -206,7 +200,7 @@ func TestMatrixFillsAllPairs(t *testing.T) {
 		services.ByName("iPerf (Cubic)"),
 		services.ByName("iPerf (BBR)"),
 	}
-	m := &matrix{Services: svcs, Net: netem.HighlyConstrained(), Opts: fastOpts(netem.HighlyConstrained())}
+	m := testMatrix(&Watchdog{Services: svcs}, netem.HighlyConstrained(), fastOpts(netem.HighlyConstrained()))
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +247,7 @@ func TestMatrixCellSlotOrientation(t *testing.T) {
 		services.ByName("iPerf (Reno)"),
 		services.ByName("Mega"),
 	}
-	m := &matrix{Services: svcs, Net: netem.ModeratelyConstrained(), Opts: fastOpts(netem.ModeratelyConstrained())}
+	m := testMatrix(&Watchdog{Services: svcs}, netem.ModeratelyConstrained(), fastOpts(netem.ModeratelyConstrained()))
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)

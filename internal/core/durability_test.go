@@ -13,6 +13,7 @@ import (
 	"prudentia/internal/journal"
 	"prudentia/internal/netem"
 	"prudentia/internal/obs"
+	"prudentia/internal/services"
 )
 
 // TestBreakerLifecycle drives one breaker through the full state
@@ -139,10 +140,7 @@ func TestReaperQuarantinesHungTrials(t *testing.T) {
 	opts := fastOpts(net)
 	opts.WallBudget = 1e-9
 	svcs := threeServices()
-	out, err := RunPair(svcs[0], svcs[1], net, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := RunPair(svcs, net, opts, PairTask{A: 0, B: 1}, nil)
 	if !out.Failed {
 		t.Fatal("reaped pair must be quarantined")
 	}
@@ -165,11 +163,7 @@ func TestReaperGenerousBudgetIsTransparent(t *testing.T) {
 		opts := fastOpts(net)
 		opts.WallBudget = budget
 		svcs := threeServices()
-		out, err := RunPair(svcs[0], svcs[2], net, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return RunPair([]services.Service{svcs[0], svcs[2]}, net, opts, PairTask{A: 0, B: 1}, nil)
 	}
 	plain, _ := json.Marshal(run(0))
 	budgeted, _ := json.Marshal(run(1e6))
@@ -231,9 +225,6 @@ func TestJournalResumeEquivalence(t *testing.T) {
 		t.Fatalf("no journal after interrupt: %v", err)
 	}
 	wB, rb := mk(ckptJ, wal, nil)
-	if found, err := wB.LoadCheckpoint(); err != nil || !found {
-		t.Fatalf("LoadCheckpoint = %v, %v", found, err)
-	}
 	crB, err := wB.RunCycle()
 	if err != nil {
 		t.Fatal(err)
@@ -271,9 +262,6 @@ func TestJournalResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	wD, rd := mk(ckptC, "", nil)
-	if found, err := wD.LoadCheckpoint(); err != nil || !found {
-		t.Fatalf("LoadCheckpoint = %v, %v", found, err)
-	}
 	crD, err := wD.RunCycle()
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +295,7 @@ func TestJournalResumeEquivalence(t *testing.T) {
 }
 
 // cutRemote is a coordinator that can lose its fleet: it runs tasks
-// through localRemote (in-process RunPairTask), records what each
+// through localRemote (in-process RunPair), records what each
 // RunPairs call was handed, and with limit > 0 delivers only the first
 // limit results before closing the channel, which the matrix reads as
 // an interrupted dispatch.
@@ -322,7 +310,7 @@ func (r *cutRemote) RunPairs(tasks []PairTask, _ func() bool) (<-chan PairTaskRe
 	if r.limit > 0 && r.limit < len(tasks) {
 		tasks = tasks[:r.limit]
 	}
-	m := &matrix{Services: r.w.Services, Net: r.w.Settings[0], Opts: r.w.SettingOptions(1, 0)}
+	m := testMatrix(&Watchdog{Services: r.w.Services}, r.w.Settings[0], r.w.SettingOptions(1, 0))
 	return localRemote{m}.RunPairs(tasks, nil)
 }
 
@@ -374,9 +362,6 @@ func TestCoordinatorResume(t *testing.T) {
 		resume := func(ckpt string) (*run, string) {
 			t.Helper()
 			r := mk(ckpt, 0)
-			if found, err := r.w.LoadCheckpoint(); err != nil || !found {
-				t.Fatalf("LoadCheckpoint = %v, %v", found, err)
-			}
 			cr, err := r.w.RunCycle()
 			if err != nil {
 				t.Fatal(err)
@@ -525,9 +510,6 @@ func TestAdmissionReplayResume(t *testing.T) {
 					}
 				}
 				r := mk(ckpt, nil)
-				if found, err := r.w.LoadCheckpoint(); err != nil || !found {
-					t.Fatalf("LoadCheckpoint = %v, %v", found, err)
-				}
 				cr, err := r.w.RunCycle()
 				if err != nil {
 					t.Fatal(err)
@@ -576,9 +558,6 @@ func TestInterruptedManifestCycleNumber(t *testing.T) {
 	check(wA, "first interruption")
 
 	wB := mk(5) // a new process: no history, no offset, only the checkpoint
-	if found, err := wB.LoadCheckpoint(); err != nil || !found {
-		t.Fatalf("LoadCheckpoint = %v, %v", found, err)
-	}
 	check(wB, "re-interrupted resume")
 }
 

@@ -10,4 +10,4 @@ var (
 )
 
 // MatrixForTest lets external tests drive one setting's matrix directly.
-type MatrixForTest = matrix
+var MatrixForTest = testMatrix

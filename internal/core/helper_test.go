@@ -5,10 +5,17 @@ import (
 	"strings"
 
 	"prudentia/internal/cca"
+	"prudentia/internal/netem"
 	"prudentia/internal/obs"
 )
 
 func ccaV() cca.BBRVariant { return cca.BBRLinux415() }
+
+// testMatrix builds one setting's matrix over w, as RunCycle does, with
+// opts resolved for net; w supplies the catalog and the hooks.
+func testMatrix(w *Watchdog, net netem.Config, opts SchedulerOptions) *matrix {
+	return &matrix{w: w, net: net, opts: opts.withDefaults(net)}
+}
 
 // releasedLabel returns the "A vs B" label of a matrix Progress line,
 // which the matrix emits once per pair as it releases it.

@@ -5,16 +5,16 @@ import (
 	"math"
 
 	"prudentia/internal/netem"
-	"prudentia/internal/services"
 )
 
-// matrix runs the all-to-all pairwise protocol over a service list in one
-// network setting, producing the data behind the paper's heatmaps
-// (Figs 2, 11, 12, 13). Watchdog.RunCycle builds one per setting, after
-// that setting's solo calibration; nothing else does. Each pair runs the §3.4 trial-escalation
-// protocol (pairproto.go): an initial batch of MinTrials, escalated in
-// Step-sized sets up to MaxTrials until the throughput CI tightens,
-// exactly the live system's behaviour.
+// matrix is one setting's view of its Watchdog: it runs the all-to-all
+// pairwise protocol over the watchdog's catalog in one network setting,
+// producing the data behind the paper's heatmaps (Figs 2, 11, 12, 13).
+// Watchdog.RunCycle builds one per setting, after that setting's solo
+// calibration; nothing else does. Each pair runs the §3.4
+// trial-escalation protocol (pairproto.go): an initial batch of
+// MinTrials, escalated in Step-sized sets up to MaxTrials until the
+// throughput CI tightens, exactly the live system's behaviour.
 //
 // The scheduler is crash-safe: a panicking or erroring trial becomes a
 // recorded failure, failed attempts retry at once with fresh seeds,
@@ -23,42 +23,27 @@ import (
 // trial fault ever propagates out of Run; the only error Run returns is
 // ErrInterrupted when the Interrupt hook requests a graceful stop.
 //
-// With Workers > 1 the matrix fans pairs out to a worker pool
-// (parallel.go). Every trial owns a private sim.Engine + netem testbed
-// and every seed is a pure function of (BaseSeed, pair, attempt), so
-// results — heatmaps, medians, fault ledger — are byte-identical for
-// any worker count, including 1.
+// What the whole cycle shares — Services, Workers, Remote, Interrupt,
+// OnFault, Progress, Breakers, Obs — is read from the Watchdog, which
+// documents it; the fields here are what differs per setting.
 type matrix struct {
-	Services []services.Service
-	Net      netem.Config
-	Opts     SchedulerOptions
-
-	// Workers is the number of concurrent pair workers; values <= 1 run
-	// the matrix serially on the caller goroutine. Output is identical
-	// for any value. With Workers > 1 the Interrupt hook must be safe
-	// for concurrent use (it is polled from worker goroutines).
-	Workers int
-
-	// Remote, if non-nil, executes pending pairs on a remote runner
-	// (the fleet coordinator) instead of the local pool; Workers is
-	// then ignored for pair execution. Results are merged through the
-	// same ordered-release path, so output stays byte-identical to a
-	// local run. Cycle and Setting are carried in each PairTask so
-	// workers re-derive the scheduler options — and with them every
-	// trial seed — from their own configuration.
-	Remote  RemoteRunner
-	Cycle   int
-	Setting int
-
-	// SkipService, if non-nil, denies admission by service name: every
-	// pair with a member the hook rejects is marked Skipped (rendered
-	// ○○) and released immediately, without running a single trial.
-	// The watchdog supplies the circuit-breaker open set here; the
-	// decision is evaluated once, during matrix construction, so
-	// mid-matrix breaker trips cannot perturb an in-flight matrix.
-	SkipService func(name string) bool
-
-	// Journal, if non-nil, is the cycle's write-ahead trial journal
+	w *Watchdog
+	// net is the setting's network and opts its resolved scheduler
+	// options (Watchdog.SettingOptions), BaseSeed already scoped to the
+	// cycle and setting.
+	net  netem.Config
+	opts SchedulerOptions
+	// cycle and setting ride every PairTask under Remote, so workers
+	// re-derive opts — and with them every trial seed — from their own
+	// configuration.
+	cycle, setting int
+	// open is the admission set: every pair with a member in it is
+	// marked Skipped (rendered ○○) and released immediately, without
+	// running a single trial. It is the breakers' open set when the
+	// matrix is built, so mid-matrix breaker trips cannot perturb an
+	// in-flight matrix.
+	open map[string]bool
+	// journal, if non-nil, is the cycle's write-ahead trial journal
 	// sink: every executed attempt is recorded, and recovered attempts
 	// replay by seed instead of re-simulating — which is all a resumed
 	// matrix needs to be identical to an uninterrupted one, every trial
@@ -67,33 +52,7 @@ type matrix struct {
 	// attempt, so a resumed Run allocates the interrupted run's ceilings
 	// again. Under Remote it holds one record per finished pair instead
 	// (remote.go).
-	Journal *journalSink
-
-	// Breakers, if non-nil, accumulates per-service health scores from
-	// finished pairs on the canonical release path (deterministic for
-	// any worker count).
-	Breakers *BreakerSet
-
-	// Interrupt, if non-nil, is polled between trials; returning true
-	// stops the matrix with ErrInterrupted after draining the trials in
-	// flight. Must be concurrency-safe when Workers > 1.
-	Interrupt func() bool
-
-	// OnFault, if non-nil, receives the live robustness ledger:
-	// failures, retries, discards, corrupt results, quarantines. Events
-	// are delivered grouped per pair in canonical order, always from
-	// the goroutine that called Run.
-	OnFault func(ev FaultEvent)
-
-	// Progress, if non-nil, receives a line per pair that reached a final
-	// state. Pairs are delivered in canonical catalog order regardless of
-	// Workers, always from the goroutine that called Run.
-	Progress func(format string, args ...any)
-
-	// Obs, if non-nil, receives telemetry: trial/pair counters folded
-	// from each released outcome, plus live duration histograms and
-	// timeline events from the executing goroutines; see Instruments.
-	Obs *Instruments
+	journal *journalSink
 }
 
 // MatrixResult holds every pair outcome plus name indexing.
@@ -109,39 +68,37 @@ func pairKey(a, b int) string { return fmt.Sprintf("%d|%d", a, b) }
 
 // Run executes the matrix.
 func (m *matrix) Run() (*MatrixResult, error) {
-	opts := m.Opts.withDefaults(m.Net)
+	svcs := m.w.Services
 	res := &MatrixResult{
-		Net:   m.Net,
+		Net:   m.net,
 		Pairs: make(map[string]*PairOutcome),
 	}
 	var states []*pairState
-	for i := range m.Services {
-		res.Names = append(res.Names, m.Services[i].Name())
-		for j := i; j < len(m.Services); j++ {
+	for i := range svcs {
+		res.Names = append(res.Names, svcs[i].Name())
+		for j := i; j < len(svcs); j++ {
 			key := pairKey(i, j)
 			if open, skip := m.skipPair(i, j); skip {
 				out := &PairOutcome{
-					Incumbent: m.Services[i].Name(),
-					Contender: m.Services[j].Name(),
+					Incumbent: svcs[i].Name(),
+					Contender: svcs[j].Name(),
 					Skipped:   true,
 				}
 				res.Pairs[key] = out
 				label := out.Incumbent + " vs " + out.Contender
-				m.Obs.pairSkipped(label, open)
-				m.fault(FaultEvent{Pair: label, Kind: "breaker_skip", Detail: "breaker open: " + open})
-				if m.Progress != nil {
-					m.Progress("pair %s: SKIPPED (breaker open: %s)", label, open)
-				}
+				m.w.Obs.pairSkipped(label, open)
+				m.w.fault(FaultEvent{Pair: label, Kind: "breaker_skip", Detail: "breaker open: " + open})
+				m.w.progress("pair %s: SKIPPED (breaker open: %s)", label, open)
 				continue
 			}
-			st := newPairState(i, j, m.Services[i], m.Services[j], opts)
+			st := newPairState(i, j, svcs[i], svcs[j], m.opts)
 			states = append(states, st)
 			res.Pairs[key] = st.outcome
 		}
 	}
 
-	if opts.Adaptive != nil && len(states) > 0 {
-		budgets, interrupted := m.screen(states, opts)
+	if m.opts.Adaptive != nil && len(states) > 0 {
+		budgets, interrupted := m.screen(states)
 		if interrupted {
 			return res, ErrInterrupted
 		}
@@ -151,13 +108,13 @@ func (m *matrix) Run() (*MatrixResult, error) {
 	// Who produces the results — local goroutines or the remote runner —
 	// is the only difference between a local and a distributed matrix.
 	var interrupted bool
-	if m.Remote != nil {
+	if m.w.Remote != nil {
 		var err error
 		if interrupted, err = m.runAllRemote(states); err != nil {
 			return res, err
 		}
 	} else {
-		interrupted = m.runAll(states, opts)
+		interrupted = m.runAll(states)
 	}
 	if interrupted {
 		return res, ErrInterrupted
@@ -165,24 +122,13 @@ func (m *matrix) Run() (*MatrixResult, error) {
 	return res, nil
 }
 
-// fault emits a ledger event if a listener is attached.
-func (m *matrix) fault(ev FaultEvent) {
-	if m.OnFault != nil {
-		m.OnFault(ev)
-	}
-}
-
 // skipPair reports whether either member of pair (i, j) is denied
 // admission, returning the first denied member's name.
 func (m *matrix) skipPair(i, j int) (openService string, skip bool) {
-	if m.SkipService == nil {
-		return "", false
-	}
-	if n := m.Services[i].Name(); m.SkipService(n) {
-		return n, true
-	}
-	if n := m.Services[j].Name(); m.SkipService(n) {
-		return n, true
+	for _, k := range [2]int{i, j} {
+		if n := m.w.Services[k].Name(); m.open[n] {
+			return n, true
+		}
 	}
 	return "", false
 }
@@ -193,19 +139,19 @@ func (m *matrix) skipPair(i, j int) (openService string, skip bool) {
 // replayed and fleet pairs alike go through — so they are ordered and
 // identical for any worker count and across a resume.
 func (m *matrix) finish(st *pairState) {
-	m.Breakers.scorePair(st.outcome)
-	m.Obs.foldPair(st.outcome)
-	m.Obs.pairDone(st)
-	if m.Progress == nil {
+	m.w.Breakers.scorePair(st.outcome)
+	m.w.Obs.foldPair(st.outcome)
+	m.w.Obs.pairDone(st)
+	if m.w.Progress == nil {
 		return
 	}
 	o := st.outcome
 	if o.Failed {
-		m.Progress("pair %s: QUARANTINED after %d failed attempts (%d retries)",
+		m.w.Progress("pair %s: QUARANTINED after %d failed attempts (%d retries)",
 			st.pairLabel(), len(o.Failures), o.Retries)
 		return
 	}
-	m.Progress("pair %s: %d trials, share %.0f%%/%.0f%%, unstable=%v",
+	m.w.Progress("pair %s: %d trials, share %.0f%%/%.0f%%, unstable=%v",
 		st.pairLabel(), o.Counted(),
 		o.MedianSharePct(0), o.MedianSharePct(1), o.Unstable)
 }

@@ -20,15 +20,18 @@ import (
 // registry and timeline, over the three iPerf baselines in the
 // highly-constrained setting.
 func obsWatchdog(workers int, tl *obs.Timeline) (*Watchdog, *obs.Registry) {
-	m, reg := obsMatrix(tl)
-	w := &Watchdog{
-		Services: m.Services,
-		Settings: []netem.Config{m.Net},
-		Opts:     m.Opts,
+	net := netem.HighlyConstrained()
+	opts := fastOpts(net)
+	opts.BaseSeed = 77
+	opts.Chaos = hotChaos()
+	reg := obs.NewRegistry()
+	return &Watchdog{
+		Services: threeServices(),
+		Settings: []netem.Config{net},
+		Opts:     opts,
 		Workers:  workers,
-		Obs:      m.Obs,
-	}
-	return w, reg
+		Obs:      NewInstruments(reg, tl),
+	}, reg
 }
 
 // TestObsSnapshotDeterminism: two identical seeded cycles — and the same
@@ -208,30 +211,25 @@ func TestObsUninstrumentedIdentical(t *testing.T) {
 	}
 }
 
-// obsMatrix builds the chaos matrix the ledger tests share: the three
-// iPerf baselines, hot chaos, seed 77, instruments on a fresh registry.
+// obsMatrix builds the chaos matrix the ledger tests share: obsWatchdog's
+// one setting, on a fresh registry.
 func obsMatrix(tl *obs.Timeline) (*matrix, *obs.Registry) {
-	net := netem.HighlyConstrained()
-	opts := fastOpts(net)
-	opts.BaseSeed = 77
-	opts.Chaos = hotChaos()
-	reg := obs.NewRegistry()
-	return &matrix{Services: threeServices(), Net: net, Opts: opts,
-		Obs: NewInstruments(reg, tl)}, reg
+	w, reg := obsWatchdog(0, tl)
+	return testMatrix(w, w.Settings[0], w.Opts), reg
 }
 
 // TestObsRegistryParityLocalVsFleet: the registry's counters and gauges
 // are a fold over released outcomes, so the same seeded chaos matrix run
 // through the local pool and through a remote runner (the in-process
-// RunPairTask stub) must leave identical ones. Histograms are excepted:
+// RunPair stub) must leave identical ones. Histograms are excepted:
 // wall-clock and per-attempt sim samples are worker-local observability,
 // which a remote worker's never reach the coordinator.
 func TestObsRegistryParityLocalVsFleet(t *testing.T) {
 	run := func(remote bool) obs.Snapshot {
 		m, reg := obsMatrix(nil)
-		m.Workers = 2
+		m.w.Workers = 2
 		if remote {
-			m.Remote = localRemote{m}
+			m.w.Remote = localRemote{m}
 		}
 		if _, err := m.Run(); err != nil {
 			t.Fatalf("matrix (remote=%v): %v", remote, err)
@@ -262,8 +260,8 @@ func TestInterruptedRegistryNamesOnlyReleasedPairs(t *testing.T) {
 		m, reg := obsMatrix(tl)
 		// Fifteen pairs: more than four workers can finish before the
 		// interrupt lands.
-		m.Services = append(m.Services, services.ByName("Dropbox"), services.ByName("Netflix"))
-		m.Workers = workers
+		m.w.Services = append(m.w.Services, services.ByName("Dropbox"), services.ByName("Netflix"))
+		m.w.Workers = workers
 		// Interrupt one poll per worker after the first release: at least
 		// one pair is published, and every worker still running has
 		// started another trial of a pair it must then abandon. A pool
@@ -275,12 +273,12 @@ func TestInterruptedRegistryNamesOnlyReleasedPairs(t *testing.T) {
 		// behind an abandoned one) and work is left to abandon.
 		var firstRelease atomic.Bool
 		var polls, pollsSince atomic.Int64
-		m.Interrupt = func() bool {
+		m.w.Interrupt = func() bool {
 			n := polls.Add(1)
 			return firstRelease.Load() && pollsSince.Add(1) > int64(workers) || n > 4*int64(workers)
 		}
 		releasedLabels := map[string]bool{}
-		m.Progress = func(format string, args ...any) {
+		m.w.Progress = func(format string, args ...any) {
 			releasedLabels[releasedLabel(fmt.Sprintf(format, args...))] = true
 			firstRelease.Store(true)
 		}

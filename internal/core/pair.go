@@ -13,7 +13,7 @@ import (
 
 // SchedulerOptions govern the §3.4 trial-escalation protocol. A field
 // left zero means "the preset's value for the setting this runs in":
-// a cycle's matrix, RunPair and RunPairTask fill it from PaperOptions(net),
+// a cycle's matrix and RunPair fill it from PaperOptions(net),
 // Watchdog.SettingOptions from the paper or the quick preset, field by
 // field, so the stopping tolerance always belongs to its setting.
 type SchedulerOptions struct {
@@ -243,37 +243,27 @@ func (p *PairOutcome) ciSatisfied(tol float64) bool {
 	return p.Sketches.Mbps[0].CIWithin(tol) && p.Sketches.Mbps[1].CIWithin(tol)
 }
 
-// RunPair runs the full protocol for one pair in one network setting.
-// Trial errors and panics never propagate: they are recorded on the
-// outcome, retried with fresh seeds, and quarantine the pair (Failed)
-// after maxFailures. The only returned errors are structural
-// (impossible specs). To observe the per-attempt fault ledger, use
-// RunPairObserved.
-func RunPair(incumbent, contender services.Service, net netem.Config, opts SchedulerOptions) (*PairOutcome, error) {
-	return RunPairObserved(incumbent, contender, net, opts, nil)
-}
-
-// RunPairObserved is RunPair with a live fault-ledger hook: onFault (if
-// non-nil) receives one FaultEvent per failed, discarded, or corrupt
-// attempt, plus retry/quarantine transitions — the same stream
-// Watchdog.OnFault delivers. Recording is unconditional: every attempt is
-// both kept on the outcome and emitted to the ledger before any return
-// path, including the attempt that quarantines the pair or exhausts
-// maxDiscards. (Earlier versions of RunPair bypassed the ledger
-// entirely and returned on terminal attempts without reporting them;
-// it now shares the matrix scheduler's pairProtocol, so the two paths
-// cannot drift.)
-func RunPairObserved(incumbent, contender services.Service, net netem.Config, opts SchedulerOptions, onFault func(FaultEvent)) (*PairOutcome, error) {
-	if incumbent == nil {
-		return nil, fmt.Errorf("core: RunPair requires an incumbent service")
-	}
+// RunPair runs the full §3.4 protocol for the catalog pair the task
+// names in one network setting: the fleet worker's entry point, and the
+// library's for one pair (catalog {incumbent, contender}, task {A: 0,
+// B: 1}; a nil contender runs the incumbent solo). Trial errors and
+// panics never propagate: they are recorded on the outcome, retried
+// with fresh seeds, and quarantine the pair (Failed) after maxFailures.
+// onFault, if non-nil, receives the live fault ledger — the stream
+// Watchdog.OnFault delivers — with every attempt emitted before any
+// return path. Outcome and events are byte-identical to the same pair
+// executed inside a local matrix, because every trial seed is a pure
+// function of (opts.BaseSeed, pair identity, attempt) and the adaptive
+// stopper is a pure function of the counted-trial prefix and the task's
+// Budget.
+func RunPair(svcs []services.Service, net netem.Config, opts SchedulerOptions, task PairTask, onFault func(FaultEvent)) *PairOutcome {
 	opts = opts.withDefaults(net)
-	st := newPairState(0, 1, incumbent, contender, opts)
-	emit := onFault
-	if emit == nil {
-		emit = func(FaultEvent) {}
+	st := newPairState(task.A, task.B, svcs[task.A], svcs[task.B], opts)
+	st.budget = task.Budget
+	if onFault == nil {
+		onFault = func(FaultEvent) {}
 	}
-	pp := &pairProtocol{net: net, opts: opts, emit: emit}
+	pp := &pairProtocol{net: net, opts: opts, emit: onFault}
 	pp.run(st, nil)
-	return st.outcome, nil
+	return st.outcome
 }

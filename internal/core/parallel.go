@@ -156,33 +156,34 @@ func mergeOrdered[T any](n int, source func(yield func(i int, v T)), release fun
 // runAll executes every pending pair on the local pool and reports
 // whether the run was interrupted. A pair's task value is its buffered
 // ledger events; releasePair publishes them.
-func (m *matrix) runAll(states []*pairState, opts SchedulerOptions) (interrupted bool) {
+func (m *matrix) runAll(states []*pairState) (interrupted bool) {
 	// busyNanos accumulates time spent actually running pairs (as opposed
 	// to waiting for a task), feeding the pool busy-fraction gauge. Only
 	// measured when instrumented: the wall clock stays off the
 	// uninstrumented path.
+	ins := m.w.Obs
 	var busyNanos atomic.Int64
 	var poolStart time.Time
-	if m.Obs != nil {
+	if ins != nil {
 		poolStart = time.Now()
 	}
-	interrupted = runOrdered(len(states), m.Workers, m.Interrupt,
+	interrupted = runOrdered(len(states), m.w.Workers, m.w.Interrupt,
 		func(i int, interrupt func() bool) (events []FaultEvent, completed bool) {
-			pp := &pairProtocol{net: m.Net, opts: opts, ins: m.Obs, sink: m.Journal,
+			pp := &pairProtocol{net: m.net, opts: m.opts, ins: ins, sink: m.journal,
 				emit: func(ev FaultEvent) { events = append(events, ev) }}
 			var t0 time.Time
-			if m.Obs != nil {
+			if ins != nil {
 				t0 = time.Now()
 			}
 			completed = pp.run(states[i], interrupt)
-			if m.Obs != nil {
+			if ins != nil {
 				busyNanos.Add(int64(time.Since(t0)))
 			}
 			return events, completed
 		}, m.releasePair(states))
-	if nw := workerCount(m.Workers, len(states)); nw > 1 && m.Obs != nil {
+	if nw := workerCount(m.w.Workers, len(states)); nw > 1 && ins != nil {
 		if elapsed := time.Since(poolStart); elapsed > 0 {
-			m.Obs.poolStats(float64(busyNanos.Load()) / (float64(elapsed) * float64(nw)))
+			ins.poolStats(float64(busyNanos.Load()) / (float64(elapsed) * float64(nw)))
 		}
 	}
 	return interrupted
@@ -195,7 +196,7 @@ func (m *matrix) runAll(states []*pairState, opts SchedulerOptions) (interrupted
 func (m *matrix) releasePair(states []*pairState) func(i int, events []FaultEvent) {
 	return func(i int, events []FaultEvent) {
 		for _, ev := range events {
-			m.fault(ev)
+			m.w.fault(ev)
 		}
 		m.finish(states[i])
 	}

@@ -36,7 +36,7 @@ func BenchmarkMatrixParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", nw), func(b *testing.B) {
 			var trials int64
 			for i := 0; i < b.N; i++ {
-				m := &matrix{Services: svcs, Net: net, Opts: opts, Workers: nw}
+				m := testMatrix(&Watchdog{Services: svcs, Workers: nw}, net, opts)
 				res, err := m.Run()
 				if err != nil {
 					b.Fatal(err)

@@ -32,16 +32,14 @@ func runMatrixWorkers(t *testing.T, workers int) matrixCapture {
 	opts.Chaos = core.HotChaosForTest()
 	var events []core.FaultEvent
 	var c matrixCapture
-	m := &core.MatrixForTest{
+	m := core.MatrixForTest(&core.Watchdog{
 		Services: core.ThreeServicesForTest(),
-		Net:      netem.HighlyConstrained(),
-		Opts:     opts,
 		Workers:  workers,
 		OnFault:  func(ev core.FaultEvent) { events = append(events, ev) },
 		Progress: func(format string, args ...any) {
 			c.progress = append(c.progress, fmt.Sprintf(format, args...))
 		},
-	}
+	}, netem.HighlyConstrained(), opts)
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)

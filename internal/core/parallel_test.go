@@ -117,9 +117,6 @@ func TestParallelInterruptCheckpointResume(t *testing.T) {
 	}
 
 	wB := mk(ckpt, 4, nil)
-	if found, err := wB.LoadCheckpoint(); err != nil || !found {
-		t.Fatalf("LoadCheckpoint = %v, %v; want found", found, err)
-	}
 	crB, err := wB.RunCycle()
 	if err != nil {
 		t.Fatal(err)
@@ -154,11 +151,8 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 	opts := fastOpts(net)
 	opts.Chaos = &chaos.Config{ErrorRate: 1}
 	var events []FaultEvent
-	p, err := RunPairObserved(threeServices()[0], threeServices()[1], net, opts,
-		func(ev FaultEvent) { events = append(events, ev) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair := PairTask{A: 0, B: 1}
+	p := RunPair(threeServices(), net, opts, pair, func(ev FaultEvent) { events = append(events, ev) })
 	if !p.Failed || len(p.Failures) != maxFailures {
 		t.Fatalf("pair not quarantined after %d failures: %+v", maxFailures, p)
 	}
@@ -194,11 +188,7 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 	opts = fastOpts(net)
 	opts.Chaos = &chaos.Config{CorruptRate: 1}
 	events = nil
-	p, err = RunPairObserved(threeServices()[0], threeServices()[1], net, opts,
-		func(ev FaultEvent) { events = append(events, ev) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	p = RunPair(threeServices(), net, opts, pair, func(ev FaultEvent) { events = append(events, ev) })
 	if !p.Unstable || p.Corrupt != maxDiscards+1 {
 		t.Fatalf("pair not unstable after exhausting discards: %+v", p)
 	}
@@ -213,19 +203,11 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 			corrupt, maxDiscards+1)
 	}
 
-	// Plain RunPair (nil ledger) must behave identically.
-	p2, err := RunPair(threeServices()[0], threeServices()[1], net, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A nil ledger hook must behave identically.
 	a, _ := json.Marshal(p)
-	b, _ := json.Marshal(p2)
+	b, _ := json.Marshal(RunPair(threeServices(), net, opts, pair, nil))
 	if !bytes.Equal(a, b) {
-		t.Fatalf("RunPair and RunPairObserved outcomes differ:\n%s\nvs\n%s", a, b)
-	}
-
-	if _, err := RunPairObserved(nil, nil, net, opts, nil); err == nil {
-		t.Fatal("nil incumbent must be rejected")
+		t.Fatalf("RunPair outcomes with and without a ledger hook differ:\n%s\nvs\n%s", a, b)
 	}
 }
 
@@ -353,17 +335,15 @@ func TestInterruptedLedgerNamesOnlyReleasedPairs(t *testing.T) {
 			var polls atomic.Int64
 			released := map[string]bool{}
 			var events []FaultEvent
-			m := &matrix{
+			m := testMatrix(&Watchdog{
 				Services:  svcs,
-				Net:       net,
-				Opts:      opts,
 				Workers:   workers,
 				Interrupt: func() bool { return polls.Add(1) > after },
 				OnFault:   func(ev FaultEvent) { events = append(events, ev) },
 				Progress: func(format string, args ...any) {
 					released[releasedLabel(fmt.Sprintf(format, args...))] = true
 				},
-			}
+			}, net, opts)
 			if _, err := m.Run(); err == nil {
 				break // the threshold outlasted the matrix: nothing left to interrupt
 			} else if !errors.Is(err, ErrInterrupted) {

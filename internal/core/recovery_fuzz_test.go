@@ -60,7 +60,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // pay for trials that never ran.
 func FuzzPairRecord(f *testing.F) {
 	net := netem.HighlyConstrained()
-	out, events := RunPairTask(threeServices(), net, fastOpts(net), PairTask{A: 0, B: 1})
+	var events []FaultEvent
+	out := RunPair(threeServices(), net, fastOpts(net), PairTask{A: 0, B: 1}, func(ev FaultEvent) { events = append(events, ev) })
 	whole, err := json.Marshal(pairRecord{out, events})
 	if err != nil {
 		f.Fatal(err)

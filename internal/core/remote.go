@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-
-	"prudentia/internal/netem"
-	"prudentia/internal/services"
 )
 
 // Distributed execution seam: the contract between the matrix scheduler
@@ -55,24 +52,6 @@ type RemoteRunner interface {
 	RunPairs(tasks []PairTask, interrupt func() bool) (<-chan PairTaskResult, error)
 }
 
-// RunPairTask executes the full trial protocol for the catalog pair
-// the task names in one setting — the fleet worker's entry point. The
-// returned outcome and event stream are byte-identical to the same
-// pair executed inside a local matrix, because every trial seed is a
-// pure function of (opts.BaseSeed, pair identity, attempt) and the
-// adaptive stopper is a pure function of the counted-trial prefix and
-// the task's Budget.
-func RunPairTask(svcs []services.Service, net netem.Config, opts SchedulerOptions, task PairTask) (*PairOutcome, []FaultEvent) {
-	opts = opts.withDefaults(net)
-	st := newPairState(task.A, task.B, svcs[task.A], svcs[task.B], opts)
-	st.budget = task.Budget
-	var events []FaultEvent
-	pp := &pairProtocol{net: net, opts: opts,
-		emit: func(ev FaultEvent) { events = append(events, ev) }}
-	pp.run(st, nil)
-	return st.outcome, events
-}
-
 // pairRecord is the Result payload of a "pair" journal entry: a pair a
 // remote runner finished, whole. A remote pair's attempts run in
 // another process and never reach this journal, so the finished pair is
@@ -101,8 +80,8 @@ func decodePairRecord(e journalEntry) (*PairOutcome, []FaultEvent, error) {
 	return r.Outcome, r.Events, nil
 }
 
-// runAllRemote executes every pending pair through m.Remote and feeds
-// the results into the canonical-order merge. Duplicate and
+// runAllRemote executes every pending pair through the Remote runner
+// and feeds the results into the canonical-order merge. Duplicate and
 // re-dispatched executions on the runner's side are invisible here:
 // the runner delivers each task once, and — because re-runs are
 // deterministic — whichever worker's result survives carries the same
@@ -119,24 +98,24 @@ func decodePairRecord(e journalEntry) (*PairOutcome, []FaultEvent, error) {
 // dispatched again.
 func (m *matrix) runAllRemote(states []*pairState) (interrupted bool, err error) {
 	recordKey := func(st *pairState) uint64 {
-		return trialSeed(m.Opts.BaseSeed, pairRecordSeedID(st.a, st.b), st.budget)
+		return trialSeed(m.opts.BaseSeed, pairRecordSeedID(st.a, st.b), st.budget)
 	}
 	var recovered []PairTaskResult // Index is into states
 	var tasks []PairTask
 	var dispatched []int // tasks[k] is states[dispatched[k]]
 	for i, st := range states {
-		if e, ok := m.Journal.lookup(recordKey(st)); ok {
+		if e, ok := m.journal.lookup(recordKey(st)); ok {
 			if out, events, derr := decodePairRecord(e); derr == nil {
-				m.Obs.journalReplay()
+				m.w.Obs.journalReplay()
 				recovered = append(recovered, PairTaskResult{Index: i, Outcome: out, Events: events})
 				continue
 			}
 		}
 		dispatched = append(dispatched, i)
-		tasks = append(tasks, PairTask{Cycle: m.Cycle, Setting: m.Setting, A: st.a, B: st.b,
+		tasks = append(tasks, PairTask{Cycle: m.cycle, Setting: m.setting, A: st.a, B: st.b,
 			Budget: st.budget})
 	}
-	ch, err := m.Remote.RunPairs(tasks, m.Interrupt)
+	ch, err := m.w.Remote.RunPairs(tasks, m.w.Interrupt)
 	if err != nil {
 		return false, err
 	}
@@ -146,7 +125,7 @@ func (m *matrix) runAllRemote(states []*pairState) (interrupted bool, err error)
 			// place: res.Pairs already points at st.outcome.
 			st := states[r.Index]
 			*st.outcome = *r.Outcome
-			m.Obs.remoteSimDurations(st.outcome)
+			m.w.Obs.remoteSimDurations(st.outcome)
 			yield(r.Index, r.Events)
 		}
 		for _, r := range recovered {
@@ -154,10 +133,10 @@ func (m *matrix) runAllRemote(states []*pairState) (interrupted bool, err error)
 		}
 		for r := range ch {
 			r.Index = dispatched[r.Index]
-			if m.Journal != nil {
+			if m.journal != nil {
 				st := states[r.Index]
 				if data, merr := json.Marshal(pairRecord{r.Outcome, r.Events}); merr == nil {
-					m.Journal.record(journalEntry{Seed: recordKey(st), Pair: st.pairLabel(), Kind: "pair", Result: data}, m.Obs)
+					m.journal.record(journalEntry{Seed: recordKey(st), Pair: st.pairLabel(), Kind: "pair", Result: data}, m.w.Obs)
 				}
 			}
 			accept(r)

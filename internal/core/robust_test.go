@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"prudentia/internal/chaos"
+	"prudentia/internal/journal"
 	"prudentia/internal/netem"
 	"prudentia/internal/obs"
 	"prudentia/internal/services"
@@ -131,7 +133,7 @@ func TestSettingOptionsResolvePerSetting(t *testing.T) {
 		t.Errorf("fully-set Opts changed under resolution: %+v", got)
 	}
 
-	// matrix.Run, RunPair and RunPairTask resolve through withDefaults
+	// RunPair (and testMatrix) resolve through withDefaults
 	// for the net they run in: an unset tolerance at 8 Mbps is 0.5.
 	if got := (SchedulerOptions{MinTrials: 2, BaseSeed: 3}).withDefaults(net); got.ToleranceMbps != 0.5 ||
 		got.MinTrials != 2 || got.MaxTrials != 30 {
@@ -186,14 +188,10 @@ func TestMatrixDiscardExhaustionInterleaving(t *testing.T) {
 		}
 		return s
 	}
-	m := &matrix{
-		Services: []services.Service{
-			services.ByName("iPerf (Reno)"),
-			services.ByName("iPerf (Cubic)"),
-		},
-		Net:  net,
-		Opts: opts,
-	}
+	m := testMatrix(&Watchdog{Services: []services.Service{
+		services.ByName("iPerf (Reno)"),
+		services.ByName("iPerf (Cubic)"),
+	}}, net, opts)
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +223,7 @@ func TestChaosMatrixDeterministic(t *testing.T) {
 		opts := fastOpts(netem.HighlyConstrained())
 		opts.BaseSeed = 42
 		opts.Chaos = hotChaos()
-		m := &matrix{Services: threeServices(), Net: netem.HighlyConstrained(), Opts: opts}
+		m := testMatrix(&Watchdog{Services: threeServices()}, netem.HighlyConstrained(), opts)
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +248,7 @@ func TestMatrixSurvivesPanicInjection(t *testing.T) {
 	opts := fastOpts(netem.HighlyConstrained())
 	opts.BaseSeed = 7
 	opts.Chaos = &chaos.Config{PanicRate: 0.10}
-	m := &matrix{Services: threeServices(), Net: netem.HighlyConstrained(), Opts: opts}
+	m := testMatrix(&Watchdog{Services: threeServices()}, netem.HighlyConstrained(), opts)
 	res, err := m.Run()
 	if err != nil {
 		t.Fatalf("matrix.Run must absorb injected panics, got %v", err)
@@ -286,7 +284,7 @@ func TestMatrixQuarantinesAlwaysPanicking(t *testing.T) {
 		services.ByName("iPerf (Reno)"),
 		services.ByName("iPerf (Cubic)"),
 	}
-	m := &matrix{Services: svcs, Net: netem.HighlyConstrained(), Opts: opts}
+	m := testMatrix(&Watchdog{Services: svcs}, netem.HighlyConstrained(), opts)
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -343,10 +341,6 @@ func TestWatchdogResumeEquivalence(t *testing.T) {
 	}
 
 	wB := mk(ckpt, nil)
-	found, err := wB.LoadCheckpoint()
-	if err != nil || !found {
-		t.Fatalf("LoadCheckpoint = %v, %v; want found", found, err)
-	}
 	crB, err := wB.RunCycle()
 	if err != nil {
 		t.Fatal(err)
@@ -433,9 +427,60 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if a, _ := json.Marshal(old); string(a) != `{"schema":"prudentia.checkpoint/1","cycle":2,"breakers":[{"service":"iPerf (BBR)","state":"open","score":6}]}` {
 		t.Fatalf("header of a checkpoint with recorded decisions = %s", a)
 	}
+	// RunCycle over a missing header starts cycle 1.
 	w := &Watchdog{CheckpointPath: filepath.Join(dir, "missing.json")}
-	if found, err := w.LoadCheckpoint(); err != nil || found {
-		t.Fatalf("missing checkpoint: found=%v err=%v, want false, nil", found, err)
+	if cr, err := w.RunCycle(); err != nil || cr.Cycle != 1 {
+		t.Fatalf("missing checkpoint: cycle %+v, err %v; want cycle 1", cr, err)
+	}
+}
+
+// TestRunCycleResumeGuard: RunCycle resumes only a header naming a cycle
+// later than the last one its watchdog completed; a stale header is
+// overwritten by a fresh cycle, and one that fails to load is the
+// cycle's error, with nothing written beside it. The watchdogs have no
+// settings, so each cycle is only its header and journal.
+func TestRunCycleResumeGuard(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt.json")
+	w := &Watchdog{CheckpointPath: path}
+	if cr, err := w.RunCycle(); err != nil || cr.Cycle != 1 {
+		t.Fatalf("first cycle = %+v, %v; want cycle 1", cr, err)
+	}
+	// A header for the cycle just completed is stale.
+	if err := SaveCheckpoint(path, &Checkpoint{Cycle: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if cr, err := w.RunCycle(); err != nil || cr.Cycle != 2 {
+		t.Fatalf("over a completed cycle's header: cycle %+v, err %v; want cycle 2", cr, err)
+	}
+	// So is one for a cycle the watchdog was advanced past.
+	w.AdvanceTo(6)
+	if err := SaveCheckpoint(path, &Checkpoint{Cycle: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if cr, err := w.RunCycle(); err != nil || cr.Cycle != 6 {
+		t.Fatalf("over an advanced-past header: cycle %+v, err %v; want cycle 6", cr, err)
+	}
+	// A later cycle's header is resumed under its own number.
+	if err := SaveCheckpoint(path, &Checkpoint{Cycle: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if cr, err := w.RunCycle(); err != nil || cr.Cycle != 9 {
+		t.Fatalf("over a later header: cycle %+v, err %v; want cycle 9", cr, err)
+	}
+	// A future-version header is the cycle's error and stays as it was.
+	future := []byte(`{"schema":"prudentia.checkpoint/9","cycle":7}`)
+	if err := os.WriteFile(path, future, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cr, err := w.RunCycle(); !errors.Is(err, journal.ErrFutureVersion) {
+		t.Fatalf("over a future header: cycle %+v, err %v; want ErrFutureVersion", cr, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, future) {
+		t.Fatalf("future header rewritten: %q, %v", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("refused cycle left %d files in its dir, want the header alone", len(entries))
 	}
 }
 
@@ -566,14 +611,10 @@ func TestMatrixRaceSmoke(t *testing.T) {
 			opts := fastOpts(netem.HighlyConstrained())
 			opts.BaseSeed = uint64(100 + k)
 			opts.Chaos = hotChaos()
-			m := &matrix{
-				Services: []services.Service{
-					services.ByName("iPerf (Reno)"),
-					services.ByName("iPerf (Cubic)"),
-				},
-				Net:  netem.HighlyConstrained(),
-				Opts: opts,
-			}
+			m := testMatrix(&Watchdog{Services: []services.Service{
+				services.ByName("iPerf (Reno)"),
+				services.ByName("iPerf (Cubic)"),
+			}}, netem.HighlyConstrained(), opts)
 			if _, err := m.Run(); err != nil {
 				errc <- err
 			}

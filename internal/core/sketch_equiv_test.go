@@ -43,7 +43,7 @@ func runJournaled(t *testing.T, m *matrix) (*MatrixResult, map[string][]TrialRes
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Journal = newJournalSink(jw, nil)
+	m.journal = newJournalSink(jw, nil)
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestSketchMatrixEquivalence(t *testing.T) {
 	for _, tol := range []float64{50, 0.05} {
 		opts := fastOpts(net)
 		opts.ToleranceMbps = tol
-		res, trials := runJournaled(t, &matrix{Services: sketchTestServices(), Net: net, Opts: opts})
+		res, trials := runJournaled(t, testMatrix(&Watchdog{Services: sketchTestServices()}, net, opts))
 		for key, p := range res.Pairs {
 			tr := trials[p.Incumbent+" vs "+p.Contender]
 			checkPairAgainstSlices(t, res, p, tr)
@@ -238,7 +238,7 @@ func TestSketchWorkerCountDeterminism(t *testing.T) {
 	svcs := sketchTestServices()
 	net := netem.HighlyConstrained()
 	run := func(workers int) []byte {
-		m := &matrix{Services: svcs, Net: net, Opts: fastOpts(net), Workers: workers}
+		m := testMatrix(&Watchdog{Services: svcs, Workers: workers}, net, fastOpts(net))
 		res, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -262,10 +262,8 @@ func TestSketchWorkerCountDeterminism(t *testing.T) {
 // restores exactly the statistics it flushed.
 func TestSketchCheckpointRoundTrip(t *testing.T) {
 	net := netem.HighlyConstrained()
-	out, err := RunPair(services.ByName("iPerf (Reno)"), services.ByName("iPerf (Cubic)"), net, fastOpts(net))
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := RunPair([]services.Service{services.ByName("iPerf (Reno)"), services.ByName("iPerf (Cubic)")},
+		net, fastOpts(net), PairTask{A: 0, B: 1}, nil)
 	if out.Counted() == 0 {
 		t.Fatal("pair counted no trials")
 	}
@@ -313,7 +311,7 @@ func TestSketchAdaptiveEquivalence(t *testing.T) {
 	opts := fastOpts(net)
 	opts.MaxTrials, opts.Step = 8, 2
 	opts.Adaptive = &AdaptiveOptions{}
-	m := &matrix{Services: sketchTestServices(), Net: net, Opts: opts}
+	m := testMatrix(&Watchdog{Services: sketchTestServices()}, net, opts)
 	res, trials := runJournaled(t, m)
 	reasons := map[string]int{}
 	for key, p := range res.Pairs {
@@ -346,7 +344,7 @@ func TestSketchAdaptiveEquivalence(t *testing.T) {
 // every counted trial's two share samples.
 func TestSketchMergedShareSketch(t *testing.T) {
 	net := netem.HighlyConstrained()
-	m := &matrix{Services: sketchTestServices(), Net: net, Opts: fastOpts(net)}
+	m := testMatrix(&Watchdog{Services: sketchTestServices()}, net, fastOpts(net))
 	res, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +381,7 @@ func TestPairBeyondSketchBufferCap(t *testing.T) {
 		return s
 	}
 	svc := services.ByName("iPerf (Reno)")
-	res, trials := runJournaled(t, &matrix{Services: []services.Service{svc}, Net: net, Opts: opts})
+	res, trials := runJournaled(t, testMatrix(&Watchdog{Services: []services.Service{svc}}, net, opts))
 	p := res.Pairs[pairKey(0, 0)]
 	tr := trials[p.Incumbent+" vs "+p.Contender]
 	share := series(tr, n, func(t *TrialResult) float64 { return t.SharePct[0] })

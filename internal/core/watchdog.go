@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"sort"
 
@@ -60,8 +61,9 @@ type Watchdog struct {
 	// on interrupt, never per pair) and every attempt is journaled beside
 	// it, at JournalPath or else CheckpointPath+".wal". A completed cycle
 	// removes both; after an interrupt or a kill -9 the next RunCycle
-	// resumes from them. A checkpoint-save failure is reported via
-	// Progress but never aborts the cycle.
+	// reads the header and resumes from them. A checkpoint-save failure
+	// is reported via Progress but never aborts the cycle; a header that
+	// fails to load is RunCycle's error.
 	CheckpointPath string
 	// JournalPath names the write-ahead trial journal (internal/journal):
 	// one fsynced record per executed attempt — counted, discarded,
@@ -104,7 +106,6 @@ type Watchdog struct {
 	// past (AdvanceTo); a fresh cycle is number done+1. Results are
 	// returned, never retained.
 	done        int
-	resume      *Checkpoint
 	lastJournal *obs.JournalInfo
 	// inFlight is the number of the cycle RunCycle most recently started,
 	// which an interrupted run's manifest reports.
@@ -180,31 +181,12 @@ func customURLService(url string) services.Service {
 	return page
 }
 
-// LoadCheckpoint stages the checkpoint at CheckpointPath if one exists:
-// the next RunCycle continues the cycle it heads instead of starting a
-// new one. It reports whether a checkpoint was found; a missing file is
-// not an error (the watchdog simply starts fresh).
-func (w *Watchdog) LoadCheckpoint() (bool, error) {
-	if w.CheckpointPath == "" {
-		return false, nil
-	}
-	cp, err := LoadCheckpoint(w.CheckpointPath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	w.resume = cp
-	return true, nil
-}
-
 // AdvanceTo tells the watchdog that its next cycle is cycle `next`,
 // even though it did not run the earlier ones. A restarted daemon that rehydrated N completed cycles from disk calls
 // AdvanceTo(N+1) so cycle numbering — and with it every cycle-derived
 // trial seed — continues exactly where the previous process stopped.
-// A staged checkpoint still overrides: resuming an interrupted cycle
-// reuses the checkpoint's own number.
+// A checkpoint header naming a later cycle still overrides: resuming an
+// interrupted cycle reuses the header's own number.
 func (w *Watchdog) AdvanceTo(next int) {
 	if next-1 > w.done {
 		w.done = next - 1
@@ -218,13 +200,46 @@ func (w *Watchdog) flush(cp *Checkpoint) {
 		return
 	}
 	if err := SaveCheckpointDisk(w.CheckpointPath, cp, w.DiskChaos); err != nil {
-		if w.Progress != nil {
-			w.Progress("checkpoint save failed: %v", err)
-		}
+		w.progress("checkpoint save failed: %v", err)
 		return
 	}
 	w.Obs.checkpointSaved()
 	w.Obs.emit(obs.TimelineEvent{Kind: "checkpoint", Cycle: cp.Cycle})
+}
+
+// progress forwards a line to Progress if one is attached.
+func (w *Watchdog) progress(format string, args ...any) {
+	if w.Progress != nil {
+		w.Progress(format, args...)
+	}
+}
+
+// fault emits a ledger event if a listener is attached.
+func (w *Watchdog) fault(ev FaultEvent) {
+	if w.OnFault != nil {
+		w.OnFault(ev)
+	}
+}
+
+// header reads the cycle header at CheckpointPath: the interrupted cycle
+// to resume, or nil when there is none — no path, no file, or a header
+// naming a cycle this watchdog already completed (or was advanced past),
+// which is stale. A header that fails to load, a future version
+// included, is an error: starting fresh would overwrite it.
+func (w *Watchdog) header() (*Checkpoint, error) {
+	if w.CheckpointPath == "" {
+		return nil, nil
+	}
+	cp, err := LoadCheckpoint(w.CheckpointPath)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, nil
+	case err != nil:
+		return nil, err
+	case cp.Cycle <= w.done:
+		return nil, nil
+	}
+	return cp, nil
 }
 
 // RunCycle executes one full iteration and returns it.
@@ -232,24 +247,26 @@ func (w *Watchdog) flush(cp *Checkpoint) {
 // per pair, every executed attempt is journaled when CheckpointPath or
 // JournalPath is set, and an Interrupt request returns ErrInterrupted
 // with in-flight trials drained and the checkpoint header flushed.
-// Recovery is replay: a resumed cycle (see LoadCheckpoint) restores the
-// header and runs from the top, with every attempt the journal holds
-// served back by seed instead of simulated (a pair a RemoteRunner
-// finished comes back whole, remote.go), so ledger events, breaker
-// scoring, telemetry and Progress lines happen on the ordinary release
-// path and nowhere else; what the journal lacks is simulated again from
-// the same seeds. Decisions are recomputed the same way: each
+// Recovery is replay: when the header at CheckpointPath names a cycle
+// later than the last one this watchdog completed, RunCycle resumes it —
+// it restores the header and runs from the top, with every attempt the
+// journal holds served back by seed instead of simulated (a pair a
+// RemoteRunner finished comes back whole, remote.go), so ledger events,
+// breaker scoring, telemetry and Progress lines happen on the ordinary
+// release path and nowhere else; what the journal lacks is simulated
+// again from the same seeds. Decisions are recomputed the same way: each
 // setting's admission is the breaker state the replayed work re-scored
 // the restored snapshot to, and each adaptive allocation comes from the
 // replayed screening. Either way the CycleResult and fault ledger are
 // identical to an uninterrupted run's under this watchdog's
 // configuration, at every worker count — whatever protocol the
-// interrupted process ran.
+// interrupted process ran. A header that fails to load is returned
+// before anything is written.
 func (w *Watchdog) RunCycle() (*CycleResult, error) {
-	// cp is the cycle's header: the staged checkpoint when resuming,
-	// else a fresh one.
-	cp := w.resume
-	w.resume = nil
+	cp, err := w.header()
+	if err != nil {
+		return nil, err
+	}
 	resumed := cp != nil
 	if w.Breakers == nil {
 		w.Breakers = &BreakerSet{}
@@ -319,31 +336,11 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		// the breakers as the probes, the calibrations and the earlier
 		// settings left them — on a resumed cycle, as their replay
 		// re-scored the restored snapshot, so the same pairs are skipped.
-		var skip func(string) bool
-		if open := w.Breakers.OpenServices(); len(open) > 0 {
-			openSet := make(map[string]bool, len(open))
-			for _, n := range open {
-				openSet[n] = true
-			}
-			skip = func(name string) bool { return openSet[name] }
+		open := make(map[string]bool)
+		for _, n := range w.Breakers.OpenServices() {
+			open[n] = true
 		}
-
-		m := &matrix{
-			Services:    w.Services,
-			Net:         net,
-			Opts:        opts,
-			Workers:     w.Workers,
-			Remote:      w.Remote,
-			Cycle:       cr.Cycle,
-			Setting:     si,
-			Progress:    w.Progress,
-			OnFault:     w.OnFault,
-			Interrupt:   w.Interrupt,
-			SkipService: skip,
-			Journal:     sink,
-			Breakers:    w.Breakers,
-			Obs:         w.Obs,
-		}
+		m := &matrix{w: w, net: net, opts: opts, cycle: cr.Cycle, setting: si, open: open, journal: sink}
 		res, err := m.Run()
 		if err != nil {
 			interruptedExit()
@@ -410,20 +407,16 @@ func (w *Watchdog) openJournal() (*journalSink, *journal.Writer, journal.Recover
 		return nil, nil, journal.Recovery{}, err
 	}
 	if err != nil {
-		if w.Progress != nil {
-			w.Progress("journal open failed (running unjournaled): %v", err)
-		}
+		w.progress("journal open failed (running unjournaled): %v", err)
 		return nil, nil, journal.Recovery{}, nil
 	}
-	if derr := jw.Err(); derr != nil && w.Progress != nil {
-		w.Progress("journal degraded (recovered attempts replay, new ones go unjournaled): %v", derr)
+	if derr := jw.Err(); derr != nil {
+		w.progress("journal degraded (recovered attempts replay, new ones go unjournaled): %v", derr)
 	}
 	if len(rec.Entries) > 0 || rec.Truncated {
 		w.Obs.journalRecovered(len(rec.Entries), rec.TornBytes)
-		if w.Progress != nil {
-			w.Progress("journal recovered: %d attempts replayable, %d torn bytes truncated",
-				len(rec.Entries), rec.TornBytes)
-		}
+		w.progress("journal recovered: %d attempts replayable, %d torn bytes truncated",
+			len(rec.Entries), rec.TornBytes)
 	}
 	return newJournalSink(jw, rec.Entries), jw, rec, nil
 }
@@ -462,13 +455,11 @@ func (w *Watchdog) probeOpenServices(sink *journalSink, cycle int) {
 		ok := ar.class == "ok"
 		w.Breakers.ProbeResult(name, ok)
 		w.Obs.breakerProbe(name, ok)
-		if w.Progress != nil {
-			verdict := "failed; breaker stays open"
-			if ok {
-				verdict = "ok; service re-admitted"
-			}
-			w.Progress("canary probe %s: %s", name, verdict)
+		verdict := "failed; breaker stays open"
+		if ok {
+			verdict = "ok; service re-admitted"
 		}
+		w.progress("canary probe %s: %s", name, verdict)
 	}
 }
 
@@ -504,10 +495,8 @@ func (w *Watchdog) calibrateAll(net netem.Config, opts SchedulerOptions, sink *j
 		},
 		func(k int, cr calRun) {
 			name := w.Services[admitted[k]].Name()
-			if w.OnFault != nil {
-				for _, ev := range cr.events {
-					w.OnFault(ev)
-				}
+			for _, ev := range cr.events {
+				w.fault(ev)
 			}
 			w.Obs.calibrationDone(name, cr.ok)
 			if cr.ok {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"prudentia/internal/chaos"
 	"prudentia/internal/core"
 	"prudentia/internal/obs"
 )
@@ -59,9 +58,15 @@ type Coordinator struct {
 	// before the pair is redundantly re-dispatched to another worker.
 	LeaseTTL time.Duration
 
-	// Chaos, if non-nil, supplies budgeted coordinator↔worker partition
-	// faults (chaos.Config.TakePartition), consulted at assignment time.
-	Chaos *chaos.Config
+	// Partitions is a chaos budget of coordinator↔worker partitions
+	// (the "switch between racks lost its mind" scenario that lease
+	// re-dispatch exists for): the next Partitions assignments, to
+	// whichever worker, are severed — connection dropped, pair
+	// re-queued — after which the workers may rejoin and serve normally.
+	// Which assignments it hits depends on scheduling, but the report
+	// stays byte-identical, because a partitioned worker's pairs are
+	// re-executed deterministically by survivors.
+	Partitions int
 
 	// OnFault, if non-nil, receives chaos partition events for the
 	// fault ledger. Called with the coordinator lock held from internal
@@ -89,8 +94,10 @@ type Coordinator struct {
 	run      *dispatchState
 	leaseSeq uint64
 	partSeq  uint64
-	closed   bool
-	kick     chan struct{}
+	// partitioned counts the Partitions budget spent. Guarded by mu.
+	partitioned int
+	closed      bool
+	kick        chan struct{}
 }
 
 // remoteWorker is the coordinator's view of one connected worker.
@@ -550,7 +557,7 @@ type grant struct {
 }
 
 // assignPending grants leases for queued pairs to eligible workers,
-// consulting the chaos partition plan at each assignment. The actual
+// spending the Partitions budget on the first assignments. The actual
 // sends happen outside the lock. Callers hold c.mu.
 func (c *Coordinator) assignPending(d *dispatchState) []grant {
 	var grants []grant
@@ -566,7 +573,8 @@ func (c *Coordinator) assignPending(d *dispatchState) []grant {
 		}
 		d.pending = d.pending[1:]
 		c.partSeq++
-		if c.Chaos.TakePartition() {
+		if c.partitioned < c.Partitions {
+			c.partitioned++
 			seed := partitionSeed(d.tasks[t], c.partSeq)
 			c.Obs.partitionInjected()
 			if c.OnFault != nil {

@@ -138,8 +138,9 @@ func TestFleetMatchesSerial(t *testing.T) {
 	got := collect(t, ch, len(tasks))
 
 	for i, task := range tasks {
-		wantOut, wantEv := core.RunPairTask(testCatalog(), testSettings()[task.Setting],
-			testOptions(task.Cycle, task.Setting), task)
+		var wantEv []core.FaultEvent
+		wantOut := core.RunPair(testCatalog(), testSettings()[task.Setting],
+			testOptions(task.Cycle, task.Setting), task, func(ev core.FaultEvent) { wantEv = append(wantEv, ev) })
 		r := got[i]
 		gj, _ := json.Marshal(r.Outcome)
 		wj, _ := json.Marshal(wantOut)
@@ -232,7 +233,7 @@ func (f *fakeWorker) awaitAssign() *msg {
 // shape older builds shipped under -exact-stats), sketches holding more
 // samples than the pair counted trials, and a skipped pair.
 func badOutcomes(t testing.TB) map[string]string {
-	honest, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), allPairs(1)[0])
+	honest := core.RunPair(testCatalog(), testSettings()[0], testOptions(1, 0), allPairs(1)[0], nil)
 	honest.Sketches.N++
 	miscounted, err := json.Marshal(honest)
 	if err != nil {
@@ -288,7 +289,7 @@ func TestWorkerDeathRedispatch(t *testing.T) {
 			startTestWorker(t, "b-steady", coord.Addr())
 			got := collect(t, ch, len(tasks))
 
-			wantOut, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), tasks[0])
+			wantOut := core.RunPair(testCatalog(), testSettings()[0], testOptions(1, 0), tasks[0], nil)
 			gj, _ := json.Marshal(got[0].Outcome)
 			wj, _ := json.Marshal(wantOut)
 			if string(gj) != string(wj) {
@@ -330,7 +331,7 @@ func TestStragglerDuplicateDropped(t *testing.T) {
 
 	// The straggler finally reports; its result must vanish as a
 	// duplicate, not corrupt anything.
-	late, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), tasks[0])
+	late := core.RunPair(testCatalog(), testSettings()[0], testOptions(1, 0), tasks[0], nil)
 	lateJSON, err := json.Marshal(late)
 	if err != nil {
 		t.Fatal(err)

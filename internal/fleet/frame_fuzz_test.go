@@ -139,7 +139,7 @@ func FuzzFrameScanner(f *testing.F) {
 // passes Validate and is not Skipped. The corpus starts from an honest
 // pair and the outcomes TestWorkerDeathRedispatch ships.
 func FuzzFleetResult(f *testing.F) {
-	honest, _ := core.RunPairTask(testCatalog(), testSettings()[0], testOptions(1, 0), allPairs(1)[0])
+	honest := core.RunPair(testCatalog(), testSettings()[0], testOptions(1, 0), allPairs(1)[0], nil)
 	whole, err := json.Marshal(honest)
 	if err != nil {
 		f.Fatal(err)

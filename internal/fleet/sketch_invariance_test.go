@@ -78,8 +78,8 @@ func TestSketchShardSplitInvariance(t *testing.T) {
 	// The single-worker fleet must itself match the serial in-process
 	// execution, anchoring the whole chain to the local path.
 	for i, task := range tasks {
-		wantOut, _ := core.RunPairTask(testCatalog(), testSettings()[task.Setting],
-			testOptions(task.Cycle, task.Setting), task)
+		wantOut := core.RunPair(testCatalog(), testSettings()[task.Setting],
+			testOptions(task.Cycle, task.Setting), task, nil)
 		wj, _ := json.Marshal(wantOut)
 		if !bytes.Equal(ref.outcomes[i], wj) {
 			t.Errorf("task %d: fleet outcome diverged from serial\nfleet:  %s\nserial: %s",

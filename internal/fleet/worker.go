@@ -240,7 +240,8 @@ func (w *Worker) validTask(t *core.PairTask) bool {
 // re-dispatch the pair — whose re-execution is byte-identical.
 func (w *Worker) runTask(fc *frameConn, leaseID uint64, t core.PairTask) {
 	opts := w.Options(t.Cycle, t.Setting)
-	outcome, events := core.RunPairTask(w.Services, w.Settings[t.Setting], opts, t)
+	var events []core.FaultEvent
+	outcome := core.RunPair(w.Services, w.Settings[t.Setting], opts, t, func(ev core.FaultEvent) { events = append(events, ev) })
 	payload, err := json.Marshal(outcome)
 	if err != nil {
 		w.progress("fleet: encode outcome for pair %d|%d: %v", t.A, t.B, err)

@@ -196,9 +196,9 @@ func New(cfg Config) (*Server, error) {
 // recoverState rebuilds the daemon's world from the state directory:
 // open (and repair) the submission WAL, replay it into the tenant
 // table, rehydrate the history ring from persisted cycle artifacts,
-// continue the engine's cycle numbering, resume any interrupted cycle
-// through its checkpoint, and re-Submit submissions that were consumed
-// by a cycle that never published. After it returns, /readyz is
+// continue the engine's cycle numbering (its first RunCycle resumes any
+// interrupted cycle from the checkpoint header), and re-Submit
+// submissions that were consumed by a cycle that never published. After it returns, /readyz is
 // truthful immediately: ready if any completed cycle is servable.
 func (s *Server) recoverState() error {
 	dir := s.cfg.StateDir
@@ -242,15 +242,6 @@ func (s *Server) recoverState() error {
 		// uninterrupted one.
 		if adv, ok := s.cfg.Source.(interface{ AdvanceTo(int) }); ok {
 			adv.AdvanceTo(s.startCycle)
-		}
-	}
-	// An interrupted cycle left a checkpoint; stage it so the first
-	// RunCycle resumes instead of re-running completed work.
-	if ld, ok := s.cfg.Source.(interface{ LoadCheckpoint() (bool, error) }); ok {
-		if found, err := ld.LoadCheckpoint(); err != nil {
-			s.logf("serve: checkpoint load: %v (starting the cycle fresh)", err)
-		} else if found {
-			s.logf("serve: resuming interrupted cycle from checkpoint")
 		}
 	}
 	// These submissions hold a durable apply record naming a cycle that
@@ -360,8 +351,8 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 // cycle number or kill the loop: the daemon enters degraded mode —
 // last good artifacts keep serving with staleness signals — and retries
 // the same cycle after a capped exponential backoff. An engine failure
-// re-stages the engine's checkpoint so the retry resumes rather than
-// restarts; a publish failure keeps the finished result and retries
+// leaves the engine's checkpoint header behind, so the retry resumes
+// rather than restarts; a publish failure keeps the finished result and retries
 // only the publish, so the number the submissions' apply records name
 // is the number that gets published.
 func (s *Server) campaign(ctx context.Context) error {
@@ -419,10 +410,11 @@ func (s *Server) campaign(ctx context.Context) error {
 // enterDegraded records one failed cycle attempt: telemetry, a log
 // line, a cache rebuild that stamps every response with staleness
 // signals (Warning and X-Prudentia-Stale-Cycles headers, the degraded
-// field in /api/v1/cycles), and a checkpoint re-stage so the retry
-// resumes the interrupted cycle instead of re-running completed pairs.
-// Reads never see a 5xx out of this: the last good artifacts keep
-// serving unchanged (same bytes, same ETags).
+// field in /api/v1/cycles). The retry resumes the interrupted cycle
+// instead of re-running completed pairs: the failed RunCycle flushed
+// its header and the next one reads it. Reads never see a 5xx out of
+// this: the last good artifacts keep serving unchanged (same bytes,
+// same ETags).
 func (s *Server) enterDegraded(failures int, err error) {
 	s.logf("serve: cycle failed (%d consecutive): %v — serving last good artifacts, will retry", failures, err)
 	s.cycleFailures.Inc()
@@ -431,11 +423,6 @@ func (s *Server) enterDegraded(failures int, err error) {
 	if old := s.cache.Load(); old != nil {
 		if c, cerr := buildCycleCache(old.all, failures); cerr == nil {
 			s.cache.Store(c)
-		}
-	}
-	if ld, ok := s.cfg.Source.(interface{ LoadCheckpoint() (bool, error) }); ok {
-		if found, lerr := ld.LoadCheckpoint(); lerr == nil && found {
-			s.logf("serve: re-staged checkpoint; retry will resume the interrupted cycle")
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"prudentia/internal/core"
+	"prudentia/internal/journal"
 	"prudentia/internal/obs"
 	"prudentia/internal/trace"
 )
@@ -135,6 +138,46 @@ func TestAdaptiveDaemonResumesFixedHeader(t *testing.T) {
 	}
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
 		t.Fatalf("header not removed after the resumed cycle published: %v", err)
+	}
+}
+
+// TestDaemonRefusesFutureCheckpoint: a daemon whose state dir holds a
+// checkpoint header written by a newer build runs no cycle over it. The
+// header is the cycle's error, as it is the batch CLI's: the file stays
+// byte-unchanged for the build that wrote it, no cycle publishes, and
+// the log names the refusal.
+func TestDaemonRefusesFutureCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "checkpoint.json")
+	future := []byte(`{"schema":"prudentia.checkpoint/9","cycle":7}`)
+	if err := os.WriteFile(ckpt, future, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var log strings.Builder
+	s := newStatefulServer(t, 42, dir, func(c *Config) {
+		c.MaxCycles = 1
+		c.Source.(*core.Watchdog).CheckpointPath = ckpt
+		// A failed attempt is retried forever; the first one ends the test.
+		c.Log = func(format string, args ...any) {
+			fmt.Fprintf(&log, format+"\n", args...)
+			if strings.Contains(format, "cycle failed") {
+				cancel()
+			}
+		}
+	})
+	if err := s.campaign(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("campaign = %v, want the failed cycle retried until cancelled", err)
+	}
+	if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, future) {
+		t.Fatalf("future header changed: %q, %v", got, err)
+	}
+	if s.Latest() != 0 {
+		t.Fatalf("published cycle %d over a future header", s.Latest())
+	}
+	if !strings.Contains(log.String(), journal.ErrFutureVersion.Error()) {
+		t.Fatalf("log does not name the future version:\n%s", log.String())
 	}
 }
 

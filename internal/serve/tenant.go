@@ -80,11 +80,7 @@ func (t *tenantTable) admit(tenant, url, accessCode string) (admitResult, int) {
 	if t.breakers.State(tenant) == core.BreakerOpen {
 		return admitSuspended, 0
 	}
-	tok, seen := t.tokens[tenant]
-	if !seen {
-		tok = t.burst
-	}
-	if tok <= 0 {
+	if t.tokensLeft(tenant) <= 0 {
 		return admitExhausted, 0
 	}
 	if len(t.pending) >= t.maxPending {
@@ -96,7 +92,7 @@ func (t *tenantTable) admit(tenant, url, accessCode string) (admitResult, int) {
 		// the submission is refused, with no token or queue side effects.
 		return admitWALFail, 0
 	}
-	t.tokens[tenant] = tok - 1
+	t.spend(tenant)
 	t.pending = append(t.pending, pendingSubmission{seq: seq, tenant: tenant, url: url, accessCode: accessCode})
 	return admitQueued, len(t.pending)
 }
@@ -111,11 +107,51 @@ func (t *tenantTable) drain() []pendingSubmission {
 	return out
 }
 
+// The three effects below are the admission policy, each written once:
+// the live paths (admit, settle, cycleEnd) and WAL recovery (restore)
+// both apply them. Callers hold t.mu.
+
+// tokensLeft reports a tenant's unspent budget this cycle; a tenant the
+// table has not seen holds a full burst.
+func (t *tenantTable) tokensLeft(tenant string) int {
+	if tok, seen := t.tokens[tenant]; seen {
+		return tok
+	}
+	return t.burst
+}
+
+// spend consumes one token: the tenant's submission was accepted.
+func (t *tenantTable) spend(tenant string) { t.tokens[tenant] = t.tokensLeft(tenant) - 1 }
+
+// judge feeds one applied submission's outcome to its tenant's breaker.
+// A failed Submit is worth +2 (an invalid access code trips the default
+// threshold after three strikes); while half-open, the one admitted
+// probe submission closes or re-opens the breaker outright.
+func (t *tenantTable) judge(tenant string, ok bool) {
+	if t.breakers.State(tenant) == core.BreakerHalfOpen {
+		t.breakers.ProbeResult(tenant, ok)
+	} else if !ok {
+		t.breakers.Penalize(tenant, 2)
+	}
+}
+
+// refill is the cycle boundary: every seen tenant's bucket refills,
+// closed breakers decay, and open ones move to half-open so each
+// suspended tenant gets exactly one probe submission next cycle — the
+// same canary protocol the watchdog applies to ejected services.
+func (t *tenantTable) refill() {
+	for tenant := range t.tokens {
+		t.tokens[tenant] = t.burst
+	}
+	t.breakers.Decay()
+	for _, tenant := range t.breakers.OpenServices() {
+		t.breakers.BeginProbe(tenant)
+	}
+}
+
 // settle records one applied submission's outcome: a durable apply
 // record naming the cycle that will include it, plus the tenant-breaker
-// update. A failed Submit is worth +2 (an invalid access code trips the
-// default threshold after three strikes); while half-open, the one
-// admitted probe submission closes or re-opens the breaker outright.
+// judgement.
 func (t *tenantTable) settle(sub pendingSubmission, cycle int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -124,34 +160,19 @@ func (t *tenantTable) settle(sub pendingSubmission, cycle int, err error) {
 	// re-apply it), which is the right failure direction for a 202
 	// already promised.
 	t.wal.appendApply(sub.seq, err == nil, cycle)
-	if t.breakers.State(sub.tenant) == core.BreakerHalfOpen {
-		t.breakers.ProbeResult(sub.tenant, err == nil)
-		return
-	}
-	if err != nil {
-		t.breakers.Penalize(sub.tenant, 2)
-	}
+	t.judge(sub.tenant, err == nil)
 }
 
-// cycleEnd commits the just-published cycle to the WAL, refills every
-// seen tenant's bucket, decays closed breakers, and moves open tenant
-// breakers to half-open so each suspended tenant gets exactly one probe
-// submission next cycle — the same canary protocol the watchdog applies
-// to ejected services. It then compacts the WAL down to a state
-// snapshot plus the still-pending accepts; a successful compaction also
-// recovers a writer that had degraded on disk errors. The returned
-// error is the compaction failure, if any — informational, never fatal.
+// cycleEnd commits the just-published cycle to the WAL and refills the
+// table. It then compacts the WAL down to a state snapshot plus the
+// still-pending accepts; a successful compaction also recovers a writer
+// that had degraded on disk errors. The returned error is the
+// compaction failure, if any — informational, never fatal.
 func (t *tenantTable) cycleEnd(cycle int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.wal.appendCycle(cycle)
-	for tenant := range t.tokens {
-		t.tokens[tenant] = t.burst
-	}
-	t.breakers.Decay()
-	for _, tenant := range t.breakers.OpenServices() {
-		t.breakers.BeginProbe(tenant)
-	}
+	t.refill()
 	if t.wal == nil {
 		return nil
 	}
@@ -165,13 +186,13 @@ func (t *tenantTable) cycleEnd(cycle int) error {
 
 // restore folds a recovered WAL's records into the (freshly
 // constructed) table: pending submissions re-queue in arrival order,
-// token buckets and tenant breakers re-derive by replaying each
-// record's live-time effect. It returns the submissions whose apply
-// records name a cycle that never committed — their URLs were Submit'd
-// into an engine whose cycle never published, so the caller must
-// re-Submit them before resuming that cycle (they land in exactly the
-// cycle their apply record promised, applied once from the client's
-// point of view).
+// token buckets and tenant breakers re-derive by applying each record's
+// live-time effect (spend, judge, refill). It returns the submissions
+// whose apply records name a cycle that never committed — their URLs
+// were Submit'd into an engine whose cycle never published, so the
+// caller must re-Submit them before resuming that cycle (they land in
+// exactly the cycle their apply record promised, applied once from the
+// client's point of view).
 func (t *tenantTable) restore(rec subsRecovery) (resubmit []pendingSubmission) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -198,11 +219,7 @@ func (t *tenantTable) restore(rec subsRecovery) (resubmit []pendingSubmission) {
 				// snapshot's next_seq) are already accounted in the
 				// snapshot's token map; only post-snapshot accepts
 				// consume.
-				tok, seen := t.tokens[r.Tenant]
-				if !seen {
-					tok = t.burst
-				}
-				t.tokens[r.Tenant] = tok - 1
+				t.spend(r.Tenant)
 			}
 		case "apply":
 			for i := range t.pending {
@@ -211,11 +228,7 @@ func (t *tenantTable) restore(rec subsRecovery) (resubmit []pendingSubmission) {
 				}
 				sub := t.pending[i]
 				t.pending = append(t.pending[:i], t.pending[i+1:]...)
-				if t.breakers.State(sub.tenant) == core.BreakerHalfOpen {
-					t.breakers.ProbeResult(sub.tenant, r.OK)
-				} else if !r.OK {
-					t.breakers.Penalize(sub.tenant, 2)
-				}
+				t.judge(sub.tenant, r.OK)
 				if r.OK {
 					uncommitted = append(uncommitted, appliedSub{sub: sub, cycle: r.Cycle})
 				}
@@ -229,13 +242,7 @@ func (t *tenantTable) restore(rec subsRecovery) (resubmit []pendingSubmission) {
 				}
 			}
 			uncommitted = kept
-			for tenant := range t.tokens {
-				t.tokens[tenant] = t.burst
-			}
-			t.breakers.Decay()
-			for _, tenant := range t.breakers.OpenServices() {
-				t.breakers.BeginProbe(tenant)
-			}
+			t.refill()
 		}
 	}
 	for _, a := range uncommitted {

@@ -126,10 +126,7 @@ func Run(e Experiment) (Result, error) {
 	if e.Seed != 0 {
 		opts.BaseSeed = e.Seed
 	}
-	out, err := core.RunPair(inc, cont, cfg, opts)
-	if err != nil {
-		return Result{}, err
-	}
+	out := core.RunPair([]services.Service{inc, cont}, cfg, opts, core.PairTask{A: 0, B: 1}, nil)
 	res := Result{
 		Incumbent: e.Incumbent,
 		Contender: e.Contender,
