@@ -44,12 +44,12 @@ var allowReasons = map[string]bool{
 	"roadmap":   true, // a named ROADMAP item decides; followed by its number
 }
 
-// TestDeadSurface gates the exported surface of internal/: an exported
-// identifier no non-test code references, an option field no non-test
-// code assigns, and an option field every non-test assignment gives the
-// same constant must each be deleted or listed in the allowlist with a
-// reason. A listed entry that is no longer flagged fails too, so the
-// allowlist only shrinks.
+// TestDeadSurface gates the surface of internal/: an exported identifier
+// no non-test code references, an option field no non-test code assigns,
+// an option field every non-test assignment gives the same constant, and
+// a struct field non-test code writes and never reads must each be
+// deleted or listed in the allowlist with a reason. A listed entry that
+// is no longer flagged fails too, so the allowlist only shrinks.
 func TestDeadSurface(t *testing.T) {
 	rep, err := checkSurface(".", optionStructs)
 	if err != nil {
@@ -102,6 +102,9 @@ func TestDeadSurfaceFixture(t *testing.T) {
 		got = append(got, f.String())
 	}
 	want := []string{
+		"internal/lib/fields.go:14 lib.Conn.Last write-only",
+		"internal/lib/fields.go:10 lib.Conn.opened write-only",
+		"internal/lib/fields.go:12 lib.Conn.sends write-only",
 		"internal/lib/lib.go:9 lib.Dead dead",
 		"internal/lib/lib.go:19 lib.Named.Unused dead",
 		"internal/opts/opts.go:11 opts.Options.Mode one value",
@@ -153,7 +156,7 @@ func readAllowlist(path string) (map[string]bool, error) {
 type surfaceFinding struct {
 	pos  token.Position // file relative to the module root
 	key  string         // pkg.Symbol, pkg.Type.Method or pkg.Type.Field
-	rule string         // "dead", "unassigned" or "one value"
+	rule string         // "dead", "unassigned", "one value" or "write-only"
 }
 
 func (f surfaceFinding) String() string {
@@ -166,7 +169,7 @@ type surfaceReport struct {
 }
 
 // checkSurface type-checks every non-test package of the module rooted
-// at root and applies the three rules. options names the option structs
+// at root and applies the four rules. options names the option structs
 // as "pkg.Type", pkg being the package name.
 func checkSurface(root string, options []string) (surfaceReport, error) {
 	l, err := newSurfaceLoader(root)
@@ -247,14 +250,41 @@ func checkSurface(root string, options []string) (surfaceReport, error) {
 		}
 	}
 	rep.optionFields = len(fieldOrder)
-	assigned := l.fieldAssignments(fieldKey)
+	writes, reads := l.fieldUses()
 	for _, f := range fieldOrder {
-		values := assigned[f]
+		values := writes[f]
 		switch {
 		case len(values) == 0:
 			add(f, fieldKey[f], "unassigned")
 		case values[0] != "" && allEqual(values):
 			add(f, fieldKey[f], "one value")
+		}
+	}
+
+	// Rule D: fields of internal/ struct types that non-test code writes
+	// and never reads, unless a struct tag or an encoding/json call reads
+	// them by reflection.
+	viaJSON := l.jsonReachableFields()
+	for _, p := range l.pkgs {
+		if !strings.HasPrefix(p.rel, "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if f.Pkg() == p.types && len(writes[f]) > 0 && !reads[f] && st.Tag(i) == "" && !viaJSON[f] {
+					add(f, p.types.Name()+"."+name+"."+f.Name(), "write-only")
+				}
+			}
 		}
 	}
 	sort.Slice(rep.findings, func(i, j int) bool { return rep.findings[i].key < rep.findings[j].key })
@@ -486,12 +516,14 @@ func (l *surfaceLoader) lookupStruct(pkgName, typeName string) (*types.Struct, e
 	return nil, fmt.Errorf("option struct %s.%s not found", pkgName, typeName)
 }
 
-// fieldAssignments records, for each field of interest, one entry per
-// non-test assignment: a composite-literal element, an assignment or
-// inc/dec target, or an address taken with &. The entry is the exact
-// constant assigned, or "" when the value is not a constant.
-func (l *surfaceLoader) fieldAssignments(fields map[*types.Var]string) map[*types.Var][]string {
-	out := map[*types.Var][]string{}
+// fieldUses sorts every non-test use of a struct field. writes holds one
+// entry per composite-literal element, assignment or inc/dec target, or
+// address taken with &: the exact constant assigned, or "" when the value
+// is not a constant. reads holds every field used in any other way (&x.F
+// and a call through the field included) and each embedded field that a
+// promoted selection passes through.
+func (l *surfaceLoader) fieldUses() (writes map[*types.Var][]string, reads map[*types.Var]bool) {
+	writes, reads = map[*types.Var][]string{}, map[*types.Var]bool{}
 	for _, p := range l.pkgs {
 		info := p.info
 		value := func(e ast.Expr) string {
@@ -507,20 +539,21 @@ func (l *surfaceLoader) fieldAssignments(fields map[*types.Var]string) map[*type
 			}
 			return ""
 		}
-		record := func(f *types.Var, e ast.Expr) {
-			if _, ok := fields[f]; ok {
-				out[f] = append(out[f], value(e))
-			}
+		write := func(f *types.Var, e ast.Expr) {
+			writes[f.Origin()] = append(writes[f.Origin()], value(e))
 		}
-		selected := func(e ast.Expr) *types.Var {
+		// written holds the field identifiers that are only written; an
+		// address taken with & is a write and a read.
+		written := map[*ast.Ident]bool{}
+		target := func(e, rhs ast.Expr, onlyWritten bool) {
 			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 			if !ok {
-				return nil
+				return
 			}
 			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-				return s.Obj().(*types.Var)
+				write(s.Obj().(*types.Var), rhs)
+				written[sel.Sel] = onlyWritten
 			}
-			return nil
 		}
 		for _, file := range p.files {
 			ast.Inspect(file, func(n ast.Node) bool {
@@ -530,40 +563,107 @@ func (l *surfaceLoader) fieldAssignments(fields map[*types.Var]string) map[*type
 					if t == nil {
 						return true
 					}
-					if ptr, ok := t.Underlying().(*types.Pointer); ok {
-						t = ptr.Elem()
-					}
-					st, ok := t.Underlying().(*types.Struct)
+					st, ok := derefStruct(t)
 					if !ok {
 						return true
 					}
 					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
-								record(f, kv.Value)
+							key := kv.Key.(*ast.Ident)
+							if f, ok := info.Uses[key].(*types.Var); ok {
+								write(f, kv.Value)
+								written[key] = true
 							}
 						} else {
-							record(st.Field(i), elt)
+							write(st.Field(i), elt)
 						}
 					}
 				case *ast.AssignStmt:
 					for i, lhs := range n.Lhs {
-						if f := selected(lhs); f != nil {
-							var rhs ast.Expr
-							if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
-								rhs = n.Rhs[i]
-							}
-							record(f, rhs)
+						var rhs ast.Expr
+						if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+							rhs = n.Rhs[i]
 						}
+						target(lhs, rhs, true)
 					}
 				case *ast.IncDecStmt:
-					if f := selected(n.X); f != nil {
-						record(f, nil)
-					}
+					target(n.X, nil, true)
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
-						if f := selected(n.X); f != nil {
-							record(f, nil)
+						target(n.X, nil, false)
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range info.Uses {
+			if f, ok := obj.(*types.Var); ok && f.IsField() && !written[id] {
+				reads[f.Origin()] = true
+			}
+		}
+		for _, s := range info.Selections {
+			t := s.Recv()
+			for _, i := range s.Index()[:len(s.Index())-1] {
+				st, ok := derefStruct(t)
+				if !ok {
+					break
+				}
+				f := st.Field(i)
+				reads[f.Origin()] = true
+				t = f.Type()
+			}
+		}
+	}
+	return writes, reads
+}
+
+// jsonReachableFields returns the struct fields of every type reachable
+// from an argument of an encoding/json function or method call: those
+// fields are read or written by reflection.
+func (l *surfaceLoader) jsonReachableFields() map[*types.Var]bool {
+	fields := map[*types.Var]bool{}
+	seen := map[types.Type]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			walk(u.Elem())
+		case *types.Slice:
+			walk(u.Elem())
+		case *types.Array:
+			walk(u.Elem())
+		case *types.Map:
+			walk(u.Key())
+			walk(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				fields[u.Field(i).Origin()] = true
+				walk(u.Field(i).Type())
+			}
+		}
+	}
+	for _, p := range l.pkgs {
+		for _, file := range p.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				var id *ast.Ident
+				switch fun := ast.Unparen(call.Fun).(type) {
+				case *ast.Ident:
+					id = fun
+				case *ast.SelectorExpr:
+					id = fun.Sel
+				}
+				if fn, ok := p.info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "encoding/json" {
+					for _, arg := range call.Args {
+						if t := p.info.Types[arg].Type; t != nil {
+							walk(t)
 						}
 					}
 				}
@@ -571,5 +671,14 @@ func (l *surfaceLoader) fieldAssignments(fields map[*types.Var]string) map[*type
 			})
 		}
 	}
-	return out
+	return fields
+}
+
+// derefStruct returns the struct type under t or under the type t points to.
+func derefStruct(t types.Type) (*types.Struct, bool) {
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	return st, ok
 }

@@ -22,27 +22,21 @@ type Client struct {
 	// DisplayHeight is the attached monitor's vertical resolution
 	// (2160 for the 4K monitors the paper requires).
 	DisplayHeight int
-	// CacheWiped reports whether cookies and cache were cleared before
-	// the run; Prudentia wipes both so every trial fetches everything
-	// over the network (§3.3).
-	CacheWiped bool
 }
 
 // TestbedClient returns the full-fidelity configuration the paper
-// settled on: real display, desktop GPU with VP9 decode, 4K monitor,
-// fresh browser state.
+// settled on: real display, desktop GPU with VP9 decode, 4K monitor.
 func TestbedClient() Client {
 	return Client{
 		HasGPU:        true,
 		HardwareVP9:   true,
 		DisplayHeight: 2160,
-		CacheWiped:    true,
 	}
 }
 
 // HeadlessClient returns the configuration the paper warns against.
 func HeadlessClient() Client {
-	return Client{Headless: true, CacheWiped: true}
+	return Client{Headless: true}
 }
 
 // RenderCapBps returns the maximum video bitrate (bits/sec) the client

@@ -49,10 +49,3 @@ func TestSmallerDisplayNeverAllowsMore(t *testing.T) {
 		t.Fatal("smaller display allows higher bitrate")
 	}
 }
-
-func TestCacheWipeRequiredForFidelity(t *testing.T) {
-	// Full fidelity is an uncapped renderer on fresh browser state (§3.3).
-	if !TestbedClient().CacheWiped {
-		t.Fatal("the testbed client must start from wiped browser state")
-	}
-}

@@ -50,9 +50,6 @@ type BBRVariant struct {
 	// RandomizeCycle randomizes the initial ProbeBW gain-cycle phase
 	// (both kernels do; disabled only in deterministic unit tests).
 	RandomizeCycle bool
-	// IdleRestartWindow, if nonzero, caps the burst after an idle period
-	// (CWND reduction on restart); later kernels pace out of idle.
-	IdleRestartWindow int
 	// NoPacing disables the pacing engine: the flow becomes purely
 	// window-driven (ACK-clocked bursts up to cwnd_gain × BDP) while
 	// remaining loss-blind. This is how BBR degrades on stacks without a
@@ -79,7 +76,6 @@ func BBRLinux515() BBRVariant {
 	v := BBRLinux415()
 	v.Label = "linux-5.15"
 	v.RecoveryConservation = true
-	v.IdleRestartWindow = 10
 	return v
 }
 

@@ -12,16 +12,16 @@ package cca
 
 import "prudentia/internal/sim"
 
-// AckSample carries everything an ACK tells the congestion controller.
-// The transport layer computes delivery-rate samples (per the BBR
-// delivery-rate-estimation draft) so algorithms stay pure control logic.
+// AckSample carries what an ACK tells the congestion controller: the
+// RTT sample, the packets newly delivered, the delivery-rate sample and
+// the flow's inflight and recovery state. The transport layer computes
+// delivery-rate samples (per the BBR delivery-rate-estimation draft) so
+// algorithms stay pure control logic.
 type AckSample struct {
 	// RTT is the round-trip sample from the packet that triggered this ACK.
 	RTT sim.Time
 	// AckedPackets is how many packets this ACK newly delivered.
 	AckedPackets int
-	// AckedBytes is the same in bytes.
-	AckedBytes int64
 	// TotalDelivered is the flow's lifetime delivered byte count.
 	TotalDelivered int64
 	// PacketDelivered is the sender's delivered counter when the acked

@@ -11,7 +11,6 @@ func ack(rtt sim.Time, pkts int, inflight int) AckSample {
 	return AckSample{
 		RTT:            rtt,
 		AckedPackets:   pkts,
-		AckedBytes:     int64(pkts) * 1500,
 		TotalDelivered: 0,
 		Inflight:       inflight,
 	}
@@ -189,7 +188,6 @@ func feedBBR(b *BBRAlg, rtt sim.Time, rate int64, rounds int) sim.Time {
 		b.OnAck(now, AckSample{
 			RTT:            rtt,
 			AckedPackets:   1,
-			AckedBytes:     1500,
 			TotalDelivered: delivered, PacketDelivered: delivered,
 			DeliveryRate: rate,
 			Inflight:     20,
@@ -246,14 +244,14 @@ func TestBBRAppLimitedSampleSemantics(t *testing.T) {
 	b := NewBBR(Config{}, BBRLinux415(), sim.NewRNG(1))
 	feedBBR(b, 50*sim.Millisecond, 1_000_000, 5)
 	b.OnAck(sim.Second, AckSample{
-		RTT: 50 * sim.Millisecond, AckedPackets: 1, AckedBytes: 1500,
+		RTT: 50 * sim.Millisecond, AckedPackets: 1,
 		TotalDelivered: 1 << 30, PacketDelivered: 1 << 30, DeliveryRate: 500_000, RateAppLimited: true,
 	})
 	if got := b.BtlBw(); got != 1_000_000 {
 		t.Fatalf("low app-limited sample changed BtlBw to %d", got)
 	}
 	b.OnAck(sim.Second, AckSample{
-		RTT: 50 * sim.Millisecond, AckedPackets: 1, AckedBytes: 1500,
+		RTT: 50 * sim.Millisecond, AckedPackets: 1,
 		TotalDelivered: 1 << 30, PacketDelivered: 1 << 30, DeliveryRate: 5_000_000, RateAppLimited: true,
 	})
 	if got := b.BtlBw(); got != 5_000_000 {
@@ -268,7 +266,7 @@ func TestBBRProbeRTTOnStaleMinRTT(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		now += 60 * sim.Millisecond
 		b.OnAck(now, AckSample{
-			RTT: 60 * sim.Millisecond, AckedPackets: 1, AckedBytes: 1500,
+			RTT: 60 * sim.Millisecond, AckedPackets: 1,
 			TotalDelivered: int64(i+1000) * 15000, PacketDelivered: int64(i+1000) * 15000, DeliveryRate: 1_250_000,
 			Inflight: 40,
 		})
@@ -296,7 +294,7 @@ func TestBBRRecoveryConservationCapsCwnd(t *testing.T) {
 	big := b.CwndPackets()
 	b.OnCongestionEvent(2 * sim.Second)
 	b.OnAck(2*sim.Second+time50(), AckSample{
-		RTT: 50 * sim.Millisecond, AckedPackets: 2, AckedBytes: 3000,
+		RTT: 50 * sim.Millisecond, AckedPackets: 2,
 		TotalDelivered: 1 << 20, PacketDelivered: 1 << 20, DeliveryRate: 1_250_000,
 		Inflight: 10, InRecovery: true,
 	})
@@ -319,7 +317,7 @@ func TestBBRv3LossResponseBoundsBandwidth(t *testing.T) {
 		now += 50 * sim.Millisecond
 		delivered += 60000
 		b.OnAck(now, AckSample{
-			RTT: 50 * sim.Millisecond, AckedPackets: 4, AckedBytes: 6000,
+			RTT: 50 * sim.Millisecond, AckedPackets: 4,
 			TotalDelivered: delivered, PacketDelivered: delivered, DeliveryRate: 1_250_000, Inflight: 40,
 		})
 	}
@@ -328,14 +326,14 @@ func TestBBRv3LossResponseBoundsBandwidth(t *testing.T) {
 	now += 50 * sim.Millisecond
 	delivered += 1500
 	b.OnAck(now, AckSample{
-		RTT: 50 * sim.Millisecond, AckedPackets: 1, AckedBytes: 1500,
+		RTT: 50 * sim.Millisecond, AckedPackets: 1,
 		TotalDelivered: delivered, PacketDelivered: delivered, DeliveryRate: 1_250_000, Inflight: 40, InRecovery: true,
 	})
 	b.OnExitRecovery(now)
 	now += 50 * sim.Millisecond
 	delivered += 1500
 	b.OnAck(now, AckSample{
-		RTT: 50 * sim.Millisecond, AckedPackets: 1, AckedBytes: 1500,
+		RTT: 50 * sim.Millisecond, AckedPackets: 1,
 		TotalDelivered: delivered, PacketDelivered: delivered, DeliveryRate: 1_250_000, Inflight: 30,
 	})
 	after := b.PacingRate()

@@ -15,8 +15,6 @@ import (
 // early exit disabled) — the service-level throttle lives in
 // internal/services.
 type CubicAlg struct {
-	cfg Config
-
 	cwnd     float64 // packets
 	ssthresh float64
 
@@ -37,7 +35,6 @@ type CubicAlg struct {
 func NewCubic(cfg Config) *CubicAlg {
 	cfg = cfg.withDefaults()
 	return &CubicAlg{
-		cfg:        cfg,
 		cwnd:       float64(cfg.InitialCwnd),
 		ssthresh:   float64(maxInt) / 4,
 		epochStart: -1,

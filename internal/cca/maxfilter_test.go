@@ -138,7 +138,6 @@ func TestBBREstimateMatchesSliceScan(t *testing.T) {
 				s := AckSample{
 					RTT:             50 * sim.Millisecond,
 					AckedPackets:    1,
-					AckedBytes:      1500,
 					TotalDelivered:  delivered,
 					PacketDelivered: delivered - int64(1+st.rng.Intn(12))*1500,
 					DeliveryRate:    bw,
@@ -181,7 +180,6 @@ func fullWindowAcks(perRound int) func() (sim.Time, AckSample) {
 		return sim.Time(k) * sim.Millisecond, AckSample{
 			RTT:             50 * sim.Millisecond,
 			AckedPackets:    1,
-			AckedBytes:      1500,
 			TotalDelivered:  k * 1500,
 			PacketDelivered: (k - int64(perRound)) * 1500,
 			DeliveryRate:    1_000_000 + window - k%window,

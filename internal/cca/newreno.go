@@ -8,7 +8,6 @@ import "prudentia/internal/sim"
 // event. Netflix's CDN servers run NewReno (Table 1), as does the
 // iPerf (Reno) baseline.
 type NewRenoAlg struct {
-	cfg      Config
 	cwnd     float64 // packets; fractional to express 1/cwnd growth
 	ssthresh float64
 }
@@ -17,7 +16,6 @@ type NewRenoAlg struct {
 func NewNewReno(cfg Config) *NewRenoAlg {
 	cfg = cfg.withDefaults()
 	return &NewRenoAlg{
-		cfg:      cfg,
 		cwnd:     float64(cfg.InitialCwnd),
 		ssthresh: float64(maxInt) / 4,
 	}

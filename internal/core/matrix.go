@@ -58,7 +58,6 @@ type matrix struct {
 // MatrixResult holds every pair outcome plus name indexing.
 type MatrixResult struct {
 	Names []string
-	Net   netem.Config
 	// Pairs maps "a|b" (a, b sorted catalog indices) to outcomes where
 	// slot 0 is the lower-index service.
 	Pairs map[string]*PairOutcome
@@ -69,10 +68,7 @@ func pairKey(a, b int) string { return fmt.Sprintf("%d|%d", a, b) }
 // Run executes the matrix.
 func (m *matrix) Run() (*MatrixResult, error) {
 	svcs := m.w.Services
-	res := &MatrixResult{
-		Net:   m.net,
-		Pairs: make(map[string]*PairOutcome),
-	}
+	res := &MatrixResult{Pairs: make(map[string]*PairOutcome)}
 	var states []*pairState
 	for i := range svcs {
 		res.Names = append(res.Names, svcs[i].Name())

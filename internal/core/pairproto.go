@@ -114,8 +114,6 @@ type attemptResult struct {
 	// simSeconds is the simulated duration, for the duration histogram
 	// (zero for failures, matching the pre-journal behaviour).
 	simSeconds float64
-	// replayed marks attempts served from the journal.
-	replayed bool
 }
 
 // classifyAttempt folds a raw trial outcome into an attemptResult.
@@ -142,7 +140,7 @@ func classifyAttempt(res TrialResult, err error, seed uint64) attemptResult {
 func attemptFromEntry(e journalEntry) (attemptResult, bool) {
 	ar := attemptResult{class: e.Kind, detail: e.Detail,
 		failKind: e.FailKind, failMsg: e.Detail,
-		simSeconds: e.SimSeconds, replayed: true}
+		simSeconds: e.SimSeconds}
 	switch e.Kind {
 	case "ok":
 		if err := json.Unmarshal(e.Result, &ar.res); err != nil {

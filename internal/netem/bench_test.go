@@ -66,7 +66,7 @@ func roundTripWorkload() func() {
 	id = tb.RegisterFlow(0,
 		func(now sim.Time, _ *Packet) {
 			ack := tb.AllocPacket()
-			ack.FlowID, ack.Size, ack.IsAck = id, 64, true
+			ack.FlowID, ack.Size = id, 64
 			tb.SendAck(now, ack)
 		},
 		func(now sim.Time, _ *Packet) { send(now) })

@@ -13,13 +13,11 @@ const MaxServices = 2
 
 // ServiceStats aggregates what the bottleneck observed for one slot.
 type ServiceStats struct {
-	// ArrivedPackets/ArrivedBytes count packets reaching the queue
-	// (including ones later dropped).
+	// ArrivedPackets counts packets reaching the queue (including ones
+	// later dropped).
 	ArrivedPackets int64
-	ArrivedBytes   int64
-	// DroppedPackets/DroppedBytes count drop-tail losses.
+	// DroppedPackets counts drop-tail losses.
 	DroppedPackets int64
-	DroppedBytes   int64
 	// DeliveredPackets/DeliveredBytes count packets fully serialized onto
 	// the downstream link.
 	DeliveredPackets int64
@@ -156,10 +154,8 @@ func (b *Bottleneck) Stats(service int) ServiceStats { return b.stats[service] }
 func (b *Bottleneck) Enqueue(now sim.Time, p *Packet) {
 	st := &b.stats[p.Service]
 	st.ArrivedPackets++
-	st.ArrivedBytes += int64(p.Size)
 	if b.qlen >= b.Capacity {
 		st.DroppedPackets++
-		st.DroppedBytes += int64(p.Size)
 		if b.DropHook != nil {
 			b.DropHook(now, p)
 		}

@@ -25,6 +25,7 @@ func FuzzBottleneckQueue(f *testing.F) {
 		b := NewBottleneck(eng, rate, capacity, sim.Millisecond)
 
 		var admitted, started []int64
+		var arrived, dropped int64 // bytes offered and dropped, summed here
 		check := func(stage string) {
 			if b.qlen > capacity {
 				t.Fatalf("%s: occupancy %d exceeds capacity %d", stage, b.qlen, capacity)
@@ -42,6 +43,7 @@ func FuzzBottleneckQueue(f *testing.F) {
 		}
 		b.EnqueueHook = func(_ sim.Time, p *Packet) { admitted = append(admitted, p.Seq); check("enqueue") }
 		b.DequeueHook = func(_ sim.Time, p *Packet) { started = append(started, p.Seq); check("dequeue") }
+		b.DropHook = func(_ sim.Time, p *Packet) { dropped += int64(p.Size) }
 
 		var seq int64
 		for _, op := range ops {
@@ -49,6 +51,7 @@ func FuzzBottleneckQueue(f *testing.F) {
 			case 0, 1:
 				p := &Packet{Seq: seq, Size: 64 + 11*int(op), Service: int(op % 2)}
 				seq++
+				arrived += int64(p.Size)
 				b.Enqueue(eng.Now(), p)
 			case 2:
 				eng.Step()
@@ -75,11 +78,9 @@ func FuzzBottleneckQueue(f *testing.F) {
 				t.Fatalf("FIFO broken at %d: started seq %d, admitted seq %d", i, started[i], admitted[i])
 			}
 		}
-		var arrived, dropped, delivered int64
+		var delivered int64
 		for s := 0; s < MaxServices; s++ {
 			st := b.Stats(s)
-			arrived += st.ArrivedBytes
-			dropped += st.DroppedBytes
 			delivered += st.DeliveredBytes
 			if st.DroppedPackets < 0 || st.DroppedPackets > st.ArrivedPackets {
 				t.Fatalf("slot %d dropped %d of %d arrivals", s, st.DroppedPackets, st.ArrivedPackets)

@@ -233,7 +233,7 @@ func TestTestbedRTTNormalization(t *testing.T) {
 	var flowID int
 	flowID = tb.RegisterFlow(0,
 		func(now sim.Time, p *Packet) {
-			ack := &Packet{FlowID: flowID, Service: 0, IsAck: true, SentAt: p.SentAt}
+			ack := &Packet{FlowID: flowID, Service: 0, SentAt: p.SentAt}
 			tb.SendAck(now, ack)
 		},
 		func(now sim.Time, p *Packet) { ackAt = now },

@@ -28,8 +28,6 @@ type Packet struct {
 	// SentAt is the sender's virtual transmit timestamp, echoed back in
 	// ACKs so the sender can take RTT samples.
 	SentAt sim.Time
-	// IsAck marks upstream acknowledgements.
-	IsAck bool
 	// CumAck is the receiver's cumulative in-order acknowledgement
 	// (next expected Seq) carried by ACKs.
 	CumAck int64

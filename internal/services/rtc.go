@@ -117,8 +117,6 @@ type rtcInstance struct {
 	// Sender state.
 	nextSeq    int64
 	frameID    int64
-	sentPkts   int64
-	sentBytes  int64
 	frameCount int
 
 	// Receiver state.
@@ -127,21 +125,19 @@ type rtcInstance struct {
 	recvBytes     int64
 	highDelayPkts int64
 	minOWD        sim.Time // -1 until first packet
-	owdSum        sim.Time
-	owdCount      int64
 
 	// Per-feedback-interval accumulators. Loss is computed from sequence
 	// gaps ((maxSeq - prevMaxSeq) - received), not from a sent/received
 	// balance, so packets still in flight at the interval boundary are
 	// not miscounted as lost.
-	intSent, intRecv int64
-	intRecvBytes     int64
-	intOWDSum        sim.Time
-	intOWDCount      int64
-	prevMeanOWD      sim.Time
-	prevMeanValid    bool
-	maxSeqSeen       int64
-	prevMaxSeq       int64
+	intRecv       int64
+	intRecvBytes  int64
+	intOWDSum     sim.Time
+	intOWDCount   int64
+	prevMeanOWD   sim.Time
+	prevMeanValid bool
+	maxSeqSeen    int64
+	prevMaxSeq    int64
 
 	// Frame rendering / freeze metrics.
 	rendered      int
@@ -203,9 +199,6 @@ func (r *rtcInstance) sendFrame(now sim.Time) {
 		p.Frame = frame
 		p.FramePackets = pkts
 		r.nextSeq++
-		r.sentPkts++
-		r.intSent++
-		r.sentBytes += int64(p.Size)
 		r.env.TB.SendData(now, p)
 	}
 	r.env.Eng.After(sim.Second/sim.Time(r.svc.FrameRate), r.sendFrame)
@@ -229,8 +222,6 @@ func (r *rtcInstance) onMediaPacket(now sim.Time, p *netem.Packet) {
 	if r.minOWD < 0 || owd < r.minOWD {
 		r.minOWD = owd
 	}
-	r.owdSum += owd
-	r.owdCount++
 	r.intOWDSum += owd
 	r.intOWDCount++
 	// RTT estimate: one-way delay plus the (uncongested) return path.
@@ -313,7 +304,7 @@ func (r *rtcInstance) feedbackTick(now sim.Time) {
 
 	r.controller.OnFeedback(now, fb)
 
-	r.intSent, r.intRecv, r.intRecvBytes = 0, 0, 0
+	r.intRecv, r.intRecvBytes = 0, 0
 	r.intOWDSum, r.intOWDCount = 0, 0
 	r.env.Eng.After(r.svc.FeedbackEvery, r.feedbackTick)
 }

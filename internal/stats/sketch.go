@@ -1,12 +1,11 @@
 package stats
 
-// Mergeable streaming quantile sketch (ROADMAP item 3). A Sketch
-// summarizes an unbounded stream of float64 samples in O(1) space and
-// answers quantile / median-CI queries without ever storing more than a
-// bounded number of words, while remaining exactly mergeable: the merge
-// of any K shard sketches is byte-identical to the single sketch that
-// saw the whole stream, regardless of K, of the split, and of the
-// arrival order.
+// Mergeable streaming quantile sketch. A Sketch summarizes an unbounded
+// stream of float64 samples in O(1) space and answers quantile /
+// median-CI queries without ever storing more than a bounded number of
+// words, while remaining exactly mergeable: the merge of any K shard
+// sketches is byte-identical to the single sketch that saw the whole
+// stream, regardless of K, of the split, and of the arrival order.
 //
 // Design. The sketch is a hybrid of two regimes, both of which are pure
 // functions of the sample *multiset* (never of arrival order):

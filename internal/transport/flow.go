@@ -143,7 +143,6 @@ type Flow struct {
 	// elicit acknowledgements instead of collapsing the window. Only the
 	// following expiry is a full RTO.
 	probePending bool
-	TailProbes   int64
 
 	// Recovery state.
 	recoveryEnd int64 // in recovery while cumAck < recoveryEnd
@@ -155,10 +154,9 @@ type Flow struct {
 	rcvOOO      rcvSet // seqs received above rcvExpected
 	rcvCount    int64
 
-	// Counters for reports and tests.
-	Retransmits int64
-	Timeouts    int64
-	RTTSamples  int64
+	// Timeouts counts this flow's RTO and fragile-recovery collapses;
+	// the testbed sums every flow's retransmissions, probes and timeouts.
+	Timeouts int64
 
 	closed bool
 }
@@ -307,7 +305,6 @@ func (f *Flow) sendRetransmit(now sim.Time) {
 	if m := f.sent.get(seq); m == nil || m.acked {
 		return // delivered in the meantime
 	}
-	f.Retransmits++
 	f.tb.TransportRetransmits++
 	f.rtxOutstanding = append(f.rtxOutstanding, rtxEntry{seq, now})
 	f.transmit(now, seq, true)
@@ -365,7 +362,6 @@ func (f *Flow) onDataAtClient(now sim.Time, p *netem.Packet) {
 	ack.FlowID = f.id
 	ack.Service = f.service
 	ack.Size = 64
-	ack.IsAck = true
 	ack.SentAt = p.SentAt
 	ack.AckedSeq = p.Seq
 	ack.CumAck = f.rcvExpected
@@ -440,7 +436,6 @@ func (f *Flow) onAckAtServer(now sim.Time, p *netem.Packet) {
 	if newly > 0 {
 		sample := cca.AckSample{
 			AckedPackets:    newly,
-			AckedBytes:      int64(newly) * int64(f.opts.MSS),
 			TotalDelivered:  f.delivered,
 			PacketDelivered: -1,
 			Inflight:        f.inflight,
@@ -557,7 +552,6 @@ func (f *Flow) sampleRTT(rtt sim.Time) {
 	if rtt <= 0 {
 		return
 	}
-	f.RTTSamples++
 	if f.srtt == 0 {
 		f.srtt = rtt
 		f.rttvar = rtt / 2
@@ -622,8 +616,6 @@ func (f *Flow) sendTailProbe(now sim.Time) {
 	if m := f.sent.get(highest); !m.lost {
 		f.inflight--
 	}
-	f.TailProbes++
-	f.Retransmits++
 	f.tb.TransportTailProbes++
 	f.tb.TransportRetransmits++
 	f.rtxOutstanding = append(f.rtxOutstanding, rtxEntry{highest, now})

@@ -218,9 +218,9 @@ func TestRecoveryFromHeavyLoss(t *testing.T) {
 	eng.RunUntil(60 * sim.Second)
 	if !completed {
 		t.Fatalf("transfer did not complete; delivered=%d retx=%d timeouts=%d",
-			f.DeliveredBytes(), f.Retransmits, f.Timeouts)
+			f.DeliveredBytes(), tb.TransportRetransmits, f.Timeouts)
 	}
-	if f.Retransmits == 0 {
+	if tb.TransportRetransmits == 0 {
 		t.Fatal("expected retransmissions with an 8-packet queue")
 	}
 }
@@ -249,7 +249,7 @@ func TestRTTSamplesNearConfiguredRTT(t *testing.T) {
 	f := NewFlow(tb, 0, cca.NewNewReno(cca.Config{}), Options{})
 	f.Write(15_000, nil)
 	eng.RunUntil(5 * sim.Second)
-	if f.RTTSamples == 0 {
+	if f.srtt == 0 {
 		t.Fatal("no RTT samples")
 	}
 	if f.srtt < 50*sim.Millisecond || f.srtt > 60*sim.Millisecond {

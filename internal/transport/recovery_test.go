@@ -22,9 +22,9 @@ func TestTailLossProbeRecoversWindowTailDrop(t *testing.T) {
 	f.Write(60_000, func(now sim.Time) { done = now })
 	eng.RunUntil(10 * sim.Second)
 	if done == 0 {
-		t.Fatalf("transfer never completed (retx=%d timeouts=%d)", f.Retransmits, f.Timeouts)
+		t.Fatalf("transfer never completed (retx=%d timeouts=%d)", tb.TransportRetransmits, f.Timeouts)
 	}
-	if f.TailProbes == 0 {
+	if tb.TransportTailProbes == 0 {
 		t.Fatal("expected a tail-loss probe")
 	}
 	if done > 3*sim.Second {
@@ -47,7 +47,7 @@ func TestLostRetransmitsRedetected(t *testing.T) {
 	f.Write(600_000, func(sim.Time) { completed = true })
 	eng.RunUntil(60 * sim.Second)
 	if !completed {
-		t.Fatalf("transfer stuck: retx=%d timeouts=%d", f.Retransmits, f.Timeouts)
+		t.Fatalf("transfer stuck: testbed retx=%d, flow timeouts=%d", tb.TransportRetransmits, f.Timeouts)
 	}
 }
 

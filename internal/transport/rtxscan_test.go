@@ -200,7 +200,7 @@ func TestLostRetransmitScanMatchesOracle(t *testing.T) {
 		got, want := newRTXWorld(seed, false), newRTXWorld(seed, true)
 		calls, sends := 0, 0
 		for got.eng.Now() < 20*sim.Second {
-			probes := got.f.TailProbes
+			probes, listed := got.tb.TransportTailProbes, len(got.f.rtxOutstanding)
 			if g, w := got.eng.Step(), want.eng.Step(); g != w || !g {
 				t.Fatalf("seed %d at %v: Step() = %v, oracle %v", seed, got.eng.Now(), g, w)
 			}
@@ -229,7 +229,8 @@ func TestLostRetransmitScanMatchesOracle(t *testing.T) {
 			if g.nextSeq != w.nextSeq || g.cumAck != w.cumAck || g.inflight != w.inflight ||
 				g.rtxQueue.Len() != w.rtxQueue.Len() || g.lossScan != w.lossScan ||
 				g.inRecovery != w.inRecovery || g.delivered != w.delivered || g.srtt != w.srtt ||
-				g.Retransmits != w.Retransmits || g.TailProbes != w.TailProbes || g.Timeouts != w.Timeouts {
+				got.tb.TransportRetransmits != want.tb.TransportRetransmits ||
+				got.tb.TransportTailProbes != want.tb.TransportTailProbes || g.Timeouts != w.Timeouts {
 				t.Fatalf("seed %d at %v: sender state diverged:\n got %+v\nwant %+v", seed, got.eng.Now(), g, w)
 			}
 			gl, wl := got.liveRTX(), want.liveRTX()
@@ -241,7 +242,9 @@ func TestLostRetransmitScanMatchesOracle(t *testing.T) {
 			if len(g.rtxOutstanding) > len(gl) {
 				lingering++
 			}
-			if g.TailProbes > probes {
+			// The testbed counts the background flow's probes too; one
+			// of this flow's appends an entry in the same event.
+			if got.tb.TransportTailProbes > probes && len(g.rtxOutstanding) > listed {
 				last := g.rtxOutstanding[len(g.rtxOutstanding)-1].seq
 				for _, ent := range g.rtxOutstanding[:len(g.rtxOutstanding)-1] {
 					if ent.seq == last {

@@ -475,12 +475,13 @@ fi
 echo "ci: internal/stats coverage ${STATS_COV}% (floor 85%)"
 
 # Dead-surface gate: an exported internal/ identifier no non-test code
-# uses, an option field nothing sets, or one set to a single constant
-# must be deleted or listed with a reason in testdata/deadsurface.txt
-# (deadsurface_test.go). Each finding prints as "file:line pkg.Symbol rule".
+# uses, an option field nothing sets, one set to a single constant, or a
+# struct field non-test code writes and never reads must be deleted or
+# listed with a reason in testdata/deadsurface.txt (deadsurface_test.go).
+# Each finding prints as "file:line pkg.Symbol rule".
 if ! go test -count=1 -run 'TestDeadSurface' . > "$ARTIFACTS/deadsurface.log" 2>&1; then
     echo "ci: dead-surface gate failed:" >&2
-    findings="$(sed -n -E 's/^[[:space:]]+([^[:space:]]+\.go:[0-9]+ [^[:space:]]+ (dead|unassigned|one value))$/\1/p' "$ARTIFACTS/deadsurface.log")"
+    findings="$(sed -n -E 's/^[[:space:]]+([^[:space:]]+\.go:[0-9]+ [^[:space:]]+ (dead|unassigned|one value|write-only))$/\1/p' "$ARTIFACTS/deadsurface.log")"
     if [ -n "$findings" ]; then echo "$findings" >&2; else cat "$ARTIFACTS/deadsurface.log" >&2; fi
     exit 1
 fi

@@ -1,4 +1,5 @@
-// Command tool uses the fixture library the way production code would.
+// Command tool uses the fixture library the way production code would:
+// it reads the option fields it sets.
 package main
 
 import (
@@ -14,7 +15,9 @@ func main() {
 	flag.Parse()
 	o := opts.Options{Rate: *rate, Mode: "fast"}
 	o.Mode = "fast"
-	fmt.Println(lib.Live(), lib.Named{}, o)
+	fmt.Println(lib.Live(), lib.Named{}, o.Rate, o.Mode)
+	c := lib.NewConn("peer")
+	fmt.Println(c.Addr(), string(c.Send("hi")), lib.NewMeter().Bump())
 	var x any = lib.Anon{}
 	if a, ok := x.(interface{ Advance(int) }); ok {
 		a.Advance(1)
