@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/core"
-	"prudentia/internal/fleet"
 	"prudentia/internal/netem"
 	"prudentia/internal/sim"
 )
@@ -22,8 +20,8 @@ import (
 // config is one prudentia invocation, parsed and validated once.
 // parseConfig, with parsePair for the `pair` subcommand, is the only code
 // that touches package flag; the watchdog it configures and, through
-// that watchdog's core.Recipe, the fleet fingerprint, the manifest, the
-// sweep grid and the daemon all derive from this value.
+// that watchdog's core.Recipe, the manifest, the sweep grid and the
+// daemon all derive from this value.
 type config struct {
 	usage string // -h was given: the text to print instead of running
 
@@ -52,11 +50,6 @@ type config struct {
 	serve                              bool
 	serveAddr, serveAddrFile, serveDir string
 	cycleInterval                      time.Duration
-
-	coordinator                    bool
-	listen, listenAddrFile         string
-	expectWorkers, chaosPartitions int
-	connect, workerName            string
 }
 
 // flagNeeds names, for each flag that only one mode reads, the flag that
@@ -64,19 +57,15 @@ type config struct {
 var flagNeeds = map[string]string{
 	"code":       "submit",
 	"serve-addr": "serve", "serve-addr-file": "serve", "serve-dir": "serve", "cycle-interval": "serve",
-	"listen": "coordinator", "listen-addr-file": "coordinator", "expect-workers": "coordinator", "chaos-partitions": "coordinator",
-	"worker-name": "connect",
 	"sweep-rates": "sweep", "sweep-rtts": "sweep", "sweep-queues": "sweep", "sweep-out": "sweep",
 }
 
 // flagConflicts lists pairs where the first flag's mode never reads the
-// second: a worker runs no cycles of its own, the daemon profiles nothing
-// per cycle and is not a sweep, and a sweep is one cycle over its own
-// settings on this process.
+// second: the daemon profiles nothing per cycle and is not a sweep, and a
+// sweep is one cycle over its own settings.
 var flagConflicts = [][2]string{
 	{"serve", "pprof-dir"}, {"serve", "sweep"},
-	{"sweep", "cycles"}, {"sweep", "setting"}, {"sweep", "coordinator"},
-	{"connect", "serve"}, {"connect", "coordinator"}, {"connect", "sweep"}, {"connect", "checkpoint"},
+	{"sweep", "cycles"}, {"sweep", "setting"},
 }
 
 // parseConfig turns an argument vector into a validated config with its
@@ -131,17 +120,6 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&c.serveDir, "serve-dir", "", "serve: durable state directory (submission WAL, per-cycle artifacts, and — unless -checkpoint/-journal override — the cycle checkpoint and trial journal); a restarted daemon rehydrates its history, replays unapplied submissions, and resumes the interrupted cycle")
 	fs.Uint64Var(&chaosDisk, "chaos-disk", 0, "chaos: arm the seed-deterministic disk-fault plan (injected ENOSPC, torn-tail fsyncs, fsync stalls) on the durable writers with this seed (0 = off)")
 
-	// Fleet mode: one coordinator shards the pair matrix over worker
-	// processes (prudentia.fleet/1 over TCP); the handshake fingerprint
-	// rejects a worker whose resolved recipe differs.
-	fs.BoolVar(&c.coordinator, "coordinator", false, "fleet: shard the pair matrix over TCP workers (-listen, -expect-workers)")
-	fs.StringVar(&c.listen, "listen", "127.0.0.1:9070", "fleet coordinator listen address (use :0 for an ephemeral port with -listen-addr-file)")
-	fs.StringVar(&c.listenAddrFile, "listen-addr-file", "", "fleet: write the coordinator's bound address to this file once listening")
-	fs.IntVar(&c.expectWorkers, "expect-workers", 1, "fleet: wait for this many workers before the first cycle")
-	fs.IntVar(&c.chaosPartitions, "chaos-partitions", 0, "fleet chaos: sever up to N worker assignments (coordinator-side; the report stays byte-identical)")
-	fs.StringVar(&c.connect, "connect", "", "fleet worker: execute pairs for the coordinator at this address (host:port) instead of running cycles")
-	fs.StringVar(&c.workerName, "worker-name", "", "fleet worker: stable name for lease accounting (default host-pid)")
-
 	if usage, err := parseFlags(fs, args); usage != "" || err != nil {
 		return config{usage: usage}, err
 	}
@@ -151,8 +129,7 @@ func parseConfig(args []string) (config, error) {
 	given := map[string]bool{}
 	var set []string // in flag.Visit's sorted order, so errors are stable
 	fs.Visit(func(f *flag.Flag) { given[f.Name] = true; set = append(set, f.Name) })
-	given["serve"], given["coordinator"], given["sweep"] = c.serve, c.coordinator, c.sweep
-	given["connect"], given["submit"] = c.connect != "", c.submit != ""
+	given["serve"], given["sweep"], given["submit"] = c.serve, c.sweep, c.submit != ""
 	for _, name := range set {
 		if mode, ok := flagNeeds[name]; ok && !given[mode] {
 			return c, fmt.Errorf("-%s does nothing without -%s", name, mode)
@@ -290,15 +267,4 @@ func parseSweepList[T int | float64](flagName, s string, parse func(string) (T, 
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// fingerprint hashes the watchdog's resolved recipe — the same value the
-// manifest embeds — for the fleet handshake: a worker is admitted for
-// what it would compute, whatever flags it was started with.
-func fingerprint(w *core.Watchdog) (uint64, error) {
-	blob, err := json.Marshal(w.Recipe())
-	if err != nil {
-		return 0, fmt.Errorf("fleet fingerprint: %w", err)
-	}
-	return fleet.Fingerprint(fleet.Schema, string(blob)), nil
 }

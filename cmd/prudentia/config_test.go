@@ -1,7 +1,7 @@
 package main
 
 // In-process tests of the one config: parseConfig, the watchdog it
-// builds, and the recipe the fleet fingerprint and the manifest share.
+// builds, and the recipe the manifest embeds.
 // None of them needs the binary.
 
 import (
@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"prudentia/internal/core"
-	"prudentia/internal/fleet"
 	"prudentia/internal/netem"
 	"prudentia/internal/sim"
 )
@@ -42,13 +41,14 @@ func mustWatchdog(t *testing.T, args ...string) *core.Watchdog {
 	return cfg.watchdog
 }
 
-func mustFingerprint(t *testing.T, w *core.Watchdog) uint64 {
+// mustRecipe returns the recipe JSON the manifest embeds for w.
+func mustRecipe(t *testing.T, w *core.Watchdog) string {
 	t.Helper()
-	fp, err := fingerprint(w)
+	blob, err := json.Marshal(w.Recipe())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fp
+	return string(blob)
 }
 
 // TestCLIOptionsResolvePerSetting drives the live bug through the CLI's
@@ -93,10 +93,8 @@ func TestParseConfigValidation(t *testing.T) {
 		{"", ""},
 		{"-cycles 1 -setting high -workers 4 -seed 42 -metrics-out m.prom -timeline t.jsonl -faults-out f.jsonl -pprof-dir pp", ""},
 		{"-cycles 3 -v -setting high -journal t.wal -checkpoint s.json -max-trial-wall 1e6", ""},
-		{"-serve -coordinator -listen 127.0.0.1:0 -expect-workers 2", ""},
 		{"-serve -serve-addr 127.0.0.1:0 -serve-addr-file a -serve-dir d -chaos-disk 7 -cycle-interval -1ms", ""},
-		{"-connect 127.0.0.1:9070 -worker-name w1 -submit https://example.com/p -code " + accessCode, ""},
-		{"-coordinator -chaos-partitions 1 -listen-addr-file a", ""},
+		{"-submit https://example.com/p -code " + accessCode, ""},
 		{"-sweep -sweep-rates 8,50 -sweep-rtts 25 -sweep-queues 64 -sweep-out o -adaptive -quick=false", ""},
 		{"-sweep -submit https://example.com/p -code " + accessCode, ""},
 		{"-sweep -services Netflix,Mega", ""},
@@ -129,10 +127,6 @@ func TestParseConfigValidation(t *testing.T) {
 		{"-code " + accessCode, "-code"},
 		{"-serve -pprof-dir pp", "-pprof-dir"},
 		{"-serve -sweep", "-sweep"},
-		{"-connect h:1 -serve", "-serve"},
-		{"-connect h:1 -coordinator", "-coordinator"},
-		{"-connect h:1 -sweep", "-sweep"},
-		{"-connect h:1 -checkpoint s.json", "-checkpoint"},
 		{"-sweep -sweep-rates 0", "-sweep-rates"},
 		{"-sweep -sweep-rtts NaN", "-sweep-rtts"},
 		{"-sweep -sweep-queues 1.5", "-sweep-queues"},
@@ -140,13 +134,15 @@ func TestParseConfigValidation(t *testing.T) {
 		{"-sweep -services Nope", "-services"},
 		{"-sweep -cycles 1", "-cycles"},
 		{"-sweep -setting high", "-setting"},
-		{"-sweep -coordinator", "-coordinator"},
 		{"-services Nope", "-services"},
 		{"-submit https://example.com/p -code wrong", "-submit"},
 		{"high", "unexpected argument"},
 		{"-resume", "-resume"},
 		{"-worker", "-worker"},
 		{"-soak 2", "-soak"},
+		{"-coordinator", "-coordinator"},
+		{"-listen 127.0.0.1:0", "-listen"},
+		{"-connect h:1", "-connect"},
 
 		{"pair", ""},
 		{"pair -list", ""},
@@ -180,8 +176,8 @@ func TestParseConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(cfg.usage, "\n  -"); got != 37 {
-		t.Errorf("-h lists %d flags, want 37 (a new flag needs a caller that exists; see ROADMAP item 5)", got)
+	if got := strings.Count(cfg.usage, "\n  -"); got != 30 {
+		t.Errorf("-h lists %d flags, want 30 (a new flag needs a caller that exists; see ROADMAP item 5)", got)
 	}
 	// pair keeps the single-pair runner's flags, names and defaults, and
 	// adds none.
@@ -202,8 +198,8 @@ func TestParseConfigValidation(t *testing.T) {
 var ciInvocations = []string{
 	"-cycles\n1\n-setting\nhigh\n-workers\n4\n-seed\n42\n-services\niPerf (Cubic),iPerf (BBR)\n-metrics-out\nm.prom\n-timeline\nt.jsonl\n-manifest\nm.json\n-faults-out\nf.jsonl",
 	"-cycles\n3\n-v\n-setting\nhigh\n-workers\n2\n-seed\n7\n-journal\nt.wal\n-checkpoint\ns.json\n-max-trial-wall\n1e6",
-	"-cycles\n1\n-setting\nhigh\n-seed\n23\n-coordinator\n-listen\n127.0.0.1:0\n-listen-addr-file\na\n-expect-workers\n2\n-chaos-partitions\n1",
-	"-cycles\n1\n-setting\nhigh\n-seed\n23\n-connect\n127.0.0.1:9070\n-worker-name\nworker1",
+	"-setting\nhigh\n-cycles\n1\n-seed\n23\n-services\niPerf (Reno),iPerf (Cubic),iPerf (BBR)",
+	"-setting\nhigh\n-cycles\n2\n-seed\n7\n-services\niPerf (Reno),iPerf (Cubic),iPerf (BBR),Netflix\n-chaos",
 	"-serve\n-serve-addr\n127.0.0.1:0\n-serve-addr-file\na\n-serve-dir\nd\n-cycle-interval\n1h\n-chaos-disk\n7",
 	"-sweep\n-sweep-rates\n8,50\n-sweep-rtts\n25,50\n-sweep-queues\n64\n-services\niPerf (Cubic),iPerf (BBR)\n-sweep-out\no\n-seed\n42",
 	"-adaptive\n-setting\nmod\n-chaos\n-quick=false\n-submit\nhttps://example.com/p\n-code\n" + accessCode,
@@ -214,7 +210,7 @@ var ciInvocations = []string{
 // FuzzParseConfig: an arbitrary argument vector never panics, and what
 // parseConfig accepts is usable — the watchdog has settings and a
 // catalog, resolves options for every setting, and renders a recipe the
-// fingerprint can hash; a pair has an incumbent, a link, a queue and a
+// manifest can embed; a pair has an incumbent, a link, a queue and a
 // trial budget.
 func FuzzParseConfig(f *testing.F) {
 	for _, inv := range ciInvocations {
@@ -235,7 +231,7 @@ func FuzzParseConfig(f *testing.F) {
 		if len(w.Settings) == 0 || len(w.Services) == 0 || cfg.cycles < 0 {
 			t.Fatalf("%q: accepted an empty or negative experiment: %+v", argv, cfg)
 		}
-		if _, err := fingerprint(w); err != nil {
+		if _, err := json.Marshal(w.Recipe()); err != nil {
 			t.Fatalf("%q: %v", argv, err)
 		}
 		if cfg.sweep && (len(cfg.sweepGrid) == 0 || len(cfg.sweepGrid) != len(w.Settings) || cfg.cycles != 1) {
@@ -244,22 +240,22 @@ func FuzzParseConfig(f *testing.F) {
 	})
 }
 
-// TestFingerprintFollowsTheRecipe: the fleet fingerprint moves with every
-// resolved value a trial's bytes depend on and with nothing else.
-func TestFingerprintFollowsTheRecipe(t *testing.T) {
+// TestRecipeFollowsTheTrials: the recipe the manifest embeds moves with
+// every resolved value a trial's bytes depend on and with nothing else,
+// so two manifests with equal recipes name runs that computed the same
+// trials.
+func TestRecipeFollowsTheTrials(t *testing.T) {
 	base := []string{"-setting", "both", "-adaptive", "-seed", "5"}
-	want := mustFingerprint(t, mustWatchdog(t, base...))
+	want := mustRecipe(t, mustWatchdog(t, base...))
 
 	same := [][]string{
 		{"-workers", "1"}, {"-v"}, {"-cycles", "9"},
 		{"-metrics-out", "m.prom", "-timeline", "t.jsonl", "-manifest", "m.json", "-faults-out", "f.jsonl", "-pprof-dir", "pp"},
 		{"-checkpoint", "s.json", "-journal", "t.wal", "-chaos-disk", "3"},
-		{"-coordinator", "-chaos-partitions", "2", "-expect-workers", "3"},
-		{"-connect", "h:1", "-worker-name", "w"},
 	}
 	for _, extra := range same {
-		if got := mustFingerprint(t, mustWatchdog(t, slices.Concat(base, extra)...)); got != want {
-			t.Errorf("fingerprint moved with %q, which no trial depends on", extra)
+		if got := mustRecipe(t, mustWatchdog(t, slices.Concat(base, extra)...)); got != want {
+			t.Errorf("recipe moved with %q, which no trial depends on", extra)
 		}
 	}
 
@@ -277,39 +273,31 @@ func TestFingerprintFollowsTheRecipe(t *testing.T) {
 	for what, mutate := range changed {
 		w := mustWatchdog(t, base...)
 		mutate(w)
-		if mustFingerprint(t, w) == want {
-			t.Errorf("fingerprint did not move with %s", what)
+		if mustRecipe(t, w) == want {
+			t.Errorf("recipe did not move with %s", what)
 		}
 	}
 	for _, flags := range [][]string{{"-chaos"}, {"-quick=false"}, {"-max-trial-wall", "9"}, {"-services", "iPerf (Cubic),iPerf (BBR)"},
 		{"-submit", "https://example.com/p", "-code", accessCode}} {
-		if mustFingerprint(t, mustWatchdog(t, slices.Concat(base, flags)...)) == want {
-			t.Errorf("fingerprint did not move with %q", flags)
+		if mustRecipe(t, mustWatchdog(t, slices.Concat(base, flags)...)) == want {
+			t.Errorf("recipe did not move with %q", flags)
 		}
 	}
 
-	// A build from before the cooldown stopped being simulated marshals
-	// the same recipe without simulated_s (the struct's last field). Its
-	// trial counters would differ from a serial run's, so it must not
-	// be admitted.
-	blob, err := json.Marshal(mustWatchdog(t, base...).Recipe())
-	if err != nil {
-		t.Fatal(err)
-	}
-	older := regexp.MustCompile(`,"simulated_s":[0-9.]+`).ReplaceAll(blob, nil)
-	if len(older) == len(blob) {
-		t.Fatalf("recipe JSON has no simulated_s to drop: %s", blob)
-	}
-	if fleet.Fingerprint(fleet.Schema, string(older)) == want {
-		t.Error("a recipe without simulated_s fingerprints like one with it")
+	// A build from before the cooldown stopped being simulated wrote
+	// the same recipe without simulated_s (the struct's last field),
+	// though its trial counters differ: the span a trial simulates is in
+	// the recipe.
+	if !regexp.MustCompile(`,"simulated_s":[0-9.]+`).MatchString(want) {
+		t.Fatalf("recipe JSON has no simulated_s: %s", want)
 	}
 
 	// Two processes given the same flags must agree: a pointer in the
-	// recipe (Noise, Adaptive) is hashed by value, never by address.
-	noisy := func() uint64 {
+	// recipe (Noise, Adaptive) is written by value, never by address.
+	noisy := func() string {
 		w := mustWatchdog(t, base...)
 		w.Settings[0].Noise = &netem.NoiseConfig{MeanEpisodeGap: sim.Second, MeanEpisodeLen: sim.Second, DropProbability: 0.5}
-		return mustFingerprint(t, w)
+		return mustRecipe(t, w)
 	}
 	if noisy() != noisy() {
 		t.Error("two watchdogs with equal Noise configs behind different pointers disagree")
@@ -324,8 +312,8 @@ func longerQuickTiming(s core.Spec) core.Spec {
 
 // TestManifestRecordsTheRecipe: the manifest of a `-setting both` run
 // names each setting's own tolerance and the rest of what "re-run it
-// exactly" needs, decodes back into an obs.Manifest, and is the value the
-// fingerprint hashes.
+// exactly" needs, and decodes back into an obs.Manifest whose recipe is
+// the watchdog's.
 func TestManifestRecordsTheRecipe(t *testing.T) {
 	w := mustWatchdog(t, "-setting", "both", "-seed", "5", "-adaptive", "-max-trial-wall", "50")
 	path := filepath.Join(t.TempDir(), "manifest.json")
@@ -364,13 +352,12 @@ func TestManifestRecordsTheRecipe(t *testing.T) {
 
 // TestQuickReportPinned makes "same verdicts" a test instead of a
 // procedure: three quick reports are pinned byte for byte. The fixed row
-// is the fleet smoke's cycle (scripts/ci.sh -fleet diffs its serial
-// reference against the same file); it predates trials stopping where
-// their window closes, so it also pins that stopping there moved no
-// verdict. The adaptive row pins the stopping rule and the screening
-// budget. The chaos row, whose ledger shows retries and corrupt results,
-// pins the retry and discard budgets, and over its second cycle the
-// breaker threshold. Changing any of those constants moves a row.
+// is one serial cycle of the three iPerf stacks; it predates trials
+// stopping where their window closes, so it also pins that stopping there
+// moved no verdict. The adaptive row pins the stopping rule and the
+// screening budget. The chaos row, whose ledger shows retries and corrupt
+// results, pins the retry and discard budgets, and over its second cycle
+// the breaker threshold. Changing any of those constants moves a row.
 func TestQuickReportPinned(t *testing.T) {
 	const catalog = "iPerf (Reno),iPerf (Cubic),iPerf (BBR),Netflix"
 	for _, row := range []struct {

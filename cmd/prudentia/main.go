@@ -6,9 +6,9 @@
 // internetfairness.net.
 //
 // An invocation is parsed and validated once into one config value
-// (config.go) that the watchdog, the fleet fingerprint, the manifest
-// recipe, the sweep grid and the daemon all derive from; a flag the
-// selected mode would ignore is an error, not a no-op.
+// (config.go) that the watchdog, the manifest recipe, the sweep grid and
+// the daemon all derive from; a flag the selected mode would ignore is an
+// error, not a no-op.
 //
 // The watchdog is crash-safe: with -checkpoint f it keeps the cycle's
 // header in f (the cycle number and the cycle-start breakers) and fsyncs
@@ -102,11 +102,10 @@ func main() {
 	}
 }
 
-// run executes one validated invocation: a pair, a fleet worker, or
-// watchdog cycles (batch, sweep, fleet coordinator, or behind the -serve
-// daemon). stdout carries the comparable report and nothing else;
-// status and warnings go to stderr, and every failure is the returned
-// error.
+// run executes one validated invocation: a pair, or watchdog cycles
+// (batch, sweep, or behind the -serve daemon). stdout carries the
+// comparable report and nothing else; status and warnings go to stderr,
+// and every failure is the returned error.
 func run(cfg config, stdout, stderr io.Writer) error {
 	if cfg.usage != "" {
 		fmt.Fprint(stderr, cfg.usage)
@@ -124,10 +123,6 @@ func run(cfg config, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "  "+format+"\n", args...)
 		}
 	}
-	if cfg.connect != "" {
-		return runWorker(cfg, warnf)
-	}
-
 	ledger := &trace.FaultLedger{}
 	w.OnFault = ledger.Record
 
@@ -210,18 +205,6 @@ func run(cfg config, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "accepted submission %q; it joins the catalog for this run\n", cfg.submit)
 	}
 
-	// Fleet coordinator mode: shard each setting's pair matrix over the
-	// connected workers. Calibrations and canary probes stay local (they
-	// are cheap and feed per-cycle admission decisions); only the pair
-	// matrices fan out. It composes with -serve, which then serves
-	// fleet-backed cycles.
-	if cfg.coordinator {
-		stopFleet, err := startCoordinator(cfg, ledger, reg, warnf)
-		if err != nil {
-			return err
-		}
-		defer stopFleet()
-	}
 	if cfg.serve {
 		return runServe(ctx, cfg, ledger, reg, exportObs, stdout)
 	}
@@ -273,8 +256,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// breakerSummary renders a breaker snapshot — the watchdog's service
-// breakers under -v, the coordinator's worker breakers in fleet mode.
+// breakerSummary renders the watchdog's service breakers for -v.
 func breakerSummary(infos []obs.BreakerInfo) string {
 	if len(infos) == 0 {
 		return "all closed"

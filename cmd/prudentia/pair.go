@@ -144,7 +144,7 @@ func runPair(pc *pairConfig, stdout io.Writer) error {
 		}
 	}
 	var faults []core.FaultEvent
-	out := core.RunPair([]services.Service{pc.incumbent, pc.contender}, pc.net, opts, core.PairTask{A: 0, B: 1}, func(ev core.FaultEvent) {
+	out := core.RunPair(pc.incumbent, pc.contender, pc.net, opts, func(ev core.FaultEvent) {
 		faults = append(faults, ev)
 		if last != nil && ev.Seed == last.seed {
 			lastFaulted = true

@@ -270,7 +270,7 @@ func (l *lab) runPair(tb testing.TB, inc, cont string, net netem.Config) *core.P
 	if out := l.pairs[key]; out != nil {
 		return out
 	}
-	out := core.RunPair([]services.Service{service(inc), service(cont)}, net, l.options(net), core.PairTask{A: 0, B: 1}, nil)
+	out := core.RunPair(service(inc), service(cont), net, l.options(net), nil)
 	l.pairs[key] = out
 	return out
 }

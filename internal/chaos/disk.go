@@ -1,7 +1,7 @@
 package chaos
 
-// Disk-fault injection: the storage-layer counterpart of the trial and
-// fleet fault families. A DiskPlan decides, per file operation and as a
+// Disk-fault injection: the storage-layer counterpart of the trial
+// fault families. A DiskPlan decides, per file operation and as a
 // pure function of (Seed, operation counter), whether a write fails
 // with an injected ENOSPC, whether an fsync tears the file's tail (the
 // bytes the caller believed durable are cut before the sync reports

@@ -17,9 +17,8 @@ import (
 // deterministic: screening seeds live in their own namespace and flow
 // through executeAttempt (journaled, replayable), scores and budgets
 // are pure functions of the screening results, and the stopper is a
-// pure function of the counted-trial prefix — so adaptive runs resume,
-// replay, and shard across the fleet byte-identically, exactly like
-// fixed-budget runs.
+// pure function of the counted-trial prefix — so adaptive runs resume
+// and replay byte-identically, exactly like fixed-budget runs.
 
 // AdaptiveOptions selects the adaptive trial-budget subsystem: a non-nil
 // SchedulerOptions.Adaptive arms it, and nil keeps the fixed §3.4
@@ -93,9 +92,7 @@ type screenResult struct {
 // failed screen costs a score, never a retry or quarantine). The
 // returned map is a pure function of the screening results, which
 // makes the whole allocation deterministic for any worker count.
-// Screening is one more task set on the shared runner (parallel.go); in
-// fleet mode it stays coordinator-side — the budgets ride the PairTasks
-// — and uses the coordinator's local pool width.
+// Screening is one more task set on the shared runner (parallel.go).
 func (m *matrix) screen(states []*pairState) (budgets map[string]int, interrupted bool) {
 	results := make([]screenResult, len(states))
 	interrupted = runOrdered(len(states), m.w.Workers, m.w.Interrupt,

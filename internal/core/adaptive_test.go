@@ -12,7 +12,6 @@ import (
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/netem"
-	"prudentia/internal/services"
 	"prudentia/internal/sim"
 )
 
@@ -119,46 +118,24 @@ func TestAdaptiveWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// localRemote is a stub RemoteRunner: it runs each task in-process
-// through RunPair, the fleet worker's entry point.
-type localRemote struct{ m *matrix }
-
-func (r localRemote) RunPairs(tasks []PairTask, _ func() bool) (<-chan PairTaskResult, error) {
-	ch := make(chan PairTaskResult, len(tasks))
-	for i, task := range tasks {
-		var events []FaultEvent
-		out := RunPair(r.m.w.Services, r.m.net, r.m.opts, task, func(ev FaultEvent) { events = append(events, ev) })
-		ch <- PairTaskResult{Index: i, Outcome: out, Events: events}
-	}
-	close(ch)
-	return ch, nil
-}
-
-// taskRecorder is a localRemote that keeps every task it is handed.
-type taskRecorder struct {
-	localRemote
-	tasks []PairTask
-}
-
-func (r *taskRecorder) RunPairs(tasks []PairTask, interrupt func() bool) (<-chan PairTaskResult, error) {
-	r.tasks = append(r.tasks, tasks...)
-	return r.localRemote.RunPairs(tasks, interrupt)
-}
-
-// TestFleetScreeningUsesLocalPool: in fleet mode screening stays on the
-// coordinator, at the coordinator's pool width — a -workers 4
-// coordinator must not screen every pair serially before dispatching
-// anything — and the allocation it reaches, which travels to the
-// workers as each PairTask's Budget, does not depend on that width.
-// Every screening task polls the hook once before its trial, so two
-// polls in flight at once are two screening tasks in flight.
-func TestFleetScreeningUsesLocalPool(t *testing.T) {
+// TestScreeningUsesThePool: screening is one more task set on the
+// shared runner, so a Workers=4 matrix screens its pairs concurrently
+// rather than one after another. Every screening task polls the hook
+// once before its trial and screening finishes before any pair trial
+// polls, so two of the first six polls in flight at once are two
+// screening tasks in flight. That the allocation does not depend on the
+// width is TestAdaptiveWorkerDeterminism's.
+func TestScreeningUsesThePool(t *testing.T) {
 	net := netem.HighlyConstrained()
-	var inHook atomic.Int32
+	const screens = 6 // pairs of threeServices
+	var polls, inHook atomic.Int32
 	var concurrent atomic.Bool
 	met := make(chan struct{})
 	var once sync.Once
 	rendezvous := func() bool {
+		if polls.Add(1) > screens {
+			return false
+		}
 		if inHook.Add(1) > 1 {
 			concurrent.Store(true)
 			once.Do(func() { close(met) })
@@ -171,35 +148,14 @@ func TestFleetScreeningUsesLocalPool(t *testing.T) {
 		inHook.Add(-1)
 		return false
 	}
-	run := func(workers int, hook func() bool) []byte {
-		opts := adaptiveTestOpts(net)
-		opts.Adaptive = &AdaptiveOptions{}
-		m := testMatrix(&Watchdog{Services: threeServices(), Workers: workers, Interrupt: hook}, net, opts)
-		remote := &taskRecorder{localRemote: localRemote{m}}
-		m.w.Remote = remote
-		res, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		budgets := make([]int, len(remote.tasks))
-		for i, task := range remote.tasks {
-			if task.Budget <= 0 {
-				t.Fatalf("task %+v carries no budget", task)
-			}
-			if p := res.Pairs[pairKey(task.A, task.B)]; p.StopReason != "" && p.Budget != task.Budget {
-				t.Fatalf("task %+v: outcome records budget %d", task, p.Budget)
-			}
-			budgets[i] = task.Budget
-		}
-		bj, _ := json.Marshal(budgets)
-		return bj
+	opts := adaptiveTestOpts(net)
+	opts.Adaptive = &AdaptiveOptions{}
+	m := testMatrix(&Watchdog{Services: threeServices(), Workers: 4, Interrupt: rendezvous}, net, opts)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
 	}
-	b4 := run(4, rendezvous)
 	if !concurrent.Load() {
-		t.Error("fleet-mode screening with Workers=4 never had two tasks in flight")
-	}
-	if b1 := run(1, nil); !bytes.Equal(b1, b4) {
-		t.Errorf("fleet-mode budgets differ across coordinator pool widths:\n%s\nvs\n%s", b1, b4)
+		t.Error("screening with Workers=4 never had two tasks in flight")
 	}
 }
 
@@ -261,10 +217,8 @@ func TestAdaptiveResumeEquivalence(t *testing.T) {
 // adaptive and back — equals an uninterrupted run under the resumed
 // protocol, CycleResult and fault ledger alike: the resumed process
 // screens (or does not) for itself, and the journaled trials it shares
-// with the interrupted one replay by seed. Local rows interrupt in the
-// calibrations, in screening and in the matrix; the coordinator row
-// journals finished pairs, which belong to the protocol that ran them
-// and are dispatched again.
+// with the interrupted one replay by seed. Rows interrupt in the
+// calibrations, in screening and in the matrix.
 func TestCrossProtocolResume(t *testing.T) {
 	type run struct {
 		w      *Watchdog
@@ -331,20 +285,6 @@ func TestCrossProtocolResume(t *testing.T) {
 			resume(name, mk(!from, ckpt, nil))
 		}
 
-		name := fmt.Sprintf("coordinator adaptive=%v→%v", from, !from)
-		ckpt := filepath.Join(t.TempDir(), "ckpt.json")
-		cut := mk(from, ckpt, nil)
-		cut.w.Remote = &cutRemote{w: cut.w, limit: 2}
-		if _, err := cut.w.RunCycle(); err != ErrInterrupted {
-			t.Fatalf("%s: cut-off dispatch returned %v", name, err)
-		}
-		r := mk(!from, ckpt, nil)
-		remote := &cutRemote{w: r.w}
-		r.w.Remote = remote
-		resume(name, r)
-		if n := len(remote.calls[0]); n != 6 {
-			t.Fatalf("%s: resume dispatched %d pairs, want all 6", name, n)
-		}
 	}
 }
 
@@ -430,7 +370,7 @@ func TestRunPairAdaptive(t *testing.T) {
 	svcs := threeServices()
 	// A self-pair converges immediately: both slots run the same stack,
 	// so the share medians agree trial after trial.
-	out := RunPair([]services.Service{svcs[0], svcs[0]}, netem.HighlyConstrained(), opts, PairTask{A: 0, B: 1}, nil)
+	out := RunPair(svcs[0], svcs[0], netem.HighlyConstrained(), opts, nil)
 	if out.StopReason == "" {
 		t.Fatal("adaptive RunPair outcome carries no stop reason")
 	}

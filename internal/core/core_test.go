@@ -72,11 +72,10 @@ func TestRunTrialDeterminism(t *testing.T) {
 }
 
 // TestTrialResultRepeatsByteIdentical: a trial is a pure function of its
-// spec down to the last byte of its JSON, which journaled and
-// fleet-shipped results are. The dominant-resolution fields are the
-// argmax of a map; before ties went to the higher resolution, slot 1 of
-// the YouTube self-pair took Go's random map order (1440, 480 or 720 from
-// run to run of one process).
+// spec down to the last byte of its JSON, which journaled results are. The
+// dominant-resolution fields are the argmax of a map; before ties went to
+// the higher resolution, slot 1 of the YouTube self-pair took Go's random
+// map order (1440, 480 or 720 from run to run of one process).
 func TestTrialResultRepeatsByteIdentical(t *testing.T) {
 	for _, c := range []struct {
 		incumbent, contender string
@@ -169,8 +168,7 @@ func TestNoiseDiscard(t *testing.T) {
 func TestRunPairEscalatesOnWideCI(t *testing.T) {
 	opts := fastOpts(netem.HighlyConstrained())
 	opts.ToleranceMbps = 0.000001 // impossible: must escalate to MaxTrials
-	out := RunPair([]services.Service{services.ByName("iPerf (Reno)"), services.ByName("iPerf (Cubic)")},
-		netem.HighlyConstrained(), opts, PairTask{A: 0, B: 1}, nil)
+	out := RunPair(services.ByName("iPerf (Reno)"), services.ByName("iPerf (Cubic)"), netem.HighlyConstrained(), opts, nil)
 	if out.Counted() != opts.MaxTrials {
 		t.Fatalf("trials = %d, want max %d", out.Counted(), opts.MaxTrials)
 	}
@@ -181,8 +179,7 @@ func TestRunPairEscalatesOnWideCI(t *testing.T) {
 
 func TestRunPairStopsEarlyWhenTight(t *testing.T) {
 	opts := fastOpts(netem.HighlyConstrained())
-	out := RunPair([]services.Service{services.ByName("iPerf (Reno)"), services.ByName("iPerf (Reno)")},
-		netem.HighlyConstrained(), opts, PairTask{A: 0, B: 1}, nil)
+	out := RunPair(services.ByName("iPerf (Reno)"), services.ByName("iPerf (Reno)"), netem.HighlyConstrained(), opts, nil)
 	if out.Counted() != opts.MinTrials {
 		t.Fatalf("trials = %d, want min %d", out.Counted(), opts.MinTrials)
 	}

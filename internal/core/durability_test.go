@@ -3,17 +3,16 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/journal"
 	"prudentia/internal/netem"
 	"prudentia/internal/obs"
-	"prudentia/internal/services"
 )
 
 // TestBreakerLifecycle drives one breaker through the full state
@@ -140,7 +139,7 @@ func TestReaperQuarantinesHungTrials(t *testing.T) {
 	opts := fastOpts(net)
 	opts.WallBudget = 1e-9
 	svcs := threeServices()
-	out := RunPair(svcs, net, opts, PairTask{A: 0, B: 1}, nil)
+	out := RunPair(svcs[0], svcs[1], net, opts, nil)
 	if !out.Failed {
 		t.Fatal("reaped pair must be quarantined")
 	}
@@ -163,7 +162,7 @@ func TestReaperGenerousBudgetIsTransparent(t *testing.T) {
 		opts := fastOpts(net)
 		opts.WallBudget = budget
 		svcs := threeServices()
-		return RunPair([]services.Service{svcs[0], svcs[2]}, net, opts, PairTask{A: 0, B: 1}, nil)
+		return RunPair(svcs[0], svcs[2], net, opts, nil)
 	}
 	plain, _ := json.Marshal(run(0))
 	budgeted, _ := json.Marshal(run(1e6))
@@ -294,149 +293,89 @@ func TestJournalResumeEquivalence(t *testing.T) {
 	}
 }
 
-// cutRemote is a coordinator that can lose its fleet: it runs tasks
-// through localRemote (in-process RunPair), records what each
-// RunPairs call was handed, and with limit > 0 delivers only the first
-// limit results before closing the channel, which the matrix reads as
-// an interrupted dispatch.
-type cutRemote struct {
-	w     *Watchdog
-	limit int
-	calls [][]PairTask
-}
-
-func (r *cutRemote) RunPairs(tasks []PairTask, _ func() bool) (<-chan PairTaskResult, error) {
-	r.calls = append(r.calls, tasks)
-	if r.limit > 0 && r.limit < len(tasks) {
-		tasks = tasks[:r.limit]
-	}
-	m := testMatrix(&Watchdog{Services: r.w.Services}, r.w.Settings[0], r.w.SettingOptions(1, 0))
-	return localRemote{m}.RunPairs(tasks, nil)
-}
-
-// TestCoordinatorResume: a cycle whose pairs run on a RemoteRunner
-// leaves no attempts in the coordinator's journal, only one pair record
-// per released pair. Interrupted after k of them, the resumed cycle must
-// dispatch exactly the pairs that were never released — not the whole
-// setting — and still equal an uninterrupted run in its CycleResult, its
-// fault ledger and its breaker state, fixed and adaptive (so the budget
-// a task carries is covered). A record with its sketches stripped is
-// ignored: that pair is dispatched again.
-func TestCoordinatorResume(t *testing.T) {
-	const released = 2
+// TestStalePairRecordResumes: a journal an older build's fleet
+// coordinator wrote can hold a "pair" record — a whole finished pair,
+// keyed under the retired 0001 identity prefix — beside the ordinary
+// attempt records. A local resume from that journal must neither
+// replay the record nor choke on it: its CycleResult, fault ledger and
+// replay count equal a resume from the same journal without it, and
+// the CycleResult and ledger equal an uninterrupted run's. The record
+// names a quarantined pair with a ledger event of its own, so taking
+// it would show in both.
+func TestStalePairRecordResumes(t *testing.T) {
 	type run struct {
 		w      *Watchdog
-		remote *cutRemote
 		ledger []FaultEvent
+		reg    *obs.Registry
 	}
-	for _, adaptive := range []bool{false, true} {
-		mk := func(ckpt string, limit int) *run {
-			opts := fastOpts(netem.HighlyConstrained())
-			opts.BaseSeed = 11
-			opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
-			if adaptive {
-				opts.MinTrials, opts.MaxTrials, opts.Step = 4, 8, 4
-				opts.Adaptive = &AdaptiveOptions{}
-			}
-			r := &run{}
-			r.w = &Watchdog{
-				Services:       threeServices(),
-				Settings:       []netem.Config{netem.HighlyConstrained()},
-				Opts:           opts,
-				CheckpointPath: ckpt,
-				OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
-			}
-			if ckpt != "" {
-				r.w.JournalPath = ckpt + ".wal"
-			}
-			r.remote = &cutRemote{w: r.w, limit: limit}
-			r.w.Remote = r.remote
-			return r
+	mk := func(ckpt string, interrupt func() bool) *run {
+		opts := fastOpts(netem.HighlyConstrained())
+		opts.BaseSeed = 11
+		opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
+		r := &run{reg: obs.NewRegistry()}
+		r.w = &Watchdog{
+			Services:       threeServices(),
+			Settings:       []netem.Config{netem.HighlyConstrained()},
+			Opts:           opts,
+			CheckpointPath: ckpt,
+			Interrupt:      interrupt,
+			Obs:            NewInstruments(r.reg, nil),
+			OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
 		}
-		outputs := func(r *run, cr *CycleResult) string {
-			a, _ := json.Marshal(cr)
-			b, _ := json.Marshal(r.ledger)
-			c, _ := json.Marshal(r.w.Breakers.Status())
-			return string(a) + "\n" + string(b) + "\n" + string(c)
+		return r
+	}
+	outputs := func(r *run, cr *CycleResult) string {
+		a, _ := json.Marshal(cr)
+		b, _ := json.Marshal(r.ledger)
+		return string(a) + "\n" + string(b)
+	}
+	resume := func(ckpt string, stale bool) (string, int64) {
+		t.Helper()
+		calls := 0
+		if _, err := mk(ckpt, func() bool { calls++; return calls > 12 }).w.RunCycle(); err != ErrInterrupted {
+			t.Fatalf("interrupted cycle returned %v, want ErrInterrupted", err)
 		}
-		resume := func(ckpt string) (*run, string) {
-			t.Helper()
-			r := mk(ckpt, 0)
-			cr, err := r.w.RunCycle()
+		r := mk(ckpt, nil)
+		if stale {
+			jw, rec, err := journal.Open(ckpt + ".wal")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(r.remote.calls) != 1 {
-				t.Fatalf("resumed cycle dispatched %d times, want once", len(r.remote.calls))
+			if len(rec.Entries) == 0 {
+				t.Fatal("interrupted cycle journaled no attempts")
 			}
-			return r, outputs(r, cr)
-		}
-		interrupt := func(ckpt string) {
-			t.Helper()
-			if _, err := mk(ckpt, released).w.RunCycle(); err != ErrInterrupted {
-				t.Fatalf("cut-off dispatch returned %v, want ErrInterrupted", err)
+			out, _ := json.Marshal(&PairOutcome{Incumbent: "iPerf (Reno)", Contender: "iPerf (Cubic)", Failed: true})
+			record := fmt.Sprintf(`{"outcome":%s,"events":[{"pair":"iPerf (Reno) vs iPerf (Cubic)","kind":"quarantine"}]}`, out)
+			key := trialSeed(r.w.SettingOptions(1, 0).BaseSeed, 1<<60|pairSeedID(0, 1), 0)
+			if err := jw.Append(journal.Entry{Seed: key, Pair: "iPerf (Reno) vs iPerf (Cubic)", Kind: "pair",
+				Result: json.RawMessage(record)}); err != nil {
+				t.Fatal(err)
 			}
+			jw.Close()
 		}
-
-		ref := mk("", 0)
-		crRef, err := ref.w.RunCycle()
+		cr, err := r.w.RunCycle()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, all := outputs(ref, crRef), ref.remote.calls[0]
-		if adaptive && all[released].Budget == 0 {
-			t.Fatal("adaptive tasks must carry their budget")
-		}
+		return outputs(r, cr), r.reg.Snapshot().Counters["prudentia_journal_replayed_total"]
+	}
 
-		dir := t.TempDir()
-		ckpt := filepath.Join(dir, "ckpt.json")
-		interrupt(ckpt)
-		r, got := resume(ckpt)
-		if !reflect.DeepEqual(r.remote.calls[0], all[released:]) {
-			t.Fatalf("adaptive=%v: resumed cycle dispatched %+v, want the unreleased %+v", adaptive, r.remote.calls[0], all[released:])
-		}
-		if got != want {
-			t.Fatalf("adaptive=%v: resumed coordinator cycle differs from uninterrupted run:\n%s\nvs\n%s", adaptive, got, want)
-		}
-
-		// Same interruption, but the first pair's record is superseded by
-		// one without sketches before the resume.
-		ckpt = filepath.Join(dir, "stripped.json")
-		interrupt(ckpt)
-		jw, rec, err := journal.Open(ckpt + ".wal")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var first *journal.Entry
-		for i := range rec.Entries {
-			if rec.Entries[i].Kind == "pair" {
-				first = &rec.Entries[i]
-				break
-			}
-		}
-		if first == nil {
-			t.Fatal("interrupted coordinator cycle journaled no pair record")
-		}
-		var body struct {
-			Outcome map[string]json.RawMessage `json:"outcome"`
-			Events  json.RawMessage            `json:"events,omitempty"`
-		}
-		if err := json.Unmarshal(first.Result, &body); err != nil {
-			t.Fatal(err)
-		}
-		delete(body.Outcome, "sketches")
-		first.Result, _ = json.Marshal(body)
-		if err := jw.Append(*first); err != nil {
-			t.Fatal(err)
-		}
-		jw.Close()
-		r, got = resume(ckpt)
-		if wantTasks := append([]PairTask{all[0]}, all[released:]...); !reflect.DeepEqual(r.remote.calls[0], wantTasks) {
-			t.Fatalf("adaptive=%v: with a sketch-less record the resume dispatched %+v, want %+v", adaptive, r.remote.calls[0], wantTasks)
-		}
-		if got != want {
-			t.Fatalf("adaptive=%v: resume past a sketch-less record differs from uninterrupted run:\n%s\nvs\n%s", adaptive, got, want)
-		}
+	ref := mk("", nil)
+	cr, err := ref.w.RunCycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := outputs(ref, cr)
+	plain, plainReplays := resume(filepath.Join(t.TempDir(), "plain.ckpt"), false)
+	got, replays := resume(filepath.Join(t.TempDir(), "stale.ckpt"), true)
+	if plain != want {
+		t.Fatalf("resume differs from an uninterrupted run:\n%s\nvs\n%s", plain, want)
+	}
+	if got != want {
+		t.Fatalf("resume past a stale pair record differs from an uninterrupted run:\n%s\nvs\n%s", got, want)
+	}
+	if plainReplays == 0 || replays != plainReplays {
+		t.Fatalf("resume past a stale pair record replayed %v attempts, want %v", replays, plainReplays)
 	}
 }
 

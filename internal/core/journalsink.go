@@ -31,9 +31,7 @@ type journalSink struct {
 }
 
 // newJournalSink indexes the recovered entries by seed. Later
-// duplicates win, matching append order (a seed journaled twice — a
-// remote pair whose earlier record failed to decode and was dispatched
-// again — replays its final record).
+// duplicates win, matching append order.
 func newJournalSink(w *journal.Writer, recovered []journal.Entry) *journalSink {
 	s := &journalSink{w: w, seen: make(map[uint64]journal.Entry, len(recovered))}
 	for _, e := range recovered {

@@ -8,9 +8,8 @@ import (
 // Recipe is everything that determines a trial's bytes, as the resolved
 // values a run computes with rather than the flags or fields it was
 // given: the catalog in order and each setting's network and scheduler
-// options. The manifest embeds it and the fleet handshake hashes it, so
-// the two cannot drift and a worker is admitted for what it would
-// compute. Worker count, paths and supervision knobs that leave trials
+// options. The manifest embeds it, so a run's provenance names what it
+// computed. Worker count, paths and supervision knobs that leave trials
 // alone are deliberately absent.
 type Recipe struct {
 	Services []string        `json:"services"`
@@ -21,10 +20,8 @@ type Recipe struct {
 // Timing, a func, cannot be written down; the trial timing it yields is.
 // The first three timing fields speak the paper's vocabulary;
 // SimulatedSec is what a trial actually runs, duration_s - cooldown_s
-// (the engine stops where the window closes). It is in the recipe, hence
-// in the fleet fingerprint, so a build that still simulates the tail,
-// whose TrialObs counters would differ from a serial run's, is refused
-// at hello.
+// (the engine stops where the window closes). It is in the recipe, so
+// two manifests whose trials simulated different spans differ.
 type SettingRecipe struct {
 	Net          netem.Config     `json:"net"`
 	Options      SchedulerOptions `json:"options"`

@@ -23,8 +23,8 @@ import (
 // trial fault ever propagates out of Run; the only error Run returns is
 // ErrInterrupted when the Interrupt hook requests a graceful stop.
 //
-// What the whole cycle shares — Services, Workers, Remote, Interrupt,
-// OnFault, Progress, Breakers, Obs — is read from the Watchdog, which
+// What the whole cycle shares — Services, Workers, Interrupt, OnFault,
+// Progress, Breakers, Obs — is read from the Watchdog, which
 // documents it; the fields here are what differs per setting.
 type matrix struct {
 	w *Watchdog
@@ -33,10 +33,6 @@ type matrix struct {
 	// cycle and setting.
 	net  netem.Config
 	opts SchedulerOptions
-	// cycle and setting ride every PairTask under Remote, so workers
-	// re-derive opts — and with them every trial seed — from their own
-	// configuration.
-	cycle, setting int
 	// open is the admission set: every pair with a member in it is
 	// marked Skipped (rendered ○○) and released immediately, without
 	// running a single trial. It is the breakers' open set when the
@@ -50,8 +46,7 @@ type matrix struct {
 	// seed being a pure function of (BaseSeed, pair, attempt). That
 	// includes the adaptive budgets: screening replays like any other
 	// attempt, so a resumed Run allocates the interrupted run's ceilings
-	// again. Under Remote it holds one record per finished pair instead
-	// (remote.go).
+	// again.
 	journal *journalSink
 }
 
@@ -101,18 +96,7 @@ func (m *matrix) Run() (*MatrixResult, error) {
 		m.applyBudgets(states, budgets)
 	}
 
-	// Who produces the results — local goroutines or the remote runner —
-	// is the only difference between a local and a distributed matrix.
-	var interrupted bool
-	if m.w.Remote != nil {
-		var err error
-		if interrupted, err = m.runAllRemote(states); err != nil {
-			return res, err
-		}
-	} else {
-		interrupted = m.runAll(states)
-	}
-	if interrupted {
+	if m.runAll(states) {
 		return res, ErrInterrupted
 	}
 	return res, nil
@@ -131,8 +115,8 @@ func (m *matrix) skipPair(i, j int) (openService string, skip bool) {
 
 // finish publishes a pair that reached a final state: breaker scores,
 // registry counters and the Progress line are all derived here, from the
-// outcome, on the canonical release path — the only one, which executed,
-// replayed and fleet pairs alike go through — so they are ordered and
+// outcome, on the canonical release path — the only one, which executed
+// and replayed pairs alike go through — so they are ordered and
 // identical for any worker count and across a resume.
 func (m *matrix) finish(st *pairState) {
 	m.w.Breakers.scorePair(st.outcome)

@@ -208,8 +208,8 @@ func (in *Instruments) trialEnd(pair string, seed uint64, attempt int, ar *attem
 // counted trials. It is the only writer of those families and its only
 // caller is matrix.finish, on the canonical release path, so what the
 // registry counts is by construction a fold over exactly the outcomes
-// that were published — whichever goroutine, process or fleet worker
-// executed them, and never a pair an interrupt abandoned.
+// that were published — whichever worker executed or the journal
+// replayed them, and never a pair an interrupt abandoned.
 func (in *Instruments) foldPair(o *PairOutcome) {
 	if in == nil {
 		return
@@ -252,29 +252,11 @@ func (in *Instruments) foldPair(o *PairOutcome) {
 	in.chaosStalls.Add(t.ChaosStalls)
 }
 
-// remoteSimDurations replays a remotely executed pair's counted-trial
-// durations into the sim-seconds histogram. Duration samples are
-// worker-local observability (trialEnd); a fleet worker's never reach
-// the coordinator, so its counted trials are reconstructed from the
-// outcome's duration sketch (exact samples within the buffer cap,
-// bucket representatives beyond it; histograms only see bucketed values
-// anyway). The replay costs one observation per sample or bucket, never
-// one per trial a bucket counts. Timeline events and wall-clock
-// histograms are deliberately not reconstructed.
-func (in *Instruments) remoteSimDurations(o *PairOutcome) {
-	if in == nil {
-		return
-	}
-	o.Sketches.SimSeconds.Each(in.trialSim.ObserveN)
-}
-
 // pairDone records a pair reaching a final state. Called from the
 // scheduler's ordered release path, so pair_done timeline events appear
-// in canonical order even under the worker pool — and for remotely
-// executed pairs too (fleet results release through the same path), so
-// the adaptive stop-reason counters and trials-saved total are uniform
-// across local and fleet execution. Fixed-budget pairs carry no
-// StopReason and produce exactly the pre-adaptive event stream.
+// in canonical order even under the worker pool. Fixed-budget pairs
+// carry no StopReason and produce exactly the pre-adaptive event
+// stream.
 func (in *Instruments) pairDone(st *pairState) {
 	if in == nil {
 		return

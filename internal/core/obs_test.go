@@ -218,36 +218,6 @@ func obsMatrix(tl *obs.Timeline) (*matrix, *obs.Registry) {
 	return testMatrix(w, w.Settings[0], w.Opts), reg
 }
 
-// TestObsRegistryParityLocalVsFleet: the registry's counters and gauges
-// are a fold over released outcomes, so the same seeded chaos matrix run
-// through the local pool and through a remote runner (the in-process
-// RunPair stub) must leave identical ones. Histograms are excepted:
-// wall-clock and per-attempt sim samples are worker-local observability,
-// which a remote worker's never reach the coordinator.
-func TestObsRegistryParityLocalVsFleet(t *testing.T) {
-	run := func(remote bool) obs.Snapshot {
-		m, reg := obsMatrix(nil)
-		m.w.Workers = 2
-		if remote {
-			m.w.Remote = localRemote{m}
-		}
-		if _, err := m.Run(); err != nil {
-			t.Fatalf("matrix (remote=%v): %v", remote, err)
-		}
-		s := deterministic(reg.Snapshot())
-		s.Histograms = nil
-		return s
-	}
-	local, fleet := run(false), run(true)
-	if !reflect.DeepEqual(local, fleet) {
-		t.Errorf("registry differs between local and fleet execution:\nlocal %v %v\nfleet %v %v",
-			local.Counters, local.Gauges, fleet.Counters, fleet.Gauges)
-	}
-	if local.Counters["prudentia_trials_failed_total"] == 0 || local.Counters["prudentia_netem_arrived_packets_total"] == 0 {
-		t.Errorf("parity check saw no failures or no traffic: %v", local.Counters)
-	}
-}
-
 // TestInterruptedRegistryNamesOnlyReleasedPairs: after an interrupt the
 // deterministic families equal the fold of exactly the outcomes that
 // were released (and so checkpointed) — the abandoned pair's attempts

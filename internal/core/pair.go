@@ -2,8 +2,6 @@ package core
 
 import (
 	"cmp"
-	"errors"
-	"fmt"
 
 	"prudentia/internal/chaos"
 	"prudentia/internal/netem"
@@ -165,32 +163,6 @@ type PairOutcome struct {
 	Sketches *PairSketches `json:"sketches,omitempty"`
 }
 
-// ErrNoSketches marks a decoded pair that ran trials yet carries no
-// usable sketch state: the raw-sample shape older builds wrote under
-// -exact-stats. Accepting it would publish silent blank cells.
-var ErrNoSketches = errors.New("pair holds raw samples instead of sketches (written with -exact-stats by an older build); re-run the cycle")
-
-// Validate checks a pair decoded from a journaled pair record or a
-// fleet result: every pair except a breaker-skipped one must carry its
-// full sketch set (ErrNoSketches otherwise), and every sketch must hold
-// exactly one sample per counted trial, as observe leaves it. A sketch
-// that claims more samples than the pair counted is refused before any
-// reader walks them.
-func (p *PairOutcome) Validate() error {
-	if p.Skipped {
-		return nil
-	}
-	if !p.Sketches.complete() {
-		return ErrNoSketches
-	}
-	for _, s := range p.Sketches.all() {
-		if s.Count() != p.Sketches.N {
-			return fmt.Errorf("core: a sketch holds %d samples for %d counted trials", s.Count(), p.Sketches.N)
-		}
-	}
-	return nil
-}
-
 // Counted returns the number of counted trials. All "how many trials
 // entered the statistic" logic goes through here.
 func (p *PairOutcome) Counted() int {
@@ -243,23 +215,21 @@ func (p *PairOutcome) ciSatisfied(tol float64) bool {
 	return p.Sketches.Mbps[0].CIWithin(tol) && p.Sketches.Mbps[1].CIWithin(tol)
 }
 
-// RunPair runs the full §3.4 protocol for the catalog pair the task
-// names in one network setting: the fleet worker's entry point, and the
-// library's for one pair (catalog {incumbent, contender}, task {A: 0,
-// B: 1}; a nil contender runs the incumbent solo). Trial errors and
-// panics never propagate: they are recorded on the outcome, retried
-// with fresh seeds, and quarantine the pair (Failed) after maxFailures.
-// onFault, if non-nil, receives the live fault ledger — the stream
-// Watchdog.OnFault delivers — with every attempt emitted before any
-// return path. Outcome and events are byte-identical to the same pair
-// executed inside a local matrix, because every trial seed is a pure
-// function of (opts.BaseSeed, pair identity, attempt) and the adaptive
-// stopper is a pure function of the counted-trial prefix and the task's
-// Budget.
-func RunPair(svcs []services.Service, net netem.Config, opts SchedulerOptions, task PairTask, onFault func(FaultEvent)) *PairOutcome {
+// RunPair runs the full §3.4 protocol for one pair in one network
+// setting: the library's entry point for a single pair (a nil contender
+// runs the incumbent solo). Trial errors and panics never propagate:
+// they are recorded on the outcome, retried with fresh seeds, and
+// quarantine the pair (Failed) after maxFailures. onFault, if non-nil,
+// receives the live fault ledger — the stream Watchdog.OnFault delivers
+// — with every attempt emitted before any return path. The pair takes
+// catalog identity (0, 1), so its trial seeds, outcome and events are
+// those of the same two services at indices 0 and 1 of a local matrix:
+// every trial seed is a pure function of (opts.BaseSeed, pair identity,
+// attempt), and the adaptive stopper, with no screening to allocate a
+// ceiling, stops by MaxTrials.
+func RunPair(incumbent, contender services.Service, net netem.Config, opts SchedulerOptions, onFault func(FaultEvent)) *PairOutcome {
 	opts = opts.withDefaults(net)
-	st := newPairState(task.A, task.B, svcs[task.A], svcs[task.B], opts)
-	st.budget = task.Budget
+	st := newPairState(0, 1, incumbent, contender, opts)
 	if onFault == nil {
 		onFault = func(FaultEvent) {}
 	}

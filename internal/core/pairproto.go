@@ -298,7 +298,7 @@ func (pp *pairProtocol) evaluate(st *pairState) {
 // evaluateAdaptive applies the sequential stopper (internal/stats) to
 // the pair's share sketches and its ring of recorded verdicts. The
 // decision is a pure function of the counted-trial prefix and the
-// pair's allocated ceiling, so resumed, fleet, and serial executions of
+// pair's allocated ceiling, so resumed and uninterrupted executions of
 // the same pair stop identically. A pair that exhausts the
 // scheduler-wide MaxTrials without converging is marked Unstable
 // exactly as under the fixed rule; one cut short by a smaller screening

@@ -15,11 +15,10 @@ import (
 // seed derived from (BaseSeed, identity, attempt)), whose outputs must
 // be published in index order. runOrdered is the only place that shape
 // is spelled: it owns the latched interrupt, the worker spawn, the
-// inline-at-one-worker switch and — through mergeOrdered, which the
-// fleet path shares — the canonical-order merge. Calibration
-// (watchdog.go), screening (adaptive.go) and the local pair matrix
-// (runAll below) are task/release closures over it; a distributed
-// matrix (remote.go) differs only in who produces the results.
+// inline-at-one-worker switch and, through mergeOrdered, the
+// canonical-order merge. Calibration (watchdog.go), screening
+// (adaptive.go) and the pair matrix (runAll below) are task/release
+// closures over it, and it is the cycle's one pair runner.
 //
 // Workers buffer, the merger emits: a task never calls a user hook. It
 // returns its value (a pair's buffered ledger events, a calibration's
@@ -120,13 +119,12 @@ func runOrdered[T any](n, workers int, hook func() bool,
 	}, release)
 }
 
-// mergeOrdered is the canonical-order merge: source yields (index,
-// value) results in any order — from this goroutine's own tasks, from
-// pool workers, or from a remote runner — and release receives them in
-// index order, each exactly once, as soon as every lower index has been
-// released. When the source is exhausted, results stranded behind a
-// missing index are released too, still in index order. It reports
-// whether fewer than n results arrived.
+// mergeOrdered is the canonical-order merge: source yields (index, value)
+// results in any order — from this goroutine's own tasks or from pool
+// workers — and release receives them in index order, each exactly once,
+// as soon as every lower index has been released. When the source is
+// exhausted, results stranded behind a missing index are released too,
+// still in index order. It reports whether fewer than n results arrived.
 func mergeOrdered[T any](n int, source func(yield func(i int, v T)), release func(i int, v T)) (incomplete bool) {
 	pending := make(map[int]T)
 	next := 0
@@ -153,9 +151,10 @@ func mergeOrdered[T any](n int, source func(yield func(i int, v T)), release fun
 	return next+len(stranded) < n
 }
 
-// runAll executes every pending pair on the local pool and reports
-// whether the run was interrupted. A pair's task value is its buffered
-// ledger events; releasePair publishes them.
+// runAll executes every pending pair on the pool and reports whether
+// the run was interrupted. A pair's task value is its buffered ledger
+// events; the release half publishes them, then scores, counts and
+// reports the pair (matrix.finish).
 func (m *matrix) runAll(states []*pairState) (interrupted bool) {
 	// busyNanos accumulates time spent actually running pairs (as opposed
 	// to waiting for a task), feeding the pool busy-fraction gauge. Only
@@ -180,24 +179,16 @@ func (m *matrix) runAll(states []*pairState) (interrupted bool) {
 				busyNanos.Add(int64(time.Since(t0)))
 			}
 			return events, completed
-		}, m.releasePair(states))
+		}, func(i int, events []FaultEvent) {
+			for _, ev := range events {
+				m.w.fault(ev)
+			}
+			m.finish(states[i])
+		})
 	if nw := workerCount(m.w.Workers, len(states)); nw > 1 && ins != nil {
 		if elapsed := time.Since(poolStart); elapsed > 0 {
 			ins.poolStats(float64(busyNanos.Load()) / (float64(elapsed) * float64(nw)))
 		}
 	}
 	return interrupted
-}
-
-// releasePair returns the pair matrix's release half, shared by the
-// local pool and the remote runner: a finished pair's ledger events,
-// then breaker scoring, telemetry and the Progress line
-// (matrix.finish).
-func (m *matrix) releasePair(states []*pairState) func(i int, events []FaultEvent) {
-	return func(i int, events []FaultEvent) {
-		for _, ev := range events {
-			m.w.fault(ev)
-		}
-		m.finish(states[i])
-	}
 }

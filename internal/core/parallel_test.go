@@ -151,8 +151,8 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 	opts := fastOpts(net)
 	opts.Chaos = &chaos.Config{ErrorRate: 1}
 	var events []FaultEvent
-	pair := PairTask{A: 0, B: 1}
-	p := RunPair(threeServices(), net, opts, pair, func(ev FaultEvent) { events = append(events, ev) })
+	svcs := threeServices()
+	p := RunPair(svcs[0], svcs[1], net, opts, func(ev FaultEvent) { events = append(events, ev) })
 	if !p.Failed || len(p.Failures) != maxFailures {
 		t.Fatalf("pair not quarantined after %d failures: %+v", maxFailures, p)
 	}
@@ -188,7 +188,7 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 	opts = fastOpts(net)
 	opts.Chaos = &chaos.Config{CorruptRate: 1}
 	events = nil
-	p = RunPair(threeServices(), net, opts, pair, func(ev FaultEvent) { events = append(events, ev) })
+	p = RunPair(svcs[0], svcs[1], net, opts, func(ev FaultEvent) { events = append(events, ev) })
 	if !p.Unstable || p.Corrupt != maxDiscards+1 {
 		t.Fatalf("pair not unstable after exhausting discards: %+v", p)
 	}
@@ -205,7 +205,7 @@ func TestRunPairLedgerUnconditional(t *testing.T) {
 
 	// A nil ledger hook must behave identically.
 	a, _ := json.Marshal(p)
-	b, _ := json.Marshal(RunPair(threeServices(), net, opts, pair, nil))
+	b, _ := json.Marshal(RunPair(svcs[0], svcs[1], net, opts, nil))
 	if !bytes.Equal(a, b) {
 		t.Fatalf("RunPair outcomes with and without a ledger hook differ:\n%s\nvs\n%s", a, b)
 	}

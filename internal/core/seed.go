@@ -46,12 +46,9 @@ func canarySeedID(name string) uint64 {
 	return 1<<62 | h>>2
 }
 
-// pairRecordSeedID encodes the identity of a finished remote pair's
-// journal record (remote.go) under a 0001 prefix, a namespace disjoint
-// from pair trials (top bits 0000), screening (001), canaries (01) and
-// solo calibration (1): a record is looked up by key like an attempt,
-// and must never be mistaken for one.
-func pairRecordSeedID(a, b int) uint64 { return 1<<60 | pairSeedID(a, b) }
+// The 0001 prefix is retired: it keyed the whole-pair records that
+// journals written by older builds may still hold. No identity may take
+// it again, so such a record is never looked up and never replays.
 
 // trialSeed derives the seed for one attempt of one experiment.
 func trialSeed(base, id uint64, attempt int) uint64 {
@@ -92,7 +89,8 @@ func asTrialError(err error, seed uint64) *TrialError {
 }
 
 // TrialFailure is the persisted record of one failed attempt, kept on
-// the PairOutcome so pair records and artifacts carry the full ledger.
+// the PairOutcome so the cycle result and its artifacts carry the full
+// ledger.
 type TrialFailure struct {
 	Attempt int    `json:"attempt"`
 	Seed    uint64 `json:"seed"`

@@ -1,17 +1,14 @@
 package core
 
 import (
-	"slices"
-
 	"prudentia/internal/stats"
 )
 
 // Per-pair statistics. A pair never retains its TrialResults: it
 // carries one PairSketches, a fixed set of mergeable quantile sketches
 // (internal/stats) plus the summed deterministic telemetry aggregate,
-// so state per pair is O(1) in the trial count and pair records and
-// fleet results carry fixed-size encoded sketches instead of raw
-// samples.
+// so state per pair is O(1) in the trial count and a pair's JSON
+// carries fixed-size encoded sketches instead of raw samples.
 //
 // Up to stats.SketchBufferCap counted trials (far beyond any paper
 // budget) the sketches hold every sample exactly and answer with the
@@ -25,9 +22,8 @@ import (
 // reported metric, keyed by the same slot convention as TrialResult
 // (slot 0 incumbent, slot 1 contender), plus the summed TrialObs
 // aggregate the release path folds into the registry's counter totals
-// (Instruments.foldPair) without per-trial data. It rides pair-record
-// JSON and the fleet protocol via the sketches' base64 binary
-// encoding.
+// (Instruments.foldPair) without per-trial data. It rides the pair's
+// JSON via the sketches' base64 binary encoding.
 type PairSketches struct {
 	// N counts the counted trials folded in.
 	N int `json:"n"`
@@ -43,9 +39,7 @@ type PairSketches struct {
 	// QueueDelaySec holds each slot's queueing-delay distribution, in
 	// seconds.
 	QueueDelaySec [2]*stats.Sketch `json:"queue_delay_sec"`
-	// SimSeconds holds the per-trial simulated-duration distribution
-	// (feeds the coordinator's trial-duration histogram for remote
-	// pairs).
+	// SimSeconds holds the per-trial simulated-duration distribution.
 	SimSeconds *stats.Sketch `json:"sim_seconds"`
 	// Obs is the element-wise sum (max for the occupancy high water) of
 	// every counted trial's deterministic telemetry aggregate.
@@ -65,18 +59,6 @@ func newPairSketches() *PairSketches {
 		ps.QueueDelaySec[s] = stats.NewSketch()
 	}
 	return ps
-}
-
-// all lists the set's ten sketches.
-func (ps *PairSketches) all() []*stats.Sketch {
-	return []*stats.Sketch{ps.Mbps[0], ps.Mbps[1], ps.SharePct[0], ps.SharePct[1], ps.Utilization,
-		ps.Loss[0], ps.Loss[1], ps.QueueDelaySec[0], ps.QueueDelaySec[1], ps.SimSeconds}
-}
-
-// complete reports whether every sketch of the set is present: a
-// decoded set (pair record, fleet result) may be nil or hold null members.
-func (ps *PairSketches) complete() bool {
-	return ps != nil && !slices.Contains(ps.all(), nil)
 }
 
 // observe folds one counted trial into the sketch set.

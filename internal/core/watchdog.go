@@ -44,13 +44,6 @@ type Watchdog struct {
 	// in canonical order. With Workers > 1 the Interrupt hook must be
 	// safe for concurrent use.
 	Workers int
-	// Remote, if non-nil, executes every setting's pair matrix on a
-	// remote runner (the fleet coordinator) instead of the local worker
-	// pool; solo calibrations and canary probes stay local. Because
-	// remote results merge through the same ordered-release path, the
-	// cycle's outputs — report, heatmaps, checkpoints, fault ledger —
-	// are byte-identical to a single-process run.
-	Remote RemoteRunner
 	// AccessCodes gate third-party submissions.
 	AccessCodes []string
 	// Progress, if non-nil, receives human-readable progress lines.
@@ -67,12 +60,12 @@ type Watchdog struct {
 	CheckpointPath string
 	// JournalPath names the write-ahead trial journal (internal/journal):
 	// one fsynced record per executed attempt — counted, discarded,
-	// corrupt, or failed — or per pair a RemoteRunner finished. The next
-	// RunCycle recovers it, truncates any torn tail, and replays the
-	// recovered attempts by seed instead of re-simulating them: at most
-	// the single in-flight trial is lost. It may be set without
-	// CheckpointPath. Journal open failures degrade to unjournaled
-	// operation (reported via Progress), never abort the cycle.
+	// corrupt, or failed. The next RunCycle recovers it, truncates any
+	// torn tail, and replays the recovered attempts by seed instead of
+	// re-simulating them: at most the single in-flight trial is lost. It
+	// may be set without CheckpointPath. Journal open failures degrade to
+	// unjournaled operation (reported via Progress), never abort the
+	// cycle.
 	JournalPath string
 	// DiskChaos, when non-nil, runs the watchdog's durable writers —
 	// the cycle checkpoint and the trial journal — through a
@@ -242,26 +235,24 @@ func (w *Watchdog) header() (*Checkpoint, error) {
 	return cp, nil
 }
 
-// RunCycle executes one full iteration and returns it.
-// It is crash-safe end to end: trial panics and errors are quarantined
-// per pair, every executed attempt is journaled when CheckpointPath or
-// JournalPath is set, and an Interrupt request returns ErrInterrupted
-// with in-flight trials drained and the checkpoint header flushed.
-// Recovery is replay: when the header at CheckpointPath names a cycle
-// later than the last one this watchdog completed, RunCycle resumes it —
-// it restores the header and runs from the top, with every attempt the
-// journal holds served back by seed instead of simulated (a pair a
-// RemoteRunner finished comes back whole, remote.go), so ledger events,
-// breaker scoring, telemetry and Progress lines happen on the ordinary
-// release path and nowhere else; what the journal lacks is simulated
-// again from the same seeds. Decisions are recomputed the same way: each
-// setting's admission is the breaker state the replayed work re-scored
-// the restored snapshot to, and each adaptive allocation comes from the
-// replayed screening. Either way the CycleResult and fault ledger are
-// identical to an uninterrupted run's under this watchdog's
-// configuration, at every worker count — whatever protocol the
-// interrupted process ran. A header that fails to load is returned
-// before anything is written.
+// RunCycle executes one full iteration and returns it. It is crash-safe
+// end to end: trial panics and errors are quarantined per pair, every
+// executed attempt is journaled when CheckpointPath or JournalPath is set,
+// and an Interrupt request returns ErrInterrupted with in-flight trials
+// drained and the checkpoint header flushed. Recovery is replay: when the
+// header at CheckpointPath names a cycle later than the last one this
+// watchdog completed, RunCycle resumes it — it restores the header and
+// runs from the top, with every attempt the journal holds served back by
+// seed instead of simulated, so ledger events, breaker scoring, telemetry
+// and Progress lines happen on the ordinary release path and nowhere else;
+// what the journal lacks is simulated again from the same seeds. Decisions
+// are recomputed the same way: each setting's admission is the breaker
+// state the replayed work re-scored the restored snapshot to, and each
+// adaptive allocation comes from the replayed screening. Either way the
+// CycleResult and fault ledger are identical to an uninterrupted run's
+// under this watchdog's configuration, at every worker count — whatever
+// protocol the interrupted process ran. A header that fails to load is
+// returned before anything is written.
 func (w *Watchdog) RunCycle() (*CycleResult, error) {
 	cp, err := w.header()
 	if err != nil {
@@ -340,7 +331,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		for _, n := range w.Breakers.OpenServices() {
 			open[n] = true
 		}
-		m := &matrix{w: w, net: net, opts: opts, cycle: cr.Cycle, setting: si, open: open, journal: sink}
+		m := &matrix{w: w, net: net, opts: opts, open: open, journal: sink}
 		res, err := m.Run()
 		if err != nil {
 			interruptedExit()
@@ -365,9 +356,6 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 // (cycle, setting) pair: the setting's preset (PaperOptions, or
 // QuickOptions when Quick is set) with every non-zero field of Opts laid
 // over it and the cycle/setting seed offset applied.
-// It is exported for fleet workers, which must derive trial seeds
-// identically to the coordinator's watchdog from their own (matching)
-// configuration.
 func (w *Watchdog) SettingOptions(cycle, si int) SchedulerOptions {
 	base := PaperOptions(w.Settings[si])
 	if w.Quick {

@@ -1,8 +1,8 @@
 // Package journal is Prudentia's one durable-write primitive and the only
 // package that knows the frame format. It provides, bottom up:
 //
-//   - the frame codec every log, wire protocol and sketch encoding
-//     shares (Frame, ScanFrames, ReadFrame);
+//   - the frame codec every log and sketch encoding shares (Frame,
+//     ScanFrames);
 //   - the File/WrapFunc storage seam that lets -chaos-disk inject
 //     faults into every durable write;
 //   - ReplaceFile, the atomic temp→fsync→rename→dir-fsync file replace
@@ -49,13 +49,10 @@ type Entry struct {
 	Attempt int `json:"attempt"`
 	// Kind classifies the attempt outcome: "ok" (counted trial),
 	// "discard" (noise-discarded), "corrupt" (validity-gate rejection),
-	// or "fail" (error or recovered panic). "pair" marks the one record
-	// that is not an attempt: a whole pair a remote runner finished,
-	// with Seed its record key rather than a trial seed.
+	// or "fail" (error or recovered panic).
 	Kind string `json:"kind"`
 	// Result carries the caller's serialized trial result for "ok" and
-	// "discard" entries, the finished pair for "pair" (the journal does
-	// not interpret it).
+	// "discard" entries (the journal does not interpret it).
 	Result json.RawMessage `json:"result,omitempty"`
 	// Detail carries the validity error for "corrupt" and the failure
 	// message for "fail".

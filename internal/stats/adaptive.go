@@ -1,14 +1,14 @@
 package stats
 
 // Sequential stopping for adaptive trial budgets. A SequentialPolicy is
-// evaluated after every counted trial on the share sketches of both
-// slots, and decides — as a pure function of the counted-trial prefix
-// and nothing else — whether the pair needs more trials. Purity is the
-// load-bearing property: a resumed cycle replaying journaled trials, a
-// fleet worker executing the pair remotely, and an uninterrupted serial
-// run all reconstruct the identical share prefix and therefore reach
-// the identical stopping decision, which is what keeps adaptive reports
-// byte-identical across resume/replay and any worker count.
+// evaluated after every counted trial on the share sketches of both slots,
+// and decides — as a pure function of the counted-trial prefix and nothing
+// else — whether the pair needs more trials. Purity is the load-bearing
+// property: a resumed cycle replaying journaled trials and an
+// uninterrupted run at any worker count reconstruct the identical share
+// prefix and therefore reach the identical stopping decision, which is
+// what keeps adaptive reports byte-identical across resume/replay and any
+// worker count.
 
 // DefaultFairSharePct is the paper's "roughly fair" verdict boundary:
 // a slot achieving at least this percentage of its max-min fair share

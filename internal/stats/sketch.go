@@ -399,8 +399,8 @@ func (s *Sketch) IQR() float64 {
 
 // Each visits the sketch's contents in ascending value order: every
 // retained sample individually in the exact regime, and each bucket's
-// representative with its count in the compacted regime. Useful for
-// replaying a sketch into downstream histograms or test oracles.
+// representative with its count in the compacted regime — the one
+// place that order is spelled (valueAtRank walks it too).
 func (s *Sketch) Each(f func(v float64, count int64)) {
 	if !s.compacted {
 		for _, v := range s.buf {
@@ -419,11 +419,10 @@ func (s *Sketch) Each(f func(v float64, count int64)) {
 	}
 }
 
-// valueAtRank walks the compacted histogram in value order — negative
-// buckets from most to least negative, zeros, then positive buckets —
-// and returns the representative of the bucket containing the given
-// 0-based rank. The exact min/max replace bucket estimates at the
-// extreme ranks.
+// valueAtRank returns the representative of the compacted histogram's
+// bucket containing the given 0-based rank, walking the buckets in the
+// order Each visits them. The exact min/max replace bucket estimates at
+// the extreme ranks.
 func (s *Sketch) valueAtRank(rank int64) float64 {
 	if rank <= 0 {
 		return s.min
@@ -431,24 +430,14 @@ func (s *Sketch) valueAtRank(rank int64) float64 {
 	if rank >= s.n-1 {
 		return s.max
 	}
-	var cum int64
-	for i := len(s.neg) - 1; i >= 0; i-- {
-		cum += s.neg[i].Count
-		if rank < cum {
-			return -s.value(s.neg[i].Key)
+	v, cum := s.max, int64(0)
+	s.Each(func(x float64, count int64) {
+		if cum <= rank && rank < cum+count {
+			v = x
 		}
-	}
-	cum += s.zero
-	if rank < cum {
-		return 0
-	}
-	for _, b := range s.pos {
-		cum += b.Count
-		if rank < cum {
-			return s.value(b.Key)
-		}
-	}
-	return s.max
+		cum += count
+	})
+	return v
 }
 
 // Encoded-payload layout (all integers big-endian, floats as IEEE-754
@@ -468,8 +457,8 @@ func (s *Sketch) valueAtRank(rank int64) float64 {
 
 // Encode serializes the sketch into a CRC-framed canonical binary
 // form. Equal states produce equal bytes, so encoded sketches can be
-// compared, deduplicated, and merged across fleet workers without
-// caring which worker (or how many) produced them.
+// compared and merged without caring which worker (or how many)
+// produced them.
 func (s *Sketch) Encode() []byte {
 	payload := make([]byte, 0, 64+len(s.buf)*8+(len(s.pos)+len(s.neg))*12)
 	payload = append(payload, sketchMagic...)
@@ -653,8 +642,7 @@ func decodeBuckets(r *sketchReader, total int64) ([]bucket, int64, error) {
 }
 
 // MarshalJSON encodes the sketch as a base64 string of its binary
-// frame, so sketches ride unchanged through checkpoint JSON and the
-// fleet protocol's json.RawMessage outcomes.
+// frame, so sketches ride unchanged through a cycle result's JSON.
 func (s *Sketch) MarshalJSON() ([]byte, error) {
 	enc := base64.StdEncoding.EncodeToString(s.Encode())
 	return []byte(`"` + enc + `"`), nil

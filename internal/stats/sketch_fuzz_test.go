@@ -7,13 +7,13 @@ import (
 )
 
 // FuzzSketchCodec throws arbitrary bytes at DecodeSketch (the
-// FuzzFrameScanner idiom from internal/fleet). The invariants: the
+// FuzzFrameScanner idiom from internal/journal). The invariants: the
 // decoder never panics, never accepts a frame larger than
 // sketchMaxEncoded, and any frame it does accept is canonical — it
 // re-encodes to exactly the input bytes and answers every query without
 // panicking. Canonicality is what makes encoded sketches comparable
-// across fleet workers, so a decodable-but-not-re-encodable frame would
-// be a real bug, not a fuzz artifact.
+// across runs and processes, so a decodable-but-not-re-encodable frame
+// would be a real bug, not a fuzz artifact.
 func FuzzSketchCodec(f *testing.F) {
 	f.Add(NewSketch().Encode())
 	small := NewSketch()

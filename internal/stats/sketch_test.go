@@ -272,7 +272,7 @@ func mustMerge(t *testing.T, dst, src *Sketch) {
 // TestSketchShardSplitInvariance: splitting one stream across K shard
 // sketches and merging them yields byte-identical state to the single
 // sketch that saw everything — for any K and both split geometries.
-// This is the exact property the fleet coordinator relies on.
+// This is the property the canonical-order merge of pairs relies on.
 func TestSketchShardSplitInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for _, dist := range sketchDists {
@@ -419,7 +419,7 @@ func TestSketchDecodeRejectsCorrupt(t *testing.T) {
 
 // TestSketchJSONRoundTrip: the base64 JSON form survives a full
 // marshal/unmarshal cycle with byte-identical state — the property the
-// checkpoint and fleet wire formats depend on.
+// cycle result's JSON depends on.
 func TestSketchJSONRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for _, n := range []int{3, 1000} {

@@ -7,12 +7,11 @@
 // MmF shares instead (§2.2).
 //
 // Invariants: every function in this package is a pure function of its
-// numeric arguments — no randomness, no clock, no global state — and
-// none mutates its input slices (order statistics sort private copies).
-// The scheduler, the resume/replay machinery, and the fleet merge all
-// rely on this: feeding the same trial prefix to the same policy must
-// produce the same stopping decision in every process that evaluates
-// it.
+// numeric arguments — no randomness, no clock, no global state — and none
+// mutates its input slices (order statistics sort private copies). The
+// scheduler and the resume/replay machinery both rely on this: feeding the
+// same trial prefix to the same policy must produce the same stopping
+// decision in every process that evaluates it.
 package stats
 
 import (

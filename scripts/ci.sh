@@ -15,12 +15,6 @@
 #                          SIGKILL loop against the real binary plus a
 #                          journaled multi-cycle soak run. Gated behind
 #                          PRUDENTIA_SOAK=1 so local runs stay fast.
-#   scripts/ci.sh -fleet   fleet distribution smoke: loopback
-#                          coordinator + 2 worker processes, one worker
-#                          SIGKILLed and restarted mid-cycle, the
-#                          coordinator's report byte-compared against a
-#                          serial run. Failure leaves the fleet timeline
-#                          and worker logs in $ARTIFACTS.
 #   scripts/ci.sh -serve   serving smoke: boot the daemon on an
 #                          ephemeral port, hit every endpoint, assert
 #                          ETag revalidation, byte-compare the daemon's
@@ -49,15 +43,13 @@ cd "$(dirname "$0")/.."
 
 SHORT=0
 SOAK=0
-FLEET=0
 SERVE=0
 for arg in "$@"; do
     case "$arg" in
         -short) SHORT=1 ;;
         -soak) SOAK=1 ;;
-        -fleet) FLEET=1 ;;
         -serve) SERVE=1 ;;
-        *) echo "usage: scripts/ci.sh [-short|-soak|-fleet|-serve]" >&2; exit 2 ;;
+        *) echo "usage: scripts/ci.sh [-short|-soak|-serve]" >&2; exit 2 ;;
     esac
 done
 
@@ -96,87 +88,6 @@ if [ "$SOAK" -eq 1 ]; then
         exit 1
     }
     echo "ci: soak suite passed"
-    exit 0
-fi
-
-# Fleet distribution smoke (-fleet): one quick cycle sharded over a
-# loopback coordinator and two worker processes, with one worker
-# SIGKILLed and restarted mid-cycle. The coordinator's report (and the
-# fact that it finishes at all) is the assertion: worker death re-queues
-# leased pairs, the survivor re-executes them deterministically, and the
-# merged output must equal a serial single-process run byte for byte.
-# Worker logs and the fleet timeline stay in $ARTIFACTS on failure.
-if [ "$FLEET" -eq 1 ]; then
-    go build -o "$ARTIFACTS/prudentia" ./cmd/prudentia
-    BIN="$ARTIFACTS/prudentia"
-    FLEET_ARGS=(-cycles 1 -setting high -seed 23
-                -services "iPerf (Reno),iPerf (Cubic),iPerf (BBR)")
-
-    echo "ci: fleet smoke: serial reference run"
-    "$BIN" "${FLEET_ARGS[@]}" > "$ARTIFACTS/fleet-serial.txt"
-    # The same arguments are pinned in tier 1 (TestQuickReportPinned), so
-    # the reference the fleet is held to is itself held to a committed file.
-    if ! diff -u cmd/prudentia/testdata/quick-high-seed23.txt "$ARTIFACTS/fleet-serial.txt"; then
-        echo "ci: serial reference diverged from the pinned report" >&2
-        exit 1
-    fi
-
-    echo "ci: fleet smoke: coordinator + 2 workers (one SIGKILLed mid-cycle)"
-    rm -f "$ARTIFACTS/fleet-addr.txt"
-    "$BIN" "${FLEET_ARGS[@]}" -coordinator -listen 127.0.0.1:0 \
-        -listen-addr-file "$ARTIFACTS/fleet-addr.txt" -expect-workers 2 \
-        -timeline "$ARTIFACTS/fleet-timeline.jsonl" \
-        -manifest "$ARTIFACTS/fleet-manifest.json" \
-        > "$ARTIFACTS/fleet-report.txt" 2> "$ARTIFACTS/fleet-coordinator.log" &
-    COORD_PID=$!
-
-    for _ in $(seq 100); do
-        [ -s "$ARTIFACTS/fleet-addr.txt" ] && break
-        sleep 0.1
-    done
-    [ -s "$ARTIFACTS/fleet-addr.txt" ] || {
-        echo "ci: fleet coordinator never published its address" >&2
-        cat "$ARTIFACTS/fleet-coordinator.log" >&2
-        exit 1
-    }
-    ADDR="$(head -n1 "$ARTIFACTS/fleet-addr.txt")"
-
-    start_worker() {
-        "$BIN" "${FLEET_ARGS[@]}" -connect "$ADDR" -worker-name "$1" \
-            >> "$ARTIFACTS/fleet-$1.log" 2>&1 &
-        echo $!
-    }
-    W1_PID=$(start_worker worker1)
-    W2_PID=$(start_worker worker2)
-
-    # SIGKILL worker1 mid-cycle, then restart it: its leased pairs are
-    # re-queued, and the rejoined process picks up fresh assignments.
-    sleep 0.4
-    kill -9 "$W1_PID" 2>/dev/null || true
-    W1_PID=$(start_worker worker1)
-
-    FLEET_FAIL=0
-    wait "$COORD_PID" || FLEET_FAIL=$?
-    kill -9 "$W1_PID" "$W2_PID" 2>/dev/null || true
-    wait "$W1_PID" "$W2_PID" 2>/dev/null || true
-    if [ "$FLEET_FAIL" -ne 0 ]; then
-        echo "ci: fleet coordinator exited $FLEET_FAIL; logs in $ARTIFACTS" >&2
-        exit 1
-    fi
-
-    # Byte-compare from the cycle banner on (preamble chatter differs by
-    # construction; fleet membership lines are on stderr, not in here).
-    awk '/^=== cycle/{found=1} found' "$ARTIFACTS/fleet-serial.txt" > "$ARTIFACTS/fleet-serial-cycle.txt"
-    awk '/^=== cycle/{found=1} found' "$ARTIFACTS/fleet-report.txt" > "$ARTIFACTS/fleet-report-cycle.txt"
-    if ! diff -u "$ARTIFACTS/fleet-serial-cycle.txt" "$ARTIFACTS/fleet-report-cycle.txt"; then
-        echo "ci: fleet report diverged from serial run; logs in $ARTIFACTS" >&2
-        exit 1
-    fi
-    grep -q "re-queued" "$ARTIFACTS/fleet-coordinator.log" || {
-        echo "ci: SIGKILL landed after the cycle finished (no re-queue observed); smoke still byte-identical" >&2
-    }
-    rm -f "$ARTIFACTS/prudentia" "$ARTIFACTS/fleet-serial-cycle.txt" "$ARTIFACTS/fleet-report-cycle.txt"
-    echo "ci: fleet smoke passed (report byte-identical to serial)"
     exit 0
 fi
 
@@ -246,7 +157,7 @@ if [ "$SERVE" -eq 1 ]; then
     }
 
     # The daemon's text report must be byte-identical to the batch run
-    # (batch stdout filtered to the report block, same as -fleet).
+    # (batch stdout filtered to the report block).
     curl -fsS -o "$ARTIFACTS/serve-report.txt" "$BASE/api/v1/report.txt"
     awk '/^=== cycle/{found=1} found' "$ARTIFACTS/serve-batch.txt" > "$ARTIFACTS/serve-batch-cycle.txt"
     if ! diff -u "$ARTIFACTS/serve-batch-cycle.txt" "$ARTIFACTS/serve-report.txt"; then
@@ -400,11 +311,11 @@ done
 [ "$missing" -eq 0 ] || { echo "ci: doc gate failed" >&2; exit 1; }
 
 # Exported-symbol doc gate: the packages whose invariants other layers
-# lean on (the stats stopper's purity, the fleet protocol's byte
-# identity, the journal's durability frame) must document every
+# lean on (the stats stopper's purity, the journal's durability frame)
+# must document every
 # exported symbol — a top-level exported func, method, type, var, or
 # const with no doc comment immediately above it fails the build.
-for pkg in internal/stats internal/fleet internal/journal; do
+for pkg in internal/stats internal/journal; do
     for f in "$pkg"/*.go; do
         [ -e "$f" ] || continue
         case "$f" in *_test.go) continue ;; esac
@@ -516,10 +427,9 @@ fi
 # timers dispatch exactly as the heap-only oracle does) and against the
 # receiver's map model (the receive set's ring), and arbitrary
 # bytes against the parsers that read the network, the disk and the
-# command line — the frame readers, submission-WAL recovery, the
-# submissions route's request body, the two readers a resumed cycle
-# trusts (the checkpoint header, the journaled pair record), a fleet
-# worker's result outcome and parseConfig (flags, the -sweep grid) — so
+# command line — the frame scanner, submission-WAL recovery, the
+# submissions route's request body, the checkpoint header a resumed
+# cycle trusts, and parseConfig (flags, the -sweep grid) — so
 # they see more than their seed corpus. Long exploratory campaigns run
 # out-of-band; this catches gross regressions on every CI pass.
 FUZZTIME=10s
@@ -531,8 +441,6 @@ go test -run '^$' -fuzz '^FuzzFrameScanner$' -fuzztime="$FUZZTIME" ./internal/jo
 go test -run '^$' -fuzz '^FuzzSubsWALOpen$' -fuzztime="$FUZZTIME" ./internal/serve
 go test -run '^$' -fuzz '^FuzzSubmissionBody$' -fuzztime="$FUZZTIME" ./internal/serve
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime="$FUZZTIME" ./internal/core
-go test -run '^$' -fuzz '^FuzzPairRecord$' -fuzztime="$FUZZTIME" ./internal/core
-go test -run '^$' -fuzz '^FuzzFleetResult$' -fuzztime="$FUZZTIME" ./internal/fleet
 go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime="$FUZZTIME" ./cmd/prudentia
 
 # The race detector slows the simulation-heavy core tests well past the
