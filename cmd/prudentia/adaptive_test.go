@@ -25,7 +25,7 @@ func TestEndToEndAdaptiveRun(t *testing.T) {
 		"-cycles", "1", "-setting", "high", "-workers", "2", "-seed", "11",
 		"-services", "iPerf (Reno),iPerf (Cubic),iPerf (BBR)",
 		"-adaptive",
-		"-manifest", filepath.Join(dir, "manifest.json"))
+		"-dir", dir)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("adaptive run: %v\n%s", err, out)
@@ -50,7 +50,7 @@ func TestEndToEndAdaptiveRun(t *testing.T) {
 	}
 }
 
-// TestEndToEndCrossProtocolResume: a plain -checkpoint run interrupted
+// TestEndToEndCrossProtocolResume: a plain -dir run interrupted
 // mid-cycle and rerun with -adaptive exits 0, warns about nothing, and
 // reports exactly what an uninterrupted -adaptive run reports — the
 // header records no protocol, and the resumed run screens for itself.
@@ -62,10 +62,10 @@ func TestEndToEndCrossProtocolResume(t *testing.T) {
 		t.Fatalf("adaptive reference run: %v", err)
 	}
 
-	ckpt := filepath.Join(t.TempDir(), "state.json")
-	interruptPlainRun(t, bin, append(args, "-checkpoint", ckpt), ckpt)
+	dir := t.TempDir()
+	interruptPlainRun(t, bin, append(args, "-dir", dir), dir)
 
-	cmd := exec.Command(bin, append(args, "-adaptive", "-checkpoint", ckpt)...)
+	cmd := exec.Command(bin, append(args, "-adaptive", "-dir", dir)...)
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -84,9 +84,9 @@ func TestEndToEndCrossProtocolResume(t *testing.T) {
 }
 
 // interruptPlainRun starts bin with args and sends one SIGINT as soon as
-// its trial journal (beside ckpt) holds a record, so the graceful stop
-// lands mid-cycle and leaves the header behind.
-func interruptPlainRun(t *testing.T, bin string, args []string, ckpt string) {
+// its trial journal (in the run directory dir) holds a record, so the
+// graceful stop lands mid-cycle and leaves the header behind.
+func interruptPlainRun(t *testing.T, bin string, args []string, dir string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	var out bytes.Buffer
@@ -95,7 +95,7 @@ func interruptPlainRun(t *testing.T, bin string, args []string, ckpt string) {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		if fi, err := os.Stat(ckpt + ".wal"); err == nil && fi.Size() > 0 {
+		if fi, err := os.Stat(filepath.Join(dir, "trials.wal")); err == nil && fi.Size() > 0 {
 			break
 		}
 	}

@@ -34,12 +34,16 @@ type config struct {
 	// and any -submit. Flags bind straight into its fields.
 	watchdog *core.Watchdog
 
-	cycles              int
-	verbose             bool
-	submit              string
-	metricsOut          string
-	timeline, manifest  string
-	pprofDir, faultsOut string
+	cycles     int
+	verbose    bool
+	submit     string
+	metricsOut string
+	pprofDir   string
+
+	// dir is the run directory: the cycle header and trial journal (the
+	// watchdog's CheckpointPath and JournalPath), the timeline, the
+	// manifest and the fault ledger, and under -serve the daemon's state.
+	dir string
 
 	// sweep replaces the report with <sweepOut>.tsv/.json; the grid is
 	// also the watchdog's Settings, in the same order (sweep.go).
@@ -47,16 +51,16 @@ type config struct {
 	sweepGrid []gridPoint
 	sweepOut  string
 
-	serve                              bool
-	serveAddr, serveAddrFile, serveDir string
-	cycleInterval                      time.Duration
+	serve                    bool
+	serveAddr, serveAddrFile string
+	cycleInterval            time.Duration
 }
 
 // flagNeeds names, for each flag that only one mode reads, the flag that
 // selects that mode; given without it the flag would be silently ignored.
 var flagNeeds = map[string]string{
 	"code":       "submit",
-	"serve-addr": "serve", "serve-addr-file": "serve", "serve-dir": "serve", "cycle-interval": "serve",
+	"serve-addr": "serve", "serve-addr-file": "serve", "cycle-interval": "serve",
 	"sweep-rates": "sweep", "sweep-rtts": "sweep", "sweep-queues": "sweep", "sweep-out": "sweep",
 }
 
@@ -88,18 +92,14 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&code, "code", "", "access code for -submit")
 	fs.StringVar(&setting, "setting", "both", "highly | moderately | both")
 	fs.BoolVar(&c.verbose, "v", false, "per-pair progress output, plus circuit-breaker status after every cycle")
-	fs.StringVar(&w.CheckpointPath, "checkpoint", "", "checkpoint file: keep the in-progress cycle's header here and journal every attempt beside it (at <file>.wal unless -journal names a path), so a cycle interrupted or killed -9 resumes on the next run; both files are removed when the cycle completes")
+	fs.StringVar(&c.dir, "dir", "", "run directory: checkpoint.json and trials.wal hold the in-progress cycle, every attempt fsynced, so a run interrupted or killed -9 resumes on the next run with the same -dir (both are removed when the cycle completes); timeline.jsonl is rewritten on each start, manifest.json after every cycle and faults.jsonl at exit; -serve also keeps subs.wal and cycles/<N>/ here")
 	fs.BoolVar(&chaosOn, "chaos", false, "arm the deterministic fault-injection plan: link flaps, bandwidth sags, client stalls, trial panics/errors and result corruption")
 	fs.IntVar(&w.Workers, "workers", runtime.GOMAXPROCS(0),
 		"parallel trial workers for calibrations and the pair matrix (1 = serial; output is byte-identical for any value)")
 	fs.Uint64Var(&w.Opts.BaseSeed, "seed", 0, "base seed for the deterministic trial-seed sequence (0 = default)")
 	fs.StringVar(&svcFilter, "services", "", "comma-separated service names: restrict the catalog (exact match; -sweep defaults to "+sweepServices+")")
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the metric snapshot here after every cycle (.json = JSON, else Prometheus text)")
-	fs.StringVar(&c.timeline, "timeline", "", "append the JSONL cycle timeline (trial/pair/checkpoint events) to this file")
-	fs.StringVar(&c.manifest, "manifest", "", "write the run manifest here after every cycle (default: manifest.json beside -timeline)")
 	fs.StringVar(&c.pprofDir, "pprof-dir", "", "capture cycle<N>.cpu.pprof and cycle<N>.heap.pprof profiles into this directory")
-	fs.StringVar(&c.faultsOut, "faults-out", "", "write the robustness fault ledger as JSONL here at exit")
-	fs.StringVar(&w.JournalPath, "journal", "", "write-ahead trial journal path: every executed attempt is appended (fsynced), so a crashed cycle loses at most the in-flight trial and replays the rest; overrides the <checkpoint>.wal default, or journals a run without -checkpoint")
 	fs.Float64Var(&w.Opts.WallBudget, "max-trial-wall", 0, "hung-trial reaper: wall-clock budget factor per trial (simulated seconds × factor; 0 = off)")
 	fs.BoolVar(&adaptive, "adaptive", false, "adaptive trial budgets: coarse screening ranks pairs, the sequential stopper ends each pair's trials once its verdict is stable")
 
@@ -117,7 +117,6 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&c.serveAddr, "serve-addr", "127.0.0.1:9080", "serve: listen address (use :0 for an ephemeral port with -serve-addr-file)")
 	fs.StringVar(&c.serveAddrFile, "serve-addr-file", "", "serve: write the bound address to this file once listening")
 	fs.DurationVar(&c.cycleInterval, "cycle-interval", 10*time.Minute, "serve: pause between cycle starts (jittered per cycle; <0 = none)")
-	fs.StringVar(&c.serveDir, "serve-dir", "", "serve: durable state directory (submission WAL, per-cycle artifacts, and — unless -checkpoint/-journal override — the cycle checkpoint and trial journal); a restarted daemon rehydrates its history, replays unapplied submissions, and resumes the interrupted cycle")
 	fs.Uint64Var(&chaosDisk, "chaos-disk", 0, "chaos: arm the seed-deterministic disk-fault plan (injected ENOSPC, torn-tail fsyncs, fsync stalls) on the durable writers with this seed (0 = off)")
 
 	if usage, err := parseFlags(fs, args); usage != "" || err != nil {
@@ -151,8 +150,9 @@ func parseConfig(args []string) (config, error) {
 	if wall := w.Opts.WallBudget; !(wall >= 0) || math.IsInf(wall, 0) {
 		return c, fmt.Errorf("-max-trial-wall: %g is not a finite factor >= 0", wall)
 	}
-	if c.manifest == "" && c.timeline != "" {
-		c.manifest = filepath.Join(filepath.Dir(c.timeline), "manifest.json")
+	if c.dir != "" {
+		w.CheckpointPath = filepath.Join(c.dir, "checkpoint.json")
+		w.JournalPath = filepath.Join(c.dir, "trials.wal")
 	}
 	if c.sweep {
 		float := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

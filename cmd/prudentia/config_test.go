@@ -91,20 +91,16 @@ func TestParseConfigValidation(t *testing.T) {
 		want string // substring of the error, "" = must parse
 	}{
 		{"", ""},
-		{"-cycles 1 -setting high -workers 4 -seed 42 -metrics-out m.prom -timeline t.jsonl -faults-out f.jsonl -pprof-dir pp", ""},
-		{"-cycles 3 -v -setting high -journal t.wal -checkpoint s.json -max-trial-wall 1e6", ""},
-		{"-serve -serve-addr 127.0.0.1:0 -serve-addr-file a -serve-dir d -chaos-disk 7 -cycle-interval -1ms", ""},
+		{"-cycles 1 -setting high -workers 4 -seed 42 -metrics-out m.prom -dir d -pprof-dir pp", ""},
+		{"-cycles 3 -v -setting high -dir d -max-trial-wall 1e6", ""},
+		{"-serve -serve-addr 127.0.0.1:0 -serve-addr-file a -dir d -chaos-disk 7 -cycle-interval -1ms", ""},
 		{"-submit https://example.com/p -code " + accessCode, ""},
 		{"-sweep -sweep-rates 8,50 -sweep-rtts 25 -sweep-queues 64 -sweep-out o -adaptive -quick=false", ""},
 		{"-sweep -submit https://example.com/p -code " + accessCode, ""},
 		{"-sweep -services Netflix,Mega", ""},
-		{"-sweep -checkpoint s.json", ""},
-		{"-sweep -journal t.wal", ""},
+		{"-sweep -dir d", ""},
 		{"-sweep -metrics-out m.prom", ""},
-		{"-sweep -timeline t.jsonl", ""},
-		{"-sweep -manifest m.json", ""},
 		{"-sweep -pprof-dir pp", ""},
-		{"-sweep -faults-out f.jsonl", ""},
 		{"-sweep -chaos-disk 7", ""},
 		{"-setting moderately", ""},
 		{"-setting mod", ""},
@@ -115,10 +111,9 @@ func TestParseConfigValidation(t *testing.T) {
 		{"-cycles -1", "-cycles"},
 		{"-max-trial-wall -1", "-max-trial-wall"},
 		{"-max-trial-wall NaN", "-max-trial-wall"},
-		{"-serve-dir d", "-serve-dir"},
 		{"-serve-addr-file a", "-serve-addr-file"},
 		{"-cycle-interval 1s", "-cycle-interval"},
-		{"-serve=false -serve-dir d", "-serve-dir"},
+		{"-serve=false -serve-addr-file a", "-serve-addr-file"},
 		{"-chaos-partitions 1", "-chaos-partitions"},
 		{"-listen-addr-file a", "-listen-addr-file"},
 		{"-expect-workers 2", "-expect-workers"},
@@ -143,6 +138,12 @@ func TestParseConfigValidation(t *testing.T) {
 		{"-coordinator", "-coordinator"},
 		{"-listen 127.0.0.1:0", "-listen"},
 		{"-connect h:1", "-connect"},
+		{"-checkpoint s.json", "-checkpoint"},
+		{"-journal t.wal", "-journal"},
+		{"-timeline t.jsonl", "-timeline"},
+		{"-manifest m.json", "-manifest"},
+		{"-faults-out f.jsonl", "-faults-out"},
+		{"-serve -serve-dir d", "-serve-dir"},
 
 		{"pair", ""},
 		{"pair -list", ""},
@@ -176,8 +177,8 @@ func TestParseConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(cfg.usage, "\n  -"); got != 30 {
-		t.Errorf("-h lists %d flags, want 30 (a new flag needs a caller that exists; see ROADMAP item 5)", got)
+	if got := strings.Count(cfg.usage, "\n  -"); got != 25 {
+		t.Errorf("-h lists %d flags, want 25 (a new flag needs a caller that exists; see ROADMAP item 5)", got)
 	}
 	// pair keeps the single-pair runner's flags, names and defaults, and
 	// adds none.
@@ -193,14 +194,31 @@ func TestParseConfigValidation(t *testing.T) {
 	}
 }
 
+// TestDirLayout: -dir d puts the cycle header and the trial journal at
+// exactly the names a `-serve -serve-dir d` daemon of an earlier build
+// wrote, so its state directory resumes unchanged; a batch run's
+// `-checkpoint f` resumes once f moves to d/checkpoint.json and f.wal to
+// d/trials.wal. Without -dir nothing is durable.
+func TestDirLayout(t *testing.T) {
+	for _, args := range [][]string{{"-dir", "d"}, {"-serve", "-dir", "d"}, {"-sweep", "-dir", "d"}} {
+		w := mustWatchdog(t, args...)
+		if w.CheckpointPath != filepath.Join("d", "checkpoint.json") || w.JournalPath != filepath.Join("d", "trials.wal") {
+			t.Errorf("%q: header %q, journal %q; want d/checkpoint.json and d/trials.wal", args, w.CheckpointPath, w.JournalPath)
+		}
+	}
+	if w := mustWatchdog(t); w.CheckpointPath != "" || w.JournalPath != "" {
+		t.Errorf("no -dir: header %q, journal %q; want neither", w.CheckpointPath, w.JournalPath)
+	}
+}
+
 // ciInvocations are the argument vectors scripts/ci.sh and the e2e tests
 // run, one per line with newline-separated arguments: the fuzz corpus.
 var ciInvocations = []string{
-	"-cycles\n1\n-setting\nhigh\n-workers\n4\n-seed\n42\n-services\niPerf (Cubic),iPerf (BBR)\n-metrics-out\nm.prom\n-timeline\nt.jsonl\n-manifest\nm.json\n-faults-out\nf.jsonl",
-	"-cycles\n3\n-v\n-setting\nhigh\n-workers\n2\n-seed\n7\n-journal\nt.wal\n-checkpoint\ns.json\n-max-trial-wall\n1e6",
+	"-cycles\n1\n-setting\nhigh\n-workers\n4\n-seed\n42\n-services\niPerf (Cubic),iPerf (BBR)\n-metrics-out\nm.prom\n-dir\nd",
+	"-cycles\n3\n-v\n-setting\nhigh\n-workers\n2\n-seed\n7\n-dir\nd\n-max-trial-wall\n1e6",
 	"-setting\nhigh\n-cycles\n1\n-seed\n23\n-services\niPerf (Reno),iPerf (Cubic),iPerf (BBR)",
 	"-setting\nhigh\n-cycles\n2\n-seed\n7\n-services\niPerf (Reno),iPerf (Cubic),iPerf (BBR),Netflix\n-chaos",
-	"-serve\n-serve-addr\n127.0.0.1:0\n-serve-addr-file\na\n-serve-dir\nd\n-cycle-interval\n1h\n-chaos-disk\n7",
+	"-serve\n-serve-addr\n127.0.0.1:0\n-serve-addr-file\na\n-dir\nd\n-cycle-interval\n1h\n-chaos-disk\n7",
 	"-sweep\n-sweep-rates\n8,50\n-sweep-rtts\n25,50\n-sweep-queues\n64\n-services\niPerf (Cubic),iPerf (BBR)\n-sweep-out\no\n-seed\n42",
 	"-adaptive\n-setting\nmod\n-chaos\n-quick=false\n-submit\nhttps://example.com/p\n-code\n" + accessCode,
 	"-setting\nboth\n-max-trial-wall\nInf",
@@ -250,8 +268,8 @@ func TestRecipeFollowsTheTrials(t *testing.T) {
 
 	same := [][]string{
 		{"-workers", "1"}, {"-v"}, {"-cycles", "9"},
-		{"-metrics-out", "m.prom", "-timeline", "t.jsonl", "-manifest", "m.json", "-faults-out", "f.jsonl", "-pprof-dir", "pp"},
-		{"-checkpoint", "s.json", "-journal", "t.wal", "-chaos-disk", "3"},
+		{"-metrics-out", "m.prom", "-dir", "d", "-pprof-dir", "pp"},
+		{"-dir", "d", "-chaos-disk", "3"},
 	}
 	for _, extra := range same {
 		if got := mustRecipe(t, mustWatchdog(t, slices.Concat(base, extra)...)); got != want {

@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -16,6 +17,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"prudentia/internal/obs"
 )
 
 // cycleArgs is the shared seeded workload: one quick cycle over the
@@ -44,7 +47,8 @@ func cycleOutput(t *testing.T, out []byte) string {
 // killUntilDone runs bin with args, SIGKILLing it at a random point and
 // starting it again, until one attempt runs to completion; it returns
 // that attempt's combined output. At least one kill must have landed.
-func killUntilDone(t *testing.T, bin string, args []string, rng *rand.Rand) []byte {
+// afterKill, when set, runs after each killed attempt has exited.
+func killUntilDone(t *testing.T, bin string, args []string, rng *rand.Rand, afterKill func()) []byte {
 	t.Helper()
 	for kills := 0; kills < 60; kills++ {
 		cmd := exec.Command(bin, args...)
@@ -72,27 +76,32 @@ func killUntilDone(t *testing.T, bin string, args []string, rng *rand.Rand) []by
 		case <-time.After(delay):
 			cmd.Process.Kill()
 			<-done
+			if afterKill != nil {
+				afterKill()
+			}
 		}
 	}
 	t.Fatal("no attempt completed after 60 kills")
 	return nil
 }
 
-// TestEndToEndKillLoop repeatedly SIGKILLs a durable run at randomized
+// TestEndToEndKillLoop repeatedly SIGKILLs a -dir run at randomized
 // (seed-logged) points until one attempt completes; the survivor's
 // report and fault ledger must be byte-identical to an uninterrupted
 // run — kill -9 loses at most the in-flight trial, and the resume
-// replays everything else from the journal. -checkpoint alone is as
-// safe as -checkpoint with -journal: the journal is implied beside it.
-// Under -adaptive a kill mid-screening leaves no allocation anywhere
-// but in the journaled screening trials the resume replays.
+// replays everything else from the journal. The survivor's timeline is
+// its own invocation's alone, and it leaves a manifest. The journal is
+// an optimization, not a dependency: with d/trials.wal deleted after
+// every kill, the resume from d/checkpoint.json alone re-simulates the
+// lost trials to the same bytes. Under -adaptive
+// a kill mid-screening leaves no allocation anywhere but in the
+// journaled screening trials the resume replays.
 func TestEndToEndKillLoop(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
 
-	// References: uninterrupted, no durability files, one per protocol.
-	// Fault injection is armed so the ledger the rows must reproduce is
-	// not an empty file.
+	// References: uninterrupted, one per protocol. Fault injection is
+	// armed so the ledger the rows must reproduce is not an empty file.
 	workload := func(adaptive bool, extra ...string) []string {
 		args := append(cycleArgs("23"), "-chaos")
 		if adaptive {
@@ -106,12 +115,12 @@ func TestEndToEndKillLoop(t *testing.T) {
 	}
 	refs := map[bool]reference{}
 	for _, adaptive := range []bool{false, true} {
-		faults := filepath.Join(dir, fmt.Sprintf("ref-faults-%v.jsonl", adaptive))
-		out, err := exec.Command(bin, workload(adaptive, "-faults-out", faults)...).CombinedOutput()
+		refDir := filepath.Join(dir, fmt.Sprintf("ref-%v", adaptive))
+		out, err := exec.Command(bin, workload(adaptive, "-dir", refDir)...).CombinedOutput()
 		if err != nil {
 			t.Fatalf("reference run (adaptive=%v): %v\n%s", adaptive, err, out)
 		}
-		refs[adaptive] = reference{out, faults}
+		refs[adaptive] = reference{out, filepath.Join(refDir, "faults.jsonl")}
 	}
 
 	killSeed := time.Now().UnixNano()
@@ -126,30 +135,34 @@ func TestEndToEndKillLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(killSeed))
 
 	for _, row := range []struct {
-		name              string
-		journal, adaptive bool
+		name                  string
+		dropJournal, adaptive bool
 	}{
-		{"checkpoint and journal", true, false},
-		{"checkpoint alone", false, false},
+		{"checkpoint and journal", false, false},
+		{"checkpoint alone", true, false},
 		{"adaptive", false, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			dir := t.TempDir()
-			ckpt := filepath.Join(dir, "state.json")
-			wal := ckpt + ".wal"
-			faults := filepath.Join(dir, "faults.jsonl")
-			args := workload(row.adaptive, "-checkpoint", ckpt, "-faults-out", faults)
-			if row.journal {
-				wal = filepath.Join(dir, "trials.wal")
-				args = append(args, "-journal", wal)
-			}
+			path := func(name string) string { return filepath.Join(dir, name) }
 			ref := refs[row.adaptive]
 
-			final := killUntilDone(t, bin, args, rng)
+			var afterKill func()
+			if row.dropJournal {
+				afterKill = func() {
+					if err := os.Remove(path("trials.wal")); err != nil && !os.IsNotExist(err) {
+						t.Fatal(err)
+					}
+				}
+			}
+			final := killUntilDone(t, bin, workload(row.adaptive, "-dir", dir), rng, afterKill)
+			if row.dropJournal && !bytes.Contains(final, []byte("resuming interrupted cycle")) {
+				t.Fatalf("survivor did not resume from the header:\n%s", final)
+			}
 			if got, want := cycleOutput(t, final), cycleOutput(t, ref.out); got != want {
 				t.Fatalf("resumed report differs from uninterrupted run:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
 			}
-			got, err := os.ReadFile(faults)
+			got, err := os.ReadFile(path("faults.jsonl"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,10 +174,43 @@ func TestEndToEndKillLoop(t *testing.T) {
 				t.Fatalf("resumed fault ledger differs from uninterrupted run:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
 			}
 			// Converged: both durability files were cleaned up by the completed cycle.
-			for _, p := range []string{ckpt, wal} {
+			for _, p := range []string{path("checkpoint.json"), path("trials.wal")} {
 				if _, err := os.Stat(p); !os.IsNotExist(err) {
 					t.Fatalf("%s not removed after completed cycle", p)
 				}
+			}
+			// Each invocation rewrites the timeline: the survivor's holds
+			// its own cycle and no killed attempt's.
+			f, err := os.Open(path("timeline.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			events, err := obs.ReadTimeline(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends := 0
+			for _, ev := range events {
+				if ev.Kind == "cycle_end" {
+					ends++
+				}
+			}
+			if ends != 1 {
+				t.Fatalf("survivor's timeline holds %d cycle_end events, want 1", ends)
+			}
+			data, err := os.ReadFile(path("manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// With the journal deleted after every kill, the survivor
+			// re-simulated every trial: it replayed nothing.
+			var m obs.Manifest
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			if row.dropJournal && (m.Journal == nil || m.Journal.Replayed != 0) {
+				t.Fatalf("survivor's manifest journal = %+v, want one that replayed nothing", m.Journal)
 			}
 		})
 	}
@@ -196,9 +242,9 @@ func TestEndToEndSoak(t *testing.T) {
 // ledger records the typed reap failures — the cycle still completes.
 func TestEndToEndReaperFlag(t *testing.T) {
 	bin := buildBinary(t)
-	faults := filepath.Join(t.TempDir(), "faults.jsonl")
+	dir := t.TempDir()
 	cmd := exec.Command(bin, append(cycleArgs("4"),
-		"-max-trial-wall", "1e-9", "-faults-out", faults)...)
+		"-max-trial-wall", "1e-9", "-dir", dir)...)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("reaper run: %v\n%s", err, out)
@@ -206,7 +252,7 @@ func TestEndToEndReaperFlag(t *testing.T) {
 	if !strings.Contains(string(out), "××") {
 		t.Fatalf("reaped cycle must quarantine pairs (××):\n%s", out)
 	}
-	data, err := os.ReadFile(faults)
+	data, err := os.ReadFile(filepath.Join(dir, "faults.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}

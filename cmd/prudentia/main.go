@@ -10,21 +10,24 @@
 // the daemon all derive from; a flag the selected mode would ignore is an
 // error, not a no-op.
 //
-// The watchdog is crash-safe: with -checkpoint f it keeps the cycle's
-// header in f (the cycle number and the cycle-start breakers) and fsyncs
-// every executed attempt to the write-ahead trial journal f.wal as it
-// completes. SIGINT/SIGTERM stop it gracefully, a kill -9 loses at most
-// the one in-flight trial, and either way the next run with the same
-// -checkpoint resumes the cycle by replaying the journal instead of
-// re-simulating it, with a report and fault ledger identical to an
-// uninterrupted run of the resuming invocation (both files exist only
-// while a cycle is in progress). -journal moves the journal to another
-// path, or journals a run that has no checkpoint. -max-trial-wall arms
-// the hung-trial reaper, circuit-breaker state carries across the cycles
-// of one run (-v prints it after each), and -chaos arms the
-// deterministic fault-injection plan (link flaps, bandwidth sags, client
-// stalls, trial panics/errors, result corruption) to exercise those
-// defenses.
+// A run's record lives in one directory. With -dir d the watchdog is
+// crash-safe: it keeps the cycle's header in d/checkpoint.json (the
+// cycle number and the cycle-start breakers) and fsyncs every executed
+// attempt to the write-ahead trial journal d/trials.wal as it completes.
+// SIGINT/SIGTERM stop it gracefully, a kill -9 loses at most the one
+// in-flight trial, and either way the next run with the same -dir
+// resumes the cycle by replaying the journal instead of re-simulating
+// it, with a report and fault ledger identical to an uninterrupted run
+// of the resuming invocation (both files exist only while a cycle is in
+// progress). The same directory holds the JSONL timeline
+// (d/timeline.jsonl, rewritten by each invocation), the run manifest
+// (d/manifest.json, replaced after every cycle) and the fault ledger
+// (d/faults.jsonl, written at exit); under -serve it is also the
+// daemon's state directory. -max-trial-wall arms the hung-trial reaper,
+// circuit-breaker state carries across the cycles of one run (-v prints
+// it after each), and -chaos arms the deterministic fault-injection plan
+// (link flaps, bandwidth sags, client stalls, trial panics/errors,
+// result corruption) to exercise those defenses.
 //
 // -adaptive replaces the fixed trial protocol with adaptive budgets
 // (docs/ADAPTIVE.md): a coarse screening pass ranks pairs by predicted
@@ -62,11 +65,11 @@
 //	prudentia -cycles 1 -quick
 //	prudentia -cycles 0            # run forever (live watchdog mode)
 //	prudentia -workers 8           # parallel matrix, identical output
-//	prudentia -checkpoint state.json            # kill -9 safe; rerun to resume
+//	prudentia -dir run                          # kill -9 safe; rerun to resume
 //	prudentia -cycles 5 -v -max-trial-wall 50   # long-run supervision
-//	prudentia -chaos -v                         # fault-injection run
+//	prudentia -chaos -v -dir run                # fault-injection run; ledger in run/faults.jsonl
 //	prudentia -submit https://my.service/page -code <access code>
-//	prudentia -sweep -sweep-rates 8,50 -checkpoint sweep.ckpt  # one cycle over a grid
+//	prudentia -sweep -sweep-rates 8,50 -dir sweep.run  # one cycle over a grid
 //	prudentia pair -incumbent YouTube -contender Mega -setting highly -trials 3 -out dir
 package main
 
@@ -126,23 +129,37 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	ledger := &trace.FaultLedger{}
 	w.OnFault = ledger.Record
 
-	// Observability sinks: metric registry, JSONL timeline, run manifest,
-	// fault-ledger export. All optional; the watchdog runs uninstrumented
-	// (nil Obs) when no flag asks for them. The daemon always carries a
-	// registry: /metrics is part of its API surface.
+	// Observability sinks: metric registry, and in the run directory the
+	// JSONL timeline, run manifest and fault-ledger export. The watchdog
+	// runs uninstrumented (nil Obs) when no flag asks for them. The daemon
+	// always carries a registry: /metrics is part of its API surface.
 	var reg *obs.Registry
 	var tl *obs.Timeline
-	if cfg.metricsOut != "" || cfg.timeline != "" || cfg.manifest != "" || cfg.serve {
+	if cfg.metricsOut != "" || cfg.dir != "" || cfg.serve {
 		reg = obs.NewRegistry()
 	}
-	if cfg.timeline != "" {
+	if cfg.dir != "" {
+		// Creating the timeline creates the directory, before the
+		// watchdog writes its header and journal there.
 		var err error
-		if tl, err = obs.CreateTimeline(cfg.timeline); err != nil {
+		if tl, err = obs.CreateTimeline(filepath.Join(cfg.dir, "timeline.jsonl")); err != nil {
 			return err
 		}
 		defer tl.Close()
+		defer func() {
+			f, err := os.Create(filepath.Join(cfg.dir, "faults.jsonl"))
+			if err == nil {
+				err = trace.WriteFaultsJSONL(f, ledger.Snapshot())
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
+				warnf("fault ledger: %v", err)
+			}
+		}()
 	}
-	if reg != nil || tl != nil {
+	if reg != nil {
 		w.Obs = core.NewInstruments(reg, tl)
 	}
 	// exportObs flushes the metric snapshot and manifest; called after
@@ -154,25 +171,11 @@ func run(cfg config, stdout, stderr io.Writer) error {
 				warnf("%v", err)
 			}
 		}
-		if cfg.manifest != "" {
-			if err := w.BuildManifest(cr, reg).Write(cfg.manifest); err != nil {
+		if cfg.dir != "" {
+			if err := w.BuildManifest(cr, reg).Write(filepath.Join(cfg.dir, "manifest.json")); err != nil {
 				warnf("%v", err)
 			}
 		}
-	}
-	if cfg.faultsOut != "" {
-		defer func() {
-			f, err := os.Create(cfg.faultsOut)
-			if err == nil {
-				err = trace.WriteFaultsJSONL(f, ledger.Snapshot())
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				warnf("faults-out: %v", err)
-			}
-		}()
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM requests a stop at the
@@ -221,10 +224,10 @@ func run(cfg config, stdout, stderr io.Writer) error {
 		stopProfiles()
 		if errors.Is(err, core.ErrInterrupted) {
 			exportObs(nil)
-			if w.CheckpointPath != "" {
-				fmt.Fprintf(stdout, "interrupted; cycle state saved to %s (rerun with the same -checkpoint to resume)\n", w.CheckpointPath)
+			if cfg.dir != "" {
+				fmt.Fprintf(stdout, "interrupted; cycle state saved in %s (rerun with the same -dir to resume)\n", cfg.dir)
 			} else {
-				fmt.Fprintln(stdout, "interrupted (no -checkpoint set; cycle state discarded)")
+				fmt.Fprintln(stdout, "interrupted (no -dir set; cycle state discarded)")
 			}
 			return nil
 		}

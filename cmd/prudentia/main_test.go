@@ -37,9 +37,8 @@ func runCycle(t *testing.T, bin string, seed string) string {
 		"-cycles", "1", "-setting", "high", "-workers", "4", "-seed", seed,
 		"-services", "iPerf (Cubic),iPerf (BBR)",
 		"-metrics-out", filepath.Join(dir, "metrics.prom"),
-		"-timeline", filepath.Join(dir, "timeline.jsonl"),
 		"-pprof-dir", filepath.Join(dir, "pprof"),
-		"-faults-out", filepath.Join(dir, "faults.jsonl"),
+		"-dir", dir,
 	)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("prudentia run: %v\n%s", err, out)

@@ -12,7 +12,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"path/filepath"
 
 	"prudentia/internal/core"
 	"prudentia/internal/obs"
@@ -26,25 +25,13 @@ import (
 func runServe(ctx context.Context, cfg config, ledger *trace.FaultLedger, reg *obs.Registry,
 	exportObs func(*core.CycleResult), stdout io.Writer) error {
 	w := cfg.watchdog
-	if cfg.serveDir != "" {
-		// The state directory is the one-stop durability root: the
-		// engine's checkpoint and trial journal default into it so a
-		// plain `-serve -serve-dir d` restart resumes an interrupted
-		// cycle without further flags.
-		if w.CheckpointPath == "" {
-			w.CheckpointPath = filepath.Join(cfg.serveDir, "checkpoint.json")
-		}
-		if w.JournalPath == "" {
-			w.JournalPath = filepath.Join(cfg.serveDir, "trials.wal")
-		}
-	}
 	s, err := serve.New(serve.Config{
 		Source:        w,
 		Ledger:        ledger,
 		Registry:      reg,
 		CycleInterval: cfg.cycleInterval,
 		MaxCycles:     cfg.cycles,
-		StateDir:      cfg.serveDir,
+		StateDir:      cfg.dir,
 		DiskChaos:     w.DiskChaos,
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(stdout, format+"\n", args...)

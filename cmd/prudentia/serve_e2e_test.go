@@ -4,7 +4,7 @@ package main
 // boot the daemon on an ephemeral port, and require the serving
 // contract — readiness gating, ETag revalidation, byte-identity between
 // the daemon's text report and a batch run at the same seed, submission
-// queuing, and graceful SIGTERM drain.
+// queuing, graceful SIGTERM drain, and the run directory's layout.
 
 import (
 	"io"
@@ -79,7 +79,8 @@ func startDaemon(t *testing.T, bin, dir string, extra ...string) (string, *exec.
 func TestServeEndToEndBinary(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
-	base, cmd, _ := startDaemon(t, bin, dir)
+	state := filepath.Join(dir, "state")
+	base, cmd, _ := startDaemon(t, bin, dir, "-dir", state)
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	fetch := func(path string) (*http.Response, string) {
@@ -188,5 +189,18 @@ func TestServeEndToEndBinary(t *testing.T) {
 	}
 	if !strings.Contains(string(log), "serve: drained and stopped") {
 		t.Errorf("daemon log missing drain line:\n%s", log)
+	}
+
+	// The run directory holds the daemon's state beside the batch
+	// artifacts; the completed cycle left no header or journal behind.
+	for _, name := range []string{"subs.wal", "cycles/1", "timeline.jsonl", "manifest.json", "faults.jsonl"} {
+		if _, err := os.Stat(filepath.Join(state, name)); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, name := range []string{"checkpoint.json", "trials.wal"} {
+		if _, err := os.Stat(filepath.Join(state, name)); !os.IsNotExist(err) {
+			t.Errorf("%s left in the run directory after the completed cycle (err %v)", name, err)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func e2eArtifactDir(t *testing.T) string {
 func restartServeArgs(stateDir, addrFile string) []string {
 	return []string{
 		"-serve", "-serve-addr", "127.0.0.1:0", "-serve-addr-file", addrFile,
-		"-serve-dir", stateDir,
+		"-dir", stateDir,
 		"-cycles", "2", "-cycle-interval", "3s",
 		"-setting", "high", "-seed", "42", "-workers", "2",
 		"-services", "iPerf (Cubic),iPerf (BBR)",

@@ -99,9 +99,7 @@ func TestEndToEndSweepCycleFlags(t *testing.T) {
 
 	path := func(name string) string { return filepath.Join(dir, name) }
 	out := runSweepBin(t, bin, sweepArgs(dir, "flagged", append(submit, "-workers", "2", "-v",
-		"-checkpoint", path("ck.json"), "-journal", path("trials.wal"),
-		"-metrics-out", path("m.prom"), "-timeline", path("t.jsonl"), "-manifest", path("man.json"),
-		"-pprof-dir", path("pp"), "-faults-out", path("f.jsonl"), "-chaos-disk", "7")...))
+		"-dir", path("run"), "-metrics-out", path("m.prom"), "-pprof-dir", path("pp"), "-chaos-disk", "7")...))
 	requireSameSweep(t, "cycle flags against a plain sweep", path("flagged"), path("plain"))
 
 	// -submit and -services: the catalog is the named services plus the page.
@@ -112,59 +110,59 @@ func TestEndToEndSweepCycleFlags(t *testing.T) {
 	}
 	for _, want := range []string{
 		"accepted submission \"https://example.com/p\"",
-		"no checkpoint at " + path("ck.json") + "; starting fresh",
+		"no checkpoint at " + path("run/checkpoint.json") + "; starting fresh",
 		"  pair iPerf (Cubic) vs iPerf (BBR): ", // -v: the per-pair lines
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, out)
 		}
 	}
-	// -checkpoint and -journal: a completed cycle removes both.
-	for _, p := range []string{path("ck.json"), path("trials.wal")} {
+	// -dir: a completed cycle removes the header and the journal.
+	for _, p := range []string{path("run/checkpoint.json"), path("run/trials.wal")} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("%s not removed after the completed sweep", p)
 		}
 	}
 
-	// -manifest: the grid is the recipe's settings, the journal is the
-	// -journal path, and -chaos-disk 7 degraded it before it recorded
+	// The manifest: the grid is the recipe's settings, the journal is
+	// the one in -dir, and -chaos-disk 7 degraded it before it recorded
 	// every attempt the counters saw start.
-	m := readManifest(t, path("man.json"))
+	m := readManifest(t, path("run/manifest.json"))
 	settings, _ := m.Settings.([]any)
 	if len(settings) != 2 || m.Cycle != 1 || m.Interrupted {
 		t.Errorf("manifest: %d settings, cycle %d, interrupted %v; want the 2 grid cells of one completed cycle",
 			len(settings), m.Cycle, m.Interrupted)
 	}
 	started := m.Metrics.Counters["prudentia_trials_started_total"]
-	if m.Journal == nil || m.Journal.Path != path("trials.wal") || m.Journal.Records >= started {
-		t.Errorf("manifest journal = %+v with %d trials started; want the -journal path, short of records under -chaos-disk",
+	if m.Journal == nil || m.Journal.Path != path("run/trials.wal") || m.Journal.Records >= started {
+		t.Errorf("manifest journal = %+v with %d trials started; want the -dir journal, short of records under -chaos-disk",
 			m.Journal, started)
 	}
 	if c := m.Metrics.Counters; c["prudentia_pairs_completed_total"] != 12 || c["prudentia_calibrations_total"] != 6 {
 		t.Errorf("2 cells × 3 services must complete 12 pairs and 6 calibrations: %v", c)
 	}
 
-	// -metrics-out, -timeline, -pprof-dir, -faults-out: their files.
+	// -metrics-out, the timeline, -pprof-dir, the fault ledger: their files.
 	if prom, err := os.ReadFile(path("m.prom")); err != nil || !bytes.Contains(prom, []byte("# TYPE prudentia_trials_started_total counter")) {
 		t.Errorf("-metrics-out: %v\n%s", err, prom)
 	}
-	f, err := os.Open(path("t.jsonl"))
+	f, err := os.Open(path("run/timeline.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	events, err := obs.ReadTimeline(f)
 	if err != nil || len(events) == 0 || events[len(events)-1].Kind != "cycle_end" || events[len(events)-1].Detail != "completed" {
-		t.Errorf("-timeline: %v, %d events; want it to end with a completed cycle_end", err, len(events))
+		t.Errorf("timeline: %v, %d events; want it to end with a completed cycle_end", err, len(events))
 	}
-	for _, p := range []string{"pp/cycle1.cpu.pprof", "pp/cycle1.heap.pprof", "f.jsonl"} {
+	for _, p := range []string{"pp/cycle1.cpu.pprof", "pp/cycle1.heap.pprof", "run/faults.jsonl"} {
 		if _, err := os.Stat(path(p)); err != nil {
 			t.Error(err)
 		}
 	}
 }
 
-// TestEndToEndSweepKillResume SIGKILLs a -sweep -checkpoint run once its
+// TestEndToEndSweepKillResume SIGKILLs a -sweep -dir run once its
 // journal holds a record; the rerun resumes the cycle and writes the
 // artifacts of an uninterrupted run.
 func TestEndToEndSweepKillResume(t *testing.T) {
@@ -174,8 +172,9 @@ func TestEndToEndSweepKillResume(t *testing.T) {
 		"-seed", "7", "-workers", "2"}
 	runSweepBin(t, bin, slices.Concat(grid, []string{"-sweep-out", filepath.Join(dir, "ref")}))
 
-	ckpt := filepath.Join(dir, "ck.json")
-	args := slices.Concat(grid, []string{"-sweep-out", filepath.Join(dir, "resumed"), "-checkpoint", ckpt})
+	run := filepath.Join(dir, "run")
+	ckpt, wal := filepath.Join(run, "checkpoint.json"), filepath.Join(run, "trials.wal")
+	args := slices.Concat(grid, []string{"-sweep-out", filepath.Join(dir, "resumed"), "-dir", run})
 	cmd := exec.Command(bin, args...)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -186,7 +185,7 @@ func TestEndToEndSweepKillResume(t *testing.T) {
 	for {
 		// The first frame is the journal's schema header; a second one
 		// is a recorded attempt.
-		data, _ := os.ReadFile(ckpt + ".wal")
+		data, _ := os.ReadFile(wal)
 		if payloads, _ := journal.ScanFrames(data); len(payloads) >= 2 {
 			break
 		}
@@ -214,7 +213,7 @@ func TestEndToEndSweepKillResume(t *testing.T) {
 		t.Errorf("rerun did not resume:\n%s", out)
 	}
 	requireSameSweep(t, "killed and resumed against uninterrupted", filepath.Join(dir, "resumed"), filepath.Join(dir, "ref"))
-	for _, p := range []string{ckpt, ckpt + ".wal"} {
+	for _, p := range []string{ckpt, wal} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("%s not removed after the resumed sweep completed", p)
 		}

@@ -1,6 +1,7 @@
 package prudentia
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -97,4 +98,33 @@ func TestNewWatchdogConfigured(t *testing.T) {
 		t.Fatalf("watchdog misconfigured: %d services, %d settings, %d codes",
 			len(w.Services), len(w.Settings), len(w.AccessCodes))
 	}
+}
+
+// ExampleRun measures the two-roommates scenario from the paper's
+// introduction: YouTube competing with a Mega download on an 8 Mbps
+// access link.
+func ExampleRun() {
+	res, err := Run(Experiment{
+		Incumbent: "YouTube",
+		Contender: "Mega",
+		Setting:   HighlyConstrained,
+		Trials:    3,
+		Quick:     true,
+		Seed:      1,
+	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	for i, name := range []string{res.Incumbent, res.Contender} {
+		fmt.Printf("%-8s %5.2f Mbps (%3.0f%% of its max-min fair share, IQR %.0f)\n",
+			name+":", res.MedianMbps[i], res.MedianSharePct[i], res.IQRSharePct[i])
+	}
+	if res.MedianSharePct[0] < 90 && res.MedianSharePct[1] > 110 {
+		fmt.Println("Mega wins: YouTube is squeezed below its fair share")
+	}
+	// Output:
+	// YouTube:  0.67 Mbps ( 17% of its max-min fair share, IQR 6)
+	// Mega:     6.91 Mbps (173% of its max-min fair share, IQR 3)
+	// Mega wins: YouTube is squeezed below its fair share
 }

@@ -55,18 +55,21 @@ done
 
 ARTIFACTS="${CI_ARTIFACT_DIR:-ci-artifacts}"
 mkdir -p "$ARTIFACTS"
+# Absolute from here on: go test runs in the package's directory, and
+# CI_ARTIFACT_DIR may be relative or absolute.
+ARTIFACTS="$(cd "$ARTIFACTS" && pwd)"
 # Golden-trace failures append the first divergent line here, so a CI
 # failure ships the exact point of divergence instead of making the
 # investigator re-run the corpus locally.
-export GOLDEN_DIVERGENCE_OUT="$PWD/$ARTIFACTS/golden-divergence.txt"
+export GOLDEN_DIVERGENCE_OUT="$ARTIFACTS/golden-divergence.txt"
 rm -f "$GOLDEN_DIVERGENCE_OUT"
 
 # Durability soak suite (-soak): exercises the write-ahead journal,
 # hung-trial reaper, and circuit breakers against the real binary — the
 # randomized kill -9 loop plus a journaled multi-cycle soak run whose
-# durability files land in $ARTIFACTS. A completed cycle deletes its
-# journal and checkpoint, so any soak-* file left behind after a
-# failure is exactly the post-mortem state worth uploading.
+# run directory is $ARTIFACTS/soak. A completed cycle deletes its
+# journal and checkpoint, so a checkpoint.json or trials.wal left there
+# after a failure is exactly the post-mortem state worth uploading.
 if [ "$SOAK" -eq 1 ]; then
     if [ "${PRUDENTIA_SOAK:-0}" != "1" ]; then
         echo "ci: -soak is gated behind PRUDENTIA_SOAK=1; skipping" >&2
@@ -78,12 +81,9 @@ if [ "$SOAK" -eq 1 ]; then
         ./cmd/prudentia
     go run ./cmd/prudentia -cycles 3 -v -setting high -workers 2 -seed 7 \
         -services "iPerf (Cubic),iPerf (BBR)" \
-        -journal "$ARTIFACTS/soak-trials.wal" \
-        -checkpoint "$ARTIFACTS/soak-state.json" \
-        -max-trial-wall 1e6 \
-        -faults-out "$ARTIFACTS/soak-faults.jsonl" \
-        -manifest "$ARTIFACTS/soak-manifest.json"
-    [ -s "$ARTIFACTS/soak-manifest.json" ] || {
+        -dir "$ARTIFACTS/soak" \
+        -max-trial-wall 1e6
+    [ -s "$ARTIFACTS/soak/manifest.json" ] || {
         echo "ci: soak run produced no manifest" >&2
         exit 1
     }
@@ -226,14 +226,14 @@ if [ "$SERVE" -eq 1 ]; then
         exit 1
     }
 
-    # Crash-safety gate: SIGKILL the stateful (-serve-dir) daemon at
+    # Crash-safety gate: SIGKILL the stateful (-dir) daemon at
     # five randomized, seed-logged points across restarts — the queued
     # submission must survive exactly once and the converged artifacts
     # must be byte-identical to an uninterrupted daemon — plus a full
     # campaign with the -chaos-disk fault plan armed. Daemon logs and
     # state directories stay in $ARTIFACTS on failure.
     echo "ci: serve crash-safety gate (kill-restart loop + disk chaos)"
-    if ! PRUDENTIA_E2E_ARTIFACTS="$PWD/$ARTIFACTS/serve-crash" \
+    if ! PRUDENTIA_E2E_ARTIFACTS="$ARTIFACTS/serve-crash" \
         go test -count=1 -timeout 15m -v \
         -run 'TestServeKillRestartLoop|TestServeDiskChaosSurvives' ./cmd/prudentia; then
         echo "ci: serve crash-safety gate failed; daemon logs in $ARTIFACTS/serve-crash" >&2
@@ -344,11 +344,11 @@ scripts/docs-gate.sh
 # (journal.ReplaceFile), so no second copy of the frame codec or of the
 # temp->fsync->rename sequence can grow back. The one exemption is the
 # cycles/<N> *directory* rename in internal/serve/state.go.
-GO_ROOTS="cmd internal bench examples $(ls ./*.go)"
+GO_ROOTS="cmd internal bench $(ls ./*.go)"
 layer_bad="$(grep -rl --include='*.go' 'hash/crc32' $GO_ROOTS \
     | grep -v '_test\.go$' | grep -v '^internal/journal/' || true)"
 if [ -n "$layer_bad" ]; then
-    echo "ci: hash/crc32 imported outside internal/journal (use journal.Frame/ScanFrames/ReadFrame):" >&2
+    echo "ci: hash/crc32 imported outside internal/journal (use journal.Frame/ScanFrames):" >&2
     echo "$layer_bad" >&2
     exit 1
 fi
@@ -453,16 +453,15 @@ else
 fi
 
 # Seeded end-to-end acceptance run: one quick cycle of the real binary
-# with the full observability surface enabled. The artifacts (metrics,
-# timeline, manifest) are kept for upload; the reconciliation logic
-# itself is asserted by cmd/prudentia's end-to-end tests above — this
-# proves the shipped binary produces them outside the test harness too.
+# with the full observability surface enabled, $ARTIFACTS as its run
+# directory. The artifacts (metrics, timeline, manifest, fault ledger)
+# are kept for upload; the reconciliation logic itself is asserted by
+# cmd/prudentia's end-to-end tests above — this proves the shipped
+# binary produces them outside the test harness too.
 go run ./cmd/prudentia -cycles 1 -setting high -workers 4 -seed 42 \
     -services "iPerf (Cubic),iPerf (BBR)" \
     -metrics-out "$ARTIFACTS/metrics.prom" \
-    -timeline "$ARTIFACTS/timeline.jsonl" \
-    -manifest "$ARTIFACTS/manifest.json" \
-    -faults-out "$ARTIFACTS/faults.jsonl"
+    -dir "$ARTIFACTS"
 for f in metrics.prom timeline.jsonl manifest.json; do
     [ -s "$ARTIFACTS/$f" ] || { echo "ci: acceptance run produced no $f" >&2; exit 1; }
 done
@@ -473,14 +472,12 @@ echo "ci: acceptance artifacts in $ARTIFACTS/"
 # TSV header is the sweep pipeline's public schema — sweep.go documents
 # that it may only be extended together with this assertion — and the
 # row count pins the grid shape: 4 cells x 3 pairs x 2 slots. A sweep is
-# one cycle, so the cycle's -timeline and -faults-out leave their files.
+# one cycle, so its -dir gets the cycle's timeline and fault ledger.
 SWEEP_RATES="8,50" SWEEP_RTTS="25,50" SWEEP_QUEUES="64" \
     SWEEP_CCAS="iPerf (Cubic),iPerf (BBR)" \
     SWEEP_OUT="$ARTIFACTS/sweep-smoke" SWEEP_SEED=42 \
-    scripts/sweep.sh -workers 4 \
-    -timeline "$ARTIFACTS/sweep-timeline.jsonl" \
-    -faults-out "$ARTIFACTS/sweep-faults.jsonl"
-for f in sweep-timeline.jsonl sweep-faults.jsonl; do
+    scripts/sweep.sh -workers 4 -dir "$ARTIFACTS/sweep"
+for f in sweep/timeline.jsonl sweep/faults.jsonl; do
     [ -e "$ARTIFACTS/$f" ] || { echo "ci: sweep smoke produced no $f" >&2; exit 1; }
 done
 SWEEP_HEADER="$(printf 'rate_mbps\trtt_ms\tqueue_pkts\tincumbent\tcontender\tslot\tservice\tn\tmedian_share_pct\tiqr_share_pct\tci_lo_pct\tci_hi_pct\tverdict')"

@@ -4,8 +4,7 @@
 # code span that starts with a flag or with one of our commands, every
 # command line in a fenced block that runs one of them, every
 # Test*/Benchmark*/Fuzz* name in an inline span (a trailing * or { makes
-# it a prefix), every `go run ./cmd/<x>` or `go run ./examples/<x>`
-# directory, every inline span that is a `pkg.Symbol` or
+# it a prefix), every `go run ./<dir>` directory, every inline span that is a `pkg.Symbol` or
 # `pkg.Type.Member`, which `go doc` must find (our packages by
 # directory, standard ones by name), and every inline span that is a
 # bare `Type.Member`, which `go doc -u` must find in some package of
@@ -66,7 +65,7 @@ for doc in "${DOCS[@]}"; do
     done
     # A deleted command's flags may live on elsewhere, so the flag check
     # alone would pass docs that still run it.
-    for dir in $({ grep -oE 'go run \./(cmd|examples)/[A-Za-z0-9_-]+' <<<"$inline"$'\n'"$fenced" || true; } | sed 's|^go run \./||' | sort -u); do
+    for dir in $({ grep -oE 'go run \./[A-Za-z0-9_/-]+' <<<"$inline"$'\n'"$fenced" || true; } | sed 's|^go run \./||' | sort -u); do
         [ -d "$dir" ] || { echo "ci: $doc runs go run ./$dir, which does not exist" >&2; bad=1; }
     done
     for name in $({ grep -oE '\b(Test|Benchmark|Fuzz)[A-Z0-9][A-Za-z0-9_]*[*{]?' <<<"$inline" || true; } | sort -u); do

@@ -6,7 +6,7 @@
 # the chosen services under the quick trial protocol with sketch-backed
 # statistics, so the whole grid is mergeable, deterministic, and
 # byte-reproducible for a given seed, and every cycle flag
-# (-checkpoint, -timeline, -faults-out, ...) works here too.
+# (-dir, -metrics-out, -pprof-dir, ...) works here too.
 #
 #   scripts/sweep.sh                     default paper-style grid
 #   scripts/sweep.sh [extra flags...]    extra cmd/prudentia flags pass
