@@ -130,9 +130,8 @@ func (bs *BreakerSet) transition(service string, e *breakerEntry, to BreakerStat
 // Penalize adds pts to a member's health score, tripping a closed breaker
 // open at the threshold. Open and half-open breakers keep accumulating
 // score but do not re-transition (the canary probe owns those edges).
-// Members are services here; the serving layer reuses the set under tenant
-// keys to quarantine flapping members the same way. Like every other
-// method it is not safe for concurrent use; callers serialize externally.
+// Like every other method it is not safe for concurrent use; callers
+// serialize externally.
 func (bs *BreakerSet) Penalize(service string, pts float64) {
 	if bs == nil || service == "" || pts <= 0 {
 		return

@@ -259,14 +259,25 @@ func TestMatrixCellSlotOrientation(t *testing.T) {
 
 func TestWatchdogSubmissions(t *testing.T) {
 	w := NewWatchdog()
+	before := len(w.Services)
 	if err := w.Submit("https://example.com/app", "wrong-code"); err == nil {
 		t.Fatal("invalid access code accepted")
 	}
-	if err := w.Submit("", w.AccessCodes[0]); err == nil {
+	if err := w.Submit("", accessCodes[0]); err == nil {
 		t.Fatal("empty URL accepted")
 	}
-	before := len(w.Services)
-	if err := w.Submit("https://example.com/app", w.AccessCodes[0]); err != nil {
+	if len(w.Services) != before {
+		t.Fatal("refused submissions changed the catalog")
+	}
+	if len(accessCodes) != 5 {
+		t.Fatalf("%d access codes, want Appendix A's 5", len(accessCodes))
+	}
+	for _, code := range accessCodes {
+		if err := CheckSubmission("https://example.com/app", code); err != nil {
+			t.Fatalf("Appendix A code %q refused: %v", code, err)
+		}
+	}
+	if err := w.Submit("https://example.com/app", accessCodes[0]); err != nil {
 		t.Fatal(err)
 	}
 	if len(w.Services) != before+1 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"slices"
 	"sort"
 
 	"prudentia/internal/chaos"
@@ -44,8 +45,6 @@ type Watchdog struct {
 	// in canonical order. With Workers > 1 the Interrupt hook must be
 	// safe for concurrent use.
 	Workers int
-	// AccessCodes gate third-party submissions.
-	AccessCodes []string
 	// Progress, if non-nil, receives human-readable progress lines.
 	Progress func(format string, args ...any)
 
@@ -122,34 +121,39 @@ func NewWatchdog() *Watchdog {
 	return &Watchdog{
 		Services: services.ThroughputCatalog(),
 		Settings: []netem.Config{netem.HighlyConstrained(), netem.ModeratelyConstrained()},
-		// Access codes published in the paper's Appendix A for
-		// third-party testing.
-		AccessCodes: []string{
-			"KD4p1Z8Gs1SVPHUrTOVTMNHtvUnMSmvZ",
-			"A7mH2gHPmtlhbpb8ajfe48oCzA7hp6VB",
-			"5PWWIvTUxZSYVhIuEiBEmOOOog8zgrGa",
-			"XrVzJ3evvkVpoAf3k54mYuY0tCgjTD2k",
-			"bTXmWjSdAmQf4ULItqH2JCR5oX8jZvhL",
-		},
 	}
 }
 
-// Submit queues a custom URL for testing. The URL is modelled as a web
-// page whose parameters derive deterministically from the URL string.
-// An invalid access code is rejected.
-func (w *Watchdog) Submit(url, accessCode string) error {
-	ok := false
-	for _, c := range w.AccessCodes {
-		if c == accessCode {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+// accessCodes are the codes the paper's Appendix A publishes for
+// third-party testing; a submission must carry one of them.
+var accessCodes = []string{
+	"KD4p1Z8Gs1SVPHUrTOVTMNHtvUnMSmvZ",
+	"A7mH2gHPmtlhbpb8ajfe48oCzA7hp6VB",
+	"5PWWIvTUxZSYVhIuEiBEmOOOog8zgrGa",
+	"XrVzJ3evvkVpoAf3k54mYuY0tCgjTD2k",
+	"bTXmWjSdAmQf4ULItqH2JCR5oX8jZvhL",
+}
+
+// CheckSubmission reports why a submission of url under accessCode
+// would be refused: an access code that is not one of Appendix A's, or
+// an empty URL. The daemon calls it when a submission arrives, so a
+// refused one never reaches its queue.
+func CheckSubmission(url, accessCode string) error {
+	if !slices.Contains(accessCodes, accessCode) {
 		return fmt.Errorf("core: invalid access code for submission %q", url)
 	}
 	if url == "" {
 		return fmt.Errorf("core: submission requires a URL")
+	}
+	return nil
+}
+
+// Submit queues a custom URL for testing. The URL is modelled as a web
+// page whose parameters derive deterministically from the URL string.
+// A submission CheckSubmission refuses is rejected.
+func (w *Watchdog) Submit(url, accessCode string) error {
+	if err := CheckSubmission(url, accessCode); err != nil {
+		return err
 	}
 	w.Services = append(w.Services, customURLService(url))
 	return nil

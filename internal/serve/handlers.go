@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"prudentia/internal/core"
 	"prudentia/internal/obs"
 )
 
@@ -170,9 +171,9 @@ func parseCycleQuery(rawQuery string) (int, error) {
 type submissionRequest struct {
 	// URL is the page to model and admit into future cycles.
 	URL string `json:"url"`
-	// AccessCode must match one of the engine's published codes
-	// (Appendix A); it is verified when the submission is applied at the
-	// next cycle boundary, not at enqueue time.
+	// AccessCode must be one of the codes Appendix A publishes
+	// (core.CheckSubmission); a wrong one is refused with 403 on
+	// arrival, before it is logged or queued.
 	AccessCode string `json:"access_code"`
 	// Tenant identifies the submitting party for budgeting; empty means
 	// "anonymous" (all anonymous submitters share one bucket).
@@ -180,8 +181,8 @@ type submissionRequest struct {
 }
 
 // submissionsHandler queues tenant submissions for the next cycle
-// boundary, enforcing per-tenant token budgets and tenant circuit
-// breakers.
+// boundary: it refuses a wrong access code at the door, then enforces
+// per-tenant token budgets and the queue cap.
 func (s *Server) submissionsHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -207,6 +208,13 @@ func (s *Server) submissionsHandler() http.HandlerFunc {
 			http.Error(w, "submission requires a url", http.StatusBadRequest)
 			return
 		}
+		if err := core.CheckSubmission(req.URL, req.AccessCode); err != nil {
+			// Refused before admit: no WAL record, no token, no queue
+			// slot, and the engine never sees it.
+			s.subsDenied.Inc()
+			http.Error(w, "invalid access code", http.StatusForbidden)
+			return
+		}
 		tenant := req.Tenant
 		if tenant == "" {
 			tenant = "anonymous"
@@ -218,10 +226,6 @@ func (s *Server) submissionsHandler() http.HandlerFunc {
 			s.subsAccepted.Inc()
 			w.WriteHeader(http.StatusAccepted)
 			fmt.Fprintf(w, "{\n  \"status\": \"queued\",\n  \"position\": %d,\n  \"applies_after_cycle\": %d\n}\n", pos, s.Latest())
-		case admitSuspended:
-			s.subsDenied.Inc()
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintf(w, "{\n  \"status\": \"suspended\",\n  \"error\": \"tenant circuit breaker open; one probe admitted next cycle\"\n}\n")
 		case admitExhausted:
 			// Budgets refill at the next cycle boundary, so that is the
 			// honest earliest retry time.

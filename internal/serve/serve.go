@@ -23,9 +23,9 @@
 //
 // Third-party submissions (POST /api/v1/submissions) cross from the
 // read side to the write side through a mutex-guarded queue with
-// per-tenant token buckets and tenant circuit breakers; the scheduler
-// drains the queue at cycle boundaries, so the catalog only ever
-// changes between cycles.
+// per-tenant token buckets; the handler refuses a wrong access code
+// (403) before the queue sees it, and the scheduler drains the queue at
+// cycle boundaries, so the catalog only ever changes between cycles.
 package serve
 
 import (
@@ -95,8 +95,8 @@ type Config struct {
 	// accepted submission is logged to <StateDir>/subs.wal before its
 	// 202 is sent, published cycle artifacts persist under
 	// <StateDir>/cycles/, and on restart the history ring, tenant
-	// budgets, breaker states, and unapplied submissions all rehydrate
-	// from disk. Empty disables persistence (in-memory daemon).
+	// budgets and unapplied submissions all rehydrate from disk. Empty
+	// disables persistence (in-memory daemon).
 	StateDir string
 	// DiskChaos, when enabled, runs the daemon's durable writers — the
 	// submission WAL, its compaction and the per-cycle artifact files —
@@ -455,9 +455,11 @@ func sleepBackoff(ctx context.Context, interval time.Duration, failures int) boo
 }
 
 // applySubmissions drains the pending queue into the engine and settles
-// each submission: a durable apply record naming the upcoming cycle,
-// plus the tenant breaker update. Runs on the scheduler goroutine only,
-// so Submit needs no locking.
+// each submission with a durable apply record naming the upcoming
+// cycle. Runs on the scheduler goroutine only, so Submit needs no
+// locking. With a core.Watchdog source, Submit fails only on an accept
+// an older build queued without checking its access code; that one is
+// logged, recorded as a failed apply and dropped.
 func (s *Server) applySubmissions(cycle int) {
 	for _, sub := range s.tenants.drain() {
 		err := s.cfg.Source.Submit(sub.url, sub.accessCode)

@@ -278,7 +278,6 @@ func (r *recordingSource) RunCycle() (*core.CycleResult, error) {
 type fakeSource struct {
 	cycle     int
 	submitted []string
-	submitErr error
 	failNext  int
 	failures  int
 }
@@ -295,9 +294,6 @@ func (f *fakeSource) RunCycle() (*core.CycleResult, error) {
 func (f *fakeSource) SettingConfigs() []netem.Config { return nil }
 func (f *fakeSource) Catalog() []services.Service    { return nil }
 func (f *fakeSource) Submit(url, code string) error {
-	if f.submitErr != nil {
-		return f.submitErr
-	}
 	f.submitted = append(f.submitted, url)
 	return nil
 }

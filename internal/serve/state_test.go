@@ -233,8 +233,8 @@ func TestRetryAfterDerivesFromInterval(t *testing.T) {
 		c.CycleInterval = 120 * 1e9 // 120s
 		c.TenantBurst = 1
 	})
-	postSubmission(t, s, `{"url":"https://a.example","access_code":"c","tenant":"t"}`)
-	rec := postSubmission(t, s, `{"url":"https://b.example","access_code":"c","tenant":"t"}`)
+	postSubmission(t, s, submission("https://a.example", validCode, "t"))
+	rec := postSubmission(t, s, submission("https://b.example", validCode, "t"))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-budget = %d", rec.Code)
 	}

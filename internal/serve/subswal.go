@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"prudentia/internal/journal"
-	"prudentia/internal/obs"
 )
 
 // This file implements the durable submission store: a journal.Log
@@ -17,8 +16,8 @@ import (
 // boundary" — and without a durable record a daemon crash between
 // acceptance and application silently breaks it. With the WAL, restart
 // replays unapplied submissions in arrival order and re-derives the
-// tenant token-bucket and submission-breaker state, so no accepted
-// submission is lost and none is applied twice.
+// tenant token buckets, so no accepted submission is lost and none is
+// applied twice.
 //
 // Record lifecycle (all payloads are one JSON subsRecord after the
 // {"schema":"prudentia.subs/1"} header frame):
@@ -29,7 +28,7 @@ import (
 //	cycle  {cycle}                    after the cycle's artifacts are
 //	                                  durably published — the commit
 //	                                  marker for every apply ≤ cycle
-//	state  {next_seq, tokens, breakers}  compaction snapshot
+//	state  {next_seq, tokens}         compaction snapshot
 //
 // Replay rules: an accept with no apply is still pending (re-queued);
 // an apply with no later cycle commit was consumed by a cycle that
@@ -57,10 +56,10 @@ type subsRecord struct {
 	OK     bool   `json:"ok,omitempty"`
 	Cycle  int    `json:"cycle,omitempty"`
 
-	// state-snapshot fields (Op == "state").
-	NextSeq  uint64            `json:"next_seq,omitempty"`
-	Tokens   map[string]int    `json:"tokens,omitempty"`
-	Breakers []obs.BreakerInfo `json:"breakers,omitempty"`
+	// state-snapshot fields (Op == "state"). An older build's snapshot
+	// has one more key, which decoding ignores.
+	NextSeq uint64         `json:"next_seq,omitempty"`
+	Tokens  map[string]int `json:"tokens,omitempty"`
 }
 
 // subsRecovery reports what openSubsWAL found on disk: the intact

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -116,51 +116,6 @@ func TestSubsWALCycleCommitCompletes(t *testing.T) {
 	_, resubmit := openWALTable(t, path, 4, 16)
 	if len(resubmit) != 0 {
 		t.Fatalf("resubmit = %+v, want none (cycle committed)", resubmit)
-	}
-}
-
-// TestSubsWALBreakerRoundTrip: a tenant suspended by failed submissions
-// stays suspended across a restart, and the canary protocol — one probe
-// admitted after the next cycle boundary — continues exactly where the
-// previous process left off.
-func TestSubsWALBreakerRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "subs.wal")
-	tab, _ := openWALTable(t, path, 10, 16)
-	submitErr := errors.New("core: invalid access code")
-	// Three failed applies at +2 each cross the default threshold of 5.
-	for i := 0; i < 3; i++ {
-		tab.admit("mallory", "https://evil.example", "wrong")
-		for _, sub := range tab.drain() {
-			tab.settle(sub, i+1, submitErr)
-		}
-	}
-	if !tab.suspended("mallory") {
-		t.Fatal("breaker did not trip before restart")
-	}
-	tab.wal.close()
-
-	// Restart mid-suspension: replay of the apply records re-trips it.
-	tab2, _ := openWALTable(t, path, 10, 16)
-	if !tab2.suspended("mallory") {
-		t.Fatal("suspension lost across restart")
-	}
-	if v, _ := tab2.admit("mallory", "https://evil.example", "wrong"); v != admitSuspended {
-		t.Fatalf("suspended admit = %v", v)
-	}
-
-	// Cycle boundary moves the breaker half-open (snapshotted by
-	// compaction); a second restart must still admit exactly one probe.
-	tab2.cycleEnd(4)
-	tab2.wal.close()
-	tab3, _ := openWALTable(t, path, 10, 16)
-	if v, _ := tab3.admit("mallory", "https://evil.example", "right"); v != admitQueued {
-		t.Fatalf("probe admit after restart = %v, want queued", v)
-	}
-	for _, sub := range tab3.drain() {
-		tab3.settle(sub, 5, nil) // probe succeeds
-	}
-	if tab3.suspended("mallory") {
-		t.Fatal("successful probe did not close the breaker")
 	}
 }
 
@@ -325,59 +280,94 @@ func TestSubsWALDegradedBootHeals(t *testing.T) {
 	}
 }
 
-// subsFixture is a submission WAL exactly as the parent commit wrote
-// it: header, a compaction (state snapshot + one carried accept), then
-// an accept, two applies and a cycle commit appended live.
-const subsFixture = "\x00\x00\x00\x1d\xa8G\x13\x9f{\"schema\":\"prudentia.subs/1\"}" +
+// subsFixture is a submission WAL exactly as this build writes it:
+// header, a compaction (state snapshot + one carried accept), then an
+// accept, two applies and a cycle commit appended live.
+const subsFixture = subsFixtureHeader +
+	"\x00\x00\x004A%9f{\"op\":\"state\",\"next_seq\":5,\"tokens\":{\"t1\":2,\"t2\":4}}" +
+	subsFixtureTail
+
+// subsFixtureOlder is the same WAL as an older build wrote it: its state
+// snapshot also carries that build's tenant circuit breakers, here one
+// open breaker for "mallory". It must still resume.
+const subsFixtureOlder = subsFixtureHeader +
 	"\x00\x00\x00p\xe4\x86+\x05{\"op\":\"state\",\"next_seq\":5,\"tokens\":{\"t1\":2,\"t2\":4},\"breakers\":[{\"service\":\"mallory\",\"state\":\"open\",\"score\":6}]}" +
-	"\x00\x00\x00P\xc6z\x1eW{\"op\":\"accept\",\"seq\":4,\"tenant\":\"t1\",\"url\":\"https://carried.example\",\"code\":\"c\"}" +
+	subsFixtureTail
+
+const subsFixtureHeader = "\x00\x00\x00\x1d\xa8G\x13\x9f{\"schema\":\"prudentia.subs/1\"}"
+
+const subsFixtureTail = "\x00\x00\x00P\xc6z\x1eW{\"op\":\"accept\",\"seq\":4,\"tenant\":\"t1\",\"url\":\"https://carried.example\",\"code\":\"c\"}" +
 	"\x00\x00\x00M\x8a\xf2\xa9j{\"op\":\"accept\",\"seq\":5,\"tenant\":\"t2\",\"url\":\"https://a.example\",\"code\":\"code\"}" +
 	"\x00\x00\x00*\xec\x7f\xb6\xcc{\"op\":\"apply\",\"seq\":4,\"ok\":true,\"cycle\":3}" +
 	"\x00\x00\x00 %\x91\n\\{\"op\":\"apply\",\"seq\":5,\"cycle\":3}" +
 	"\x00\x00\x00\x18[\x97\xd0\x12{\"op\":\"cycle\",\"cycle\":3}"
 
-// TestSubsWALFormatPinned pins prudentia.subs/1 on disk: the fixture
-// recovers to the expected records, and replaying them through compact
-// and the append path produces identical bytes.
+// TestSubsWALFormatPinned pins prudentia.subs/1 on disk: this build's
+// fixture and an older build's both recover to the same records, and
+// replaying either through compact and the append path produces this
+// build's bytes. On the restored older fixture, the tenant its
+// snapshot names as suspended is judged like any other: 202 with a
+// valid code, 403 with a wrong one.
 func TestSubsWALFormatPinned(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "subs.wal")
-	if err := os.WriteFile(path, []byte(subsFixture), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, rec, err := openSubsWAL(path, nil)
-	if err != nil || rec.Truncated {
-		t.Fatalf("fixture did not recover cleanly: %v %+v", err, rec)
-	}
-	w.close()
-	var ops []string
-	for _, r := range rec.Records {
-		ops = append(ops, r.Op)
-	}
-	if got := strings.Join(ops, " "); got != "state accept accept apply apply cycle" {
-		t.Fatalf("fixture decoded to ops %q", got)
-	}
-	if w.nextSeq() != 6 {
-		t.Fatalf("next seq = %d, want 6", w.nextSeq())
-	}
-
-	fresh := filepath.Join(t.TempDir(), "subs.wal")
-	w2, _, err := openSubsWAL(fresh, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rec.Records
-	carried := []pendingSubmission{{seq: r[1].Seq, tenant: r[1].Tenant, url: r[1].URL, accessCode: r[1].Code}}
-	if err := w2.compact(r[0], carried); err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range r[2:] {
-		if err := w2.append(x); err != nil {
+	for _, fx := range []struct{ name, data string }{{"current", subsFixture}, {"older", subsFixtureOlder}} {
+		path := filepath.Join(t.TempDir(), "subs.wal")
+		if err := os.WriteFile(path, []byte(fx.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		w, rec, err := openSubsWAL(path, nil)
+		if err != nil || rec.Truncated {
+			t.Fatalf("%s fixture did not recover cleanly: %v %+v", fx.name, err, rec)
+		}
+		w.close()
+		var ops []string
+		for _, r := range rec.Records {
+			ops = append(ops, r.Op)
+		}
+		if got := strings.Join(ops, " "); got != "state accept accept apply apply cycle" {
+			t.Fatalf("%s fixture decoded to ops %q", fx.name, got)
+		}
+		if w.nextSeq() != 6 {
+			t.Fatalf("%s fixture: next seq = %d, want 6", fx.name, w.nextSeq())
+		}
+		r := rec.Records
+		if tok := r[0].Tokens; r[0].NextSeq != 5 || len(tok) != 2 || tok["t1"] != 2 || tok["t2"] != 4 {
+			t.Fatalf("%s fixture: state = %+v, want next_seq 5, tokens t1:2 t2:4", fx.name, r[0])
+		}
+		carried := []pendingSubmission{{seq: r[1].Seq, tenant: r[1].Tenant, url: r[1].URL, accessCode: r[1].Code}}
+		if carried[0] != (pendingSubmission{seq: 4, tenant: "t1", url: "https://carried.example", accessCode: "c"}) {
+			t.Fatalf("%s fixture: carried accept = %+v", fx.name, carried[0])
+		}
+
+		fresh := filepath.Join(t.TempDir(), "subs.wal")
+		w2, _, err := openSubsWAL(fresh, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w2.compact(r[0], carried); err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range r[2:] {
+			if err := w2.append(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w2.close()
+		if got, _ := os.ReadFile(fresh); string(got) != subsFixture {
+			t.Fatalf("%s fixture re-encoded differs:\n got %q\nwant %q", fx.name, got, subsFixture)
+		}
 	}
-	w2.close()
-	if got, _ := os.ReadFile(fresh); string(got) != subsFixture {
-		t.Fatalf("re-encoded WAL differs:\n got %q\nwant %q", got, subsFixture)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "subs.wal"), []byte(subsFixtureOlder), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newFakeServer(t, &fakeSource{}, func(c *Config) { c.StateDir = dir })
+	t.Cleanup(func() { s.wal.close() })
+	if rec := postSubmission(t, s, submission("https://m.example", validCode, "mallory")); rec.Code != http.StatusAccepted {
+		t.Fatalf("mallory with a valid code after the older WAL = %d %q, want 202", rec.Code, rec.Body.String())
+	}
+	if rec := postSubmission(t, s, submission("https://m.example", "wrong", "mallory")); rec.Code != http.StatusForbidden {
+		t.Fatalf("mallory with a wrong code after the older WAL = %d, want 403", rec.Code)
 	}
 }
 

@@ -1,34 +1,27 @@
 package serve
 
-import (
-	"sync"
-
-	"prudentia/internal/core"
-)
+import "sync"
 
 // tenantTable is the submission admission layer: a per-tenant token
 // bucket (refilled at each cycle boundary) bounds how much catalog
-// growth any one tenant can request per cycle, a global pending queue
-// cap bounds total daemon memory, and a core.BreakerSet keyed by tenant
-// ejects tenants whose submissions repeatedly fail (bad access codes,
-// rejected URLs) exactly the way the watchdog ejects sick services.
+// growth any one tenant can request per cycle, and a global pending
+// queue cap bounds total daemon memory. It sees only submissions the
+// handler has already checked (core.CheckSubmission), so a wrong
+// access code never spends a token or takes a queue slot.
 //
-// BreakerSet is deliberately not concurrency-safe (its call sites in
-// core are single-goroutine by design); here the table's mutex is that
-// external serialization — the HTTP handler and the scheduler both go
-// through it. The optional submission WAL (subswal.go) is serialized by
-// the same mutex, which also keeps WAL record order identical to
-// admission order.
+// The HTTP handler and the scheduler both go through the table's
+// mutex. The optional submission WAL (subswal.go) is serialized by the
+// same mutex, which also keeps WAL record order identical to admission
+// order.
 type tenantTable struct {
 	mu sync.Mutex
 
 	burst      int // tokens granted per tenant per cycle
 	maxPending int // global queue cap across all tenants
 
-	tokens   map[string]int
-	pending  []pendingSubmission
-	breakers core.BreakerSet
-	wal      *subsWAL // nil = durability disabled
+	tokens  map[string]int
+	pending []pendingSubmission
+	wal     *subsWAL // nil = durability disabled
 }
 
 // pendingSubmission is one accepted-but-not-yet-applied submission. seq
@@ -45,7 +38,6 @@ type admitResult int
 
 const (
 	admitQueued admitResult = iota
-	admitSuspended
 	admitExhausted
 	admitQueueFull
 	// admitWALFail: the submission passed every admission check but its
@@ -71,15 +63,11 @@ func (t *tenantTable) attachWAL(w *subsWAL) { t.wal = w }
 // admit decides one POSTed submission. On admitQueued the submission is
 // durably logged (when a WAL is attached), queued for the next cycle
 // boundary, and one token is consumed; every other verdict leaves no
-// trace beyond the (deterministic) token and breaker state that
-// produced it. Returns the queue position (1-based) for queued
-// submissions.
+// trace beyond the (deterministic) token state that produced it.
+// Returns the queue position (1-based) for queued submissions.
 func (t *tenantTable) admit(tenant, url, accessCode string) (admitResult, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.breakers.State(tenant) == core.BreakerOpen {
-		return admitSuspended, 0
-	}
 	if t.tokensLeft(tenant) <= 0 {
 		return admitExhausted, 0
 	}
@@ -107,9 +95,9 @@ func (t *tenantTable) drain() []pendingSubmission {
 	return out
 }
 
-// The three effects below are the admission policy, each written once:
-// the live paths (admit, settle, cycleEnd) and WAL recovery (restore)
-// both apply them. Callers hold t.mu.
+// The token bucket below is the admission policy, written once: the
+// live paths (admit, cycleEnd) and WAL recovery (restore) both apply
+// spend and refill. Callers hold t.mu.
 
 // tokensLeft reports a tenant's unspent budget this cycle; a tenant the
 // table has not seen holds a full burst.
@@ -123,35 +111,15 @@ func (t *tenantTable) tokensLeft(tenant string) int {
 // spend consumes one token: the tenant's submission was accepted.
 func (t *tenantTable) spend(tenant string) { t.tokens[tenant] = t.tokensLeft(tenant) - 1 }
 
-// judge feeds one applied submission's outcome to its tenant's breaker.
-// A failed Submit is worth +2 (an invalid access code trips the default
-// threshold after three strikes); while half-open, the one admitted
-// probe submission closes or re-opens the breaker outright.
-func (t *tenantTable) judge(tenant string, ok bool) {
-	if t.breakers.State(tenant) == core.BreakerHalfOpen {
-		t.breakers.ProbeResult(tenant, ok)
-	} else if !ok {
-		t.breakers.Penalize(tenant, 2)
-	}
-}
-
-// refill is the cycle boundary: every seen tenant's bucket refills,
-// closed breakers decay, and open ones move to half-open so each
-// suspended tenant gets exactly one probe submission next cycle — the
-// same canary protocol the watchdog applies to ejected services.
+// refill is the cycle boundary: every seen tenant's bucket refills.
 func (t *tenantTable) refill() {
 	for tenant := range t.tokens {
 		t.tokens[tenant] = t.burst
 	}
-	t.breakers.Decay()
-	for _, tenant := range t.breakers.OpenServices() {
-		t.breakers.BeginProbe(tenant)
-	}
 }
 
 // settle records one applied submission's outcome: a durable apply
-// record naming the cycle that will include it, plus the tenant-breaker
-// judgement.
+// record naming the cycle that will include it.
 func (t *tenantTable) settle(sub pendingSubmission, cycle int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -160,7 +128,6 @@ func (t *tenantTable) settle(sub pendingSubmission, cycle int, err error) {
 	// re-apply it), which is the right failure direction for a 202
 	// already promised.
 	t.wal.appendApply(sub.seq, err == nil, cycle)
-	t.judge(sub.tenant, err == nil)
 }
 
 // cycleEnd commits the just-published cycle to the WAL and refills the
@@ -180,19 +147,18 @@ func (t *tenantTable) cycleEnd(cycle int) error {
 	for k, v := range t.tokens {
 		tokens[k] = v
 	}
-	state := subsRecord{NextSeq: t.wal.nextSeq(), Tokens: tokens, Breakers: t.breakers.Status()}
+	state := subsRecord{NextSeq: t.wal.nextSeq(), Tokens: tokens}
 	return t.wal.compact(state, t.pending)
 }
 
 // restore folds a recovered WAL's records into the (freshly
 // constructed) table: pending submissions re-queue in arrival order,
-// token buckets and tenant breakers re-derive by applying each record's
-// live-time effect (spend, judge, refill). It returns the submissions
-// whose apply records name a cycle that never committed — their URLs
-// were Submit'd into an engine whose cycle never published, so the
-// caller must re-Submit them before resuming that cycle (they land in
-// exactly the cycle their apply record promised, applied once from the
-// client's point of view).
+// token buckets re-derive by applying each record's live-time effect
+// (spend, refill). It returns the submissions whose apply records name
+// a cycle that never committed — their URLs were Submit'd into an
+// engine whose cycle never published, so the caller must re-Submit
+// them before resuming that cycle (they land in exactly the cycle their
+// apply record promised, applied once from the client's point of view).
 func (t *tenantTable) restore(rec subsRecovery) (resubmit []pendingSubmission) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -210,7 +176,6 @@ func (t *tenantTable) restore(rec subsRecovery) (resubmit []pendingSubmission) {
 			for k, v := range r.Tokens {
 				t.tokens[k] = v
 			}
-			t.breakers.Restore(r.Breakers)
 		case "accept":
 			sub := pendingSubmission{seq: r.Seq, tenant: r.Tenant, url: r.URL, accessCode: r.Code}
 			t.pending = append(t.pending, sub)
@@ -228,7 +193,6 @@ func (t *tenantTable) restore(rec subsRecovery) (resubmit []pendingSubmission) {
 				}
 				sub := t.pending[i]
 				t.pending = append(t.pending[:i], t.pending[i+1:]...)
-				t.judge(sub.tenant, r.OK)
 				if r.OK {
 					uncommitted = append(uncommitted, appliedSub{sub: sub, cycle: r.Cycle})
 				}
@@ -249,12 +213,4 @@ func (t *tenantTable) restore(rec subsRecovery) (resubmit []pendingSubmission) {
 		resubmit = append(resubmit, a.sub)
 	}
 	return resubmit
-}
-
-// suspended reports whether a tenant's breaker is open (for tests and
-// status introspection).
-func (t *tenantTable) suspended(tenant string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.breakers.State(tenant) == core.BreakerOpen
 }

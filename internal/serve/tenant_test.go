@@ -2,12 +2,23 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"prudentia/internal/journal"
 )
+
+// validCode is the first access code the paper's Appendix A publishes.
+const validCode = "KD4p1Z8Gs1SVPHUrTOVTMNHtvUnMSmvZ"
+
+// submission renders a POST /api/v1/submissions body.
+func submission(url, code, tenant string) string {
+	return `{"url":"` + url + `","access_code":"` + code + `","tenant":"` + tenant + `"}`
+}
 
 func postSubmission(t *testing.T, s *Server, body string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -25,26 +36,23 @@ func TestSubmissionBudgets(t *testing.T) {
 	src := &fakeSource{}
 	s := newFakeServer(t, src, func(c *Config) { c.TenantBurst = 2 })
 
-	body := func(tenant, url string) string {
-		return `{"url":"` + url + `","access_code":"c","tenant":"` + tenant + `"}`
-	}
 	for i := 0; i < 2; i++ {
-		if rec := postSubmission(t, s, body("t1", "https://a.example/1")); rec.Code != http.StatusAccepted {
+		if rec := postSubmission(t, s, submission("https://a.example/1", validCode, "t1")); rec.Code != http.StatusAccepted {
 			t.Fatalf("submission %d = %d, want 202", i, rec.Code)
 		}
 	}
-	rec := postSubmission(t, s, body("t1", "https://a.example/3"))
+	rec := postSubmission(t, s, submission("https://a.example/3", validCode, "t1"))
 	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
 		t.Fatalf("over-budget = %d (Retry-After %q), want 429", rec.Code, rec.Header().Get("Retry-After"))
 	}
 	// Another tenant still has budget.
-	if rec := postSubmission(t, s, body("t2", "https://b.example/1")); rec.Code != http.StatusAccepted {
+	if rec := postSubmission(t, s, submission("https://b.example/1", validCode, "t2")); rec.Code != http.StatusAccepted {
 		t.Fatalf("t2 = %d, want 202", rec.Code)
 	}
 
 	// Cycle boundary refills the bucket.
 	s.tenants.cycleEnd(1)
-	if rec := postSubmission(t, s, body("t1", "https://a.example/4")); rec.Code != http.StatusAccepted {
+	if rec := postSubmission(t, s, submission("https://a.example/4", validCode, "t1")); rec.Code != http.StatusAccepted {
 		t.Fatalf("post-refill = %d, want 202", rec.Code)
 	}
 }
@@ -57,74 +65,65 @@ func TestSubmissionQueueCap(t *testing.T) {
 		c.TenantBurst = 10
 	})
 	for i := 0; i < 2; i++ {
-		if rec := postSubmission(t, s, `{"url":"https://x.example","access_code":"c","tenant":"t"}`); rec.Code != http.StatusAccepted {
+		if rec := postSubmission(t, s, submission("https://x.example", validCode, "t")); rec.Code != http.StatusAccepted {
 			t.Fatal(rec.Code)
 		}
 	}
-	rec := postSubmission(t, s, `{"url":"https://x.example","access_code":"c","tenant":"t"}`)
+	rec := postSubmission(t, s, submission("https://x.example", validCode, "t"))
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "queue_full") {
 		t.Fatalf("full queue = %d %q", rec.Code, rec.Body.String())
 	}
 }
 
-// TestSubmissionValidation rejects malformed bodies up front.
+// TestSubmissionValidation rejects malformed bodies and wrong access
+// codes up front. A wrong code is refused at the door with 403: one
+// denial, no token spent, no WAL record, and the engine never sees it.
 func TestSubmissionValidation(t *testing.T) {
-	s := newFakeServer(t, &fakeSource{}, nil)
+	dir := t.TempDir()
+	src := &fakeSource{}
+	s := newFakeServer(t, src, func(c *Config) { c.TenantBurst = 2; c.StateDir = dir })
+	t.Cleanup(func() { s.wal.close() })
 	if rec := postSubmission(t, s, `{not json`); rec.Code != http.StatusBadRequest {
 		t.Errorf("malformed = %d", rec.Code)
 	}
-	if rec := postSubmission(t, s, `{"access_code":"c"}`); rec.Code != http.StatusBadRequest {
+	if rec := postSubmission(t, s, `{"access_code":"`+validCode+`"}`); rec.Code != http.StatusBadRequest {
 		t.Errorf("missing url = %d", rec.Code)
 	}
-}
 
-// TestTenantBreaker trips a tenant whose submissions keep failing
-// (invalid access codes), suspends further submissions with 503, then
-// re-admits one probe at the next cycle boundary — the canary protocol.
-func TestTenantBreaker(t *testing.T) {
-	src := &fakeSource{submitErr: errors.New("core: invalid access code")}
-	s := newFakeServer(t, src, func(c *Config) { c.TenantBurst = 10; c.MaxCycles = 1 })
+	denied := s.subsDenied.Value()
+	if rec := postSubmission(t, s, submission("https://evil.example", "wrong", "mallory")); rec.Code != http.StatusForbidden {
+		t.Fatalf("wrong code = %d %q, want 403", rec.Code, rec.Body.String())
+	}
+	if d := s.subsDenied.Value() - denied; d != 1 {
+		t.Errorf("wrong code counted %d denials, want 1", d)
+	}
+	// The 403 spent no token: the tenant's full burst still gets 202s.
+	for i := 0; i < 2; i++ {
+		if rec := postSubmission(t, s, submission("https://ok.example", validCode, "mallory")); rec.Code != http.StatusAccepted {
+			t.Fatalf("valid submission %d after the 403 = %d, want 202", i, rec.Code)
+		}
+	}
+	if rec := postSubmission(t, s, submission("https://ok.example", validCode, "mallory")); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("submission past the burst = %d, want 429", rec.Code)
+	}
 
-	bad := `{"url":"https://evil.example","access_code":"wrong","tenant":"mallory"}`
-	// Three failed applications at +2 each cross the default threshold
-	// of 5. Submissions are settled when the scheduler applies them.
-	for i := 0; i < 3; i++ {
-		if rec := postSubmission(t, s, bad); rec.Code != http.StatusAccepted {
-			t.Fatalf("queueing submission %d = %d", i, rec.Code)
+	data, err := os.ReadFile(filepath.Join(dir, "subs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, _ := journal.ScanFrames(data)
+	// header + the two accepts; nothing of the 403.
+	if len(payloads) != 3 {
+		t.Fatalf("WAL holds %d frames, want 3 (header + two accepts)", len(payloads))
+	}
+	for _, p := range payloads {
+		if strings.Contains(string(p), "evil.example") {
+			t.Fatalf("WAL holds a record of the refused submission: %s", p)
 		}
 	}
 	s.applySubmissions(1)
-	if !s.tenants.suspended("mallory") {
-		t.Fatal("tenant breaker did not trip after three failed submissions")
-	}
-	rec := postSubmission(t, s, bad)
-	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "suspended") {
-		t.Fatalf("suspended tenant = %d %q, want 503", rec.Code, rec.Body.String())
-	}
-
-	// Cycle boundary: breaker goes half-open, one probe is admitted.
-	s.tenants.cycleEnd(1)
-	if rec := postSubmission(t, s, bad); rec.Code != http.StatusAccepted {
-		t.Fatalf("probe submission = %d, want 202", rec.Code)
-	}
-	// The probe fails too → breaker re-opens.
-	s.applySubmissions(1)
-	if !s.tenants.suspended("mallory") {
-		t.Fatal("failed probe did not re-open the breaker")
-	}
-
-	// A successful probe closes it for good.
-	s.tenants.cycleEnd(1)
-	src.submitErr = nil
-	if rec := postSubmission(t, s, bad); rec.Code != http.StatusAccepted {
-		t.Fatalf("second probe = %d", rec.Code)
-	}
-	s.applySubmissions(1)
-	if s.tenants.suspended("mallory") {
-		t.Fatal("successful probe did not close the breaker")
-	}
-	if rec := postSubmission(t, s, bad); rec.Code != http.StatusAccepted {
-		t.Fatalf("post-recovery submission = %d, want 202", rec.Code)
+	if len(src.submitted) != 2 || src.submitted[0] != "https://ok.example" {
+		t.Fatalf("engine saw %v, want only the two accepted submissions", src.submitted)
 	}
 }
 
@@ -133,8 +132,8 @@ func TestTenantBreaker(t *testing.T) {
 func TestSubmissionsFlowIntoCycles(t *testing.T) {
 	src := &fakeSource{}
 	s := newFakeServer(t, src, func(c *Config) { c.MaxCycles = 2 })
-	postSubmission(t, s, `{"url":"https://one.example","access_code":"c","tenant":"t"}`)
-	postSubmission(t, s, `{"url":"https://two.example","access_code":"c","tenant":"t"}`)
+	postSubmission(t, s, submission("https://one.example", validCode, "t"))
+	postSubmission(t, s, submission("https://two.example", validCode, "t"))
 	if err := s.campaign(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +143,21 @@ func TestSubmissionsFlowIntoCycles(t *testing.T) {
 }
 
 // FuzzSubmissionBody: arbitrary bytes POSTed to the submissions route
-// never panic the handler, are answered only with 202, 400, 429 or 503,
-// are each counted exactly once as accepted or denied, and are refused
-// whole when they exceed the 4096-byte body limit. Every body is sent
-// three times to a tenant burst of two, so a well-formed one walks
-// 202, 202, 429 and a malformed one is a 400 each time.
+// never panic the handler, are answered only with 202, 400, 403, 429 or
+// 503, are each counted exactly once as accepted or denied, and are
+// refused whole when they exceed the 4096-byte body limit. Every body
+// is sent three times to a tenant burst of two, so a well-formed one
+// walks 202, 202, 429, a malformed one is a 400 each time and one with
+// a wrong access code is a 403 each time.
 func FuzzSubmissionBody(f *testing.F) {
-	f.Add([]byte(`{"url":"https://example.com/p","access_code":"c","tenant":"t"}`))
+	f.Add([]byte(submission("https://example.com/p", validCode, "t")))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"url":"https://example.com/p","acc`))
 	f.Add([]byte(`{"url":"https://example.com/` + strings.Repeat("a", 5000) + `","tenant":"t"}`))
 	f.Add([]byte(`{"url":"https://example.com/p"}` + strings.Repeat(" ", 5000)))
 	f.Add([]byte(`{"url":{"nested":[1,{"deep":null}]},"tenant":["t"]}`))
 	f.Add([]byte("{\"url\":\"https://example.com/\xff\xfe\",\"tenant\":\"\xc3\x28\"}"))
+	f.Add([]byte(submission("https://example.com/p", "wrong", "t")))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := newFakeServer(t, &fakeSource{}, func(c *Config) { c.TenantBurst = 2 })
 		const sends = 3
@@ -164,15 +165,17 @@ func FuzzSubmissionBody(f *testing.F) {
 		for i := 0; i < sends; i++ {
 			code := postSubmission(t, s, string(body)).Code
 			switch code {
-			case http.StatusAccepted, http.StatusBadRequest, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			case http.StatusAccepted, http.StatusBadRequest, http.StatusForbidden, http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			default:
 				t.Fatalf("send %d answered %d", i, code)
 			}
 			if i == 0 {
 				first = code
 			}
-			if (code == http.StatusBadRequest) != (first == http.StatusBadRequest) {
-				t.Fatalf("send %d answered %d after a first answer of %d", i, code, first)
+			for _, refused := range []int{http.StatusBadRequest, http.StatusForbidden} {
+				if (code == refused) != (first == refused) {
+					t.Fatalf("send %d answered %d after a first answer of %d", i, code, first)
+				}
 			}
 			if len(body) > 4096 && code != http.StatusBadRequest {
 				t.Fatalf("%d-byte body answered %d, want 400", len(body), code)

@@ -94,9 +94,13 @@ func TestRunSoloQuick(t *testing.T) {
 
 func TestNewWatchdogConfigured(t *testing.T) {
 	w := NewWatchdog()
-	if len(w.Services) == 0 || len(w.Settings) != 2 || len(w.AccessCodes) != 5 {
-		t.Fatalf("watchdog misconfigured: %d services, %d settings, %d codes",
-			len(w.Services), len(w.Settings), len(w.AccessCodes))
+	if len(w.Services) == 0 || len(w.Settings) != 2 {
+		t.Fatalf("watchdog misconfigured: %d services, %d settings",
+			len(w.Services), len(w.Settings))
+	}
+	// The first of the access codes the paper's Appendix A publishes.
+	if err := w.Submit("https://example.com/p", "KD4p1Z8Gs1SVPHUrTOVTMNHtvUnMSmvZ"); err != nil {
+		t.Fatalf("Appendix A access code refused: %v", err)
 	}
 }
 

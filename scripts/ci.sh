@@ -19,7 +19,8 @@
 #                          ephemeral port, hit every endpoint, assert
 #                          ETag revalidation, byte-compare the daemon's
 #                          text report against a batch run at the same
-#                          seed, queue a submission and see it in the
+#                          seed, refuse a wrong access code (403),
+#                          queue a submission and see both in the
 #                          next /metrics scrape, require a graceful
 #                          SIGTERM drain, then the
 #                          crash-safety gate (randomized SIGKILL
@@ -183,7 +184,16 @@ if [ "$SERVE" -eq 1 ]; then
         exit 1
     }
 
-    # Submissions queue behind the published access code.
+    # A wrong access code is refused at the door; the published one
+    # queues.
+    CODE="$(curl -s -o "$ARTIFACTS/serve-submission-denied.txt" -w '%{http_code}' \
+        -X POST -H 'Content-Type: application/json' \
+        -d '{"url":"https://example.com/page","access_code":"wrong","tenant":"ci"}' \
+        "$BASE/api/v1/submissions")"
+    [ "$CODE" = "403" ] || {
+        echo "ci: wrong-code submission returned $CODE, want 403" >&2
+        exit 1
+    }
     CODE="$(curl -s -o "$ARTIFACTS/serve-submission.json" -w '%{http_code}' \
         -X POST -H 'Content-Type: application/json' \
         -d '{"url":"https://example.com/page","access_code":"KD4p1Z8Gs1SVPHUrTOVTMNHtvUnMSmvZ","tenant":"ci"}' \
@@ -193,14 +203,18 @@ if [ "$SERVE" -eq 1 ]; then
         exit 1
     }
 
-    # /metrics is live and a single write: the 202 above is in the very
-    # next scrape (no cached copy to go stale), the reply carries an
+    # /metrics is live and a single write: the 403 and the 202 above are
+    # in the very next scrape (no cached copy to go stale), the reply carries an
     # explicit Content-Length (not chunked) and, because its body changes
     # between requests, no ETag.
     curl -fsS -D "$ARTIFACTS/serve-metrics-headers.txt" \
         -o "$ARTIFACTS/serve-metrics.prom" "$BASE/metrics"
     grep -q '^prudentia_serve_submissions_accepted_total 1$' "$ARTIFACTS/serve-metrics.prom" || {
         echo "ci: /metrics scraped after the 202 does not show the accepted submission" >&2
+        exit 1
+    }
+    grep -q '^prudentia_serve_submissions_denied_total 1$' "$ARTIFACTS/serve-metrics.prom" || {
+        echo "ci: /metrics scraped after the 403 does not show the denied submission" >&2
         exit 1
     }
     grep -qi '^content-length:' "$ARTIFACTS/serve-metrics-headers.txt" || {
@@ -250,7 +264,7 @@ if [ "$SERVE" -eq 1 ]; then
     go test -race -count=1 -timeout 10m ./internal/serve
 
     rm -f "$ARTIFACTS/prudentia" "$ARTIFACTS/serve-batch-cycle.txt"
-    echo "ci: serve smoke passed (ETag/304, byte-identical report, 202 submission, live /metrics, graceful drain, kill-restart durability, race-clean)"
+    echo "ci: serve smoke passed (ETag/304, byte-identical report, 403 and 202 submissions, live /metrics, graceful drain, kill-restart durability, race-clean)"
     exit 0
 fi
 

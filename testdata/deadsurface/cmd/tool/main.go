@@ -13,9 +13,9 @@ import (
 func main() {
 	rate := flag.Int("rate", 1, "rate")
 	flag.Parse()
-	o := opts.Options{Rate: *rate, Mode: "fast"}
+	o := opts.Options{Rate: *rate, Mode: "fast", Codes: []string{"a", "b"}, Rates: []int{*rate, 2}}
 	o.Mode = "fast"
-	fmt.Println(lib.Live(), lib.Named{}, o.Rate, o.Mode)
+	fmt.Println(lib.Live(), lib.Named{}, o.Rate, o.Mode, o.Codes, o.Rates)
 	c := lib.NewConn("peer")
 	fmt.Println(c.Addr(), string(c.Send("hi")), lib.NewMeter().Bump())
 	var x any = lib.Anon{}

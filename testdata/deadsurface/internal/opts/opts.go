@@ -9,4 +9,8 @@ type Options struct {
 	Seam int
 	// Mode is set to "fast" everywhere: rule C flags it.
 	Mode string
+	// Codes is set to one literal of constants: rule C flags it.
+	Codes []string
+	// Rates is set to a literal with a flag's value in it: not flagged.
+	Rates []int
 }
