@@ -34,41 +34,40 @@ type config struct {
 	// and any -submit. Flags bind straight into its fields.
 	watchdog *core.Watchdog
 
-	cycles     int
-	verbose    bool
-	submit     string
-	metricsOut string
-	pprofDir   string
+	cycles  int
+	verbose bool
+	submit  string
 
-	// dir is the run directory: the cycle header and trial journal (the
-	// watchdog's CheckpointPath and JournalPath), the timeline, the
-	// manifest and the fault ledger, and under -serve the daemon's state.
+	// dir is the run directory, where every file a run writes lives: the
+	// cycle header and trial journal (the watchdog's CheckpointPath and
+	// JournalPath), the timeline, the manifest, the metric exposition and
+	// the fault ledger, a sweep's artifacts, and under -serve the
+	// daemon's state and its bound address.
 	dir string
 
-	// sweep replaces the report with <sweepOut>.tsv/.json; the grid is
-	// also the watchdog's Settings, in the same order (sweep.go).
+	// sweep replaces the report with <dir>/sweep.tsv and sweep.json; the
+	// grid is also the watchdog's Settings, in the same order (sweep.go).
 	sweep     bool
 	sweepGrid []gridPoint
-	sweepOut  string
 
-	serve                    bool
-	serveAddr, serveAddrFile string
-	cycleInterval            time.Duration
+	serve         bool
+	serveAddr     string
+	cycleInterval time.Duration
 }
 
 // flagNeeds names, for each flag that only one mode reads, the flag that
 // selects that mode; given without it the flag would be silently ignored.
 var flagNeeds = map[string]string{
 	"code":       "submit",
-	"serve-addr": "serve", "serve-addr-file": "serve", "cycle-interval": "serve",
-	"sweep-rates": "sweep", "sweep-rtts": "sweep", "sweep-queues": "sweep", "sweep-out": "sweep",
+	"serve-addr": "serve", "cycle-interval": "serve",
+	"sweep-rates": "sweep", "sweep-rtts": "sweep", "sweep-queues": "sweep",
 }
 
 // flagConflicts lists pairs where the first flag's mode never reads the
-// second: the daemon profiles nothing per cycle and is not a sweep, and a
-// sweep is one cycle over its own settings.
+// second: the daemon is not a sweep, and a sweep is one cycle over its
+// own settings.
 var flagConflicts = [][2]string{
-	{"serve", "pprof-dir"}, {"serve", "sweep"},
+	{"serve", "sweep"},
 	{"sweep", "cycles"}, {"sweep", "setting"},
 }
 
@@ -92,30 +91,26 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&code, "code", "", "access code for -submit")
 	fs.StringVar(&setting, "setting", "both", "highly | moderately | both")
 	fs.BoolVar(&c.verbose, "v", false, "per-pair progress output, plus circuit-breaker status after every cycle")
-	fs.StringVar(&c.dir, "dir", "", "run directory: checkpoint.json and trials.wal hold the in-progress cycle, every attempt fsynced, so a run interrupted or killed -9 resumes on the next run with the same -dir (both are removed when the cycle completes); timeline.jsonl is rewritten on each start, manifest.json after every cycle and faults.jsonl at exit; -serve also keeps subs.wal and cycles/<N>/ here")
+	fs.StringVar(&c.dir, "dir", "", "run directory: checkpoint.json and trials.wal hold the in-progress cycle, every attempt fsynced, so a run interrupted or killed -9 resumes on the next run with the same -dir (both are removed when the cycle completes); timeline.jsonl is rewritten on each start, manifest.json and metrics.prom (Prometheus text) after every cycle and faults.jsonl at exit; -sweep writes sweep.tsv and sweep.json here, and -serve keeps subs.wal, cycles/<N>/ and the bound address in addr")
 	fs.BoolVar(&chaosOn, "chaos", false, "arm the deterministic fault-injection plan: link flaps, bandwidth sags, client stalls, trial panics/errors and result corruption")
 	fs.IntVar(&w.Workers, "workers", runtime.GOMAXPROCS(0),
 		"parallel trial workers for calibrations and the pair matrix (1 = serial; output is byte-identical for any value)")
 	fs.Uint64Var(&w.Opts.BaseSeed, "seed", 0, "base seed for the deterministic trial-seed sequence (0 = default)")
 	fs.StringVar(&svcFilter, "services", "", "comma-separated service names: restrict the catalog (exact match; -sweep defaults to "+sweepServices+")")
-	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the metric snapshot here after every cycle (.json = JSON, else Prometheus text)")
-	fs.StringVar(&c.pprofDir, "pprof-dir", "", "capture cycle<N>.cpu.pprof and cycle<N>.heap.pprof profiles into this directory")
 	fs.Float64Var(&w.Opts.WallBudget, "max-trial-wall", 0, "hung-trial reaper: wall-clock budget factor per trial (simulated seconds × factor; 0 = off)")
 	fs.BoolVar(&adaptive, "adaptive", false, "adaptive trial budgets: coarse screening ranks pairs, the sequential stopper ends each pair's trials once its verdict is stable")
 
 	// Sweep mode: one cycle whose settings are a rate × RTT × queue grid
 	// (sweep.go, scripts/sweep.sh).
-	fs.BoolVar(&c.sweep, "sweep", false, "sweep mode: run one cycle whose settings are the rate × RTT × queue grid and write <-sweep-out>.tsv/.json instead of the report")
+	fs.BoolVar(&c.sweep, "sweep", false, "sweep mode: run one cycle whose settings are the rate × RTT × queue grid and write <-dir>/sweep.tsv and sweep.json instead of the report")
 	fs.StringVar(&rates, "sweep-rates", "8,50", "sweep: comma-separated bottleneck rates in Mbps")
 	fs.StringVar(&rtts, "sweep-rtts", "25,50,100", "sweep: comma-separated round-trip times in ms")
 	fs.StringVar(&queues, "sweep-queues", "64,256", "sweep: comma-separated drop-tail queue capacities in packets")
-	fs.StringVar(&c.sweepOut, "sweep-out", "sweep", "sweep: output path prefix (writes <prefix>.tsv and <prefix>.json)")
 
 	// Serve mode: campaign scheduler plus a read-optimized HTTP API over
 	// each completed cycle's artifacts (internal/serve).
 	fs.BoolVar(&c.serve, "serve", false, "daemon mode: run continuous cycles and serve reports/heatmaps/metrics over HTTP (-serve-addr); -cycles bounds the campaign (0 = forever)")
-	fs.StringVar(&c.serveAddr, "serve-addr", "127.0.0.1:9080", "serve: listen address (use :0 for an ephemeral port with -serve-addr-file)")
-	fs.StringVar(&c.serveAddrFile, "serve-addr-file", "", "serve: write the bound address to this file once listening")
+	fs.StringVar(&c.serveAddr, "serve-addr", "127.0.0.1:9080", "serve: listen address (:0 picks an ephemeral port; the bound address is logged, and written to <-dir>/addr)")
 	fs.DurationVar(&c.cycleInterval, "cycle-interval", 10*time.Minute, "serve: pause between cycle starts (jittered per cycle; <0 = none)")
 	fs.Uint64Var(&chaosDisk, "chaos-disk", 0, "chaos: arm the seed-deterministic disk-fault plan (injected ENOSPC, torn-tail fsyncs, fsync stalls) on the durable writers with this seed (0 = off)")
 
@@ -149,6 +144,9 @@ func parseConfig(args []string) (config, error) {
 	}
 	if wall := w.Opts.WallBudget; !(wall >= 0) || math.IsInf(wall, 0) {
 		return c, fmt.Errorf("-max-trial-wall: %g is not a finite factor >= 0", wall)
+	}
+	if c.sweep && c.dir == "" {
+		return c, errors.New("-sweep writes sweep.tsv and sweep.json into the run directory: give it -dir")
 	}
 	if c.dir != "" {
 		w.CheckpointPath = filepath.Join(c.dir, "checkpoint.json")

@@ -91,17 +91,16 @@ func TestParseConfigValidation(t *testing.T) {
 		want string // substring of the error, "" = must parse
 	}{
 		{"", ""},
-		{"-cycles 1 -setting high -workers 4 -seed 42 -metrics-out m.prom -dir d -pprof-dir pp", ""},
+		{"-cycles 1 -setting high -workers 4 -seed 42 -dir d", ""},
 		{"-cycles 3 -v -setting high -dir d -max-trial-wall 1e6", ""},
-		{"-serve -serve-addr 127.0.0.1:0 -serve-addr-file a -dir d -chaos-disk 7 -cycle-interval -1ms", ""},
+		{"-serve -serve-addr 127.0.0.1:0 -dir d -chaos-disk 7 -cycle-interval -1ms", ""},
+		{"-serve -serve-addr 127.0.0.1:0", ""},
 		{"-submit https://example.com/p -code " + accessCode, ""},
-		{"-sweep -sweep-rates 8,50 -sweep-rtts 25 -sweep-queues 64 -sweep-out o -adaptive -quick=false", ""},
-		{"-sweep -submit https://example.com/p -code " + accessCode, ""},
-		{"-sweep -services Netflix,Mega", ""},
+		{"-sweep -sweep-rates 8,50 -sweep-rtts 25 -sweep-queues 64 -dir o -adaptive -quick=false", ""},
+		{"-sweep -dir d -submit https://example.com/p -code " + accessCode, ""},
+		{"-sweep -dir d -services Netflix,Mega", ""},
 		{"-sweep -dir d", ""},
-		{"-sweep -metrics-out m.prom", ""},
-		{"-sweep -pprof-dir pp", ""},
-		{"-sweep -chaos-disk 7", ""},
+		{"-sweep -dir d -chaos-disk 7", ""},
 		{"-setting moderately", ""},
 		{"-setting mod", ""},
 
@@ -111,22 +110,22 @@ func TestParseConfigValidation(t *testing.T) {
 		{"-cycles -1", "-cycles"},
 		{"-max-trial-wall -1", "-max-trial-wall"},
 		{"-max-trial-wall NaN", "-max-trial-wall"},
-		{"-serve-addr-file a", "-serve-addr-file"},
 		{"-cycle-interval 1s", "-cycle-interval"},
-		{"-serve=false -serve-addr-file a", "-serve-addr-file"},
+		{"-serve=false -cycle-interval 1s", "-cycle-interval"},
 		{"-chaos-partitions 1", "-chaos-partitions"},
 		{"-listen-addr-file a", "-listen-addr-file"},
 		{"-expect-workers 2", "-expect-workers"},
 		{"-worker-name w", "-worker-name"},
 		{"-sweep-rates 8", "-sweep-rates"},
 		{"-code " + accessCode, "-code"},
-		{"-serve -pprof-dir pp", "-pprof-dir"},
 		{"-serve -sweep", "-sweep"},
-		{"-sweep -sweep-rates 0", "-sweep-rates"},
-		{"-sweep -sweep-rtts NaN", "-sweep-rtts"},
-		{"-sweep -sweep-queues 1.5", "-sweep-queues"},
-		{"-sweep -sweep-ccas Netflix", "-sweep-ccas"},
-		{"-sweep -services Nope", "-services"},
+		{"-sweep", "-dir"},
+		{"-sweep -sweep-rates 8 -services Netflix", "-dir"},
+		{"-sweep -dir d -sweep-rates 0", "-sweep-rates"},
+		{"-sweep -dir d -sweep-rtts NaN", "-sweep-rtts"},
+		{"-sweep -dir d -sweep-queues 1.5", "-sweep-queues"},
+		{"-sweep -dir d -sweep-ccas Netflix", "-sweep-ccas"},
+		{"-sweep -dir d -services Nope", "-services"},
 		{"-sweep -cycles 1", "-cycles"},
 		{"-sweep -setting high", "-setting"},
 		{"-services Nope", "-services"},
@@ -144,6 +143,10 @@ func TestParseConfigValidation(t *testing.T) {
 		{"-manifest m.json", "-manifest"},
 		{"-faults-out f.jsonl", "-faults-out"},
 		{"-serve -serve-dir d", "-serve-dir"},
+		{"-metrics-out m.prom", "-metrics-out"},
+		{"-sweep -dir d -sweep-out o", "-sweep-out"},
+		{"-serve -serve-addr-file a", "-serve-addr-file"},
+		{"-pprof-dir pp", "-pprof-dir"},
 
 		{"pair", ""},
 		{"pair -list", ""},
@@ -177,8 +180,8 @@ func TestParseConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(cfg.usage, "\n  -"); got != 25 {
-		t.Errorf("-h lists %d flags, want 25 (a new flag needs a caller that exists; see ROADMAP item 5)", got)
+	if got := strings.Count(cfg.usage, "\n  -"); got != 21 {
+		t.Errorf("-h lists %d flags, want 21 (a new flag needs a caller that exists; see ROADMAP item 5)", got)
 	}
 	// pair keeps the single-pair runner's flags, names and defaults, and
 	// adds none.
@@ -214,12 +217,12 @@ func TestDirLayout(t *testing.T) {
 // ciInvocations are the argument vectors scripts/ci.sh and the e2e tests
 // run, one per line with newline-separated arguments: the fuzz corpus.
 var ciInvocations = []string{
-	"-cycles\n1\n-setting\nhigh\n-workers\n4\n-seed\n42\n-services\niPerf (Cubic),iPerf (BBR)\n-metrics-out\nm.prom\n-dir\nd",
+	"-cycles\n1\n-setting\nhigh\n-workers\n4\n-seed\n42\n-services\niPerf (Cubic),iPerf (BBR)\n-dir\nd",
 	"-cycles\n3\n-v\n-setting\nhigh\n-workers\n2\n-seed\n7\n-dir\nd\n-max-trial-wall\n1e6",
 	"-setting\nhigh\n-cycles\n1\n-seed\n23\n-services\niPerf (Reno),iPerf (Cubic),iPerf (BBR)",
 	"-setting\nhigh\n-cycles\n2\n-seed\n7\n-services\niPerf (Reno),iPerf (Cubic),iPerf (BBR),Netflix\n-chaos",
-	"-serve\n-serve-addr\n127.0.0.1:0\n-serve-addr-file\na\n-dir\nd\n-cycle-interval\n1h\n-chaos-disk\n7",
-	"-sweep\n-sweep-rates\n8,50\n-sweep-rtts\n25,50\n-sweep-queues\n64\n-services\niPerf (Cubic),iPerf (BBR)\n-sweep-out\no\n-seed\n42",
+	"-serve\n-serve-addr\n127.0.0.1:0\n-dir\nd\n-cycle-interval\n1h\n-chaos-disk\n7",
+	"-sweep\n-sweep-rates\n8,50\n-sweep-rtts\n25,50\n-sweep-queues\n64\n-services\niPerf (Cubic),iPerf (BBR)\n-dir\no\n-seed\n42",
 	"-adaptive\n-setting\nmod\n-chaos\n-quick=false\n-submit\nhttps://example.com/p\n-code\n" + accessCode,
 	"-setting\nboth\n-max-trial-wall\nInf",
 	"pair\n-incumbent\niPerf (Reno)\n-contender\niPerf (Cubic)\n-setting\nhighly\n-trials\n3\n-seed\n7\n-out\no",
@@ -268,7 +271,6 @@ func TestRecipeFollowsTheTrials(t *testing.T) {
 
 	same := [][]string{
 		{"-workers", "1"}, {"-v"}, {"-cycles", "9"},
-		{"-metrics-out", "m.prom", "-dir", "d", "-pprof-dir", "pp"},
 		{"-dir", "d", "-chaos-disk", "3"},
 	}
 	for _, extra := range same {

@@ -20,14 +20,16 @@
 // it, with a report and fault ledger identical to an uninterrupted run
 // of the resuming invocation (both files exist only while a cycle is in
 // progress). The same directory holds the JSONL timeline
-// (d/timeline.jsonl, rewritten by each invocation), the run manifest
-// (d/manifest.json, replaced after every cycle) and the fault ledger
+// (d/timeline.jsonl, rewritten by each invocation), the run manifest and
+// the Prometheus exposition of its metrics (d/manifest.json and
+// d/metrics.prom, replaced after every cycle) and the fault ledger
 // (d/faults.jsonl, written at exit); under -serve it is also the
-// daemon's state directory. -max-trial-wall arms the hung-trial reaper,
-// circuit-breaker state carries across the cycles of one run (-v prints
-// it after each), and -chaos arms the deterministic fault-injection plan
-// (link flaps, bandwidth sags, client stalls, trial panics/errors,
-// result corruption) to exercise those defenses.
+// daemon's state directory, and d/addr holds the bound listen address.
+// -max-trial-wall arms the hung-trial reaper, circuit-breaker state
+// carries across the cycles of one run (-v prints it after each), and
+// -chaos arms the deterministic fault-injection plan (link flaps,
+// bandwidth sags, client stalls, trial panics/errors, result
+// corruption) to exercise those defenses.
 //
 // -adaptive replaces the fixed trial protocol with adaptive budgets
 // (docs/ADAPTIVE.md): a coarse screening pass ranks pairs by predicted
@@ -44,9 +46,9 @@
 // memory per pair at any trial count. -sweep runs one cycle whose
 // settings are a rate × RTT × queue grid (-sweep-rates, -sweep-rtts,
 // -sweep-queues) over the -services catalog, and writes it as
-// consolidated TSV/JSON artifacts (-sweep-out) instead of the report;
-// every other cycle flag means what it means for a cycle, and
-// scripts/sweep.sh wraps it.
+// consolidated TSV/JSON artifacts (d/sweep.tsv and d/sweep.json, so a
+// sweep needs -dir) instead of the report; every other cycle flag means
+// what it means for a cycle, and scripts/sweep.sh wraps it.
 //
 // -workers N (default GOMAXPROCS) fans calibrations and pair trials out
 // to a worker pool; every trial owns a private simulation engine and
@@ -74,7 +76,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -82,8 +83,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 
@@ -130,12 +129,13 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	w.OnFault = ledger.Record
 
 	// Observability sinks: metric registry, and in the run directory the
-	// JSONL timeline, run manifest and fault-ledger export. The watchdog
-	// runs uninstrumented (nil Obs) when no flag asks for them. The daemon
-	// always carries a registry: /metrics is part of its API surface.
+	// JSONL timeline, run manifest, metric exposition and fault-ledger
+	// export. The watchdog runs uninstrumented (nil Obs) without -dir.
+	// The daemon always carries a registry: /metrics is part of its API
+	// surface.
 	var reg *obs.Registry
 	var tl *obs.Timeline
-	if cfg.metricsOut != "" || cfg.dir != "" || cfg.serve {
+	if cfg.dir != "" || cfg.serve {
 		reg = obs.NewRegistry()
 	}
 	if cfg.dir != "" {
@@ -162,19 +162,21 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	if reg != nil {
 		w.Obs = core.NewInstruments(reg, tl)
 	}
-	// exportObs flushes the metric snapshot and manifest; called after
-	// every cycle (and on interrupt, with cr == nil) so a killed watchdog
-	// still leaves reconciliation artifacts behind.
+	// exportObs writes the manifest and the Prometheus exposition of the
+	// metrics into the run directory; called after every cycle (and on
+	// interrupt, with cr == nil) so a killed watchdog still leaves
+	// reconciliation artifacts behind. Both files are replaced whole
+	// (journal.ReplaceFile), so a textfile collector reading metrics.prom
+	// between two cycles never finds it empty or cut short.
 	exportObs := func(cr *core.CycleResult) {
-		if cfg.metricsOut != "" {
-			if err := writeMetrics(cfg.metricsOut, reg); err != nil {
-				warnf("%v", err)
-			}
+		if cfg.dir == "" {
+			return
 		}
-		if cfg.dir != "" {
-			if err := w.BuildManifest(cr, reg).Write(filepath.Join(cfg.dir, "manifest.json")); err != nil {
-				warnf("%v", err)
-			}
+		if err := w.BuildManifest(cr, reg).Write(filepath.Join(cfg.dir, "manifest.json")); err != nil {
+			warnf("%v", err)
+		}
+		if err := journal.ReplaceFile(filepath.Join(cfg.dir, "metrics.prom"), reg.AppendPrometheus(nil), nil); err != nil {
+			warnf("%v", err)
 		}
 	}
 
@@ -216,12 +218,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 		if !cfg.sweep {
 			fmt.Fprint(stdout, report.CycleBanner(cycle, len(w.Services)))
 		}
-		stopProfiles, err := startProfiles(cfg.pprofDir, cycle, warnf)
-		if err != nil {
-			return err
-		}
 		cr, err := w.RunCycle()
-		stopProfiles()
 		if errors.Is(err, core.ErrInterrupted) {
 			exportObs(nil)
 			if cfg.dir != "" {
@@ -269,62 +266,4 @@ func breakerSummary(infos []obs.BreakerInfo) string {
 		parts = append(parts, fmt.Sprintf("%s=%s(%.1f)", bi.Service, bi.State, bi.Score))
 	}
 	return strings.Join(parts, " ")
-}
-
-// writeMetrics stores reg's current state at path, choosing the format
-// by extension: .json gets the JSON exposition, anything else the
-// Prometheus text format. The file is replaced atomically
-// (journal.ReplaceFile), so a textfile collector reading it between two
-// cycles of a long-lived watchdog never finds it empty or cut short.
-func writeMetrics(path string, reg *obs.Registry) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	var data []byte
-	if strings.HasSuffix(path, ".json") {
-		var b bytes.Buffer
-		if err := reg.Snapshot().WriteJSON(&b); err != nil {
-			return err
-		}
-		data = b.Bytes()
-	} else {
-		data = reg.AppendPrometheus(nil)
-	}
-	return journal.ReplaceFile(path, data, nil)
-}
-
-// startProfiles begins a CPU profile for one cycle and returns a stop
-// function that finishes it and captures a heap profile. With dir empty
-// it is a no-op.
-func startProfiles(dir string, cycle int, warnf func(string, ...any)) (func(), error) {
-	if dir == "" {
-		return func() {}, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	cpu, err := os.Create(filepath.Join(dir, fmt.Sprintf("cycle%d.cpu.pprof", cycle)))
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(cpu); err != nil {
-		cpu.Close()
-		return nil, err
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		cpu.Close()
-		heap, err := os.Create(filepath.Join(dir, fmt.Sprintf("cycle%d.heap.pprof", cycle)))
-		if err != nil {
-			warnf("heap profile: %v", err)
-			return
-		}
-		runtime.GC() // get up-to-date allocation statistics
-		if err := pprof.WriteHeapProfile(heap); err != nil {
-			warnf("heap profile: %v", err)
-		}
-		heap.Close()
-	}, nil
 }

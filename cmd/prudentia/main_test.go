@@ -1,16 +1,18 @@
 package main
 
 // End-to-end acceptance test for the observability surface: build the
-// real binary, run a seeded cycle with every obs flag, and require the
+// real binary, run a seeded cycle with a run directory, and require its
 // artifacts to exist, parse, and reconcile with each other.
 
 import (
 	"encoding/json"
+	"fmt"
 	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,15 +31,14 @@ func buildBinary(t *testing.T) string {
 }
 
 // runCycle executes one seeded quick cycle over the two-baseline catalog
-// with all observability sinks enabled, returning the artifact dir.
+// with a run directory, which enables every observability sink, and
+// returns that directory.
 func runCycle(t *testing.T, bin string, seed string) string {
 	t.Helper()
 	dir := t.TempDir()
 	cmd := exec.Command(bin,
 		"-cycles", "1", "-setting", "high", "-workers", "4", "-seed", seed,
 		"-services", "iPerf (Cubic),iPerf (BBR)",
-		"-metrics-out", filepath.Join(dir, "metrics.prom"),
-		"-pprof-dir", filepath.Join(dir, "pprof"),
 		"-dir", dir,
 	)
 	if out, err := cmd.CombinedOutput(); err != nil {
@@ -57,6 +58,29 @@ func deterministic(s obs.Snapshot) obs.Snapshot {
 	return s
 }
 
+// batchRunFiles is what a completed batch cycle leaves in its run
+// directory; the header and the journal are gone with the cycle.
+var batchRunFiles = []string{"faults.jsonl", "manifest.json", "metrics.prom", "timeline.jsonl"}
+
+// requireDirFiles fails unless dir holds exactly the named entries: a
+// run writes every file into its run directory and nothing else there.
+func requireDirFiles(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	want = slices.Clone(want)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s holds %q, want %q", dir, got, want)
+	}
+}
+
 // readManifest decodes a manifest the binary wrote.
 func readManifest(t *testing.T, path string) obs.Manifest {
 	t.Helper()
@@ -73,6 +97,7 @@ func readManifest(t *testing.T, path string) obs.Manifest {
 
 func TestEndToEndObservabilityArtifacts(t *testing.T) {
 	dir := runCycle(t, buildBinary(t), "42")
+	requireDirFiles(t, dir, batchRunFiles...)
 
 	// Manifest: schema, flag echo, and the reconciliation identity.
 	m := readManifest(t, filepath.Join(dir, "manifest.json"))
@@ -139,14 +164,11 @@ func TestEndToEndObservabilityArtifacts(t *testing.T) {
 		}
 	}
 
-	// Profiles: both captured, non-empty.
-	for _, name := range []string{"cycle1.cpu.pprof", "cycle1.heap.pprof"} {
-		fi, err := os.Stat(filepath.Join(dir, "pprof", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() == 0 {
-			t.Fatalf("%s is empty", name)
+	// Written beside the manifest from the same registry, it carries the
+	// manifest's counters.
+	for name, v := range c {
+		if line := fmt.Sprintf("\n%s %d\n", name, v); !strings.Contains(string(prom), line) {
+			t.Errorf("metrics.prom lacks the manifest's %q", strings.TrimSpace(line))
 		}
 	}
 }
@@ -167,55 +189,5 @@ func TestEndToEndSeededDeterminism(t *testing.T) {
 	}
 	if a.Counters["prudentia_trials_completed_total"] == 0 {
 		t.Fatal("determinism check ran zero trials")
-	}
-}
-
-// TestWriteMetricsKeepsOldFileOnFailure: -metrics-out is rewritten after
-// every cycle while a textfile collector may be reading it, so the file
-// is replaced atomically, in both formats. A write that fails (here the
-// temp name journal.ReplaceFile stages under is taken by a directory)
-// must return the error and leave the previous cycle's file whole,
-// where truncating in place would already have emptied it.
-func TestWriteMetricsKeepsOldFileOnFailure(t *testing.T) {
-	for _, name := range []string{"metrics.prom", "metrics.json"} {
-		path := filepath.Join(t.TempDir(), "out", name)
-		reg := obs.NewRegistry()
-		cycles := reg.Counter("cycles_total")
-		cycles.Inc()
-		if err := writeMetrics(path, reg); err != nil {
-			t.Fatal(err)
-		}
-		first, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(first), "cycles_total") {
-			t.Fatalf("%s after cycle 1 = %q", name, first)
-		}
-		if name == "metrics.prom" && string(first) != string(reg.AppendPrometheus(nil)) {
-			t.Fatalf("%s = %q, want the registry's exposition", name, first)
-		}
-
-		tmp := filepath.Join(filepath.Dir(path), "."+name+".tmp")
-		if err := os.Mkdir(tmp, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		cycles.Inc()
-		if err := writeMetrics(path, reg); err == nil {
-			t.Fatalf("%s: write with its temp name blocked reported no error", name)
-		}
-		if got, err := os.ReadFile(path); err != nil || string(got) != string(first) {
-			t.Fatalf("%s after a failed write = %q (err %v), want the previous file %q", name, got, err, first)
-		}
-
-		if err := os.Remove(tmp); err != nil {
-			t.Fatal(err)
-		}
-		if err := writeMetrics(path, reg); err != nil {
-			t.Fatal(err)
-		}
-		if got, _ := os.ReadFile(path); string(got) == string(first) {
-			t.Fatalf("%s not replaced by the next successful write", name)
-		}
 	}
 }

@@ -11,9 +11,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
+	"path/filepath"
 
 	"prudentia/internal/core"
+	"prudentia/internal/journal"
 	"prudentia/internal/obs"
 	"prudentia/internal/report"
 	"prudentia/internal/serve"
@@ -50,10 +51,12 @@ func runServe(ctx context.Context, cfg config, ledger *trace.FaultLedger, reg *o
 	if err != nil {
 		return err
 	}
-	if cfg.serveAddrFile != "" {
-		if err := os.WriteFile(cfg.serveAddrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+	// A poller of <dir>/addr (an ephemeral -serve-addr :0) sees the
+	// whole address or none: the file is replaced, never written in place.
+	if cfg.dir != "" {
+		if err := journal.ReplaceFile(filepath.Join(cfg.dir, "addr"), []byte(ln.Addr().String()+"\n"), nil); err != nil {
 			ln.Close()
-			return fmt.Errorf("-serve-addr-file: %w", err)
+			return err
 		}
 	}
 	return s.Run(ctx, ln)

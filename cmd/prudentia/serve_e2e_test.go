@@ -18,13 +18,14 @@ import (
 	"time"
 )
 
-// startDaemon boots the serve-mode binary and waits for readiness,
-// returning the base URL and a stop function that SIGTERMs and reaps it.
-func startDaemon(t *testing.T, bin, dir string, extra ...string) (string, *exec.Cmd, func() error) {
+// startDaemon boots the serve-mode binary with the run directory state,
+// logging into dir, and waits for readiness, returning the base URL and
+// a stop function that SIGTERMs and reaps it.
+func startDaemon(t *testing.T, bin, dir, state string, extra ...string) (string, *exec.Cmd, func() error) {
 	t.Helper()
-	addrFile := filepath.Join(dir, "addr.txt")
+	addrFile := filepath.Join(state, "addr")
 	args := append([]string{
-		"-serve", "-serve-addr", "127.0.0.1:0", "-serve-addr-file", addrFile,
+		"-serve", "-serve-addr", "127.0.0.1:0", "-dir", state,
 		"-cycles", "1", "-cycle-interval", "1h",
 		"-setting", "high", "-seed", "42", "-workers", "2",
 		"-services", "iPerf (Cubic),iPerf (BBR)",
@@ -54,7 +55,7 @@ func startDaemon(t *testing.T, bin, dir string, extra ...string) (string, *exec.
 		time.Sleep(100 * time.Millisecond)
 	}
 	if addr == "" {
-		t.Fatal("daemon never wrote its address file")
+		t.Fatal("daemon never wrote its address to the run directory")
 	}
 	base := "http://" + addr
 	for time.Now().Before(deadline) {
@@ -80,7 +81,7 @@ func TestServeEndToEndBinary(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
 	state := filepath.Join(dir, "state")
-	base, cmd, _ := startDaemon(t, bin, dir, "-dir", state)
+	base, cmd, _ := startDaemon(t, bin, dir, state)
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	fetch := func(path string) (*http.Response, string) {
@@ -191,16 +192,11 @@ func TestServeEndToEndBinary(t *testing.T) {
 		t.Errorf("daemon log missing drain line:\n%s", log)
 	}
 
-	// The run directory holds the daemon's state beside the batch
-	// artifacts; the completed cycle left no header or journal behind.
-	for _, name := range []string{"subs.wal", "cycles/1", "timeline.jsonl", "manifest.json", "faults.jsonl"} {
-		if _, err := os.Stat(filepath.Join(state, name)); err != nil {
-			t.Error(err)
-		}
-	}
-	for _, name := range []string{"checkpoint.json", "trials.wal"} {
-		if _, err := os.Stat(filepath.Join(state, name)); !os.IsNotExist(err) {
-			t.Errorf("%s left in the run directory after the completed cycle (err %v)", name, err)
-		}
+	// The run directory holds the daemon's state and its address beside
+	// the batch artifacts; the completed cycle left no header or journal
+	// behind.
+	requireDirFiles(t, state, append([]string{"addr", "cycles", "subs.wal"}, batchRunFiles...)...)
+	if _, err := os.Stat(filepath.Join(state, "cycles", "1")); err != nil {
+		t.Error(err)
 	}
 }

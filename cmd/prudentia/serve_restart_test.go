@@ -41,14 +41,13 @@ func e2eArtifactDir(t *testing.T) string {
 }
 
 // restartServeArgs is the shared daemon workload: a two-cycle campaign
-// over two baseline services with every durability file rooted in
-// stateDir. The 3s inter-cycle pause is the window in which the test
+// over two baseline services with every durability file, and the bound
+// address, in the run directory stateDir. The 3s inter-cycle pause is the window in which the test
 // posts its submission, so it lands at the cycle-2 boundary in both the
 // reference and the kill-loop runs.
-func restartServeArgs(stateDir, addrFile string) []string {
+func restartServeArgs(stateDir string) []string {
 	return []string{
-		"-serve", "-serve-addr", "127.0.0.1:0", "-serve-addr-file", addrFile,
-		"-dir", stateDir,
+		"-serve", "-serve-addr", "127.0.0.1:0", "-dir", stateDir,
 		"-cycles", "2", "-cycle-interval", "3s",
 		"-setting", "high", "-seed", "42", "-workers", "2",
 		"-services", "iPerf (Cubic),iPerf (BBR)",
@@ -77,10 +76,11 @@ func startServeDaemon(t *testing.T, bin string, args []string, logPath string) *
 	return cmd
 }
 
-// waitServeAddr polls the address file until the daemon publishes its
+// waitServeAddr polls <stateDir>/addr until the daemon publishes its
 // bound address.
-func waitServeAddr(t *testing.T, addrFile string) string {
+func waitServeAddr(t *testing.T, stateDir string) string {
 	t.Helper()
+	addrFile := filepath.Join(stateDir, "addr")
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
@@ -88,7 +88,7 @@ func waitServeAddr(t *testing.T, addrFile string) string {
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	t.Fatal("daemon never wrote its address file")
+	t.Fatal("daemon never wrote its address to the run directory")
 	return ""
 }
 
@@ -238,9 +238,8 @@ func TestServeKillRestartLoop(t *testing.T) {
 	// Reference: one uninterrupted daemon, same seed, same submission at
 	// the same cycle boundary.
 	refState := filepath.Join(dir, "ref-state")
-	refAddr := filepath.Join(dir, "ref-addr.txt")
-	refCmd := startServeDaemon(t, bin, restartServeArgs(refState, refAddr), filepath.Join(dir, "ref-daemon.log"))
-	refBase := waitServeAddr(t, refAddr)
+	refCmd := startServeDaemon(t, bin, restartServeArgs(refState), filepath.Join(dir, "ref-daemon.log"))
+	refBase := waitServeAddr(t, refState)
 	waitLatestCycle(t, refBase, 1, 120*time.Second)
 	postRestartSubmission(t, refBase)
 	waitLatestCycle(t, refBase, 2, 120*time.Second)
@@ -266,12 +265,11 @@ func TestServeKillRestartLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(killSeed))
 
 	state := filepath.Join(dir, "state")
-	addrFile := filepath.Join(dir, "addr.txt")
 	logPath := filepath.Join(dir, "daemon.log")
 	walPath := filepath.Join(state, "subs.wal")
 
-	cmd := startServeDaemon(t, bin, restartServeArgs(state, addrFile), logPath)
-	base := waitServeAddr(t, addrFile)
+	cmd := startServeDaemon(t, bin, restartServeArgs(state), logPath)
+	base := waitServeAddr(t, state)
 	waitLatestCycle(t, base, 1, 120*time.Second)
 	postRestartSubmission(t, base)
 
@@ -290,9 +288,10 @@ func TestServeKillRestartLoop(t *testing.T) {
 				kill, accepts, applies, restartSubmitURL)
 		}
 
-		os.Remove(addrFile)
-		cmd = startServeDaemon(t, bin, restartServeArgs(state, addrFile), logPath)
-		base = waitServeAddr(t, addrFile)
+		// The killed daemon's address is stale: wait for the new one.
+		os.Remove(filepath.Join(state, "addr"))
+		cmd = startServeDaemon(t, bin, restartServeArgs(state), logPath)
+		base = waitServeAddr(t, state)
 	}
 	t.Logf("survived %d SIGKILLs; waiting for the campaign to converge", minKills)
 
@@ -341,11 +340,10 @@ func TestServeDiskChaosSurvives(t *testing.T) {
 	bin := buildBinary(t)
 	dir := e2eArtifactDir(t)
 	state := filepath.Join(dir, "state")
-	addrFile := filepath.Join(dir, "addr.txt")
-	args := append(restartServeArgs(state, addrFile),
+	args := append(restartServeArgs(state),
 		"-chaos-disk", "7", "-cycle-interval", "-1ms", "-cycles", "1")
 	cmd := startServeDaemon(t, bin, args, filepath.Join(dir, "daemon.log"))
-	base := waitServeAddr(t, addrFile)
+	base := waitServeAddr(t, state)
 	waitLatestCycle(t, base, 1, 180*time.Second)
 	report := fetchBody(t, base, "/api/v1/report")
 	if !strings.Contains(report, `"cycle": 1`) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"prudentia/internal/core"
@@ -33,11 +34,11 @@ type gridPoint struct {
 	queuePkts       int
 }
 
-// sweepTSVHeader is the column schema of <prefix>.tsv, asserted by the
+// sweepTSVHeader is the column schema of sweep.tsv, asserted by the
 // CI smoke test — extend it only together with scripts/ci.sh.
 const sweepTSVHeader = "rate_mbps\trtt_ms\tqueue_pkts\tincumbent\tcontender\tslot\tservice\tn\tmedian_share_pct\tiqr_share_pct\tci_lo_pct\tci_hi_pct\tverdict"
 
-// sweepCell is one grid point's consolidated result in <prefix>.json.
+// sweepCell is one grid point's consolidated result in sweep.json.
 type sweepCell struct {
 	RateMbps  float64     `json:"rate_mbps"`
 	RTTMs     float64     `json:"rtt_ms"`
@@ -80,9 +81,9 @@ func sweepVerdict(p *core.PairOutcome) string {
 	}
 }
 
-// writeSweep renders a completed sweep cycle as <sweepOut>.tsv and
-// <sweepOut>.json, cell i from the cycle's setting i, and prints the one
-// summary line.
+// writeSweep renders a completed sweep cycle as sweep.tsv and sweep.json
+// in the run directory, cell i from the cycle's setting i, and prints the
+// one summary line.
 func writeSweep(cfg config, cr *core.CycleResult, stdout io.Writer) error {
 	w := cfg.watchdog
 	var names []string
@@ -118,7 +119,8 @@ func writeSweep(cfg config, cr *core.CycleResult, stdout io.Writer) error {
 		}
 		cells = append(cells, cell)
 	}
-	if err := os.WriteFile(cfg.sweepOut+".tsv", []byte(tsv.String()), 0o644); err != nil {
+	tsvPath, jsonPath := filepath.Join(cfg.dir, "sweep.tsv"), filepath.Join(cfg.dir, "sweep.json")
+	if err := os.WriteFile(tsvPath, []byte(tsv.String()), 0o644); err != nil {
 		return err
 	}
 	doc := struct {
@@ -131,10 +133,10 @@ func writeSweep(cfg config, cr *core.CycleResult, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(cfg.sweepOut+".json", append(blob, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(jsonPath, append(blob, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "sweep: %d cells × %d services → %s.tsv, %s.json\n",
-		len(cfg.sweepGrid), len(names), cfg.sweepOut, cfg.sweepOut)
+	fmt.Fprintf(stdout, "sweep: %d cells × %d services → %s, %s\n",
+		len(cfg.sweepGrid), len(names), tsvPath, jsonPath)
 	return nil
 }

@@ -2,8 +2,9 @@ package main
 
 // End-to-end tests of -sweep: a sweep is one watchdog cycle over its grid,
 // so the worker count, the cycle flags and a SIGKILL with a resume leave
-// its TSV/JSON artifacts byte-identical, and every cycle flag leaves the
-// artifact or effect it leaves for a cycle.
+// its TSV/JSON artifacts byte-identical, its run directory holds what a
+// cycle's does beside them, and every cycle flag has the effect it has
+// for a cycle.
 
 import (
 	"bytes"
@@ -21,13 +22,17 @@ import (
 )
 
 // sweepArgs is the shared seeded sweep: two cells at 8 Mbps over two
-// baselines, writing <dir>/<name>.tsv and .json.
-func sweepArgs(dir, name string, extra ...string) []string {
+// baselines, run in the directory runDir.
+func sweepArgs(runDir string, extra ...string) []string {
 	return append([]string{
 		"-sweep", "-sweep-rates", "8", "-sweep-rtts", "25,50", "-sweep-queues", "64",
-		"-services", "iPerf (Cubic),iPerf (BBR)", "-seed", "7", "-sweep-out", filepath.Join(dir, name),
+		"-services", "iPerf (Cubic),iPerf (BBR)", "-seed", "7", "-dir", runDir,
 	}, extra...)
 }
+
+// sweepRunFiles is what a completed sweep leaves in its run directory:
+// a cycle's files and the two artifacts.
+var sweepRunFiles = append([]string{"sweep.json", "sweep.tsv"}, batchRunFiles...)
 
 // runSweepBin runs bin to completion and returns its stdout.
 func runSweepBin(t *testing.T, bin string, args []string) string {
@@ -41,14 +46,14 @@ func runSweepBin(t *testing.T, bin string, args []string) string {
 	return stdout.String()
 }
 
-// sweepArtifacts reads <prefix>.tsv and <prefix>.json.
-func sweepArtifacts(t *testing.T, prefix string) (tsv, doc []byte) {
+// sweepArtifacts reads a run directory's sweep.tsv and sweep.json.
+func sweepArtifacts(t *testing.T, runDir string) (tsv, doc []byte) {
 	t.Helper()
-	tsv, err := os.ReadFile(prefix + ".tsv")
+	tsv, err := os.ReadFile(filepath.Join(runDir, "sweep.tsv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc, err = os.ReadFile(prefix + ".json"); err != nil {
+	if doc, err = os.ReadFile(filepath.Join(runDir, "sweep.json")); err != nil {
 		t.Fatal(err)
 	}
 	return tsv, doc
@@ -69,17 +74,20 @@ func requireSameSweep(t *testing.T, what, got, want string) {
 
 // TestEndToEndSweepWorkers: the grid's cells are the cycle's settings,
 // so one worker and four write the same artifacts, and a plain sweep's
-// stdout is its one summary line.
+// stdout is the run directory's fresh start and its one summary line.
 func TestEndToEndSweepWorkers(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
-	out := runSweepBin(t, bin, sweepArgs(dir, "w1", "-workers", "1"))
-	if want := "sweep: 2 cells × 2 services → " + filepath.Join(dir, "w1") + ".tsv, " +
-		filepath.Join(dir, "w1") + ".json\n"; out != want {
+	w1 := filepath.Join(dir, "w1")
+	out := runSweepBin(t, bin, sweepArgs(w1, "-workers", "1"))
+	if want := "no checkpoint at " + filepath.Join(w1, "checkpoint.json") + "; starting fresh\n" +
+		"sweep: 2 cells × 2 services → " + filepath.Join(w1, "sweep.tsv") + ", " +
+		filepath.Join(w1, "sweep.json") + "\n"; out != want {
 		t.Errorf("stdout = %q, want %q", out, want)
 	}
-	runSweepBin(t, bin, sweepArgs(dir, "w4", "-workers", "4"))
-	requireSameSweep(t, "-workers 4 against -workers 1", filepath.Join(dir, "w4"), filepath.Join(dir, "w1"))
+	requireDirFiles(t, w1, sweepRunFiles...)
+	runSweepBin(t, bin, sweepArgs(filepath.Join(dir, "w4"), "-workers", "4"))
+	requireSameSweep(t, "-workers 4 against -workers 1", filepath.Join(dir, "w4"), w1)
 
 	tsv, _ := sweepArtifacts(t, filepath.Join(dir, "w1"))
 	lines := strings.Split(strings.TrimSuffix(string(tsv), "\n"), "\n")
@@ -95,16 +103,16 @@ func TestEndToEndSweepCycleFlags(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
 	submit := []string{"-submit", "https://example.com/p", "-code", accessCode}
-	runSweepBin(t, bin, sweepArgs(dir, "plain", submit...))
-
 	path := func(name string) string { return filepath.Join(dir, name) }
-	out := runSweepBin(t, bin, sweepArgs(dir, "flagged", append(submit, "-workers", "2", "-v",
-		"-dir", path("run"), "-metrics-out", path("m.prom"), "-pprof-dir", path("pp"), "-chaos-disk", "7")...))
-	requireSameSweep(t, "cycle flags against a plain sweep", path("flagged"), path("plain"))
+	runSweepBin(t, bin, sweepArgs(path("plain"), submit...))
+
+	out := runSweepBin(t, bin, sweepArgs(path("run"), append(submit, "-workers", "2", "-v", "-chaos-disk", "7")...))
+	requireSameSweep(t, "cycle flags against a plain sweep", path("run"), path("plain"))
+	requireDirFiles(t, path("run"), sweepRunFiles...)
 
 	// -submit and -services: the catalog is the named services plus the page.
 	var doc struct{ CCAs []string }
-	if _, blob := sweepArtifacts(t, path("flagged")); json.Unmarshal(blob, &doc) != nil ||
+	if _, blob := sweepArtifacts(t, path("run")); json.Unmarshal(blob, &doc) != nil ||
 		!slices.Equal(doc.CCAs, []string{"iPerf (Cubic)", "iPerf (BBR)", "https://example.com/p"}) {
 		t.Errorf("sweep catalog = %q, want the -services list plus the -submit page", doc.CCAs)
 	}
@@ -142,9 +150,9 @@ func TestEndToEndSweepCycleFlags(t *testing.T) {
 		t.Errorf("2 cells × 3 services must complete 12 pairs and 6 calibrations: %v", c)
 	}
 
-	// -metrics-out, the timeline, -pprof-dir, the fault ledger: their files.
-	if prom, err := os.ReadFile(path("m.prom")); err != nil || !bytes.Contains(prom, []byte("# TYPE prudentia_trials_started_total counter")) {
-		t.Errorf("-metrics-out: %v\n%s", err, prom)
+	// The metric exposition, the timeline and the fault ledger.
+	if prom, err := os.ReadFile(path("run/metrics.prom")); err != nil || !bytes.Contains(prom, []byte("# TYPE prudentia_trials_started_total counter")) {
+		t.Errorf("metrics.prom: %v\n%s", err, prom)
 	}
 	f, err := os.Open(path("run/timeline.jsonl"))
 	if err != nil {
@@ -155,10 +163,8 @@ func TestEndToEndSweepCycleFlags(t *testing.T) {
 	if err != nil || len(events) == 0 || events[len(events)-1].Kind != "cycle_end" || events[len(events)-1].Detail != "completed" {
 		t.Errorf("timeline: %v, %d events; want it to end with a completed cycle_end", err, len(events))
 	}
-	for _, p := range []string{"pp/cycle1.cpu.pprof", "pp/cycle1.heap.pprof", "run/faults.jsonl"} {
-		if _, err := os.Stat(path(p)); err != nil {
-			t.Error(err)
-		}
+	if _, err := os.Stat(path("run/faults.jsonl")); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -170,11 +176,11 @@ func TestEndToEndSweepKillResume(t *testing.T) {
 	dir := t.TempDir()
 	grid := []string{"-sweep", "-sweep-rates", "8", "-sweep-rtts", "25,50", "-sweep-queues", "64,256",
 		"-seed", "7", "-workers", "2"}
-	runSweepBin(t, bin, slices.Concat(grid, []string{"-sweep-out", filepath.Join(dir, "ref")}))
+	runSweepBin(t, bin, slices.Concat(grid, []string{"-dir", filepath.Join(dir, "ref")}))
 
 	run := filepath.Join(dir, "run")
 	ckpt, wal := filepath.Join(run, "checkpoint.json"), filepath.Join(run, "trials.wal")
-	args := slices.Concat(grid, []string{"-sweep-out", filepath.Join(dir, "resumed"), "-dir", run})
+	args := slices.Concat(grid, []string{"-dir", run})
 	cmd := exec.Command(bin, args...)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -204,7 +210,7 @@ func TestEndToEndSweepKillResume(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("sweep completed before the SIGKILL landed; widen the grid")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "resumed.tsv")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(run, "sweep.tsv")); !os.IsNotExist(err) {
 		t.Fatal("a killed sweep left its TSV behind")
 	}
 
@@ -212,7 +218,7 @@ func TestEndToEndSweepKillResume(t *testing.T) {
 	if !strings.Contains(out, "resuming interrupted cycle from "+ckpt) {
 		t.Errorf("rerun did not resume:\n%s", out)
 	}
-	requireSameSweep(t, "killed and resumed against uninterrupted", filepath.Join(dir, "resumed"), filepath.Join(dir, "ref"))
+	requireSameSweep(t, "killed and resumed against uninterrupted", run, filepath.Join(dir, "ref"))
 	for _, p := range []string{ckpt, wal} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("%s not removed after the resumed sweep completed", p)

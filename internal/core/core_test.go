@@ -165,6 +165,42 @@ func TestNoiseDiscard(t *testing.T) {
 	}
 }
 
+// TestNoiseDiscardThreshold puts a trial on each side of §3.1's 0.05%
+// external-loss bar: light upstream noise episodes that lose between
+// 0.04% and 0.05% of upstream packets keep the trial, and ones that lose
+// between 0.05% and 0.06% discard it. A MaxExternalLoss moved by a
+// hundredth of a percent either way fails one of the two.
+func TestNoiseDiscardThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		drop        float64 // DropProbability within an episode
+		lossLo      float64 // the trial's external loss lies in (lossLo, lossLo+0.0001]
+		wantDiscard bool
+	}{
+		{drop: 0.0008, lossLo: 0.0004, wantDiscard: false},
+		{drop: 0.0014, lossLo: 0.0005, wantDiscard: true},
+	} {
+		cfg := netem.HighlyConstrained()
+		cfg.Noise = &netem.NoiseConfig{
+			MeanEpisodeGap:  2 * sim.Second,
+			MeanEpisodeLen:  2 * sim.Second,
+			DropProbability: tc.drop,
+		}
+		spec := Spec{Incumbent: services.ByName("iPerf (Reno)"), Net: cfg, Seed: 2}.QuickTiming()
+		res, err := RunTrial(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loss := res.ExternalLossRate; !(loss > tc.lossLo && loss <= tc.lossLo+0.0001) {
+			t.Fatalf("drop %g: external loss %.5f%%, outside the (%.2f%%, %.2f%%] band the case needs",
+				tc.drop, 100*loss, 100*tc.lossLo, 100*(tc.lossLo+0.0001))
+		}
+		if res.Discarded != tc.wantDiscard {
+			t.Errorf("drop %g: external loss %.5f%% discarded = %v, want %v (threshold %.2f%%)",
+				tc.drop, 100*res.ExternalLossRate, res.Discarded, tc.wantDiscard, 100*MaxExternalLoss)
+		}
+	}
+}
+
 func TestRunPairEscalatesOnWideCI(t *testing.T) {
 	opts := fastOpts(netem.HighlyConstrained())
 	opts.ToleranceMbps = 0.000001 // impossible: must escalate to MaxTrials

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the byte-identity oracle of Registry.AppendPrometheus:
-// the snapshot-based text writer the /metrics route and -metrics-out
+// the snapshot-based text writer the /metrics route and the CLI's metrics file
 // used to call, kept verbatim with its own helpers (it shares none with
 // the plan encoder) so the differential test compares two independent
 // renderings. It renders a Snapshot's own Count for `_count`, which for

@@ -108,24 +108,30 @@ if [ "$SERVE" -eq 1 ]; then
     echo "ci: serve smoke: batch reference run"
     "$BIN" "${SERVE_ARGS[@]}" > "$ARTIFACTS/serve-batch.txt"
 
+    # The daemon alone gets a run directory (-dir is not in SERVE_ARGS,
+    # so the batch reference's stdout stays byte-comparable); it writes
+    # its bound address to <dir>/addr. The directory starts empty: a
+    # daemon's state from an earlier smoke would be resumed, and its
+    # address read before the new one is written.
     echo "ci: serve smoke: daemon boot on ephemeral port"
-    rm -f "$ARTIFACTS/serve-addr.txt"
+    SERVE_DIR="$ARTIFACTS/serve"
+    rm -rf "$SERVE_DIR"
     "$BIN" "${SERVE_ARGS[@]}" -serve -serve-addr 127.0.0.1:0 \
-        -serve-addr-file "$ARTIFACTS/serve-addr.txt" -cycle-interval 1h \
+        -dir "$SERVE_DIR" -cycle-interval 1h \
         > "$ARTIFACTS/serve-daemon.log" 2>&1 &
     SERVE_PID=$!
     trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 
     for _ in $(seq 300); do
-        [ -s "$ARTIFACTS/serve-addr.txt" ] && break
+        [ -s "$SERVE_DIR/addr" ] && break
         sleep 0.1
     done
-    [ -s "$ARTIFACTS/serve-addr.txt" ] || {
+    [ -s "$SERVE_DIR/addr" ] || {
         echo "ci: daemon never published its address" >&2
         cat "$ARTIFACTS/serve-daemon.log" >&2
         exit 1
     }
-    BASE="http://$(head -n1 "$ARTIFACTS/serve-addr.txt")"
+    BASE="http://$(head -n1 "$SERVE_DIR/addr")"
 
     # /readyz must gate on the first completed cycle (503 until then,
     # 200 after); the first cycle at this budget takes a few seconds.
@@ -239,6 +245,9 @@ if [ "$SERVE" -eq 1 ]; then
         echo "ci: daemon log is missing the graceful-drain line" >&2
         exit 1
     }
+    for f in metrics.prom manifest.json; do
+        [ -s "$SERVE_DIR/$f" ] || { echo "ci: the drained daemon left no $f in its run directory" >&2; exit 1; }
+    done
 
     # Crash-safety gate: SIGKILL the stateful (-dir) daemon at
     # five randomized, seed-logged points across restarts — the queued
@@ -474,7 +483,6 @@ fi
 # binary produces them outside the test harness too.
 go run ./cmd/prudentia -cycles 1 -setting high -workers 4 -seed 42 \
     -services "iPerf (Cubic),iPerf (BBR)" \
-    -metrics-out "$ARTIFACTS/metrics.prom" \
     -dir "$ARTIFACTS"
 for f in metrics.prom timeline.jsonl manifest.json; do
     [ -s "$ARTIFACTS/$f" ] || { echo "ci: acceptance run produced no $f" >&2; exit 1; }
@@ -486,25 +494,26 @@ echo "ci: acceptance artifacts in $ARTIFACTS/"
 # TSV header is the sweep pipeline's public schema — sweep.go documents
 # that it may only be extended together with this assertion — and the
 # row count pins the grid shape: 4 cells x 3 pairs x 2 slots. A sweep is
-# one cycle, so its -dir gets the cycle's timeline and fault ledger.
+# one cycle, so its run directory also gets the cycle's timeline and
+# fault ledger.
 SWEEP_RATES="8,50" SWEEP_RTTS="25,50" SWEEP_QUEUES="64" \
     SWEEP_CCAS="iPerf (Cubic),iPerf (BBR)" \
-    SWEEP_OUT="$ARTIFACTS/sweep-smoke" SWEEP_SEED=42 \
-    scripts/sweep.sh -workers 4 -dir "$ARTIFACTS/sweep"
+    SWEEP_DIR="$ARTIFACTS/sweep" SWEEP_SEED=42 \
+    scripts/sweep.sh -workers 4
 for f in sweep/timeline.jsonl sweep/faults.jsonl; do
     [ -e "$ARTIFACTS/$f" ] || { echo "ci: sweep smoke produced no $f" >&2; exit 1; }
 done
 SWEEP_HEADER="$(printf 'rate_mbps\trtt_ms\tqueue_pkts\tincumbent\tcontender\tslot\tservice\tn\tmedian_share_pct\tiqr_share_pct\tci_lo_pct\tci_hi_pct\tverdict')"
-if [ "$(head -n1 "$ARTIFACTS/sweep-smoke.tsv")" != "$SWEEP_HEADER" ]; then
+if [ "$(head -n1 "$ARTIFACTS/sweep/sweep.tsv")" != "$SWEEP_HEADER" ]; then
     echo "ci: sweep TSV header diverged from the documented schema" >&2
     exit 1
 fi
-SWEEP_ROWS=$(($(wc -l < "$ARTIFACTS/sweep-smoke.tsv") - 1))
+SWEEP_ROWS=$(($(wc -l < "$ARTIFACTS/sweep/sweep.tsv") - 1))
 [ "$SWEEP_ROWS" -eq 24 ] || {
     echo "ci: sweep smoke produced $SWEEP_ROWS rows, want 24 (4 cells x 3 pairs x 2 slots)" >&2
     exit 1
 }
-grep -q '"schema": "prudentia.sweep/1"' "$ARTIFACTS/sweep-smoke.json" || {
+grep -q '"schema": "prudentia.sweep/1"' "$ARTIFACTS/sweep/sweep.json" || {
     echo "ci: sweep JSON missing the prudentia.sweep/1 schema marker" >&2
     exit 1
 }

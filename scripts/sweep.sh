@@ -6,7 +6,7 @@
 # the chosen services under the quick trial protocol with sketch-backed
 # statistics, so the whole grid is mergeable, deterministic, and
 # byte-reproducible for a given seed, and every cycle flag
-# (-dir, -metrics-out, -pprof-dir, ...) works here too.
+# (-workers, -adaptive, -chaos, ...) works here too.
 #
 #   scripts/sweep.sh                     default paper-style grid
 #   scripts/sweep.sh [extra flags...]    extra cmd/prudentia flags pass
@@ -19,26 +19,28 @@
 #   SWEEP_QUEUES   comma-separated queue capacities in pkts  (64,256)
 #   SWEEP_CCAS     comma-separated catalog service names, passed as
 #                  -services (iPerf (Cubic),iPerf (BBR),iPerf (Reno))
-#   SWEEP_OUT      output path prefix                        (sweep)
+#   SWEEP_DIR      run directory                             (sweep.run)
 #   SWEEP_SEED     base seed                                 (42)
 #
-# Artifacts: <SWEEP_OUT>.tsv (one row per pair-slot per cell; header
-# schema asserted by scripts/ci.sh) and <SWEEP_OUT>.json
-# ("prudentia.sweep/1", per-cell merged share sketches included).
+# Artifacts, in SWEEP_DIR beside the cycle's manifest, metrics, timeline
+# and fault ledger: sweep.tsv (one row per pair-slot per cell; header
+# schema asserted by scripts/ci.sh) and sweep.json ("prudentia.sweep/1",
+# per-cell merged share sketches included). A killed sweep resumes when
+# rerun with the same SWEEP_DIR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${SWEEP_OUT:-sweep}"
+DIR="${SWEEP_DIR:-sweep.run}"
 go run ./cmd/prudentia -sweep \
     -sweep-rates "${SWEEP_RATES:-8,50}" \
     -sweep-rtts "${SWEEP_RTTS:-25,50,100}" \
     -sweep-queues "${SWEEP_QUEUES:-64,256}" \
     -services "${SWEEP_CCAS:-iPerf (Cubic),iPerf (BBR),iPerf (Reno)}" \
-    -sweep-out "$OUT" \
+    -dir "$DIR" \
     -seed "${SWEEP_SEED:-42}" \
     "$@"
 
 for ext in tsv json; do
-    [ -s "$OUT.$ext" ] || { echo "sweep: no $OUT.$ext produced" >&2; exit 1; }
+    [ -s "$DIR/sweep.$ext" ] || { echo "sweep: no $DIR/sweep.$ext produced" >&2; exit 1; }
 done
-echo "sweep: artifacts $OUT.tsv $OUT.json"
+echo "sweep: artifacts $DIR/sweep.tsv $DIR/sweep.json"
