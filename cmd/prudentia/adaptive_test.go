@@ -75,7 +75,7 @@ func TestEndToEndCrossProtocolResume(t *testing.T) {
 	if stderr.Len() != 0 {
 		t.Fatalf("adaptive resume of a plain run's header wrote to stderr:\n%s", stderr.String())
 	}
-	if !strings.Contains(string(out), "resuming interrupted cycle from") {
+	if !strings.Contains(string(out), "resuming cycle 1 from") {
 		t.Fatalf("rerun did not resume:\n%s", out)
 	}
 	if got, want := cycleOutput(t, out), cycleOutput(t, ref); got != want {

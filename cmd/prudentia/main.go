@@ -12,14 +12,14 @@
 //
 // A run's record lives in one directory. With -dir d the watchdog is
 // crash-safe: it keeps the cycle's header in d/checkpoint.json (the
-// cycle number and the cycle-start breakers) and fsyncs every executed
+// cycle number, recipe and starting breakers) and fsyncs every executed
 // attempt to the write-ahead trial journal d/trials.wal as it completes.
 // SIGINT/SIGTERM stop it gracefully, a kill -9 loses at most the one
 // in-flight trial, and either way the next run with the same -dir
 // resumes the cycle by replaying the journal instead of re-simulating
 // it, with a report and fault ledger identical to an uninterrupted run
-// of the resuming invocation (both files exist only while a cycle is in
-// progress). The same directory holds the JSONL timeline
+// of the resuming invocation. Both stay after the cycle: a rerun of the
+// same recipe replays it. The directory also holds the JSONL timeline
 // (d/timeline.jsonl, rewritten by each invocation), the run manifest and
 // the Prometheus exposition of its metrics (d/manifest.json and
 // d/metrics.prom, replaced after every cycle) and the fault ledger
@@ -197,13 +197,16 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	}()
 	w.Interrupt = func() bool { return ctx.Err() != nil }
 
-	// RunCycle reads the header itself; a header it cannot load is the
-	// cycle's error.
-	if w.CheckpointPath != "" {
-		if _, err := os.Stat(w.CheckpointPath); err == nil {
-			fmt.Fprintf(stdout, "resuming interrupted cycle from %s\n", w.CheckpointPath)
-		} else {
-			fmt.Fprintf(stdout, "no checkpoint at %s; starting fresh\n", w.CheckpointPath)
+	// Under -serve the daemon's rehydration (AdvanceTo) moves the answer.
+	if w.CheckpointPath != "" && !cfg.serve {
+		n, err := w.Resumes()
+		switch {
+		case err != nil:
+			return err
+		case n > 0:
+			fmt.Fprintf(stdout, "resuming cycle %d from %s\n", n, w.CheckpointPath)
+		default:
+			fmt.Fprintf(stdout, "no cycle to resume at %s; starting fresh\n", w.CheckpointPath)
 		}
 	}
 	if cfg.submit != "" {

@@ -59,8 +59,8 @@ func deterministic(s obs.Snapshot) obs.Snapshot {
 }
 
 // batchRunFiles is what a completed batch cycle leaves in its run
-// directory; the header and the journal are gone with the cycle.
-var batchRunFiles = []string{"faults.jsonl", "manifest.json", "metrics.prom", "timeline.jsonl"}
+// directory; the header and the journal stay with the cycle.
+var batchRunFiles = []string{"checkpoint.json", "faults.jsonl", "manifest.json", "metrics.prom", "timeline.jsonl", "trials.wal"}
 
 // requireDirFiles fails unless dir holds exactly the named entries: a
 // run writes every file into its run directory and nothing else there.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -15,10 +16,10 @@ import (
 // and are accepted as version 1.
 const CheckpointSchema = "prudentia.checkpoint/1"
 
-// Checkpoint is the header of an in-progress watchdog cycle: what
-// replay cannot recompute, and nothing else — the cycle number and the
-// breaker state the cycle started from. It is flushed at cycle start
-// and again on interrupt. Everything the cycle has done — canary
+// Checkpoint is the header of the cycle last started: what replay
+// cannot recompute — the cycle number, its recipe and the breakers it
+// started from. It is flushed at cycle start and on interrupt, and kept
+// when the cycle completes. Everything the cycle has done — canary
 // probes, calibrations, screening, pair trials — lives in the trial
 // journal beside it, and every decision made from that work (which
 // services a setting admits, each adaptive budget) is recomputed from
@@ -32,11 +33,27 @@ type Checkpoint struct {
 	// Cycle is the 1-based cycle number the state belongs to; it scopes
 	// the per-cycle seed offset, so resume must reuse it.
 	Cycle int `json:"cycle"`
+	// Recipe fingerprints the recipe the cycle ran under. A header of
+	// another is not resumed; one without it (an older build's) is.
+	Recipe string `json:"recipe,omitempty"`
 	// Breakers snapshots the per-service circuit-breaker state at cycle
 	// start — the history earlier cycles left, which no journal of this
 	// cycle holds. A resumed cycle restores it and lets the replayed work
 	// re-score it on the ordinary release path.
 	Breakers []obs.BreakerInfo `json:"breakers,omitempty"`
+}
+
+// recipeFingerprint digests the part of Recipe that decides what a seed's
+// trial yields. It leaves out the trial budget, the stopping rule and the
+// reaper, so a cycle resumes across the fixed and adaptive protocols.
+func (w *Watchdog) recipeFingerprint() string {
+	r := w.Recipe()
+	for i := range r.Settings {
+		o := &r.Settings[i].Options
+		o.MinTrials, o.MaxTrials, o.Step, o.ToleranceMbps, o.Adaptive, o.WallBudget = 0, 0, 0, 0, nil, 0
+	}
+	data, _ := json.Marshal(r) // the manifest writes the same value
+	return fmt.Sprintf("%x", sha256.Sum256(data))
 }
 
 // SaveCheckpoint writes the checkpoint atomically and durably

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"prudentia/internal/chaos"
@@ -228,8 +229,8 @@ func TestJournalResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(wal); !os.IsNotExist(err) {
-		t.Fatalf("journal not removed after completed cycle: %v", err)
+	if _, err := os.Stat(wal); err != nil {
+		t.Fatalf("journal not kept after completed cycle: %v", err)
 	}
 
 	// CheckpointPath alone, same interruption point: the journal is
@@ -266,8 +267,8 @@ func TestJournalResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []string{ckptC, ckptC + ".wal"} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("%s not removed after completed cycle: %v", p, err)
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("%s not kept after completed cycle: %v", p, err)
 		}
 	}
 
@@ -377,6 +378,134 @@ func TestStalePairRecordResumes(t *testing.T) {
 	if plainReplays == 0 || replays != plainReplays {
 		t.Fatalf("resume past a stale pair record replayed %v attempts, want %v", replays, plainReplays)
 	}
+}
+
+// chaosRun is one watchdog of the resume tests below, with its fault
+// ledger: three baselines in one setting under hot fault injection.
+type chaosRun struct {
+	w      *Watchdog
+	ledger []FaultEvent
+}
+
+func newChaosRun(ckpt string, interrupt func() bool) *chaosRun {
+	opts := fastOpts(netem.HighlyConstrained())
+	opts.BaseSeed = 11
+	opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
+	r := &chaosRun{}
+	r.w = &Watchdog{
+		Services:       threeServices(),
+		Settings:       []netem.Config{netem.HighlyConstrained()},
+		Opts:           opts,
+		CheckpointPath: ckpt,
+		Interrupt:      interrupt,
+		OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
+	}
+	return r
+}
+
+// outputs is the CycleResult JSON and fault ledger RunCycle returned.
+func (r *chaosRun) outputs(t *testing.T) string {
+	t.Helper()
+	cr, err := r.w.RunCycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(cr)
+	b, _ := json.Marshal(r.ledger)
+	return string(a) + "\n" + string(b)
+}
+
+// interruptAt12 runs a chaosRun's cycle at ckpt until its 13th
+// interrupt poll, partway through the matrix, and requires that it
+// stopped there.
+func interruptAt12(t *testing.T, ckpt string) {
+	t.Helper()
+	calls := 0
+	if _, err := newChaosRun(ckpt, func() bool { calls++; return calls > 12 }).w.RunCycle(); err != ErrInterrupted {
+		t.Fatalf("interrupted cycle returned %v, want ErrInterrupted", err)
+	}
+}
+
+// TestCompletedCycleReplays: a completed cycle keeps its header and
+// journal, so a process that dies after RunCycle returns and before it
+// writes anything of its own loses nothing. A new watchdog on the same
+// paths renders the same cycle by replay: the same cycle number,
+// CycleResult and fault ledger, every record the first run journaled
+// recovered and replayed, and no attempt executed (journaled) again.
+func TestCompletedCycleReplays(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "checkpoint.json")
+	first := newChaosRun(ckpt, nil)
+	want := first.outputs(t)
+	j1 := first.w.BuildManifest(nil, nil).Journal
+	if len(first.ledger) == 0 || j1 == nil || j1.Records == 0 {
+		t.Fatalf("first run: ledger of %d events, journal %+v; want both non-empty", len(first.ledger), j1)
+	}
+
+	second := newChaosRun(ckpt, nil)
+	if n, err := second.w.Resumes(); n != 1 || err != nil {
+		t.Fatalf("Resumes over a completed cycle = %d, %v; want 1", n, err)
+	}
+	if got := second.outputs(t); got != want {
+		t.Fatalf("replayed cycle differs from the completed one:\n%s\nvs\n%s", got, want)
+	}
+	j2 := second.w.BuildManifest(nil, nil).Journal
+	if j2.Records != 0 || j2.Replayed != j1.Records || j2.Recovered != j1.Records {
+		t.Fatalf("replay journal = %+v; want 0 records and %d replayed and recovered", j2, j1.Records)
+	}
+}
+
+// TestResumeUnderAnotherRecipe: seed identities are catalog and setting
+// indices, so a header is bound to the recipe it ran under. A cycle
+// interrupted under one recipe and rerun under a reordered catalog, or
+// under the other standing setting, starts fresh: each result equals an
+// uninterrupted run of the new recipe. A header without the recipe
+// field, as an older build wrote it, still resumes, and by replay.
+func TestResumeUnderAnotherRecipe(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		change func(*Watchdog)
+	}{
+		{"reordered catalog", func(w *Watchdog) { slices.Reverse(w.Services) }},
+		{"other setting", func(w *Watchdog) { w.Settings = []netem.Config{netem.ModeratelyConstrained()} }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref := newChaosRun("", nil)
+			c.change(ref.w)
+			want := ref.outputs(t)
+
+			ckpt := filepath.Join(t.TempDir(), "checkpoint.json")
+			interruptAt12(t, ckpt)
+			r := newChaosRun(ckpt, nil)
+			c.change(r.w)
+			if n, err := r.w.Resumes(); n != 0 || err != nil {
+				t.Fatalf("Resumes under another recipe = %d, %v; want 0", n, err)
+			}
+			if got := r.outputs(t); got != want {
+				t.Fatalf("rerun under another recipe differs from an uninterrupted run of it:\n%s\nvs\n%s", got, want)
+			}
+		})
+	}
+
+	t.Run("header without recipe", func(t *testing.T) {
+		want := newChaosRun("", nil).outputs(t)
+		ckpt := filepath.Join(t.TempDir(), "checkpoint.json")
+		interruptAt12(t, ckpt)
+		cp, err := LoadCheckpoint(ckpt)
+		if err != nil || cp.Recipe == "" {
+			t.Fatalf("interrupted header = %+v, %v; want one with a recipe", cp, err)
+		}
+		cp.Recipe = ""
+		if err := SaveCheckpoint(ckpt, cp); err != nil {
+			t.Fatal(err)
+		}
+		r := newChaosRun(ckpt, nil)
+		if got := r.outputs(t); got != want {
+			t.Fatalf("resume of a header without recipe differs from an uninterrupted run:\n%s\nvs\n%s", got, want)
+		}
+		if j := r.w.BuildManifest(nil, nil).Journal; j == nil || j.Replayed == 0 {
+			t.Fatalf("resume of a header without recipe replayed nothing: %+v", j)
+		}
+	})
 }
 
 // TestAdmissionReplayResume: admission is recomputed, never recorded —

@@ -121,8 +121,8 @@ func TestParallelInterruptCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint not removed after completed cycle: %v", err)
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("checkpoint not kept after completed cycle: %v", err)
 	}
 
 	wC := mk("", 1, nil)

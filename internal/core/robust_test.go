@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -345,8 +346,8 @@ func TestWatchdogResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint not removed after completed cycle: %v", err)
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("checkpoint not kept after completed cycle: %v", err)
 	}
 
 	wC := mk("", nil)
@@ -437,8 +438,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestRunCycleResumeGuard: RunCycle resumes only a header naming a cycle
 // later than the last one its watchdog completed; a stale header is
 // overwritten by a fresh cycle, and one that fails to load is the
-// cycle's error, with nothing written beside it. The watchdogs have no
-// settings, so each cycle is only its header and journal.
+// cycle's error, with no file in its directory changed. The watchdogs
+// have no settings, so each cycle is only its header and journal.
 func TestRunCycleResumeGuard(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.json")
@@ -468,19 +469,34 @@ func TestRunCycleResumeGuard(t *testing.T) {
 	if cr, err := w.RunCycle(); err != nil || cr.Cycle != 9 {
 		t.Fatalf("over a later header: cycle %+v, err %v; want cycle 9", cr, err)
 	}
+	// Numbering continues from the resumed cycle, whose kept header is
+	// now stale.
+	if cr, err := w.RunCycle(); err != nil || cr.Cycle != 10 {
+		t.Fatalf("after resuming cycle 9: cycle %+v, err %v; want cycle 10", cr, err)
+	}
 	// A future-version header is the cycle's error and stays as it was.
 	future := []byte(`{"schema":"prudentia.checkpoint/9","cycle":7}`)
 	if err := os.WriteFile(path, future, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	files := func() map[string]string {
+		m := map[string]string{}
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			data, _ := os.ReadFile(filepath.Join(dir, e.Name()))
+			m[e.Name()] = string(data)
+		}
+		return m
+	}
+	before := files()
 	if cr, err := w.RunCycle(); !errors.Is(err, journal.ErrFutureVersion) {
 		t.Fatalf("over a future header: cycle %+v, err %v; want ErrFutureVersion", cr, err)
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, future) {
 		t.Fatalf("future header rewritten: %q, %v", got, err)
 	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
-		t.Fatalf("refused cycle left %d files in its dir, want the header alone", len(entries))
+	if after := files(); !maps.Equal(after, before) {
+		t.Fatalf("the refused cycle changed its directory: %q, want %q", after, before)
 	}
 }
 

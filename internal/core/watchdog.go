@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"slices"
 	"sort"
 
@@ -51,20 +50,19 @@ type Watchdog struct {
 	// CheckpointPath, when set, makes RunCycle durable: the cycle's
 	// Checkpoint header lives in this file (flushed at cycle start and
 	// on interrupt, never per pair) and every attempt is journaled beside
-	// it, at JournalPath or else CheckpointPath+".wal". A completed cycle
-	// removes both; after an interrupt or a kill -9 the next RunCycle
-	// reads the header and resumes from them. A checkpoint-save failure
-	// is reported via Progress but never aborts the cycle; a header that
-	// fails to load is RunCycle's error.
+	// it, at JournalPath or else CheckpointPath+".wal". Both stay after a
+	// cycle; RunCycle resumes it (Resumes) or starts fresh and empties the
+	// journal. A checkpoint-save failure is reported via Progress but
+	// never aborts the cycle; a header that fails to load is its error.
 	CheckpointPath string
 	// JournalPath names the write-ahead trial journal (internal/journal):
 	// one fsynced record per executed attempt — counted, discarded,
-	// corrupt, or failed. The next RunCycle recovers it, truncates any
+	// corrupt, or failed. A resumed RunCycle recovers it, truncates any
 	// torn tail, and replays the recovered attempts by seed instead of
-	// re-simulating them: at most the single in-flight trial is lost. It
-	// may be set without CheckpointPath. Journal open failures degrade to
-	// unjournaled operation (reported via Progress), never abort the
-	// cycle.
+	// re-simulating them: at most the single in-flight trial is lost.
+	// Without CheckpointPath there is no header, so it never resumes.
+	// Journal open failures degrade to unjournaled operation (reported
+	// via Progress), never abort the cycle.
 	JournalPath string
 	// DiskChaos, when non-nil, runs the watchdog's durable writers —
 	// the cycle checkpoint and the trial journal — through a
@@ -94,7 +92,7 @@ type Watchdog struct {
 	// with NewInstruments; nil disables instrumentation entirely.
 	Obs *Instruments
 
-	// done counts the cycles this watchdog completed or was advanced
+	// done is the last cycle this watchdog completed or was advanced
 	// past (AdvanceTo); a fresh cycle is number done+1. Results are
 	// returned, never retained.
 	done        int
@@ -190,12 +188,13 @@ func (w *Watchdog) AdvanceTo(next int) {
 	}
 }
 
-// flush persists the cycle's header. Failures are reported, never
-// fatal: a watchdog with a broken disk should keep measuring.
+// flush persists the cycle's header under this watchdog's recipe. Failures
+// are reported, never fatal: a watchdog with a broken disk keeps measuring.
 func (w *Watchdog) flush(cp *Checkpoint) {
 	if w.CheckpointPath == "" {
 		return
 	}
+	cp.Recipe = w.recipeFingerprint()
 	if err := SaveCheckpointDisk(w.CheckpointPath, cp, w.DiskChaos); err != nil {
 		w.progress("checkpoint save failed: %v", err)
 		return
@@ -218,34 +217,45 @@ func (w *Watchdog) fault(ev FaultEvent) {
 	}
 }
 
-// header reads the cycle header at CheckpointPath: the interrupted cycle
-// to resume, or nil when there is none — no path, no file, or a header
-// naming a cycle this watchdog already completed (or was advanced past),
-// which is stale. A header that fails to load, a future version
-// included, is an error: starting fresh would overwrite it.
-func (w *Watchdog) header() (*Checkpoint, error) {
+// header is the one judge of whether RunCycle resumes: it returns the
+// header at CheckpointPath to resume, or nil to start fresh — no file,
+// or one set aside (aside says why): its cycle is one this watchdog
+// completed or was advanced past, or its recipe is another. A header
+// that fails to load is an error: starting fresh would overwrite it.
+func (w *Watchdog) header() (cp *Checkpoint, aside string, err error) {
 	if w.CheckpointPath == "" {
-		return nil, nil
+		return nil, "", nil
 	}
-	cp, err := LoadCheckpoint(w.CheckpointPath)
+	cp, err = LoadCheckpoint(w.CheckpointPath)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
-		return nil, nil
+		return nil, "", nil
 	case err != nil:
-		return nil, err
+		return nil, "", err
 	case cp.Cycle <= w.done:
-		return nil, nil
+		return nil, fmt.Sprintf("cycle %d is complete", cp.Cycle), nil
+	case cp.Recipe != "" && cp.Recipe != w.recipeFingerprint():
+		return nil, fmt.Sprintf("cycle %d ran under another recipe", cp.Cycle), nil
 	}
-	return cp, nil
+	return cp, "", nil
+}
+
+// Resumes reports the cycle the next RunCycle resumes, or 0 when it
+// starts fresh; its error is RunCycle's for a header it cannot load.
+func (w *Watchdog) Resumes() (cycle int, err error) {
+	cp, _, err := w.header()
+	if cp != nil {
+		cycle = cp.Cycle
+	}
+	return cycle, err
 }
 
 // RunCycle executes one full iteration and returns it. It is crash-safe
 // end to end: trial panics and errors are quarantined per pair, every
 // executed attempt is journaled when CheckpointPath or JournalPath is set,
 // and an Interrupt request returns ErrInterrupted with in-flight trials
-// drained and the checkpoint header flushed. Recovery is replay: when the
-// header at CheckpointPath names a cycle later than the last one this
-// watchdog completed, RunCycle resumes it — it restores the header and
+// drained and the checkpoint header flushed. Recovery is replay: when
+// header() resumes a cycle, even a completed one, RunCycle restores it and
 // runs from the top, with every attempt the journal holds served back by
 // seed instead of simulated, so ledger events, breaker scoring, telemetry
 // and Progress lines happen on the ordinary release path and nowhere else;
@@ -258,7 +268,7 @@ func (w *Watchdog) header() (*Checkpoint, error) {
 // protocol the interrupted process ran. A header that fails to load is
 // returned before anything is written.
 func (w *Watchdog) RunCycle() (*CycleResult, error) {
-	cp, err := w.header()
+	cp, aside, err := w.header()
 	if err != nil {
 		return nil, err
 	}
@@ -275,11 +285,14 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		// reproduces the uninterrupted run's breaker evolution exactly.
 		w.Breakers.Restore(cp.Breakers)
 	} else {
+		if aside != "" {
+			w.progress("set aside %s (%s); cycle %d starts fresh", w.CheckpointPath, aside, w.done+1)
+		}
 		cp = &Checkpoint{Cycle: w.done + 1, Breakers: w.Breakers.Status()}
 	}
 	cr := &CycleResult{Cycle: cp.Cycle}
 	w.inFlight = cr.Cycle
-	sink, jw, rec, err := w.openJournal()
+	sink, jw, rec, err := w.openJournal(resumed)
 	if err != nil {
 		return nil, err
 	}
@@ -343,15 +356,9 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		}
 		cr.PerSetting = append(cr.PerSetting, res)
 	}
-	if w.CheckpointPath != "" {
-		os.Remove(w.CheckpointPath)
-	}
 	finishJournal()
-	if jw != nil {
-		os.Remove(w.journalPath())
-	}
 	w.Breakers.Decay()
-	w.done++
+	w.done = cr.Cycle
 	w.Obs.emit(obs.TimelineEvent{Kind: "cycle_end", Cycle: cr.Cycle, Detail: "completed"})
 	return cr, nil
 }
@@ -381,20 +388,20 @@ func (w *Watchdog) journalPath() string {
 	return w.JournalPath
 }
 
-// openJournal opens (or creates) the write-ahead journal, recovering
-// any records a previous process left behind. A journal that cannot be
-// opened degrades to unjournaled operation — a resumed cycle then
-// re-simulates from the header alone, to the same bytes: the journal is
-// a durability optimization, never a correctness dependency. The one
-// exception is a future-version journal, which is a hard error —
+// openJournal opens the write-ahead journal, recovering what a previous
+// process left behind on resume and emptying it otherwise. A journal
+// that cannot be opened degrades to unjournaled operation — a resumed
+// cycle then re-simulates from the header alone, to the same bytes: the
+// journal is a durability optimization, never a correctness dependency.
+// The one exception is a future-version journal, which is a hard error —
 // appending a fresh prudentia.journal/1 beside history a newer binary
 // still considers authoritative would silently fork the trial record.
-func (w *Watchdog) openJournal() (*journalSink, *journal.Writer, journal.Recovery, error) {
+func (w *Watchdog) openJournal(resume bool) (*journalSink, *journal.Writer, journal.Recovery, error) {
 	path := w.journalPath()
 	if path == "" {
 		return nil, nil, journal.Recovery{}, nil
 	}
-	jw, rec, err := journal.OpenWrapped(path, w.DiskChaos.WrapFunc())
+	jw, rec, err := openJournalFile(path, resume, w.DiskChaos.WrapFunc())
 	if errors.Is(err, journal.ErrFutureVersion) {
 		return nil, nil, journal.Recovery{}, err
 	}
@@ -411,6 +418,23 @@ func (w *Watchdog) openJournal() (*journalSink, *journal.Writer, journal.Recover
 			len(rec.Entries), rec.TornBytes)
 	}
 	return newJournalSink(jw, rec.Entries), jw, rec, nil
+}
+
+// openJournalFile recovers the journal at path to resume a cycle, or
+// empties it for a fresh one. Emptying checks the schema frame, so a
+// newer build's journal is still refused, and decodes no record. One
+// it cannot empty is not used: a later resume would replay its records.
+func openJournalFile(path string, resume bool, wrap journal.WrapFunc) (*journal.Writer, journal.Recovery, error) {
+	if resume {
+		return journal.OpenWrapped(path, wrap)
+	}
+	l, lr, err := journal.OpenLog(path, journal.Schema, wrap, nil)
+	if err == nil && len(lr.Payloads) > 0 {
+		if err = l.Rewrite(nil); err != nil {
+			l.Close()
+		}
+	}
+	return (*journal.Writer)(l), journal.Recovery{}, err
 }
 
 // probeOpenServices runs one canary trial for every open breaker, in

@@ -16,12 +16,12 @@
 // The frame layout and the recovery rules are specified once, in
 // ARCHITECTURE.md "Durability & supervision".
 //
-// The trial journal is where an in-progress cycle's finished work
-// lives (the checkpoint beside it, internal/core, is only the cycle's
-// header): a `kill -9` loses at most the single trial that was
-// executing when the process died — resume replays journaled attempts
-// without re-running their simulations and re-runs only what is
-// genuinely missing.
+// The trial journal holds the finished work of the cycle last started,
+// kept when it completes (the checkpoint beside it, internal/core, is
+// only the cycle's header): a `kill -9` loses at most the single trial
+// that was executing when the process died — resume replays journaled
+// attempts without re-running their simulations and re-runs only what
+// is genuinely missing.
 package journal
 
 import (

@@ -136,8 +136,48 @@ func TestAdaptiveDaemonResumesFixedHeader(t *testing.T) {
 	if m := get(t, s.Handler(), "/metrics", nil).Body.String(); !strings.Contains(m, "prudentia_serve_cycle_failures_total 0\n") {
 		t.Fatalf("metrics do not show zero cycle failures:\n%s", m)
 	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("header not removed after the resumed cycle published: %v", err)
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("header not kept after the resumed cycle published: %v", err)
+	}
+}
+
+// TestDaemonPublishesCompletedCycle: a cycle that completed under the
+// daemon's state directory but was never published — the process died
+// between RunCycle and publish — keeps its header and journal, so the
+// next daemon on that directory publishes it as cycle 1 by replay,
+// simulating nothing, and its report equals a fresh daemon's.
+func TestDaemonPublishesCompletedCycle(t *testing.T) {
+	dir := t.TempDir()
+	durable := func(w *core.Watchdog) *core.Watchdog {
+		w.CheckpointPath = filepath.Join(dir, "checkpoint.json")
+		w.JournalPath = filepath.Join(dir, "trials.wal")
+		return w
+	}
+	if _, err := durable(testWatchdog(42, nil)).RunCycle(); err != nil {
+		t.Fatal(err)
+	}
+	var w *core.Watchdog
+	s := newStatefulServer(t, 42, dir, func(c *Config) {
+		c.MaxCycles = 1
+		w = durable(c.Source.(*core.Watchdog))
+	})
+	if err := s.campaign(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s.Latest() != 1 {
+		t.Fatalf("latest = %d, want 1", s.Latest())
+	}
+	if j := w.BuildManifest(nil, nil).Journal; j == nil || j.Records != 0 || j.Replayed == 0 || j.Replayed != j.Recovered {
+		t.Fatalf("daemon journal = %+v; want the completed cycle replayed whole and nothing simulated", j)
+	}
+	fresh := newStatefulServer(t, 42, t.TempDir(), func(c *Config) { c.MaxCycles = 1 })
+	if err := fresh.campaign(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/api/v1/report", "/api/v1/report.txt"} {
+		if got, want := get(t, s.Handler(), path, nil).Body.Bytes(), get(t, fresh.Handler(), path, nil).Body.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("%s: replayed cycle differs from a fresh daemon's:\n%s\nvs\n%s", path, got, want)
+		}
 	}
 }
 

@@ -6,7 +6,8 @@
 # the fuzz smoke gate, the full test suite under the race detector
 # (which holds the hot paths to 0 allocs/op and sketch state to O(1)),
 # a seeded end-to-end acceptance run whose observability artifacts are
-# kept for upload, and a 2x2 sweep-grid smoke asserting the TSV schema.
+# kept for upload and whose rerun must replay it without simulating,
+# and a 2x2 sweep-grid smoke asserting the TSV schema.
 #
 #   scripts/ci.sh          full budget (local pre-merge gate)
 #   scripts/ci.sh -short   reduced budget for CI runners: -short tests,
@@ -68,9 +69,9 @@ rm -f "$GOLDEN_DIVERGENCE_OUT"
 # Durability soak suite (-soak): exercises the write-ahead journal,
 # hung-trial reaper, and circuit breakers against the real binary — the
 # randomized kill -9 loop plus a journaled multi-cycle soak run whose
-# run directory is $ARTIFACTS/soak. A completed cycle deletes its
-# journal and checkpoint, so a checkpoint.json or trials.wal left there
-# after a failure is exactly the post-mortem state worth uploading.
+# run directory is $ARTIFACTS/soak. Its checkpoint.json and trials.wal
+# hold the last cycle started (a completed cycle keeps both), so after a
+# failure they are exactly the post-mortem state worth uploading.
 if [ "$SOAK" -eq 1 ]; then
     if [ "${PRUDENTIA_SOAK:-0}" != "1" ]; then
         echo "ci: -soak is gated behind PRUDENTIA_SOAK=1; skipping" >&2
@@ -481,13 +482,38 @@ fi
 # are kept for upload; the reconciliation logic itself is asserted by
 # cmd/prudentia's end-to-end tests above — this proves the shipped
 # binary produces them outside the test harness too.
-go run ./cmd/prudentia -cycles 1 -setting high -workers 4 -seed 42 \
-    -services "iPerf (Cubic),iPerf (BBR)" \
-    -dir "$ARTIFACTS"
-for f in metrics.prom timeline.jsonl manifest.json; do
+ACCEPT_ARGS=(-cycles 1 -setting high -workers 4 -seed 42
+             -services "iPerf (Cubic),iPerf (BBR)" -dir "$ARTIFACTS")
+go build -o "$ARTIFACTS/prudentia" ./cmd/prudentia
+"$ARTIFACTS/prudentia" "${ACCEPT_ARGS[@]}" | tee "$ARTIFACTS/accept.txt"
+for f in metrics.prom timeline.jsonl manifest.json checkpoint.json trials.wal; do
     [ -s "$ARTIFACTS/$f" ] || { echo "ci: acceptance run produced no $f" >&2; exit 1; }
 done
-echo "ci: acceptance artifacts in $ARTIFACTS/"
+# A completed cycle stays in its run directory: rerunning the same
+# command re-renders it by replaying the journal, simulating nothing.
+# The report after the banner and the fault ledger must be the same
+# bytes, and the manifest's journal must show no record appended and
+# every recovered one replayed.
+cp "$ARTIFACTS/faults.jsonl" "$ARTIFACTS/accept-faults.jsonl"
+"$ARTIFACTS/prudentia" "${ACCEPT_ARGS[@]}" > "$ARTIFACTS/accept-rerun.txt"
+cmp <(awk '/^=== cycle/{f=1} f' "$ARTIFACTS/accept.txt") \
+    <(awk '/^=== cycle/{f=1} f' "$ARTIFACTS/accept-rerun.txt") || {
+    echo "ci: rerun of the finished acceptance run printed another report" >&2
+    exit 1
+}
+cmp "$ARTIFACTS/accept-faults.jsonl" "$ARTIFACTS/faults.jsonl" || {
+    echo "ci: rerun of the finished acceptance run wrote another fault ledger" >&2
+    exit 1
+}
+ACCEPT_JOURNAL="$(sed -n '/"journal": {/,/}/p' "$ARTIFACTS/manifest.json")"
+journal_field() { sed -n -E "s/.*\"$1\": ([0-9]+).*/\1/p" <<<"$ACCEPT_JOURNAL"; }
+if [ "$(journal_field records)" != 0 ] || [ "$(journal_field replayed)" != "$(journal_field recovered)" ] ||
+    [ "$(journal_field replayed)" -le 0 ]; then
+    echo "ci: rerun of the finished acceptance run did not replay it whole:" >&2
+    echo "$ACCEPT_JOURNAL" >&2
+    exit 1
+fi
+echo "ci: acceptance artifacts in $ARTIFACTS/; the rerun replayed $(journal_field replayed) attempts"
 
 # Sweep smoke: a 2x2 grid (2 rates x 2 RTTs, one queue depth, two CCAs)
 # through the real -sweep driver via its scripts/sweep.sh wrapper. The
