@@ -197,13 +197,16 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	}()
 	w.Interrupt = func() bool { return ctx.Err() != nil }
 
-	// Under -serve the daemon's rehydration (AdvanceTo) moves the answer.
+	// The batch loop counts from the cycle RunCycle resumes, even one past
+	// -cycles. Under -serve the daemon's rehydration (AdvanceTo) moves it.
+	first := 1
 	if w.CheckpointPath != "" && !cfg.serve {
 		n, err := w.Resumes()
 		switch {
 		case err != nil:
 			return err
 		case n > 0:
+			first = n
 			fmt.Fprintf(stdout, "resuming cycle %d from %s\n", n, w.CheckpointPath)
 		default:
 			fmt.Fprintf(stdout, "no cycle to resume at %s; starting fresh\n", w.CheckpointPath)
@@ -217,7 +220,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 		return runServe(ctx, cfg, ledger, reg, exportObs, stdout)
 	}
 
-	for cycle := 1; cfg.cycles == 0 || cycle <= cfg.cycles; cycle++ {
+	for cycle := first; cfg.cycles == 0 || cycle <= max(cfg.cycles, first); cycle++ {
 		if !cfg.sweep {
 			fmt.Fprint(stdout, report.CycleBanner(cycle, len(w.Services)))
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"prudentia/internal/chaos"
@@ -506,6 +507,51 @@ func TestResumeUnderAnotherRecipe(t *testing.T) {
 			t.Fatalf("resume of a header without recipe replayed nothing: %+v", j)
 		}
 	})
+}
+
+// TestFreshCycleCannotEmptyJournal: a fresh cycle that cannot empty the
+// journal (a disk fault at its rewrite) runs unjournaled and writes no
+// header beside the records left there. Otherwise a run of another
+// recipe, interrupted, would leave its own header over the old journal,
+// and its rerun would replay the other experiment's trials. The rerun
+// must equal an uninterrupted run of the new recipe.
+func TestFreshCycleCannotEmptyJournal(t *testing.T) {
+	reversed := func(r *chaosRun) *chaosRun { slices.Reverse(r.w.Services); return r }
+	want := reversed(newChaosRun("", nil)).outputs(t)
+
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "checkpoint.json")
+	interruptAt12(t, ckpt)
+	header, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory where the journal's rewrite puts its temp
+	// file fails the rewrite, and only it.
+	block := filepath.Join(dir, ".checkpoint.json.wal.tmp")
+	if err := os.MkdirAll(filepath.Join(block, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	r := reversed(newChaosRun(ckpt, func() bool { calls++; return calls > 12 }))
+	var lines []string
+	r.w.Progress = func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	if _, err := r.w.RunCycle(); err != ErrInterrupted {
+		t.Fatalf("interrupted cycle returned %v, want ErrInterrupted", err)
+	}
+	if !slices.ContainsFunc(lines, func(l string) bool { return strings.HasPrefix(l, "journal open failed") }) {
+		t.Fatalf("the blocked rewrite did not fail the journal open; progress:\n%s", strings.Join(lines, "\n"))
+	}
+	if now, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(now, header) {
+		t.Fatalf("a cycle that could not empty the journal wrote a header: %v\n%s", err, now)
+	}
+
+	if err := os.RemoveAll(block); err != nil {
+		t.Fatal(err)
+	}
+	if got := reversed(newChaosRun(ckpt, nil)).outputs(t); got != want {
+		t.Fatalf("rerun after an unjournaled cycle differs from an uninterrupted run:\n%s\nvs\n%s", got, want)
+	}
 }
 
 // TestAdmissionReplayResume: admission is recomputed, never recorded —

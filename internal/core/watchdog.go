@@ -60,9 +60,8 @@ type Watchdog struct {
 	// corrupt, or failed. A resumed RunCycle recovers it, truncates any
 	// torn tail, and replays the recovered attempts by seed instead of
 	// re-simulating them: at most the single in-flight trial is lost.
-	// Without CheckpointPath there is no header, so it never resumes.
-	// Journal open failures degrade to unjournaled operation (reported
-	// via Progress), never abort the cycle.
+	// Without CheckpointPath there is no header, so it never resumes. An
+	// open failure degrades to unjournaled operation, reported via Progress.
 	JournalPath string
 	// DiskChaos, when non-nil, runs the watchdog's durable writers —
 	// the cycle checkpoint and the trial journal — through a
@@ -188,10 +187,10 @@ func (w *Watchdog) AdvanceTo(next int) {
 	}
 }
 
-// flush persists the cycle's header under this watchdog's recipe. Failures
-// are reported, never fatal: a watchdog with a broken disk keeps measuring.
+// flush persists the cycle's header, if it has one. Failures are
+// reported, never fatal: a watchdog with a broken disk keeps measuring.
 func (w *Watchdog) flush(cp *Checkpoint) {
-	if w.CheckpointPath == "" {
+	if w.CheckpointPath == "" || cp == nil {
 		return
 	}
 	cp.Recipe = w.recipeFingerprint()
@@ -223,12 +222,9 @@ func (w *Watchdog) fault(ev FaultEvent) {
 // completed or was advanced past, or its recipe is another. A header
 // that fails to load is an error: starting fresh would overwrite it.
 func (w *Watchdog) header() (cp *Checkpoint, aside string, err error) {
-	if w.CheckpointPath == "" {
-		return nil, "", nil
-	}
 	cp, err = LoadCheckpoint(w.CheckpointPath)
 	switch {
-	case errors.Is(err, fs.ErrNotExist):
+	case errors.Is(err, fs.ErrNotExist): // no file, or no CheckpointPath
 		return nil, "", nil
 	case err != nil:
 		return nil, "", err
@@ -295,6 +291,9 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 	sink, jw, rec, err := w.openJournal(resumed)
 	if err != nil {
 		return nil, err
+	}
+	if jw == nil && !resumed {
+		cp = nil // no header beside records a fresh cycle could not empty
 	}
 	// Flushed before any work, so a kill in the first calibration
 	// already finds the cycle number and the breaker snapshot on disk.
@@ -390,9 +389,9 @@ func (w *Watchdog) journalPath() string {
 
 // openJournal opens the write-ahead journal, recovering what a previous
 // process left behind on resume and emptying it otherwise. A journal
-// that cannot be opened degrades to unjournaled operation — a resumed
-// cycle then re-simulates from the header alone, to the same bytes: the
-// journal is a durability optimization, never a correctness dependency.
+// that cannot be opened or emptied runs the cycle unjournaled — a resumed
+// one re-simulates from the header alone, to the same bytes, and a fresh
+// one writes no header: the journal is an optimization, not a dependency.
 // The one exception is a future-version journal, which is a hard error —
 // appending a fresh prudentia.journal/1 beside history a newer binary
 // still considers authoritative would silently fork the trial record.
@@ -420,10 +419,8 @@ func (w *Watchdog) openJournal(resume bool) (*journalSink, *journal.Writer, jour
 	return newJournalSink(jw, rec.Entries), jw, rec, nil
 }
 
-// openJournalFile recovers the journal at path to resume a cycle, or
-// empties it for a fresh one. Emptying checks the schema frame, so a
-// newer build's journal is still refused, and decodes no record. One
-// it cannot empty is not used: a later resume would replay its records.
+// openJournalFile is openJournal's file step. Emptying checks the schema
+// frame, so a newer build's journal is still refused, and decodes no record.
 func openJournalFile(path string, resume bool, wrap journal.WrapFunc) (*journal.Writer, journal.Recovery, error) {
 	if resume {
 		return journal.OpenWrapped(path, wrap)

@@ -481,11 +481,13 @@ fi
 # directory. The artifacts (metrics, timeline, manifest, fault ledger)
 # are kept for upload; the reconciliation logic itself is asserted by
 # cmd/prudentia's end-to-end tests above — this proves the shipped
-# binary produces them outside the test harness too.
+# binary produces them outside the test harness too. A cycle an earlier
+# run left in $ARTIFACTS would be replayed, not simulated, so the first
+# run starts from an empty header and journal.
 ACCEPT_ARGS=(-cycles 1 -setting high -workers 4 -seed 42
              -services "iPerf (Cubic),iPerf (BBR)" -dir "$ARTIFACTS")
-go build -o "$ARTIFACTS/prudentia" ./cmd/prudentia
-"$ARTIFACTS/prudentia" "${ACCEPT_ARGS[@]}" | tee "$ARTIFACTS/accept.txt"
+rm -f "$ARTIFACTS/checkpoint.json" "$ARTIFACTS/trials.wal"
+go run ./cmd/prudentia "${ACCEPT_ARGS[@]}" | tee "$ARTIFACTS/accept.txt"
 for f in metrics.prom timeline.jsonl manifest.json checkpoint.json trials.wal; do
     [ -s "$ARTIFACTS/$f" ] || { echo "ci: acceptance run produced no $f" >&2; exit 1; }
 done
@@ -495,7 +497,7 @@ done
 # bytes, and the manifest's journal must show no record appended and
 # every recovered one replayed.
 cp "$ARTIFACTS/faults.jsonl" "$ARTIFACTS/accept-faults.jsonl"
-"$ARTIFACTS/prudentia" "${ACCEPT_ARGS[@]}" > "$ARTIFACTS/accept-rerun.txt"
+go run ./cmd/prudentia "${ACCEPT_ARGS[@]}" > "$ARTIFACTS/accept-rerun.txt"
 cmp <(awk '/^=== cycle/{f=1} f' "$ARTIFACTS/accept.txt") \
     <(awk '/^=== cycle/{f=1} f' "$ARTIFACTS/accept-rerun.txt") || {
     echo "ci: rerun of the finished acceptance run printed another report" >&2
