@@ -91,7 +91,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&code, "code", "", "access code for -submit")
 	fs.StringVar(&setting, "setting", "both", "highly | moderately | both")
 	fs.BoolVar(&c.verbose, "v", false, "per-pair progress output, plus circuit-breaker status after every cycle")
-	fs.StringVar(&c.dir, "dir", "", "run directory: checkpoint.json and trials.wal hold the cycle last started, every attempt fsynced, so a run interrupted or killed -9 resumes on the next run with the same -dir, and a rerun of a completed cycle replays it, even after a rebuild (both stay after the cycle; the next cycle, or a rerun under another catalog, setting, seed or chaos plan, starts fresh); timeline.jsonl is rewritten on each start, manifest.json and metrics.prom (Prometheus text) after every cycle and faults.jsonl at exit; -sweep writes sweep.tsv and sweep.json here, and -serve keeps subs.wal, cycles/<N>/ and the bound address in addr")
+	fs.StringVar(&c.dir, "dir", "", "run directory: checkpoint.json and trials.wal hold the cycle last started, every attempt fsynced, so a run interrupted or killed -9 resumes on the next run with the same -dir, and a rerun of a completed cycle replays it, even after a rebuild (both stay after the cycle; the next cycle, or a rerun under another catalog, setting, seed or chaos plan, starts fresh); timeline.jsonl is rewritten on each start, and manifest.json, metrics.prom (Prometheus text) and faults.jsonl (the cycle's fault ledger) after every cycle; -sweep writes sweep.tsv and sweep.json here, and -serve keeps subs.wal, cycles/<N>/ and the bound address in addr")
 	fs.BoolVar(&chaosOn, "chaos", false, "arm the deterministic fault-injection plan: link flaps, bandwidth sags, client stalls, trial panics/errors and result corruption")
 	fs.IntVar(&w.Workers, "workers", runtime.GOMAXPROCS(0),
 		"parallel trial workers for calibrations and the pair matrix (1 = serial; output is byte-identical for any value)")

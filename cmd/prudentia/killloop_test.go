@@ -219,22 +219,18 @@ func TestEndToEndKillLoop(t *testing.T) {
 // TestEndToEndRerunCompleted: rerunning the command of a finished -dir
 // replays the cycle the directory holds, the last one started, under
 // that cycle's own banner, and simulates nothing. For -cycles 1 that is
-// the whole report and fault ledger; for -cycles 2 it is cycle 2 alone,
-// with no cycle after it.
+// the whole report and fault ledger; for -cycles 2 it is cycle 2's
+// report and ledger alone, with no cycle after it. Fault injection is
+// armed, so each ledger is non-empty, and faults.jsonl holds the last
+// cycle's events whichever process ran it.
 func TestEndToEndRerunCompleted(t *testing.T) {
 	bin := buildBinary(t)
-	for _, row := range []struct {
-		cycles int
-		chaos  bool // -cycles 2 leaves it out: the rerun's ledger holds cycle 2 alone
-	}{{1, true}, {2, false}} {
-		n := strconv.Itoa(row.cycles)
+	for _, cycles := range []int{1, 2} {
+		n := strconv.Itoa(cycles)
 		t.Run("cycles "+n, func(t *testing.T) {
 			dir := t.TempDir()
-			args := append(cycleArgs("3"), "-dir", dir)
+			args := append(cycleArgs("3"), "-chaos", "-dir", dir)
 			args[1] = n // cycleArgs starts "-cycles", "1"
-			if row.chaos {
-				args = append(args, "-chaos")
-			}
 			run := func() (string, []byte) {
 				out, err := exec.Command(bin, args...).CombinedOutput()
 				if err != nil {
@@ -258,12 +254,12 @@ func TestEndToEndRerunCompleted(t *testing.T) {
 			if got := cycleOutput(t, []byte(rerun)); got != first[i:] {
 				t.Fatalf("rerun's report differs from cycle %s's:\n--- rerun ---\n%s\n--- first ---\n%s", n, got, first[i:])
 			}
-			if row.chaos && (len(firstFaults) == 0 || !bytes.Equal(rerunFaults, firstFaults)) {
+			if len(firstFaults) == 0 || !bytes.Equal(rerunFaults, firstFaults) {
 				t.Fatalf("rerun's fault ledger differs from the first run's (or is empty):\n%s\nvs\n%s", rerunFaults, firstFaults)
 			}
 			m := readManifest(t, filepath.Join(dir, "manifest.json"))
-			if j := m.Journal; m.Cycle != row.cycles || j == nil || j.Records != 0 || j.Replayed == 0 || j.Replayed != j.Recovered {
-				t.Fatalf("rerun's manifest: cycle %d, journal %+v; want cycle %d, 0 records, replayed == recovered > 0", m.Cycle, j, row.cycles)
+			if j := m.Journal; m.Cycle != cycles || j == nil || j.Records != 0 || j.Replayed == 0 || j.Replayed != j.Recovered {
+				t.Fatalf("rerun's manifest: cycle %d, journal %+v; want cycle %d, 0 records, replayed == recovered > 0", m.Cycle, j, cycles)
 			}
 		})
 	}

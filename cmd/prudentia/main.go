@@ -20,10 +20,10 @@
 // it, with a report and fault ledger identical to an uninterrupted run
 // of the resuming invocation. Both stay after the cycle: a rerun of the
 // same recipe replays it. The directory also holds the JSONL timeline
-// (d/timeline.jsonl, rewritten by each invocation), the run manifest and
-// the Prometheus exposition of its metrics (d/manifest.json and
-// d/metrics.prom, replaced after every cycle) and the fault ledger
-// (d/faults.jsonl, written at exit); under -serve it is also the
+// (d/timeline.jsonl, rewritten by each invocation), and the run manifest,
+// the Prometheus exposition of its metrics and the cycle's fault ledger
+// (d/manifest.json, d/metrics.prom and d/faults.jsonl, replaced after
+// every cycle); under -serve it is also the
 // daemon's state directory, and d/addr holds the bound listen address.
 // -max-trial-wall arms the hung-trial reaper, circuit-breaker state
 // carries across the cycles of one run (-v prints it after each), and
@@ -76,6 +76,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -125,8 +126,6 @@ func run(cfg config, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "  "+format+"\n", args...)
 		}
 	}
-	ledger := &trace.FaultLedger{}
-	w.OnFault = ledger.Record
 
 	// Observability sinks: metric registry, and in the run directory the
 	// JSONL timeline, run manifest, metric exposition and fault-ledger
@@ -146,26 +145,15 @@ func run(cfg config, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer tl.Close()
-		defer func() {
-			f, err := os.Create(filepath.Join(cfg.dir, "faults.jsonl"))
-			if err == nil {
-				err = trace.WriteFaultsJSONL(f, ledger.Snapshot())
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				warnf("fault ledger: %v", err)
-			}
-		}()
 	}
 	if reg != nil {
 		w.Obs = core.NewInstruments(reg, tl)
 	}
 	// exportObs writes the manifest and the Prometheus exposition of the
-	// metrics into the run directory; called after every cycle (and on
-	// interrupt, with cr == nil) so a killed watchdog still leaves
-	// reconciliation artifacts behind. Both files are replaced whole
+	// metrics into the run directory, and after a completed cycle its
+	// fault ledger; called after every cycle (and on interrupt, with
+	// cr == nil, which leaves the last ledger) so a killed watchdog still
+	// leaves reconciliation artifacts behind. Every file is replaced whole
 	// (journal.ReplaceFile), so a textfile collector reading metrics.prom
 	// between two cycles never finds it empty or cut short.
 	exportObs := func(cr *core.CycleResult) {
@@ -177,6 +165,16 @@ func run(cfg config, stdout, stderr io.Writer) error {
 		}
 		if err := journal.ReplaceFile(filepath.Join(cfg.dir, "metrics.prom"), reg.AppendPrometheus(nil), nil); err != nil {
 			warnf("%v", err)
+		}
+		if cr != nil {
+			var faults bytes.Buffer
+			err := trace.WriteFaultsJSONL(&faults, cr.Faults)
+			if err == nil {
+				err = journal.ReplaceFile(filepath.Join(cfg.dir, "faults.jsonl"), faults.Bytes(), nil)
+			}
+			if err != nil {
+				warnf("fault ledger: %v", err)
+			}
 		}
 	}
 
@@ -217,7 +215,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	}
 
 	if cfg.serve {
-		return runServe(ctx, cfg, ledger, reg, exportObs, stdout)
+		return runServe(ctx, cfg, reg, exportObs, stdout)
 	}
 
 	for cycle := first; cfg.cycles == 0 || cycle <= max(cfg.cycles, first); cycle++ {
@@ -247,7 +245,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 		for si, res := range cr.PerSetting {
 			fmt.Fprint(stdout, report.CycleText(res, cr, si, w.Settings[si], w.Services))
 		}
-		if s := ledger.Summary(); s != "" {
+		if s := trace.Summary(cr.Faults); s != "" {
 			fmt.Fprintf(stdout, "fault ledger: %s\n\n", s)
 		}
 		if cfg.verbose {

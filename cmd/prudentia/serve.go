@@ -23,12 +23,11 @@ import (
 
 // runServe boots the daemon and blocks until ctx is cancelled (first
 // SIGINT/SIGTERM) and the HTTP server drains, or a cycle fails.
-func runServe(ctx context.Context, cfg config, ledger *trace.FaultLedger, reg *obs.Registry,
+func runServe(ctx context.Context, cfg config, reg *obs.Registry,
 	exportObs func(*core.CycleResult), stdout io.Writer) error {
 	w := cfg.watchdog
 	s, err := serve.New(serve.Config{
 		Source:        w,
-		Ledger:        ledger,
 		Registry:      reg,
 		CycleInterval: cfg.cycleInterval,
 		MaxCycles:     cfg.cycles,
@@ -40,7 +39,7 @@ func runServe(ctx context.Context, cfg config, ledger *trace.FaultLedger, reg *o
 		OnCycle: func(cr *core.CycleResult) {
 			exportObs(cr)
 			// Mirror the batch report to stdout, bytes for bytes.
-			fmt.Fprint(stdout, report.ReportText(cr, w.Settings, w.Services, ledger.Summary()))
+			fmt.Fprint(stdout, report.ReportText(cr, w.Settings, w.Services, trace.Summary(cr.Faults)))
 		},
 	})
 	if err != nil {

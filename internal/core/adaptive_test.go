@@ -220,11 +220,7 @@ func TestAdaptiveResumeEquivalence(t *testing.T) {
 // with the interrupted one replay by seed. Rows interrupt in the
 // calibrations, in screening and in the matrix.
 func TestCrossProtocolResume(t *testing.T) {
-	type run struct {
-		w      *Watchdog
-		ledger []FaultEvent
-	}
-	mk := func(adaptive bool, ckpt string, interrupt func() bool) *run {
+	mk := func(adaptive bool, ckpt string, interrupt func() bool) *Watchdog {
 		opts := fastOpts(netem.HighlyConstrained())
 		opts.MinTrials, opts.MaxTrials, opts.Step = 4, 8, 4
 		opts.BaseSeed = 11
@@ -232,30 +228,26 @@ func TestCrossProtocolResume(t *testing.T) {
 		if adaptive {
 			opts.Adaptive = &AdaptiveOptions{}
 		}
-		r := &run{}
-		r.w = &Watchdog{
+		return &Watchdog{
 			Services:       threeServices(),
 			Settings:       []netem.Config{netem.HighlyConstrained()},
 			Opts:           opts,
 			CheckpointPath: ckpt,
 			Interrupt:      interrupt,
-			OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
 		}
-		return r
 	}
-	outputs := func(r *run, cr *CycleResult) string {
-		a, _ := json.Marshal(cr)
-		b, _ := json.Marshal(r.ledger)
-		return string(a) + "\n" + string(b)
+	outputs := func(cr *CycleResult) string {
+		b, _ := json.Marshal(cr)
+		return string(b)
 	}
 	want := map[bool]string{}
 	for _, adaptive := range []bool{false, true} {
-		r := mk(adaptive, "", nil)
-		cr, err := r.w.RunCycle()
+		w := mk(adaptive, "", nil)
+		cr, err := w.RunCycle()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[adaptive] = outputs(r, cr)
+		want[adaptive] = outputs(cr)
 	}
 	if want[false] == want[true] {
 		t.Fatal("setup: the two protocols produced the same cycle")
@@ -263,15 +255,15 @@ func TestCrossProtocolResume(t *testing.T) {
 
 	// resume finishes ckpt's cycle under the resumed protocol and checks
 	// it against that protocol's uninterrupted run.
-	resume := func(name string, r *run) {
+	resume := func(name string, w *Watchdog) {
 		t.Helper()
-		cr, err := r.w.RunCycle()
+		cr, err := w.RunCycle()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := outputs(r, cr); got != want[r.w.Opts.Adaptive != nil] {
+		if got := outputs(cr); got != want[w.Opts.Adaptive != nil] {
 			t.Fatalf("%s: resumed cycle differs from an uninterrupted run under the resumed protocol:\n%s\nvs\n%s",
-				name, got, want[r.w.Opts.Adaptive != nil])
+				name, got, want[w.Opts.Adaptive != nil])
 		}
 	}
 	for _, from := range []bool{false, true} {
@@ -279,7 +271,7 @@ func TestCrossProtocolResume(t *testing.T) {
 			name := fmt.Sprintf("adaptive=%v→%v, interrupt after %d polls", from, !from, after)
 			ckpt := filepath.Join(t.TempDir(), "ckpt.json")
 			calls := 0
-			if _, err := mk(from, ckpt, func() bool { calls++; return calls > after }).w.RunCycle(); err != ErrInterrupted {
+			if _, err := mk(from, ckpt, func() bool { calls++; return calls > after }).RunCycle(); err != ErrInterrupted {
 				t.Fatalf("%s: interrupted cycle returned %v", name, err)
 			}
 			resume(name, mk(!from, ckpt, nil))

@@ -182,15 +182,11 @@ func TestReaperGenerousBudgetIsTransparent(t *testing.T) {
 // whose finished-work keys this build ignores.
 func TestJournalResumeEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	type run struct {
-		ledger []FaultEvent
-		reg    *obs.Registry
-	}
-	mk := func(ckpt, jpath string, interrupt func() bool) (*Watchdog, *run) {
+	mk := func(ckpt, jpath string, interrupt func() bool) (*Watchdog, *obs.Registry) {
 		opts := fastOpts(netem.HighlyConstrained())
 		opts.BaseSeed = 11
 		opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
-		r := &run{reg: obs.NewRegistry()}
+		reg := obs.NewRegistry()
 		w := &Watchdog{
 			Services:       threeServices(),
 			Settings:       []netem.Config{netem.HighlyConstrained()},
@@ -198,10 +194,9 @@ func TestJournalResumeEquivalence(t *testing.T) {
 			CheckpointPath: ckpt,
 			JournalPath:    jpath,
 			Interrupt:      interrupt,
-			Obs:            NewInstruments(r.reg, nil),
-			OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
+			Obs:            NewInstruments(reg, nil),
 		}
-		return w, r
+		return w, reg
 	}
 	interruptAfter := func(n int) func() bool {
 		calls := 0
@@ -209,10 +204,13 @@ func TestJournalResumeEquivalence(t *testing.T) {
 	}
 
 	// Reference: uninterrupted, no durability files.
-	wRef, ref := mk("", "", nil)
+	wRef, _ := mk("", "", nil)
 	crRef, err := wRef.RunCycle()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(crRef.Faults) == 0 {
+		t.Fatal("setup: the uninterrupted cycle recorded no fault events")
 	}
 
 	// Journal mode: interrupt mid-matrix, then resume.
@@ -274,22 +272,18 @@ func TestJournalResumeEquivalence(t *testing.T) {
 	}
 
 	// Each resumed process alone reproduces the uninterrupted run's
-	// CycleResult and — because replay drives the ordinary release path —
-	// its fault ledger, event for event, and did so by replaying.
+	// CycleResult — with, because replay drives the ordinary release
+	// path, its fault ledger event for event — and did so by replaying.
 	jRef, _ := json.Marshal(crRef)
-	lRef, _ := json.Marshal(ref.ledger)
 	for _, c := range []struct {
 		name string
 		cr   *CycleResult
-		r    *run
+		reg  *obs.Registry
 	}{{"journal resume", crB, rb}, {"checkpoint-only resume", crD, rd}} {
 		if got, _ := json.Marshal(c.cr); !bytes.Equal(jRef, got) {
 			t.Fatalf("%s differs from uninterrupted run:\n%s\nvs\n%s", c.name, jRef, got)
 		}
-		if got, _ := json.Marshal(c.r.ledger); !bytes.Equal(lRef, got) {
-			t.Fatalf("%s: ledger differs from uninterrupted run:\n%s\nvs\n%s", c.name, lRef, got)
-		}
-		if c.r.reg.Snapshot().Counters["prudentia_journal_replayed_total"] == 0 {
+		if c.reg.Snapshot().Counters["prudentia_journal_replayed_total"] == 0 {
 			t.Fatalf("%s replayed nothing", c.name)
 		}
 	}
@@ -306,9 +300,8 @@ func TestJournalResumeEquivalence(t *testing.T) {
 // it would show in both.
 func TestStalePairRecordResumes(t *testing.T) {
 	type run struct {
-		w      *Watchdog
-		ledger []FaultEvent
-		reg    *obs.Registry
+		w   *Watchdog
+		reg *obs.Registry
 	}
 	mk := func(ckpt string, interrupt func() bool) *run {
 		opts := fastOpts(netem.HighlyConstrained())
@@ -322,14 +315,12 @@ func TestStalePairRecordResumes(t *testing.T) {
 			CheckpointPath: ckpt,
 			Interrupt:      interrupt,
 			Obs:            NewInstruments(r.reg, nil),
-			OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
 		}
 		return r
 	}
-	outputs := func(r *run, cr *CycleResult) string {
-		a, _ := json.Marshal(cr)
-		b, _ := json.Marshal(r.ledger)
-		return string(a) + "\n" + string(b)
+	outputs := func(cr *CycleResult) string {
+		b, _ := json.Marshal(cr)
+		return string(b)
 	}
 	resume := func(ckpt string, stale bool) (string, int64) {
 		t.Helper()
@@ -359,7 +350,7 @@ func TestStalePairRecordResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outputs(r, cr), r.reg.Snapshot().Counters["prudentia_journal_replayed_total"]
+		return outputs(cr), r.reg.Snapshot().Counters["prudentia_journal_replayed_total"]
 	}
 
 	ref := mk("", nil)
@@ -367,7 +358,7 @@ func TestStalePairRecordResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := outputs(ref, cr)
+	want := outputs(cr)
 	plain, plainReplays := resume(filepath.Join(t.TempDir(), "plain.ckpt"), false)
 	got, replays := resume(filepath.Join(t.TempDir(), "stale.ckpt"), true)
 	if plain != want {
@@ -381,39 +372,35 @@ func TestStalePairRecordResumes(t *testing.T) {
 	}
 }
 
-// chaosRun is one watchdog of the resume tests below, with its fault
-// ledger: three baselines in one setting under hot fault injection.
+// chaosRun is one watchdog of the resume tests below: three baselines in
+// one setting under hot fault injection.
 type chaosRun struct {
-	w      *Watchdog
-	ledger []FaultEvent
+	w *Watchdog
 }
 
 func newChaosRun(ckpt string, interrupt func() bool) *chaosRun {
 	opts := fastOpts(netem.HighlyConstrained())
 	opts.BaseSeed = 11
 	opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
-	r := &chaosRun{}
-	r.w = &Watchdog{
+	return &chaosRun{w: &Watchdog{
 		Services:       threeServices(),
 		Settings:       []netem.Config{netem.HighlyConstrained()},
 		Opts:           opts,
 		CheckpointPath: ckpt,
 		Interrupt:      interrupt,
-		OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
-	}
-	return r
+	}}
 }
 
-// outputs is the CycleResult JSON and fault ledger RunCycle returned.
+// outputs runs the cycle and returns its CycleResult, fault ledger
+// included, as JSON.
 func (r *chaosRun) outputs(t *testing.T) string {
 	t.Helper()
 	cr, err := r.w.RunCycle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(cr)
-	b, _ := json.Marshal(r.ledger)
-	return string(a) + "\n" + string(b)
+	b, _ := json.Marshal(cr)
+	return string(b)
 }
 
 // interruptAt12 runs a chaosRun's cycle at ckpt until its 13th
@@ -436,10 +423,15 @@ func interruptAt12(t *testing.T, ckpt string) {
 func TestCompletedCycleReplays(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "checkpoint.json")
 	first := newChaosRun(ckpt, nil)
-	want := first.outputs(t)
+	cr, err := first.w.RunCycle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := json.Marshal(cr)
+	want := string(b)
 	j1 := first.w.BuildManifest(nil, nil).Journal
-	if len(first.ledger) == 0 || j1 == nil || j1.Records == 0 {
-		t.Fatalf("first run: ledger of %d events, journal %+v; want both non-empty", len(first.ledger), j1)
+	if len(cr.Faults) == 0 || j1 == nil || j1.Records == 0 {
+		t.Fatalf("first run: ledger of %d events, journal %+v; want both non-empty", len(cr.Faults), j1)
 	}
 
 	second := newChaosRun(ckpt, nil)
@@ -570,39 +562,31 @@ func TestAdmissionReplayResume(t *testing.T) {
 	if testing.Short() {
 		step = 9
 	}
-	type run struct {
-		w      *Watchdog
-		ledger []FaultEvent
-	}
 	for _, adaptive := range []bool{false, true} {
-		mk := func(ckpt string, interrupt func() bool) *run {
+		mk := func(ckpt string, interrupt func() bool) *Watchdog {
 			opts := fastOpts(nets[0])
 			opts.BaseSeed = 5
 			opts.Chaos = &chaos.Config{Brownouts: []*chaos.Brownout{{Service: sick, Trials: 1 << 40}}}
 			if adaptive {
 				opts.Adaptive = &AdaptiveOptions{}
 			}
-			r := &run{}
-			r.w = &Watchdog{
+			return &Watchdog{
 				Services:       threeServices(),
 				Settings:       nets,
 				Opts:           opts,
 				CheckpointPath: ckpt,
 				Interrupt:      interrupt,
-				OnFault:        func(ev FaultEvent) { r.ledger = append(r.ledger, ev) },
 			}
-			return r
 		}
-		outputs := func(r *run, cr *CycleResult) string {
+		outputs := func(w *Watchdog, cr *CycleResult) string {
 			a, _ := json.Marshal(cr)
-			b, _ := json.Marshal(r.ledger)
-			c, _ := json.Marshal(r.w.Breakers.Status())
-			return string(a) + "\n" + string(b) + "\n" + string(c)
+			b, _ := json.Marshal(w.Breakers.Status())
+			return string(a) + "\n" + string(b)
 		}
 
 		polls := 0
 		ref := mk("", func() bool { polls++; return false })
-		crRef, err := ref.w.RunCycle()
+		crRef, err := ref.RunCycle()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -615,7 +599,7 @@ func TestAdmissionReplayResume(t *testing.T) {
 			for _, keepJournal := range []bool{true, false} {
 				ckpt := filepath.Join(t.TempDir(), "ckpt.json")
 				calls := 0
-				if _, err := mk(ckpt, func() bool { calls++; return calls > after }).w.RunCycle(); err != ErrInterrupted {
+				if _, err := mk(ckpt, func() bool { calls++; return calls > after }).RunCycle(); err != ErrInterrupted {
 					t.Fatalf("adaptive=%v, after %d polls: interrupted cycle returned %v", adaptive, after, err)
 				}
 				if !keepJournal {
@@ -624,7 +608,7 @@ func TestAdmissionReplayResume(t *testing.T) {
 					}
 				}
 				r := mk(ckpt, nil)
-				cr, err := r.w.RunCycle()
+				cr, err := r.RunCycle()
 				if err != nil {
 					t.Fatal(err)
 				}

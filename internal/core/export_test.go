@@ -11,3 +11,6 @@ var (
 
 // MatrixForTest lets external tests drive one setting's matrix directly.
 var MatrixForTest = testMatrix
+
+// FaultsForTest is the ledger w's running cycle has recorded so far.
+func (w *Watchdog) FaultsForTest() []FaultEvent { return w.faults }

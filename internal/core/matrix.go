@@ -23,8 +23,8 @@ import (
 // trial fault ever propagates out of Run; the only error Run returns is
 // ErrInterrupted when the Interrupt hook requests a graceful stop.
 //
-// What the whole cycle shares — Services, Workers, Interrupt, OnFault,
-// Progress, Breakers, Obs — is read from the Watchdog, which
+// What the whole cycle shares — Services, Workers, Interrupt, the fault
+// ledger, Progress, Breakers, Obs — is read from the Watchdog, which
 // documents it; the fields here are what differs per setting.
 type matrix struct {
 	w *Watchdog

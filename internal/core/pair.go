@@ -220,8 +220,8 @@ func (p *PairOutcome) ciSatisfied(tol float64) bool {
 // runs the incumbent solo). Trial errors and panics never propagate:
 // they are recorded on the outcome, retried with fresh seeds, and
 // quarantine the pair (Failed) after maxFailures. onFault, if non-nil,
-// receives the live fault ledger — the stream Watchdog.OnFault delivers
-// — with every attempt emitted before any return path. The pair takes
+// receives the pair's fault events — those a cycle's ledger records for
+// it — with every attempt emitted before any return path. The pair takes
 // catalog identity (0, 1), so its trial seeds, outcome and events are
 // those of the same two services at indices 0 and 1 of a local matrix:
 // every trial seed is a pure function of (opts.BaseSeed, pair identity,

@@ -24,7 +24,7 @@ import (
 // returns its value (a pair's buffered ledger events, a calibration's
 // reading) and release — always on the goroutine that called
 // runOrdered, strictly in index order, streamed as the canonical prefix
-// completes — turns it into OnFault/Progress traffic. The
+// completes — turns it into ledger events and Progress lines. The
 // released byte stream is therefore identical for any worker count,
 // including 1; and since every attempt is journaled before its task
 // returns, a crash mid-cycle finds every released task on disk.

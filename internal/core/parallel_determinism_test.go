@@ -12,7 +12,7 @@ import (
 )
 
 // matrixCapture is everything observable about one matrix run: the
-// result, the fault-ledger stream, the progress lines (one per released
+// result, the fault ledger, the progress lines (one per released
 // pair, so they are also the release sequence), and a rendered heatmap. The parallel engine promises
 // all of it is byte-identical for any worker count.
 //
@@ -30,17 +30,15 @@ func runMatrixWorkers(t *testing.T, workers int) matrixCapture {
 	opts := core.FastOptsForTest(netem.HighlyConstrained())
 	opts.BaseSeed = 42
 	opts.Chaos = core.HotChaosForTest()
-	var events []core.FaultEvent
 	var c matrixCapture
-	m := core.MatrixForTest(&core.Watchdog{
+	w := &core.Watchdog{
 		Services: core.ThreeServicesForTest(),
 		Workers:  workers,
-		OnFault:  func(ev core.FaultEvent) { events = append(events, ev) },
 		Progress: func(format string, args ...any) {
 			c.progress = append(c.progress, fmt.Sprintf(format, args...))
 		},
-	}, netem.HighlyConstrained(), opts)
-	res, err := m.Run()
+	}
+	res, err := core.MatrixForTest(w, netem.HighlyConstrained(), opts).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +47,7 @@ func runMatrixWorkers(t *testing.T, workers int) matrixCapture {
 	if merr != nil {
 		t.Fatal(merr)
 	}
-	c.events, merr = json.Marshal(events)
+	c.events, merr = json.Marshal(w.FaultsForTest())
 	if merr != nil {
 		t.Fatal(merr)
 	}

@@ -321,9 +321,9 @@ func TestRunOrdered(t *testing.T) {
 // must not leak the abandoned pair's partial fault events — a
 // checkpoint-only resume re-runs that pair from attempt 0 and emits them
 // again, so a leaked event is double-counted across the two processes'
-// ledgers. Every event delivered to OnFault therefore names a pair that
-// was also released (it has a Progress line), for any worker count and
-// any interruption point.
+// ledgers. Every event in the running cycle's ledger therefore names a
+// pair that was also released (it has a Progress line), for any worker
+// count and any interruption point.
 func TestInterruptedLedgerNamesOnlyReleasedPairs(t *testing.T) {
 	net := netem.HighlyConstrained()
 	svcs := threeServices()
@@ -334,22 +334,20 @@ func TestInterruptedLedgerNamesOnlyReleasedPairs(t *testing.T) {
 			opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
 			var polls atomic.Int64
 			released := map[string]bool{}
-			var events []FaultEvent
-			m := testMatrix(&Watchdog{
+			w := &Watchdog{
 				Services:  svcs,
 				Workers:   workers,
 				Interrupt: func() bool { return polls.Add(1) > after },
-				OnFault:   func(ev FaultEvent) { events = append(events, ev) },
 				Progress: func(format string, args ...any) {
 					released[releasedLabel(fmt.Sprintf(format, args...))] = true
 				},
-			}, net, opts)
-			if _, err := m.Run(); err == nil {
+			}
+			if _, err := testMatrix(w, net, opts).Run(); err == nil {
 				break // the threshold outlasted the matrix: nothing left to interrupt
 			} else if !errors.Is(err, ErrInterrupted) {
 				t.Fatal(err)
 			}
-			for _, ev := range events {
+			for _, ev := range w.faults {
 				if !released[ev.Pair] {
 					t.Errorf("workers=%d interrupt after %d polls: ledger event %q for %q, a pair never released",
 						workers, after, ev.Kind, ev.Pair)

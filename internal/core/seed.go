@@ -98,14 +98,14 @@ type TrialFailure struct {
 	Msg     string `json:"msg"`
 }
 
-// FaultEvent is one entry in the scheduler's live robustness ledger,
-// emitted through Watchdog.OnFault as faults are
-// detected and handled. Kinds: "panic", "error", "reap" (hung trial
-// reaped), "brownout" (chaos service brownout) for failed attempts,
-// "retry" (the next attempt follows), "quarantine" (pair failed permanently),
-// "discard" (noise-discarded trial), "corrupt" (validity-gate
-// rejection), "calibration" (solo-run failure), "breaker_skip" (pair
-// denied admission because a member's circuit breaker was open).
+// FaultEvent is one entry in a cycle's robustness ledger
+// (CycleResult.Faults), recorded as faults are detected and handled.
+// Kinds: "panic", "error", "reap" (hung trial reaped), "brownout" (chaos
+// service brownout) for failed attempts, "retry" (the next attempt
+// follows), "quarantine" (pair failed permanently), "discard"
+// (noise-discarded trial), "corrupt" (validity-gate rejection),
+// "calibration" (solo-run failure), "breaker_skip" (pair denied
+// admission because a member's circuit breaker was open).
 type FaultEvent struct {
 	Pair    string `json:"pair"`
 	Kind    string `json:"kind"`

@@ -82,8 +82,8 @@ type Watchdog struct {
 	// concurrency-safe when Workers > 1 (it is polled from worker
 	// goroutines).
 	Interrupt func() bool
-	// OnFault, if non-nil, receives the live robustness ledger from all
-	// matrices and calibrations.
+	// OnFault, if non-nil, also receives each ledger event as it is
+	// released; the cycle's own ledger is CycleResult.Faults.
 	OnFault func(ev FaultEvent)
 	// Obs, if non-nil, receives live telemetry for the whole cycle:
 	// metric counters/histograms plus the cycle timeline
@@ -99,6 +99,9 @@ type Watchdog struct {
 	// inFlight is the number of the cycle RunCycle most recently started,
 	// which an interrupted run's manifest reports.
 	inFlight int
+	// faults is the running cycle's ledger, CycleResult.Faults once the
+	// cycle completes.
+	faults []FaultEvent
 }
 
 // CycleResult is one complete iteration over all pairs in all settings.
@@ -111,6 +114,9 @@ type CycleResult struct {
 	// Calibration holds each service's solo throughput per setting, the
 	// Table 1 "Max Xput" check.
 	Calibration []map[string]float64
+	// Faults is the cycle's robustness ledger in canonical release order:
+	// the same events for any worker count, resumed or not.
+	Faults []FaultEvent
 }
 
 // NewWatchdog returns a watchdog over the standard catalog and settings.
@@ -209,8 +215,10 @@ func (w *Watchdog) progress(format string, args ...any) {
 	}
 }
 
-// fault emits a ledger event if a listener is attached.
+// fault records a ledger event for the running cycle and passes it to
+// OnFault if a listener is attached.
 func (w *Watchdog) fault(ev FaultEvent) {
+	w.faults = append(w.faults, ev)
 	if w.OnFault != nil {
 		w.OnFault(ev)
 	}
@@ -288,6 +296,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 	}
 	cr := &CycleResult{Cycle: cp.Cycle}
 	w.inFlight = cr.Cycle
+	w.faults = nil
 	sink, jw, rec, err := w.openJournal(resumed)
 	if err != nil {
 		return nil, err
@@ -356,6 +365,7 @@ func (w *Watchdog) RunCycle() (*CycleResult, error) {
 		cr.PerSetting = append(cr.PerSetting, res)
 	}
 	finishJournal()
+	cr.Faults, w.faults = w.faults, nil
 	w.Breakers.Decay()
 	w.done = cr.Cycle
 	w.Obs.emit(obs.TimelineEvent{Kind: "cycle_end", Cycle: cr.Cycle, Detail: "completed"})

@@ -92,11 +92,11 @@ func CycleText(res *core.MatrixResult, cr *core.CycleResult, si int, cfg netem.C
 }
 
 // ReportText renders a whole completed cycle — banner, every setting's
-// CycleText block, and the cumulative fault-ledger summary line when
-// one is non-empty — as the exact bytes a batch run prints for the same
-// cycle. settings must be index-aligned with cr.PerSetting;
-// faultSummary is trace.FaultLedger.Summary() ("" elides the line,
-// matching the batch binary).
+// CycleText block, and the cycle's fault-ledger summary line when it is
+// non-empty — as the exact bytes a batch run prints for the same cycle.
+// settings must be index-aligned with cr.PerSetting; faultSummary is
+// trace.Summary(cr.Faults) ("" elides the line, matching the batch
+// binary).
 func ReportText(cr *core.CycleResult, settings []netem.Config, svcs []services.Service, faultSummary string) string {
 	var b strings.Builder
 	b.WriteString(CycleBanner(cr.Cycle, len(svcs)))

@@ -53,7 +53,7 @@ type cycleArtifacts struct {
 	report     artifact // canonical JSON document (report.CycleJSON)
 	reportText artifact // exact batch-mode stdout bytes (report.ReportText)
 	heatmap    artifact // self-contained HTML page (report.HeatmapHTML)
-	faults     artifact // cumulative fault ledger as JSONL
+	faults     artifact // the cycle's fault ledger as JSONL
 }
 
 // cycleCache is the read side's entire world: the latest cycle, the

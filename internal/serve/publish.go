@@ -88,15 +88,9 @@ func (s *Server) publish(cr *core.CycleResult) error {
 	if err != nil {
 		return err
 	}
-	faultSummary := ""
-	var faultEvents []core.FaultEvent
-	if s.cfg.Ledger != nil {
-		faultSummary = s.cfg.Ledger.Summary()
-		faultEvents = s.cfg.Ledger.Snapshot()
-	}
-	text := report.ReportText(cr, settings, svcs, faultSummary)
+	text := report.ReportText(cr, settings, svcs, trace.Summary(cr.Faults))
 	var faultsBody bytes.Buffer
-	if err := trace.WriteFaultsJSONL(&faultsBody, faultEvents); err != nil {
+	if err := trace.WriteFaultsJSONL(&faultsBody, cr.Faults); err != nil {
 		return err
 	}
 

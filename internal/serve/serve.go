@@ -54,10 +54,9 @@ type Config struct {
 	// server drives it from a single goroutine; the caller must not use
 	// it concurrently while the server runs.
 	Source core.CycleSource
-	// Ledger, if non-nil, supplies the cumulative fault stream rendered
-	// at /api/v1/faults and summarized in the text report. The caller
-	// wires the engine's OnFault into it (trace.FaultLedger is
-	// concurrency-safe).
+	// Deprecated: Ledger is read by nothing (/api/v1/faults and the text
+	// report render each cycle's CycleResult.Faults); it remains until
+	// bench/ drops its assignment.
 	Ledger *trace.FaultLedger
 	// Registry, if non-nil, backs /metrics and the per-route HTTP
 	// instruments. Nil disables telemetry (handles degrade to no-ops).

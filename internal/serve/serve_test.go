@@ -37,8 +37,8 @@ func fastOpts(net netem.Config) core.SchedulerOptions {
 }
 
 // testWatchdog builds a two-service, one-setting watchdog with a fixed
-// seed, wired to a fault ledger.
-func testWatchdog(seed uint64, ledger *trace.FaultLedger) *core.Watchdog {
+// seed.
+func testWatchdog(seed uint64) *core.Watchdog {
 	w := core.NewWatchdog()
 	w.Services = []services.Service{
 		services.ByName("iPerf (Cubic)"),
@@ -48,9 +48,6 @@ func testWatchdog(seed uint64, ledger *trace.FaultLedger) *core.Watchdog {
 	opts := fastOpts(w.Settings[0])
 	opts.BaseSeed = seed
 	w.Opts = opts
-	if ledger != nil {
-		w.OnFault = ledger.Record
-	}
 	return w
 }
 
@@ -58,11 +55,9 @@ func testWatchdog(seed uint64, ledger *trace.FaultLedger) *core.Watchdog {
 // cycle through the scheduler path, and returns it ready to serve.
 func newPublishedServer(t *testing.T, seed uint64) (*Server, *core.Watchdog) {
 	t.Helper()
-	ledger := &trace.FaultLedger{}
-	w := testWatchdog(seed, ledger)
+	w := testWatchdog(seed)
 	s, err := New(Config{
 		Source:        w,
-		Ledger:        ledger,
 		Registry:      obs.NewRegistry(),
 		CycleInterval: -1,
 		MaxCycles:     1,
@@ -91,12 +86,10 @@ func get(t *testing.T, h http.Handler, path string, hdr map[string]string) *http
 // over a real two-service watchdog, exercises every endpoint, and shuts
 // it down gracefully.
 func TestServeEndToEnd(t *testing.T) {
-	ledger := &trace.FaultLedger{}
-	w := &recordingSource{Watchdog: testWatchdog(42, ledger), results: make(chan *core.CycleResult, 1)}
+	w := &recordingSource{Watchdog: testWatchdog(42), results: make(chan *core.CycleResult, 1)}
 	reg := obs.NewRegistry()
 	s, err := New(Config{
 		Source:        w,
-		Ledger:        ledger,
 		Registry:      reg,
 		CycleInterval: -1,
 		MaxCycles:     1,
@@ -177,7 +170,8 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// The text report is the exact batch rendering.
 	_, txt := fetch("/api/v1/report.txt")
-	want := report.ReportText(<-w.results, w.SettingConfigs(), w.Catalog(), ledger.Summary())
+	cr := <-w.results
+	want := report.ReportText(cr, w.SettingConfigs(), w.Catalog(), trace.Summary(cr.Faults))
 	if string(txt) != want {
 		t.Errorf("report.txt differs from batch rendering:\n%q\nvs\n%q", txt, want)
 	}

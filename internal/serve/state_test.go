@@ -13,21 +13,18 @@ import (
 	"strings"
 	"testing"
 
+	"prudentia/internal/chaos"
 	"prudentia/internal/core"
 	"prudentia/internal/journal"
 	"prudentia/internal/obs"
-	"prudentia/internal/trace"
 )
 
 // newStatefulServer builds a server over a fresh real watchdog wired to
 // dir-backed persistence.
 func newStatefulServer(t *testing.T, seed uint64, dir string, mutate func(*Config)) *Server {
 	t.Helper()
-	ledger := &trace.FaultLedger{}
-	w := testWatchdog(seed, ledger)
 	cfg := Config{
-		Source:        w,
-		Ledger:        ledger,
+		Source:        testWatchdog(seed),
 		Registry:      obs.NewRegistry(),
 		CycleInterval: -1,
 		StateDir:      dir,
@@ -46,20 +43,36 @@ func newStatefulServer(t *testing.T, seed uint64, dir string, mutate func(*Confi
 // TestStateRehydration: a daemon restarted over the same state dir
 // serves the same cycles — byte-identical artifacts, equal ETags, ready
 // immediately — and then continues the campaign with the next cycle
-// number, producing bytes identical to a never-restarted daemon.
+// number, producing bytes identical to a never-restarted daemon. Fault
+// injection is armed so that every cycle's ledger is non-empty: each
+// cycle publishes its own, whatever the process ran before it.
 func TestStateRehydration(t *testing.T) {
 	dir := t.TempDir()
+	campaign := func(cycles int) func(*Config) {
+		return func(c *Config) {
+			c.MaxCycles = cycles
+			c.Source.(*core.Watchdog).Opts.Chaos = &chaos.Config{PanicRate: 0.15, ErrorRate: 0.10, CorruptRate: 0.10}
+		}
+	}
+	faults := func(s *Server, cycle int) {
+		t.Helper()
+		if get(t, s.Handler(), "/api/v1/faults?cycle="+strconv.Itoa(cycle), nil).Body.Len() == 0 {
+			t.Fatalf("cycle %d published an empty fault ledger", cycle)
+		}
+	}
 
 	// First process: cycles 1 and 2.
-	s1 := newStatefulServer(t, 42, dir, func(c *Config) { c.MaxCycles = 2 })
+	s1 := newStatefulServer(t, 42, dir, campaign(2))
 	if err := s1.campaign(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s1.wal.close()
+	faults(s1, 1)
+	faults(s1, 2)
 
 	// Second process: same dir, fresh watchdog. Ready before any cycle
 	// runs, with the first process's bytes.
-	s2 := newStatefulServer(t, 42, dir, func(c *Config) { c.MaxCycles = 3 })
+	s2 := newStatefulServer(t, 42, dir, campaign(3))
 	if s2.Latest() != 2 {
 		t.Fatalf("rehydrated latest = %d, want 2", s2.Latest())
 	}
@@ -69,7 +82,7 @@ func TestStateRehydration(t *testing.T) {
 	if rec := get(t, s2.Handler(), "/readyz", nil); rec.Code != http.StatusOK {
 		t.Fatalf("readyz after rehydration = %d, want 200", rec.Code)
 	}
-	for _, path := range []string{"/api/v1/report", "/api/v1/report.txt", "/api/v1/heatmap", "/api/v1/cycles"} {
+	for _, path := range []string{"/api/v1/report", "/api/v1/report.txt", "/api/v1/heatmap", "/api/v1/faults", "/api/v1/cycles"} {
 		r1 := get(t, s1.Handler(), path, nil)
 		r2 := get(t, s2.Handler(), path, nil)
 		if !bytes.Equal(r1.Body.Bytes(), r2.Body.Bytes()) {
@@ -89,11 +102,12 @@ func TestStateRehydration(t *testing.T) {
 		t.Fatalf("post-restart campaign reached cycle %d, want 3", s2.Latest())
 	}
 
-	uninterrupted := newStatefulServer(t, 42, t.TempDir(), func(c *Config) { c.MaxCycles = 3 })
+	uninterrupted := newStatefulServer(t, 42, t.TempDir(), campaign(3))
 	if err := uninterrupted.campaign(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/api/v1/report", "/api/v1/report.txt", "/api/v1/cycles"} {
+	faults(s2, 3)
+	for _, path := range []string{"/api/v1/report", "/api/v1/report.txt", "/api/v1/faults", "/api/v1/cycles"} {
 		r1 := get(t, s2.Handler(), path, nil)
 		r2 := get(t, uninterrupted.Handler(), path, nil)
 		if !bytes.Equal(r1.Body.Bytes(), r2.Body.Bytes()) {
@@ -153,7 +167,7 @@ func TestDaemonPublishesCompletedCycle(t *testing.T) {
 		w.JournalPath = filepath.Join(dir, "trials.wal")
 		return w
 	}
-	if _, err := durable(testWatchdog(42, nil)).RunCycle(); err != nil {
+	if _, err := durable(testWatchdog(42)).RunCycle(); err != nil {
 		t.Fatal(err)
 	}
 	var w *core.Watchdog

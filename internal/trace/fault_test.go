@@ -6,19 +6,23 @@ import (
 	"prudentia/internal/core"
 )
 
-func TestFaultLedgerCountsAndSummary(t *testing.T) {
+func TestSummary(t *testing.T) {
+	if got := Summary(nil); got != "" {
+		t.Fatalf("Summary of no events = %q", got)
+	}
+	events := []core.FaultEvent{
+		{Pair: "a vs b", Kind: "retry", Attempt: 0, Seed: 42},
+		{Pair: "a vs b", Kind: "panic", Attempt: 0, Seed: 42, Detail: "boom"},
+		{Pair: "c vs d", Kind: "panic", Attempt: 1, Seed: 7},
+	}
+	if got, want := Summary(events), "panic=2 retry=1"; got != want {
+		t.Fatalf("Summary = %q, want %q", got, want)
+	}
 	l := &FaultLedger{}
-	if got := l.Summary(); got != "" {
-		t.Fatalf("empty ledger Summary = %q", got)
+	for _, ev := range events {
+		l.Record(ev)
 	}
-	l.Record(core.FaultEvent{Pair: "a vs b", Kind: "panic", Attempt: 0, Seed: 42, Detail: "boom"})
-	l.Record(core.FaultEvent{Pair: "a vs b", Kind: "retry", Attempt: 0, Seed: 42})
-	l.Record(core.FaultEvent{Pair: "c vs d", Kind: "panic", Attempt: 1, Seed: 7})
-	counts := l.Counts()
-	if counts["panic"] != 2 || counts["retry"] != 1 {
-		t.Fatalf("Counts = %v", counts)
-	}
-	if got := l.Summary(); got != "panic=2 retry=1" {
-		t.Fatalf("Summary = %q, want %q", got, "panic=2 retry=1")
+	if got, want := l.Summary(), Summary(events); got != want {
+		t.Fatalf("FaultLedger.Summary = %q, want %q", got, want)
 	}
 }

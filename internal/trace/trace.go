@@ -61,18 +61,11 @@ func WriteRateCSV(w io.Writer, points []obs.RatePoint) error {
 	return cw.Error()
 }
 
-// FaultLedger accumulates the scheduler's robustness events — trial
-// failures, retries, discards, validity-gate rejections, quarantines —
-// for export alongside the per-experiment artifacts. Wire Record into
-// Watchdog.OnFault.
-//
-// The ledger is safe for concurrent use: one ledger may be shared by
-// several watchdogs or matrices running in parallel. (A single matrix,
-// even with Workers > 1, delivers its events from one goroutine in
-// canonical pair order — the scheduler's ordered merge — so sharing a
-// ledger across runs is the only case that actually interleaves.)
-// Read Events directly only after the runs feeding the ledger have
-// finished; while they are live, use Snapshot.
+// FaultLedger accumulates robustness events across cycles through
+// Watchdog.OnFault. A cycle's own ledger is CycleResult.Faults, which is
+// what the CLI and the daemon publish; the accumulator remains for the
+// benchmark harness. Record is safe for concurrent use; read Events only
+// after the runs feeding the ledger have finished.
 type FaultLedger struct {
 	mu     sync.Mutex
 	Events []core.FaultEvent
@@ -85,30 +78,20 @@ func (l *FaultLedger) Record(ev core.FaultEvent) {
 	l.mu.Unlock()
 }
 
-// Snapshot returns a copy of the events recorded so far.
-func (l *FaultLedger) Snapshot() []core.FaultEvent {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]core.FaultEvent, len(l.Events))
-	copy(out, l.Events)
-	return out
-}
-
-// Counts tallies events by kind.
-func (l *FaultLedger) Counts() map[string]int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]int)
-	for _, ev := range l.Events {
-		out[ev.Kind]++
-	}
-	return out
-}
-
-// Summary renders the tally as a stable one-line string
-// ("corrupt=2 discard=1 retry=3 ...", empty for no events).
+// Summary is Summary of the events recorded so far.
 func (l *FaultLedger) Summary() string {
-	counts := l.Counts()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return Summary(l.Events)
+}
+
+// Summary tallies events by kind as a stable one-line string
+// ("corrupt=2 discard=1 retry=3 ...", empty for no events).
+func Summary(events []core.FaultEvent) string {
+	counts := make(map[string]int)
+	for _, ev := range events {
+		counts[ev.Kind]++
+	}
 	kinds := make([]string, 0, len(counts))
 	for k := range counts {
 		kinds = append(kinds, k)

@@ -476,30 +476,31 @@ else
     go test -race -count=1 -timeout 45m ./...
 fi
 
-# Seeded end-to-end acceptance run: one quick cycle of the real binary
-# with the full observability surface enabled, $ARTIFACTS as its run
-# directory. The artifacts (metrics, timeline, manifest, fault ledger)
-# are kept for upload; the reconciliation logic itself is asserted by
-# cmd/prudentia's end-to-end tests above — this proves the shipped
-# binary produces them outside the test harness too. A cycle an earlier
-# run left in $ARTIFACTS would be replayed, not simulated, so the first
-# run starts from an empty header and journal.
-ACCEPT_ARGS=(-cycles 1 -setting high -workers 4 -seed 42
+# Seeded end-to-end acceptance run: two quick cycles of the real binary
+# under fault injection with the full observability surface enabled,
+# $ARTIFACTS as its run directory. The artifacts (metrics, timeline,
+# manifest, fault ledger) are kept for upload; the reconciliation logic
+# itself is asserted by cmd/prudentia's end-to-end tests above — this
+# proves the shipped binary produces them outside the test harness too.
+# A cycle an earlier run left in $ARTIFACTS would be replayed, not
+# simulated, so the first run starts from an empty header and journal.
+ACCEPT_ARGS=(-cycles 2 -chaos -setting high -workers 4 -seed 42
              -services "iPerf (Cubic),iPerf (BBR)" -dir "$ARTIFACTS")
 rm -f "$ARTIFACTS/checkpoint.json" "$ARTIFACTS/trials.wal"
 go run ./cmd/prudentia "${ACCEPT_ARGS[@]}" | tee "$ARTIFACTS/accept.txt"
-for f in metrics.prom timeline.jsonl manifest.json checkpoint.json trials.wal; do
+for f in metrics.prom timeline.jsonl manifest.json checkpoint.json trials.wal faults.jsonl; do
     [ -s "$ARTIFACTS/$f" ] || { echo "ci: acceptance run produced no $f" >&2; exit 1; }
 done
 # A completed cycle stays in its run directory: rerunning the same
-# command re-renders it by replaying the journal, simulating nothing.
-# The report after the banner and the fault ledger must be the same
-# bytes, and the manifest's journal must show no record appended and
-# every recovered one replayed.
+# command re-renders the last one, cycle 2, by replaying the journal,
+# simulating nothing. Its report from the cycle 2 banner on and its
+# fault ledger (cycle 2's events alone) must be the same bytes, and the
+# manifest's journal must show no record appended and every recovered
+# one replayed.
 cp "$ARTIFACTS/faults.jsonl" "$ARTIFACTS/accept-faults.jsonl"
 go run ./cmd/prudentia "${ACCEPT_ARGS[@]}" > "$ARTIFACTS/accept-rerun.txt"
-cmp <(awk '/^=== cycle/{f=1} f' "$ARTIFACTS/accept.txt") \
-    <(awk '/^=== cycle/{f=1} f' "$ARTIFACTS/accept-rerun.txt") || {
+cmp <(awk '/^=== cycle 2 /{f=1} f' "$ARTIFACTS/accept.txt") \
+    <(awk '/^=== cycle 2 /{f=1} f' "$ARTIFACTS/accept-rerun.txt") || {
     echo "ci: rerun of the finished acceptance run printed another report" >&2
     exit 1
 }
