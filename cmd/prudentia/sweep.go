@@ -19,8 +19,9 @@ import (
 // instead of the report, the cycle becomes two consolidated artifacts — a
 // flat TSV (one row per pair slot per grid cell, ready for gnuplot/pandas)
 // and a JSON document that additionally carries each cell's merged
-// share-percentage sketch, so a downstream consumer can recover any
-// quantile of the whole cell without the raw trials. Cell i runs at the
+// share-percentage sketch: every counted share of the cell, sorted, so a
+// downstream consumer can recover any quantile of the whole cell
+// exactly, or merge cells, without the trials. Cell i runs at the
 // seeds of setting i, so a sweep is reproducible bit for bit.
 
 // sweepServices is -services' default under -sweep: the three
@@ -45,8 +46,8 @@ type sweepCell struct {
 	QueuePkts int         `json:"queue_pkts"`
 	Pairs     []sweepPair `json:"pairs"`
 	// MergedShare is the union of every non-failed pair's two share
-	// sketches — the cell's full share distribution in one mergeable,
-	// O(1) object. Omitted when no pair counted a trial.
+	// sketches — the cell's full share distribution in one mergeable
+	// object. Omitted when no pair counted a trial.
 	MergedShare *stats.Sketch `json:"merged_share_sketch,omitempty"`
 }
 

@@ -650,11 +650,9 @@ var (
 			}
 			id := "fig10/" + slug(pr[0]) + "/"
 			k := 0
-			p.Sketches.Mbps[slot].Each(func(v float64, count int64) {
-				for ; count > 0; count-- {
-					k++
-					out = append(out, s.src.row("Fig 10", fmt.Sprintf("%strial%d", id, k), v, 0, "Mbps"))
-				}
+			p.Sketches.Mbps[slot].Each(func(v float64) {
+				k++
+				out = append(out, s.src.row("Fig 10", fmt.Sprintf("%strial%d", id, k), v, 0, "Mbps"))
 			})
 			out = append(out, s.src.row("Fig 10", id+"iqr", p.Sketches.Mbps[slot].IQR(), 1, "Mbps"))
 		}

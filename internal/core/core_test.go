@@ -350,13 +350,6 @@ func TestWatchdogCycleAndHistory(t *testing.T) {
 	if cr2.Cycle != 2 {
 		t.Fatalf("second cycle numbered %d, want 2", cr2.Cycle)
 	}
-	rep, ok := CompareCycles(cr, cr2, 0, "iPerf (Reno)", "iPerf (BBR)")
-	if !ok {
-		t.Fatal("CompareCycles failed")
-	}
-	if rep.BeforeMbps <= 0 || rep.AfterMbps <= 0 {
-		t.Fatalf("change report empty: %+v", rep)
-	}
 }
 
 // TestWatchdogRetainsNoCycle: a -serve daemon runs cycles for its whole

@@ -17,9 +17,7 @@ import (
 type SchedulerOptions struct {
 	// MinTrials is the initial batch (paper: 10); more trials run in
 	// Step-sized sets up to MaxTrials (paper: 30) until the 95% CI of
-	// the median throughput is within ToleranceMbps. Past
-	// stats.SketchBufferCap (128) counted trials a pair's quantiles
-	// carry 1% relative error (see PairOutcome.Sketches).
+	// the median throughput is within ToleranceMbps.
 	MinTrials, MaxTrials, Step int
 	// ToleranceMbps is the CI half-width target: 0.5 in the
 	// highly-constrained setting, 1.5 in the moderately-constrained one.
@@ -152,12 +150,11 @@ type PairOutcome struct {
 	// Budget is the pair's allocated trial ceiling under adaptive
 	// budgets (zero on fixed-budget runs).
 	Budget int `json:"budget,omitempty"`
-	// Sketches is the pair's statistics state, and the only one: an O(1)
-	// mergeable quantile sketch per metric plus the summed telemetry
-	// aggregate (sketchstats.go). Up to stats.SketchBufferCap (128)
-	// counted trials every accessor below is bit-identical to order
-	// statistics over the raw samples; a caller asking for more gets
-	// quantiles within 1% relative error (docs/SKETCHES.md). Nil only on
+	// Sketches is the pair's statistics state, and the only one: a
+	// mergeable sketch per metric holding every counted trial's sample,
+	// plus the summed telemetry aggregate (sketchstats.go). Every
+	// accessor below is bit-identical to order statistics over the raw
+	// samples, at any trial count (docs/SKETCHES.md). Nil only on
 	// a breaker-skipped pair, which ran no trials: check Skipped or
 	// Counted before reading a statistic, as MatrixResult's accessors do.
 	Sketches *PairSketches `json:"sketches,omitempty"`

@@ -141,11 +141,10 @@ func sliceAdaptiveStop(pol stats.SequentialPolicy, s0, s1 []float64) (stop bool,
 	return false, ""
 }
 
-// visited lists what Sketch.Each visits, one value per visit, and the
-// sum of the visits' counts.
-func visited(s *stats.Sketch) (vals []float64, total int64) {
-	s.Each(func(v float64, count int64) { vals, total = append(vals, v), total+count })
-	return vals, total
+// visited lists what Sketch.Each visits, in visiting order.
+func visited(s *stats.Sketch) (vals []float64) {
+	s.Each(func(v float64) { vals = append(vals, v) })
+	return vals
 }
 
 // checkPairAgainstSlices compares every accessor of one pair with slice
@@ -186,13 +185,13 @@ func checkPairAgainstSlices(t *testing.T, res *MatrixResult, p *PairOutcome, tri
 			gotLo != lo || gotHi != hi {
 			t.Fatalf("%s slot %d: sketch statistics diverged from slice arithmetic", label, slot)
 		}
-		// In the exact regime Each visits the raw samples, sorted.
+		// Each visits the raw samples, sorted.
 		sort.Float64s(share)
-		if got, _ := visited(p.Sketches.SharePct[slot]); !slices.Equal(got, share) {
-			t.Fatalf("%s: sketch left exact regime at test trial budgets", label)
+		if got := visited(p.Sketches.SharePct[slot]); !slices.Equal(got, share) {
+			t.Fatalf("%s: Each visited %v, want sorted %v", label, got, share)
 		}
 		// The Fig 10 scatter: the slot's trial throughputs, sorted.
-		scatter, _ := visited(p.Sketches.Mbps[slot])
+		scatter := visited(p.Sketches.Mbps[slot])
 		sort.Float64s(mbps)
 		if p.Sketches.Mbps[slot].IQR() != stats.IQR(mbps) || !slices.Equal(scatter, mbps) {
 			t.Fatalf("%s slot %d: scatter %v, want sorted %v", label, slot, scatter, mbps)
@@ -363,15 +362,15 @@ func TestSketchMergedShareSketch(t *testing.T) {
 	}
 }
 
-// TestPairBeyondSketchBufferCap pins the documented >128-trial rule: a
-// caller asking for more counted trials than stats.SketchBufferCap gets
-// the right count, medians within 1% of slice arithmetic over the raw
-// trials, an IQR, and a scatter of bucket representatives whose counts
-// sum to the trials, not the raw samples.
-func TestPairBeyondSketchBufferCap(t *testing.T) {
+// TestPairPast128TrialsExact: a pair that counts more trials than the
+// 128 a sketch once held before it folded into 1%-error buckets still
+// answers every accessor, and its Fig 10 scatter, bit-identically to
+// slice arithmetic over its journaled trials, and the matrix's merged
+// share sketch is exactly the pair's 2n counted shares.
+func TestPairPast128TrialsExact(t *testing.T) {
 	net := netem.HighlyConstrained()
 	opts := fastOpts(net)
-	n := stats.SketchBufferCap + 2
+	const n = 130
 	opts.MinTrials, opts.MaxTrials, opts.Step = n, n, n
 	opts.Timing = func(s Spec) Spec {
 		s.Duration, s.Warmup, s.Cooldown = 6*sim.Second, 2*sim.Second, sim.Second
@@ -381,20 +380,22 @@ func TestPairBeyondSketchBufferCap(t *testing.T) {
 	res, trials := runJournaled(t, testMatrix(&Watchdog{Services: []services.Service{svc}}, net, opts))
 	p := res.Pairs[pairKey(0, 0)]
 	tr := trials[p.Incumbent+" vs "+p.Contender]
-	share := series(tr, n, func(t *TrialResult) float64 { return t.SharePct[0] })
-	sort.Float64s(share)
-	got, total := visited(p.Sketches.SharePct[0])
-	if p.Counted() != n || len(tr) != n || total != int64(n) || slices.Equal(got, share) {
-		t.Fatalf("counted %d trials (journal %d, visited %d), want %d in the compacted regime", p.Counted(), len(tr), total, n)
+	if len(tr) != n {
+		t.Fatalf("journal holds %d counted trials, want %d", len(tr), n)
 	}
+	checkPairAgainstSlices(t, res, p, tr)
+	var shares []float64
 	for slot := 0; slot < 2; slot++ {
-		want := stats.Median(series(tr, n, func(t *TrialResult) float64 { return t.SharePct[slot] }))
-		if got := p.MedianSharePct(slot); got < 0.99*want || got > 1.01*want {
-			t.Fatalf("slot %d: median share %v not within 1%% of %v", slot, got, want)
-		}
+		shares = append(shares, series(tr, n, func(t *TrialResult) float64 { return t.SharePct[slot] })...)
 	}
-	if _, total := visited(p.Sketches.Mbps[0]); total != int64(n) || p.Sketches.Mbps[0].IQR() < 0 {
-		t.Fatalf("scatter past the cap covers %d trials, want %d and an IQR", total, n)
+	merged := res.MergedShareSketch()
+	if merged.Count() != 2*n {
+		t.Fatalf("merged sketch holds %d shares, want %d", merged.Count(), 2*n)
+	}
+	for _, q := range []float64{0, 0.05, 0.25, 0.5, 0.75, 0.95, 1} {
+		if got, want := merged.Quantile(q), stats.Quantile(shares, q); got != want {
+			t.Fatalf("merged share q=%g: %v != stats.Quantile %v", q, got, want)
+		}
 	}
 }
 

@@ -5,20 +5,19 @@ import (
 )
 
 // Per-pair statistics. A pair never retains its TrialResults: it
-// carries one PairSketches, a fixed set of mergeable quantile sketches
+// carries one PairSketches, a fixed set of mergeable sketches
 // (internal/stats) plus the summed deterministic telemetry aggregate,
-// so state per pair is O(1) in the trial count and a pair's JSON
-// carries fixed-size encoded sketches instead of raw samples.
+// and a pair's JSON carries the encoded sketches instead of trials.
 //
-// Up to stats.SketchBufferCap counted trials (far beyond any paper
-// budget) the sketches hold every sample exactly and answer with the
-// R-7 / order-statistic code of stats.Quantile and stats.MedianCI, so
-// the verdict matrix, report, and stopping decisions are those of
-// order statistics over the raw samples, bit for bit
-// (TestSketchMatrixEquivalence replays the slice arithmetic as the
-// oracle). Past the cap quantiles carry 1% relative error.
+// Each sketch holds every sample of its metric (8 bytes per counted
+// trial) and answers with the R-7 / order-statistic code of
+// stats.Quantile and stats.MedianCI, so the verdict matrix, report, and
+// stopping decisions are those of order statistics over the raw
+// samples, bit for bit, at any trial count (TestSketchMatrixEquivalence
+// and TestPairPast128TrialsExact replay the slice arithmetic as the
+// oracle).
 
-// PairSketches is the O(1) statistics state of one pair: a sketch per
+// PairSketches is the statistics state of one pair: a sketch per
 // reported metric, keyed by the same slot convention as TrialResult
 // (slot 0 incumbent, slot 1 contender), plus the summed TrialObs
 // aggregate the release path folds into the registry's counter totals
@@ -88,13 +87,10 @@ func (r *MatrixResult) MergedShareSketch() *stats.Sketch {
 				continue
 			}
 			if agg == nil {
-				agg = stats.NewSketchAlpha(p.Sketches.SharePct[0].Alpha())
+				agg = stats.NewSketch()
 			}
-			for s := 0; s < 2; s++ {
-				if err := agg.Merge(p.Sketches.SharePct[s]); err != nil {
-					return nil // mixed geometries: no meaningful aggregate
-				}
-			}
+			agg.Merge(p.Sketches.SharePct[0])
+			agg.Merge(p.Sketches.SharePct[1])
 		}
 	}
 	return agg

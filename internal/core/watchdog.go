@@ -588,32 +588,3 @@ func (c *CycleResult) ThrottledServices(setting int, net netem.Config, svcs []se
 	sort.Strings(out)
 	return out
 }
-
-// ChangeReport compares a service's median throughput against a given
-// contender across two cycles (the Fig 9a analysis: Google Drive and
-// YouTube improved between 2022 and 2023 measurement periods).
-type ChangeReport struct {
-	Service, Versus string
-	BeforeMbps      float64
-	AfterMbps       float64
-	ImprovementPct  float64
-}
-
-// CompareCycles builds a ChangeReport from two cycles for one setting.
-func CompareCycles(before, after *CycleResult, setting int, service, versus string) (ChangeReport, bool) {
-	rep := ChangeReport{Service: service, Versus: versus}
-	if setting >= len(before.PerSetting) || setting >= len(after.PerSetting) {
-		return rep, false
-	}
-	b, bs, ok1 := before.PerSetting[setting].Cell(service, versus)
-	a, as, ok2 := after.PerSetting[setting].Cell(service, versus)
-	if !ok1 || !ok2 || b.Counted() == 0 || a.Counted() == 0 {
-		return rep, false
-	}
-	rep.BeforeMbps = b.MedianMbps(bs)
-	rep.AfterMbps = a.MedianMbps(as)
-	if rep.BeforeMbps > 0 {
-		rep.ImprovementPct = 100 * (rep.AfterMbps - rep.BeforeMbps) / rep.BeforeMbps
-	}
-	return rep, true
-}

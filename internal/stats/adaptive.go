@@ -78,9 +78,8 @@ type StopDecision struct {
 // what recomputing the last StableK prefixes would yield. A verdict
 // flip inside the window restarts the stability count by construction:
 // the flipped entry disagrees with its successors until it ages out.
-// In the sketch's exact regime (n ≤ SketchBufferCap, which covers every
-// real trial budget) the decision is bit-identical to the same rules
-// over the raw series (the oracle in oracle_test.go).
+// The decision is bit-identical to the same rules over the raw series
+// (the oracle in oracle_test.go), because a sketch holds every sample.
 func (p SequentialPolicy) EvaluateSketch(s0, s1 *Sketch, prior []bool) StopDecision {
 	n := s0.Count()
 	d := StopDecision{Fair: s0.Median() >= p.FairSharePct && s1.Median() >= p.FairSharePct}

@@ -2,13 +2,16 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
+
+	"prudentia/internal/journal"
 )
 
 // sketchOf builds a sketch from the given samples.
@@ -55,35 +58,55 @@ func genSamples(r *rand.Rand, dist string, n int) []float64 {
 
 var sketchDists = []string{"uniform", "lognormal", "mixed-sign", "duplicates", "with-zeros", "bimodal"}
 
-// TestSketchExactRegimeBitIdentical: while n ≤ SketchBufferCap every
-// query must be bit-identical (==, not approximately equal) to the
-// store-everything functions — the property that makes sketch-backed
-// seed-matrix runs reproduce the exact verdict matrix byte for byte.
+// mergedShards builds a sketch by splitting xs round-robin across k
+// shard sketches and merging them, so the shards arrive unsorted.
+func mergedShards(xs []float64, k int) *Sketch {
+	shards := make([]*Sketch, k)
+	for i := range shards {
+		shards[i] = NewSketch()
+	}
+	for i, x := range xs {
+		shards[i%k].Add(x)
+	}
+	merged := NewSketch()
+	for _, sh := range shards {
+		merged.Merge(sh)
+	}
+	return merged
+}
+
+// TestSketchExactRegimeBitIdentical: at every size, for a sketch that
+// saw the samples and for the merge of shards that together hold them,
+// every query must be bit-identical (==, not approximately equal) to
+// the store-everything functions — the property that makes sketch-backed
+// runs reproduce the exact verdict matrix byte for byte. Sizes past 128
+// are where the sketch used to fold into 1%-error buckets.
 func TestSketchExactRegimeBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, dist := range sketchDists {
-		for _, n := range []int{1, 2, 3, 5, 30, 36, 127, SketchBufferCap} {
+		for _, n := range []int{1, 2, 3, 5, 30, 36, 127, 128, 129, 130, 1000, 4096} {
 			xs := genSamples(r, dist, n)
-			s := sketchOf(xs)
-			if s.compacted {
-				t.Fatalf("%s n=%d: sketch left exact regime below cap", dist, n)
-			}
-			for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 1} {
-				if got, want := s.Quantile(q), Quantile(xs, q); got != want {
-					t.Fatalf("%s n=%d q=%g: sketch %v != exact %v", dist, n, q, got, want)
+			for name, s := range map[string]*Sketch{"added": sketchOf(xs), "merged": mergedShards(xs, 3)} {
+				if s.Count() != n {
+					t.Fatalf("%s %s n=%d: Count %d", dist, name, n, s.Count())
 				}
-			}
-			glo, ghi := s.MedianCI()
-			wlo, whi := MedianCI(xs)
-			if glo != wlo || ghi != whi {
-				t.Fatalf("%s n=%d: MedianCI (%v,%v) != (%v,%v)", dist, n, glo, ghi, wlo, whi)
-			}
-			if got, want := s.IQR(), IQR(xs); got != want {
-				t.Fatalf("%s n=%d: IQR %v != %v", dist, n, got, want)
-			}
-			for _, tol := range []float64{0.01, 1, 100} {
-				if got, want := s.CIWithin(tol), CIWithin(xs, tol); got != want {
-					t.Fatalf("%s n=%d tol=%g: CIWithin %v != %v", dist, n, tol, got, want)
+				for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 1} {
+					if got, want := s.Quantile(q), Quantile(xs, q); got != want {
+						t.Fatalf("%s %s n=%d q=%g: sketch %v != exact %v", dist, name, n, q, got, want)
+					}
+				}
+				glo, ghi := s.MedianCI()
+				wlo, whi := MedianCI(xs)
+				if glo != wlo || ghi != whi {
+					t.Fatalf("%s %s n=%d: MedianCI (%v,%v) != (%v,%v)", dist, name, n, glo, ghi, wlo, whi)
+				}
+				if got, want := s.IQR(), IQR(xs); got != want {
+					t.Fatalf("%s %s n=%d: IQR %v != %v", dist, name, n, got, want)
+				}
+				for _, tol := range []float64{0.01, 1, 100} {
+					if got, want := s.CIWithin(tol), CIWithin(xs, tol); got != want {
+						t.Fatalf("%s %s n=%d tol=%g: CIWithin %v != %v", dist, name, n, tol, got, want)
+					}
 				}
 			}
 		}
@@ -131,22 +154,23 @@ func TestSketchEdgeCases(t *testing.T) {
 	inf := NewSketch()
 	inf.Add(math.Inf(1))
 	inf.Add(math.Inf(-1))
-	if inf.max != math.MaxFloat64 || inf.min != -math.MaxFloat64 {
-		t.Fatalf("±Inf must clamp to ±MaxFloat64, got [%v, %v]", inf.min, inf.max)
+	if inf.Quantile(1) != math.MaxFloat64 || inf.Quantile(0) != -math.MaxFloat64 {
+		t.Fatalf("±Inf must clamp to ±MaxFloat64, got [%v, %v]", inf.Quantile(0), inf.Quantile(1))
+	}
+
+	// −0 is stored as +0, so the order of a signed-zero pair cannot
+	// reach the encoding.
+	negFirst, posFirst := sketchOf([]float64{math.Copysign(0, -1), 0}), sketchOf([]float64{0, math.Copysign(0, -1)})
+	if !bytes.Equal(negFirst.Encode(), posFirst.Encode()) || math.Signbit(negFirst.Quantile(0)) {
+		t.Fatal("−0 must be stored as +0")
 	}
 
 	eq := NewSketch()
-	for i := 0; i < 500; i++ { // past the cap: compacted all-equal
+	for i := 0; i < 500; i++ {
 		eq.Add(7.5)
 	}
-	if !eq.compacted {
-		t.Fatal("500 samples must compact")
-	}
-	if m := eq.Median(); math.Abs(m-7.5) > 7.5*SketchDefaultAlpha {
-		t.Fatalf("all-equal compacted median %v strays beyond α", m)
-	}
-	if lo, hi := eq.MedianCI(); lo > hi {
-		t.Fatalf("MedianCI inverted: (%v,%v)", lo, hi)
+	if lo, hi := eq.MedianCI(); eq.Median() != 7.5 || lo != 7.5 || hi != 7.5 {
+		t.Fatalf("all-equal: median %v, MedianCI (%v,%v)", eq.Median(), lo, hi)
 	}
 }
 
@@ -170,56 +194,31 @@ func TestMedianCIEdgeCases(t *testing.T) {
 	if lo, hi := MedianCI(all); lo != 3.25 || hi != 3.25 {
 		t.Fatalf("MedianCI(all-equal) = (%v,%v)", lo, hi)
 	}
-	for n := 3; n < 200; n++ {
-		lo, hi := medianCIRanks(n)
-		if lo < 0 || hi > n-1 || lo > hi {
-			t.Fatalf("medianCIRanks(%d) = (%d,%d) out of bounds", n, lo, hi)
-		}
+	ranks := make([]float64, 200)
+	for i := range ranks {
+		ranks[i] = float64(i)
 	}
-}
-
-// TestSketchCompactedErrorBound: past the buffer cap, every reported
-// quantile must be within relative error α of the true order statistic
-// at the same rank — the DDSketch guarantee, on adversarial shapes.
-func TestSketchCompactedErrorBound(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	const n = 10_000
-	for _, dist := range sketchDists {
-		xs := genSamples(r, dist, n)
-		s := sketchOf(xs)
-		if !s.compacted {
-			t.Fatalf("%s: n=%d did not compact", dist, n)
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		// Compare against the order statistic at the same rank the
-		// sketch reads, so rank rounding is not charged against α.
-		for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-			rank := int(math.Round(q * float64(n-1)))
-			want := sorted[rank]
-			got := s.Quantile(q)
-			tol := SketchDefaultAlpha*math.Abs(want) + 1e-9
-			if math.Abs(got-want) > tol {
-				t.Errorf("%s q=%g: sketch %v vs true %v (err %.4g > α bound %.4g)",
-					dist, q, got, want, math.Abs(got-want), tol)
-			}
-		}
-		if s.Quantile(0) != s.min || s.Quantile(1) != s.max {
-			t.Errorf("%s: extreme quantiles must return exact min/max", dist)
+	for n := 3; n < len(ranks); n++ {
+		if lo, hi := medianCISorted(ranks[:n]); lo > hi || lo >= float64(n)/2 || hi < float64(n-1)/2 {
+			t.Fatalf("n=%d: CI ranks (%v,%v) do not bracket the median", n, lo, hi)
 		}
 	}
 }
 
 // TestSketchAddOrderInsensitive: any permutation of the same multiset
-// produces a byte-identical encoding, in both regimes.
+// produces a byte-identical encoding, also when a query sorts the
+// buffer halfway through the stream.
 func TestSketchAddOrderInsensitive(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for _, n := range []int{10, SketchBufferCap, 1000} {
+	for _, n := range []int{10, 128, 1000} {
 		xs := genSamples(r, "lognormal", n)
 		a := sketchOf(xs)
 		perm := r.Perm(len(xs))
 		b := NewSketch()
-		for _, i := range perm {
+		for k, i := range perm {
+			if k == n/2 {
+				_ = b.Median()
+			}
 			b.Add(xs[i])
 		}
 		if !bytes.Equal(a.Encode(), b.Encode()) {
@@ -232,40 +231,29 @@ func TestSketchAddOrderInsensitive(t *testing.T) {
 // on the encoded bytes (state equality, not approximate equality).
 func TestSketchMergeProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	for _, n := range []int{20, 300} { // both regimes
+	for _, n := range []int{20, 300} {
 		xa := genSamples(r, "uniform", n)
 		xb := genSamples(r, "lognormal", n/2)
 		xc := genSamples(r, "mixed-sign", n*2)
 
 		ab := sketchOf(xa)
-		if err := ab.Merge(sketchOf(xb)); err != nil {
-			t.Fatal(err)
-		}
+		ab.Merge(sketchOf(xb))
 		ba := sketchOf(xb)
-		if err := ba.Merge(sketchOf(xa)); err != nil {
-			t.Fatal(err)
-		}
+		ba.Merge(sketchOf(xa))
 		if !bytes.Equal(ab.Encode(), ba.Encode()) {
 			t.Fatalf("n=%d: merge is not commutative", n)
 		}
 
 		abc1 := sketchOf(xa)
-		mustMerge(t, abc1, sketchOf(xb))
-		mustMerge(t, abc1, sketchOf(xc))
+		abc1.Merge(sketchOf(xb))
+		abc1.Merge(sketchOf(xc))
 		bc := sketchOf(xb)
-		mustMerge(t, bc, sketchOf(xc))
+		bc.Merge(sketchOf(xc))
 		abc2 := sketchOf(xa)
-		mustMerge(t, abc2, bc)
+		abc2.Merge(bc)
 		if !bytes.Equal(abc1.Encode(), abc2.Encode()) {
 			t.Fatalf("n=%d: merge is not associative", n)
 		}
-	}
-}
-
-func mustMerge(t *testing.T, dst, src *Sketch) {
-	t.Helper()
-	if err := dst.Merge(src); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -296,7 +284,7 @@ func TestSketchShardSplitInvariance(t *testing.T) {
 					}
 					merged := NewSketch()
 					for _, sh := range shards {
-						mustMerge(t, merged, sh)
+						merged.Merge(sh)
 					}
 					if !bytes.Equal(merged.Encode(), want) {
 						t.Fatalf("%s n=%d K=%d %s: merged shards != whole-stream sketch",
@@ -312,68 +300,54 @@ func TestSketchShardSplitInvariance(t *testing.T) {
 func TestSketchMergeEmptyAndNil(t *testing.T) {
 	s := sketchOf([]float64{1, 2, 3})
 	before := s.Encode()
-	mustMerge(t, s, nil)
-	mustMerge(t, s, NewSketch())
+	s.Merge(nil)
+	s.Merge(NewSketch())
 	if !bytes.Equal(s.Encode(), before) {
 		t.Fatal("merging nil/empty changed the state")
 	}
 	e := NewSketch()
-	mustMerge(t, e, s)
+	e.Merge(s)
 	if !bytes.Equal(e.Encode(), before) {
 		t.Fatal("empty ∪ s != s")
 	}
 }
 
-// TestSketchMergeAlphaMismatch: incompatible bucket geometries refuse
-// to merge instead of silently corrupting quantiles.
-func TestSketchMergeAlphaMismatch(t *testing.T) {
-	a := NewSketchAlpha(0.01)
-	b := NewSketchAlpha(0.02)
-	b.Add(1)
-	if err := a.Merge(b); !errors.Is(err, ErrSketchMismatch) {
-		t.Fatalf("alpha mismatch merge: %v, want ErrSketchMismatch", err)
-	}
-}
-
-// TestSketchFormatPinned pins the PSK1 encoding: one exact-regime and
-// one compacted sketch, hex-dumped from the parent commit's Encode,
-// must be what the same samples encode to today, and must decode and
-// re-encode to the identical bytes.
+// TestSketchFormatPinned pins the PSK1 encoding: an exact sketch,
+// hex-dumped from an earlier commit's Encode, must be what the same
+// samples encode to today, and must decode and re-encode to the
+// identical bytes. A frame of the log-bucket regime that encoding once
+// also had (200 samples, dumped the same way) must be refused.
 func TestSketchFormatPinned(t *testing.T) {
 	exact := sketchOf([]float64{3, 1, 2, -5, 0})
-	compacted := NewSketch()
-	for i := 0; i < 200; i++ {
-		compacted.Add(float64(i%7) - 2.5)
+	want, err := hex.DecodeString("0000005145bb17ac50534b31003f847ae147ae147b0000000000000005c014000000000000400800000000000000000005" +
+		"c01400000000000000000000000000003ff000000000000040000000000000004008000000000000")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, tc := range map[string]struct {
-		s       *Sketch
-		fixture string
-	}{
-		"exact": {exact, "0000005145bb17ac50534b31003f847ae147ae147b0000000000000005c014000000000000400800000000000000000005" +
-			"c01400000000000000000000000000003ff000000000000040000000000000004008000000000000"},
-		"compacted": {compacted, "00000089833e610350534b31013f847ae147ae147b00000000000000c8c004000000000000400c0000000000000000" +
-			"00000000000000000004ffffffde000000000000001d00000015000000000000001c0000002e000000000000001c0000003f00000000" +
-			"0000001c00000003ffffffde000000000000001d00000015000000000000001d0000002e000000000000001d"},
-	} {
-		want, err := hex.DecodeString(tc.fixture)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tc.s.Encode(); !bytes.Equal(got, want) {
-			t.Errorf("%s: Encode drifted from the pinned bytes:\n got %x\nwant %x", name, got, want)
-		}
-		dec, err := DecodeSketch(want)
-		if err != nil {
-			t.Fatalf("%s: pinned bytes no longer decode: %v", name, err)
-		}
-		if dec.Count() != tc.s.Count() || !bytes.Equal(dec.Encode(), want) {
-			t.Errorf("%s: decode → encode is not the identity on the pinned bytes", name)
-		}
+	if got := exact.Encode(); !bytes.Equal(got, want) {
+		t.Errorf("Encode drifted from the pinned bytes:\n got %x\nwant %x", got, want)
+	}
+	dec, err := DecodeSketch(want)
+	if err != nil {
+		t.Fatalf("pinned bytes no longer decode: %v", err)
+	}
+	if dec.Count() != exact.Count() || !bytes.Equal(dec.Encode(), want) {
+		t.Error("decode → encode is not the identity on the pinned bytes")
+	}
+
+	compacted, err := hex.DecodeString("00000089833e610350534b31013f847ae147ae147b00000000000000c8c004000000000000400c0000000000000000" +
+		"00000000000000000004ffffffde000000000000001d00000015000000000000001c0000002e000000000000001c0000003f00000000" +
+		"0000001c00000003ffffffde000000000000001d00000015000000000000001d0000002e000000000000001d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSketch(compacted); !errors.Is(err, ErrSketchCorrupt) {
+		t.Fatalf("log-bucket frame: %v, want ErrSketchCorrupt", err)
 	}
 }
 
 // TestSketchEncodeDecodeRoundTrip: decode(encode(s)) reproduces both
-// the bytes and every query answer, in both regimes.
+// the bytes and every query answer, at sizes past 128 too.
 func TestSketchEncodeDecodeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for _, n := range []int{0, 1, 2, 100, 4000} {
@@ -410,6 +384,30 @@ func TestSketchDecodeRejectsCorrupt(t *testing.T) {
 	magic := append([]byte(nil), good...)
 	magic[8] = 'X' // first payload byte
 	cases["bad magic"] = magic
+	// Intact frames whose payload is not one Encode writes. The
+	// payload of five samples: magic 0-3, regime 4, alpha 5, n 13,
+	// min 21, max 29, buflen 37, samples from 41.
+	reframe := func(edit func(p []byte)) []byte {
+		p := append([]byte(nil), good[8:]...)
+		edit(p)
+		return journal.Frame(p)
+	}
+	put := func(off int, v float64) func([]byte) {
+		return func(p []byte) { binary.BigEndian.PutUint64(p[off:], math.Float64bits(v)) }
+	}
+	cases["regime 1"] = reframe(func(p []byte) { p[4] = 1 })
+	cases["alpha 0.02"] = reframe(put(5, 0.02))
+	cases["count beyond buffer"] = reframe(func(p []byte) { binary.BigEndian.PutUint64(p[13:], 6) })
+	cases["min not first sample"] = reframe(put(21, 0))
+	cases["max not last sample"] = reframe(put(29, 9))
+	cases["unsorted buffer"] = reframe(put(41+8, 0.5))
+	cases["infinite sample"] = reframe(func(p []byte) { put(29, math.Inf(1))(p); put(41+32, math.Inf(1))(p) })
+	cases["NaN sample"] = reframe(put(41+32, math.NaN()))
+	cases["negative zero"] = reframe(func(p []byte) {
+		put(21, math.Copysign(0, -1))(p)
+		put(41, math.Copysign(0, -1))(p)
+	})
+	cases["truncated header"] = journal.Frame(good[8:20])
 	for name, data := range cases {
 		if _, err := DecodeSketch(data); !errors.Is(err, ErrSketchCorrupt) {
 			t.Errorf("%s: %v, want ErrSketchCorrupt", name, err)
@@ -488,32 +486,17 @@ func TestEvaluateSketchMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestSketchEachRoundTrip: Each replays exact samples verbatim and
-// compacted contents in ascending order with the right total count.
+// TestSketchEachRoundTrip: Each visits every sample exactly once, in
+// ascending order, also past 128 samples and after unsorted Adds.
 func TestSketchEachRoundTrip(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	var got []float64
-	sketchOf(xs).Each(func(v float64, c int64) {
-		for i := int64(0); i < c; i++ {
-			got = append(got, v)
-		}
-	})
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("exact Each = %v", got)
-	}
-
 	r := rand.New(rand.NewSource(29))
-	big := sketchOf(genSamples(r, "mixed-sign", 2000))
-	var total int64
-	prev := math.Inf(-1)
-	big.Each(func(v float64, c int64) {
-		if v < prev {
-			t.Fatalf("Each not ascending: %v after %v", v, prev)
+	for _, n := range []int{3, 2000} {
+		xs := genSamples(r, "mixed-sign", n)
+		var got []float64
+		sketchOf(xs).Each(func(v float64) { got = append(got, v) })
+		slices.Sort(xs)
+		if !slices.Equal(got, xs) {
+			t.Fatalf("n=%d: Each visited %d values, not the %d samples sorted", n, len(got), n)
 		}
-		prev = v
-		total += c
-	})
-	if total != 2000 {
-		t.Fatalf("Each total = %d, want 2000", total)
 	}
 }

@@ -36,9 +36,9 @@ func Quantile(xs []float64, q float64) float64 {
 }
 
 // quantileSorted is the R-7 rule on an already-sorted non-empty slice.
-// It is shared verbatim with Sketch's exact regime so that a sketch
-// whose buffer still holds every sample returns bit-identical quantiles
-// to Quantile over them.
+// It is shared verbatim with Sketch, whose buffer holds every sample,
+// so that a sketch returns bit-identical quantiles to Quantile over
+// them.
 func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
@@ -89,30 +89,16 @@ func MedianCI(xs []float64) (lo, hi float64) {
 	return medianCISorted(s)
 }
 
-// medianCIRanks returns the order-statistic ranks that bound the ~95%
-// median CI for n ≥ 3 samples (binomial method, ranks clamped to the
-// sample). Shared by MedianCI and the sketch so both regimes
-// agree on which order statistics form the interval.
-func medianCIRanks(n int) (loIdx, hiIdx int) {
-	half := 1.96 * math.Sqrt(float64(n)) / 2
-	loIdx = int(math.Floor(float64(n)/2 - half))
-	hiIdx = int(math.Ceil(float64(n)/2 + half))
-	if loIdx < 0 {
-		loIdx = 0
-	}
-	if hiIdx > n-1 {
-		hiIdx = n - 1
-	}
-	return loIdx, hiIdx
-}
-
 // medianCISorted is MedianCI on an already-sorted non-empty slice,
-// shared with Sketch's exact regime for bit-identity.
+// shared with Sketch for bit-identity: the order statistics at ranks
+// n/2 ± 1.96·√n/2 (binomial method), clamped to the sample.
 func medianCISorted(s []float64) (lo, hi float64) {
 	n := len(s)
 	if n < 3 {
 		return s[0], s[n-1]
 	}
-	loIdx, hiIdx := medianCIRanks(n)
+	half := 1.96 * math.Sqrt(float64(n)) / 2
+	loIdx := max(0, int(math.Floor(float64(n)/2-half)))
+	hiIdx := min(n-1, int(math.Ceil(float64(n)/2+half)))
 	return s[loIdx], s[hiIdx]
 }

@@ -4,7 +4,7 @@
 # (TestDeadSurface), the figure gate (TestFigures), the durable-primitive
 # and dispatch-loop layering gates, the internal/stats coverage floor, the focused dispatch-loop race gate,
 # the fuzz smoke gate, the full test suite under the race detector
-# (which holds the hot paths to 0 allocs/op and sketch state to O(1)),
+# (which holds the hot paths to 0 allocs/op),
 # a seeded end-to-end acceptance run whose observability artifacts are
 # kept for upload and whose rerun must replay it without simulating,
 # and a 2x2 sweep-grid smoke asserting the TSV schema.
@@ -396,10 +396,11 @@ if [ -n "$pool_bad" ]; then
     exit 1
 fi
 
-# Statistics coverage floor: internal/stats carries the quantile sketch
-# codec and the sequential stopper that every other layer's byte
+# Statistics coverage floor: internal/stats carries the exact sketch,
+# its codec and the sequential stopper that every other layer's byte
 # identity leans on, so its test coverage may not erode below 85% of
-# statements (89.8% when the floor was set).
+# statements (89.8% when the floor was set, 97.7% once the sketch kept
+# every sample).
 STATS_COV="$(go test -count=1 -cover ./internal/stats | awk '
     { for (i = 1; i < NF; i++) if ($i == "coverage:") { sub(/%/, "", $(i+1)); print $(i+1) } }')"
 [ -n "$STATS_COV" ] || { echo "ci: could not measure internal/stats coverage" >&2; exit 1; }
@@ -451,9 +452,10 @@ fi
 # timers dispatch exactly as the heap-only oracle does) and against the
 # receiver's map model (the receive set's ring), and arbitrary
 # bytes against the parsers that read the network, the disk and the
-# command line — the frame scanner, submission-WAL recovery, the
-# submissions route's request body, the checkpoint header a resumed
-# cycle trusts, and parseConfig (flags, the -sweep grid) — so
+# command line — the frame scanner, trial-journal recovery (every rerun
+# of a -dir replays it), submission-WAL recovery, the submissions
+# route's request body, the checkpoint header a resumed cycle trusts,
+# and parseConfig (flags, the -sweep grid) — so
 # they see more than their seed corpus. Long exploratory campaigns run
 # out-of-band; this catches gross regressions on every CI pass.
 FUZZTIME=10s
@@ -462,6 +464,7 @@ go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime="$FUZZTIME" ./internal
 go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime="$FUZZTIME" ./internal/sim
 go test -run '^$' -fuzz '^FuzzRcvSet$' -fuzztime="$FUZZTIME" ./internal/transport
 go test -run '^$' -fuzz '^FuzzFrameScanner$' -fuzztime="$FUZZTIME" ./internal/journal
+go test -run '^$' -fuzz '^FuzzScan$' -fuzztime="$FUZZTIME" ./internal/journal
 go test -run '^$' -fuzz '^FuzzSubsWALOpen$' -fuzztime="$FUZZTIME" ./internal/serve
 go test -run '^$' -fuzz '^FuzzSubmissionBody$' -fuzztime="$FUZZTIME" ./internal/serve
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime="$FUZZTIME" ./internal/core
