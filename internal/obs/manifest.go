@@ -40,7 +40,7 @@ type Manifest struct {
 	// unchanged byte for byte).
 	AdaptiveEnabled bool `json:"adaptive_enabled,omitempty"`
 	// StatsMode records how per-pair statistics were accumulated:
-	// always "sketch" (mergeable quantile sketches), the only store.
+	// always "sketch" (mergeable sample sketches), the only store.
 	StatsMode   string `json:"stats_mode,omitempty"`
 	Interrupted bool   `json:"interrupted"`
 

@@ -21,6 +21,7 @@ package stats
 // docs/SKETCHES.md for the layout.
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
@@ -200,12 +201,12 @@ func (s *Sketch) Encode() []byte {
 }
 
 // DecodeSketch parses a frame produced by Encode and accepts nothing
-// else: it verifies the length, checksum and magic, the regime and α
-// tags, that n matches the buffer, that min and max are the buffer's
-// ends, and that the buffer is sorted and holds only values Add stores.
-// It returns ErrSketchCorrupt-wrapped errors on any violation, so a
-// torn or tampered frame can never silently become a plausible sketch,
-// and every frame it accepts re-encodes to exactly its input.
+// else: it folds the frame's samples into a fresh sketch with Add and
+// requires that sketch to encode to exactly the input. So a torn or
+// tampered frame, a wrong tag, count, min or max, an unsorted buffer
+// and a sample Add would not store as given (NaN, ±Inf, −0) all fail
+// with an ErrSketchCorrupt-wrapped error, and no frame can silently
+// become a plausible sketch.
 func DecodeSketch(data []byte) (*Sketch, error) {
 	frames, good := journal.ScanFrames(data)
 	if len(frames) != 1 || good != int64(len(data)) || len(frames[0]) > sketchMaxEncoded {
@@ -213,41 +214,19 @@ func DecodeSketch(data []byte) (*Sketch, error) {
 			ErrSketchCorrupt, len(data), sketchMaxEncoded)
 	}
 	b := frames[0]
-	if len(b) < 4 || string(b[:4]) != sketchMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrSketchCorrupt)
-	}
 	if len(b) < 21 {
 		return nil, fmt.Errorf("%w: truncated header", ErrSketchCorrupt)
 	}
-	if b[4] != sketchRegimeExact {
-		return nil, fmt.Errorf("%w: unknown regime %d", ErrSketchCorrupt, b[4])
-	}
-	if binary.BigEndian.Uint64(b[5:]) != math.Float64bits(sketchAlpha) {
-		return nil, fmt.Errorf("%w: invalid alpha", ErrSketchCorrupt)
-	}
 	n := binary.BigEndian.Uint64(b[13:])
-	b = b[21:]
-	var ends []byte
-	if n > 0 {
-		if len(b) < 16 {
-			return nil, fmt.Errorf("%w: truncated min/max", ErrSketchCorrupt)
-		}
-		ends, b = b[:16], b[16:]
+	if n > uint64(len(b))/8 {
+		return nil, fmt.Errorf("%w: count %d exceeds the payload", ErrSketchCorrupt, n)
 	}
-	if len(b) < 4 || uint64(binary.BigEndian.Uint32(b)) != n || uint64(len(b)-4) != 8*n {
-		return nil, fmt.Errorf("%w: invalid buffer length", ErrSketchCorrupt)
+	s := &Sketch{buf: make([]float64, 0, n)}
+	for b = b[len(b)-8*int(n):]; len(b) > 0; b = b[8:] {
+		s.Add(math.Float64frombits(binary.BigEndian.Uint64(b)))
 	}
-	s := &Sketch{buf: make([]float64, n)}
-	for i := range s.buf {
-		v := math.Float64frombits(binary.BigEndian.Uint64(b[4+8*i:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) || v == 0 && math.Signbit(v) || i > 0 && v < s.buf[i-1] {
-			return nil, fmt.Errorf("%w: buffer not sorted finite samples", ErrSketchCorrupt)
-		}
-		s.buf[i] = v
-	}
-	if n > 0 && (binary.BigEndian.Uint64(ends) != math.Float64bits(s.buf[0]) ||
-		binary.BigEndian.Uint64(ends[8:]) != math.Float64bits(s.buf[n-1])) {
-		return nil, fmt.Errorf("%w: min/max are not the buffer's ends", ErrSketchCorrupt)
+	if !bytes.Equal(s.Encode(), data) {
+		return nil, fmt.Errorf("%w: not the canonical encoding of its %d samples", ErrSketchCorrupt, n)
 	}
 	return s, nil
 }
