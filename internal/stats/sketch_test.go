@@ -398,6 +398,7 @@ func TestSketchDecodeRejectsCorrupt(t *testing.T) {
 	cases["regime 1"] = reframe(func(p []byte) { p[4] = 1 })
 	cases["alpha 0.02"] = reframe(put(5, 0.02))
 	cases["count beyond buffer"] = reframe(func(p []byte) { binary.BigEndian.PutUint64(p[13:], 6) })
+	cases["count beyond payload"] = reframe(func(p []byte) { binary.BigEndian.PutUint64(p[13:], 1<<40) })
 	cases["min not first sample"] = reframe(put(21, 0))
 	cases["max not last sample"] = reframe(put(29, 9))
 	cases["unsorted buffer"] = reframe(put(41+8, 0.5))
