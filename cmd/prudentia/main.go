@@ -40,15 +40,15 @@
 // under one protocol resumes under the other as if it had run that way
 // from the start.
 //
-// Per-pair statistics accumulate in mergeable sketches that keep every
-// counted trial's sample (docs/SKETCHES.md): medians/CIs bit-identical
-// to order statistics over the raw samples at any trial count. -sweep
-// runs one cycle whose settings are a rate × RTT × queue grid
-// (-sweep-rates, -sweep-rtts, -sweep-queues) over the -services
-// catalog, and writes it as consolidated TSV/JSON artifacts
-// (d/sweep.tsv and d/sweep.json, so a sweep needs -dir) instead of the
-// report; every other cycle flag means what it means for a cycle, and
-// scripts/sweep.sh wraps it.
+// Per-pair statistics accumulate in sketches that keep every counted
+// trial's sample (ARCHITECTURE.md, "Statistics pipeline"):
+// medians/CIs bit-identical to order statistics over the raw samples
+// at any trial count. -sweep runs one cycle whose settings are a
+// rate × RTT × queue grid (-sweep-rates, -sweep-rtts, -sweep-queues)
+// over the -services catalog, and writes it as consolidated TSV/JSON
+// artifacts (d/sweep.tsv and d/sweep.json, so a sweep needs -dir)
+// instead of the report; every other cycle flag means what it means
+// for a cycle, and scripts/sweep.sh wraps it.
 //
 // -workers N (default GOMAXPROCS) fans calibrations and pair trials out
 // to a worker pool; every trial owns a private simulation engine and

@@ -18,11 +18,11 @@ import (
 // instruments and every cycle flag included. Only the rendering differs:
 // instead of the report, the cycle becomes two consolidated artifacts — a
 // flat TSV (one row per pair slot per grid cell, ready for gnuplot/pandas)
-// and a JSON document that additionally carries each cell's merged
-// share-percentage sketch: every counted share of the cell, sorted, so a
-// downstream consumer can recover any quantile of the whole cell
-// exactly, or merge cells, without the trials. Cell i runs at the
-// seeds of setting i, so a sweep is reproducible bit for bit.
+// and a JSON document that additionally carries each cell's merged share
+// percentages: every counted share of the cell as a sorted number array,
+// so a downstream consumer can compute any quantile of the whole cell
+// exactly, or pool cells, without the trials. Cell i runs at the seeds
+// of setting i, so a sweep is reproducible bit for bit.
 
 // sweepServices is -services' default under -sweep: the three
 // congestion-control baselines.
@@ -45,10 +45,10 @@ type sweepCell struct {
 	RTTMs     float64     `json:"rtt_ms"`
 	QueuePkts int         `json:"queue_pkts"`
 	Pairs     []sweepPair `json:"pairs"`
-	// MergedShare is the union of every non-failed pair's two share
-	// sketches — the cell's full share distribution in one mergeable
-	// object. Omitted when no pair counted a trial.
-	MergedShare *stats.Sketch `json:"merged_share_sketch,omitempty"`
+	// MergedSharePct is every counted share of every non-failed pair,
+	// both slots, in ascending order — the cell's full share
+	// distribution. Omitted when no pair counted a trial.
+	MergedSharePct []float64 `json:"merged_share_pct,omitempty"`
 }
 
 // sweepPair is one pair's two slots at one grid point.
@@ -97,7 +97,7 @@ func writeSweep(cfg config, cr *core.CycleResult, stdout io.Writer) error {
 	for ci, g := range cfg.sweepGrid {
 		res := cr.PerSetting[ci]
 		cell := sweepCell{RateMbps: g.rateMbps, RTTMs: g.rttMs, QueuePkts: g.queuePkts,
-			MergedShare: res.MergedShareSketch()}
+			MergedSharePct: res.MergedSharePct()}
 		for i, a := range res.Names {
 			for _, b := range res.Names[i:] {
 				p, _, ok := res.Cell(a, b)
@@ -129,7 +129,7 @@ func writeSweep(cfg config, cr *core.CycleResult, stdout io.Writer) error {
 		Seed   uint64      `json:"seed"`
 		CCAs   []string    `json:"ccas"`
 		Cells  []sweepCell `json:"cells"`
-	}{Schema: "prudentia.sweep/1", Seed: w.Opts.BaseSeed, CCAs: names, Cells: cells}
+	}{Schema: "prudentia.sweep/2", Seed: w.Opts.BaseSeed, CCAs: names, Cells: cells}
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err

@@ -114,10 +114,37 @@ func TestEndToEndSweepCycleFlags(t *testing.T) {
 		func(f string) bool { return f == "trials.wal" })...)
 
 	// -submit and -services: the catalog is the named services plus the page.
-	var doc struct{ CCAs []string }
+	var doc struct {
+		Schema string
+		CCAs   []string
+		Cells  []struct {
+			Pairs []struct {
+				N       int
+				Verdict string
+			}
+			MergedSharePct []float64 `json:"merged_share_pct"`
+		}
+	}
 	if _, blob := sweepArtifacts(t, path("run")); json.Unmarshal(blob, &doc) != nil ||
 		!slices.Equal(doc.CCAs, []string{"iPerf (Cubic)", "iPerf (BBR)", "https://example.com/p"}) {
 		t.Errorf("sweep catalog = %q, want the -services list plus the -submit page", doc.CCAs)
+	}
+	// Each cell's merged shares are the ascending 2·n counted shares of
+	// its pairs that did not fail.
+	if doc.Schema != "prudentia.sweep/2" || len(doc.Cells) != 2 {
+		t.Errorf("sweep.json schema %q with %d cells, want prudentia.sweep/2 with 2", doc.Schema, len(doc.Cells))
+	}
+	for i, cell := range doc.Cells {
+		want := 0
+		for _, p := range cell.Pairs {
+			if p.Verdict != "failed" {
+				want += 2 * p.N
+			}
+		}
+		if want == 0 || len(cell.MergedSharePct) != want || !slices.IsSorted(cell.MergedSharePct) {
+			t.Errorf("cell %d: merged_share_pct holds %d shares (ascending %v), want %d ascending",
+				i, len(cell.MergedSharePct), slices.IsSorted(cell.MergedSharePct), want)
+		}
 	}
 	for _, want := range []string{
 		"accepted submission \"https://example.com/p\"",

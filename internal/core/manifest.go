@@ -76,7 +76,6 @@ func (w *Watchdog) BuildManifest(cr *CycleResult, reg *obs.Registry) obs.Manifes
 	m.BaseSeed = w.Opts.BaseSeed
 	m.ChaosEnabled = w.Opts.Chaos.Enabled()
 	m.AdaptiveEnabled = w.Opts.Adaptive != nil
-	m.StatsMode = "sketch"
 	m.Settings = w.Settings
 	if cr != nil {
 		m.Cycle = cr.Cycle

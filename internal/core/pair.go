@@ -151,10 +151,10 @@ type PairOutcome struct {
 	// budgets (zero on fixed-budget runs).
 	Budget int `json:"budget,omitempty"`
 	// Sketches is the pair's statistics state, and the only one: a
-	// mergeable sketch per metric holding every counted trial's sample,
-	// plus the summed telemetry aggregate (sketchstats.go). Every
-	// accessor below is bit-identical to order statistics over the raw
-	// samples, at any trial count (docs/SKETCHES.md). Nil only on
+	// sketch per metric holding every counted trial's sample, plus the
+	// summed telemetry aggregate (sketchstats.go). Every accessor below
+	// is bit-identical to order statistics over the raw samples, at any
+	// trial count (ARCHITECTURE.md, "Statistics pipeline"). Nil only on
 	// a breaker-skipped pair, which ran no trials: check Skipped or
 	// Counted before reading a statistic, as MatrixResult's accessors do.
 	Sketches *PairSketches `json:"sketches,omitempty"`

@@ -255,49 +255,6 @@ func TestSketchWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
-// TestSketchCheckpointRoundTrip: a PairOutcome survives the checkpoint
-// JSON format with byte-identical sketch state, so a resumed run
-// restores exactly the statistics it flushed.
-func TestSketchCheckpointRoundTrip(t *testing.T) {
-	net := netem.HighlyConstrained()
-	out := RunPair(services.ByName("iPerf (Reno)"), services.ByName("iPerf (Cubic)"), net, fastOpts(net), nil)
-	if out.Counted() == 0 {
-		t.Fatal("pair counted no trials")
-	}
-	blob, err := json.Marshal(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back PairOutcome
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Counted() != out.Counted() {
-		t.Fatalf("round trip lost trials: %d != %d", back.Counted(), out.Counted())
-	}
-	for slot := 0; slot < 2; slot++ {
-		if !bytes.Equal(back.Sketches.SharePct[slot].Encode(), out.Sketches.SharePct[slot].Encode()) {
-			t.Fatalf("slot %d share sketch changed across JSON", slot)
-		}
-		if n := back.Sketches.SharePct[slot].Count(); n != back.Counted() {
-			t.Fatalf("slot %d share sketch holds %d samples for %d counted trials", slot, n, back.Counted())
-		}
-		if back.MedianSharePct(slot) != out.MedianSharePct(slot) {
-			t.Fatalf("slot %d median changed across JSON", slot)
-		}
-	}
-	if back.Sketches.Obs != out.Sketches.Obs {
-		t.Fatalf("telemetry aggregate changed: %+v != %+v", back.Sketches.Obs, out.Sketches.Obs)
-	}
-	reblob, err := json.Marshal(&back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reblob, blob) {
-		t.Fatal("checkpoint JSON is not stable across a round trip")
-	}
-}
-
 // TestSketchAdaptiveEquivalence: under adaptive budgets the sequential
 // stopper (sketch quantiles plus the verdict ring) stops every pair at
 // the trial, and with the reason, the slice-backed stopper dictates on
@@ -336,8 +293,8 @@ func TestSketchAdaptiveEquivalence(t *testing.T) {
 	}
 }
 
-// TestSketchMergedShareSketch: the matrix-level merged sketch holds
-// every counted trial's two share samples.
+// TestSketchMergedShareSketch: the matrix-level merged shares hold
+// every counted trial's two share samples, in ascending order.
 func TestSketchMergedShareSketch(t *testing.T) {
 	net := netem.HighlyConstrained()
 	m := testMatrix(&Watchdog{Services: sketchTestServices()}, net, fastOpts(net))
@@ -345,9 +302,9 @@ func TestSketchMergedShareSketch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := res.MergedShareSketch()
-	if merged == nil {
-		t.Fatal("matrix returned no merged sketch")
+	merged := res.MergedSharePct()
+	if !slices.IsSorted(merged) {
+		t.Fatal("merged shares are not in ascending order")
 	}
 	want := 0
 	for i, a := range res.Names {
@@ -357,8 +314,8 @@ func TestSketchMergedShareSketch(t *testing.T) {
 			}
 		}
 	}
-	if merged.Count() != want {
-		t.Fatalf("merged sketch holds %d samples, want %d", merged.Count(), want)
+	if len(merged) != want {
+		t.Fatalf("merged shares hold %d samples, want %d", len(merged), want)
 	}
 }
 
@@ -366,7 +323,7 @@ func TestSketchMergedShareSketch(t *testing.T) {
 // 128 a sketch once held before it folded into 1%-error buckets still
 // answers every accessor, and its Fig 10 scatter, bit-identically to
 // slice arithmetic over its journaled trials, and the matrix's merged
-// share sketch is exactly the pair's 2n counted shares.
+// shares are exactly the pair's 2n counted shares.
 func TestPairPast128TrialsExact(t *testing.T) {
 	net := netem.HighlyConstrained()
 	opts := fastOpts(net)
@@ -388,12 +345,12 @@ func TestPairPast128TrialsExact(t *testing.T) {
 	for slot := 0; slot < 2; slot++ {
 		shares = append(shares, series(tr, n, func(t *TrialResult) float64 { return t.SharePct[slot] })...)
 	}
-	merged := res.MergedShareSketch()
-	if merged.Count() != 2*n {
-		t.Fatalf("merged sketch holds %d shares, want %d", merged.Count(), 2*n)
+	merged := res.MergedSharePct()
+	if len(merged) != 2*n {
+		t.Fatalf("merged shares hold %d samples, want %d", len(merged), 2*n)
 	}
 	for _, q := range []float64{0, 0.05, 0.25, 0.5, 0.75, 0.95, 1} {
-		if got, want := merged.Quantile(q), stats.Quantile(shares, q); got != want {
+		if got, want := stats.Quantile(merged, q), stats.Quantile(shares, q); got != want {
 			t.Fatalf("merged share q=%g: %v != stats.Quantile %v", q, got, want)
 		}
 	}

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"slices"
+
 	"prudentia/internal/stats"
 )
 
 // Per-pair statistics. A pair never retains its TrialResults: it
-// carries one PairSketches, a fixed set of mergeable sketches
-// (internal/stats) plus the summed deterministic telemetry aggregate,
-// and a pair's JSON carries the encoded sketches instead of trials.
+// carries one PairSketches, a sketch (internal/stats: the sorted column
+// of one metric's samples) per reported metric plus the summed
+// deterministic telemetry aggregate.
 //
 // Each sketch holds every sample of its metric (8 bytes per counted
 // trial) and answers with the R-7 / order-statistic code of
@@ -21,8 +23,7 @@ import (
 // reported metric, keyed by the same slot convention as TrialResult
 // (slot 0 incumbent, slot 1 contender), plus the summed TrialObs
 // aggregate the release path folds into the registry's counter totals
-// (Instruments.foldPair) without per-trial data. It rides the pair's
-// JSON via the sketches' base64 binary encoding.
+// (Instruments.foldPair) without per-trial data.
 type PairSketches struct {
 	// N counts the counted trials folded in.
 	N int `json:"n"`
@@ -74,24 +75,23 @@ func (ps *PairSketches) observe(res *TrialResult) {
 	ps.Obs.add(res.Obs)
 }
 
-// MergedShareSketch merges every non-quarantined pair's two slot share
-// sketches into one distribution — the cycle-level "all counted shares"
-// aggregate the sweep harness reports. Returns nil when no pair counted
-// a trial.
-func (r *MatrixResult) MergedShareSketch() *stats.Sketch {
-	var agg *stats.Sketch
+// MergedSharePct returns every counted share of every non-failed pair,
+// both slots, in ascending order — the cycle-level "all counted shares"
+// distribution the sweep harness reports. Returns nil when no pair
+// counted a trial.
+func (r *MatrixResult) MergedSharePct() []float64 {
+	var all []float64
 	for i := range r.Names {
 		for j := i; j < len(r.Names); j++ {
 			p := r.Pairs[pairKey(i, j)]
 			if p == nil || p.Failed || p.Counted() == 0 {
 				continue
 			}
-			if agg == nil {
-				agg = stats.NewSketch()
+			for _, sk := range p.Sketches.SharePct {
+				sk.Each(func(v float64) { all = append(all, v) })
 			}
-			agg.Merge(p.Sketches.SharePct[0])
-			agg.Merge(p.Sketches.SharePct[1])
 		}
 	}
-	return agg
+	slices.Sort(all)
+	return all
 }

@@ -13,7 +13,7 @@ const frameHeader = 8
 const MaxFrame = 16 << 20
 
 // Frame encodes one payload as a length-prefixed CRC32 frame — the one
-// container every prudentia log and sketch encoding shares.
+// container the trial journal and the submission WAL share.
 func Frame(payload []byte) []byte {
 	buf := make([]byte, frameHeader+len(payload))
 	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))

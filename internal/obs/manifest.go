@@ -39,10 +39,7 @@ type Manifest struct {
 	// budgets (omitted on fixed-budget runs so their manifests are
 	// unchanged byte for byte).
 	AdaptiveEnabled bool `json:"adaptive_enabled,omitempty"`
-	// StatsMode records how per-pair statistics were accumulated:
-	// always "sketch" (mergeable sample sketches), the only store.
-	StatsMode   string `json:"stats_mode,omitempty"`
-	Interrupted bool   `json:"interrupted"`
+	Interrupted     bool `json:"interrupted"`
 
 	// Breakers is the per-service circuit-breaker state at cycle end
 	// (empty when the supervision layer is disabled or all healthy

@@ -2,16 +2,12 @@ package stats
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
-
-	"prudentia/internal/journal"
 )
 
 // sketchOf builds a sketch from the given samples.
@@ -58,55 +54,37 @@ func genSamples(r *rand.Rand, dist string, n int) []float64 {
 
 var sketchDists = []string{"uniform", "lognormal", "mixed-sign", "duplicates", "with-zeros", "bimodal"}
 
-// mergedShards builds a sketch by splitting xs round-robin across k
-// shard sketches and merging them, so the shards arrive unsorted.
-func mergedShards(xs []float64, k int) *Sketch {
-	shards := make([]*Sketch, k)
-	for i := range shards {
-		shards[i] = NewSketch()
-	}
-	for i, x := range xs {
-		shards[i%k].Add(x)
-	}
-	merged := NewSketch()
-	for _, sh := range shards {
-		merged.Merge(sh)
-	}
-	return merged
-}
-
-// TestSketchExactRegimeBitIdentical: at every size, for a sketch that
-// saw the samples and for the merge of shards that together hold them,
-// every query must be bit-identical (==, not approximately equal) to
-// the store-everything functions — the property that makes sketch-backed
-// runs reproduce the exact verdict matrix byte for byte. Sizes past 128
-// are where the sketch used to fold into 1%-error buckets.
+// TestSketchExactRegimeBitIdentical: at every size, every query of a
+// sketch that saw the samples must be bit-identical (==, not
+// approximately equal) to the store-everything functions — the property
+// that makes sketch-backed runs reproduce the exact verdict matrix byte
+// for byte. Sizes past 128 are where the sketch used to fold into
+// 1%-error buckets.
 func TestSketchExactRegimeBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, dist := range sketchDists {
 		for _, n := range []int{1, 2, 3, 5, 30, 36, 127, 128, 129, 130, 1000, 4096} {
 			xs := genSamples(r, dist, n)
-			for name, s := range map[string]*Sketch{"added": sketchOf(xs), "merged": mergedShards(xs, 3)} {
-				if s.Count() != n {
-					t.Fatalf("%s %s n=%d: Count %d", dist, name, n, s.Count())
+			s := sketchOf(xs)
+			if s.Count() != n {
+				t.Fatalf("%s n=%d: Count %d", dist, n, s.Count())
+			}
+			for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 1} {
+				if got, want := s.Quantile(q), Quantile(xs, q); got != want {
+					t.Fatalf("%s n=%d q=%g: sketch %v != exact %v", dist, n, q, got, want)
 				}
-				for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 1} {
-					if got, want := s.Quantile(q), Quantile(xs, q); got != want {
-						t.Fatalf("%s %s n=%d q=%g: sketch %v != exact %v", dist, name, n, q, got, want)
-					}
-				}
-				glo, ghi := s.MedianCI()
-				wlo, whi := MedianCI(xs)
-				if glo != wlo || ghi != whi {
-					t.Fatalf("%s %s n=%d: MedianCI (%v,%v) != (%v,%v)", dist, name, n, glo, ghi, wlo, whi)
-				}
-				if got, want := s.IQR(), IQR(xs); got != want {
-					t.Fatalf("%s %s n=%d: IQR %v != %v", dist, name, n, got, want)
-				}
-				for _, tol := range []float64{0.01, 1, 100} {
-					if got, want := s.CIWithin(tol), CIWithin(xs, tol); got != want {
-						t.Fatalf("%s %s n=%d tol=%g: CIWithin %v != %v", dist, name, n, tol, got, want)
-					}
+			}
+			glo, ghi := s.MedianCI()
+			wlo, whi := MedianCI(xs)
+			if glo != wlo || ghi != whi {
+				t.Fatalf("%s n=%d: MedianCI (%v,%v) != (%v,%v)", dist, n, glo, ghi, wlo, whi)
+			}
+			if got, want := s.IQR(), IQR(xs); got != want {
+				t.Fatalf("%s n=%d: IQR %v != %v", dist, n, got, want)
+			}
+			for _, tol := range []float64{0.01, 1, 100} {
+				if got, want := s.CIWithin(tol), CIWithin(xs, tol); got != want {
+					t.Fatalf("%s n=%d tol=%g: CIWithin %v != %v", dist, n, tol, got, want)
 				}
 			}
 		}
@@ -159,10 +137,13 @@ func TestSketchEdgeCases(t *testing.T) {
 	}
 
 	// −0 is stored as +0, so the order of a signed-zero pair cannot
-	// reach the encoding.
-	negFirst, posFirst := sketchOf([]float64{math.Copysign(0, -1), 0}), sketchOf([]float64{0, math.Copysign(0, -1)})
-	if !bytes.Equal(negFirst.Encode(), posFirst.Encode()) || math.Signbit(negFirst.Quantile(0)) {
-		t.Fatal("−0 must be stored as +0")
+	// reach the samples.
+	for _, s := range []*Sketch{sketchOf([]float64{math.Copysign(0, -1), 0}), sketchOf([]float64{0, math.Copysign(0, -1)})} {
+		s.Each(func(v float64) {
+			if v != 0 || math.Signbit(v) {
+				t.Fatalf("sample %v: −0 must be stored as +0", v)
+			}
+		})
 	}
 
 	eq := NewSketch()
@@ -206,8 +187,8 @@ func TestMedianCIEdgeCases(t *testing.T) {
 }
 
 // TestSketchAddOrderInsensitive: any permutation of the same multiset
-// produces a byte-identical encoding, also when a query sorts the
-// buffer halfway through the stream.
+// produces byte-identical JSON, also when a query sorts the buffer
+// halfway through the stream.
 func TestSketchAddOrderInsensitive(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range []int{10, 128, 1000} {
@@ -221,223 +202,46 @@ func TestSketchAddOrderInsensitive(t *testing.T) {
 			}
 			b.Add(xs[i])
 		}
-		if !bytes.Equal(a.Encode(), b.Encode()) {
-			t.Fatalf("n=%d: permuted insertion changed the encoding", n)
+		ja, _ := json.Marshal(a)
+		jb, _ := json.Marshal(b)
+		if !bytes.Equal(ja, jb) {
+			t.Fatalf("n=%d: permuted insertion changed the samples", n)
 		}
 	}
 }
 
-// TestSketchMergeProperties: commutativity and associativity, verified
-// on the encoded bytes (state equality, not approximate equality).
-func TestSketchMergeProperties(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for _, n := range []int{20, 300} {
-		xa := genSamples(r, "uniform", n)
-		xb := genSamples(r, "lognormal", n/2)
-		xc := genSamples(r, "mixed-sign", n*2)
-
-		ab := sketchOf(xa)
-		ab.Merge(sketchOf(xb))
-		ba := sketchOf(xb)
-		ba.Merge(sketchOf(xa))
-		if !bytes.Equal(ab.Encode(), ba.Encode()) {
-			t.Fatalf("n=%d: merge is not commutative", n)
-		}
-
-		abc1 := sketchOf(xa)
-		abc1.Merge(sketchOf(xb))
-		abc1.Merge(sketchOf(xc))
-		bc := sketchOf(xb)
-		bc.Merge(sketchOf(xc))
-		abc2 := sketchOf(xa)
-		abc2.Merge(bc)
-		if !bytes.Equal(abc1.Encode(), abc2.Encode()) {
-			t.Fatalf("n=%d: merge is not associative", n)
-		}
-	}
-}
-
-// TestSketchShardSplitInvariance: splitting one stream across K shard
-// sketches and merging them yields byte-identical state to the single
-// sketch that saw everything — for any K and both split geometries.
-// This is the property the canonical-order merge of pairs relies on.
-func TestSketchShardSplitInvariance(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for _, dist := range sketchDists {
-		for _, n := range []int{60, 5000} {
-			xs := genSamples(r, dist, n)
-			want := sketchOf(xs).Encode()
-			for _, k := range []int{1, 2, 3, 5, 7, 16} {
-				for _, split := range []string{"round-robin", "contiguous"} {
-					shards := make([]*Sketch, k)
-					for i := range shards {
-						shards[i] = NewSketch()
-					}
-					for i, x := range xs {
-						var w int
-						if split == "round-robin" {
-							w = i % k
-						} else {
-							w = i * k / len(xs)
-						}
-						shards[w].Add(x)
-					}
-					merged := NewSketch()
-					for _, sh := range shards {
-						merged.Merge(sh)
-					}
-					if !bytes.Equal(merged.Encode(), want) {
-						t.Fatalf("%s n=%d K=%d %s: merged shards != whole-stream sketch",
-							dist, n, k, split)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSketchMergeEmptyAndNil: merging nil or empty sketches is a no-op.
-func TestSketchMergeEmptyAndNil(t *testing.T) {
-	s := sketchOf([]float64{1, 2, 3})
-	before := s.Encode()
-	s.Merge(nil)
-	s.Merge(NewSketch())
-	if !bytes.Equal(s.Encode(), before) {
-		t.Fatal("merging nil/empty changed the state")
-	}
-	e := NewSketch()
-	e.Merge(s)
-	if !bytes.Equal(e.Encode(), before) {
-		t.Fatal("empty ∪ s != s")
-	}
-}
-
-// TestSketchFormatPinned pins the PSK1 encoding: an exact sketch,
-// hex-dumped from an earlier commit's Encode, must be what the same
-// samples encode to today, and must decode and re-encode to the
-// identical bytes. A frame of the log-bucket regime that encoding once
-// also had (200 samples, dumped the same way) must be refused.
-func TestSketchFormatPinned(t *testing.T) {
-	exact := sketchOf([]float64{3, 1, 2, -5, 0})
-	want, err := hex.DecodeString("0000005145bb17ac50534b31003f847ae147ae147b0000000000000005c014000000000000400800000000000000000005" +
-		"c01400000000000000000000000000003ff000000000000040000000000000004008000000000000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := exact.Encode(); !bytes.Equal(got, want) {
-		t.Errorf("Encode drifted from the pinned bytes:\n got %x\nwant %x", got, want)
-	}
-	dec, err := DecodeSketch(want)
-	if err != nil {
-		t.Fatalf("pinned bytes no longer decode: %v", err)
-	}
-	if dec.Count() != exact.Count() || !bytes.Equal(dec.Encode(), want) {
-		t.Error("decode → encode is not the identity on the pinned bytes")
-	}
-
-	compacted, err := hex.DecodeString("00000089833e610350534b31013f847ae147ae147b00000000000000c8c004000000000000400c0000000000000000" +
-		"00000000000000000004ffffffde000000000000001d00000015000000000000001c0000002e000000000000001c0000003f00000000" +
-		"0000001c00000003ffffffde000000000000001d00000015000000000000001d0000002e000000000000001d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSketch(compacted); !errors.Is(err, ErrSketchCorrupt) {
-		t.Fatalf("log-bucket frame: %v, want ErrSketchCorrupt", err)
-	}
-}
-
-// TestSketchEncodeDecodeRoundTrip: decode(encode(s)) reproduces both
-// the bytes and every query answer, at sizes past 128 too.
-func TestSketchEncodeDecodeRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, 2, 100, 4000} {
-		xs := genSamples(r, "mixed-sign", n)
-		s := sketchOf(xs)
-		enc := s.Encode()
-		d, err := DecodeSketch(enc)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !bytes.Equal(d.Encode(), enc) {
-			t.Fatalf("n=%d: re-encode differs", n)
-		}
-		if d.Count() != s.Count() || d.Median() != s.Median() || d.IQR() != s.IQR() {
-			t.Fatalf("n=%d: decoded queries differ", n)
-		}
-	}
-}
-
-// TestSketchDecodeRejectsCorrupt: torn, tampered, and hostile frames
-// surface ErrSketchCorrupt instead of plausible sketches or panics.
-func TestSketchDecodeRejectsCorrupt(t *testing.T) {
-	good := sketchOf([]float64{1, 2, 3, 4, 5}).Encode()
-	cases := map[string][]byte{
-		"empty":           {},
-		"short frame":     good[:6],
-		"truncated":       good[:len(good)-3],
-		"trailing":        append(append([]byte(nil), good...), 0xff),
-		"length mismatch": append([]byte{0xff}, good[1:]...),
-	}
-	flipped := append([]byte(nil), good...)
-	flipped[len(flipped)-1] ^= 0x01
-	cases["bit flip"] = flipped
-	magic := append([]byte(nil), good...)
-	magic[8] = 'X' // first payload byte
-	cases["bad magic"] = magic
-	// Intact frames whose payload is not one Encode writes. The
-	// payload of five samples: magic 0-3, regime 4, alpha 5, n 13,
-	// min 21, max 29, buflen 37, samples from 41.
-	reframe := func(edit func(p []byte)) []byte {
-		p := append([]byte(nil), good[8:]...)
-		edit(p)
-		return journal.Frame(p)
-	}
-	put := func(off int, v float64) func([]byte) {
-		return func(p []byte) { binary.BigEndian.PutUint64(p[off:], math.Float64bits(v)) }
-	}
-	cases["regime 1"] = reframe(func(p []byte) { p[4] = 1 })
-	cases["alpha 0.02"] = reframe(put(5, 0.02))
-	cases["count beyond buffer"] = reframe(func(p []byte) { binary.BigEndian.PutUint64(p[13:], 6) })
-	cases["count beyond payload"] = reframe(func(p []byte) { binary.BigEndian.PutUint64(p[13:], 1<<40) })
-	cases["min not first sample"] = reframe(put(21, 0))
-	cases["max not last sample"] = reframe(put(29, 9))
-	cases["unsorted buffer"] = reframe(put(41+8, 0.5))
-	cases["infinite sample"] = reframe(func(p []byte) { put(29, math.Inf(1))(p); put(41+32, math.Inf(1))(p) })
-	cases["NaN sample"] = reframe(put(41+32, math.NaN()))
-	cases["negative zero"] = reframe(func(p []byte) {
-		put(21, math.Copysign(0, -1))(p)
-		put(41, math.Copysign(0, -1))(p)
-	})
-	cases["truncated header"] = journal.Frame(good[8:20])
-	for name, data := range cases {
-		if _, err := DecodeSketch(data); !errors.Is(err, ErrSketchCorrupt) {
-			t.Errorf("%s: %v, want ErrSketchCorrupt", name, err)
-		}
-	}
-}
-
-// TestSketchJSONRoundTrip: the base64 JSON form survives a full
-// marshal/unmarshal cycle with byte-identical state — the property the
-// cycle result's JSON depends on.
+// TestSketchJSONRoundTrip: a sketch marshals to exactly json.Marshal of
+// its normalised samples in ascending order — out-of-order adds sorted,
+// −0 stored as 0, ±Inf clamped, NaN dropped, and [] when empty — so a
+// cycle result's JSON compares its statistics sample for sample.
 func TestSketchJSONRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
+	cases := map[string]struct{ in, want []float64 }{
+		"empty":    {nil, []float64{}},
+		"only NaN": {[]float64{math.NaN()}, []float64{}},
+		"edge values": {
+			[]float64{3, math.Inf(1), math.Copysign(0, -1), math.NaN(), -2, math.Inf(-1), 3},
+			[]float64{-math.MaxFloat64, -2, 0, 3, 3, math.MaxFloat64},
+		},
+	}
 	for _, n := range []int{3, 1000} {
-		s := sketchOf(genSamples(r, "uniform", n))
-		blob, err := json.Marshal(s)
+		xs := genSamples(r, "mixed-sign", n)
+		sorted := slices.Clone(xs)
+		slices.Sort(sorted)
+		cases[fmt.Sprintf("%d random", n)] = struct{ in, want []float64 }{xs, sorted}
+	}
+	for name, c := range cases {
+		got, err := json.Marshal(sketchOf(c.in))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var d Sketch
-		if err := json.Unmarshal(blob, &d); err != nil {
+		want, err := json.Marshal(c.want)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(d.Encode(), s.Encode()) {
-			t.Fatalf("n=%d: JSON round trip changed the state", n)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: MarshalJSON wrote %s, want %s", name, got, want)
 		}
-	}
-	var d Sketch
-	if err := json.Unmarshal([]byte(`123`), &d); err == nil {
-		t.Fatal("non-string sketch JSON accepted")
 	}
 }
 

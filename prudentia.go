@@ -70,7 +70,7 @@ type Experiment struct {
 	// Trials is the number of counted trials (default: the paper's
 	// escalation protocol starting at 10; small values pin the count).
 	// Statistics are exact order statistics at any trial count
-	// (docs/SKETCHES.md).
+	// (ARCHITECTURE.md, "Statistics pipeline").
 	Trials int
 	// Quick compresses trials to 60 s (for interactive use); otherwise
 	// the paper's 10-minute timing is used.

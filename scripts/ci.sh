@@ -396,11 +396,11 @@ if [ -n "$pool_bad" ]; then
     exit 1
 fi
 
-# Statistics coverage floor: internal/stats carries the exact sketch,
-# its codec and the sequential stopper that every other layer's byte
-# identity leans on, so its test coverage may not erode below 85% of
-# statements (89.8% when the floor was set, 98.0% once the sketch kept
-# every sample).
+# Statistics coverage floor: internal/stats carries the exact sketch
+# and the sequential stopper that every other layer's byte identity
+# leans on, so its test coverage may not erode below 85% of statements
+# (89.8% when the floor was set, 98.0% once the sketch kept every
+# sample, 99.1% once its codec and Merge went).
 STATS_COV="$(go test -count=1 -cover ./internal/stats | awk '
     { for (i = 1; i < NF; i++) if ($i == "coverage:") { sub(/%/, "", $(i+1)); print $(i+1) } }')"
 [ -n "$STATS_COV" ] || { echo "ci: could not measure internal/stats coverage" >&2; exit 1; }
@@ -458,17 +458,32 @@ fi
 # and parseConfig (flags, the -sweep grid) — so
 # they see more than their seed corpus. Long exploratory campaigns run
 # out-of-band; this catches gross regressions on every CI pass.
+# Every Fuzz target the module defines is in FUZZ_GATE: a new target,
+# or one a gate line lost, fails here instead of going unrun.
 FUZZTIME=10s
 if [ "$SHORT" -eq 1 ]; then FUZZTIME=5s; fi
-go test -run '^$' -fuzz '^FuzzBottleneckQueue$' -fuzztime="$FUZZTIME" ./internal/netem
-go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime="$FUZZTIME" ./internal/sim
-go test -run '^$' -fuzz '^FuzzRcvSet$' -fuzztime="$FUZZTIME" ./internal/transport
-go test -run '^$' -fuzz '^FuzzFrameScanner$' -fuzztime="$FUZZTIME" ./internal/journal
-go test -run '^$' -fuzz '^FuzzScan$' -fuzztime="$FUZZTIME" ./internal/journal
-go test -run '^$' -fuzz '^FuzzSubsWALOpen$' -fuzztime="$FUZZTIME" ./internal/serve
-go test -run '^$' -fuzz '^FuzzSubmissionBody$' -fuzztime="$FUZZTIME" ./internal/serve
-go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime="$FUZZTIME" ./internal/core
-go test -run '^$' -fuzz '^FuzzParseConfig$' -fuzztime="$FUZZTIME" ./cmd/prudentia
+FUZZ_GATE=(
+    "./internal/netem FuzzBottleneckQueue"
+    "./internal/sim FuzzEngineOrder"
+    "./internal/transport FuzzRcvSet"
+    "./internal/journal FuzzFrameScanner"
+    "./internal/journal FuzzScan"
+    "./internal/serve FuzzSubsWALOpen"
+    "./internal/serve FuzzSubmissionBody"
+    "./internal/core FuzzLoadCheckpoint"
+    "./cmd/prudentia FuzzParseConfig"
+)
+FUZZ_LISTED="$(go test -list '^Fuzz' ./... | grep '^Fuzz' | sort)"
+FUZZ_GATED="$(printf '%s\n' "${FUZZ_GATE[@]}" | awk '{ print $2 }' | sort)"
+if [ "$FUZZ_LISTED" != "$FUZZ_GATED" ]; then
+    echo "ci: the fuzz smoke gate and go test -list '^Fuzz' disagree (<: listed only, >: gated only):" >&2
+    diff <(echo "$FUZZ_LISTED") <(echo "$FUZZ_GATED") | grep '^[<>]' >&2
+    exit 1
+fi
+for target in "${FUZZ_GATE[@]}"; do
+    go test -run '^$' -fuzz "^${target#* }\$" -fuzztime="$FUZZTIME" "${target%% *}"
+done
+echo "ci: fuzz smoke gate ran all $(echo "$FUZZ_LISTED" | wc -l) Fuzz targets"
 
 # The race detector slows the simulation-heavy core tests well past the
 # default 10m per-package budget. -short trims the slowest e2e tests on
@@ -545,8 +560,13 @@ SWEEP_ROWS=$(($(wc -l < "$ARTIFACTS/sweep/sweep.tsv") - 1))
     echo "ci: sweep smoke produced $SWEEP_ROWS rows, want 24 (4 cells x 3 pairs x 2 slots)" >&2
     exit 1
 }
-grep -q '"schema": "prudentia.sweep/1"' "$ARTIFACTS/sweep/sweep.json" || {
-    echo "ci: sweep JSON missing the prudentia.sweep/1 schema marker" >&2
+grep -q '"schema": "prudentia.sweep/2"' "$ARTIFACTS/sweep/sweep.json" || {
+    echo "ci: sweep JSON missing the prudentia.sweep/2 schema marker" >&2
     exit 1
 }
-echo "ci: sweep smoke passed (TSV schema + 24 rows + JSON schema marker + timeline + fault ledger)"
+SWEEP_MERGED="$(grep -c '"merged_share_pct": \[' "$ARTIFACTS/sweep/sweep.json" || true)"
+[ "$SWEEP_MERGED" -eq 4 ] || {
+    echo "ci: sweep JSON carries merged_share_pct in $SWEEP_MERGED cells, want all 4" >&2
+    exit 1
+}
+echo "ci: sweep smoke passed (TSV schema + 24 rows + JSON schema marker + 4 merged_share_pct arrays + timeline + fault ledger)"

@@ -4,8 +4,8 @@
 # artifacts. The sweep is one watchdog cycle whose settings are the grid
 # cells: each cell runs a solo calibration and the full pair matrix of
 # the chosen services under the quick trial protocol with sketch-backed
-# statistics, so the whole grid is mergeable, deterministic, and
-# byte-reproducible for a given seed, and every cycle flag
+# statistics, so the whole grid is deterministic and byte-reproducible
+# for a given seed, and every cycle flag
 # (-workers, -adaptive, -chaos, ...) works here too.
 #
 #   scripts/sweep.sh                     default paper-style grid
@@ -24,8 +24,9 @@
 #
 # Artifacts, in SWEEP_DIR beside the cycle's manifest, metrics, timeline
 # and fault ledger: sweep.tsv (one row per pair-slot per cell; header
-# schema asserted by scripts/ci.sh) and sweep.json ("prudentia.sweep/1",
-# per-cell merged share sketches included). A killed sweep resumes when
+# schema asserted by scripts/ci.sh) and sweep.json ("prudentia.sweep/2",
+# each cell's counted shares as a sorted merged_share_pct number array).
+# A killed sweep resumes when
 # rerun with the same SWEEP_DIR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
