@@ -107,6 +107,7 @@ func TestDeadSurfaceFixture(t *testing.T) {
 		"internal/lib/fields.go:12 lib.Conn.sends write-only",
 		"internal/lib/lib.go:9 lib.Dead dead",
 		"internal/lib/lib.go:19 lib.Named.Unused dead",
+		"internal/lib/embed.go:19 lib.base.Extra dead",
 		"internal/opts/opts.go:13 opts.Options.Codes one value",
 		"internal/opts/opts.go:11 opts.Options.Mode one value",
 		"internal/opts/opts.go:9 opts.Options.Seam unassigned",
@@ -190,7 +191,8 @@ func checkSurface(root string, options []string) (surfaceReport, error) {
 	}
 
 	// Rule A: exported identifiers of internal/ that no non-test code uses
-	// and, for methods, that satisfy no interface the program can see.
+	// and, for methods, that satisfy no interface the program can see,
+	// neither on their own type nor on a type that embeds it.
 	used := map[types.Object]bool{}
 	for _, p := range l.pkgs {
 		for _, obj := range p.info.Uses {
@@ -198,10 +200,13 @@ func checkSurface(root string, options []string) (surfaceReport, error) {
 		}
 	}
 	ifaces := l.interfacesByMethod()
+	promoters := l.promotingTypes()
 	satisfies := func(named *types.Named, m *types.Func) bool {
-		for _, iface := range ifaces[m.Name()] {
-			if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
-				return true
+		for _, t := range append([]*types.Named{named}, promoters[m]...) {
+			for _, iface := range ifaces[m.Name()] {
+				if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
+					return true
+				}
 			}
 		}
 		return false
@@ -501,6 +506,34 @@ func (l *surfaceLoader) interfacesByMethod() map[string][]*types.Interface {
 		}
 	}
 	return byName
+}
+
+// promotingTypes maps each method that embedding promotes to the named
+// types of the module it is promoted into: a method of an embedded type
+// satisfies an interface through the type that embeds it.
+func (l *surfaceLoader) promotingTypes() map[*types.Func][]*types.Named {
+	promoters := map[*types.Func][]*types.Named{}
+	for _, p := range l.pkgs {
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || types.IsInterface(named) {
+				continue
+			}
+			ms := types.NewMethodSet(types.NewPointer(named))
+			for i := 0; i < ms.Len(); i++ {
+				if sel := ms.At(i); len(sel.Index()) > 1 {
+					m := sel.Obj().(*types.Func).Origin()
+					promoters[m] = append(promoters[m], named)
+				}
+			}
+		}
+	}
+	return promoters
 }
 
 func (l *surfaceLoader) lookupStruct(pkgName, typeName string) (*types.Struct, error) {

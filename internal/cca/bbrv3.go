@@ -1,8 +1,6 @@
 package cca
 
-import (
-	"prudentia/internal/sim"
-)
+import "prudentia/internal/sim"
 
 // bbr3Phase enumerates the BBRv3 ProbeBW sub-phases.
 type bbr3Phase int
@@ -23,44 +21,22 @@ const (
 // Google deployed BBRv3 to Google Drive during the paper's measurement
 // period, which Fig 9a shows made it measurably kinder to competitors.
 type BBRv3Alg struct {
-	cfg Config
-	rng *sim.RNG
+	bbrModel
 
-	state bbrState // reuses startup/drain/probebw/probertt
-	phase bbr3Phase
+	phase      bbr3Phase
+	phaseStamp sim.Time
+	cruiseLen  sim.Time
 
-	bwFilter   maxFilter
-	bwLo       int64 // short-term loss-responsive bound (0 = unset)
-	rtProp     sim.Time
-	rtPropAt   sim.Time
-	rtPropSeen bool
-
-	round             int64
-	nextRoundDelivery int64
-	roundStart        bool
-
-	fullBw      int64
-	fullBwCount int
-	filledPipe  bool
-
-	phaseStamp     sim.Time
-	cruiseLen      sim.Time
-	lossInRound    bool
-	probeRTTDoneAt sim.Time
-	priorCwnd      int
-
-	inRecovery bool
-
-	pacingGain float64
-	cwndGain   float64
-	cwnd       int
-	pacingRate int64
+	bwLo        int64 // short-term loss-responsive bound (0 = unset)
+	lossInRound bool
 }
 
-// BBRv3 constants (from the IETF slides / Linux v3 alpha).
+// BBRv3 constants (from the IETF slides / Linux v3 alpha). v3's startup
+// cwnd gain is 2.0; this model sets the window with the 2.77 pacing gain
+// in Startup and Drain, a deviation kept until the Fig 9a audit decides
+// it (ROADMAP 1 (c)).
 const (
 	bbr3StartupGain   = 2.77
-	bbr3StartupCwnd   = 2.0
 	bbr3DrainGain     = 1 / 2.77
 	bbr3ProbeDownGain = 0.9
 	bbr3ProbeUpGain   = 1.25
@@ -71,93 +47,34 @@ const (
 
 // NewBBRv3 returns a BBRv3 controller.
 func NewBBRv3(cfg Config, rng *sim.RNG) *BBRv3Alg {
-	cfg = cfg.withDefaults()
-	if rng == nil {
-		rng = sim.NewRNG(0)
-	}
-	b := &BBRv3Alg{
-		cfg:        cfg,
-		rng:        rng,
-		state:      bbrStartup,
-		pacingGain: bbr3StartupGain,
-		cwndGain:   bbr3StartupCwnd,
-		cwnd:       cfg.InitialCwnd,
-	}
-	b.pacingRate = int64(float64(cfg.InitialCwnd*cfg.MSS) * bbr3StartupGain / 0.001)
-	return b
+	return &BBRv3Alg{bbrModel: newBBRModel(cfg, rng, bbr3StartupGain)}
 }
-
-// Name implements Algorithm.
-func (b *BBRv3Alg) Name() string { return "bbr3" }
-
-// maxBw returns the windowed-max bandwidth estimate.
-func (b *BBRv3Alg) maxBw() int64 { return b.bwFilter.Max() }
 
 // effectiveBw applies the loss-responsive short-term bound.
 func (b *BBRv3Alg) effectiveBw() int64 {
-	bw := b.maxBw()
+	bw := b.BtlBw()
 	if b.bwLo > 0 && b.bwLo < bw {
 		return b.bwLo
 	}
 	return bw
 }
 
-func (b *BBRv3Alg) bdpPackets(gain float64, bw int64) int {
-	if bw == 0 || !b.rtPropSeen {
-		return b.cfg.InitialCwnd
-	}
-	pkts := int(gain * float64(bw) * b.rtProp.Seconds() / float64(b.cfg.MSS))
-	if pkts < bbrMinCwnd {
-		pkts = bbrMinCwnd
-	}
-	return pkts
-}
-
 // OnAck implements Algorithm.
 func (b *BBRv3Alg) OnAck(now sim.Time, s AckSample) {
-	b.roundStart = false
-	if s.PacketDelivered >= b.nextRoundDelivery {
-		b.round++
-		b.roundStart = true
-		b.nextRoundDelivery = s.TotalDelivered
+	rtExpired := b.updateModel(now, &s)
+	// The loss mark is cleared on the ACK that starts a round, the only
+	// ACK checkFullPipe reads it on, so v3 never leaves Startup on loss.
+	// The deviation is kept until the Fig 9a audit decides it (ROADMAP
+	// 1 (c)).
+	if b.roundStart {
 		b.lossInRound = false
 	}
-
-	if s.DeliveryRate > 0 && (!s.RateAppLimited || s.DeliveryRate > b.maxBw()) {
-		b.bwFilter.Add(b.round, s.DeliveryRate, b.round-bbrBwWindowRounds)
-	}
-	rtExpired := b.rtPropSeen && now > b.rtPropAt+bbrMinRTTWindow
-	if s.RTT > 0 {
-		if !b.rtPropSeen || s.RTT <= b.rtProp || rtExpired {
-			b.rtProp = s.RTT
-			b.rtPropAt = now
-			b.rtPropSeen = true
-		}
-	}
-
-	b.checkFullPipe(s)
-	b.updateState(now, s, rtExpired)
-	b.updateControls(now, s)
+	b.checkFullPipe(&s, b.lossInRound)
+	b.updateState(now, &s, rtExpired)
+	b.updateControls(&s)
 }
 
-func (b *BBRv3Alg) checkFullPipe(s AckSample) {
-	if b.filledPipe || !b.roundStart || s.RateAppLimited {
-		return
-	}
-	bw := b.maxBw()
-	if float64(bw) >= float64(b.fullBw)*1.25 {
-		b.fullBw = bw
-		b.fullBwCount = 0
-		return
-	}
-	b.fullBwCount++
-	// v3 also exits startup on sustained loss.
-	if b.fullBwCount >= 3 || b.lossInRound {
-		b.filledPipe = true
-	}
-}
-
-func (b *BBRv3Alg) updateState(now sim.Time, s AckSample, rtExpired bool) {
+func (b *BBRv3Alg) updateState(now sim.Time, s *AckSample, rtExpired bool) {
 	switch b.state {
 	case bbrStartup:
 		if b.filledPipe {
@@ -170,22 +87,11 @@ func (b *BBRv3Alg) updateState(now sim.Time, s AckSample, rtExpired bool) {
 	case bbrProbeBW:
 		b.advancePhase(now, s)
 	case bbrProbeRTT:
-		if s.Inflight <= bbrMinCwnd && b.probeRTTDoneAt == 0 {
-			b.probeRTTDoneAt = now + bbrProbeRTTTime
-		}
-		if b.probeRTTDoneAt != 0 && now >= b.probeRTTDoneAt {
-			b.rtPropAt = now
-			if b.priorCwnd > b.cwnd {
-				b.cwnd = b.priorCwnd
-			}
+		if b.probeRTTDone(now, s) {
 			b.enterProbeBW(now, bbr3Down)
 		}
 	}
-	if b.state != bbrProbeRTT && rtExpired {
-		b.state = bbrProbeRTT
-		b.priorCwnd = b.cwnd
-		b.probeRTTDoneAt = 0
-	}
+	b.checkProbeRTT(rtExpired)
 }
 
 func (b *BBRv3Alg) enterProbeBW(now sim.Time, ph bbr3Phase) {
@@ -199,7 +105,7 @@ func (b *BBRv3Alg) enterProbeBW(now sim.Time, ph bbr3Phase) {
 	}
 }
 
-func (b *BBRv3Alg) advancePhase(now sim.Time, s AckSample) {
+func (b *BBRv3Alg) advancePhase(now sim.Time, s *AckSample) {
 	switch b.phase {
 	case bbr3Down:
 		// Deflate the queue until inflight is below headroom×BDP, but
@@ -221,103 +127,48 @@ func (b *BBRv3Alg) advancePhase(now sim.Time, s AckSample) {
 			b.enterProbeBW(now, bbr3Up)
 		}
 	case bbr3Up:
-		if s.InRecovery || s.Inflight >= b.bdpPackets(1.25, b.maxBw()) ||
+		if s.InRecovery || s.Inflight >= b.bdpPackets(1.25, b.BtlBw()) ||
 			now-b.phaseStamp > 3*b.rtProp {
 			b.enterProbeBW(now, bbr3Down)
 		}
 	}
 }
 
-func (b *BBRv3Alg) updateControls(now sim.Time, s AckSample) {
+func (b *BBRv3Alg) updateControls(s *AckSample) {
+	pacingGain, cwndGain := 1.0, 1.0 // ProbeRTT, Cruise and Refill
 	switch b.state {
 	case bbrStartup:
-		b.pacingGain, b.cwndGain = bbr3StartupGain, bbr3StartupGain
+		pacingGain, cwndGain = bbr3StartupGain, bbr3StartupGain
 	case bbrDrain:
-		b.pacingGain, b.cwndGain = bbr3DrainGain, bbr3StartupGain
+		pacingGain, cwndGain = bbr3DrainGain, bbr3StartupGain
 	case bbrProbeBW:
-		b.cwndGain = bbr3CwndGain
+		cwndGain = bbr3CwndGain
 		switch b.phase {
 		case bbr3Down:
-			b.pacingGain = bbr3ProbeDownGain
-		case bbr3Cruise, bbr3Refill:
-			b.pacingGain = 1.0
+			pacingGain = bbr3ProbeDownGain
 		case bbr3Up:
-			b.pacingGain = bbr3ProbeUpGain
+			pacingGain = bbr3ProbeUpGain
 		}
-	case bbrProbeRTT:
-		b.pacingGain, b.cwndGain = 1, 1
 	}
-
 	bw := b.effectiveBw()
-	if bw > 0 {
-		b.pacingRate = int64(b.pacingGain * float64(bw))
-	}
-
-	if b.state == bbrProbeRTT {
-		b.cwnd = bbrMinCwnd
-		return
-	}
-	target := b.bdpPackets(b.cwndGain, bw)
+	target := b.bdpPackets(cwndGain, bw)
 	if b.state == bbrProbeBW && b.phase == bbr3Cruise {
 		// Cruise with headroom: leave ~15% of the pipe unclaimed.
-		hr := b.bdpPackets(bbr3CwndGain*bbr3Headroom, bw)
-		if hr < target {
-			target = hr
-		}
+		target = min(target, b.bdpPackets(bbr3CwndGain*bbr3Headroom, bw))
 	}
-	if b.inRecovery {
-		cap := s.Inflight + s.AckedPackets
-		if cap < bbrMinCwnd {
-			cap = bbrMinCwnd
-		}
-		if target > cap {
-			target = cap
-		}
-	}
-	b.cwnd = target
+	b.setControls(s, pacingGain, bw, target, true)
 }
 
 // OnCongestionEvent implements Algorithm: v3's loss response bounds the
 // short-term bandwidth estimate at β× the latest estimate.
-func (b *BBRv3Alg) OnCongestionEvent(now sim.Time) {
+func (b *BBRv3Alg) OnCongestionEvent(sim.Time) {
 	b.lossInRound = true
-	if !b.inRecovery {
-		b.inRecovery = true
-		b.priorCwnd = b.cwnd
-	}
+	b.enterRecovery()
 	// Bound from the long-term estimate rather than the already-reduced
 	// effective bandwidth so repeated loss within one probe cycle does
 	// not compound the cut toward zero.
-	lo := int64(bbr3Beta * float64(b.maxBw()))
+	lo := int64(bbr3Beta * float64(b.BtlBw()))
 	if b.bwLo == 0 || lo < b.bwLo {
 		b.bwLo = lo
 	}
 }
-
-// OnPacketLoss implements Algorithm.
-func (b *BBRv3Alg) OnPacketLoss(sim.Time, int) {}
-
-// OnExitRecovery implements Algorithm.
-func (b *BBRv3Alg) OnExitRecovery(sim.Time) {
-	b.inRecovery = false
-	if b.priorCwnd > b.cwnd {
-		b.cwnd = b.priorCwnd
-	}
-}
-
-// OnTimeout implements Algorithm.
-func (b *BBRv3Alg) OnTimeout(sim.Time) {
-	b.priorCwnd = b.cwnd
-	b.cwnd = bbrMinCwnd
-}
-
-// CwndPackets implements Algorithm.
-func (b *BBRv3Alg) CwndPackets() int {
-	if b.cwnd < 1 {
-		return 1
-	}
-	return b.cwnd
-}
-
-// PacingRate implements Algorithm.
-func (b *BBRv3Alg) PacingRate() int64 { return b.pacingRate }

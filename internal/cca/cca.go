@@ -6,8 +6,7 @@
 // and GCC, the delay-based controller WebRTC services use.
 //
 // Window-based algorithms implement Algorithm and plug into
-// internal/transport flows; GCC implements RateController and drives the
-// RTC media path directly.
+// internal/transport flows; GCC drives the RTC media path directly.
 package cca
 
 import "prudentia/internal/sim"
@@ -43,16 +42,11 @@ type AckSample struct {
 // pure state machines: the transport calls the On* hooks and consults
 // CwndPackets/PacingRate when deciding to transmit.
 type Algorithm interface {
-	// Name identifies the algorithm (used in reports and traces).
-	Name() string
 	// OnAck processes one acknowledgement.
 	OnAck(now sim.Time, s AckSample)
 	// OnCongestionEvent fires once per loss-recovery episode (the
 	// classic "multiplicative decrease once per window" semantics).
 	OnCongestionEvent(now sim.Time)
-	// OnPacketLoss fires for every packet marked lost (BBRv3 and loss
-	// accounting use it; Reno/Cubic act only on OnCongestionEvent).
-	OnPacketLoss(now sim.Time, lost int)
 	// OnTimeout fires when the retransmission timer expires.
 	OnTimeout(now sim.Time)
 	// OnExitRecovery fires when loss recovery completes.
@@ -64,10 +58,9 @@ type Algorithm interface {
 	PacingRate() int64
 }
 
-// Config carries transport parameters shared by all algorithms.
+// Config carries transport parameters shared by all algorithms. Every
+// data packet is netem.WirePacketSize bytes.
 type Config struct {
-	// MSS is the segment size in bytes (wire size of a full data packet).
-	MSS int
 	// InitialCwnd is the initial window in packets (default 10, per
 	// RFC 6928-era stacks).
 	InitialCwnd int
@@ -75,9 +68,6 @@ type Config struct {
 
 // withDefaults normalizes a Config.
 func (c Config) withDefaults() Config {
-	if c.MSS == 0 {
-		c.MSS = 1500
-	}
 	if c.InitialCwnd == 0 {
 		c.InitialCwnd = 10
 	}

@@ -168,15 +168,6 @@ func TestCubicCubeMatchesPow(t *testing.T) {
 	}
 }
 
-func TestCubicNames(t *testing.T) {
-	if NewCubic(Config{}).Name() != "cubic" {
-		t.Fatal("cubic name")
-	}
-	if NewCubicExtended(Config{}).Name() != "cubic-extended" {
-		t.Fatal("cubic-extended name")
-	}
-}
-
 func feedBBR(b *BBRAlg, rtt sim.Time, rate int64, rounds int) sim.Time {
 	now := sim.Time(0)
 	var delivered int64
@@ -197,9 +188,7 @@ func feedBBR(b *BBRAlg, rtt sim.Time, rate int64, rounds int) sim.Time {
 }
 
 func TestBBRStartupExitsOnPlateau(t *testing.T) {
-	b := NewBBR(Config{}, BBRVariant{
-		Label: "test", HighGain: 2.885, DrainGain: 1 / 2.885, CwndGainProbeBW: 2,
-	}, sim.NewRNG(1))
+	b := NewBBR(Config{}, BBRVariant{CwndGainProbeBW: 2}, sim.NewRNG(1))
 	if b.state.String() != "startup" {
 		t.Fatalf("initial state = %s", b.state.String())
 	}
@@ -282,10 +271,6 @@ func TestBBRVariantsDiffer(t *testing.T) {
 	if v415.RecoveryConservation || !v515.RecoveryConservation {
 		t.Fatal("variant flags wrong")
 	}
-	b := NewBBR(Config{}, v515, sim.NewRNG(1))
-	if b.Name() != "bbr1/linux-5.15" {
-		t.Fatalf("name = %s", b.Name())
-	}
 }
 
 func TestBBRRecoveryConservationCapsCwnd(t *testing.T) {
@@ -339,12 +324,6 @@ func TestBBRv3LossResponseBoundsBandwidth(t *testing.T) {
 	after := b.PacingRate()
 	if float64(after) > 0.85*float64(before) {
 		t.Fatalf("v3 loss response missing: pacing %d -> %d", before, after)
-	}
-}
-
-func TestBBRv3Name(t *testing.T) {
-	if NewBBRv3(Config{}, nil).Name() != "bbr3" {
-		t.Fatal("bbr3 name")
 	}
 }
 

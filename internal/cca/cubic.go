@@ -52,14 +52,6 @@ func NewCubicExtended(cfg Config) *CubicAlg {
 	return a
 }
 
-// Name implements Algorithm.
-func (cu *CubicAlg) Name() string {
-	if cu.c != 0.4 {
-		return "cubic-extended"
-	}
-	return "cubic"
-}
-
 // OnAck implements Algorithm.
 func (cu *CubicAlg) OnAck(now sim.Time, s AckSample) {
 	if s.RTT > 0 {
@@ -127,9 +119,6 @@ func (cu *CubicAlg) OnCongestionEvent(sim.Time) {
 	}
 	cu.ssthresh = cu.cwnd
 }
-
-// OnPacketLoss implements Algorithm.
-func (cu *CubicAlg) OnPacketLoss(sim.Time, int) {}
 
 // OnTimeout implements Algorithm.
 func (cu *CubicAlg) OnTimeout(sim.Time) {

@@ -19,17 +19,6 @@ type Feedback struct {
 	ReceiveRate int64
 }
 
-// RateController is the congestion interface for rate-based (media)
-// senders: instead of a window it exposes a target bitrate.
-type RateController interface {
-	// Name identifies the controller.
-	Name() string
-	// OnFeedback ingests one receiver report.
-	OnFeedback(now sim.Time, fb Feedback)
-	// TargetRate returns the current target media bitrate in bits/sec.
-	TargetRate() int64
-}
-
 // GCCConfig parameterizes the controller. Google Meet runs stock GCC;
 // Microsoft Teams' controller is proprietary ("Unknown" in Table 1), so
 // the Teams model uses a GCC variant with different trade-offs — slower
@@ -37,7 +26,6 @@ type RateController interface {
 // Obs 5: Teams holds bitrate (resolution) longer at the cost of more
 // freezes and lower FPS under contention.
 type GCCConfig struct {
-	Label string
 	// MinRate/MaxRate bound the target bitrate (bits/sec). Table 1 caps:
 	// Meet 1.5 Mbps, Teams 2.6 Mbps.
 	MinRate, MaxRate int64
@@ -62,7 +50,6 @@ type GCCConfig struct {
 // MeetGCC returns Google Meet's controller configuration.
 func MeetGCC() GCCConfig {
 	return GCCConfig{
-		Label:             "gcc/meet",
 		MinRate:           150_000,
 		MaxRate:           1_500_000,
 		InitialRate:       600_000,
@@ -77,7 +64,6 @@ func MeetGCC() GCCConfig {
 // TeamsController returns the Teams-like hybrid variant.
 func TeamsController() GCCConfig {
 	return GCCConfig{
-		Label:             "hybrid/teams",
 		MinRate:           200_000,
 		MaxRate:           2_600_000,
 		InitialRate:       800_000,
@@ -128,13 +114,10 @@ func NewGCC(cfg GCCConfig) *GCCAlg {
 	return &GCCAlg{cfg: cfg, rate: cfg.InitialRate}
 }
 
-// Name implements RateController.
-func (g *GCCAlg) Name() string { return g.cfg.Label }
-
-// TargetRate implements RateController.
+// TargetRate returns the current target media bitrate in bits/sec.
 func (g *GCCAlg) TargetRate() int64 { return g.rate }
 
-// OnFeedback implements RateController.
+// OnFeedback ingests one receiver report.
 func (g *GCCAlg) OnFeedback(now sim.Time, fb Feedback) {
 	g.gradient = 0.6*g.gradient + 0.4*fb.DelayGradient
 

@@ -70,42 +70,25 @@ func (s *bwStream) next() (round, bw int64, appLimited bool) {
 }
 
 // TestMaxFilterMatchesSliceScan compares the deque with the slice oracle
-// after every sample, under both controllers' admission rules (BBRv1
-// rejects an app-limited sample that does not beat the estimate; BBRv3
-// states the same condition as an acceptance).
+// after every sample, under the path model's admission rule: an
+// app-limited sample counts only if it beats the estimate.
 func TestMaxFilterMatchesSliceScan(t *testing.T) {
-	admit := map[string]func(bw, max int64, appLimited bool) bool{
-		"bbr1": func(bw, max int64, appLimited bool) bool {
-			if bw <= 0 {
-				return false
+	for seed := uint64(1); seed <= 50; seed++ {
+		st := &bwStream{rng: sim.NewRNG(seed), level: 4}
+		var got maxFilter
+		var want sliceFilter
+		for i := 0; i < 5000; i++ {
+			round, bw, appLimited := st.next()
+			if bw > 0 && (!appLimited || bw > want.Max()) {
+				got.Add(round, bw, round-bbrBwWindowRounds)
+				want.Add(round, bw, round-bbrBwWindowRounds)
 			}
-			if appLimited && bw <= max {
-				return false
+			if got.Max() != want.Max() {
+				t.Fatalf("seed %d sample %d (round %d bw %d app-limited %v): Max() = %d, slice scan %d",
+					seed, i, round, bw, appLimited, got.Max(), want.Max())
 			}
-			return true
-		},
-		"bbr3": func(bw, max int64, appLimited bool) bool {
-			return bw > 0 && (!appLimited || bw > max)
-		},
-	}
-	for name, ok := range admit {
-		for seed := uint64(1); seed <= 50; seed++ {
-			st := &bwStream{rng: sim.NewRNG(seed), level: 4}
-			var got maxFilter
-			var want sliceFilter
-			for i := 0; i < 5000; i++ {
-				round, bw, appLimited := st.next()
-				if ok(bw, want.Max(), appLimited) {
-					got.Add(round, bw, round-bbrBwWindowRounds)
-					want.Add(round, bw, round-bbrBwWindowRounds)
-				}
-				if got.Max() != want.Max() {
-					t.Fatalf("%s seed %d sample %d (round %d bw %d app-limited %v): Max() = %d, slice scan %d",
-						name, seed, i, round, bw, appLimited, got.Max(), want.Max())
-				}
-				if got.q.Len() > len(want) {
-					t.Fatalf("%s seed %d sample %d: deque holds %d samples, the window only %d", name, seed, i, got.q.Len(), len(want))
-				}
+			if got.q.Len() > len(want) {
+				t.Fatalf("seed %d sample %d: deque holds %d samples, the window only %d", seed, i, got.q.Len(), len(want))
 			}
 		}
 	}
@@ -113,20 +96,22 @@ func TestMaxFilterMatchesSliceScan(t *testing.T) {
 
 // TestBBREstimateMatchesSliceScan runs the same comparison through the
 // controllers themselves: the oracle mirrors the round counter and the
-// admission rule from outside, and BtlBw / maxBw must agree with it after
+// admission rule from outside, and BtlBw must agree with it after
 // every OnAck.
 func TestBBREstimateMatchesSliceScan(t *testing.T) {
-	type model interface {
-		Algorithm
-		estimate() (bw, round, nextRoundDelivery int64)
-	}
-	algs := map[string]func() model{
-		"bbr1": func() model { return bbr1Model{NewBBR(Config{}, BBRLinux415(), sim.NewRNG(1))} },
-		"bbr3": func() model { return bbr3Model{NewBBRv3(Config{}, sim.NewRNG(1))} },
+	algs := map[string]func() (Algorithm, *bbrModel){
+		"bbr1": func() (Algorithm, *bbrModel) {
+			b := NewBBR(Config{}, BBRLinux415(), sim.NewRNG(1))
+			return b, &b.bbrModel
+		},
+		"bbr3": func() (Algorithm, *bbrModel) {
+			b := NewBBRv3(Config{}, sim.NewRNG(1))
+			return b, &b.bbrModel
+		},
 	}
 	for name, mk := range algs {
 		for seed := uint64(1); seed <= 20; seed++ {
-			alg := mk()
+			alg, m := mk()
 			st := &bwStream{rng: sim.NewRNG(seed), level: 4}
 			var want sliceFilter
 			var delivered int64
@@ -144,29 +129,21 @@ func TestBBREstimateMatchesSliceScan(t *testing.T) {
 					RateAppLimited:  appLimited,
 					Inflight:        10,
 				}
-				_, round, nextRound := alg.estimate()
-				if s.PacketDelivered >= nextRound {
+				round := m.round
+				if s.PacketDelivered >= m.nextRoundDelivery {
 					round++
 				}
 				if bw > 0 && !(appLimited && bw <= want.Max()) {
 					want.Add(round, bw, round-bbrBwWindowRounds)
 				}
 				alg.OnAck(now, s)
-				if got, _, _ := alg.estimate(); got != want.Max() {
+				if got := m.BtlBw(); got != want.Max() {
 					t.Fatalf("%s seed %d ack %d: estimate %d, slice scan %d", name, seed, i, got, want.Max())
 				}
 			}
 		}
 	}
 }
-
-type bbr1Model struct{ *BBRAlg }
-
-func (m bbr1Model) estimate() (int64, int64, int64) { return m.BtlBw(), m.round, m.nextRoundDelivery }
-
-type bbr3Model struct{ *BBRv3Alg }
-
-func (m bbr3Model) estimate() (int64, int64, int64) { return m.maxBw(), m.round, m.nextRoundDelivery }
 
 // fullWindowAcks returns a generator of ACK samples that keeps the filter
 // at its worst-case occupancy: perRound samples per round whose delivery

@@ -21,9 +21,6 @@ func NewNewReno(cfg Config) *NewRenoAlg {
 	}
 }
 
-// Name implements Algorithm.
-func (n *NewRenoAlg) Name() string { return "newreno" }
-
 // OnAck implements Algorithm: slow start below ssthresh, AIMD above.
 func (n *NewRenoAlg) OnAck(_ sim.Time, s AckSample) {
 	if s.InRecovery {
@@ -46,9 +43,6 @@ func (n *NewRenoAlg) OnCongestionEvent(sim.Time) {
 	}
 	n.cwnd = n.ssthresh
 }
-
-// OnPacketLoss implements Algorithm (no per-packet reaction for Reno).
-func (n *NewRenoAlg) OnPacketLoss(sim.Time, int) {}
 
 // OnTimeout implements Algorithm: collapse to one segment.
 func (n *NewRenoAlg) OnTimeout(sim.Time) {

@@ -6,30 +6,12 @@ import (
 	"prudentia/internal/sim"
 )
 
-func TestBBRUnpacedVariant(t *testing.T) {
-	v := BBRLinux415()
-	v.Label = "unpaced"
-	v.NoPacing = true
-	b := NewBBR(Config{}, v, sim.NewRNG(1))
-	feedBBR(b, 50*sim.Millisecond, 1_250_000, 5)
-	if b.PacingRate() != 0 {
-		t.Fatalf("unpaced BBR reports pacing rate %d", b.PacingRate())
-	}
-	// The paced twin must report a rate.
-	p := NewBBR(Config{}, BBRLinux415(), sim.NewRNG(1))
-	feedBBR(p, 50*sim.Millisecond, 1_250_000, 5)
-	if p.PacingRate() == 0 {
-		t.Fatal("paced BBR reports no pacing rate")
-	}
-}
-
 func TestBBRVariantCwndGainScales(t *testing.T) {
 	// A larger ProbeBW cwnd gain must yield a proportionally larger
 	// window once the path model converges (the Mega-custom knob).
 	window := func(gain float64) int {
 		v := BBRLinux415()
 		v.CwndGainProbeBW = gain
-		v.RandomizeCycle = false
 		b := NewBBR(Config{}, v, sim.NewRNG(1))
 		feedBBR(b, 50*sim.Millisecond, 1_250_000, 30)
 		return b.CwndPackets()

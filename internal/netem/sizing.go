@@ -2,9 +2,11 @@ package netem
 
 import "prudentia/internal/sim"
 
-// WirePacketSize is the assumed full-size wire packet (MTU) in bytes; the
-// paper's BDP arithmetic (e.g. the "1024 packet" queue in Fig 8a at
-// 50 Mbps × 50 ms × 4) is consistent with 1500-byte packets.
+// WirePacketSize is the full-size wire packet (MTU) in bytes, the size of
+// every transport data packet and the unit of the congestion
+// controllers' windows; the paper's BDP arithmetic (e.g. the "1024
+// packet" queue in Fig 8a at 50 Mbps × 50 ms × 4) is consistent with
+// 1500-byte packets.
 const WirePacketSize = 1500
 
 // BDPPackets returns the bandwidth-delay product expressed in full-size

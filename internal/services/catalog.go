@@ -18,18 +18,13 @@ const (
 // BBRv1-class behaviour with the recovery-conservation and idle-restart
 // handling that made the service markedly less timid under loss than the
 // 2022 deployment (Fig 9a).
-func quicTuned() cca.BBRVariant {
-	v := cca.BBRLinux515()
-	v.Label = "quic-tuned"
-	return v
-}
+func quicTuned() cca.BBRVariant { return cca.BBRLinux515() }
 
 // quic2022 returns the 2022-era YouTube QUIC BBR: 4.15-class dynamics
 // with a reduced ProbeBW cwnd gain, which surrendered throughput to
 // competing bulk flows.
 func quic2022() cca.BBRVariant {
 	v := cca.BBRLinux415()
-	v.Label = "quic-2022"
 	v.CwndGainProbeBW = 1.5
 	return v
 }
@@ -43,7 +38,6 @@ func quic2022() cca.BBRVariant {
 // possible that Mega is running a slightly different version of BBR".
 func megaBBR() cca.BBRVariant {
 	v := cca.BBRLinux415()
-	v.Label = "mega-custom"
 	v.CwndGainProbeBW = 3.0
 	return v
 }

@@ -1,8 +1,6 @@
 package services
 
 import (
-	"strings"
-
 	"prudentia/internal/cca"
 	"prudentia/internal/transport"
 )
@@ -14,8 +12,8 @@ import (
 // ride burst loss out with RACK-style repair (see transport.Options).
 func flowOptions(alg cca.Algorithm) transport.Options {
 	var o transport.Options
-	name := alg.Name()
-	if name == "newreno" || strings.HasPrefix(name, "cubic") {
+	switch alg.(type) {
+	case *cca.NewRenoAlg, *cca.CubicAlg:
 		o.FragileRecovery = true
 	}
 	return o

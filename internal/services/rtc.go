@@ -23,9 +23,10 @@ type rtcResolutionStep struct {
 // per minute (WebRTC definition), and the fraction of packets whose RTT
 // exceeds the ITU 190 ms bound.
 type RTC struct {
-	ServiceName   string
-	NewController func() cca.RateController
-	MaxRate       int64
+	ServiceName string
+	// GCC configures the rate controller; its MaxRate is the service's
+	// Table 1 cap.
+	GCC           cca.GCCConfig
 	FrameRate     int
 	PacketBytes   int
 	FeedbackEvery sim.Time
@@ -38,8 +39,7 @@ type RTC struct {
 func NewGoogleMeet() *RTC {
 	return &RTC{
 		ServiceName:   "Google Meet",
-		NewController: func() cca.RateController { return cca.NewGCC(cca.MeetGCC()) },
-		MaxRate:       1_500_000,
+		GCC:           cca.MeetGCC(),
 		FrameRate:     30,
 		PacketBytes:   1200,
 		FeedbackEvery: 100 * sim.Millisecond,
@@ -56,8 +56,7 @@ func NewGoogleMeet() *RTC {
 func NewMicrosoftTeams() *RTC {
 	return &RTC{
 		ServiceName:   "Microsoft Teams",
-		NewController: func() cca.RateController { return cca.NewGCC(cca.TeamsController()) },
-		MaxRate:       2_600_000,
+		GCC:           cca.TeamsController(),
 		FrameRate:     30,
 		PacketBytes:   1200,
 		FeedbackEvery: 100 * sim.Millisecond,
@@ -75,7 +74,7 @@ func (s *RTC) Name() string { return s.ServiceName }
 func (s *RTC) Category() Category { return CategoryRTC }
 
 // MaxRateBps implements Service.
-func (s *RTC) MaxRateBps() int64 { return s.MaxRate }
+func (s *RTC) MaxRateBps() int64 { return s.GCC.MaxRate }
 
 // FlowCount implements Service.
 func (s *RTC) FlowCount() int { return 1 }
@@ -85,7 +84,7 @@ func (s *RTC) Start(env *Env) Instance {
 	inst := &rtcInstance{
 		env:        env,
 		svc:        s,
-		controller: s.NewController(),
+		controller: cca.NewGCC(s.GCC),
 		frames:     make(map[int64]*frameAssembly),
 		resTime:    make(map[int]sim.Time),
 		minOWD:     -1,
@@ -110,7 +109,7 @@ type frameAssembly struct {
 type rtcInstance struct {
 	env        *Env
 	svc        *RTC
-	controller cca.RateController
+	controller *cca.GCCAlg
 	flowID     int
 	stopped    bool
 

@@ -64,11 +64,6 @@ func TestCrossCCADeterminism(t *testing.T) {
 		{"newreno", func(*sim.RNG) cca.Algorithm { return cca.NewNewReno(cca.Config{}) }},
 		{"cubic", func(*sim.RNG) cca.Algorithm { return cca.NewCubic(cca.Config{}) }},
 		{"cubic-extended", func(*sim.RNG) cca.Algorithm { return cca.NewCubicExtended(cca.Config{}) }},
-		{"bbr-unpaced", func(r *sim.RNG) cca.Algorithm {
-			v := cca.BBRLinux415()
-			v.NoPacing = true
-			return cca.NewBBR(cca.Config{}, v, r)
-		}},
 		{"bbr-linux-4.15", func(r *sim.RNG) cca.Algorithm { return cca.NewBBR(cca.Config{}, cca.BBRLinux415(), r) }},
 		{"bbr-linux-5.15", func(r *sim.RNG) cca.Algorithm { return cca.NewBBR(cca.Config{}, cca.BBRLinux515(), r) }},
 		{"bbrv3", func(r *sim.RNG) cca.Algorithm { return cca.NewBBRv3(cca.Config{}, r) }},

@@ -5,11 +5,12 @@
 // selective acknowledgements) across a netem.Testbed path.
 //
 // The model is packet-granular: every data packet is a full-sized
-// segment, acknowledgements are per-packet, and loss detection uses the
-// modern packet-threshold rule (a packet is lost once three later
-// packets have been acknowledged) with a retransmission timeout as
-// backstop — close in spirit to RACK/QUIC loss recovery, which the
-// services under study run in practice.
+// segment of netem.WirePacketSize bytes, acknowledgements are
+// per-packet, and loss detection uses the modern packet-threshold rule
+// (a packet is lost once three later packets have been acknowledged)
+// with a retransmission timeout as backstop — close in spirit to
+// RACK/QUIC loss recovery, which the services under study run in
+// practice.
 package transport
 
 import (
@@ -20,15 +21,9 @@ import (
 
 // Options configures a Flow.
 type Options struct {
-	// MSS is the wire size of data packets in bytes (default 1500).
-	MSS int
 	// ThrottleBps caps the send rate server-side in bits/sec (0 = none).
 	// OneDrive's upstream 45 Mbps cap (Table 1) uses this.
 	ThrottleBps int64
-	// AckEvery makes the receiver acknowledge every Nth packet (default
-	// 1; 2 approximates delayed ACKs). The paper's dynamics are not
-	// sensitive to this; tests use 1.
-	AckEvery int
 	// BurstOnIdleRestart sends up to a full congestion window unpaced
 	// when transmission resumes after an idle period (pipe empty, fresh
 	// application data). This models stacks that do not pace out of
@@ -46,16 +41,6 @@ type Options struct {
 	// bursts repeatedly knock loss-based competitors into timeout
 	// recovery while BBR competitors recover in stride.
 	FragileRecovery bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.MSS == 0 {
-		o.MSS = 1500
-	}
-	if o.AckEvery == 0 {
-		o.AckEvery = 1
-	}
-	return o
 }
 
 // message is an application write awaiting delivery confirmation.
@@ -152,7 +137,6 @@ type Flow struct {
 	rcvExpected int64
 	rcvHighest  int64
 	rcvOOO      rcvSet // seqs received above rcvExpected
-	rcvCount    int64
 
 	// Timeouts counts this flow's RTO and fragile-recovery collapses;
 	// the testbed sums every flow's retransmissions, probes and timeouts.
@@ -167,7 +151,7 @@ func NewFlow(tb *netem.Testbed, service int, alg cca.Algorithm, opts Options) *F
 	f := &Flow{
 		eng:     tb.Eng,
 		tb:      tb,
-		opts:    opts.withDefaults(),
+		opts:    opts,
 		alg:     alg,
 		service: service,
 	}
@@ -207,7 +191,7 @@ func (f *Flow) Write(size int64, onDone func(now sim.Time)) {
 		}
 		return
 	}
-	pkts := (size + int64(f.opts.MSS) - 1) / int64(f.opts.MSS)
+	pkts := (size + netem.WirePacketSize - 1) / netem.WirePacketSize
 	if f.opts.BurstOnIdleRestart && f.inflight == 0 && f.pendingPkts == 0 {
 		// Resuming from idle: the first window's worth goes out unpaced.
 		f.burstBudget = f.alg.CwndPackets()
@@ -225,11 +209,11 @@ func (f *Flow) hasData() bool { return f.bulk || f.pendingPkts > 0 }
 
 // packetInterval returns the pacing interval for one packet at rate
 // (bytes/sec).
-func packetInterval(mss int, rateBytesPerSec int64) sim.Time {
+func packetInterval(rateBytesPerSec int64) sim.Time {
 	if rateBytesPerSec <= 0 {
 		return 0
 	}
-	return sim.Time(int64(mss) * int64(sim.Second) / rateBytesPerSec)
+	return sim.Time(netem.WirePacketSize * int64(sim.Second) / rateBytesPerSec)
 }
 
 // effectivePacingRate combines the CCA pacing rate with the server-side
@@ -286,7 +270,7 @@ func (f *Flow) trySend(now sim.Time) {
 			if now > next {
 				next = now
 			}
-			f.nextSendAt = next + packetInterval(f.opts.MSS, rate)
+			f.nextSendAt = next + packetInterval(rate)
 		}
 	}
 }
@@ -326,7 +310,7 @@ func (f *Flow) transmit(now sim.Time, seq int64, retx bool) {
 	p := f.tb.AllocPacket()
 	p.FlowID = f.id
 	p.Service = f.service
-	p.Size = f.opts.MSS
+	p.Size = netem.WirePacketSize
 	p.Seq = seq
 	p.SentAt = now
 	p.Delivered = meta.delivered
@@ -340,7 +324,6 @@ func (f *Flow) transmit(now sim.Time, seq int64, retx bool) {
 
 // onDataAtClient handles a data packet arriving at the testbed client.
 func (f *Flow) onDataAtClient(now sim.Time, p *netem.Packet) {
-	f.rcvCount++
 	if p.Seq > f.rcvHighest {
 		f.rcvHighest = p.Seq
 	}
@@ -354,9 +337,6 @@ func (f *Flow) onDataAtClient(now sim.Time, p *netem.Packet) {
 		f.rcvOOO.add(f.rcvExpected, p.Seq)
 	default:
 		// duplicate of already-delivered data; still acknowledge
-	}
-	if f.opts.AckEvery > 1 && f.rcvCount%int64(f.opts.AckEvery) != 0 && p.Seq != f.rcvExpected-1 {
-		return
 	}
 	ack := f.tb.AllocPacket()
 	ack.FlowID = f.id
@@ -410,7 +390,7 @@ func (f *Flow) onAckAtServer(now sim.Time, p *netem.Packet) {
 	}
 
 	if newly > 0 {
-		f.delivered += int64(newly) * int64(f.opts.MSS)
+		f.delivered += int64(newly) * netem.WirePacketSize
 		f.deliveredTime = now
 		f.armRTO(now)
 	}
@@ -488,7 +468,6 @@ func (f *Flow) detectLosses(now sim.Time, highest int64) {
 	}
 	f.lossScan = limit
 	if lost > 0 {
-		f.alg.OnPacketLoss(now, lost)
 		if !f.inRecovery {
 			f.inRecovery = true
 			f.recoveryEnd = f.nextSeq
@@ -522,7 +501,6 @@ func (f *Flow) detectLostRetransmits(now sim.Time) {
 		return
 	}
 	kept := f.rtxOutstanding[:0]
-	relost := 0
 	for _, ent := range f.rtxOutstanding {
 		seq := ent.seq
 		m := f.sent.get(seq)
@@ -538,12 +516,8 @@ func (f *Flow) detectLostRetransmits(now sim.Time) {
 			f.inflight--
 		}
 		f.rtxQueue.PushBack(seq)
-		relost++
 	}
 	f.rtxOutstanding = kept
-	if relost > 0 {
-		f.alg.OnPacketLoss(now, relost)
-	}
 }
 
 // --- RTT / RTO -------------------------------------------------------

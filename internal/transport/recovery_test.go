@@ -136,16 +136,3 @@ func TestConservationInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAckEveryTwoStillCompletes(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := netem.Config{RateBps: 10_000_000, RTT: 50 * sim.Millisecond}
-	tb := netem.NewTestbed(eng, cfg, sim.NewRNG(1))
-	f := NewFlow(tb, 0, cca.NewCubic(cca.Config{}), Options{AckEvery: 2})
-	completed := false
-	f.Write(1_500_000, func(sim.Time) { completed = true })
-	eng.RunUntil(30 * sim.Second)
-	if !completed {
-		t.Fatal("delayed-ack flow did not complete")
-	}
-}

@@ -13,7 +13,8 @@ import (
 // oracleDetectLostRetransmits is Flow.detectLostRetransmits as it stood
 // before the list kept send times: a scan of the whole list on every ACK
 // that advances, with nothing to return early on. It is kept verbatim
-// (the element type aside) to define "same" for
+// (the element type aside, and without the per-packet loss hook the
+// controller interface no longer has) to define "same" for
 // TestLostRetransmitScanMatchesOracle.
 func oracleDetectLostRetransmits(f *Flow, now sim.Time) {
 	if len(f.rtxOutstanding) == 0 {
@@ -24,7 +25,6 @@ func oracleDetectLostRetransmits(f *Flow, now sim.Time) {
 		return
 	}
 	kept := f.rtxOutstanding[:0]
-	relost := 0
 	for _, ent := range f.rtxOutstanding {
 		seq := ent.seq
 		m := f.sent.get(seq)
@@ -40,12 +40,8 @@ func oracleDetectLostRetransmits(f *Flow, now sim.Time) {
 			f.inflight--
 		}
 		f.rtxQueue.PushBack(seq)
-		relost++
 	}
 	f.rtxOutstanding = kept
-	if relost > 0 {
-		f.alg.OnPacketLoss(now, relost)
-	}
 }
 
 // neverOverdue is a send time that keeps Flow.detectLostRetransmits from
@@ -56,7 +52,6 @@ const neverOverdue = sim.Time(math.MaxInt64)
 type algCall struct {
 	kind   string
 	at     sim.Time
-	lost   int
 	sample cca.AckSample
 }
 
@@ -69,10 +64,6 @@ type recordingAlg struct {
 func (r recordingAlg) OnAck(now sim.Time, s cca.AckSample) {
 	*r.log = append(*r.log, algCall{kind: "ack", at: now, sample: s})
 	r.Algorithm.OnAck(now, s)
-}
-func (r recordingAlg) OnPacketLoss(now sim.Time, lost int) {
-	*r.log = append(*r.log, algCall{kind: "loss", at: now, lost: lost})
-	r.Algorithm.OnPacketLoss(now, lost)
 }
 func (r recordingAlg) OnCongestionEvent(now sim.Time) {
 	*r.log = append(*r.log, algCall{kind: "congestion", at: now})

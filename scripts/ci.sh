@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, vet, gofmt, static analysis, doc-comment gate,
 # the docs gate (scripts/docs-gate.sh), the dead-surface gate
-# (TestDeadSurface), the figure gate (TestFigures), the durable-primitive
+# (TestDeadSurface), the figure gates (TestFigures on the 8 Mbps cycle,
+# then every row recomputed with -update), the durable-primitive
 # and dispatch-loop layering gates, the internal/stats coverage floor, the focused dispatch-loop race gate,
 # the fuzz smoke gate, the full test suite under the race detector
 # (which holds the hot paths to 0 allocs/op),
@@ -435,6 +436,27 @@ if ! go test -count=1 -run 'TestFigures' . > "$ARTIFACTS/figures.log" 2>&1; then
     exit 1
 fi
 echo "ci: figure gate passed ($(grep -c '"id":' testdata/figures.json) rows)"
+
+# Full figure gate: the step above recomputes only the 8 Mbps cycle, so
+# Fig 9a/9b (BBRv3 and both BBRv1 trees) and the ablations are checked
+# here. TestFigures -update rewrites testdata/figures.json from every
+# figure; the result must be the committed bytes. Each row that moved
+# prints as a diff line (one row per line), and the committed file is
+# restored either way.
+cp testdata/figures.json "$ARTIFACTS/figures.committed.json"
+FIG_FAIL=0
+go test -count=1 -run 'TestFigures' -update . > "$ARTIFACTS/figures-update.log" 2>&1 || FIG_FAIL=1
+if [ "$FIG_FAIL" -eq 0 ] && ! cmp -s testdata/figures.json "$ARTIFACTS/figures.committed.json"; then
+    echo "ci: recomputing every figure row moved these rows (< committed, > recomputed):" >&2
+    diff "$ARTIFACTS/figures.committed.json" testdata/figures.json | grep '^[<>]' >&2 || true
+    FIG_FAIL=1
+elif [ "$FIG_FAIL" -ne 0 ]; then
+    echo "ci: TestFigures -update failed:" >&2
+    cat "$ARTIFACTS/figures-update.log" >&2
+fi
+cp "$ARTIFACTS/figures.committed.json" testdata/figures.json
+[ "$FIG_FAIL" -eq 0 ] || exit 1
+echo "ci: full figure gate passed (every row recomputed byte-identical)"
 
 # Focused race gate for the one dispatch loop: the runner's own contract
 # test plus the determinism and interrupt/resume tests, which double as

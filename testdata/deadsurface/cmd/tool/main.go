@@ -22,4 +22,7 @@ func main() {
 	if a, ok := x.(interface{ Advance(int) }); ok {
 		a.Advance(1)
 	}
+	var s lib.Stepper = lib.Walker{}
+	s.Step()
+	s.Stop()
 }
