@@ -12,6 +12,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -25,11 +26,15 @@ var optionStructs = []string{
 	"chaos.Config", "chaos.Brownout", "chaos.DiskPlan",
 	"netem.Config", "netem.NoiseConfig",
 	"serve.Config",
+	"cca.BBRVariant", "cca.Config", "cca.GCCConfig",
+	"transport.Options",
+	"services.Video", "services.RTC", "services.Mega", "services.FileTransfer",
+	"services.WebPage", "services.IPerf",
 }
 
 // maxOptionFields is the committed count of exported fields across
 // optionStructs. It may only go down, except when a struct joins the list.
-const maxOptionFields = 76
+const maxOptionFields = 120
 
 // deadSurfaceAllowlist pins every finding that has a reason to stay.
 const deadSurfaceAllowlist = "testdata/deadsurface.txt"
@@ -93,7 +98,7 @@ func TestDeadSurface(t *testing.T) {
 // TestDeadSurfaceFixture runs the checker on a small module with one case
 // per rule, so that a false negative and a false positive both fail.
 func TestDeadSurfaceFixture(t *testing.T) {
-	rep, err := checkSurface("testdata/deadsurface", []string{"opts.Options"})
+	rep, err := checkSurface("testdata/deadsurface", []string{"opts.Options", "opts.Tuning"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,17 +111,19 @@ func TestDeadSurfaceFixture(t *testing.T) {
 		"internal/lib/fields.go:10 lib.Conn.opened write-only",
 		"internal/lib/fields.go:12 lib.Conn.sends write-only",
 		"internal/lib/lib.go:9 lib.Dead dead",
+		"internal/lib/fields.go:69 lib.Header.Echo write-only",
 		"internal/lib/lib.go:19 lib.Named.Unused dead",
 		"internal/lib/embed.go:19 lib.base.Extra dead",
 		"internal/opts/opts.go:13 opts.Options.Codes one value",
 		"internal/opts/opts.go:11 opts.Options.Mode one value",
 		"internal/opts/opts.go:9 opts.Options.Seam unassigned",
+		"internal/opts/opts.go:25 opts.Tuning.Workers one value",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if rep.optionFields != 5 {
-		t.Errorf("option fields = %d, want 5", rep.optionFields)
+	if rep.optionFields != 7 {
+		t.Errorf("option fields = %d, want 7", rep.optionFields)
 	}
 }
 
@@ -239,7 +246,9 @@ func checkSurface(root string, options []string) (surfaceReport, error) {
 	}
 
 	// Rules B and C: exported option fields no non-test code assigns, and
-	// those every non-test assignment gives one constant.
+	// those every non-test assignment gives one constant. Rule C also
+	// counts the zero a struct literal, var declaration or new(T) leaves
+	// in the field, unless the field's own package defaults that zero.
 	fieldKey := map[*types.Var]string{}
 	var fieldOrder []*types.Var
 	for _, opt := range options {
@@ -256,11 +265,14 @@ func checkSurface(root string, options []string) (surfaceReport, error) {
 		}
 	}
 	rep.optionFields = len(fieldOrder)
-	writes, reads := l.fieldUses()
+	writes, reads, zeros, defaulted := l.fieldUses()
 	for _, f := range fieldOrder {
 		values := writes[f]
+		if !defaulted[f] {
+			values = slices.Concat(values, zeros[f])
+		}
 		switch {
-		case len(values) == 0:
+		case len(writes[f]) == 0:
 			add(f, fieldKey[f], "unassigned")
 		case values[0] != "" && allEqual(values):
 			add(f, fieldKey[f], "one value")
@@ -554,11 +566,16 @@ func (l *surfaceLoader) lookupStruct(pkgName, typeName string) (*types.Struct, e
 // entry per composite-literal element, assignment or inc/dec target, or
 // address taken with &: the exact constant assigned (a composite literal
 // whose elements are all constants counts as one), or "" when the value
-// is not a constant. reads holds every field used in any other way (&x.F
-// and a call through the field included) and each embedded field that a
-// promoted selection passes through.
-func (l *surfaceLoader) fieldUses() (writes map[*types.Var][]string, reads map[*types.Var]bool) {
+// is not a constant. zeros holds one entry per struct literal that leaves
+// the field out, per var declaration without a value and per new(T): the
+// zero value it gets. defaulted holds the fields their own package tests
+// in an if and assigns in its body, so that their zero means a default.
+// reads holds every field used in any other way (&x.F and a call through
+// the field included) but the right side of a copy x.F = y.F, and each
+// embedded field that a promoted selection passes through.
+func (l *surfaceLoader) fieldUses() (writes map[*types.Var][]string, reads map[*types.Var]bool, zeros map[*types.Var][]string, defaulted map[*types.Var]bool) {
 	writes, reads = map[*types.Var][]string{}, map[*types.Var]bool{}
+	zeros, defaulted = map[*types.Var][]string{}, map[*types.Var]bool{}
 	for _, p := range l.pkgs {
 		info := p.info
 		var value func(e ast.Expr) string
@@ -606,17 +623,38 @@ func (l *surfaceLoader) fieldUses() (writes map[*types.Var][]string, reads map[*
 		write := func(f *types.Var, e ast.Expr) {
 			writes[f.Origin()] = append(writes[f.Origin()], value(e))
 		}
+		// zero records the zero value of every field of st that set
+		// does not name.
+		zero := func(st *types.Struct, set map[*types.Var]bool) {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i).Origin(); !set[f] {
+					zeros[f] = append(zeros[f], zeroValue(f.Type()))
+				}
+			}
+		}
+		// field returns the field e selects, or nil.
+		field := func(e ast.Expr) (*ast.SelectorExpr, *types.Var) {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return nil, nil
+			}
+			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return sel, s.Obj().(*types.Var).Origin()
+			}
+			return nil, nil
+		}
 		// written holds the field identifiers that are only written; an
 		// address taken with & is a write and a read.
 		written := map[*ast.Ident]bool{}
 		target := func(e, rhs ast.Expr, onlyWritten bool) {
-			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-			if !ok {
+			sel, f := field(e)
+			if f == nil {
 				return
 			}
-			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-				write(s.Obj().(*types.Var), rhs)
-				written[sel.Sel] = onlyWritten
+			write(f, rhs)
+			written[sel.Sel] = onlyWritten
+			if src, g := field(rhs); g == f {
+				written[src.Sel] = true // a copy x.F = y.F does not read F
 			}
 		}
 		for _, file := range p.files {
@@ -631,17 +669,60 @@ func (l *surfaceLoader) fieldUses() (writes map[*types.Var][]string, reads map[*
 					if !ok {
 						return true
 					}
+					set := map[*types.Var]bool{}
 					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
 							key := kv.Key.(*ast.Ident)
 							if f, ok := info.Uses[key].(*types.Var); ok {
 								write(f, kv.Value)
 								written[key] = true
+								set[f.Origin()] = true
 							}
 						} else {
 							write(st.Field(i), elt)
+							set[st.Field(i).Origin()] = true
 						}
 					}
+					zero(st, set)
+				case *ast.ValueSpec:
+					if len(n.Values) > 0 {
+						break
+					}
+					for _, name := range n.Names {
+						if obj := info.Defs[name]; obj != nil {
+							if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+								zero(st, nil)
+							}
+						}
+					}
+				case *ast.CallExpr:
+					if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) == 1 {
+						if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "new" {
+							if st, ok := info.Types[n.Args[0]].Type.Underlying().(*types.Struct); ok {
+								zero(st, nil)
+							}
+						}
+					}
+				case *ast.IfStmt:
+					tested := map[*types.Var]bool{}
+					ast.Inspect(n.Cond, func(c ast.Node) bool {
+						if e, ok := c.(ast.Expr); ok {
+							if _, f := field(e); f != nil {
+								tested[f] = true
+							}
+						}
+						return true
+					})
+					ast.Inspect(n.Body, func(b ast.Node) bool {
+						if as, ok := b.(*ast.AssignStmt); ok {
+							for _, lhs := range as.Lhs {
+								if _, f := field(lhs); f != nil && tested[f] && f.Pkg() == p.types {
+									defaulted[f] = true
+								}
+							}
+						}
+						return true
+					})
 				case *ast.AssignStmt:
 					for i, lhs := range n.Lhs {
 						var rhs ast.Expr
@@ -678,7 +759,29 @@ func (l *surfaceLoader) fieldUses() (writes map[*types.Var][]string, reads map[*
 			}
 		}
 	}
-	return writes, reads
+	return writes, reads, zeros, defaulted
+}
+
+// zeroValue spells the zero value of t the way fieldUses spells a
+// constant write, so that an explicit zero and an omitted one compare
+// equal.
+func zeroValue(t types.Type) string {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		switch {
+		case u.Info()&types.IsBoolean != 0:
+			return "false"
+		case u.Info()&types.IsString != 0:
+			return `""`
+		case u.Info()&types.IsNumeric != 0:
+			return "0"
+		}
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
+		return "nil"
+	case *types.Struct, *types.Array:
+		return types.TypeString(t, nil) + "{}"
+	}
+	return ""
 }
 
 // jsonReachableFields returns the struct fields of every type reachable

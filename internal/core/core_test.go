@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"prudentia/internal/browser"
 	"prudentia/internal/netem"
 	"prudentia/internal/services"
 	"prudentia/internal/sim"
@@ -421,8 +420,7 @@ func TestHeadlessClientChangesOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hl := browser.HeadlessClient()
-	base.Client = &hl
+	base.RenderCapBps = 4_000_000 // a headless client's virtual framebuffer
 	headless, err := RunTrial(base)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prudentia/internal/browser"
 	"prudentia/internal/chaos"
 	"prudentia/internal/netem"
 	"prudentia/internal/obs"
@@ -49,9 +48,9 @@ type Spec struct {
 	Duration, Warmup, Cooldown sim.Time
 	// Seed makes the trial fully reproducible.
 	Seed uint64
-	// Client is the browser environment (defaults to the full-fidelity
-	// testbed client of §3.3).
-	Client *browser.Client
+	// RenderCapBps caps the video bitrate the client renders (0, the
+	// full-fidelity testbed client of §3.3, caps nothing).
+	RenderCapBps int64
 	// Chaos, if non-nil, arms the deterministic fault plan for this
 	// trial: in-simulation faults on the testbed plus seed-decided
 	// trial-level panics/errors/corruption.
@@ -288,11 +287,6 @@ func RunTrial(spec Spec) (TrialResult, error) {
 		spec.Observe(tb)
 	}
 
-	client := browser.TestbedClient()
-	if spec.Client != nil {
-		client = *spec.Client
-	}
-
 	// Start services with a small jitter so paired control loops do not
 	// phase-lock on the simulation grid.
 	type started struct {
@@ -309,11 +303,11 @@ func RunTrial(spec Spec) (TrialResult, error) {
 		}
 		svc := svc
 		env := &services.Env{
-			Eng:    eng,
-			TB:     tb,
-			Slot:   slot,
-			RNG:    rng.Split(),
-			Client: client,
+			Eng:          eng,
+			TB:           tb,
+			Slot:         slot,
+			RNG:          rng.Split(),
+			RenderCapBps: spec.RenderCapBps,
 		}
 		st := &started{}
 		insts[slot] = st

@@ -10,9 +10,10 @@ package netem
 import "prudentia/internal/sim"
 
 // Packet is the unit of transfer across the emulated network. Fields
-// cover both directions (data downstream, ACKs upstream) plus the
-// bookkeeping BBR-style rate sampling needs. Keeping one concrete struct
-// avoids interface dispatch on the hottest path in the simulator.
+// cover both directions (data downstream, ACKs upstream); the sender keeps
+// its rate-sampling state per packet on its own side. Keeping one
+// concrete struct avoids interface dispatch on the hottest path in the
+// simulator.
 type Packet struct {
 	// FlowID identifies the transport flow, assigned by the Testbed at
 	// registration time. It indexes the Testbed routing table.
@@ -25,8 +26,8 @@ type Packet struct {
 	Size int
 	// Seq is the data sequence number in packet units.
 	Seq int64
-	// SentAt is the sender's virtual transmit timestamp, echoed back in
-	// ACKs so the sender can take RTT samples.
+	// SentAt is the sender's virtual transmit timestamp. RTC stamps its
+	// media packets with it to measure one-way delay.
 	SentAt sim.Time
 	// CumAck is the receiver's cumulative in-order acknowledgement
 	// (next expected Seq) carried by ACKs.
@@ -36,15 +37,6 @@ type Packet struct {
 	HighestSeq int64
 	// AckedSeq echoes the Seq of the data packet triggering this ACK.
 	AckedSeq int64
-	// Delivered and DeliveredTime echo the sender's delivery counter at
-	// the time the data packet was sent; the ACK returns them so BBR can
-	// form rate samples (per the BBR delivery-rate estimation draft).
-	Delivered     int64
-	DeliveredTime sim.Time
-	// AppLimited marks packets sent while the application could not fill
-	// the congestion window; rate samples from them must not raise the
-	// bandwidth estimate.
-	AppLimited bool
 	// Frame and FramePackets support unreliable media transport: Frame
 	// identifies the video frame this packet belongs to and FramePackets
 	// is the frame's total packet count, letting the receiver detect

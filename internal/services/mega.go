@@ -16,34 +16,26 @@ import (
 // take a loss burst and cannot recover before the next batch, while BBR
 // competitors (Dropbox) ramp into the gaps.
 type Mega struct {
-	ServiceName string
-	Factory     AlgFactory
-	// Flows is the batch width (5 in the deployed client).
-	Flows int
-	// ChunkBytes is the per-flow chunk size per batch.
-	ChunkBytes int64
+	Factory AlgFactory
 	// BatchPause is the client-side coordination delay between batches
 	// (hash verification + scheduling in the real client).
 	BatchPause sim.Time
-	// FreshConnections opens new transport connections for every batch
-	// (slow-start per batch) instead of reusing the five persistent
-	// connections with idle-restart bursts.
-	FreshConnections bool
 }
+
+// The deployed client's batch: megaFlows connections, one chunk of
+// megaChunkBytes each.
+const (
+	megaFlows      = 5
+	megaChunkBytes = 1 << 20
+)
 
 // NewMega returns the Mega model with deployed-client parameters.
 func NewMega(f AlgFactory) *Mega {
-	return &Mega{
-		ServiceName: "Mega",
-		Factory:     f,
-		Flows:       5,
-		ChunkBytes:  1 << 20,
-		BatchPause:  350 * sim.Millisecond,
-	}
+	return &Mega{Factory: f, BatchPause: 350 * sim.Millisecond}
 }
 
 // Name implements Service.
-func (s *Mega) Name() string { return s.ServiceName }
+func (s *Mega) Name() string { return "Mega" }
 
 // Category implements Service.
 func (s *Mega) Category() Category { return CategoryFile }
@@ -52,7 +44,7 @@ func (s *Mega) Category() Category { return CategoryFile }
 func (s *Mega) MaxRateBps() int64 { return 0 }
 
 // FlowCount implements Service.
-func (s *Mega) FlowCount() int { return s.Flows }
+func (s *Mega) FlowCount() int { return megaFlows }
 
 // Start implements Service.
 func (s *Mega) Start(env *Env) Instance {
@@ -71,22 +63,19 @@ type megaInstance struct {
 	stats     FileStats
 }
 
-// startBatch opens a fresh connection per chunk — the downloader issues
-// new parallel requests for every batch — and hands each its chunk. The
-// five congestion controllers therefore slow-start simultaneously at
-// every batch boundary, which is what makes Mega's traffic the most
-// violent in the catalog: a synchronized exponential burst into the
-// bottleneck queue every batch, repeated for the whole transfer.
+// startBatch hands each of the five connections its chunk of the next
+// batch, opening the connections on the first batch and reusing them
+// after. Every connection sat idle through the barrier and the pause, so
+// each restarts with its congestion window still wide open and sends it
+// unpaced (Options.BurstOnIdleRestart): five synchronized window-sized
+// bursts into the bottleneck queue at every batch boundary, which is
+// what makes Mega's traffic the most violent in the catalog.
 func (i *megaInstance) startBatch(now sim.Time) {
 	if i.stopped {
 		return
 	}
-	if i.svc.FreshConnections || len(i.flows) == 0 {
-		for _, f := range i.flows {
-			f.Close()
-		}
-		i.flows = i.flows[:0]
-		for n := 0; n < i.svc.Flows; n++ {
+	if len(i.flows) == 0 {
+		for n := 0; n < megaFlows; n++ {
 			alg := i.svc.Factory(i.env.RNG.Split())
 			opts := flowOptions(alg)
 			opts.BurstOnIdleRestart = true
@@ -94,14 +83,14 @@ func (i *megaInstance) startBatch(now sim.Time) {
 				transport.NewFlow(i.env.TB, i.env.Slot, alg, opts))
 		}
 	}
-	i.remaining = i.svc.Flows
+	i.remaining = megaFlows
 	for _, f := range i.flows {
-		f.Write(i.svc.ChunkBytes, i.chunkDone)
+		f.Write(megaChunkBytes, i.chunkDone)
 	}
 }
 
 func (i *megaInstance) chunkDone(now sim.Time) {
-	i.stats.BytesCompleted += i.svc.ChunkBytes
+	i.stats.BytesCompleted += megaChunkBytes
 	i.stats.ChunksCompleted++
 	i.remaining--
 	if i.remaining > 0 || i.stopped {

@@ -26,27 +26,28 @@ type RTC struct {
 	ServiceName string
 	// GCC configures the rate controller; its MaxRate is the service's
 	// Table 1 cap.
-	GCC           cca.GCCConfig
-	FrameRate     int
-	PacketBytes   int
-	FeedbackEvery sim.Time
-	Resolutions   []rtcResolutionStep // descending by minRate
-	// KeyFrameEvery inserts a larger (2x) frame periodically.
-	KeyFrameEvery int
+	GCC         cca.GCCConfig
+	Resolutions []rtcResolutionStep // descending by minRate
 }
+
+// Both RTC services encode rtcFrameRate frames a second in packets of
+// rtcPacketBytes, make every rtcKeyFrameEvery-th frame a key frame twice
+// the size, and send receiver feedback every rtcFeedbackEvery.
+const (
+	rtcFrameRate     = 30
+	rtcPacketBytes   = 1200
+	rtcKeyFrameEvery = 90
+	rtcFeedbackEvery = 100 * sim.Millisecond
+)
 
 // NewGoogleMeet returns the Google Meet model (GCC, ≤1.5 Mbps).
 func NewGoogleMeet() *RTC {
 	return &RTC{
-		ServiceName:   "Google Meet",
-		GCC:           cca.MeetGCC(),
-		FrameRate:     30,
-		PacketBytes:   1200,
-		FeedbackEvery: 100 * sim.Millisecond,
+		ServiceName: "Google Meet",
+		GCC:         cca.MeetGCC(),
 		Resolutions: []rtcResolutionStep{
 			{1_200_000, 720}, {600_000, 480}, {350_000, 360}, {0, 240},
 		},
-		KeyFrameEvery: 90,
 	}
 }
 
@@ -55,15 +56,11 @@ func NewGoogleMeet() *RTC {
 // and resolution at the cost of FPS and freezes under contention.
 func NewMicrosoftTeams() *RTC {
 	return &RTC{
-		ServiceName:   "Microsoft Teams",
-		GCC:           cca.TeamsController(),
-		FrameRate:     30,
-		PacketBytes:   1200,
-		FeedbackEvery: 100 * sim.Millisecond,
+		ServiceName: "Microsoft Teams",
+		GCC:         cca.TeamsController(),
 		Resolutions: []rtcResolutionStep{
 			{2_200_000, 1080}, {1_200_000, 720}, {600_000, 480}, {350_000, 360}, {0, 240},
 		},
-		KeyFrameEvery: 90,
 	}
 }
 
@@ -91,10 +88,9 @@ func (s *RTC) Start(env *Env) Instance {
 	}
 	inst.flowID = env.TB.RegisterFlow(env.Slot, inst.onMediaPacket, nil)
 	inst.startAt = env.Eng.Now()
-	frameGap := sim.Second / sim.Time(s.FrameRate)
 	// Jitter the start so paired RTC services do not phase-lock.
-	env.Eng.After(env.RNG.Duration(frameGap), inst.sendFrame)
-	env.Eng.After(s.FeedbackEvery, inst.feedbackTick)
+	env.Eng.After(env.RNG.Duration(sim.Second/rtcFrameRate), inst.sendFrame)
+	env.Eng.After(rtcFeedbackEvery, inst.feedbackTick)
 	inst.lastResAt = env.Eng.Now()
 	return inst
 }
@@ -177,22 +173,22 @@ func (r *rtcInstance) sendFrame(now sim.Time) {
 		r.lastResAt = now
 	}
 
-	frameBytes := rate / int64(8*r.svc.FrameRate)
+	frameBytes := rate / (8 * rtcFrameRate)
 	r.frameCount++
-	if r.svc.KeyFrameEvery > 0 && r.frameCount%r.svc.KeyFrameEvery == 0 {
+	if r.frameCount%rtcKeyFrameEvery == 0 {
 		frameBytes *= 2
 	}
 	if frameBytes < 200 {
 		frameBytes = 200
 	}
-	pkts := int((frameBytes + int64(r.svc.PacketBytes) - 1) / int64(r.svc.PacketBytes))
+	pkts := int((frameBytes + rtcPacketBytes - 1) / rtcPacketBytes)
 	frame := r.frameID
 	r.frameID++
 	for i := 0; i < pkts; i++ {
 		p := r.env.TB.AllocPacket()
 		p.FlowID = r.flowID
 		p.Service = r.env.Slot
-		p.Size = r.svc.PacketBytes
+		p.Size = rtcPacketBytes
 		p.Seq = r.nextSeq
 		p.SentAt = now
 		p.Frame = frame
@@ -200,7 +196,7 @@ func (r *rtcInstance) sendFrame(now sim.Time) {
 		r.nextSeq++
 		r.env.TB.SendData(now, p)
 	}
-	r.env.Eng.After(sim.Second/sim.Time(r.svc.FrameRate), r.sendFrame)
+	r.env.Eng.After(sim.Second/rtcFrameRate, r.sendFrame)
 }
 
 // onMediaPacket is the receiver: delay accounting, frame reassembly,
@@ -275,7 +271,7 @@ func (r *rtcInstance) feedbackTick(now sim.Time) {
 	if r.stopped {
 		return
 	}
-	fb := cca.Feedback{Interval: r.svc.FeedbackEvery}
+	fb := cca.Feedback{Interval: rtcFeedbackEvery}
 	if expected := r.maxSeqSeen - r.prevMaxSeq; expected > 0 {
 		lost := expected - r.intRecv
 		if lost < 0 {
@@ -293,19 +289,19 @@ func (r *rtcInstance) feedbackTick(now sim.Time) {
 	}
 	if r.prevMeanValid && r.intOWDCount > 0 {
 		deltaMs := (meanOWD - r.prevMeanOWD).Seconds() * 1000
-		fb.DelayGradient = deltaMs / r.svc.FeedbackEvery.Seconds()
+		fb.DelayGradient = deltaMs / rtcFeedbackEvery.Seconds()
 	}
 	if r.intOWDCount > 0 {
 		r.prevMeanOWD = meanOWD
 		r.prevMeanValid = true
 	}
-	fb.ReceiveRate = r.intRecvBytes * 8 * int64(sim.Second) / int64(r.svc.FeedbackEvery)
+	fb.ReceiveRate = r.intRecvBytes * 8 * int64(sim.Second) / int64(rtcFeedbackEvery)
 
 	r.controller.OnFeedback(now, fb)
 
 	r.intRecv, r.intRecvBytes = 0, 0
 	r.intOWDSum, r.intOWDCount = 0, 0
-	r.env.Eng.After(r.svc.FeedbackEvery, r.feedbackTick)
+	r.env.Eng.After(rtcFeedbackEvery, r.feedbackTick)
 }
 
 func (r *rtcInstance) Stop() {

@@ -8,7 +8,6 @@
 package services
 
 import (
-	"prudentia/internal/browser"
 	"prudentia/internal/netem"
 	"prudentia/internal/sim"
 )
@@ -33,8 +32,11 @@ type Env struct {
 	Slot int
 	// RNG is the instance's private random stream.
 	RNG *sim.RNG
-	// Client is the browser/client environment (render fidelity, §3.3).
-	Client browser.Client
+	// RenderCapBps is the highest video bitrate the client can render
+	// (0 = no cap). §3.3 of the paper found that headless or GPU-less
+	// clients make players request lower bitrates, so the testbed renders
+	// at full fidelity; tests set a cap to reproduce the pitfall.
+	RenderCapBps int64
 }
 
 // Service is a catalog entry: a factory for running instances.

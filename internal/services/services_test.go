@@ -3,7 +3,6 @@ package services
 import (
 	"testing"
 
-	"prudentia/internal/browser"
 	"prudentia/internal/netem"
 	"prudentia/internal/sim"
 )
@@ -13,11 +12,10 @@ func newEnv(cfg netem.Config, slot int, seed uint64) (*Env, *sim.Engine) {
 	eng := sim.NewEngine()
 	tb := netem.NewTestbed(eng, cfg, sim.NewRNG(seed))
 	return &Env{
-		Eng:    eng,
-		TB:     tb,
-		Slot:   slot,
-		RNG:    sim.NewRNG(seed + 1),
-		Client: browser.TestbedClient(),
+		Eng:  eng,
+		TB:   tb,
+		Slot: slot,
+		RNG:  sim.NewRNG(seed + 1),
 	}, eng
 }
 
@@ -98,8 +96,9 @@ func TestYouTubeIsAppLimitedOnFastLink(t *testing.T) {
 
 func TestVideoHeadlessClientCapsBitrate(t *testing.T) {
 	// §3.3: headless clients request lower bitrates — the fidelity trap.
+	// A virtual framebuffer settles players around 1080p-class rates.
 	env, eng := newEnv(netem.ModeratelyConstrained(), 0, 9)
-	env.Client = browser.HeadlessClient()
+	env.RenderCapBps = 4_000_000
 	inst := YouTube(Year2023).Start(env)
 	eng.RunUntil(120 * sim.Second)
 	st := inst.Stats()

@@ -27,9 +27,6 @@ type Video struct {
 	ChunkDuration sim.Time
 	// TargetBufferSec is the playback buffer the player tries to hold.
 	TargetBufferSec float64
-	// StartupChunks is how many chunks must buffer before playback starts
-	// (and resumes after a stall).
-	StartupChunks int
 	// PipelineDepth is how many chunk requests may be outstanding at
 	// once while the buffer is below target (real players keep the
 	// connection busy by requesting ahead; default 2).
@@ -47,7 +44,6 @@ func NewYouTube(f AlgFactory) *Video {
 		Flows:           1,
 		ChunkDuration:   5 * sim.Second,
 		TargetBufferSec: 30,
-		StartupChunks:   2,
 	}
 }
 
@@ -62,7 +58,6 @@ func NewNetflix(f AlgFactory) *Video {
 		Flows:           4,
 		ChunkDuration:   4 * sim.Second,
 		TargetBufferSec: 40,
-		StartupChunks:   2,
 	}
 }
 
@@ -77,9 +72,12 @@ func NewVimeo(f AlgFactory) *Video {
 		Flows:           2,
 		ChunkDuration:   4 * sim.Second,
 		TargetBufferSec: 30,
-		StartupChunks:   2,
 	}
 }
+
+// videoStartupChunks is how many chunks must buffer before playback
+// starts (and resumes after a stall).
+const videoStartupChunks = 2
 
 // Name implements Service.
 func (s *Video) Name() string { return s.ServiceName }
@@ -106,7 +104,7 @@ func (s *Video) Start(env *Env) Instance {
 		policy:    s.NewPolicy(),
 		est:       abr.NewEstimator(5),
 		lastRung:  -1,
-		renderCap: env.Client.RenderCapBps(),
+		renderCap: env.RenderCapBps,
 		resTime:   make(map[int]sim.Time),
 	}
 	inst.refillTimer = env.Eng.NewTimer()
@@ -300,7 +298,7 @@ func (v *videoInstance) chunkDone(now sim.Time, req *chunkRequest) {
 	v.bufferSec += v.svc.ChunkDuration.Seconds()
 
 	// Start or resume playback once enough is buffered.
-	startLevel := float64(v.svc.StartupChunks) * v.svc.ChunkDuration.Seconds()
+	startLevel := videoStartupChunks * v.svc.ChunkDuration.Seconds()
 	if !v.playing && v.bufferSec >= startLevel {
 		v.playing = true
 		if v.stalled {

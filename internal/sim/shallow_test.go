@@ -3,7 +3,6 @@ package sim_test
 import (
 	"testing"
 
-	"prudentia/internal/browser"
 	"prudentia/internal/cca"
 	"prudentia/internal/netem"
 	"prudentia/internal/services"
@@ -80,7 +79,7 @@ func TestActiveLinesStayFew(t *testing.T) {
 				if svc == nil {
 					t.Fatalf("no service named %q", name)
 				}
-				svc.Start(&services.Env{Eng: eng, TB: tb, Slot: slot, RNG: rng.Split(), Client: browser.TestbedClient()})
+				svc.Start(&services.Env{Eng: eng, TB: tb, Slot: slot, RNG: rng.Split()})
 			}
 			heads, scanned, events := 0, 0, 0
 			for eng.Now() < horizon && eng.Step() {

@@ -312,10 +312,6 @@ func (f *Flow) transmit(now sim.Time, seq int64, retx bool) {
 	p.Service = f.service
 	p.Size = netem.WirePacketSize
 	p.Seq = seq
-	p.SentAt = now
-	p.Delivered = meta.delivered
-	p.DeliveredTime = meta.deliveredTime
-	p.AppLimited = meta.appLimited
 	f.tb.SendData(now, p)
 	f.armRTO(now)
 }
@@ -342,13 +338,9 @@ func (f *Flow) onDataAtClient(now sim.Time, p *netem.Packet) {
 	ack.FlowID = f.id
 	ack.Service = f.service
 	ack.Size = 64
-	ack.SentAt = p.SentAt
 	ack.AckedSeq = p.Seq
 	ack.CumAck = f.rcvExpected
 	ack.HighestSeq = f.rcvHighest
-	ack.Delivered = p.Delivered
-	ack.DeliveredTime = p.DeliveredTime
-	ack.AppLimited = p.AppLimited
 	f.tb.SendAck(now, ack)
 }
 

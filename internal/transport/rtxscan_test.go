@@ -112,8 +112,8 @@ type rtxWorld struct {
 }
 
 type queued struct {
-	seq    int64
-	sentAt sim.Time
+	seq int64
+	at  sim.Time // when the queue admitted it
 }
 
 func newRTXWorld(seed uint64, oracle bool) *rtxWorld {
@@ -123,7 +123,7 @@ func newRTXWorld(seed uint64, oracle bool) *rtxWorld {
 	w.tb = netem.NewTestbed(w.eng, cfg, rng.Split())
 	w.tb.Bneck.EnqueueHook = func(now sim.Time, p *netem.Packet) {
 		if p.Service == 0 {
-			w.sends = append(w.sends, queued{p.Seq, p.SentAt})
+			w.sends = append(w.sends, queued{p.Seq, now})
 		}
 	}
 	var inner cca.Algorithm = cca.NewNewReno(cca.Config{InitialCwnd: 30})

@@ -415,11 +415,22 @@ echo "ci: internal/stats coverage ${STATS_COV}% (floor 85%)"
 # uses, an option field nothing sets, one set to a single constant, or a
 # struct field non-test code writes and never reads must be deleted or
 # listed with a reason in testdata/deadsurface.txt (deadsurface_test.go).
-# Each finding prints as "file:line pkg.Symbol rule".
+# Each finding prints as "file:line pkg.Symbol rule", each allowlist
+# line the checker no longer flags as "stale: pkg.Symbol", and an
+# option-field count over the committed one as its message.
 if ! go test -count=1 -run 'TestDeadSurface' . > "$ARTIFACTS/deadsurface.log" 2>&1; then
     echo "ci: dead-surface gate failed:" >&2
     findings="$(sed -n -E 's/^[[:space:]]+([^[:space:]]+\.go:[0-9]+ [^[:space:]]+ (dead|unassigned|one value|write-only))$/\1/p' "$ARTIFACTS/deadsurface.log")"
-    if [ -n "$findings" ]; then echo "$findings" >&2; else cat "$ARTIFACTS/deadsurface.log" >&2; fi
+    stale="$(awk '/lists entries the checker no longer flags/ { s = 1; next }
+        s && /^[[:space:]]+[^[:space:]]+$/ { print "stale: " $1; next }
+        { s = 0 }
+        /option structs carry/ { sub(/^[[:space:]]*[^[:space:]]+: /, ""); print }' "$ARTIFACTS/deadsurface.log")"
+    if [ -n "$findings$stale" ]; then
+        if [ -n "$findings" ]; then echo "$findings" >&2; fi
+        if [ -n "$stale" ]; then echo "$stale" >&2; fi
+    else
+        cat "$ARTIFACTS/deadsurface.log" >&2
+    fi
     exit 1
 fi
 echo "ci: dead-surface gate passed ($(grep -c '^[a-z]' testdata/deadsurface.txt) allowlisted)"

@@ -18,6 +18,9 @@ func main() {
 	fmt.Println(lib.Live(), lib.Named{}, o.Rate, o.Mode, o.Codes, o.Rates)
 	c := lib.NewConn("peer")
 	fmt.Println(c.Addr(), string(c.Send("hi")), lib.NewMeter().Bump())
+	fmt.Println(lib.Reply(lib.Header{Seq: 1, Echo: *rate}).Seq)
+	loud, quiet := opts.Tuning{Verbose: true}.Resolve(), opts.Tuning{}.Resolve()
+	fmt.Println(loud.Verbose, quiet.Verbose, quiet.Workers)
 	var x any = lib.Anon{}
 	if a, ok := x.(interface{ Advance(int) }); ok {
 		a.Advance(1)

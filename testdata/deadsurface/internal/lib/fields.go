@@ -60,3 +60,19 @@ type Meter struct {
 
 // NewMeter returns a meter at level zero.
 func NewMeter() *Meter { return &Meter{Gauge: Gauge{}} }
+
+// Header is copied by Reply.
+type Header struct {
+	// Seq is read to number the reply: not flagged.
+	Seq int
+	// Echo's one read is the copy in Reply: rule D flags it.
+	Echo int
+}
+
+// Reply returns the header answering src.
+func Reply(src Header) Header {
+	var dst Header
+	dst.Seq = src.Seq + 1
+	dst.Echo = src.Echo
+	return dst
+}
